@@ -67,7 +67,10 @@ def _load_labels(path: Optional[str]) -> Optional[dict[int, int]]:
         parts = ln.split()
         if len(parts) != 2:
             raise CliError(f"label line must be 'node label': {ln!r}")
-        labels[int(parts[0])] = int(parts[1])
+        node = int(parts[0])
+        if node in labels:
+            raise CliError(f"node {node} is labeled twice: {ln!r}")
+        labels[node] = int(parts[1])
     return labels
 
 
@@ -93,11 +96,9 @@ def _query_text(args) -> str:
     return _read_source(args.query)
 
 
-def _requester(args, net) -> int:
+def _requester(args) -> int:
     if args.req is None:
         raise CliError("--req is required for this command")
-    if args.req not in net.graph.adj:
-        raise CliError(f"requester {args.req} is not a node of the network")
     return args.req
 
 
@@ -128,18 +129,28 @@ def _print_placement(placement, fmt: str) -> None:
                 print(",".join(["placement", str(a)] + [str(v) for v in t]))
 
 
-def _print_metrics(metrics, fmt: str) -> None:
-    print(metrics_report(metrics, fmt))
-
-
 def _fact_text(fact) -> str:
     pred, args = fact
     return f"{pred}({','.join(str(v) for v in args)})"
 
 
+def _print_facts(facts, fmt: str) -> None:
+    if fmt == "table":
+        print(f"facts: {len(facts)}")
+        for fact in facts:
+            print("  " + _fact_text(fact))
+    else:
+        for pred, vals in facts:
+            print(",".join(["fact", pred] + [str(v) for v in vals]))
+
+
 def _check_outcome(ok: bool) -> int:
     print("CHECK OK" if ok else "CHECK FAILED")
     return 0 if ok else 1
+
+
+def _fo_oracle(g, f):
+    return eval_fo(g, f, free_vars(f))
 
 
 # ----------------------------------------------------------------- commands
@@ -148,100 +159,45 @@ def _check_outcome(ok: bool) -> int:
 def cmd_oracle_fo(args) -> int:
     g = _load_graph(args)
     f = parse_formula(_query_text(args))
-    rel = eval_fo(g, f, free_vars(f))
-    _print_relation(rel, args.format)
+    _print_relation(_fo_oracle(g, f), args.format)
     return 0
 
 
 def cmd_oracle_fp(args) -> int:
     g = _load_graph(args)
     q = parse_fixpoint(_query_text(args))
-    trace = eval_fp_loc(g, q) if q.radius is not None else eval_fp(g, q)
-    _print_relation(trace.stages[-1], args.format)
+    _print_relation(eval_fp(g, q).final, args.format)
     return 0
 
 
-def cmd_qe_fo(args) -> int:
+# sub-command -> (query parser, distributed driver, centralized evaluator)
+_QUERY_ENGINES = {
+    "qe-fo": (parse_formula, run_qe_fo, _fo_oracle),
+    "qe-fp": (parse_fixpoint, run_qe_fp, lambda g, q: eval_fp(g, q).final),
+    "qe-fo-loc": (parse_formula, run_qe_fo_loc, _fo_oracle),
+    "qe-fp-loc": (
+        parse_fixpoint, run_qe_fp_loc, lambda g, q: eval_fp_loc(g, q).final
+    ),
+}
+
+
+def cmd_qe(args) -> int:
+    parse, run, oracle = _QUERY_ENGINES[args.command]
     net = _load_net(args)
-    f = parse_formula(_query_text(args))
-    req = _requester(args, net)
-    rel, metrics, placement = run_qe_fo(
+    query = parse(_query_text(args))
+    rel, metrics, placement = run(
         net,
-        f,
-        req,
+        query,
+        _requester(args),
         order_seed=args.order_seed,
         round_cap=args.rounds_cap,
         with_placement=True,
     )
     _print_relation(rel, args.format)
     _print_placement(placement, args.format)
-    _print_metrics(metrics, args.format)
+    print(metrics_report(metrics, args.format))
     if args.check:
-        want = eval_fo(net.graph, f, free_vars(f))
-        return _check_outcome(rel.tuples == want.tuples)
-    return 0
-
-
-def cmd_qe_fp(args) -> int:
-    net = _load_net(args)
-    q = parse_fixpoint(_query_text(args))
-    req = _requester(args, net)
-    rel, metrics, placement = run_qe_fp(
-        net,
-        q,
-        req,
-        order_seed=args.order_seed,
-        round_cap=args.rounds_cap,
-        with_placement=True,
-    )
-    _print_relation(rel, args.format)
-    _print_placement(placement, args.format)
-    _print_metrics(metrics, args.format)
-    if args.check:
-        want = eval_fp(net.graph, q).stages[-1]
-        return _check_outcome(rel.tuples == want.tuples)
-    return 0
-
-
-def cmd_qe_fo_loc(args) -> int:
-    net = _load_net(args)
-    f = parse_formula(_query_text(args))
-    req = _requester(args, net)
-    rel, metrics, placement = run_qe_fo_loc(
-        net,
-        f,
-        req,
-        order_seed=args.order_seed,
-        round_cap=args.rounds_cap,
-        with_placement=True,
-    )
-    _print_relation(rel, args.format)
-    _print_placement(placement, args.format)
-    _print_metrics(metrics, args.format)
-    if args.check:
-        want = eval_fo(net.graph, f, free_vars(f))
-        return _check_outcome(rel.tuples == want.tuples)
-    return 0
-
-
-def cmd_qe_fp_loc(args) -> int:
-    net = _load_net(args)
-    q = parse_fixpoint(_query_text(args))
-    req = _requester(args, net)
-    rel, metrics, placement = run_qe_fp_loc(
-        net,
-        q,
-        req,
-        order_seed=args.order_seed,
-        round_cap=args.rounds_cap,
-        with_placement=True,
-    )
-    _print_relation(rel, args.format)
-    _print_placement(placement, args.format)
-    _print_metrics(metrics, args.format)
-    if args.check:
-        want = eval_fp_loc(net.graph, q).stages[-1]
-        return _check_outcome(rel.tuples == want.tuples)
+        return _check_outcome(rel.tuples == oracle(net.graph, query).tuples)
     return 0
 
 
@@ -251,11 +207,8 @@ def cmd_netlog_run(args) -> int:
     instance, metrics = run_netlog(
         program, net, order_seed=args.order_seed, round_cap=args.rounds_cap
     )
-    facts = sorted(instance.union_facts())
+    _print_facts(sorted(instance.union_facts()), args.format)
     if args.format == "table":
-        print(f"facts: {len(facts)}")
-        for fact in facts:
-            print("  " + _fact_text(fact))
         print("placement:")
         for a in sorted(instance.stores):
             held = " ".join(
@@ -263,15 +216,13 @@ def cmd_netlog_run(args) -> int:
             )
             print(f"  node {a}: {held}")
     else:
-        for pred, vals in facts:
-            print(",".join(["fact", pred] + [str(v) for v in vals]))
         for a in sorted(instance.stores):
             for pred, vals in sorted(instance.stores[a]):
                 print(
                     ",".join(["placement", str(a), pred]
                              + [str(v) for v in vals])
                 )
-    _print_metrics(metrics, args.format)
+    print(metrics_report(metrics, args.format))
     if args.check:
         want = netlog_stages(program, net.graph)[-1]
         return _check_outcome(
@@ -283,15 +234,7 @@ def cmd_netlog_run(args) -> int:
 def cmd_datalog_run(args) -> int:
     g = _load_graph(args)
     program = parse_datalog(_query_text(args))
-    trace = eval_datalog(program, g)
-    facts = sorted(trace.stages[-1])
-    if args.format == "table":
-        print(f"facts: {len(facts)}")
-        for fact in facts:
-            print("  " + _fact_text(fact))
-    else:
-        for pred, vals in facts:
-            print(",".join(["fact", pred] + [str(v) for v in vals]))
+    _print_facts(sorted(eval_datalog(program, g).final), args.format)
     return 0
 
 
@@ -402,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn, needs_req in (
         ("oracle-fo", cmd_oracle_fo, False),
         ("oracle-fp", cmd_oracle_fp, False),
-        ("qe-fo", cmd_qe_fo, True),
-        ("qe-fp", cmd_qe_fp, True),
-        ("qe-fo-loc", cmd_qe_fo_loc, True),
-        ("qe-fp-loc", cmd_qe_fp_loc, True),
+        *((name, cmd_qe, True) for name in _QUERY_ENGINES),
         ("netlog-run", cmd_netlog_run, False),
         ("datalog-run", cmd_datalog_run, False),
     ):

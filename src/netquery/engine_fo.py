@@ -22,7 +22,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from . import simnet
 from .logic import (
@@ -33,12 +42,14 @@ from .logic import (
     Cmp,
     Const,
     Exists,
+    FixpointQuery,
     Forall,
     Formula,
     InNbhd,
     Not,
     Or,
     Var,
+    _terms_of,
     atoms,
     canonical_print,
     constants,
@@ -52,7 +63,6 @@ from .oracle import Relation
 from .simnet import (
     EncodingParams,
     Message,
-    Metrics,
     Network,
     NodeContext,
     NodeEngine,
@@ -141,14 +151,6 @@ def _cmp_holds(op: str, a: int, b: int) -> bool:
     if op == "!=":
         return a != b
     return a >= b
-
-
-def _atom_terms(f: Formula) -> tuple:
-    if isinstance(f, Atom):
-        return f.args
-    if isinstance(f, Cmp):
-        return (f.left, f.right)
-    return ()
 
 
 class AuxAtoms:
@@ -272,7 +274,7 @@ class FOCore:
         def go(f: Formula, env: dict[str, int], depth: int) -> None:
             nonlocal top
             if isinstance(f, (Atom, Cmp)):
-                lv = [env[t.name] for t in _atom_terms(f) if isinstance(t, Var)]
+                lv = [env[t.name] for t in _terms_of(f) if isinstance(t, Var)]
                 top = max(top, max(lv) if lv else entry_level)
             elif isinstance(f, Not):
                 go(f.body, env, depth)
@@ -361,25 +363,23 @@ class FOCore:
                 return True
         return False
 
+    def _link(self, parent: _Entry, cand: _Entry) -> None:
+        for path in sorted(parent.leaves):
+            leaf = parent.leaves[path]
+            if cand.text not in leaf.instances and self._match(leaf, cand):
+                leaf.instances.add(cand.text)
+
     def _link_new_parent(self, e: _Entry) -> None:
         if not e.leaves:
             return
         for text2 in sorted(self.by_level.get(e.level + 1, ())):
-            cand = self.entries[(e.level + 1, text2)]
-            for path in sorted(e.leaves):
-                leaf = e.leaves[path]
-                if text2 not in leaf.instances and self._match(leaf, cand):
-                    leaf.instances.add(text2)
+            self._link(e, self.entries[(e.level + 1, text2)])
 
     def _link_new_child(self, e: _Entry) -> None:
         if e.level == 0:
             return
         for ptext in sorted(self.by_level.get(e.level - 1, ())):
-            parent = self.entries[(e.level - 1, ptext)]
-            for path in sorted(parent.leaves):
-                leaf = parent.leaves[path]
-                if e.text not in leaf.instances and self._match(leaf, e):
-                    leaf.instances.add(e.text)
+            self._link(self.entries[(e.level - 1, ptext)], e)
 
     # -- round interface
 
@@ -412,25 +412,18 @@ class FOCore:
                     self.out.append(("A", k, bool(v)))
             elif prev != bool(v):
                 raise EngineError("conflicting answers received for one query")
-        for p in qs:
+        for _, kind, text, extra in qs:
             self.work += 1
-            if p[1] == "B":
-                _, _, text, level = p
-                if (level, text) in self.entries:
-                    continue
-                self._create_entry(parse_formula(text), "B", level, ())
-            else:
-                _, _, text, suffix = p
-                suffix = tuple(suffix)
-                level = len(suffix)
-                ek = (level, text)
-                if ek in self.entries:
-                    if self.entries[ek].suffix != suffix:
-                        raise EngineError(
-                            f"open query {text!r} reached with conflicting assignments"
-                        )
-                    continue
-                self._create_entry(parse_formula(text), "O", level, suffix)
+            # A closed query carries its level, an open one its assignments.
+            suffix = () if kind == "B" else tuple(extra)
+            level = extra if kind == "B" else len(suffix)
+            known = self.entries.get((level, text))
+            if known is None:
+                self._create_entry(parse_formula(text), kind, level, suffix)
+            elif known.suffix != suffix:
+                raise EngineError(
+                    f"open query {text!r} reached with conflicting assignments"
+                )
 
     def sweep(self, round_no: int) -> None:
         changed = True
@@ -650,6 +643,56 @@ def _validate_query(
             raise EngineError(f"free variable name {v!r} is reserved")
 
 
+def _check_fixpoint_vars(q: FixpointQuery) -> None:
+    if q.name == EDGE_PRED:
+        raise EngineError(f"fixpoint relation may not shadow {EDGE_PRED!r}")
+    if set(free_vars(q.body)) != set(q.vars):
+        raise EngineError(
+            "every declared fixpoint variable must occur in the body"
+        )
+
+
+def _run_from_requester(
+    net: Network,
+    make_engine: Callable[[tuple[str, ...]], NodeEngine],
+    query: Any,
+    requester: int,
+    variables: tuple[str, ...],
+    order: Optional[Sequence[str]],
+    *,
+    order_seed: int,
+    round_cap: int,
+    with_placement: bool,
+    fragment: Callable[[int, Any], Iterable[tuple[int, ...]]],
+):
+    """The body shared by the query drivers: inject the query at the
+    requester, run the engine built for the answer-variable order, and
+    gather the per-node fragments (``fragment(node, report)``) into one
+    relation; with `with_placement` the fragments are a third value."""
+    if requester not in net.graph.adj:
+        raise EngineError(f"requester {requester} is not a node")
+    ordered = tuple(order) if order is not None else tuple(variables)
+    if len(set(ordered)) != len(ordered) or set(ordered) != set(variables):
+        raise EngineError(
+            f"variable order {ordered!r} does not match free variables "
+            f"{tuple(variables)!r}"
+        )
+    result, metrics = simnet.run(
+        net,
+        make_engine(ordered),
+        init={requester: query},
+        order_seed=order_seed,
+        round_cap=round_cap,
+    )
+    placement = {
+        a: frozenset(fragment(a, rep)) for a, rep in result.per_node.items()
+    }
+    rel = Relation(len(ordered), frozenset().union(*placement.values()))
+    if with_placement:
+        return rel, metrics, placement
+    return rel, metrics
+
+
 def run_qe_fo(
     net: Network,
     formula: Union[Formula, str],
@@ -669,30 +712,18 @@ def run_qe_fo(
         raise EngineError(
             "the first-order query engine needs globally unique node ids"
         )
-    if requester not in net.graph.adj:
-        raise EngineError(f"requester {requester} is not a node")
     _validate_query(f, net)
-    fv = free_vars(f)
-    ordered = tuple(order) if order is not None else fv
-    if sorted(ordered) != sorted(set(ordered)) or set(ordered) != set(fv):
-        raise EngineError(
-            f"variable order {ordered!r} does not match free variables {fv!r}"
-        )
     delta = net.graph.diameter
-    w = max(1, stats(f).w)
-    budget = clock_value(w, max(1, delta))
-    cap = round_cap if round_cap is not None else budget + delta + 8
-    engine = FOQueryEngine(ordered)
-    result, metrics = simnet.run(
-        net, engine, init={requester: f}, order_seed=order_seed, round_cap=cap
+    budget = clock_value(max(1, stats(f).w), max(1, delta))
+    return _run_from_requester(
+        net,
+        FOQueryEngine,
+        f,
+        requester,
+        free_vars(f),
+        order,
+        order_seed=order_seed,
+        round_cap=round_cap if round_cap is not None else budget + delta + 8,
+        with_placement=with_placement,
+        fragment=lambda a, rep: rep.tuples,
     )
-    gathered: set[tuple[int, ...]] = set()
-    for rep in result.per_node.values():
-        gathered |= rep.tuples
-    rel = Relation(len(ordered), frozenset(gathered))
-    if with_placement:
-        placement = {
-            a: frozenset(rep.tuples) for a, rep in result.per_node.items()
-        }
-        return rel, metrics, placement
-    return rel, metrics

@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from . import simnet
 from .engine_fo import (
     AuxAtoms,
     EngineError,
     FOCore,
+    _check_fixpoint_vars,
+    _run_from_requester,
     _send_order,
     _validate_query,
     fo_payload_bits,
@@ -41,7 +42,6 @@ from .engine_fo import (
 from .logic import (
     EDGE_PRED,
     FixpointQuery,
-    free_vars,
     parse_fixpoint,
     print_fixpoint,
     stats,
@@ -51,7 +51,6 @@ from .oracle import Relation
 from .simnet import (
     EncodingParams,
     Message,
-    Metrics,
     Network,
     NodeContext,
     NodeEngine,
@@ -349,12 +348,7 @@ def validate_fixpoint(
         raise EngineError(
             "radius-bounded fixpoint queries belong to the local-fragment engines"
         )
-    if q.name == EDGE_PRED:
-        raise EngineError(f"fixpoint relation may not shadow {EDGE_PRED!r}")
-    if set(free_vars(q.body)) != set(q.vars):
-        raise EngineError(
-            "every declared fixpoint variable must occur in the body"
-        )
+    _check_fixpoint_vars(q)
     for v in q.vars:
         if v.startswith("q") and v[1:].isdigit():
             raise EngineError(f"declared variable name {v!r} is reserved")
@@ -404,28 +398,23 @@ def run_qe_fp(
         raise EngineError(
             "the fixpoint query engine needs globally unique node ids"
         )
-    if requester not in net.graph.adj:
-        raise EngineError(f"requester {requester} is not a node")
     validate_fixpoint(q, net, aux)
-    cap = round_cap if round_cap is not None else default_fp_round_cap(net, q)
     aux_placed: dict[int, dict[str, frozenset[tuple[int, ...]]]] = {}
     for pred, rel in (aux or {}).items():
-        for t in rel.tuples:
-            aux_placed.setdefault(t[0], {}).setdefault(pred, set())
         for a in net.graph.adj:
             frag = frozenset(t for t in rel.tuples if t[0] == a)
             aux_placed.setdefault(a, {})[pred] = frag
-    engine = FPQueryEngine(aux_placed)
-    result, metrics = simnet.run(
-        net, engine, init={requester: q}, order_seed=order_seed, round_cap=cap
+    return _run_from_requester(
+        net,
+        lambda _order: FPQueryEngine(aux_placed),
+        q,
+        requester,
+        q.vars,
+        None,
+        order_seed=order_seed,
+        round_cap=(
+            round_cap if round_cap is not None else default_fp_round_cap(net, q)
+        ),
+        with_placement=with_placement,
+        fragment=lambda a, rep: rep.tuples,
     )
-    gathered: set[tuple[int, ...]] = set()
-    for rep in result.per_node.values():
-        gathered |= rep.tuples
-    rel = Relation(q.arity, frozenset(gathered))
-    if with_placement:
-        placement = {
-            a: frozenset(rep.tuples) for a, rep in result.per_node.items()
-        }
-        return rel, metrics, placement
-    return rel, metrics

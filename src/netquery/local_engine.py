@@ -28,10 +28,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
-from . import simnet
-from .engine_fo import EngineError
+from .engine_fo import EngineError, _check_fixpoint_vars, _run_from_requester
 from .logic import (
     EDGE_PRED,
     And,
@@ -46,6 +45,7 @@ from .logic import (
     Not,
     Or,
     Var,
+    _UnionFind,
     _detect_radius,
     constants,
     free_vars,
@@ -55,11 +55,10 @@ from .logic import (
     print_formula,
     subformulas,
 )
-from .oracle import Relation, neighborhood
+from .oracle import neighborhood
 from .simnet import (
     EncodingParams,
     Message,
-    Metrics,
     Network,
     NodeContext,
     NodeEngine,
@@ -227,22 +226,6 @@ class LocalTopology:
 
     def has_edge(self, a: int, b: int) -> bool:
         return a != b and (min(a, b), max(a, b)) in self.edges
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable[PortTrace]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: PortTrace) -> PortTrace:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: PortTrace, b: PortTrace) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 def _quotient_from_lists(
@@ -574,12 +557,7 @@ def _validate_fp_local(q: FixpointQuery, mode_kind: str) -> int:
             "the fixpoint query carries no locality radius; "
             "use the unrestricted fixpoint engine"
         )
-    if q.name == EDGE_PRED:
-        raise EngineError(f"fixpoint relation may not shadow {EDGE_PRED!r}")
-    if set(free_vars(q.body)) != set(q.vars):
-        raise EngineError(
-            "every declared fixpoint variable must occur in the body"
-        )
+    _check_fixpoint_vars(q)
     plain = FixpointQuery(q.name, q.vars, q.body, None)
     if _detect_radius(plain) != q.radius:
         raise EngineError(
@@ -908,34 +886,25 @@ def run_qe_fo_loc(
     resolved per-node answer fragments.  With `with_placement` the resolved
     per-node fragments are returned as a third value."""
     f = parse_formula(formula) if isinstance(formula, str) else formula
-    if requester not in net.graph.adj:
-        raise EngineError(f"requester {requester} is not a node")
     center, k = _local_shape(f, mode_kind=net.mode.kind)
     _check_free_guards(f, center, k)
-    fv = free_vars(f)
-    ordered = tuple(order) if order is not None else fv
-    if sorted(ordered) != sorted(set(ordered)) or set(ordered) != set(fv):
-        raise EngineError(
-            f"variable order {ordered!r} does not match free variables {fv!r}"
-        )
-    delta = net.graph.diameter
-    cap = round_cap if round_cap is not None else delta + 2 * k + 16
-    engine = FOLocEngine(ordered, net.mode.kind)
-    result, metrics = simnet.run(
-        net, engine, init={requester: f}, order_seed=order_seed, round_cap=cap
-    )
-    rows: set[tuple[int, ...]] = set()
-    placement: dict[int, frozenset[tuple[int, ...]]] = {}
-    for a, rep in result.per_node.items():
-        mine = {
+    return _run_from_requester(
+        net,
+        lambda ordered: FOLocEngine(ordered, net.mode.kind),
+        f,
+        requester,
+        free_vars(f),
+        order,
+        order_seed=order_seed,
+        round_cap=(
+            round_cap if round_cap is not None
+            else net.graph.diameter + 2 * k + 16
+        ),
+        with_placement=with_placement,
+        fragment=lambda a, rep: (
             tuple(resolve_trace(net, a, t) for t in row) for row in rep.rows
-        }
-        placement[a] = frozenset(mine)
-        rows |= mine
-    rel = Relation(len(ordered), frozenset(rows))
-    if with_placement:
-        return rel, metrics, placement
-    return rel, metrics
+        ),
+    )
 
 
 # ----------------------------------------------------------- fixpoint engine
@@ -1293,29 +1262,25 @@ def run_qe_fp_loc(
     the relation is the union of the resolved per-node table fragments.
     With `with_placement` the resolved fragments are returned per node."""
     q = parse_fixpoint(query) if isinstance(query, str) else query
-    if requester not in net.graph.adj:
-        raise EngineError(f"requester {requester} is not a node")
     _validate_fp_local(q, net.mode.kind)
-    cap = round_cap if round_cap is not None else default_fp_loc_round_cap(
-        net, q
-    )
-    engine = FPLocEngine(net.mode.kind)
-    result, metrics = simnet.run(
-        net, engine, init={requester: q}, order_seed=order_seed, round_cap=cap
-    )
-    rows: set[tuple[int, ...]] = set()
-    placement: dict[int, frozenset[tuple[int, ...]]] = {}
-    for a, rep in result.per_node.items():
-        mine = {
+    return _run_from_requester(
+        net,
+        lambda _order: FPLocEngine(net.mode.kind),
+        q,
+        requester,
+        q.vars,
+        None,
+        order_seed=order_seed,
+        round_cap=(
+            round_cap if round_cap is not None
+            else default_fp_loc_round_cap(net, q)
+        ),
+        with_placement=with_placement,
+        fragment=lambda a, rep: (
             (a,) + tuple(resolve_trace(net, a, t) for t in row)
             for row in rep.tuples
-        }
-        placement[a] = frozenset(mine)
-        rows |= mine
-    rel = Relation(len(q.vars), frozenset(rows))
-    if with_placement:
-        return rel, metrics, placement
-    return rel, metrics
+        ),
+    )
 
 
 # ------------------------------------------------------------- message sizes

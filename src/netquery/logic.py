@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Union
 
 
 class ParseError(ValueError):
@@ -271,8 +271,66 @@ def constants(f: Formula) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_ground(f: Formula) -> bool:
-    return not free_vars(f) and not bound_vars(f)
+def map_formula(
+    f: Formula,
+    quant: Callable[[Formula], Formula],
+    tr: Optional[Callable[[Term], Term]] = None,
+    smart: bool = False,
+) -> Formula:
+    """Rebuild the Not/And/Or skeleton of f, with plain constructors or, when
+    `smart`, with make_not/make_and/make_or, which fold boolean constants
+    and flatten nested connectives.  Every quantifier is replaced by `quant`
+    of it (`quant` recurses into the body itself); every term of an atomic
+    formula is replaced by `tr` of it, when given."""
+    if isinstance(f, (And, Or)):
+        parts = [map_formula(p, quant, tr, smart) for p in f.parts]
+        if not smart:
+            return type(f)(tuple(parts))
+        return make_and(parts) if isinstance(f, And) else make_or(parts)
+    if isinstance(f, Not):
+        body = map_formula(f.body, quant, tr, smart)
+        return make_not(body) if smart else Not(body)
+    if isinstance(f, (Exists, Forall)):
+        return quant(f)
+    if tr is None:
+        return f
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(tr(a) for a in f.args))
+    if isinstance(f, Cmp):
+        return Cmp(f.op, tr(f.left), tr(f.right))
+    if isinstance(f, InNbhd):
+        return InNbhd(tr(f.term), f.radius, tr(f.center))
+    return f
+
+
+def _map_bound(bound: Optional[tuple[Term, int]], tr: Callable[[Term], Term]):
+    return None if bound is None else (tr(bound[0]), bound[1])
+
+
+# --------------------------------------------------------------- union-find
+
+
+class _UnionFind:
+    """Disjoint sets over hashable items; an item joins on first mention."""
+
+    def __init__(self, items: Iterable[Hashable] = ()):
+        self.parent = {x: x for x in items}
+
+    def find(self, x: Hashable) -> Hashable:
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: Hashable, b: Hashable) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def same(self, a: Hashable, b: Hashable) -> bool:
+        return self.find(a) == self.find(b)
 
 
 # ------------------------------------------------------------------ printing
@@ -296,67 +354,57 @@ def _prec(f: Formula) -> int:
     return _PREC_ATOM
 
 
-def print_formula(f: Formula) -> str:
+def _render(
+    f: Formula, env: Optional[dict[str, str]], counter: list[int]
+) -> str:
+    """Print f.  Without an environment every name prints as written; with
+    one, every binder is renamed q1, q2, ... in pre-order (counting in
+    `counter`) and `env` maps the enclosing bound names to their new names."""
+
+    def ts(t: Term) -> str:
+        if isinstance(t, Var):
+            return env.get(t.name, t.name) if env else t.name
+        return str(t.value)
+
     def wrap(g: Formula, minimum: int) -> str:
-        s = print_formula(g)
+        s = _render(g, env, counter)
         return f"({s})" if _prec(g) < minimum else s
 
-    if isinstance(f, BoolConst):
-        return "true" if f.value else "false"
     if isinstance(f, Atom):
-        return f"{f.pred}({','.join(term_str(a) for a in f.args)})"
-    if isinstance(f, Cmp):
-        return f"{term_str(f.left)} {f.op} {term_str(f.right)}"
-    if isinstance(f, InNbhd):
-        return f"{term_str(f.term)} in N^{f.radius}({term_str(f.center)})"
-    if isinstance(f, Not):
-        return "!" + wrap(f.body, _PREC_NOT)
+        return f"{f.pred}({','.join(ts(a) for a in f.args)})"
     if isinstance(f, And):
         return " & ".join(wrap(p, _PREC_AND + 1) for p in f.parts)
     if isinstance(f, Or):
         return " | ".join(wrap(p, _PREC_OR + 1) for p in f.parts)
+    if isinstance(f, Not):
+        return "!" + wrap(f.body, _PREC_NOT)
+    if isinstance(f, Cmp):
+        return f"{ts(f.left)} {f.op} {ts(f.right)}"
+    if isinstance(f, InNbhd):
+        return f"{ts(f.term)} in N^{f.radius}({ts(f.center)})"
+    if isinstance(f, BoolConst):
+        return "true" if f.value else "false"
     if isinstance(f, (Exists, Forall)):
         kw = "exists" if isinstance(f, Exists) else "forall"
+        name = f.var
+        if env is not None:
+            counter[0] += 1
+            name = f"q{counter[0]}"
         rng = ""
         if f.bound is not None:
             center, radius = f.bound
-            rng = f" in N^{radius}({term_str(center)})"
-        return f"{kw} {f.var}{rng}. {print_formula(f.body)}"
+            rng = f" in N^{radius}({ts(center)})"
+        inner = env if env is None else {**env, f.var: name}
+        return f"{kw} {name}{rng}. {_render(f.body, inner, counter)}"
     raise TypeError(f"not a formula: {f!r}")
+
+
+def print_formula(f: Formula) -> str:
+    return _render(f, None, [0])
 
 
 def print_fixpoint(q: FixpointQuery) -> str:
     return f"mu {q.name}({','.join(q.vars)}). {print_formula(q.body)}"
-
-
-def rename_var(f: Formula, old: str, new: str) -> Formula:
-    """Rename a variable everywhere, including binders (capture-naive)."""
-
-    def tr(t: Term) -> Term:
-        return Var(new) if isinstance(t, Var) and t.name == old else t
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(tr(a) for a in g.args))
-        if isinstance(g, Cmp):
-            return Cmp(g.op, tr(g.left), tr(g.right))
-        if isinstance(g, InNbhd):
-            return InNbhd(tr(g.term), g.radius, tr(g.center))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, And):
-            return And(tuple(go(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(go(p) for p in g.parts))
-        if isinstance(g, (Exists, Forall)):
-            bound = g.bound
-            if bound is not None:
-                bound = (tr(bound[0]), bound[1])
-            var = new if g.var == old else g.var
-            return type(g)(var, go(g.body), bound)
-        return g
-
-    return go(f)
 
 
 def canonical_print(f: Formula) -> str:
@@ -365,46 +413,7 @@ def canonical_print(f: Formula) -> str:
     Alpha-equivalent formulas print identically; the string doubles as the
     canonical query key throughout the distributed engines.
     """
-    counter = [0]
-
-    def go(g: Formula, env: dict[str, str]) -> str:
-        def ts(t: Term) -> str:
-            if isinstance(t, Var):
-                return env.get(t.name, t.name)
-            return str(t.value)
-
-        def wrap(h: Formula, minimum: int) -> str:
-            s = go(h, env)
-            return f"({s})" if _prec(h) < minimum else s
-
-        if isinstance(g, BoolConst):
-            return "true" if g.value else "false"
-        if isinstance(g, Atom):
-            return f"{g.pred}({','.join(ts(a) for a in g.args)})"
-        if isinstance(g, Cmp):
-            return f"{ts(g.left)} {g.op} {ts(g.right)}"
-        if isinstance(g, InNbhd):
-            return f"{ts(g.term)} in N^{g.radius}({ts(g.center)})"
-        if isinstance(g, Not):
-            return "!" + wrap(g.body, _PREC_NOT)
-        if isinstance(g, And):
-            return " & ".join(wrap(p, _PREC_AND + 1) for p in g.parts)
-        if isinstance(g, Or):
-            return " | ".join(wrap(p, _PREC_OR + 1) for p in g.parts)
-        if isinstance(g, (Exists, Forall)):
-            kw = "exists" if isinstance(g, Exists) else "forall"
-            counter[0] += 1
-            fresh = f"q{counter[0]}"
-            rng = ""
-            if g.bound is not None:
-                center, radius = g.bound
-                rng = f" in N^{radius}({ts(center)})"
-            inner = dict(env)
-            inner[g.var] = fresh
-            return f"{kw} {fresh}{rng}. {go(g.body, inner)}"
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f, {})
+    return _render(f, {}, [0])
 
 
 # ----------------------------------------------------------------- tokenizer
@@ -619,52 +628,30 @@ def _uniquify_binders(f: Formula) -> Formula:
                 return Var(env[t.name])
             return t
 
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(tr(a) for a in g.args))
-        if isinstance(g, Cmp):
-            return Cmp(g.op, tr(g.left), tr(g.right))
-        if isinstance(g, InNbhd):
-            return InNbhd(tr(g.term), g.radius, tr(g.center))
-        if isinstance(g, Not):
-            return Not(go(g.body, env))
-        if isinstance(g, And):
-            return And(tuple(go(p, env) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(go(p, env) for p in g.parts))
-        if isinstance(g, (Exists, Forall)):
-            bound = g.bound
-            if bound is not None:
-                bound = (tr(bound[0]), bound[1])
-            name = g.var
-            if name in taken:
-                base = name
-                while name in taken:
-                    name += "'"
+        def quant(h: Formula) -> Formula:
+            name = h.var
+            while name in taken:
+                name += "'"
             taken.add(name)
-            inner = dict(env)
-            inner[g.var] = name
-            return type(g)(name, go(g.body, inner), bound)
-        return g
+            body = go(h.body, {**env, h.var: name})
+            return type(h)(name, body, _map_bound(h.bound, tr))
+
+        return map_formula(g, quant, tr)
 
     return go(f, {})
 
 
 def _drop_unused_binders(f: Formula) -> Formula:
-    if isinstance(f, Not):
-        return make_not(_drop_unused_binders(f.body))
-    if isinstance(f, And):
-        return make_and(_drop_unused_binders(p) for p in f.parts)
-    if isinstance(f, Or):
-        return make_or(_drop_unused_binders(p) for p in f.parts)
-    if isinstance(f, (Exists, Forall)):
-        body = _drop_unused_binders(f.body)
-        if f.var not in free_vars(body):
+    def quant(g: Formula) -> Formula:
+        body = _drop_unused_binders(g.body)
+        if g.var not in free_vars(body):
             # The quantifier range is never empty (any node for a plain
             # binder; the center's own neighborhood for a bounded one), so a
             # vacuous binder can be dropped without changing truth.
             return body
-        return type(f)(f.var, body, f.bound)
-    return f
+        return type(g)(g.var, body, g.bound)
+
+    return map_formula(f, quant, smart=True)
 
 
 def normalize(f: Formula) -> Formula:
@@ -745,39 +732,32 @@ def substitute(f: Formula, var: str, value: int) -> Formula:
     def tr(t: Term) -> Term:
         return const if isinstance(t, Var) and t.name == var else t
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            return Atom(g.pred, tuple(tr(a) for a in g.args))
-        if isinstance(g, Cmp):
-            return Cmp(g.op, tr(g.left), tr(g.right))
-        if isinstance(g, InNbhd):
-            return InNbhd(tr(g.term), g.radius, tr(g.center))
-        if isinstance(g, Not):
-            return make_not(go(g.body))
-        if isinstance(g, And):
-            return make_and(go(p) for p in g.parts)
-        if isinstance(g, Or):
-            return make_or(go(p) for p in g.parts)
-        if isinstance(g, (Exists, Forall)):
-            if g.var == var:
-                body = go(g.body)  # binder removed; occurrences replaced
-                if g.bound is None:
-                    return body
-                center, radius = g.bound
-                guard = InNbhd(const, radius, tr(center))
-                if isinstance(g, Exists):
-                    return make_and([guard, body])
-                return make_or([make_not(guard), body])
-            bound = g.bound
-            if bound is not None:
-                bound = (tr(bound[0]), bound[1])
-            return type(g)(g.var, go(g.body), bound)
-        return g
+    def quant(g: Formula) -> Formula:
+        body = map_formula(g.body, quant, tr, smart=True)
+        if g.var != var:
+            return type(g)(g.var, body, _map_bound(g.bound, tr))
+        if g.bound is None:
+            return body  # binder removed; occurrences replaced
+        center, radius = g.bound
+        guard = InNbhd(const, radius, tr(center))
+        if isinstance(g, Exists):
+            return make_and([guard, body])
+        return make_or([make_not(guard), body])
 
-    return go(f)
+    return map_formula(f, quant, tr, smart=True)
 
 
 # ----------------------------------------------------------- relativization
+
+
+def _rebound(f: Formula, bound: Optional[tuple[Term, int]]) -> Formula:
+    """f with every quantifier's range replaced by `bound` (None: unbounded);
+    connectives are rebuilt as they are, never flattened."""
+
+    def quant(g: Formula) -> Formula:
+        return type(g)(g.var, map_formula(g.body, quant), bound)
+
+    return map_formula(f, quant)
 
 
 def relativize(f: Formula, center: str, k: int) -> Formula:
@@ -788,19 +768,7 @@ def relativize(f: Formula, center: str, k: int) -> Formula:
     if k < 1:
         raise FormulaError("radius must be >= 1")
     c = Var(center)
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, And):
-            return And(tuple(go(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(go(p) for p in g.parts))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, go(g.body), (c, k))
-        return g
-
-    out = go(f)
+    out = _rebound(f, (c, k))
     guards = [
         InNbhd(Var(y), k, c) for y in free_vars(f) if y != center
     ]
@@ -845,18 +813,6 @@ def _detect_radius(q: FixpointQuery) -> Optional[int]:
 def _strip_relativization(f: Formula, center: str, k: int) -> Optional[Formula]:
     """Best-effort inverse of relativize: unbound quantifiers, drop top-level
     membership guards of free variables."""
-
-    def unbind(g: Formula) -> Formula:
-        if isinstance(g, Not):
-            return Not(unbind(g.body))
-        if isinstance(g, And):
-            return And(tuple(unbind(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(unbind(p) for p in g.parts))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, unbind(g.body), None)
-        return g
-
     if isinstance(f, And):
         core: list[Formula] = []
         for p in f.parts:
@@ -871,79 +827,5 @@ def _strip_relativization(f: Formula, center: str, k: int) -> Optional[Formula]:
             core.append(p)
         if not core:
             return None
-        return unbind(make_and(core))
-    return unbind(f)
-
-
-# ------------------------------------------------------------- simplification
-
-FactLookup = Callable[[Formula], Optional[bool]]
-
-
-def _as_lookup(facts) -> FactLookup:
-    if facts is None:
-        return lambda _g: None
-    if callable(facts):
-        return facts
-    if isinstance(facts, Mapping):
-        table = dict(facts)
-
-        def lookup(g: Formula) -> Optional[bool]:
-            return table.get(print_formula(g))
-
-        return lookup
-    raise TypeError("facts must be a mapping, a callable, or None")
-
-
-def simplify(f: Formula, facts=None) -> Formula:
-    """Replace ground atoms decided by `facts` with boolean constants and
-    propagate constants through the connectives, to a fixed point.
-
-    `facts` maps printed ground atoms to truth values (or is a callable from
-    atom ASTs to Optional[bool]).  Ground comparisons are always decided.
-    """
-    lookup = _as_lookup(facts)
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, BoolConst):
-            return g
-        if isinstance(g, Atom):
-            if all(isinstance(t, Const) for t in g.args):
-                v = lookup(g)
-                if v is not None:
-                    return BoolConst(v)
-            return g
-        if isinstance(g, Cmp):
-            lv, rv = g.left, g.right
-            if isinstance(lv, Const) and isinstance(rv, Const):
-                a, b = lv.value, rv.value
-                return BoolConst(
-                    a == b if g.op == "=" else a != b if g.op == "!=" else a >= b
-                )
-            if lv == rv:
-                return BoolConst(g.op != "!=")
-            return g
-        if isinstance(g, InNbhd):
-            if g.term == g.center:
-                return TRUE  # distance zero
-            if isinstance(g.term, Const) and isinstance(g.center, Const):
-                v = lookup(g)
-                if v is not None:
-                    return BoolConst(v)
-            return g
-        if isinstance(g, Not):
-            return make_not(go(g.body))
-        if isinstance(g, And):
-            return make_and(go(p) for p in g.parts)
-        if isinstance(g, Or):
-            return make_or(go(p) for p in g.parts)
-        if isinstance(g, (Exists, Forall)):
-            body = go(g.body)
-            if isinstance(body, BoolConst):
-                # Quantifier ranges are never empty: any node for a plain
-                # binder, and N^k(center) always contains the center.
-                return body
-            return type(g)(g.var, body, g.bound)
-        raise TypeError(f"not a formula: {g!r}")
-
-    return go(f)
+        return _rebound(make_and(core), None)
+    return _rebound(f, None)

@@ -8,15 +8,13 @@ per-round immediate-consequence operator over per-node stores.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .logic import Const, ParseError, Term, Var
+from .logic import EDGE_PRED, Const, ParseError, Term, Var, _UnionFind, term_str
 from .oracle import Graph, Relation
 
 Fact = tuple[str, tuple[int, ...]]
-
-EDGE_PRED = "G"
 
 
 class NetlogError(ValueError):
@@ -159,20 +157,16 @@ def start_instance(g: Graph) -> DistributedInstance:
 # ---------------------------------------------------------------- printing
 
 
-def print_term(t: Term) -> str:
-    return t.name if isinstance(t, Var) else str(t.value)
-
-
 def print_literal(lit: NetlogLiteral) -> str:
     if isinstance(lit, GuardLit):
         if lit.op == "dec":
-            return f"{print_term(lit.left)} = {print_term(lit.right)} - 1"
-        return f"{print_term(lit.left)} {lit.op} {print_term(lit.right)}"
+            return f"{term_str(lit.left)} = {term_str(lit.right)} - 1"
+        return f"{term_str(lit.left)} {lit.op} {term_str(lit.right)}"
     assert isinstance(lit, RelLit)
     parts = []
     for i, t in enumerate(lit.args):
         mark = "@" if i == lit.holding else ""
-        parts.append(mark + print_term(t))
+        parts.append(mark + term_str(t))
     neg = "" if lit.positive else "!"
     return f"{neg}{lit.pred}({', '.join(parts)})"
 
@@ -397,26 +391,6 @@ def parse_netlog(text: str) -> NetlogProgram:
 # ------------------------------------------------------- localization check
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-
-    def find(self, x: str) -> str:
-        self.parent.setdefault(x, x)
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def same(self, a: str, b: str) -> bool:
-        return self.find(a) == self.find(b)
-
-
 def _equality_classes(rule: NetlogRule) -> _UnionFind:
     uf = _UnionFind()
     for lit in rule.body:
@@ -438,12 +412,7 @@ def check_localization(rule: NetlogRule) -> Optional[str]:
     variable.
     """
     uf = _equality_classes(rule)
-    body_hvs: list[str] = []
-    for lit in rule.body:
-        if isinstance(lit, RelLit) and lit.holding is not None:
-            hv = lit.holding_var()
-            assert hv is not None
-            body_hvs.append(hv)
+    body_hvs = body_holding_vars(rule)
     if not body_hvs:
         return (
             "(i): no body literal carries a holding variable, so the rule "
@@ -556,73 +525,45 @@ def static_order(
     return ordered
 
 
+def _check_safe(rule: NetlogRule) -> None:
+    """Raise NetlogError unless the body can be ordered so that every
+    literal is evaluable when reached and the body binds every head
+    variable."""
+    bound: set[str] = set()
+    for lit in static_order(rule.body):
+        bound |= _lit_vars(lit)
+    unbound = sorted(_lit_vars(rule.head) - bound)
+    if unbound:
+        raise NetlogError(
+            f"unsafe rule: head variables {unbound} are not bound by the "
+            f"body in {print_rule(rule)}"
+        )
+
+
 class _Lookup:
-    """Fact access for one evaluation context."""
+    """Fact access for one evaluation context: a fact store, the unary input
+    facts, and the visible edges, each given once and matched both ways.  A
+    node sees its own store and only the edges that touch it."""
 
-    def candidates(self, pred: str) -> Sequence[tuple[int, ...]]:
-        raise NotImplementedError
-
-    def contains(self, pred: str, args: tuple[int, ...]) -> bool:
-        raise NotImplementedError
-
-
-class _CentralLookup(_Lookup):
-    def __init__(self, g: Graph, facts: Iterable[Fact]):
-        self.g = g
+    def __init__(
+        self,
+        facts: Iterable[Fact],
+        unary: Mapping[str, frozenset[int]],
+        edges: Iterable[tuple[int, int]],
+    ):
         self.by_pred: dict[str, list[tuple[int, ...]]] = {}
         for pred, args in facts:
             self.by_pred.setdefault(pred, []).append(args)
         for lst in self.by_pred.values():
             lst.sort()
+        self.unary = unary
+        both = {e for u, v in edges for e in ((u, v), (v, u))}
+        self.edges = sorted(both)
+        self.edge_set = frozenset(both)
 
     def candidates(self, pred: str) -> Sequence[tuple[int, ...]]:
         if pred == EDGE_PRED:
-            out = []
-            for u, v in self.g.edges():
-                out.append((u, v))
-                out.append((v, u))
-            return sorted(out)
-        out = list(self.by_pred.get(pred, ()))
-        if pred in self.g.unary:
-            out.extend((a,) for a in sorted(self.g.unary[pred]))
-        return sorted(set(out))
-
-    def contains(self, pred: str, args: tuple[int, ...]) -> bool:
-        if pred == EDGE_PRED:
-            return len(args) == 2 and self.g.has_edge(args[0], args[1])
-        if pred in self.g.unary and len(args) == 1 and args[0] in self.g.unary[pred]:
-            return True
-        return args in set(self.by_pred.get(pred, ()))
-
-
-class _NodeLookup(_Lookup):
-    """View of one node's store plus its incident edges and the global unary
-    input facts.  Edge knowledge is strictly local: only edges touching the
-    node itself are visible."""
-
-    def __init__(
-        self,
-        v: int,
-        neighbors: Iterable[int],
-        unary: Mapping[str, Iterable[int]],
-        store: Iterable[Fact],
-    ):
-        self.v = v
-        self.neighbors = frozenset(neighbors)
-        self.unary = {p: frozenset(members) for p, members in unary.items()}
-        self.by_pred: dict[str, list[tuple[int, ...]]] = {}
-        for pred, args in store:
-            self.by_pred.setdefault(pred, []).append(args)
-        for lst in self.by_pred.values():
-            lst.sort()
-
-    def candidates(self, pred: str) -> Sequence[tuple[int, ...]]:
-        if pred == EDGE_PRED:
-            out = []
-            for u in sorted(self.neighbors):
-                out.append((self.v, u))
-                out.append((u, self.v))
-            return sorted(out)
+            return self.edges
         out = list(self.by_pred.get(pred, ()))
         if pred in self.unary:
             out.extend((a,) for a in sorted(self.unary[pred]))
@@ -630,10 +571,7 @@ class _NodeLookup(_Lookup):
 
     def contains(self, pred: str, args: tuple[int, ...]) -> bool:
         if pred == EDGE_PRED:
-            return len(args) == 2 and (
-                (args[0] == self.v and args[1] in self.neighbors)
-                or (args[1] == self.v and args[0] in self.neighbors)
-            )
+            return args in self.edge_set
         if pred in self.unary and len(args) == 1 and args[0] in self.unary[pred]:
             return True
         return args in set(self.by_pred.get(pred, ()))
@@ -731,7 +669,7 @@ def match_body(
     """All assignments satisfying the body against the given fact set, the
     graph edges, and the graph's unary input facts (centralized view)."""
     ordered = static_order(body, prebound=(prebound or {}).keys())
-    lookup = _CentralLookup(g, facts)
+    lookup = _Lookup(facts, g.unary, g.edges())
     yield from _match_ordered(ordered, lookup, dict(prebound or {}))
 
 
@@ -751,6 +689,34 @@ def _instantiate_head(rule: NetlogRule, env: Mapping[str, int]) -> Fact:
     return (rule.head.pred, tuple(args))
 
 
+def _body_orders(program: NetlogProgram) -> dict[int, list[NetlogLiteral]]:
+    """Each rule's evaluation order, keyed by id(rule), with the body
+    holding variables bound in advance."""
+    return {
+        id(rule): static_order(rule.body, prebound=body_holding_vars(rule))
+        for rule in program.rules
+    }
+
+
+def _fire(
+    program: NetlogProgram,
+    orders: Mapping[int, list[NetlogLiteral]],
+    v: int,
+    lookup: _Lookup,
+) -> Iterator[tuple[int, Fact]]:
+    """Every fact the rules derive at node v, with the node named by the
+    head holding argument."""
+    for rule in program.rules:
+        env0 = {name: v for name in body_holding_vars(rule)}
+        for env in _match_ordered(orders[id(rule)], lookup, env0):
+            fact = _instantiate_head(rule, env)
+            if rule.head.holding is None:
+                raise NetlogError(
+                    f"rule {print_rule(rule)} has no head holding marker"
+                )
+            yield fact[1][rule.head.holding], fact
+
+
 def consequence(
     program: NetlogProgram, g: Graph, instance: DistributedInstance
 ) -> DistributedInstance:
@@ -759,27 +725,18 @@ def consequence(
     and global unary input facts); each derived fact is placed at the node
     named by the head holding argument.  The result replaces the previous
     instance — persistence requires explicit copy rules."""
-    orders = {
-        id(rule): static_order(rule.body, prebound=body_holding_vars(rule))
-        for rule in program.rules
-    }
+    orders = _body_orders(program)
     new_stores: dict[int, set[Fact]] = {v: set() for v in g.nodes}
     for v in g.nodes:
-        lookup = _NodeLookup(v, g.adj[v], g.unary, instance.stores.get(v, frozenset()))
-        for rule in program.rules:
-            env0 = {name: v for name in body_holding_vars(rule)}
-            for env in _match_ordered(orders[id(rule)], lookup, env0):
-                pred, args = _instantiate_head(rule, env)
-                if rule.head.holding is None:
-                    raise NetlogError(
-                        f"rule {print_rule(rule)} has no head holding marker"
-                    )
-                target = args[rule.head.holding]
-                if target not in new_stores:
-                    raise NetlogError(
-                        f"fact {pred}{args} addressed to unknown node {target}"
-                    )
-                new_stores[target].add((pred, args))
+        edges = [(v, u) for u in g.adj[v]]
+        lookup = _Lookup(instance.stores.get(v, frozenset()), g.unary, edges)
+        for target, fact in _fire(program, orders, v, lookup):
+            if target not in new_stores:
+                raise NetlogError(
+                    f"fact {fact[0]}{fact[1]} addressed to unknown node "
+                    f"{target}"
+                )
+            new_stores[target].add(fact)
     return DistributedInstance({v: frozenset(fs) for v, fs in new_stores.items()})
 
 
@@ -823,7 +780,6 @@ class _NetlogNodeState:
 
     local: frozenset[Fact]
     snapshot: Optional[frozenset[Fact]] = None
-    prev_snapshot: Optional[frozenset[Fact]] = None
 
 
 class NetlogEngine:
@@ -841,12 +797,7 @@ class NetlogEngine:
 
         self._sim = simnet
         self.program = program
-        self.orders = {
-            id(rule): static_order(rule.body, prebound=body_holding_vars(rule))
-            for rule in program.rules
-        }
-        preds = sorted({r.head.pred for r in program.rules} | {EDGE_PRED, "start"})
-        self.pred_ids = {p: i for i, p in enumerate(preds)}
+        self.orders = _body_orders(program)
 
     def start(self, ctx) -> _NetlogNodeState:
         if ctx.node_id is None:
@@ -858,33 +809,25 @@ class NetlogEngine:
         arrived = frozenset(m.payload for m in inbox)
         snapshot = state.local | arrived
         quiescent = snapshot == state.snapshot
-        neighbors = sorted(ctx.neighbor_ids.values())
         port_of = {b: p for p, b in ctx.neighbor_ids.items()}
-        lookup = _NodeLookup(v, neighbors, ctx.global_unary, snapshot)
+        edges = [(v, u) for u in port_of]
+        lookup = _Lookup(snapshot, ctx.global_unary, edges)
         local: set[Fact] = set()
         sends: list[tuple[int, Fact]] = []
         steps = 1
-        for rule in self.program.rules:
-            env0 = {name: v for name in body_holding_vars(rule)}
-            for env in _match_ordered(self.orders[id(rule)], lookup, env0):
-                steps += 1
-                pred, args = _instantiate_head(rule, env)
-                assert rule.head.holding is not None
-                target = args[rule.head.holding]
-                if target == v:
-                    local.add((pred, args))
-                else:
-                    port = port_of.get(target)
-                    if port is None:
-                        raise NetlogError(
-                            f"fact {pred}{args} addressed to non-neighbor {target}"
-                        )
-                    sends.append((port, (pred, args)))
-        new_state = _NetlogNodeState(
-            local=frozenset(local),
-            snapshot=snapshot,
-            prev_snapshot=state.snapshot,
-        )
+        for target, fact in _fire(self.program, self.orders, v, lookup):
+            steps += 1
+            if target == v:
+                local.add(fact)
+            else:
+                port = port_of.get(target)
+                if port is None:
+                    raise NetlogError(
+                        f"fact {fact[0]}{fact[1]} addressed to non-neighbor "
+                        f"{target}"
+                    )
+                sends.append((port, fact))
+        new_state = _NetlogNodeState(local=frozenset(local), snapshot=snapshot)
         return self._sim.StepResult(new_state, tuple(sends), quiescent, steps)
 
     def collect(self, state: _NetlogNodeState, ctx) -> frozenset[Fact]:

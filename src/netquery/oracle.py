@@ -6,8 +6,8 @@ BFS-recomputed metadata, inflationary fixpoints iterated stage by stage.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .logic import (
     And,
@@ -24,7 +24,6 @@ from .logic import (
     Not,
     Or,
     Term,
-    Var,
     constants,
     free_vars,
 )
@@ -381,10 +380,14 @@ def eval_datalog(program, g: Graph) -> StageTrace:
     literals (pred, args, positive) and comparison guards; the netlog module
     provides the concrete types and parser.
     """
-    from .netlog import match_body  # local import to keep layering one-way
+    # local import to keep layering one-way
+    from .netlog import NetlogError, _check_safe, match_body
 
     for rule in program.rules:
-        _check_rule_safety(rule)
+        try:
+            _check_safe(rule)
+        except NetlogError as e:
+            raise OracleError(str(e)) from None
     facts: frozenset[tuple[str, tuple[int, ...]]] = frozenset()
     stages = [facts]
     cap = _datalog_cap(program, g)
@@ -400,53 +403,6 @@ def eval_datalog(program, g: Graph) -> StageTrace:
             return StageTrace(tuple(stages))
         facts = nxt
     raise OracleError("datalog evaluation did not converge within the stage cap")
-
-
-def _check_rule_safety(rule) -> None:
-    from .netlog import GuardLit, RelLit
-
-    bound: set[str] = set()
-    for lit in rule.body:
-        if isinstance(lit, RelLit) and lit.positive:
-            for t in lit.args:
-                if isinstance(t, Var):
-                    bound.add(t.name)
-    changed = True
-    while changed:
-        changed = False
-        for lit in rule.body:
-            if isinstance(lit, GuardLit) and lit.op in ("=", "dec"):
-                lv = lit.left.name if isinstance(lit.left, Var) else None
-                rv = lit.right.name if isinstance(lit.right, Var) else None
-                if lv and lv not in bound and (rv is None or rv in bound):
-                    bound.add(lv)
-                    changed = True
-                if (
-                    lit.op == "="
-                    and rv
-                    and rv not in bound
-                    and (lv is None or lv in bound)
-                ):
-                    bound.add(rv)
-                    changed = True
-    needed: set[str] = set()
-    for t in rule.head.args:
-        if isinstance(t, Var):
-            needed.add(t.name)
-    for lit in rule.body:
-        if isinstance(lit, RelLit) and not lit.positive:
-            for t in lit.args:
-                if isinstance(t, Var):
-                    needed.add(t.name)
-        if isinstance(lit, GuardLit):
-            for t in (lit.left, lit.right):
-                if isinstance(t, Var):
-                    needed.add(t.name)
-    unsafe = needed - bound
-    if unsafe:
-        raise OracleError(
-            f"unsafe rule (unbound variables {sorted(unsafe)}): {rule}"
-        )
 
 
 def _datalog_cap(program, g: Graph) -> int:

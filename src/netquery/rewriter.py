@@ -31,15 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
-from .logic import Const, Term, Var
+from .logic import EDGE_PRED, Const, Term, Var, _UnionFind
 from .netlog import (
-    EDGE_PRED,
     GuardLit,
     NetlogError,
     NetlogLiteral,
     NetlogProgram,
     NetlogRule,
     RelLit,
+    _check_safe,
     _equality_classes,
     _lit_vars,
     body_holding_vars,
@@ -50,7 +50,6 @@ from .netlog import (
     print_rule,
     static_order,
 )
-from .oracle import _check_rule_safety
 
 RESERVED = ("start", "clock", "continue", "inf", "stop")
 
@@ -117,14 +116,16 @@ class _Names:
 # ------------------------------------------------------------------ helpers
 
 
-_lit_var_names = _lit_vars
-
-
 def _rule_var_names(rule: NetlogRule) -> set[str]:
-    out = _lit_var_names(rule.head)
+    out = _lit_vars(rule.head)
     for lit in rule.body:
-        out |= _lit_var_names(lit)
+        out |= _lit_vars(lit)
     return out
+
+
+def _rel(pred: str, *args: Term, positive: bool = True) -> RelLit:
+    """A literal held at its first argument."""
+    return RelLit(pred, tuple(args), positive, holding=0)
 
 
 def _program_preds(rules: Sequence[NetlogRule]) -> dict[str, int]:
@@ -168,31 +169,15 @@ def localize(program: NetlogProgram) -> NetlogProgram:
 # ---------------------------------------------------- step 2: rewrite rules
 
 
-class _UF:
-    def __init__(self, n: int):
-        self.p = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.p[i] != i:
-            self.p[i] = self.p[self.p[i]]
-            i = self.p[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.p[ra] = rb
-
-
 def _components(
     items: Sequence[NetlogLiteral], connection_vars: frozenset[str]
 ) -> list[list[NetlogLiteral]]:
     """Partition into minimal groups closed under sharing a variable outside
     the connection variables."""
-    uf = _UF(len(items))
+    uf = _UnionFind(range(len(items)))
     owner: dict[str, int] = {}
     for i, lit in enumerate(items):
-        for v in _lit_var_names(lit) - connection_vars:
+        for v in _lit_vars(lit) - connection_vars:
             if v in owner:
                 uf.union(owner[v], i)
             else:
@@ -226,12 +211,12 @@ def _rewrite(
     if not remote_rel:
         return [rule], 1
 
-    head_vars = _lit_var_names(rule.head)
+    head_vars = _lit_vars(rule.head)
     anchor: set[str] = set()
     for l in local_rel:
-        anchor |= _lit_var_names(l)
+        anchor |= _lit_vars(l)
     local_cover = anchor | head_vars | set(connection_vars)
-    local_guards = [g for g in guards if _lit_var_names(g) <= local_cover]
+    local_guards = [g for g in guards if _lit_vars(g) <= local_cover]
     remote_items: list[NetlogLiteral] = list(remote_rel) + [
         g for g in guards if g not in local_guards
     ]
@@ -264,76 +249,51 @@ def _rewrite(
         connected = [v for v in hvs if v in neighbor_vars]
         comp_vars: set[str] = set()
         for l in comp:
-            comp_vars |= _lit_var_names(l)
+            comp_vars |= _lit_vars(l)
         if connected:
-            connector = connected[0]
-            bridge = RelLit(
-                EDGE_PRED, (Var(connector), Var(holding_var)), True, 0
-            )
-            body = list(comp) + [bridge]
+            holder = connected[0]
             shared = sorted(
                 (comp_vars | {holding_var}) & (anchor | head_vars)
             )
             args = [holding_var] + [v for v in shared if v != holding_var]
-            head = RelLit(qname, tuple(Var(v) for v in args), True, 0)
-            sub = NetlogRule(head, tuple(body), push=False)
-            sub_rules, k = _rewrite(
-                sub,
-                connector,
-                connection_vars | {connector},
-                delta,
-                names,
-                rule_no,
-                counter,
-                depth + 1,
-            )
-            out_rules.extend(sub_rules)
+            head = _rel(qname, *map(Var, args))
+            link: NetlogLiteral = _rel(EDGE_PRED, Var(holder), Var(holding_var))
+        else:
+            holder = min(comp_rel, key=print_literal).holding_var()
+            assert holder is not None
+            y = names.fresh_var()
+            shared = sorted(comp_vars & (anchor | head_vars))
+            head = _rel(qname, *map(Var, [y] + shared))
+            link = GuardLit("=", Var(y), Var(holder))
+        sub = NetlogRule(head, tuple(comp) + (link,))
+        sub_rules, k = _rewrite(
+            sub,
+            holder,
+            connection_vars | {holder},
+            delta,
+            names,
+            rule_no,
+            counter,
+            depth + 1,
+        )
+        out_rules.extend(sub_rules)
+        if connected:
             kappas.append(k + 1)
             sub_atoms.append(head)
         else:
-            pivot = min(comp_rel, key=print_literal)
-            pivot_var = pivot.holding_var()
-            assert pivot_var is not None
-            y = names.fresh_var()
-            body = list(comp) + [GuardLit("=", Var(y), Var(pivot_var))]
-            shared = sorted(comp_vars & (anchor | head_vars))
-            head = RelLit(
-                qname, tuple(Var(v) for v in [y] + shared), True, 0
-            )
-            sub = NetlogRule(head, tuple(body), push=False)
-            sub_rules, k = _rewrite(
-                sub,
-                pivot_var,
-                connection_vars | {pivot_var},
-                delta,
-                names,
-                rule_no,
-                counter,
-                depth + 1,
-            )
+            # The disconnected result floods to every node through a relay.
             src = names.fresh_var()
             dst = names.fresh_var()
             relay = NetlogRule(
-                RelLit(qname, tuple(Var(v) for v in [dst] + shared), True, 0),
+                _rel(qname, *map(Var, [dst] + shared)),
                 (
-                    RelLit(
-                        qname, tuple(Var(v) for v in [src] + shared), True, 0
-                    ),
-                    RelLit(EDGE_PRED, (Var(src), Var(dst)), True, 0),
+                    _rel(qname, *map(Var, [src] + shared)),
+                    _rel(EDGE_PRED, Var(src), Var(dst)),
                 ),
-                push=False,
             )
-            out_rules.extend(sub_rules)
             out_rules.append(relay)
             kappas.append(k + 1 + delta)
-            sub_atoms.append(
-                RelLit(
-                    qname,
-                    tuple(Var(v) for v in [holding_var] + shared),
-                    True,
-                    0,
-                )
-            )
+            sub_atoms.append(_rel(qname, *map(Var, [holding_var] + shared)))
 
     new_body: list[NetlogLiteral] = [
         l
@@ -391,7 +351,7 @@ def add_comm(program: NetlogProgram) -> NetlogProgram:
 # ------------------------------------------------------- step 4: the clock
 
 
-def _guarded(rule: NetlogRule, names: _Names) -> NetlogRule:
+def _guarded(rule: NetlogRule) -> NetlogRule:
     used = _rule_var_names(rule)
     qv = "q"
     i = 1
@@ -401,10 +361,7 @@ def _guarded(rule: NetlogRule, names: _Names) -> NetlogRule:
     hvs = body_holding_vars(rule)
     x = hvs[0] if hvs else rule.head.holding_var()
     assert x is not None
-    extra = (
-        RelLit("clock", (Var(x), Var(qv)), True, 0),
-        GuardLit("!=", Var(qv), Const(0)),
-    )
+    extra = (_rel("clock", Var(x), Var(qv)), GuardLit("!=", Var(qv), Const(0)))
     return replace(rule, body=rule.body + extra)
 
 
@@ -414,23 +371,15 @@ def _head_vars(arity: int) -> list[Var]:
 
 def _commit_rules(pred: str, arity: int) -> list[NetlogRule]:
     vs = _head_vars(arity)
-    temp = RelLit("temp" + pred, tuple(vs), True, 0)
-    full = RelLit(pred, tuple(vs), True, 0)
-    absent = RelLit(pred, tuple(vs), False, 0)
-    zero = RelLit("clock", (vs[0], Const(0)), True, 0)
+    temp = _rel("temp" + pred, *vs)
+    absent = _rel(pred, *vs, positive=False)
+    zero = _rel("clock", vs[0], Const(0))
     return [
-        NetlogRule(full, (temp, zero)),
+        NetlogRule(_rel(pred, *vs), (temp, zero)),
+        NetlogRule(_rel("continue", vs[0]), (temp, absent, zero)),
         NetlogRule(
-            RelLit("continue", (vs[0],), True, 0), (temp, absent, zero)
-        ),
-        NetlogRule(
-            RelLit("inf", (Var("w"), vs[0]), True, 0),
-            (
-                temp,
-                absent,
-                zero,
-                RelLit(EDGE_PRED, (vs[0], Var("w")), True, 0),
-            ),
+            _rel("inf", Var("w"), vs[0]),
+            (temp, absent, zero, _rel(EDGE_PRED, vs[0], Var("w"))),
             push=True,
         ),
     ]
@@ -438,66 +387,62 @@ def _commit_rules(pred: str, arity: int) -> list[NetlogRule]:
 
 def _bookkeeping(kappa: int) -> list[NetlogRule]:
     x, y, z, p, q = Var("x"), Var("y"), Var("z"), Var("p"), Var("q")
-
-    def rel(pred: str, *args: Term, positive: bool = True) -> RelLit:
-        return RelLit(pred, tuple(args), positive, holding=0)
-
     k = Const(kappa)
     return [
-        NetlogRule(rel("continue", x), (rel("start", x),)),
+        NetlogRule(_rel("continue", x), (_rel("start", x),)),
         NetlogRule(
-            rel("inf", y, x),
-            (rel("start", x), rel(EDGE_PRED, x, y)),
+            _rel("inf", y, x),
+            (_rel("start", x), _rel(EDGE_PRED, x, y)),
             push=True,
         ),
-        NetlogRule(rel("clock", x, k), (rel("start", x),)),
+        NetlogRule(_rel("clock", x, k), (_rel("start", x),)),
         NetlogRule(
-            rel("clock", x, p),
+            _rel("clock", x, p),
             (
-                rel("clock", x, q),
+                _rel("clock", x, q),
                 GuardLit(">=", q, Const(1)),
                 GuardLit("dec", p, q),
-                rel("stop", x, positive=False),
+                _rel("stop", x, positive=False),
             ),
         ),
         NetlogRule(
-            rel("clock", x, k),
-            (rel("clock", x, Const(0)), rel("stop", x, positive=False)),
+            _rel("clock", x, k),
+            (_rel("clock", x, Const(0)), _rel("stop", x, positive=False)),
         ),
         # The origin's notice is relayed while the stage clock is still
         # counting, so it reaches the whole network within one stage (the
         # stage length is at least the diameter); a copy arriving at clock
         # zero is ignored everywhere, so notices never leak across stages.
         NetlogRule(
-            rel("inf", z, x),
+            _rel("inf", z, x),
             (
-                rel("inf", y, x),
-                rel(EDGE_PRED, y, z),
+                _rel("inf", y, x),
+                _rel(EDGE_PRED, y, z),
                 GuardLit("!=", x, z),
-                rel("clock", y, q),
+                _rel("clock", y, q),
                 GuardLit(">=", q, Const(1)),
             ),
             push=True,
         ),
         NetlogRule(
-            rel("continue", x),
+            _rel("continue", x),
             (
-                rel("inf", x, y),
-                rel("clock", x, q),
+                _rel("inf", x, y),
+                _rel("clock", x, q),
                 GuardLit("!=", q, Const(0)),
             ),
         ),
         NetlogRule(
-            rel("continue", x),
+            _rel("continue", x),
             (
-                rel("continue", x),
-                rel("clock", x, q),
+                _rel("continue", x),
+                _rel("clock", x, q),
                 GuardLit("!=", q, Const(0)),
             ),
         ),
         NetlogRule(
-            rel("stop", x),
-            (rel("continue", x, positive=False), rel("clock", x, Const(0))),
+            _rel("stop", x),
+            (_rel("continue", x, positive=False), _rel("clock", x, Const(0))),
         ),
     ]
 
@@ -522,10 +467,9 @@ def add_clocks(
         raise CompileError(
             f"program uses reserved relation names: {', '.join(clash)}"
         )
-    names = _Names(used)
     rules = []
     for rule in program.rules:
-        g = _guarded(rule, names)
+        g = _guarded(rule)
         if rule.head.pred in intensional:
             g = replace(
                 g, head=replace(g.head, pred="temp" + rule.head.pred)
@@ -554,21 +498,14 @@ def inflate(program: NetlogProgram, source: NetlogProgram) -> NetlogProgram:
         if pred in RESERVED or pred in source_preds or pred == EDGE_PRED:
             continue
         vs = _head_vars(arities[pred])
-        lit = RelLit(pred, tuple(vs), True, 0)
+        lit = _rel(pred, *vs)
+        clock = _rel("clock", vs[0], Var("q"))
         rules.append(
-            NetlogRule(
-                lit,
-                (
-                    lit,
-                    RelLit("clock", (vs[0], Var("q")), True, 0),
-                    GuardLit("!=", Var("q"), Const(0)),
-                ),
-            )
+            NetlogRule(lit, (lit, clock, GuardLit("!=", Var("q"), Const(0))))
         )
     intensional = _program_preds(list(source.rules))
     for pred in sorted(source.intensional_preds):
-        vs = _head_vars(intensional[pred])
-        lit = RelLit(pred, tuple(vs), True, 0)
+        lit = _rel(pred, *_head_vars(intensional[pred]))
         rules.append(NetlogRule(lit, (lit,)))
     return NetlogProgram(tuple(rules))
 
@@ -591,8 +528,8 @@ def compile(  # noqa: A001 - the operation is named after what it does
                 f"rule {no}: source rules must be centralized (no @ or ^)"
             )
         try:
-            _check_rule_safety(rule)
-        except Exception as e:
+            _check_safe(rule)
+        except NetlogError as e:
             raise CompileError(f"rule {no}: {e}") from None
     p1 = localize(source)
     names = _Names(set(_program_preds(list(source.rules))) | {EDGE_PRED})
@@ -601,10 +538,8 @@ def compile(  # noqa: A001 - the operation is named after what it does
     for no, rule in enumerate(p1.rules, start=1):
         h = rule.head.holding_var()
         assert h is not None
-        names.note_vars(sorted(_rule_var_names(rule)))
-        t_r, k_r = _rewrite(
-            rule, h, frozenset({h}), delta, names, no, [0], 1
-        )
+        ctx = RewriteContext(rule, h, frozenset({h}))
+        t_r, k_r = rewrite_rule(ctx, delta, names, no)
         traces.append((tuple(t_r), k_r))
         rewritten.extend(t_r)
     kappa = max([delta, 1] + [k for _, k in traces])

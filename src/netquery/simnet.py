@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-from .oracle import Graph, GraphError, make_graph
+from .oracle import Graph, make_graph
 
 
 class SimError(ValueError):
@@ -72,6 +72,9 @@ def parse_identity_mode(
 def check_locally_consistent(g: Graph, labels: Mapping[int, int], k: int) -> bool:
     """True when any two distinct nodes within distance k of a common node
     carry distinct labels."""
+    missing = [a for a in g.nodes if a not in labels]
+    if missing:
+        raise SimError(f"label map misses nodes {missing}")
     for a in g.nodes:
         seen: dict[int, int] = {}
         for b in g.neighborhood_nodes(a, k):
@@ -135,12 +138,8 @@ def make_network(
     g: Graph, mode: IdentityMode = GLOBAL_IDS, port_seed: int = 0
 ) -> Network:
     if mode.kind == "local-consistent":
-        labels = mode.labels or {}
-        missing = [a for a in g.nodes if a not in labels]
-        if missing:
-            raise SimError(f"label map misses nodes {missing}")
-        assert mode.k is not None
-        if not check_locally_consistent(g, labels, mode.k):
+        assert mode.labels is not None and mode.k is not None
+        if not check_locally_consistent(g, mode.labels, mode.k):
             raise SimError(
                 f"label map is not {mode.k}-locally consistent on this graph"
             )
@@ -163,8 +162,12 @@ def load_network(
 ) -> Network:
     """Parse the edge-list format: first line `n m`, then m lines `u v`,
     then optionally a line `@facts` followed by `Pred node` lines."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    numbered = [
+        (no, ln)
+        for no, ln in enumerate((ln.strip() for ln in text.splitlines()), 1)
+        if ln and not ln.startswith("#")
+    ]
+    lines = [ln for _, ln in numbered]
     if not lines:
         raise SimError("empty network file")
     head = lines[0].split()
@@ -176,12 +179,23 @@ def load_network(
         raise SimError(f"expected integers on the first line, got {lines[0]!r}")
     if len(lines) < 1 + m:
         raise SimError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1 : 1 + m]:
+    edges: dict[tuple[int, int], int] = {}
+    for no, ln in numbered[1 : 1 + m]:
         parts = ln.split()
         if len(parts) != 2:
             raise SimError(f"malformed edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        u, v = int(parts[0]), int(parts[1])
+        for x in (u, v):
+            if not 1 <= x <= n:
+                raise SimError(
+                    f"line {no}: edge {ln!r} names node {x} outside 1..{n}"
+                )
+        key = (min(u, v), max(u, v))
+        if key in edges:
+            raise SimError(
+                f"line {no}: edge {ln!r} repeats the edge of line {edges[key]}"
+            )
+        edges[key] = no
     unary: dict[str, set[int]] = {}
     rest = lines[1 + m :]
     if rest:
@@ -193,7 +207,8 @@ def load_network(
                 raise SimError(f"malformed fact line {ln!r}")
             unary.setdefault(parts[0], set()).add(int(parts[1]))
     g = make_graph(
-        edges, nodes=range(1, n + 1), degree_bound=degree_bound, unary=unary
+        list(edges), nodes=range(1, n + 1), degree_bound=degree_bound,
+        unary=unary,
     )
     return make_network(g, mode=mode, port_seed=port_seed)
 
@@ -290,7 +305,6 @@ class NodeConfig:
     state: Any
     in_buffer: list[Message] = field(default_factory=list)
     out_buffer: list[tuple[int, Any]] = field(default_factory=list)  # (port, payload)
-    step_counter: int = 0
 
 
 @dataclass(frozen=True)
@@ -432,7 +446,6 @@ def run(
             res = engine.step(cfg.state, contexts[a], round_no, inbox)
             cfg.state = res.state
             cfg.out_buffer = list(res.sends)
-            cfg.step_counter = res.steps
             max_steps = max(max_steps, res.steps)
             if not res.quiescent:
                 all_quiet = False

@@ -1,11 +1,14 @@
 """End-to-end tests for the command-line front end."""
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import netquery
 from netquery.cli import main
 from netquery.fixtures import (
     ROUTING_TABLE_PROGRAM,
@@ -206,6 +209,32 @@ def test_check_consistent_yes_and_no(capsys, ring4, tmp_path):
     assert code == 1 and "no" in out
 
 
+def test_check_consistent_missing_label_is_an_error(capsys, ring4, tmp_path):
+    short = tmp_path / "short.labels"
+    short.write_text("1 10\n2 20\n4 40\n")
+    code, out, err = run_cli(
+        capsys, "check-consistent", "--net", ring4, "--labels", str(short),
+    )
+    assert code == 2 and out == ""
+    assert err == "error: label map misses nodes [3]\n"
+
+
+def test_repeated_label_line_rejected(capsys, ring4, tmp_path):
+    twice = tmp_path / "twice.labels"
+    twice.write_text("1 10\n2 20\n3 30\n4 40\n2 50\n")
+    for argv in (
+        ("check-consistent", "--net", ring4, "--labels", str(twice)),
+        (
+            "qe-fo-loc", "--net", ring4, "--labels", str(twice),
+            "--identity", "local-consistent:1", "--req", "1",
+            "--query", "exists y in N^1(x). G(x,y)",
+        ),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "node 2 is labeled twice" in err
+
+
 def test_parse_error_is_position_tagged(capsys, path3):
     code, _, err = run_cli(
         capsys, "oracle-fo", "--net", path3, "--query", "exists y. G(x,"
@@ -233,6 +262,12 @@ def test_bad_requester_rejected(capsys, path3):
 
 
 def test_module_invocation_subprocess(path3):
+    # The child imports the same package as this process.
+    src = str(Path(netquery.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [
             sys.executable, "-m", "netquery.cli",
@@ -240,6 +275,7 @@ def test_module_invocation_subprocess(path3):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "3 tuples" in proc.stdout

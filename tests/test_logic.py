@@ -1,4 +1,4 @@
-"""Parser, printer, stats, substitution, relativization, simplification."""
+"""Parser, printer, stats, substitution, relativization."""
 from __future__ import annotations
 
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from netquery.logic import (
     And,
     Atom,
-    BoolConst,
     Cmp,
     Const,
     Exists,
@@ -26,7 +25,6 @@ from netquery.logic import (
     print_fixpoint,
     relativize,
     relativize_fixpoint,
-    simplify,
     stats,
     substitute,
 )
@@ -264,44 +262,6 @@ def test_relativize_preserves_free_vars_and_quantifier_count():
         from netquery.logic import subformulas, Exists, Forall
         return sum(1 for h in subformulas(g) if isinstance(h, (Exists, Forall)))
     assert count_quants(out) == count_quants(f)
-
-
-# ----------------------------------------------------------- simplification
-
-
-def test_simplify_true_conjunct_removed():
-    f = parse_formula("G(1,2) & G(3,4)")
-    out = simplify(f, {"G(1,2)": True})
-    assert out == Atom("G", (Const(3), Const(4)))
-
-
-def test_simplify_true_disjunct_decides():
-    f = parse_formula("G(1,2) | G(3,4)")
-    assert simplify(f, {"G(1,2)": True}) == BoolConst(True)
-
-
-def test_simplify_negation_and_unknown():
-    f = parse_formula("!G(1,2) & G(3,4)")
-    out = simplify(f, {"G(1,2)": False})
-    assert out == Atom("G", (Const(3), Const(4)))
-
-
-def test_simplify_ground_comparisons_always_decided():
-    assert simplify(parse_formula("3 >= 2")) == BoolConst(True)
-    assert simplify(parse_formula("2 >= 3")) == BoolConst(False)
-    assert simplify(parse_formula("3 != 3")) == BoolConst(False)
-    assert simplify(parse_formula("x = x")) == BoolConst(True)
-
-
-def test_simplify_quantifier_over_constant_body():
-    f = Exists("y", BoolConst(False))
-    assert simplify(f) == BoolConst(False)
-    g = Forall("y", BoolConst(True))
-    assert simplify(g) == BoolConst(True)
-
-
-def test_simplify_self_membership():
-    assert simplify(parse_formula("x in N^1(x)")) == BoolConst(True)
 
 
 # ------------------------------------------------------------- round trips

@@ -133,6 +133,23 @@ def test_load_rejects_bad_header():
         load_network("three two\n1 2\n")
 
 
+def test_load_rejects_node_outside_range():
+    outside = r"line 4: edge '3 9' names node 9 outside 1\.\.3"
+    with pytest.raises(SimError, match=outside):
+        load_network("3 3\n1 2\n2 3\n3 9\n")
+    with pytest.raises(SimError, match="line 2: .* names node 0"):
+        load_network("3 2\n0 1\n2 3\n")
+
+
+def test_load_rejects_duplicate_edge_either_orientation():
+    same = "line 4: edge '1 2' repeats the edge of line 2"
+    with pytest.raises(SimError, match=same):
+        load_network("3 3\n1 2\n2 3\n1 2\n")
+    reversed_ = "line 5: edge '3 2' repeats the edge of line 4"
+    with pytest.raises(SimError, match=reversed_):
+        load_network("# path\n3 3\n1 2\n2 3\n3 2\n")
+
+
 def test_degree_bound_star():
     star = "4 3\n1 2\n1 3\n1 4\n"
     net = load_network(star, degree_bound=3)
@@ -177,6 +194,15 @@ def test_make_network_validates_labels():
     ok = IdentityMode("local-consistent", k=1, labels=labels)
     lc = make_network(net.graph, mode=ok)
     assert lc.mode.k == 1
+
+
+def test_missing_labels_are_reported():
+    g = load_network("3 2\n1 2\n2 3\n").graph
+    with pytest.raises(SimError, match=r"label map misses nodes \[3\]"):
+        check_locally_consistent(g, {1: 1, 2: 2}, 1)
+    mode = IdentityMode("local-consistent", k=1, labels={1: 1, 2: 2})
+    with pytest.raises(SimError, match=r"label map misses nodes \[3\]"):
+        make_network(g, mode=mode)
 
 
 def test_parse_identity_mode():
