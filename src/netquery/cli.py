@@ -64,13 +64,15 @@ def _load_labels(path: Optional[str]) -> Optional[dict[int, int]]:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise CliError(f"label line must be 'node label': {ln!r}")
-        node = int(parts[0])
+        try:
+            node, label = map(int, ln.split())
+        except ValueError:
+            raise CliError(
+                f"label line must be two integers 'node label': {ln!r}"
+            ) from None
         if node in labels:
             raise CliError(f"node {node} is labeled twice: {ln!r}")
-        labels[node] = int(parts[1])
+        labels[node] = label
     return labels
 
 

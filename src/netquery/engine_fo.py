@@ -105,6 +105,7 @@ class _Leaf:
     var: str
     is_exists: bool
     deadline: int
+    key: int  # answer key of the quantifier's value
     instances: set[str] = field(default_factory=set)  # instance query texts
 
 
@@ -114,6 +115,7 @@ class _Entry:
     formula: Formula
     level: int  # number of instantiations performed so far
     kind: str  # "B" closed query, "O" open query
+    key: int  # answer key of the query's value
     suffix: tuple[int, ...] = ()  # open: already-assigned values, leftmost first
     leaves: dict[tuple[int, ...], _Leaf] = field(default_factory=dict)
     value: Optional[bool] = None
@@ -121,12 +123,9 @@ class _Entry:
 
 @dataclass(frozen=True)
 class FONodeReport:
-    """Per-node outcome: the locally held answer tuples and table sizes."""
+    """Per-node outcome: the locally held answer tuples."""
 
     tuples: frozenset[tuple[int, ...]]
-    root_truth: Optional[bool]
-    entry_count: int
-    answer_count: int
 
 
 # ------------------------------------------------------------ formula walks
@@ -207,17 +206,8 @@ class FOCore:
         self.out: list[tuple] = []
         self.tuples: dict[tuple[int, str], tuple[int, ...]] = {}
         self.stored: set[tuple[int, ...]] = set()
-        self.root_ek: Optional[tuple[int, str]] = None
         self.work = 0
         self._dirty = False
-
-    # -- keys
-
-    def key_of(self, f: Formula, level: int) -> str:
-        text = canonical_print(f)
-        if isinstance(f, (Atom, Cmp, BoolConst)):
-            return text  # fact truth does not depend on the derivation depth
-        return f"{level}|{text}"
 
     # -- local fact knowledge
 
@@ -240,12 +230,11 @@ class FOCore:
 
     # -- answer table
 
-    def _insert_answer(self, key_text: str, value: bool, announce: bool) -> None:
-        k = answer_key(key_text)
+    def _insert_answer(self, k: int, value: bool, announce: bool) -> None:
         prev = self.answers.get(k)
         if prev is not None:
             if prev != value:
-                raise EngineError(f"conflicting answers for {key_text!r}")
+                raise EngineError(f"conflicting answers for answer key {k}")
             return
         self.answers[k] = value
         self._dirty = True
@@ -259,7 +248,7 @@ class FOCore:
                 args = tuple(t.value for t in a.args)
                 v = self._decide_atom(a.pred, args)
                 if v is not None:
-                    self._insert_answer(canonical_print(a), v, announce=True)
+                    self._insert_answer(answer_key(canonical_print(a)), v, announce=True)
 
     # -- deadlines
 
@@ -308,7 +297,11 @@ class FOCore:
                 )
             return e
         self.work += 1
-        e = _Entry(text=text, formula=formula, level=level, kind=kind, suffix=suffix)
+        if isinstance(formula, (Atom, Cmp, BoolConst)):
+            key = answer_key(text)  # fact truth does not depend on the depth
+        else:
+            key = answer_key(f"{level}|{text}")
+        e = _Entry(text, formula, level, kind, key, suffix)
         self.entries[ek] = e
         self.by_level.setdefault(level, set()).add(text)
         self._dirty = True
@@ -329,6 +322,7 @@ class FOCore:
                     var=q.var,  # type: ignore[union-attr]
                     is_exists=isinstance(q, Exists),
                     deadline=self._leaf_deadline(q, level),
+                    key=answer_key(f"{level}|{canonical_print(q)}"),
                 )
             self._spawn_instances(e)
             self._link_new_parent(e)
@@ -396,22 +390,13 @@ class FOCore:
         else:
             e = self._create_entry(f, "B", level, ())
             self.tuples[(level, e.text)] = tuple(suffix)
-        self.root_ek = (level, e.text)
 
     def ingest(self, payloads: Sequence[tuple], round_no: int) -> None:
         ans = sorted((p for p in payloads if p[0] == "A"), key=_send_order)
         qs = sorted((p for p in payloads if p[0] == "Q"), key=_send_order)
         for _, k, v in ans:
             self.work += 1
-            prev = self.answers.get(k)
-            if prev is None:
-                self.answers[k] = bool(v)
-                self._dirty = True
-                if k not in self.sent_answers:
-                    self.sent_answers.add(k)
-                    self.out.append(("A", k, bool(v)))
-            elif prev != bool(v):
-                raise EngineError("conflicting answers received for one query")
+            self._insert_answer(k, bool(v), announce=True)
         for _, kind, text, extra in qs:
             self.work += 1
             # A closed query carries its level, an open one its assignments.
@@ -442,15 +427,14 @@ class FOCore:
     def _eval_entry(self, e: _Entry, round_no: int) -> Optional[bool]:
         if e.value is not None:
             return e.value
-        k = answer_key(self.key_of(e.formula, e.level))
-        if k in self.answers:
-            v: Optional[bool] = self.answers[k]
+        if e.key in self.answers:
+            v: Optional[bool] = self.answers[e.key]
         else:
             v = self._ev(e, e.formula, (), round_no)
         if v is not None:
             e.value = v
             announce = not isinstance(e.formula, (Cmp, BoolConst))
-            self._insert_answer(self.key_of(e.formula, e.level), v, announce)
+            self._insert_answer(e.key, v, announce)
             self._dirty = True
         return v
 
@@ -484,19 +468,17 @@ class FOCore:
             return False if all(v is False for v in vals) else None
         if isinstance(f, (Exists, Forall)):
             leaf = e.leaves[path]
-            key_text = f"{e.level}|{canonical_print(f)}"
-            k = answer_key(key_text)
-            if k in self.answers:
-                return self.answers[k]
+            if leaf.key in self.answers:
+                return self.answers[leaf.key]
             vals = []
             for text in sorted(leaf.instances):
                 inst = self.entries[(e.level + 1, text)]
                 vals.append(self._eval_entry(inst, round_no))
             if leaf.is_exists and any(v is True for v in vals):
-                self._insert_answer(key_text, True, announce=True)
+                self._insert_answer(leaf.key, True, announce=True)
                 return True
             if not leaf.is_exists and any(v is False for v in vals):
-                self._insert_answer(key_text, False, announce=True)
+                self._insert_answer(leaf.key, False, announce=True)
                 return False
             if round_no >= leaf.deadline:
                 # Every instance value is derivable network-wide by now, so
@@ -507,7 +489,7 @@ class FOCore:
                     if leaf.is_exists
                     else not any(v is False for v in vals)
                 )
-                self._insert_answer(key_text, v, announce=False)
+                self._insert_answer(leaf.key, v, announce=False)
                 return v
             return None
         raise EngineError(f"unsupported subformula {f!r}")
@@ -518,27 +500,14 @@ class FOCore:
         return out
 
     def pending(self, round_no: int) -> bool:
-        for ek in sorted(self.entries):
-            e = self.entries[ek]
-            for path in e.leaves:
-                leaf = e.leaves[path]
-                if round_no >= leaf.deadline:
-                    continue
-                key_text = f"{e.level}|{canonical_print(leaf.quant)}"
-                if answer_key(key_text) not in self.answers:
-                    return True
-        return False
+        return any(
+            round_no < leaf.deadline and leaf.key not in self.answers
+            for e in self.entries.values()
+            for leaf in e.leaves.values()
+        )
 
     def report(self) -> FONodeReport:
-        root = None
-        if self.root_ek is not None:
-            root = self.entries[self.root_ek].value
-        return FONodeReport(
-            tuples=frozenset(self.stored),
-            root_truth=root,
-            entry_count=len(self.entries),
-            answer_count=len(self.answers),
-        )
+        return FONodeReport(tuples=frozenset(self.stored))
 
 
 # ------------------------------------------------------------ simnet engine

@@ -68,10 +68,6 @@ class FPNodeReport:
     tuples: frozenset[tuple[int, ...]]
     history: tuple[frozenset[tuple[int, ...]], ...]
 
-    @property
-    def iterations(self) -> int:
-        return len(self.history)
-
 
 class _TableAtoms(AuxAtoms):
     """Decides atoms over the relation being computed and over any stored

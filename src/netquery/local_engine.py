@@ -168,7 +168,6 @@ class TraceQuotient:
 
     radius: int
     traces: frozenset[PortTrace]
-    tracelists: Mapping[PortTrace, frozenset[PortTrace]]
     classes: tuple[frozenset[PortTrace], ...]
     class_of: Mapping[PortTrace, int]
     reps: tuple[PortTrace, ...]
@@ -249,7 +248,6 @@ def _quotient_from_lists(
     return TraceQuotient(
         radius=radius,
         traces=traces,
-        tracelists=dict(lists),
         classes=classes,
         class_of=class_of,
         reps=reps,
@@ -325,15 +323,6 @@ def _walk_traces(net: Network, start: int, radius: int) -> dict[PortTrace, int]:
     return out
 
 
-def _node_label(net: Network, a: int) -> Optional[int]:
-    if net.mode.kind == "global":
-        return a
-    if net.mode.kind == "local-consistent":
-        assert net.mode.labels is not None
-        return net.mode.labels[a]
-    return None
-
-
 def _central_entries(
     net: Network, start: int, radius: int
 ) -> dict[PortTrace, _Entry]:
@@ -349,7 +338,7 @@ def _central_entries(
         out[t] = (
             tuple(sorted(by_end.get(u, ()))),
             attrs,
-            _node_label(net, u),
+            net.mode.label_of(u),
         )
     return out
 

@@ -9,28 +9,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, NoReturn, Optional, Union
 
 
 class ParseError(ValueError):
-    """Syntax error with source position."""
+    """Syntax error at character `pos` of `text`, with its line and column."""
 
-    def __init__(
-        self,
-        message: str,
-        text: str = "",
-        pos: int = 0,
-        *,
-        line: Optional[int] = None,
-        col: Optional[int] = None,
-    ):
-        if line is None:
-            line = text.count("\n", 0, pos) + 1
-            col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message: str, text: str, pos: int):
         self.pos = pos
-        self.line = line
-        self.col = col
+        self.line = text.count("\n", 0, pos) + 1
+        self.col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+        super().__init__(f"{message} (line {self.line}, column {self.col})")
 
 
 class FormulaError(ValueError):
@@ -418,61 +407,53 @@ def canonical_print(f: Formula) -> str:
 
 # ----------------------------------------------------------------- tokenizer
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+|\#[^\n]*)
-      | (?P<neq>!=)
-      | (?P<geq>>=)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<int>\d+)
-      | (?P<op>[()=.,&|!^])
-    """,
-    re.VERBOSE,
-)
 
-_KEYWORDS = {"exists", "forall", "in", "mu", "true", "false"}
+def _token_re(comment: str, ops: str) -> re.Pattern[str]:
+    """Token pattern of a front end: whitespace and `comment` are skipped,
+    names and integers are shared, `ops` are its operators."""
+    return re.compile(
+        rf"(?P<skip>\s+|{comment})|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
+        rf"|(?P<int>\d+)|(?P<op>{ops})"
+    )
 
 
 @dataclass(frozen=True, slots=True)
 class _Tok:
-    kind: str  # "name", "int", or the operator text itself
+    kind: str  # "name", "int", "eof", or the operator text itself
     text: str
     pos: int
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
-        if m.lastgroup == "ws":
-            pass
-        elif m.lastgroup == "name":
-            toks.append(_Tok("name", m.group(), m.start()))
-        elif m.lastgroup == "int":
-            toks.append(_Tok("int", m.group(), m.start()))
-        elif m.lastgroup == "neq":
-            toks.append(_Tok("!=", "!=", m.start()))
-        elif m.lastgroup == "geq":
-            toks.append(_Tok(">=", ">=", m.start()))
-        else:
-            toks.append(_Tok(m.group(), m.group(), m.start()))
-        pos = m.end()
-    toks.append(_Tok("eof", "", len(text)))
-    return toks
+class _TokenStream:
+    """The tokens of one input and the helpers both front ends parse with.
 
+    A subclass sets `token_re` (see `_token_re`); an operator token's kind
+    and text are its spelling after `aliases`, and a name in `keywords` is
+    not a term."""
 
-class _Parser:
+    token_re: re.Pattern[str]
+    aliases: dict[str, str] = {}
+    keywords: frozenset[str] = frozenset()
+
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokenize(text)
+        self.toks: list[_Tok] = []
         self.i = 0
+        pos = 0
+        while pos < len(text):
+            m = self.token_re.match(text, pos)
+            if m is None:
+                raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
+            kind, word = m.lastgroup, m.group()
+            if kind == "op":
+                kind = word = self.aliases.get(word, word)
+            if kind != "skip":
+                self.toks.append(_Tok(kind, word, pos))
+            pos = m.end()
+        self.toks.append(_Tok("eof", "", pos))
 
-    # -- token helpers
-
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def peek(self, ahead: int = 0) -> _Tok:
+        return self.toks[self.i + ahead]
 
     def next(self) -> _Tok:
         t = self.toks[self.i]
@@ -483,11 +464,27 @@ class _Parser:
         t = self.peek()
         if t.kind != kind:
             shown = t.text if t.kind != "eof" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", self.text, t.pos)
+            self.fail(f"expected {kind!r}, found {shown!r}", t)
         return self.next()
 
-    def fail(self, message: str) -> None:
-        raise ParseError(message, self.text, self.peek().pos)
+    def fail(self, message: str, tok: Optional[_Tok] = None) -> NoReturn:
+        """Raise a ParseError at `tok`, by default the next token."""
+        raise ParseError(message, self.text, (tok or self.peek()).pos)
+
+    def parse_term(self) -> Term:
+        t = self.peek()
+        if t.kind == "int":
+            self.next()
+            return Const(int(t.text))
+        if t.kind == "name" and t.text not in self.keywords:
+            self.next()
+            return Var(t.text)
+        self.fail(f"expected a term, found {t.text!r}")
+
+
+class _Parser(_TokenStream):
+    token_re = _token_re(r"#[^\n]*", r"!=|>=|[()=.,&|!^]")
+    keywords = frozenset({"exists", "forall", "in", "mu", "true", "false"})
 
     # -- grammar
 
@@ -523,10 +520,8 @@ class _Parser:
     def parse_quantifier(self) -> Formula:
         kw = self.next().text
         var_tok = self.expect("name")
-        if var_tok.text in _KEYWORDS:
-            raise ParseError(
-                f"keyword {var_tok.text!r} cannot be a variable", self.text, var_tok.pos
-            )
+        if var_tok.text in self.keywords:
+            self.fail(f"keyword {var_tok.text!r} cannot be a variable", var_tok)
         bound = None
         if self.peek().kind == "name" and self.peek().text == "in":
             self.next()
@@ -539,24 +534,13 @@ class _Parser:
     def parse_nbhd_range(self) -> tuple[Term, int]:
         n = self.expect("name")
         if n.text != "N":
-            raise ParseError("expected neighborhood range N^k(...)", self.text, n.pos)
+            self.fail("expected neighborhood range N^k(...)", n)
         self.expect("^")
         radius = int(self.expect("int").text)
         self.expect("(")
         center = self.parse_term()
         self.expect(")")
         return (center, radius)
-
-    def parse_term(self) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Const(int(t.text))
-        if t.kind == "name" and t.text not in _KEYWORDS:
-            self.next()
-            return Var(t.text)
-        self.fail(f"expected a term, found {t.text!r}")
-        raise AssertionError
 
     def parse_primary(self) -> Formula:
         t = self.peek()
@@ -571,10 +555,10 @@ class _Parser:
         if t.kind == "name" and t.text == "false":
             self.next()
             return FALSE
-        if t.kind == "name" and t.text in _KEYWORDS and t.text != "N":
+        if t.kind == "name" and t.text in self.keywords:
             self.fail(f"unexpected keyword {t.text!r}")
         # Relation atom: NAME '(' ...
-        if t.kind == "name" and self.toks[self.i + 1].kind == "(":
+        if t.kind == "name" and self.peek(1).kind == "(":
             name = self.next().text
             self.next()  # '('
             args = [self.parse_term()]
@@ -595,7 +579,6 @@ class _Parser:
             center, radius = self.parse_nbhd_range()
             return InNbhd(left, radius, center)
         self.fail("expected a comparison or membership after term")
-        raise AssertionError
 
 
 # ------------------------------------------------- post-parse normalization
@@ -671,10 +654,10 @@ def parse_fixpoint(text: str) -> FixpointQuery:
     p = _Parser(text)
     kw = p.expect("name")
     if kw.text != "mu":
-        raise ParseError("fixpoint query must start with 'mu'", text, kw.pos)
+        p.fail("fixpoint query must start with 'mu'", kw)
     name_tok = p.expect("name")
-    if name_tok.text in _KEYWORDS:
-        raise ParseError("fixpoint relation name is a keyword", text, name_tok.pos)
+    if name_tok.text in p.keywords:
+        p.fail("fixpoint relation name is a keyword", name_tok)
     p.expect("(")
     vars_: list[str] = [p.expect("name").text]
     while p.peek().kind == ",":
@@ -684,7 +667,7 @@ def parse_fixpoint(text: str) -> FixpointQuery:
     p.expect(".")
     body = p.parse_or()
     if p.peek().kind != "eof":
-        raise ParseError(f"trailing input {p.peek().text!r}", text, p.peek().pos)
+        p.fail(f"trailing input {p.peek().text!r}")
     if len(set(vars_)) != len(vars_):
         raise FormulaError(f"duplicate declared variables in mu {name_tok.text}")
     _check_arities(body, fixpoint_name=name_tok.text, fixpoint_arity=len(vars_))

@@ -7,11 +7,11 @@ per-round immediate-consequence operator over per-node stores.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .logic import EDGE_PRED, Const, ParseError, Term, Var, _UnionFind, term_str
+from . import simnet
+from .logic import EDGE_PRED, Const, Term, Var, _TokenStream, _token_re, _UnionFind, term_str
 from .oracle import Graph, Relation
 
 Fact = tuple[str, tuple[int, ...]]
@@ -121,12 +121,6 @@ class DistributedInstance:
             args for fs in self.stores.values() for p, args in fs if p == pred
         )
 
-    def node_facts(self, v: int, pred: Optional[str] = None) -> frozenset[Fact]:
-        fs = self.stores.get(v, frozenset())
-        if pred is None:
-            return fs
-        return frozenset(f for f in fs if f[0] == pred)
-
     def relation(self, pred: str, arity: int) -> Relation:
         tuples = self.facts_of(pred)
         for t in tuples:
@@ -181,168 +175,88 @@ def print_program(program: NetlogProgram) -> str:
     return "\n".join(print_rule(r) for r in program.rules) + "\n"
 
 
-# ---------------------------------------------------------------- tokenizer
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<arrow>:-)
-  | (?P<neq>!=|≠)
-  | (?P<geq>>=|≥)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<int>\d+)
-  | (?P<push>\^|↑)
-  | (?P<neg>!|¬)
-  | (?P<sym>[(),;.@=\-])
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens: list[tuple[str, str, int, int]] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line=line, col=col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "arrow":
-            tokens.append((":-", value, line, col))
-        elif kind == "neq":
-            tokens.append(("!=", "!=", line, col))
-        elif kind == "geq":
-            tokens.append((">=", ">=", line, col))
-        elif kind == "name":
-            tokens.append(("name", value, line, col))
-        elif kind == "int":
-            tokens.append(("int", value, line, col))
-        elif kind == "push":
-            tokens.append(("^", "^", line, col))
-        elif kind == "neg":
-            tokens.append(("!", "!", line, col))
-        elif kind == "sym":
-            tokens.append((value, value, line, col))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
-    return tokens
-
-
 # ------------------------------------------------------------------ parser
 
 
-class _RuleParser:
+class _RuleParser(_TokenStream):
+    token_re = _token_re(r"%[^\n]*", r":-|!=|>=|[-(),;.@=^!≠≥↑¬]")
+    aliases = {"≠": "!=", "≥": ">=", "↑": "^", "¬": "!"}
+
     def __init__(self, text: str, distributed: bool):
-        self.tokens = _tokenize(text)
-        self.i = 0
+        super().__init__(text)
         self.distributed = distributed
-
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", line=tok[2], col=tok[3])
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, line=tok[2], col=tok[3])
 
     def parse_program(self) -> list[NetlogRule]:
         rules = []
-        while self.peek()[0] != "eof":
+        while self.peek().kind != "eof":
             rules.append(self.parse_rule())
         return rules
 
     def parse_rule(self) -> NetlogRule:
         push = False
-        if self.peek()[0] == "^":
+        if self.peek().kind == "^":
             self.next()
             push = True
             if not self.distributed:
-                raise self.error("push marker ^ is not allowed in centralized rules")
-        head = self.parse_atom(allow_neg=False)
+                self.fail("push marker ^ is not allowed in centralized rules")
+        head = self.parse_atom()
         self.expect(":-")
         body: list[NetlogLiteral] = [self.parse_literal()]
-        while self.peek()[0] in (";", ","):
+        while self.peek().kind in (";", ","):
             self.next()
             body.append(self.parse_literal())
         self.expect(".")
         return NetlogRule(head, tuple(body), push)
 
     def parse_literal(self) -> NetlogLiteral:
-        if self.peek()[0] == "!":
+        if self.peek().kind == "!":
             self.next()
-            return self.parse_atom(allow_neg=True, negated=True)
-        kind, _value, _l, _c = self.peek()
-        if kind == "name" and self.tokens[self.i + 1][0] == "(":
-            return self.parse_atom(allow_neg=True)
+            return self.parse_atom(negated=True)
+        if self.peek().kind == "name" and self.peek(1).kind == "(":
+            return self.parse_atom()
         return self.parse_guard()
 
-    def parse_atom(self, allow_neg: bool, negated: bool = False) -> RelLit:
+    def parse_atom(self, negated: bool = False) -> RelLit:
         name_tok = self.expect("name")
         self.expect("(")
         args: list[Term] = []
         holding: Optional[int] = None
         while True:
-            if self.peek()[0] == "@":
+            if self.peek().kind == "@":
                 at_tok = self.next()
                 if not self.distributed:
-                    raise ParseError("holding marker @ is not allowed in centralized rules", line=at_tok[2], col=at_tok[3])
+                    self.fail("holding marker @ is not allowed in centralized rules", at_tok)
                 if holding is not None:
-                    raise ParseError("literal has more than one holding marker", line=at_tok[2], col=at_tok[3])
+                    self.fail("literal has more than one holding marker", at_tok)
                 term = self.parse_term()
                 if not isinstance(term, Var):
-                    raise ParseError("holding marker must be on a variable", line=at_tok[2], col=at_tok[3])
+                    self.fail("holding marker must be on a variable", at_tok)
                 holding = len(args)
                 args.append(term)
             else:
                 args.append(self.parse_term())
-            if self.peek()[0] == ",":
+            if self.peek().kind == ",":
                 self.next()
                 continue
             break
         self.expect(")")
-        return RelLit(name_tok[1], tuple(args), positive=not negated, holding=holding)
+        return RelLit(name_tok.text, tuple(args), positive=not negated, holding=holding)
 
     def parse_guard(self) -> GuardLit:
         left = self.parse_term()
         op_tok = self.next()
-        if op_tok[0] not in ("=", "!=", ">="):
-            raise ParseError(f"expected comparison operator, found {op_tok[1]!r}", line=op_tok[2], col=op_tok[3])
+        if op_tok.kind not in ("=", "!=", ">="):
+            self.fail(f"expected comparison operator, found {op_tok.text!r}", op_tok)
         right = self.parse_term()
-        if self.peek()[0] == "-":
+        if self.peek().kind == "-":
             minus_tok = self.next()
             amount = self.expect("int")
-            if op_tok[0] != "=" or amount[1] != "1":
-                raise ParseError("only decrement guards of the form p = q - 1 are supported", line=minus_tok[2], col=minus_tok[3])
+            if op_tok.kind != "=" or amount.text != "1":
+                self.fail("only decrement guards of the form p = q - 1 are supported", minus_tok)
             if not isinstance(right, Var):
-                raise ParseError("decrement guard needs a variable on the right side", line=minus_tok[2], col=minus_tok[3])
+                self.fail("decrement guard needs a variable on the right side", minus_tok)
             return GuardLit("dec", left, right)
-        return GuardLit(op_tok[0], left, right)
-
-    def parse_term(self) -> Term:
-        tok = self.next()
-        if tok[0] == "name":
-            return Var(tok[1])
-        if tok[0] == "int":
-            return Const(int(tok[1]))
-        raise ParseError(f"expected a term, found {tok[1]!r}", line=tok[2], col=tok[3])
+        return GuardLit(op_tok.kind, left, right)
 
 
 def _check_arities(rules: Sequence[NetlogRule]) -> None:
@@ -793,9 +707,6 @@ class NetlogEngine:
     """
 
     def __init__(self, program: NetlogProgram):
-        from . import simnet
-
-        self._sim = simnet
         self.program = program
         self.orders = _body_orders(program)
 
@@ -828,7 +739,7 @@ class NetlogEngine:
                     )
                 sends.append((port, fact))
         new_state = _NetlogNodeState(local=frozenset(local), snapshot=snapshot)
-        return self._sim.StepResult(new_state, tuple(sends), quiescent, steps)
+        return simnet.StepResult(new_state, tuple(sends), quiescent, steps)
 
     def collect(self, state: _NetlogNodeState, ctx) -> frozenset[Fact]:
         return state.snapshot if state.snapshot is not None else state.local
@@ -850,8 +761,6 @@ def run_netlog(program: NetlogProgram, net, order_seed: int = 0,
     busy, so termination ignores them.  Raises NonterminationError with the
     partial instance when the round cap is hit.
     """
-    from . import simnet
-
     g = net.graph
     if round_cap is None:
         round_cap = default_round_cap(program, g)

@@ -51,6 +51,16 @@ class IdentityMode:
             if self.labels is None:
                 raise SimError("local-consistent mode needs a label map")
 
+    def label_of(self, a: int) -> Optional[int]:
+        """The label node `a` exposes: its id with global ids, its label
+        with locally consistent labels, None when anonymous."""
+        if self.kind == "global":
+            return a
+        if self.kind == "local-consistent":
+            assert self.labels is not None
+            return self.labels[a]
+        return None
+
 
 GLOBAL_IDS = IdentityMode("global")
 ANONYMOUS = IdentityMode("anonymous")
@@ -64,7 +74,13 @@ def parse_identity_mode(
     if text == "anonymous":
         return ANONYMOUS
     if text.startswith("local-consistent:"):
-        k = int(text.split(":", 1)[1])
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError:
+            raise SimError(
+                f"identity mode {text!r} needs an integer radius k in "
+                f"'local-consistent:k'"
+            ) from None
         return IdentityMode("local-consistent", k=k, labels=labels)
     raise SimError(f"unknown identity mode {text!r}")
 
@@ -183,8 +199,8 @@ def load_network(
     for no, ln in numbered[1 : 1 + m]:
         parts = ln.split()
         if len(parts) != 2:
-            raise SimError(f"malformed edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+            raise SimError(f"line {no}: malformed edge line {ln!r}")
+        u, v = _node_ids(no, "edge", ln, parts)
         for x in (u, v):
             if not 1 <= x <= n:
                 raise SimError(
@@ -197,20 +213,37 @@ def load_network(
             )
         edges[key] = no
     unary: dict[str, set[int]] = {}
-    rest = lines[1 + m :]
+    facts: dict[tuple[str, int], int] = {}
+    rest = numbered[1 + m :]
     if rest:
-        if rest[0] != "@facts":
-            raise SimError(f"unexpected line {rest[0]!r} (expected '@facts')")
-        for ln in rest[1:]:
+        if rest[0][1] != "@facts":
+            raise SimError(f"unexpected line {rest[0][1]!r} (expected '@facts')")
+        for no, ln in rest[1:]:
             parts = ln.split()
             if len(parts) != 2:
-                raise SimError(f"malformed fact line {ln!r}")
-            unary.setdefault(parts[0], set()).add(int(parts[1]))
+                raise SimError(f"line {no}: malformed fact line {ln!r}")
+            (a,) = _node_ids(no, "fact", ln, parts[1:])
+            if (parts[0], a) in facts:
+                raise SimError(
+                    f"line {no}: fact {ln!r} repeats the fact of line "
+                    f"{facts[parts[0], a]}"
+                )
+            facts[parts[0], a] = no
+            unary.setdefault(parts[0], set()).add(a)
     g = make_graph(
         list(edges), nodes=range(1, n + 1), degree_bound=degree_bound,
         unary=unary,
     )
     return make_network(g, mode=mode, port_seed=port_seed)
+
+
+def _node_ids(no: int, what: str, ln: str, words: Sequence[str]) -> list[int]:
+    try:
+        return [int(w) for w in words]
+    except ValueError:
+        raise SimError(
+            f"line {no}: {what} {ln!r} names a node that is not an integer"
+        ) from None
 
 
 def network_text(g: Graph) -> str:
@@ -256,13 +289,6 @@ def _context_for(net: Network, a: int) -> NodeContext:
     g = net.graph
     mode = net.mode
     node_id = a if mode.kind == "global" else None
-    if mode.kind == "global":
-        label: Optional[int] = a
-    elif mode.kind == "local-consistent":
-        assert mode.labels is not None
-        label = mode.labels[a]
-    else:
-        label = None
     neighbor_ids = (
         {p: net.ports[a][p - 1] for p in range(1, net.degree(a) + 1)}
         if mode.kind == "global"
@@ -277,7 +303,7 @@ def _context_for(net: Network, a: int) -> NodeContext:
     return NodeContext(
         node=a,
         node_id=node_id,
-        label=label,
+        label=mode.label_of(a),
         ports=tuple(range(1, net.degree(a) + 1)),
         neighbor_ids=neighbor_ids,
         n_bound=g.n,

@@ -235,6 +235,28 @@ def test_repeated_label_line_rejected(capsys, ring4, tmp_path):
         assert "node 2 is labeled twice" in err
 
 
+def test_non_integer_identity_radius_and_label_rejected(capsys, ring4, tmp_path):
+    good = tmp_path / "good.labels"
+    good.write_text("1 10\n2 20\n3 30\n4 40\n")
+    code, _, err = run_cli(
+        capsys, "qe-fo-loc", "--net", ring4, "--labels", str(good),
+        "--identity", "local-consistent:x", "--req", "1",
+        "--query", "exists y in N^1(x). G(x,y)",
+    )
+    assert code == 2
+    assert "identity mode 'local-consistent:x' needs an integer radius" in err
+    for bad_line in ("2 b", "b 20", "2"):
+        bad = tmp_path / "bad.labels"
+        bad.write_text(f"1 10\n{bad_line}\n3 30\n4 40\n")
+        code, _, err = run_cli(
+            capsys, "check-consistent", "--net", ring4, "--labels", str(bad),
+        )
+        assert code == 2
+        assert err == (
+            f"error: label line must be two integers 'node label': {bad_line!r}\n"
+        )
+
+
 def test_parse_error_is_position_tagged(capsys, path3):
     code, _, err = run_cli(
         capsys, "oracle-fo", "--net", path3, "--query", "exists y. G(x,"

@@ -124,8 +124,25 @@ def test_load_rejects_disconnected():
 
 
 def test_load_rejects_malformed_edge():
-    with pytest.raises(SimError):
+    with pytest.raises(SimError, match="line 2: malformed edge line '1 2 9'"):
         load_network("3 2\n1 2 9\n2 3\n")
+
+
+def test_load_rejects_non_integer_nodes():
+    edge = "line 2: edge '1 a' names a node that is not an integer"
+    with pytest.raises(SimError, match=edge):
+        load_network("2 1\n1 a\n")
+    fact = "line 4: fact 'P x' names a node that is not an integer"
+    with pytest.raises(SimError, match=fact):
+        load_network("2 1\n1 2\n@facts\nP x\n")
+
+
+def test_load_rejects_malformed_and_repeated_facts():
+    with pytest.raises(SimError, match="line 5: malformed fact line 'P'"):
+        load_network("2 1\n1 2\n@facts\nP 1\nP\n")
+    repeated = "line 7: fact 'P 1' repeats the fact of line 5"
+    with pytest.raises(SimError, match=repeated):
+        load_network("2 1\n1 2\n@facts\n# inputs\nP 1\nQ 1\nP 1\n")
 
 
 def test_load_rejects_bad_header():
@@ -212,6 +229,9 @@ def test_parse_identity_mode():
     assert m.kind == "local-consistent" and m.k == 2
     with pytest.raises(SimError):
         parse_identity_mode("nonsense")
+    for text in ("local-consistent:x", "local-consistent:"):
+        with pytest.raises(SimError, match=f"identity mode '{text}' needs an integer"):
+            parse_identity_mode(text, labels={1: 1})
 
 
 class ContextProbe(NodeEngine):
