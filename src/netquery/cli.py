@@ -33,6 +33,7 @@ from .oracle import (
 from .rewriter import compile as compile_rules
 from .rewriter import emit_text
 from .simnet import (
+    _ascii_int,
     check_locally_consistent,
     load_network,
     metrics_report,
@@ -65,7 +66,7 @@ def _load_labels(path: Optional[str]) -> Optional[dict[int, int]]:
         if not ln or ln.startswith("#"):
             continue
         try:
-            node, label = map(int, ln.split())
+            node, label = map(_ascii_int, ln.split())
         except ValueError:
             raise CliError(
                 f"label line must be two integers 'node label': {ln!r}"

@@ -107,6 +107,8 @@ class _Leaf:
     deadline: int
     key: int  # answer key of the quantifier's value
     instances: set[str] = field(default_factory=set)  # instance query texts
+    # value b -> canonical text of the instance that substitutes b for var
+    texts: dict[int, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -116,6 +118,7 @@ class _Entry:
     level: int  # number of instantiations performed so far
     kind: str  # "B" closed query, "O" open query
     key: int  # answer key of the query's value
+    probes: tuple[int, ...]  # values that can make it a quantifier instance
     suffix: tuple[int, ...] = ()  # open: already-assigned values, leftmost first
     leaves: dict[tuple[int, ...], _Leaf] = field(default_factory=dict)
     value: Optional[bool] = None
@@ -301,7 +304,8 @@ class FOCore:
             key = answer_key(text)  # fact truth does not depend on the depth
         else:
             key = answer_key(f"{level}|{text}")
-        e = _Entry(text, formula, level, kind, key, suffix)
+        probes = tuple(sorted(set(constants(formula)) | {1}))
+        e = _Entry(text, formula, level, kind, key, probes, suffix)
         self.entries[ek] = e
         self.by_level.setdefault(level, set()).add(text)
         self._dirty = True
@@ -349,11 +353,15 @@ class FOCore:
             inst = substitute(leaf.quant, leaf.var, self.self_id)
             ie = self._create_entry(inst, "B", e.level + 1, ())
             leaf.instances.add(ie.text)
+            leaf.texts[self.self_id] = ie.text
 
     def _match(self, leaf: _Leaf, cand: _Entry) -> bool:
-        probes = sorted(set(constants(cand.formula)) | {1})
-        for b in probes:
-            if canonical_print(substitute(leaf.quant, leaf.var, b)) == cand.text:
+        for b in cand.probes:
+            text = leaf.texts.get(b)
+            if text is None:
+                text = canonical_print(substitute(leaf.quant, leaf.var, b))
+                leaf.texts[b] = text
+            if text == cand.text:
                 return True
         return False
 

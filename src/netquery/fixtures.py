@@ -9,6 +9,7 @@ centralized fixpoint evaluator.
 """
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from typing import Iterator
 
@@ -164,3 +165,32 @@ def exhaustive_graphs(max_n: int = 5, degree_bound: int = 3) -> Iterator[tuple[s
             except ValueError:
                 continue
             yield (f"x{n}-{mask:04x}", g)
+
+
+def random_connected_graph(
+    rng: random.Random, n: int, degree_bound: int = 3
+) -> Graph:
+    """A random connected graph on nodes 1..n: a random spanning tree with
+    degrees at most degree_bound, plus up to n extra edges within that
+    bound."""
+    nodes = list(range(1, n + 1))
+    deg = {v: 0 for v in nodes}
+    edges: set[tuple[int, int]] = set()
+    order = nodes[1:]
+    rng.shuffle(order)
+    connected = [1]
+    for v in order:
+        cands = [u for u in connected if deg[u] < degree_bound]
+        u = rng.choice(cands)
+        edges.add((min(u, v), max(u, v)))
+        deg[u] += 1
+        deg[v] += 1
+        connected.append(v)
+    for _ in range(n):
+        u, v = rng.sample(nodes, 2)
+        e = (min(u, v), max(u, v))
+        if e not in edges and deg[u] < degree_bound and deg[v] < degree_bound:
+            edges.add(e)
+            deg[u] += 1
+            deg[v] += 1
+    return make_graph(sorted(edges))

@@ -413,7 +413,7 @@ def _token_re(comment: str, ops: str) -> re.Pattern[str]:
     names and integers are shared, `ops` are its operators."""
     return re.compile(
         rf"(?P<skip>\s+|{comment})|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-        rf"|(?P<int>\d+)|(?P<op>{ops})"
+        rf"|(?P<int>[0-9]+)|(?P<op>{ops})"
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
@@ -28,6 +29,17 @@ class RoundCapError(RuntimeError):
         super().__init__(message)
         self.metrics = metrics
         self.results = results
+
+
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _ascii_int(word: str) -> int:
+    """`int(word)` for ASCII `-?[0-9]+` only; other Unicode digits, a `+`
+    sign, `_` separators and surrounding space raise ValueError."""
+    if _INT_RE.fullmatch(word) is None:
+        raise ValueError(f"not an ASCII integer: {word!r}")
+    return int(word)
 
 
 # ---------------------------------------------------------------- identity
@@ -75,7 +87,7 @@ def parse_identity_mode(
         return ANONYMOUS
     if text.startswith("local-consistent:"):
         try:
-            k = int(text.split(":", 1)[1])
+            k = _ascii_int(text.split(":", 1)[1])
         except ValueError:
             raise SimError(
                 f"identity mode {text!r} needs an integer radius k in "
@@ -190,9 +202,11 @@ def load_network(
     if len(head) != 2:
         raise SimError(f"expected 'n m' on the first line, got {lines[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _ascii_int(head[0]), _ascii_int(head[1])
     except ValueError:
         raise SimError(f"expected integers on the first line, got {lines[0]!r}")
+    if m < 0:
+        raise SimError(f"negative edge count on the first line {lines[0]!r}")
     if len(lines) < 1 + m:
         raise SimError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges: dict[tuple[int, int], int] = {}
@@ -239,7 +253,7 @@ def load_network(
 
 def _node_ids(no: int, what: str, ln: str, words: Sequence[str]) -> list[int]:
     try:
-        return [int(w) for w in words]
+        return [_ascii_int(w) for w in words]
     except ValueError:
         raise SimError(
             f"line {no}: {what} {ln!r} names a node that is not an integer"

@@ -238,14 +238,15 @@ def test_repeated_label_line_rejected(capsys, ring4, tmp_path):
 def test_non_integer_identity_radius_and_label_rejected(capsys, ring4, tmp_path):
     good = tmp_path / "good.labels"
     good.write_text("1 10\n2 20\n3 30\n4 40\n")
-    code, _, err = run_cli(
-        capsys, "qe-fo-loc", "--net", ring4, "--labels", str(good),
-        "--identity", "local-consistent:x", "--req", "1",
-        "--query", "exists y in N^1(x). G(x,y)",
-    )
-    assert code == 2
-    assert "identity mode 'local-consistent:x' needs an integer radius" in err
-    for bad_line in ("2 b", "b 20", "2"):
+    for mode in ("local-consistent:x", "local-consistent:\u0663"):
+        code, _, err = run_cli(
+            capsys, "qe-fo-loc", "--net", ring4, "--labels", str(good),
+            "--identity", mode, "--req", "1",
+            "--query", "exists y in N^1(x). G(x,y)",
+        )
+        assert code == 2
+        assert f"identity mode '{mode}' needs an integer radius" in err
+    for bad_line in ("2 b", "b 20", "2", "2 \u0662\u0660", "+2 20", "2 2_0"):
         bad = tmp_path / "bad.labels"
         bad.write_text(f"1 10\n{bad_line}\n3 30\n4 40\n")
         code, _, err = run_cli(

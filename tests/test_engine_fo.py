@@ -1,4 +1,6 @@
 """Distributed first-order evaluation against the centralized oracle."""
+import random
+
 import pytest
 
 from netquery import simnet
@@ -9,8 +11,20 @@ from netquery.engine_fo import (
     clock_value,
     run_qe_fo,
 )
-from netquery.fixtures import HAS_NEIGHBOR_TEXT, TWO_HOP_TEXT, exhaustive_graphs
-from netquery.logic import free_vars, parse_formula, stats
+from netquery.fixtures import (
+    HAS_NEIGHBOR_TEXT,
+    TWO_HOP_TEXT,
+    exhaustive_graphs,
+    random_connected_graph,
+)
+from netquery.logic import (
+    canonical_print,
+    constants,
+    free_vars,
+    parse_formula,
+    stats,
+    substitute,
+)
 from netquery.oracle import eval_fo, make_graph, path_graph, ring_graph
 from netquery.simnet import ANONYMOUS, make_network
 
@@ -136,6 +150,55 @@ def test_message_count_stays_polynomial():
     g = path_graph(4)
     _, metrics = run_qe_fo(_net(g), TWO_HOP_TEXT, 1)
     assert metrics.max_msgs_per_node <= 4 * g.n ** 4
+
+
+# ------------------------------------------------------- instance linking
+
+
+class _CoreKeepingEngine(FOQueryEngine):
+    """Reports each node's whole FOCore, so its tables can be inspected."""
+
+    def collect(self, state, ctx):
+        return state
+
+
+def _unmemoized_match(leaf, cand):
+    # A candidate is an instance of the leaf when substituting one of its
+    # constants (or 1, for a quantifier that never uses its variable) for
+    # the quantified variable prints the candidate's text.
+    probes = sorted(set(constants(cand.formula)) | {1})
+    return any(
+        canonical_print(substitute(leaf.quant, leaf.var, b)) == cand.text
+        for b in probes
+    )
+
+
+@pytest.mark.parametrize("text", [TWO_HOP_TEXT, HAS_NEIGHBOR_TEXT])
+def test_linking_agrees_with_unmemoized_rule(text):
+    f = parse_formula(text)
+    for seed in (0, 1, 2):
+        g = random_connected_graph(random.Random(seed), 5)
+        budget = clock_value(stats(f).w, g.diameter) + g.diameter + 8
+        result, _ = simnet.run(
+            _net(g, port_seed=seed),
+            _CoreKeepingEngine(free_vars(f)),
+            init={1: f},
+            order_seed=seed,
+            round_cap=budget,
+        )
+        checked = 0
+        for core in result.per_node.values():
+            for (level, _), e in core.entries.items():
+                children = [
+                    c for (lv, _), c in core.entries.items() if lv == level + 1
+                ]
+                for leaf in e.leaves.values():
+                    for cand in children:
+                        assert (cand.text in leaf.instances) == _unmemoized_match(
+                            leaf, cand
+                        ), (seed, leaf.path, cand.text)
+                        checked += 1
+        assert checked > 0
 
 
 # ------------------------------------------------------------- determinism

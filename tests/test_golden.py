@@ -93,6 +93,23 @@ GOLDEN_METRICS = [
         (13, 144, 18, 592, 20),
     ),
     ("netlog-sg-grid2x2", _netlog_sg, (30, 3616, 904, 17, 100)),
+    # The benchmark's fp-tc-path call and ROADMAP's FO two-hop baseline, at
+    # full size: FOCore's instance linking is their hot path.
+    (
+        "fp-tc-path5",
+        lambda: run_qe_fp(
+            make_network(path_graph(5), port_seed=0),
+            TRANSITIVE_CLOSURE_TEXT,
+            1,
+            order_seed=0,
+        ),
+        (81, 14935, 3734, 398, 305),
+    ),
+    (
+        "fo-two-hop-ring6",
+        lambda: run_qe_fo(make_network(ring_graph(6)), TWO_HOP_TEXT, 1),
+        (13, 6708, 1118, 446, 646),
+    ),
 ]
 
 

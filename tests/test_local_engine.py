@@ -12,6 +12,7 @@ from netquery.fixtures import (
     TRANSITIVE_CLOSURE_TEXT,
     exhaustive_graphs,
     fixture_graphs,
+    random_connected_graph,
 )
 from netquery.local_engine import (
     FOLocEngine,
@@ -164,30 +165,6 @@ def test_reconstruction_alternate_port_assignment():
         net = make_network(g, port_seed=7)
         for a in sorted(g.nodes):
             assert verify_reconstruction(net, a, 2)
-
-
-def random_connected_graph(rng: random.Random, n: int, degree_bound: int = 3):
-    nodes = list(range(1, n + 1))
-    deg = {v: 0 for v in nodes}
-    edges: set[tuple[int, int]] = set()
-    order = nodes[1:]
-    rng.shuffle(order)
-    connected = [1]
-    for v in order:
-        cands = [u for u in connected if deg[u] < degree_bound]
-        u = rng.choice(cands)
-        edges.add((min(u, v), max(u, v)))
-        deg[u] += 1
-        deg[v] += 1
-        connected.append(v)
-    for _ in range(n):
-        u, v = rng.sample(nodes, 2)
-        e = (min(u, v), max(u, v))
-        if e not in edges and deg[u] < degree_bound and deg[v] < degree_bound:
-            edges.add(e)
-            deg[u] += 1
-            deg[v] += 1
-    return make_graph(sorted(edges))
 
 
 def test_reconstruction_random_graphs():

@@ -28,6 +28,7 @@ from netquery.logic import (
     stats,
     substitute,
 )
+from netquery.netlog import parse_datalog
 
 from netquery.fixtures import (
     ROUTING_TABLE_TEXT,
@@ -90,6 +91,17 @@ def test_parse_errors_carry_position():
         parse_formula("G(x,")
     with pytest.raises(ParseError):
         parse_formula("")
+
+
+def test_integers_are_ascii_digits_only():
+    # `\d` would also take other Unicode decimal digits and read them as
+    # ASCII ones: "x = ٣" printed as "x = 3".
+    for text in ("x = \u0663", "G(\u0661,x)"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_formula(text)
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_datalog("T(x) :- G(x,\u0662).")
+    assert print_formula(parse_formula("x = 3")) == "x = 3"
 
 
 def test_arity_mismatch_rejected():

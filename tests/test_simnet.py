@@ -1,6 +1,8 @@
 """Simulator behavior: loading, ports, rounds, delivery, metrics."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from netquery.oracle import GraphError, star_graph
@@ -132,6 +134,10 @@ def test_load_rejects_non_integer_nodes():
     edge = "line 2: edge '1 a' names a node that is not an integer"
     with pytest.raises(SimError, match=edge):
         load_network("2 1\n1 a\n")
+    # int() would read "١ ٢" (Arabic-Indic one and two) as the edge 1-2.
+    edge = "line 2: edge '\u0661 \u0662' names a node that is not an integer"
+    with pytest.raises(SimError, match=edge):
+        load_network("2 1\n\u0661 \u0662\n")
     fact = "line 4: fact 'P x' names a node that is not an integer"
     with pytest.raises(SimError, match=fact):
         load_network("2 1\n1 2\n@facts\nP x\n")
@@ -148,6 +154,21 @@ def test_load_rejects_malformed_and_repeated_facts():
 def test_load_rejects_bad_header():
     with pytest.raises(SimError):
         load_network("three two\n1 2\n")
+    # m = -1 used to slice the header into the fact section.
+    with pytest.raises(SimError, match="negative edge count on the first line"):
+        load_network("2 -1\n")
+
+
+@pytest.mark.parametrize("word", ["\u0661", "+1", "1_0", "\uff11"])
+def test_load_rejects_non_ascii_integers(word):
+    edge = f"line 2: edge '{word} 2' names a node that is not an integer"
+    with pytest.raises(SimError, match=re.escape(edge)):
+        load_network(f"2 1\n{word} 2\n")
+    fact = f"line 4: fact 'P {word}' names a node that is not an integer"
+    with pytest.raises(SimError, match=re.escape(fact)):
+        load_network(f"2 1\n1 2\n@facts\nP {word}\n")
+    with pytest.raises(SimError, match="expected integers on the first line"):
+        load_network(f"2 {word}\n1 2\n")
 
 
 def test_load_rejects_node_outside_range():
@@ -229,8 +250,16 @@ def test_parse_identity_mode():
     assert m.kind == "local-consistent" and m.k == 2
     with pytest.raises(SimError):
         parse_identity_mode("nonsense")
-    for text in ("local-consistent:x", "local-consistent:"):
-        with pytest.raises(SimError, match=f"identity mode '{text}' needs an integer"):
+    for text in (
+        "local-consistent:x",
+        "local-consistent:",
+        "local-consistent:\u0663",
+        "local-consistent:+1",
+        "local-consistent:1_0",
+        "local-consistent: 1",
+    ):
+        needs = f"identity mode '{text}' needs an integer"
+        with pytest.raises(SimError, match=re.escape(needs)):
             parse_identity_mode(text, labels={1: 1})
 
 
