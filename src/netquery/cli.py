@@ -33,6 +33,7 @@ from .oracle import (
 from .rewriter import compile as compile_rules
 from .rewriter import emit_text
 from .simnet import (
+    RoundCapError,
     _ascii_int,
     check_locally_consistent,
     load_network,
@@ -105,46 +106,46 @@ def _requester(args) -> int:
     return args.req
 
 
-def _tuple_text(t: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(v) for v in t) + ")"
+# A printed row is a fact (pred, values); a tuple is the fact with pred "".
+
+
+def _row_text(row) -> str:
+    pred, values = row
+    return f"{pred}({','.join(str(v) for v in values)})"
+
+
+def _print_rows(rows, fmt: str, header: str, tag: str) -> None:
+    """Print the rows under `header`, or as csv lines that start with `tag`."""
+    if fmt == "table":
+        print(header)
+    for row in rows:
+        if fmt == "table":
+            print("  " + _row_text(row))
+        else:
+            pred, values = row
+            fields = [tag, pred] if pred else [tag]
+            print(",".join(fields + [str(v) for v in values]))
 
 
 def _print_relation(rel, fmt: str) -> None:
-    rows = rel.sorted_tuples()
-    if fmt == "table":
-        print(f"result: arity {rel.arity}, {len(rows)} tuples")
-        for t in rows:
-            print("  " + _tuple_text(t))
-    else:
-        for t in rows:
-            print(",".join(["result"] + [str(v) for v in t]))
+    rows = [("", t) for t in rel.sorted_tuples()]
+    header = f"result: arity {rel.arity}, {len(rows)} tuples"
+    _print_rows(rows, fmt, header, "result")
+
+
+def _print_facts(facts, fmt: str) -> None:
+    _print_rows(facts, fmt, f"facts: {len(facts)}", "fact")
 
 
 def _print_placement(placement, fmt: str) -> None:
     if fmt == "table":
         print("placement:")
-        for a in sorted(placement):
-            held = " ".join(_tuple_text(t) for t in sorted(placement[a]))
-            print(f"  node {a}: {held}")
-    else:
-        for a in sorted(placement):
-            for t in sorted(placement[a]):
-                print(",".join(["placement", str(a)] + [str(v) for v in t]))
-
-
-def _fact_text(fact) -> str:
-    pred, args = fact
-    return f"{pred}({','.join(str(v) for v in args)})"
-
-
-def _print_facts(facts, fmt: str) -> None:
-    if fmt == "table":
-        print(f"facts: {len(facts)}")
-        for fact in facts:
-            print("  " + _fact_text(fact))
-    else:
-        for pred, vals in facts:
-            print(",".join(["fact", pred] + [str(v) for v in vals]))
+    for a in sorted(placement):
+        rows = sorted(placement[a])
+        if fmt == "table":
+            print(f"  node {a}: " + " ".join(_row_text(r) for r in rows))
+        else:
+            _print_rows(rows, fmt, "", f"placement,{a}")
 
 
 def _check_outcome(ok: bool) -> int:
@@ -159,20 +160,6 @@ def _fo_oracle(g, f):
 # ----------------------------------------------------------------- commands
 
 
-def cmd_oracle_fo(args) -> int:
-    g = _load_graph(args)
-    f = parse_formula(_query_text(args))
-    _print_relation(_fo_oracle(g, f), args.format)
-    return 0
-
-
-def cmd_oracle_fp(args) -> int:
-    g = _load_graph(args)
-    q = parse_fixpoint(_query_text(args))
-    _print_relation(eval_fp(g, q).final, args.format)
-    return 0
-
-
 # sub-command -> (query parser, distributed driver, centralized evaluator)
 _QUERY_ENGINES = {
     "qe-fo": (parse_formula, run_qe_fo, _fo_oracle),
@@ -182,6 +169,14 @@ _QUERY_ENGINES = {
         parse_fixpoint, run_qe_fp_loc, lambda g, q: eval_fp_loc(g, q).final
     ),
 }
+
+
+def cmd_oracle(args) -> int:
+    """oracle-fo and oracle-fp: the evaluators of qe-fo and qe-fp."""
+    g = _load_graph(args)
+    parse, _, oracle = _QUERY_ENGINES["qe-" + args.command[len("oracle-"):]]
+    _print_relation(oracle(g, parse(_query_text(args))), args.format)
+    return 0
 
 
 def cmd_qe(args) -> int:
@@ -197,7 +192,9 @@ def cmd_qe(args) -> int:
         with_placement=True,
     )
     _print_relation(rel, args.format)
-    _print_placement(placement, args.format)
+    _print_placement(
+        {a: [("", t) for t in ts] for a, ts in placement.items()}, args.format
+    )
     print(metrics_report(metrics, args.format))
     if args.check:
         return _check_outcome(rel.tuples == oracle(net.graph, query).tuples)
@@ -211,20 +208,7 @@ def cmd_netlog_run(args) -> int:
         program, net, order_seed=args.order_seed, round_cap=args.rounds_cap
     )
     _print_facts(sorted(instance.union_facts()), args.format)
-    if args.format == "table":
-        print("placement:")
-        for a in sorted(instance.stores):
-            held = " ".join(
-                _fact_text(fc) for fc in sorted(instance.stores[a])
-            )
-            print(f"  node {a}: {held}")
-    else:
-        for a in sorted(instance.stores):
-            for pred, vals in sorted(instance.stores[a]):
-                print(
-                    ",".join(["placement", str(a), pred]
-                             + [str(v) for v in vals])
-                )
+    _print_placement(instance.stores, args.format)
     print(metrics_report(metrics, args.format))
     if args.check:
         want = netlog_stages(program, net.graph)[-1]
@@ -346,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     for name, fn, needs_req in (
-        ("oracle-fo", cmd_oracle_fo, False),
-        ("oracle-fp", cmd_oracle_fp, False),
+        ("oracle-fo", cmd_oracle, False),
+        ("oracle-fp", cmd_oracle, False),
         *((name, cmd_qe, True) for name in _QUERY_ENGINES),
         ("netlog-run", cmd_netlog_run, False),
         ("datalog-run", cmd_datalog_run, False),
@@ -384,7 +368,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, RoundCapError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

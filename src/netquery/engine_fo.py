@@ -100,7 +100,6 @@ class _Leaf:
     """One outermost quantifier occurrence of a stored query, with the
     absolute round by which its value can be aggregated locally."""
 
-    path: tuple[int, ...]
     quant: Formula  # the Exists/Forall subformula
     var: str
     is_exists: bool
@@ -155,16 +154,6 @@ def _cmp_holds(op: str, a: int, b: int) -> bool:
     return a >= b
 
 
-class AuxAtoms:
-    """Extension point: extra relations decided by their responsible nodes
-    (used by the fixpoint engine for the relation being computed)."""
-
-    preds: frozenset[str] = frozenset()
-
-    def decide(self, pred: str, args: tuple[int, ...]) -> Optional[bool]:
-        raise NotImplementedError
-
-
 # ----------------------------------------------------------------- the core
 
 
@@ -191,7 +180,7 @@ class FOCore:
         self_unary: frozenset[str],
         delta: int,
         order: tuple[str, ...],
-        aux: Optional[AuxAtoms] = None,
+        table: Optional[tuple[str, frozenset[tuple[int, ...]]]] = None,
         round_offset: int = 0,
     ):
         self.self_id = self_id
@@ -199,7 +188,7 @@ class FOCore:
         self.self_unary = frozenset(self_unary)
         self.delta = delta
         self.order = tuple(order)
-        self.aux = aux
+        self.table = table  # (name, committed rows) of a fixpoint relation
         self.round_offset = round_offset
         self.entries: dict[tuple[int, str], _Entry] = {}
         self.by_level: dict[int, set[str]] = {}
@@ -215,8 +204,9 @@ class FOCore:
     # -- local fact knowledge
 
     def _decide_atom(self, pred: str, args: tuple[int, ...]) -> Optional[bool]:
-        if self.aux is not None and pred in self.aux.preds:
-            return self.aux.decide(pred, args)
+        if self.table is not None and pred == self.table[0]:
+            # Closed-world: the node named by the first argument decides.
+            return args in self.table[1] if args[0] == self.self_id else None
         if pred == EDGE_PRED:
             if self.self_id not in args:
                 return None
@@ -321,7 +311,6 @@ class FOCore:
         else:
             for path, q in sorted(_quantifier_leaves(formula)):
                 e.leaves[path] = _Leaf(
-                    path=path,
                     quant=q,
                     var=q.var,  # type: ignore[union-attr]
                     is_exists=isinstance(q, Exists),
@@ -384,9 +373,6 @@ class FOCore:
             self._link(self.entries[(e.level - 1, ptext)], e)
 
     # -- round interface
-
-    def inject_root(self, f: Formula) -> None:
-        self.inject_query(f, ())
 
     def inject_query(self, f: Formula, suffix: tuple[int, ...]) -> None:
         """Start evaluating a query whose last `len(suffix)` variables are
@@ -541,7 +527,7 @@ class FOQueryEngine(NodeEngine):
         )
 
     def inject(self, state: FOCore, ctx: NodeContext, payload: Any) -> FOCore:
-        state.inject_root(payload)
+        state.inject_query(payload, ())
         return state
 
     def step(

@@ -27,10 +27,9 @@ centralized inflationary evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from .engine_fo import (
-    AuxAtoms,
     EngineError,
     FOCore,
     _check_fixpoint_vars,
@@ -40,14 +39,12 @@ from .engine_fo import (
     fo_payload_bits,
 )
 from .logic import (
-    EDGE_PRED,
     FixpointQuery,
     parse_fixpoint,
     print_fixpoint,
     stats,
     substitute,
 )
-from .oracle import Relation
 from .simnet import (
     EncodingParams,
     Message,
@@ -67,32 +64,6 @@ class FPNodeReport:
 
     tuples: frozenset[tuple[int, ...]]
     history: tuple[frozenset[tuple[int, ...]], ...]
-
-
-class _TableAtoms(AuxAtoms):
-    """Decides atoms over the relation being computed and over any stored
-    input relations: the node named by the first argument answers from its
-    fragment, closed-world."""
-
-    def __init__(
-        self,
-        name: str,
-        self_id: int,
-        committed: set[tuple[int, ...]],
-        stored: Optional[Mapping[str, frozenset[tuple[int, ...]]]] = None,
-    ):
-        self.stored = {p: frozenset(ts) for p, ts in (stored or {}).items()}
-        self.preds = frozenset({name}) | frozenset(self.stored)
-        self.name = name
-        self.self_id = self_id
-        self.committed = committed
-
-    def decide(self, pred: str, args: tuple[int, ...]) -> Optional[bool]:
-        if args[0] != self.self_id:
-            return None
-        if pred != self.name:
-            return args in self.stored[pred]
-        return args in self.committed
 
 
 def evaluation_window(w: int, v: int, delta: int) -> int:
@@ -121,13 +92,11 @@ class FPCore:
         neighbors: frozenset[int],
         self_unary: frozenset[str],
         delta: int,
-        stored: Optional[Mapping[str, frozenset[tuple[int, ...]]]] = None,
     ):
         self.self_id = self_id
         self.neighbors = frozenset(neighbors)
         self.self_unary = frozenset(self_unary)
         self.delta = delta
-        self.stored = {p: frozenset(ts) for p, ts in (stored or {}).items()}
         self.query: Optional[FixpointQuery] = None
         self.window = 0  # evaluation window length, set with the query
         self.phase = "wait"  # wait -> run -> done
@@ -183,9 +152,7 @@ class FPCore:
             self_unary=self.self_unary,
             delta=self.delta,
             order=q.vars,
-            aux=_TableAtoms(
-                q.name, self.self_id, set(self.committed), self.stored
-            ),
+            table=(q.name, frozenset(self.committed)),
             round_offset=self._start_round(i) - 1,
         )
         self.core.inject_query(
@@ -269,18 +236,7 @@ class FPCore:
 
 class FPQueryEngine(NodeEngine):
     """Simulator adapter: one FPCore per node; the requester is seeded with
-    the query, everyone else learns it from the flood.  ``aux_placed`` maps
-    node id -> relation name -> the fragment that node holds (tuples whose
-    first coordinate names the node), modelling relations computed and
-    stored by an earlier query."""
-
-    def __init__(
-        self,
-        aux_placed: Optional[
-            Mapping[int, Mapping[str, frozenset[tuple[int, ...]]]]
-        ] = None,
-    ):
-        self.aux_placed = dict(aux_placed or {})
+    the query, everyone else learns it from the flood."""
 
     def start(self, ctx: NodeContext) -> FPCore:
         if ctx.node_id is None or ctx.neighbor_ids is None:
@@ -292,7 +248,6 @@ class FPQueryEngine(NodeEngine):
             neighbors=frozenset(ctx.neighbor_ids.values()),
             self_unary=ctx.self_unary,
             delta=ctx.diameter,
-            stored=self.aux_placed.get(ctx.node_id),
         )
 
     def inject(self, state: FPCore, ctx: NodeContext, payload: Any) -> FPCore:
@@ -335,11 +290,7 @@ class FPQueryEngine(NodeEngine):
 # -------------------------------------------------------------- entry point
 
 
-def validate_fixpoint(
-    q: FixpointQuery,
-    net: Network,
-    aux: Optional[Mapping[str, Relation]] = None,
-) -> None:
+def validate_fixpoint(q: FixpointQuery, net: Network) -> None:
     if q.radius is not None:
         raise EngineError(
             "radius-bounded fixpoint queries belong to the local-fragment engines"
@@ -348,22 +299,7 @@ def validate_fixpoint(
     for v in q.vars:
         if v.startswith("q") and v[1:].isdigit():
             raise EngineError(f"declared variable name {v!r} is reserved")
-    allow = {q.name: q.arity}
-    for pred, rel in (aux or {}).items():
-        if pred in (EDGE_PRED, q.name):
-            raise EngineError(f"stored relation may not be named {pred!r}")
-        if rel.arity < 1:
-            raise EngineError(
-                "stored relations need a first coordinate naming the holder"
-            )
-        nodes = set(net.graph.adj)
-        for t in rel.tuples:
-            if t[0] not in nodes:
-                raise EngineError(
-                    f"stored tuple {t} is not held by any node"
-                )
-        allow[pred] = rel.arity
-    _validate_query(q.body, net, allow=allow)
+    _validate_query(q.body, net, allow={q.name: q.arity})
 
 
 def default_fp_round_cap(net: Network, q: FixpointQuery) -> int:
@@ -382,27 +318,19 @@ def run_qe_fp(
     order_seed: int = 0,
     round_cap: Optional[int] = None,
     with_placement: bool = False,
-    aux: Optional[Mapping[str, Relation]] = None,
 ):
     """Evaluate an inflationary fixpoint query distributively; the relation
     is the union of the per-node committed fragments.  With
-    `with_placement` the per-node fragments are returned as a third value.
-    ``aux`` supplies already-computed relations, stored at the node named by
-    each tuple's first coordinate (as a preceding query run leaves them)."""
+    `with_placement` the per-node fragments are returned as a third value."""
     q = parse_fixpoint(query) if isinstance(query, str) else query
     if net.mode.kind != "global":
         raise EngineError(
             "the fixpoint query engine needs globally unique node ids"
         )
-    validate_fixpoint(q, net, aux)
-    aux_placed: dict[int, dict[str, frozenset[tuple[int, ...]]]] = {}
-    for pred, rel in (aux or {}).items():
-        for a in net.graph.adj:
-            frag = frozenset(t for t in rel.tuples if t[0] == a)
-            aux_placed.setdefault(a, {})[pred] = frag
+    validate_fixpoint(q, net)
     return _run_from_requester(
         net,
-        lambda _order: FPQueryEngine(aux_placed),
+        lambda _order: FPQueryEngine(),
         q,
         requester,
         q.vars,

@@ -20,8 +20,8 @@ nodes.  The nonce scopes every record to one wave, and the reconstruction
 verifier cross-checks the outcome against the reference construction.
 
 The module also provides centralized reference constructions (direct walk
-enumeration on the network object) used to validate the protocol, local-name
-translation between frames, and a reconstruction verifier.
+enumeration on the network object) used to validate the protocol, and a
+reconstruction verifier.
 """
 from __future__ import annotations
 
@@ -69,13 +69,9 @@ from .simnet import (
 
 __all__ = [
     "PortTrace",
-    "TraceQuotient",
-    "LocalName",
     "LocalTopology",
     "collect_topology",
     "verify_reconstruction",
-    "local_name",
-    "translate_name",
     "resolve_trace",
     "reverse_trace",
     "reduce_trace",
@@ -138,39 +134,26 @@ def resolve_trace(net: Network, start: int, trace: PortTrace) -> int:
     return cur
 
 
-def _min_trace(net: Network, start: int, goal: int) -> PortTrace:
-    """Shortest trace from start to goal, ties broken lexicographically."""
-    best: dict[int, PortTrace] = {start: ()}
-    frontier: list[tuple[PortTrace, int]] = [((), start)]
-    while frontier:
-        nxt: list[tuple[PortTrace, int]] = []
-        for trace, u in sorted(frontier):
-            for p in range(1, net.degree(u) + 1):
-                v = net.neighbor_on_port(u, p)
-                if v in best:
-                    continue
-                best[v] = trace + (p, net.port_to[v][u])
-                nxt.append((best[v], v))
-        if goal in best:
-            return best[goal]
-        frontier = nxt
-    raise EngineError(f"no walk from {start} to {goal}")
-
-
-# -------------------------------------------------------- quotient and names
+# ------------------------------------------------------------ the quotient
 
 
 @dataclass(frozen=True)
-class TraceQuotient:
-    """Recorded walk traces from one node, partitioned by the certified
-    same-endpoint equivalence (closed reflexively, symmetrically, and
-    transitively)."""
+class LocalTopology:
+    """The neighborhood a node reconstructs from traces alone.  The recorded
+    walk traces are partitioned by the certified same-endpoint equivalence
+    (closed reflexively, symmetrically and transitively); the classes are
+    the vertices, named by index and represented by their least trace, with
+    edges certified by recorded walks, plus the input facts and (where the
+    identity mode provides one) the label carried home by the collection."""
 
-    radius: int
-    traces: frozenset[PortTrace]
     classes: tuple[frozenset[PortTrace], ...]
     class_of: Mapping[PortTrace, int]
     reps: tuple[PortTrace, ...]
+    vertices: tuple[int, ...]
+    edges: frozenset[tuple[int, int]]
+    center: int
+    attrs: Mapping[int, frozenset[str]]
+    labels: Mapping[int, Optional[int]]
 
     def rep(self, idx: int) -> PortTrace:
         return self.reps[idx]
@@ -186,72 +169,8 @@ class TraceQuotient:
                 f"trace {trace!r} lies outside the collected fragment"
             ) from None
 
-
-@dataclass(frozen=True)
-class LocalName:
-    """A node named from `owner`'s viewpoint: the class of all equivalent
-    traces of at most 2*radius ports leading to it."""
-
-    owner: int
-    radius: int
-    traces: frozenset[PortTrace]
-
-    @property
-    def rep(self) -> PortTrace:
-        return min(self.traces, key=lambda t: (len(t), t))
-
-
-@dataclass(frozen=True)
-class LocalTopology:
-    """The neighborhood a node reconstructs from traces alone: quotient
-    classes as vertices, edges certified by recorded walks, plus the input
-    facts and (where the identity mode provides one) the label carried home
-    by the collection."""
-
-    owner: int
-    radius: int
-    quotient: TraceQuotient
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-    center: int
-    attrs: Mapping[int, frozenset[str]]
-    labels: Mapping[int, Optional[int]]
-
-    def rep(self, idx: int) -> PortTrace:
-        return self.quotient.rep(idx)
-
-    def dist(self, idx: int) -> int:
-        return self.quotient.dist(idx)
-
     def has_edge(self, a: int, b: int) -> bool:
         return a != b and (min(a, b), max(a, b)) in self.edges
-
-
-def _quotient_from_lists(
-    radius: int, lists: Mapping[PortTrace, frozenset[PortTrace]]
-) -> TraceQuotient:
-    traces = frozenset(lists)
-    uf = _UnionFind(traces)
-    for t, lst in lists.items():
-        for u in lst:
-            if u in traces:
-                uf.union(t, u)
-    groups: dict[PortTrace, set[PortTrace]] = {}
-    for t in traces:
-        groups.setdefault(uf.find(t), set()).add(t)
-    keyed = sorted(
-        (min((len(t), t) for t in g), frozenset(g)) for g in groups.values()
-    )
-    classes = tuple(g for _, g in keyed)
-    reps = tuple(key[1] for key, _ in keyed)
-    class_of = {t: i for i, g in enumerate(classes) for t in g}
-    return TraceQuotient(
-        radius=radius,
-        traces=traces,
-        classes=classes,
-        class_of=class_of,
-        reps=reps,
-    )
 
 
 # Per-trace collection record: (tracelist of the endpoint, its input facts,
@@ -260,25 +179,37 @@ _Entry = tuple[tuple[PortTrace, ...], tuple[str, ...], Optional[int]]
 
 
 def _topology_from_entries(
-    owner: int, radius: int, entries: Mapping[PortTrace, _Entry]
+    radius: int, entries: Mapping[PortTrace, _Entry]
 ) -> LocalTopology:
-    lists = {t: frozenset(e[0]) for t, e in entries.items()}
-    q = _quotient_from_lists(radius, lists)
+    uf = _UnionFind(entries)
+    for t, e in entries.items():
+        for u in e[0]:
+            if u in entries:
+                uf.union(t, u)
+    groups: dict[PortTrace, set[PortTrace]] = {}
+    for t in entries:
+        groups.setdefault(uf.find(t), set()).add(t)
+    keyed = sorted(
+        (min((len(t), t) for t in g), frozenset(g)) for g in groups.values()
+    )
+    classes = tuple(g for _, g in keyed)
+    reps = tuple(key[1] for key, _ in keyed)
+    class_of = {t: i for i, g in enumerate(classes) for t in g}
     vertices = tuple(
-        i for i in range(len(q.classes)) if q.dist(i) <= radius
+        i for i, r in enumerate(reps) if len(r) // 2 <= radius
     )
     vset = set(vertices)
     edges: set[tuple[int, int]] = set()
-    for t in q.traces:
+    for t in entries:
         if not t:
             continue
-        c1 = q.class_of[t[:-2]]
-        c2 = q.class_of[t]
+        c1 = class_of[t[:-2]]
+        c2 = class_of[t]
         if c1 in vset and c2 in vset and c1 != c2:
             edges.add((min(c1, c2), max(c1, c2)))
     attrs: dict[int, frozenset[str]] = {}
     labels: dict[int, Optional[int]] = {}
-    for i, cls in enumerate(q.classes):
+    for i, cls in enumerate(classes):
         a: set[str] = set()
         ls: set[int] = set()
         for t in cls:
@@ -289,12 +220,12 @@ def _topology_from_entries(
         attrs[i] = frozenset(a)
         labels[i] = min(ls) if ls else None
     return LocalTopology(
-        owner=owner,
-        radius=radius,
-        quotient=q,
+        classes=classes,
+        class_of=class_of,
+        reps=reps,
         vertices=vertices,
         edges=frozenset(edges),
-        center=q.class_of[()],
+        center=class_of[()],
         attrs=attrs,
         labels=labels,
     )
@@ -350,7 +281,7 @@ def collect_topology(net: Network, a: int, k: int) -> LocalTopology:
         raise EngineError(f"{a} is not a node")
     if k < 1:
         raise EngineError("collection radius must be >= 1")
-    return _topology_from_entries(a, k, _central_entries(net, a, k))
+    return _topology_from_entries(k, _central_entries(net, a, k))
 
 
 def verify_reconstruction(net: Network, a: int, k: int) -> bool:
@@ -398,58 +329,6 @@ def verify_reconstruction(net: Network, a: int, k: int) -> bool:
         return False
 
     return extend(0, {}, set())
-
-
-def local_name(net: Network, owner: int, radius: int, target: int) -> LocalName:
-    """The name `owner` has for `target` in the frame of the given radius:
-    the class of all certified-equivalent traces of at most 2*radius ports."""
-    if radius < 1:
-        raise EngineError("name frame radius must be >= 1")
-    topo = collect_topology(net, owner, radius)
-    route = _min_trace(net, owner, target)
-    if len(route) > 2 * radius:
-        raise EngineError(
-            f"{target} lies outside the radius-{radius} frame of {owner}"
-        )
-    cls = topo.quotient.classes[topo.quotient.class_index(route)]
-    value = frozenset(t for t in cls if len(t) <= 2 * radius)
-    return LocalName(owner=owner, radius=radius, traces=value)
-
-
-def translate_name(
-    net: Network,
-    name: LocalName,
-    target: int,
-    target_radius: Optional[int] = None,
-) -> LocalName:
-    """Re-express a name from `name.owner`'s frame in `target`'s frame.
-
-    The representative trace is prefixed with the reversed owner-to-target
-    route, immediate reversals are cancelled, and the composed trace is
-    located in the target's own quotient.  Raises when the target is too far
-    from the owner or when the named node falls outside the target frame.
-    """
-    k_t = target_radius if target_radius is not None else name.radius // 2
-    if k_t < 1:
-        raise EngineError("target frame radius must be >= 1")
-    if target not in net.graph.adj:
-        raise EngineError(f"{target} is not a node")
-    route = _min_trace(net, name.owner, target)
-    if len(route) > 2 * k_t:
-        raise EngineError(
-            f"{target} lies outside the radius-{k_t} frame of {name.owner}"
-        )
-    composed = reduce_trace(reverse_trace(route) + name.rep)
-    collect_radius = max(name.radius, k_t)
-    topo = collect_topology(net, target, collect_radius)
-    idx = topo.quotient.class_index(composed)
-    cls = topo.quotient.classes[idx]
-    value = frozenset(t for t in cls if len(t) <= 2 * k_t)
-    if not value:
-        raise EngineError(
-            f"the named node lies outside the radius-{k_t} frame of {target}"
-        )
-    return LocalName(owner=target, radius=k_t, traces=value)
 
 
 # --------------------------------------------------------- query validation
@@ -649,17 +528,15 @@ class _Collector:
     this node (identified by its nonce); waves of every other node are served
     with the same rules."""
 
-    __slots__ = ("nonce", "radius", "records", "pending", "acc", "stored",
-                 "launched")
+    __slots__ = ("nonce", "radius", "records", "pending", "acc", "stored")
 
     def __init__(self, nonce: int):
         self.nonce = nonce
-        self.radius: Optional[int] = None
+        self.radius: Optional[int] = None  # set by launch
         self.records: dict[int, set[PortTrace]] = {}
         self.pending: dict[tuple[int, PortTrace], set[int]] = {}
         self.acc: dict[tuple[int, PortTrace], dict[PortTrace, _Entry]] = {}
         self.stored: Optional[dict[PortTrace, _Entry]] = None
-        self.launched = False
 
     @property
     def done(self) -> bool:
@@ -676,7 +553,6 @@ class _Collector:
         self, ctx: NodeContext, radius: int, out: list[tuple[int, Any]]
     ) -> None:
         self.radius = radius
-        self.launched = True
         if not ctx.ports:
             self.stored = {(): self._self_entry(ctx, self.nonce)}
             return
@@ -736,9 +612,9 @@ class _Collector:
         entries[prefix] = self._self_entry(ctx, wave)
         out.append((prefix[-1], ("R", wave, prefix, _wire_entries(entries))))
 
-    def build(self, ctx: NodeContext) -> LocalTopology:
+    def build(self) -> LocalTopology:
         assert self.stored is not None and self.radius is not None
-        return _topology_from_entries(ctx.node, self.radius, self.stored)
+        return _topology_from_entries(self.radius, self.stored)
 
 
 def _node_nonce(ctx: NodeContext) -> int:
@@ -758,7 +634,7 @@ class FOLocReport:
 
 class _FOLocState:
     __slots__ = ("formula", "center", "k", "adopted", "relay", "collector",
-                 "topology", "rows", "evaluated")
+                 "topology", "rows")
 
     def __init__(self, collector: _Collector) -> None:
         self.formula: Optional[Formula] = None
@@ -769,7 +645,6 @@ class _FOLocState:
         self.collector = collector
         self.topology: Optional[LocalTopology] = None
         self.rows: frozenset[tuple[PortTrace, ...]] = frozenset()
-        self.evaluated = False
 
 
 class FOLocEngine(NodeEngine):
@@ -825,18 +700,20 @@ class FOLocEngine(NodeEngine):
             assert state.formula is not None
             out.extend(broadcast(ctx, ("lq", print_formula(state.formula))))
             state.collector.launch(ctx, state.k, out)
-        if state.collector.done and not state.evaluated:
-            work += self._evaluate(state, ctx)
+        if state.collector.done and state.topology is None:
+            work += self._evaluate(state)
         return StepResult(
             state=state,
             sends=tuple(out),
-            quiescent=not out and (not state.adopted or state.evaluated),
+            quiescent=not out and (
+                not state.adopted or state.topology is not None
+            ),
             steps=1 + work,
         )
 
-    def _evaluate(self, state: _FOLocState, ctx: NodeContext) -> int:
+    def _evaluate(self, state: _FOLocState) -> int:
         assert state.formula is not None
-        topo = state.collector.build(ctx)
+        topo = state.collector.build()
         state.topology = topo
         domain = tuple(
             i for i in topo.vertices if topo.dist(i) <= state.k
@@ -850,7 +727,6 @@ class FOLocEngine(NodeEngine):
             if _holds(state.formula, env, topo, domain, None, counter):
                 rows.add(tuple(topo.rep(env[v]) for v in self.order))
         state.rows = frozenset(rows)
-        state.evaluated = True
         return counter[0]
 
     def collect(self, state: _FOLocState, ctx: NodeContext) -> FOLocReport:
@@ -1034,11 +910,11 @@ class FPLocEngine(NodeEngine):
         if (
             state.adopted
             and round_no == state.c0
-            and not state.collector.launched
+            and state.collector.radius is None
         ):
             state.collector.launch(ctx, 2 * state.k, out)
         if state.collector.done and state.topology is None:
-            self._finish_collection(state, ctx)
+            self._finish_collection(state)
         if state.topology is not None and round_no >= state.f0:
             r = (round_no - state.f0) % state.tau
             if r == 0 and state.awake:
@@ -1071,8 +947,8 @@ class FPLocEngine(NodeEngine):
         state.max_relayed = 0
         state.answers = {}
 
-    def _finish_collection(self, state: _FPLocState, ctx: NodeContext) -> None:
-        topo = state.collector.build(ctx)
+    def _finish_collection(self, state: _FPLocState) -> None:
+        topo = state.collector.build()
         state.topology = topo
         state.domain = tuple(
             i for i in topo.vertices if topo.dist(i) <= state.k
@@ -1127,7 +1003,7 @@ class FPLocEngine(NodeEngine):
         if topo is None:
             raise EngineError("table query arrived before any table exists")
         row = tuple(
-            topo.rep(topo.quotient.class_index(tuple(t))) for t in names
+            topo.rep(topo.class_index(tuple(t))) for t in names
         )
         truth = row in state.table
         back = reverse_trace(route)

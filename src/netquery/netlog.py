@@ -128,9 +128,6 @@ class DistributedInstance:
                 raise NetlogError(f"fact {pred}{t} does not have arity {arity}")
         return Relation(arity, tuples)
 
-    def size(self) -> int:
-        return sum(len(fs) for fs in self.stores.values())
-
 
 def make_instance(
     g: Graph, stores: Optional[Mapping[int, Iterable[Fact]]] = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from .oracle import Graph, make_graph
@@ -100,6 +100,8 @@ def parse_identity_mode(
 def check_locally_consistent(g: Graph, labels: Mapping[int, int], k: int) -> bool:
     """True when any two distinct nodes within distance k of a common node
     carry distinct labels."""
+    if k < 1:
+        raise SimError("local consistency needs a radius k >= 1")
     missing = [a for a in g.nodes if a not in labels]
     if missing:
         raise SimError(f"label map misses nodes {missing}")
@@ -294,10 +296,6 @@ class NodeContext:
     global_unary: Mapping[str, frozenset[int]]  # readable in global mode
     enc: EncodingParams
 
-    @property
-    def degree(self) -> int:
-        return len(self.ports)
-
 
 def _context_for(net: Network, a: int) -> NodeContext:
     g = net.graph
@@ -338,13 +336,6 @@ class Message:
     src_port: int  # port at the sender
     dst_port: int  # arrival port at the receiver
     size_bits: int
-
-
-@dataclass
-class NodeConfig:
-    state: Any
-    in_buffer: list[Message] = field(default_factory=list)
-    out_buffer: list[tuple[int, Any]] = field(default_factory=list)  # (port, payload)
 
 
 @dataclass(frozen=True)
@@ -450,14 +441,12 @@ def run(
     """
     g = net.graph
     contexts = {a: _context_for(net, a) for a in g.nodes}
-    configs: dict[int, NodeConfig] = {}
-    for a in g.nodes:
-        state = engine.start(contexts[a])
-        configs[a] = NodeConfig(state=state)
+    states = {a: engine.start(contexts[a]) for a in g.nodes}
     for a, payload in (init or {}).items():
-        if a not in configs:
+        if a not in states:
             raise SimError(f"init references unknown node {a}")
-        configs[a].state = engine.inject(configs[a].state, contexts[a], payload)
+        states[a] = engine.inject(states[a], contexts[a], payload)
+    inboxes: dict[int, list[Message]] = {a: [] for a in g.nodes}
 
     msgs_sent = {a: 0 for a in g.nodes}
     max_bits = 0
@@ -474,45 +463,42 @@ def run(
 
     def results() -> DistributedResult:
         return DistributedResult(
-            {a: engine.collect(configs[a].state, contexts[a]) for a in g.nodes}
+            {a: engine.collect(states[a], contexts[a]) for a in g.nodes}
         )
 
     for round_no in range(1, round_cap + 1):
         all_quiet = True
+        sends: dict[int, Sequence[tuple[int, Any]]] = {}  # (port, payload)
         for a in g.nodes:
-            cfg = configs[a]
-            inbox = tuple(cfg.in_buffer)
-            cfg.in_buffer.clear()
-            res = engine.step(cfg.state, contexts[a], round_no, inbox)
-            cfg.state = res.state
-            cfg.out_buffer = list(res.sends)
+            res = engine.step(states[a], contexts[a], round_no, tuple(inboxes[a]))
+            inboxes[a] = []
+            states[a] = res.state
+            sends[a] = res.sends
             max_steps = max(max_steps, res.steps)
             if not res.quiescent:
                 all_quiet = False
-        have_out = any(configs[a].out_buffer for a in g.nodes)
+        have_out = any(sends.values())
         if all_quiet and (stop_on_quiescence_alone or not have_out):
             return results(), snapshot_metrics()
         if have_out:
             for a in g.nodes:
-                cfg = configs[a]
-                for port, payload in cfg.out_buffer:
+                for port, payload in sends[a]:
                     b = net.neighbor_on_port(a, port)
                     bits = engine.payload_bits(payload, net.enc)
                     if bits < 1:
                         raise SimError("message must be at least one bit")
                     arrival = net.port_to[b][a]
-                    configs[b].in_buffer.append(
+                    inboxes[b].append(
                         Message(payload, src_port=port, dst_port=arrival, size_bits=bits)
                     )
                     msgs_sent[a] += 1
                     max_bits = max(max_bits, bits)
-                cfg.out_buffer = []
             deliveries += 1
             for b in g.nodes:
                 rng = random.Random(
                     order_seed * 2_654_435_761 + round_no * 40_503 + b
                 )
-                rng.shuffle(configs[b].in_buffer)
+                rng.shuffle(inboxes[b])
     raise RoundCapError(
         f"round cap {round_cap} exceeded without termination",
         snapshot_metrics(),

@@ -111,6 +111,98 @@ def test_qe_fo_report_sections_and_determinism(capsys, path3):
     assert code == 0 and second == first
 
 
+QE_FO_QUERY = "G(x,y) & (x >= y | y = 3)"
+NETLOG_PROGRAM = (
+    "^Heard(@y,x) :- G(@x,y), ReqNode(@x). "
+    "Nb(@x,y) :- G(@x,y), ReqNode(@x). "
+    "Self(@x) :- ReqNode(@x)."
+)
+
+
+@pytest.mark.parametrize(
+    "argv, table, csv",
+    [
+        (
+            ("qe-fo", "--query", QE_FO_QUERY, "--req", "1"),
+            [
+                "result: arity 2, 3 tuples",
+                "  (2,1)",
+                "  (2,3)",
+                "  (3,2)",
+                "placement:",
+                "  node 1: ",
+                "  node 2: (2,1) (2,3)",
+                "  node 3: (3,2)",
+                "IN-TIME/ROUND              44",
+                "DIST-TIME                   7",
+                "MSG-SIZE                  220",
+                "#MSG/NODE[1]               31",
+                "#MSG/NODE[2]               62",
+                "#MSG/NODE[3]               31",
+            ],
+            [
+                "result,2,1",
+                "result,2,3",
+                "result,3,2",
+                "placement,2,2,1",
+                "placement,2,2,3",
+                "placement,3,3,2",
+                "measure,node,value",
+                "IN-TIME/ROUND,,44",
+                "DIST-TIME,,7",
+                "MSG-SIZE,,220",
+                "#MSG/NODE,1,31",
+                "#MSG/NODE,2,62",
+                "#MSG/NODE,3,31",
+            ],
+        ),
+        (
+            ("netlog-run", "--query", NETLOG_PROGRAM),
+            [
+                "facts: 3",
+                "  Heard(2,1)",
+                "  Nb(1,2)",
+                "  Self(1)",
+                "placement:",
+                "  node 1: Nb(1,2) Self(1)",
+                "  node 2: Heard(2,1)",
+                "  node 3: ",
+                "IN-TIME/ROUND               4",
+                "DIST-TIME                   2",
+                "MSG-SIZE                   12",
+                "#MSG/NODE[1]                2",
+                "#MSG/NODE[2]                0",
+                "#MSG/NODE[3]                0",
+            ],
+            [
+                "fact,Heard,2,1",
+                "fact,Nb,1,2",
+                "fact,Self,1",
+                "placement,1,Nb,1,2",
+                "placement,1,Self,1",
+                "placement,2,Heard,2,1",
+                "measure,node,value",
+                "IN-TIME/ROUND,,4",
+                "DIST-TIME,,2",
+                "MSG-SIZE,,12",
+                "#MSG/NODE,1,2",
+                "#MSG/NODE,2,0",
+                "#MSG/NODE,3,0",
+            ],
+        ),
+    ],
+    ids=["qe-fo", "netlog-run"],
+)
+def test_report_exact_stdout(capsys, path3, argv, table, csv):
+    # The metrics report ends in a newline and print adds one more.
+    for fmt, lines in (("table", table), ("csv", csv)):
+        code, out, err = run_cli(
+            capsys, argv[0], "--net", path3, *argv[1:], "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert out == "\n".join(lines) + "\n\n"
+
+
 def test_qe_fo_check_passes(capsys, path3):
     code, out, _ = run_cli(
         capsys,
@@ -209,6 +301,18 @@ def test_check_consistent_yes_and_no(capsys, ring4, tmp_path):
     assert code == 1 and "no" in out
 
 
+def test_check_consistent_rejects_nonpositive_radius(capsys, ring4, tmp_path):
+    good = tmp_path / "good.labels"
+    good.write_text("1 10\n2 20\n3 30\n4 40\n")
+    for radius in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "check-consistent", "--net", ring4, "--labels", str(good),
+            "--radius", radius,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: local consistency needs a radius k >= 1\n"
+
+
 def test_check_consistent_missing_label_is_an_error(capsys, ring4, tmp_path):
     short = tmp_path / "short.labels"
     short.write_text("1 10\n2 20\n4 40\n")
@@ -282,6 +386,18 @@ def test_bad_requester_rejected(capsys, path3):
         "--req", "9",
     )
     assert code == 2 and "requester" in err
+
+
+def test_round_cap_exceeded_is_an_error(capsys, tmp_path):
+    p4 = tmp_path / "p4.net"
+    p4.write_text(network_text(path_graph(4)))
+    code, out, err = run_cli(
+        capsys,
+        "qe-fo", "--net", str(p4), "--query", "exists y. G(x,y)",
+        "--req", "1", "--rounds-cap", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: round cap 2 exceeded without termination\n"
 
 
 def test_module_invocation_subprocess(path3):

@@ -192,11 +192,11 @@ def test_linking_agrees_with_unmemoized_rule(text):
                 children = [
                     c for (lv, _), c in core.entries.items() if lv == level + 1
                 ]
-                for leaf in e.leaves.values():
+                for path, leaf in e.leaves.items():
                     for cand in children:
                         assert (cand.text in leaf.instances) == _unmemoized_match(
                             leaf, cand
-                        ), (seed, leaf.path, cand.text)
+                        ), (seed, path, cand.text)
                         checked += 1
         assert checked > 0
 

@@ -40,7 +40,7 @@ from netquery.logic import (
 )
 from netquery.netlog import run_netlog
 from netquery.oracle import grid_graph, path_graph, ring_graph
-from netquery.simnet import ANONYMOUS, make_network
+from netquery.simnet import ANONYMOUS, IdentityMode, make_network
 
 DEG2 = "exists y in N^1(x). exists z in N^1(x). (G(x,y) & G(x,z) & y != z)"
 
@@ -57,6 +57,20 @@ def _five(metrics):
 
 def _tc_local():
     return relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
+
+
+def _grid2x3(labeled=False):
+    """The 2x3 grid with ReqNode(1), under global ids or under
+    1-locally-consistent labels v+100."""
+    g = grid_graph(2, 3).with_unary({"ReqNode": [1]})
+    if not labeled:
+        return make_network(g)
+    labels = {v: v + 100 for v in g.nodes}
+    return make_network(g, mode=IdentityMode("local-consistent", 1, labels))
+
+
+def _span_local():
+    return relativize_fixpoint(parse_fixpoint(SPANNING_TREE_TEXT), 1)
 
 
 def _netlog_sg():
@@ -93,6 +107,27 @@ GOLDEN_METRICS = [
         (13, 144, 18, 592, 20),
     ),
     ("netlog-sg-grid2x2", _netlog_sg, (30, 3616, 904, 17, 100)),
+    # The local engines in the labeled modes: labels travel in the
+    # collection replies and decide the order comparisons.
+    (
+        "fploc-span-grid2x3-global",
+        lambda: run_qe_fp_loc(_grid2x3(), _span_local(), 1),
+        (27, 615, 152, 1728, 292),
+    ),
+    (
+        "fploc-span-grid2x3-labels",
+        lambda: run_qe_fp_loc(_grid2x3(labeled=True), _span_local(), 1),
+        (27, 615, 152, 1728, 292),
+    ),
+    (
+        "foloc-order-grid2x3-labels",
+        lambda: run_qe_fo_loc(
+            _grid2x3(labeled=True),
+            "exists y in N^1(x). (G(x,y) & x >= y)",
+            1,
+        ),
+        (7, 82, 19, 288, 22),
+    ),
     # The benchmark's fp-tc-path call and ROADMAP's FO two-hop baseline, at
     # full size: FOCore's instance linking is their hot path.
     (

@@ -19,13 +19,11 @@ from netquery.local_engine import (
     FPLocEngine,
     check_locally_consistent,
     collect_topology,
-    local_name,
     reduce_trace,
     resolve_trace,
     reverse_trace,
     run_qe_fo_loc,
     run_qe_fp_loc,
-    translate_name,
     verify_reconstruction,
 )
 from netquery.logic import (
@@ -45,7 +43,6 @@ from netquery.oracle import (
     make_graph,
     path_graph,
     ring_graph,
-    star_graph,
 )
 from netquery.simnet import ANONYMOUS, IdentityMode, make_network
 
@@ -180,7 +177,7 @@ def test_reconstruction_random_graphs():
 
 def _norm_topology(t):
     return (
-        t.quotient.classes,
+        t.classes,
         t.vertices,
         t.edges,
         t.center,
@@ -440,45 +437,6 @@ def test_fp_loc_seed_invariance():
             rel, _ = run_qe_fp_loc(net, span_query(1), 1, order_seed=order_seed)
             rels.add(rel.tuples)
     assert len(rels) == 1
-
-
-# ------------------------------------------------------------ name translation
-
-
-def test_local_name_basics():
-    net = make_network(path_graph(5))
-    assert local_name(net, 2, 1, 2).rep == ()
-    nm = local_name(net, 1, 2, 3)
-    assert resolve_trace(net, 1, nm.rep) == 3
-    assert len(nm.rep) == 4
-    with pytest.raises(EngineError):
-        local_name(net, 1, 1, 3)  # two hops away, frame radius 1
-
-
-def test_translate_name_round_trip():
-    net = make_network(path_graph(5))
-    nm = local_name(net, 1, 2, 3)
-    moved = translate_name(net, nm, 2)
-    assert moved.owner == 2 and moved.radius == 1
-    assert resolve_trace(net, 2, moved.rep) == 3
-    back = translate_name(net, moved, 1, target_radius=2)
-    assert back.traces == nm.traces
-
-
-def test_translate_name_out_of_frame():
-    net = make_network(star_graph(5))
-    nm = local_name(net, 1, 1, 3)  # hub names one leaf
-    with pytest.raises(EngineError):
-        translate_name(net, nm, 2, target_radius=1)  # other leaf: too far
-    with pytest.raises(EngineError):
-        translate_name(net, nm, 2)  # default target radius 1//2 is invalid
-
-
-def test_translate_name_target_too_far():
-    net = make_network(path_graph(6))
-    nm = local_name(net, 1, 2, 2)
-    with pytest.raises(EngineError):
-        translate_name(net, nm, 6, target_radius=2)
 
 
 # ------------------------------------------------------------------ rejection

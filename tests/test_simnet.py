@@ -223,6 +223,14 @@ def test_locally_consistent_ring6():
     assert not check_locally_consistent(net.graph, labels, 2)
 
 
+def test_local_consistency_needs_a_positive_radius():
+    # Radius 0 would hold for any labels: every ball is one node.
+    g = load_network("3 2\n1 2\n2 3\n").graph
+    for k in (0, -3):
+        with pytest.raises(SimError, match="needs a radius k >= 1"):
+            check_locally_consistent(g, {1: 1, 2: 1, 3: 1}, k)
+
+
 def test_make_network_validates_labels():
     net = load_network("6 6\n1 2\n2 3\n3 4\n4 5\n5 6\n6 1\n")
     labels = {i: ((i - 1) % 3) + 1 for i in range(1, 7)}
