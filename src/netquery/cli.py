@@ -81,7 +81,7 @@ def _load_labels(path: Optional[str]) -> Optional[dict[int, int]]:
 def _load_net(args):
     if not args.net:
         raise CliError("--net is required for this command")
-    labels = _load_labels(getattr(args, "labels", None))
+    labels = _load_labels(args.labels)
     mode = parse_identity_mode(args.identity, labels)
     return load_network(
         Path(args.net).read_text(), mode=mode, port_seed=args.port_seed
@@ -290,6 +290,47 @@ def cmd_fixtures(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+# Every option a sub-command may take, in the order --help lists them.
+_OPTIONS = {
+    "--net": dict(help="network file (edge-list format)"),
+    "--query": dict(help="query text or path to a file holding it"),
+    "--req": dict(type=int, help="requesting node id"),
+    "--identity": dict(
+        default="global", help="global | local-consistent:<k> | anonymous"
+    ),
+    "--labels": dict(
+        help="label map file for locally-consistent mode ('node label' lines)"
+    ),
+    "--port-seed": dict(type=int, default=0),
+    "--order-seed": dict(type=int, default=0),
+    "--rounds-cap": dict(type=int, default=None),
+    "--format": dict(choices=("table", "csv"), default="table"),
+    "--check": dict(
+        action="store_true",
+        help="also run the centralized evaluator and fail on mismatch",
+    ),
+    "--delta": dict(type=int, default=None, help="network diameter"),
+    "--radius": dict(type=int, default=1),
+}
+
+_RUN_OPTIONS = (
+    "--net", "--query", "--identity", "--labels", "--port-seed",
+    "--order-seed", "--rounds-cap", "--format", "--check",
+)
+_EVAL_OPTIONS = ("--net", "--query", "--format")
+
+# sub-command -> (handler, the options it reads)
+_COMMANDS = {
+    "oracle-fo": (cmd_oracle, _EVAL_OPTIONS),
+    "oracle-fp": (cmd_oracle, _EVAL_OPTIONS),
+    **{name: (cmd_qe, _RUN_OPTIONS + ("--req",)) for name in _QUERY_ENGINES},
+    "netlog-run": (cmd_netlog_run, _RUN_OPTIONS),
+    "datalog-run": (cmd_datalog_run, _EVAL_OPTIONS),
+    "compile": (cmd_compile, ("--net", "--query", "--delta")),
+    "check-consistent": (cmd_check_consistent, ("--net", "--labels", "--radius")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netquery",
@@ -297,60 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
         "reference evaluator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, needs_req=False):
-        p.add_argument("--net", help="network file (edge-list format)")
-        p.add_argument(
-            "--query", help="query text or path to a file holding it"
-        )
-        if needs_req:
-            p.add_argument(
-                "--req", type=int, help="requesting node id"
-            )
-        p.add_argument(
-            "--identity",
-            default="global",
-            help="global | local-consistent:<k> | anonymous",
-        )
-        p.add_argument(
-            "--labels",
-            help="label map file for locally-consistent mode "
-            "('node label' lines)",
-        )
-        p.add_argument("--port-seed", type=int, default=0)
-        p.add_argument("--order-seed", type=int, default=0)
-        p.add_argument("--rounds-cap", type=int, default=None)
-        p.add_argument(
-            "--format", choices=("table", "csv"), default="table"
-        )
-        p.add_argument(
-            "--check",
-            action="store_true",
-            help="also run the centralized evaluator and fail on mismatch",
-        )
-
-    for name, fn, needs_req in (
-        ("oracle-fo", cmd_oracle, False),
-        ("oracle-fp", cmd_oracle, False),
-        *((name, cmd_qe, True) for name in _QUERY_ENGINES),
-        ("netlog-run", cmd_netlog_run, False),
-        ("datalog-run", cmd_datalog_run, False),
-    ):
+    for name, (fn, reads) in _COMMANDS.items():
         p = sub.add_parser(name)
-        common(p, needs_req=needs_req)
+        for flag, spec in _OPTIONS.items():
+            if flag in reads:
+                p.add_argument(flag, **spec)
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("compile")
-    common(p)
-    p.add_argument(
-        "--delta", type=int, default=None, help="network diameter"
-    )
-    p.set_defaults(fn=cmd_compile)
-
-    p = sub.add_parser("check-consistent")
-    common(p)
-    p.add_argument("--radius", type=int, default=1)
-    p.set_defaults(fn=cmd_check_consistent)
 
     p = sub.add_parser("fixtures")
     p.add_argument(

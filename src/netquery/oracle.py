@@ -49,7 +49,6 @@ class Graph:
     adj: Mapping[int, tuple[int, ...]]  # sorted neighbor lists
     degree_bound: int
     diameter: int
-    dist: Mapping[int, Mapping[int, int]]  # all-pairs BFS distances
     unary: Mapping[str, frozenset[int]]
 
     @property
@@ -67,16 +66,13 @@ class Graph:
                     yield (u, v)
 
     def neighborhood_nodes(self, a: int, k: int) -> tuple[int, ...]:
-        da = self.dist[a]
-        return tuple(b for b in self.nodes if da[b] <= k)
+        return tuple(sorted(_bfs(self.adj, a, k)))
 
     def with_unary(self, unary: Mapping[str, Iterable[int]]) -> "Graph":
         merged = dict(self.unary)
         for pred, members in unary.items():
             merged[pred] = frozenset(members)
-        return Graph(
-            self.nodes, self.adj, self.degree_bound, self.diameter, self.dist, merged
-        )
+        return Graph(self.nodes, self.adj, self.degree_bound, self.diameter, merged)
 
 
 def make_graph(
@@ -110,27 +106,32 @@ def make_graph(
             f"(degree {len(sorted_adj[offender])})"
         )
     ordered = tuple(sorted(node_set))
-    dist = {u: _bfs(sorted_adj, u) for u in ordered}
-    for u in ordered:
-        if len(dist[u]) != len(ordered):
-            raise GraphError("graph is not connected")
-    diameter = max(d for du in dist.values() for d in du.values())
+    if len(_bfs(sorted_adj, ordered[0])) != len(ordered):
+        raise GraphError("graph is not connected")
+    diameter = max(max(_bfs(sorted_adj, u).values()) for u in ordered)
     unary_map = {p: frozenset(m) for p, m in (unary or {}).items()}
     for pred, members in unary_map.items():
         bad = members - node_set
         if bad:
             raise GraphError(f"{pred} fact references unknown node {sorted(bad)[0]}")
-    return Graph(ordered, sorted_adj, degree_bound, diameter, dist, unary_map)
+    return Graph(ordered, sorted_adj, degree_bound, diameter, unary_map)
 
 
-def _bfs(adj: Mapping[int, tuple[int, ...]], src: int) -> dict[int, int]:
+def _bfs(
+    adj: Mapping[int, tuple[int, ...]], src: int, limit: Optional[int] = None
+) -> dict[int, int]:
+    """Distance from src to every node at most `limit` hops away (every
+    node when limit is None)."""
     dist = {src: 0}
     queue = deque([src])
     while queue:
         u = queue.popleft()
+        du = dist[u]
+        if du == limit:
+            continue
         for v in adj[u]:
             if v not in dist:
-                dist[v] = dist[u] + 1
+                dist[v] = du + 1
                 queue.append(v)
     return dist
 
@@ -140,6 +141,8 @@ def path_graph(n: int, **kw) -> Graph:
 
 
 def ring_graph(n: int, **kw) -> Graph:
+    if n < 3:
+        raise GraphError(f"a ring needs at least 3 nodes, not {n}")
     edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
     return make_graph(edges, **kw)
 
@@ -238,7 +241,7 @@ def holds(
     if isinstance(f, InNbhd):
         t = _resolve(f.term, env)
         c = _resolve(f.center, env)
-        return g.dist[c][t] <= f.radius
+        return t in _bfs(g.adj, c, f.radius)
     if isinstance(f, Not):
         return not holds(g, f.body, env, aux)
     if isinstance(f, And):
@@ -349,23 +352,15 @@ class NeighborhoodFragment:
     edges: frozenset[tuple[int, int]]  # (min, max) pairs within the fragment
     dist: Mapping[int, int]  # true distance from the center
 
-    @property
-    def radius(self) -> int:
-        return max(self.dist.values(), default=0)
-
 
 def neighborhood(g: Graph, a: int, k: int) -> NeighborhoodFragment:
     if a not in g.adj:
         raise OracleError(f"unknown node {a}")
     if k < 0:
         raise OracleError("radius must be >= 0")
-    members = g.neighborhood_nodes(a, k)
-    member_set = set(members)
-    edges = frozenset(
-        (u, v) for u, v in g.edges() if u in member_set and v in member_set
-    )
-    dist = {b: g.dist[a][b] for b in members}
-    return NeighborhoodFragment(a, members, edges, dist)
+    dist = _bfs(g.adj, a, k)
+    edges = frozenset((u, v) for u in dist for v in g.adj[u] if u < v and v in dist)
+    return NeighborhoodFragment(a, tuple(sorted(dist)), edges, dist)
 
 
 # ------------------------------------------------------------------ datalog

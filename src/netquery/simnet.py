@@ -307,11 +307,7 @@ def _context_for(net: Network, a: int) -> NodeContext:
         else None
     )
     self_unary = frozenset(p for p, members in g.unary.items() if a in members)
-    global_unary = (
-        {p: frozenset(m) for p, m in g.unary.items()}
-        if mode.kind == "global"
-        else {}
-    )
+    global_unary = g.unary if mode.kind == "global" else {}
     return NodeContext(
         node=a,
         node_id=node_id,
@@ -333,9 +329,7 @@ def _context_for(net: Network, a: int) -> NodeContext:
 @dataclass(frozen=True)
 class Message:
     payload: Any
-    src_port: int  # port at the sender
     dst_port: int  # arrival port at the receiver
-    size_bits: int
 
 
 @dataclass(frozen=True)
@@ -487,10 +481,7 @@ def run(
                     bits = engine.payload_bits(payload, net.enc)
                     if bits < 1:
                         raise SimError("message must be at least one bit")
-                    arrival = net.port_to[b][a]
-                    inboxes[b].append(
-                        Message(payload, src_port=port, dst_port=arrival, size_bits=bits)
-                    )
+                    inboxes[b].append(Message(payload, net.port_to[b][a]))
                     msgs_sent[a] += 1
                     max_bits = max(max_bits, bits)
             deliveries += 1

@@ -58,6 +58,12 @@ def test_fixtures_stdout_and_files(capsys, tmp_path):
     assert len(written) > 1 and "wrote" in out
 
 
+def test_fixtures_ring_needs_three_nodes(capsys):
+    code, out, err = run_cli(capsys, "fixtures", "ring", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_oracle_fo_table_and_csv(capsys, path3):
     code, out, _ = run_cli(
         capsys, "oracle-fo", "--net", path3, "--query", "exists y. G(x,y)"
@@ -360,6 +366,22 @@ def test_non_integer_identity_radius_and_label_rejected(capsys, ring4, tmp_path)
         assert err == (
             f"error: label line must be two integers 'node label': {bad_line!r}\n"
         )
+
+
+def test_options_a_command_ignores_are_rejected(capsys, path3, ring4, tmp_path):
+    good = tmp_path / "good.labels"
+    good.write_text("1 10\n2 20\n3 30\n4 40\n")
+    for argv in (
+        ("oracle-fo", "--net", path3, "--query", "exists y. G(x,y)", "--check"),
+        ("compile", "--net", path3, "--query", "T(x,y) :- G(x,y).",
+         "--identity", "anonymous"),
+        ("check-consistent", "--net", ring4, "--labels", str(good),
+         "--rounds-cap", "1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parse_error_is_position_tagged(capsys, path3):

@@ -1,8 +1,8 @@
 """Static checks that deletions leave nothing dead behind in the package.
 
-Every import a module makes must be used in that module, and every
-module-level `_private` function or class must be referenced somewhere in
-`src/netquery`; tests do not count as callers.
+Every import a package or test module makes must be used in that module,
+and every module-level `_private` function or class must be referenced
+somewhere in `src/netquery`; tests do not count as callers.
 """
 from __future__ import annotations
 
@@ -13,6 +13,10 @@ import netquery
 
 PACKAGE = Path(netquery.__file__).resolve().parent
 TREES = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+TEST_TREES = {
+    f"tests/{p.name}": ast.parse(p.read_text(), str(p))
+    for p in sorted(Path(__file__).resolve().parent.glob("*.py"))
+}
 
 
 def _names_used(tree: ast.AST) -> set[str]:
@@ -44,7 +48,7 @@ def _references(tree: ast.AST) -> set[str]:
 
 def test_no_unused_imports():
     unused = []
-    for name, tree in TREES.items():
+    for name, tree in {**TREES, **TEST_TREES}.items():
         used = _names_used(tree)
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":

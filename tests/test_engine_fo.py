@@ -26,7 +26,7 @@ from netquery.logic import (
     substitute,
 )
 from netquery.oracle import eval_fo, make_graph, path_graph, ring_graph
-from netquery.simnet import ANONYMOUS, make_network
+from netquery.simnet import ANONYMOUS
 
 
 def _net(g, **kw):

@@ -9,7 +9,6 @@ from netquery.logic import (
     Cmp,
     Const,
     Exists,
-    FixpointQuery,
     Forall,
     FormulaError,
     InNbhd,

@@ -13,8 +13,6 @@ from netquery.fixtures import (
     ROUTING_TABLE_PROGRAM,
     ROUTING_TABLE_TEXT,
     SPANNING_TREE_PROGRAM,
-    SPANNING_TREE_TEXT,
-    fixture_graphs,
 )
 from netquery.logic import ParseError, parse_fixpoint
 from netquery.netlog import (
@@ -33,7 +31,6 @@ from netquery.netlog import (
     parse_datalog,
     parse_netlog,
     print_program,
-    print_rule,
     start_instance,
 )
 from netquery.oracle import eval_fp, make_graph, path_graph, ring_graph

@@ -2,6 +2,10 @@
 graph validation, fixpoint staging, and genericity."""
 from __future__ import annotations
 
+import random
+import tracemalloc
+from collections import deque
+
 import pytest
 
 from netquery.fixtures import (
@@ -13,6 +17,8 @@ from netquery.fixtures import (
     TWO_HOP_TEXT,
     WIN_DATALOG,
     TRANSITIVE_CLOSURE_DATALOG,
+    exhaustive_graphs,
+    random_connected_graph,
 )
 from netquery.logic import parse_fixpoint, parse_formula, relativize_fixpoint
 from netquery.netlog import parse_datalog
@@ -60,6 +66,12 @@ def test_make_graph_rejects_unknown_unary_member():
         make_graph([(1, 2)], unary={"ReqNode": [7]})
 
 
+def test_ring_needs_three_nodes():
+    for n in (0, 1, 2):
+        with pytest.raises(GraphError):
+            ring_graph(n)
+
+
 def test_diameter_recomputed():
     assert path_graph(4).diameter == 3
     assert ring_graph(6).diameter == 3
@@ -74,6 +86,57 @@ def test_neighborhood_fragment():
     ring = neighborhood(ring_graph(6), 1, 2)
     assert ring.nodes == (1, 2, 3, 5, 6)
     assert ring.dist[5] == 2 and ring.dist[3] == 2
+
+
+def _all_pairs_bfs(g):
+    """Reference distances: a full BFS from every node."""
+    table = {}
+    for src in g.nodes:
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in g.adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        table[src] = dist
+    return table
+
+
+def _distance_test_graphs():
+    for _name, g in exhaustive_graphs(5):
+        yield g
+    rng = random.Random(6)
+    for n in (8, 9, 10, 11, 12):
+        for _ in range(3):
+            yield random_connected_graph(rng, n)
+
+
+def test_radius_questions_agree_with_all_pairs_bfs():
+    in_ball = parse_formula("x in N^1(y)")
+    for g in _distance_test_graphs():
+        ref = _all_pairs_bfs(g)
+        assert g.diameter == max(d for row in ref.values() for d in row.values())
+        for a in g.nodes:
+            for k in range(4):
+                ball = {b: d for b, d in ref[a].items() if d <= k}
+                assert g.neighborhood_nodes(a, k) == tuple(sorted(ball))
+                assert neighborhood(g, a, k).dist == ball
+        want = {(x, y) for y in g.nodes for x, d in ref[y].items() if d <= 1}
+        assert eval_fo(g, in_ball, order=("x", "y")).tuples == want
+
+
+def test_graph_memory_is_linear_in_size():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = ring_graph(600)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.n == 600
+    assert held < 2_000_000
 
 
 # ---------------------------------------------------------------- eval_fo

@@ -12,9 +12,7 @@ from netquery.fixtures import (
     WIN_DATALOG,
 )
 from netquery.netlog import (
-    Const,
     GuardLit,
-    NetlogError,
     NetlogProgram,
     NetlogRule,
     RelLit,
@@ -28,13 +26,9 @@ from netquery.netlog import (
 from netquery.oracle import eval_datalog, path_graph, ring_graph, star_graph
 from netquery.rewriter import (
     CompileError,
-    CompileOutput,
     RewriteContext,
-    add_clocks,
-    add_comm,
     compile,
     emit_text,
-    inflate,
     localize,
     rewrite_rule,
 )

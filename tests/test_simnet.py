@@ -5,15 +5,12 @@ import re
 
 import pytest
 
-from netquery.oracle import GraphError, star_graph
+from netquery.oracle import GraphError
 from netquery.simnet import (
     ANONYMOUS,
     GLOBAL_IDS,
-    EncodingParams,
     IdentityMode,
-    Message,
     Metrics,
-    NodeContext,
     NodeEngine,
     RoundCapError,
     SimError,
