@@ -83,6 +83,8 @@ def _load_net(args):
         raise CliError("--net is required for this command")
     labels = _load_labels(args.labels)
     mode = parse_identity_mode(args.identity, labels)
+    if labels is not None and mode.kind != "local-consistent":
+        raise CliError("--labels needs --identity local-consistent:<k>")
     return load_network(
         Path(args.net).read_text(), mode=mode, port_seed=args.port_seed
     )

@@ -119,7 +119,7 @@ class _Entry:
     key: int  # answer key of the query's value
     probes: tuple[int, ...]  # values that can make it a quantifier instance
     suffix: tuple[int, ...] = ()  # open: already-assigned values, leftmost first
-    leaves: dict[tuple[int, ...], _Leaf] = field(default_factory=dict)
+    leaves: list[_Leaf] = field(default_factory=list)  # in pre-order
     value: Optional[bool] = None
 
 
@@ -133,17 +133,15 @@ class FONodeReport:
 # ------------------------------------------------------------ formula walks
 
 
-def _quantifier_leaves(
-    f: Formula, path: tuple[int, ...] = ()
-) -> Iterator[tuple[tuple[int, ...], Formula]]:
-    """Outermost quantifier occurrences with their tree positions."""
+def _quantifier_leaves(f: Formula) -> Iterator[Formula]:
+    """Outermost quantifier occurrences, in pre-order."""
     if isinstance(f, (Exists, Forall)):
-        yield (path, f)
+        yield f
     elif isinstance(f, Not):
-        yield from _quantifier_leaves(f.body, path + (0,))
+        yield from _quantifier_leaves(f.body)
     elif isinstance(f, (And, Or)):
-        for i, p in enumerate(f.parts):
-            yield from _quantifier_leaves(p, path + (i,))
+        for p in f.parts:
+            yield from _quantifier_leaves(p)
 
 
 def _cmp_holds(op: str, a: int, b: int) -> bool:
@@ -309,14 +307,16 @@ class FOCore:
         if kind == "O":
             self._extend_open(e)
         else:
-            for path, q in sorted(_quantifier_leaves(formula)):
-                e.leaves[path] = _Leaf(
+            e.leaves = [
+                _Leaf(
                     quant=q,
                     var=q.var,  # type: ignore[union-attr]
                     is_exists=isinstance(q, Exists),
                     deadline=self._leaf_deadline(q, level),
                     key=answer_key(f"{level}|{canonical_print(q)}"),
                 )
+                for q in _quantifier_leaves(formula)
+            ]
             self._spawn_instances(e)
             self._link_new_parent(e)
         self._link_new_child(e)
@@ -337,8 +337,7 @@ class FOCore:
             self._create_entry(nf, "O", e.level + 1, ns)
 
     def _spawn_instances(self, e: _Entry) -> None:
-        for path in sorted(e.leaves):
-            leaf = e.leaves[path]
+        for leaf in e.leaves:
             inst = substitute(leaf.quant, leaf.var, self.self_id)
             ie = self._create_entry(inst, "B", e.level + 1, ())
             leaf.instances.add(ie.text)
@@ -355,8 +354,7 @@ class FOCore:
         return False
 
     def _link(self, parent: _Entry, cand: _Entry) -> None:
-        for path in sorted(parent.leaves):
-            leaf = parent.leaves[path]
+        for leaf in parent.leaves:
             if cand.text not in leaf.instances and self._match(leaf, cand):
                 leaf.instances.add(cand.text)
 
@@ -404,7 +402,7 @@ class FOCore:
                     f"open query {text!r} reached with conflicting assignments"
                 )
 
-    def sweep(self, round_no: int) -> None:
+    def advance(self, round_no: int) -> None:
         changed = True
         while changed:
             self._dirty = False
@@ -424,7 +422,7 @@ class FOCore:
         if e.key in self.answers:
             v: Optional[bool] = self.answers[e.key]
         else:
-            v = self._ev(e, e.formula, (), round_no)
+            v = self._ev(e, e.formula, iter(e.leaves), round_no)
         if v is not None:
             e.value = v
             announce = not isinstance(e.formula, (Cmp, BoolConst))
@@ -433,8 +431,11 @@ class FOCore:
         return v
 
     def _ev(
-        self, e: _Entry, f: Formula, path: tuple[int, ...], round_no: int
+        self, e: _Entry, f: Formula, leaves: Iterator[_Leaf], round_no: int
     ) -> Optional[bool]:
+        """Three-valued value of f, a part of e's formula; `leaves` yields
+        e's quantifier leaves from f's first one on.  Every part is visited,
+        so each quantifier met is the next leaf."""
         self.work += 1
         if isinstance(f, BoolConst):
             return f.value
@@ -447,12 +448,10 @@ class FOCore:
                 raise EngineError(f"cannot evaluate open atom {canonical_print(f)!r}")
             return self.answers.get(answer_key(canonical_print(f)))
         if isinstance(f, Not):
-            v = self._ev(e, f.body, path + (0,), round_no)
+            v = self._ev(e, f.body, leaves, round_no)
             return None if v is None else not v
         if isinstance(f, (And, Or)):
-            vals = [
-                self._ev(e, p, path + (i,), round_no) for i, p in enumerate(f.parts)
-            ]
+            vals = [self._ev(e, p, leaves, round_no) for p in f.parts]
             if isinstance(f, And):
                 if any(v is False for v in vals):
                     return False
@@ -461,7 +460,7 @@ class FOCore:
                 return True
             return False if all(v is False for v in vals) else None
         if isinstance(f, (Exists, Forall)):
-            leaf = e.leaves[path]
+            leaf = next(leaves)
             if leaf.key in self.answers:
                 return self.answers[leaf.key]
             vals = []
@@ -493,12 +492,16 @@ class FOCore:
         self.out = []
         return out
 
-    def pending(self, round_no: int) -> bool:
-        return any(
+    def idle(self, round_no: int) -> bool:
+        """No quantifier still awaits its deadline."""
+        return not any(
             round_no < leaf.deadline and leaf.key not in self.answers
             for e in self.entries.values()
-            for leaf in e.leaves.values()
+            for leaf in e.leaves
         )
+
+    def total_work(self) -> int:
+        return self.work
 
     def report(self) -> FONodeReport:
         return FONodeReport(tuples=frozenset(self.stored))
@@ -507,53 +510,53 @@ class FOCore:
 # ------------------------------------------------------------ simnet engine
 
 
-class FOQueryEngine(NodeEngine):
-    """Simulator adapter: one FOCore per node, broadcast-only sends."""
+class _BroadcastEngine(NodeEngine):
+    """Simulator adapter of the global engines: one core per node, built by
+    `_core(self_id, neighbors, self_unary, delta)`, whose round is ingest,
+    advance and flush, with every payload broadcast."""
+
+    def start(self, ctx: NodeContext) -> Any:
+        if ctx.node_id is None or ctx.neighbor_ids is None:
+            raise EngineError(
+                f"{type(self).__name__} needs globally unique node ids"
+            )
+        return self._core(
+            ctx.node_id,
+            frozenset(ctx.neighbor_ids.values()),
+            ctx.self_unary,
+            ctx.diameter,
+        )
+
+    def step(
+        self, state: Any, ctx: NodeContext, round_no: int, inbox: Sequence[Message]
+    ) -> StepResult:
+        before = state.total_work()
+        state.ingest([m.payload for m in inbox], round_no)
+        state.advance(round_no)
+        outs = state.flush()
+        return StepResult(
+            state=state,
+            sends=tuple(s for p in outs for s in broadcast(ctx, p)),
+            quiescent=not outs and state.idle(round_no),
+            steps=1 + state.total_work() - before,
+        )
+
+    def collect(self, state: Any, ctx: NodeContext) -> Any:
+        return state.report()
+
+
+class FOQueryEngine(_BroadcastEngine):
+    """One FOCore per node, for a query whose answer variables are `order`."""
 
     def __init__(self, order: tuple[str, ...]):
         self.order = tuple(order)
 
-    def start(self, ctx: NodeContext) -> FOCore:
-        if ctx.node_id is None or ctx.neighbor_ids is None:
-            raise EngineError(
-                "the first-order query engine needs globally unique node ids"
-            )
-        return FOCore(
-            self_id=ctx.node_id,
-            neighbors=frozenset(ctx.neighbor_ids.values()),
-            self_unary=ctx.self_unary,
-            delta=ctx.diameter,
-            order=self.order,
-        )
+    def _core(self, *args: Any) -> FOCore:
+        return FOCore(*args, order=self.order)
 
     def inject(self, state: FOCore, ctx: NodeContext, payload: Any) -> FOCore:
         state.inject_query(payload, ())
         return state
-
-    def step(
-        self,
-        state: FOCore,
-        ctx: NodeContext,
-        round_no: int,
-        inbox: Sequence[Message],
-    ) -> StepResult:
-        before = state.work
-        state.ingest([m.payload for m in inbox], round_no)
-        state.sweep(round_no)
-        outs = state.flush()
-        sends: list[tuple[int, Any]] = []
-        for p in outs:
-            sends.extend(broadcast(ctx, p))
-        quiescent = not outs and not state.pending(round_no)
-        return StepResult(
-            state=state,
-            sends=tuple(sends),
-            quiescent=quiescent,
-            steps=1 + state.work - before,
-        )
-
-    def collect(self, state: FOCore, ctx: NodeContext) -> FONodeReport:
-        return state.report()
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         return fo_payload_bits(payload, enc)

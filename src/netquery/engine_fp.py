@@ -32,6 +32,7 @@ from typing import Any, Optional, Sequence, Union
 from .engine_fo import (
     EngineError,
     FOCore,
+    _BroadcastEngine,
     _check_fixpoint_vars,
     _run_from_requester,
     _send_order,
@@ -45,15 +46,7 @@ from .logic import (
     stats,
     substitute,
 )
-from .simnet import (
-    EncodingParams,
-    Message,
-    Network,
-    NodeContext,
-    NodeEngine,
-    StepResult,
-    broadcast,
-)
+from .simnet import EncodingParams, Network, NodeContext
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,7 @@ class FPCore:
         if self.phase != "run":
             return
         if self.core is not None:
-            self.core.sweep(round_no)
+            self.core.advance(round_no)
             if round_no == self._commit_round(self.it):
                 self._commit()
         nxt = self.it + 1
@@ -213,7 +206,7 @@ class FPCore:
                 self.out = []
                 return
             self._begin_iteration(nxt, round_no)
-            self.core.sweep(round_no)
+            self.core.advance(round_no)
 
     def flush(self) -> list[tuple]:
         out = list(self.out)
@@ -221,6 +214,9 @@ class FPCore:
         if self.core is not None:
             out.extend(("F", self.it, p) for p in self.core.flush())
         return sorted(out, key=_fp_send_order)
+
+    def idle(self, round_no: int) -> bool:
+        return self.phase == "done"
 
     def total_work(self) -> int:
         return self.work + (self.core.work if self.core is not None else 0)
@@ -234,50 +230,15 @@ class FPCore:
 # ------------------------------------------------------------ simnet engine
 
 
-class FPQueryEngine(NodeEngine):
-    """Simulator adapter: one FPCore per node; the requester is seeded with
-    the query, everyone else learns it from the flood."""
+class FPQueryEngine(_BroadcastEngine):
+    """One FPCore per node; the requester is seeded with the query, everyone
+    else learns it from the flood."""
 
-    def start(self, ctx: NodeContext) -> FPCore:
-        if ctx.node_id is None or ctx.neighbor_ids is None:
-            raise EngineError(
-                "the fixpoint query engine needs globally unique node ids"
-            )
-        return FPCore(
-            self_id=ctx.node_id,
-            neighbors=frozenset(ctx.neighbor_ids.values()),
-            self_unary=ctx.self_unary,
-            delta=ctx.diameter,
-        )
+    _core = FPCore
 
     def inject(self, state: FPCore, ctx: NodeContext, payload: Any) -> FPCore:
         state.seed(payload)
         return state
-
-    def step(
-        self,
-        state: FPCore,
-        ctx: NodeContext,
-        round_no: int,
-        inbox: Sequence[Message],
-    ) -> StepResult:
-        before = state.total_work()
-        state.ingest([m.payload for m in inbox], round_no)
-        state.advance(round_no)
-        outs = state.flush()
-        sends: list[tuple[int, Any]] = []
-        for p in outs:
-            sends.extend(broadcast(ctx, p))
-        quiescent = state.phase == "done" and not sends
-        return StepResult(
-            state=state,
-            sends=tuple(sends),
-            quiescent=quiescent,
-            steps=1 + state.total_work() - before,
-        )
-
-    def collect(self, state: FPCore, ctx: NodeContext) -> FPNodeReport:
-        return state.report()
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         if payload[0] == "FPQ":

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .engine_fo import EngineError, _check_fixpoint_vars, _run_from_requester
 from .logic import (
@@ -450,9 +450,11 @@ def _holds(
     env: dict[str, int],
     topo: LocalTopology,
     domain: tuple[int, ...],
-    table_truth,
+    table: Optional[tuple[str, Callable[[int, tuple[int, ...]], bool]]],
     work: list[int],
 ) -> bool:
+    """Truth of f over the classes, with the table atoms named table[0]
+    decided by table[1](holder, args)."""
     work[0] += 1
     if isinstance(f, BoolConst):
         return f.value
@@ -461,10 +463,9 @@ def _holds(
             a = env[f.args[0].name]
             b = env[f.args[1].name]
             return topo.has_edge(a, b)
-        if table_truth is not None and f.pred == table_truth.name:
+        if table is not None and f.pred == table[0]:
             holder = env[f.args[0].name]
-            args = tuple(env[t.name] for t in f.args[1:])
-            return table_truth(holder, args)
+            return table[1](holder, tuple(env[t.name] for t in f.args[1:]))
         return f.pred in topo.attrs.get(env[f.args[0].name], frozenset())
     if isinstance(f, Cmp):
         a = env[f.left.name]
@@ -480,38 +481,39 @@ def _holds(
     if isinstance(f, InNbhd):
         return topo.dist(env[f.term.name]) <= f.radius
     if isinstance(f, Not):
-        return not _holds(f.body, env, topo, domain, table_truth, work)
+        return not _holds(f.body, env, topo, domain, table, work)
     if isinstance(f, And):
         return all(
-            _holds(p, env, topo, domain, table_truth, work) for p in f.parts
+            _holds(p, env, topo, domain, table, work) for p in f.parts
         )
     if isinstance(f, Or):
         return any(
-            _holds(p, env, topo, domain, table_truth, work) for p in f.parts
+            _holds(p, env, topo, domain, table, work) for p in f.parts
         )
     if isinstance(f, (Exists, Forall)):
-        assert f.bound is not None
-        radius = f.bound[1]
-        had = f.var in env
-        old = env.get(f.var)
-        hit = isinstance(f, Forall)
+        # The domain is the one ball every bound names, and the parser gives
+        # each binder a fresh name, so the binding is simply dropped after.
+        settle = isinstance(f, Exists)  # the body value that settles f
+        value = not settle
         for c in domain:
-            if topo.dist(c) > radius:
-                continue
             env[f.var] = c
-            v = _holds(f.body, env, topo, domain, table_truth, work)
-            if isinstance(f, Exists) and v:
-                hit = True
+            if _holds(f.body, env, topo, domain, table, work) == settle:
+                value = settle
                 break
-            if isinstance(f, Forall) and not v:
-                hit = False
-                break
-        if had:
-            env[f.var] = old  # type: ignore[assignment]
-        else:
-            env.pop(f.var, None)
-        return hit
+        env.pop(f.var, None)
+        return value
     raise EngineError(f"cannot evaluate {type(f).__name__} locally")
+
+
+def _assignments(
+    center: str, rest: Sequence[str], topo: LocalTopology, domain: tuple[int, ...]
+) -> Iterator[dict[str, int]]:
+    """Every environment that binds `center` to the topology's center and
+    each of `rest` to a class of `domain`."""
+    for combo in itertools.product(domain, repeat=len(rest)):
+        env = {center: topo.center}
+        env.update(zip(rest, combo))
+        yield env
 
 
 # ------------------------------------------------------- collection protocol
@@ -623,6 +625,91 @@ def _node_nonce(ctx: NodeContext) -> int:
     return random.Random(1_000_003 * ctx.node + 7).getrandbits(_NONCE_BITS)
 
 
+# ------------------------------------------------------------ shared engine
+
+
+class _LocalState:
+    """What a local engine keeps per node: the adopted query and its radius,
+    the walk collection, and the topology and domain it yields."""
+
+    __slots__ = ("query", "k", "relay", "collector", "topology", "domain")
+
+    def __init__(self, collector: _Collector) -> None:
+        self.query: Any = None
+        self.k = 0
+        self.relay = False
+        self.collector = collector
+        self.topology: Optional[LocalTopology] = None
+        self.domain: tuple[int, ...] = ()
+
+
+class _LocalEngine(NodeEngine):
+    """What the local engines share: adopt the first query heard and relay
+    it once, serve the walk collection, and build the topology and the
+    radius-k domain when the collection comes home.  An engine names its
+    state class `_State` and its query printer `_print`, reads a query text
+    in `_read`, and serves its own message tags in `_serve`."""
+
+    def start(self, ctx: NodeContext) -> Any:
+        return self._State(_Collector(_node_nonce(ctx)))
+
+    def inject(self, state: Any, ctx: NodeContext, payload: Any) -> Any:
+        self._adopt(state, ctx, self._print(payload))
+        return state
+
+    def _adopt(self, state: _LocalState, ctx: NodeContext, text: str) -> None:
+        if state.query is None:
+            self._read(state, ctx, text)
+            state.relay = True
+
+    def _serve(
+        self, state: Any, ctx: NodeContext, m: Message, out: list[tuple[int, Any]]
+    ) -> int:
+        raise EngineError(f"unexpected message tag {m.payload[0]!r}")
+
+    def _serve_inbox(
+        self,
+        state: _LocalState,
+        ctx: NodeContext,
+        inbox: Sequence[Message],
+        out: list[tuple[int, Any]],
+    ) -> int:
+        """Note every arriving collection trace before any reply snapshot of
+        this round is taken, serve the inbox in order, and relay a newly
+        adopted query; returns the work done."""
+        work = len(inbox)
+        for m in inbox:
+            if m.payload[0] == "C":
+                state.collector.note_collect(m)
+        for m in inbox:
+            tag = m.payload[0]
+            if tag == "lq":
+                self._adopt(state, ctx, m.payload[1])
+            elif tag == "C":
+                state.collector.serve_collect(ctx, m, out)
+            elif tag == "R":
+                state.collector.serve_reply(ctx, m, out)
+            else:
+                work += self._serve(state, ctx, m, out)
+        if state.relay:
+            state.relay = False
+            out.extend(broadcast(ctx, ("lq", self._print(state.query))))
+        return work
+
+    def _built(self, state: _LocalState) -> bool:
+        """Build the topology and domain if the collection just came home,
+        and say whether it did."""
+        if state.topology is not None or not state.collector.done:
+            return False
+        topo = state.collector.build()
+        state.topology = topo
+        state.domain = tuple(i for i in topo.vertices if topo.dist(i) <= state.k)
+        return True
+
+    def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
+        return local_payload_bits(payload, enc)
+
+
 # -------------------------------------------------------- first-order engine
 
 
@@ -632,46 +719,30 @@ class FOLocReport:
     rows: frozenset[tuple[PortTrace, ...]]
 
 
-class _FOLocState:
-    __slots__ = ("formula", "center", "k", "adopted", "relay", "collector",
-                 "topology", "rows")
+class _FOLocState(_LocalState):
+    __slots__ = ("center", "rows")
 
     def __init__(self, collector: _Collector) -> None:
-        self.formula: Optional[Formula] = None
+        super().__init__(collector)
         self.center = ""
-        self.k = 0
-        self.adopted = False
-        self.relay = False
-        self.collector = collector
-        self.topology: Optional[LocalTopology] = None
         self.rows: frozenset[tuple[PortTrace, ...]] = frozenset()
 
 
-class FOLocEngine(NodeEngine):
+class FOLocEngine(_LocalEngine):
     """Radius-bounded first-order evaluation: flood the query, collect the
     k-neighborhood as a trace quotient, evaluate in-node over the classes."""
+
+    _State = _FOLocState
+    _print = staticmethod(print_formula)
 
     def __init__(self, order: tuple[str, ...], mode_kind: str):
         self.order = tuple(order)
         self.mode_kind = mode_kind
 
-    def start(self, ctx: NodeContext) -> _FOLocState:
-        return _FOLocState(_Collector(_node_nonce(ctx)))
-
-    def inject(self, state: _FOLocState, ctx: NodeContext, payload: Any) -> Any:
-        self._adopt(state, print_formula(payload))
-        return state
-
-    def _adopt(self, state: _FOLocState, text: str) -> None:
-        if state.adopted:
-            return
+    def _read(self, state: _FOLocState, ctx: NodeContext, text: str) -> None:
         f = parse_formula(text)
-        center, k = _local_shape(f, mode_kind=self.mode_kind)
-        state.formula = f
-        state.center = center
-        state.k = k
-        state.adopted = True
-        state.relay = True
+        state.center, state.k = _local_shape(f, mode_kind=self.mode_kind)
+        state.query = f
 
     def step(
         self,
@@ -681,59 +752,31 @@ class FOLocEngine(NodeEngine):
         inbox: Sequence[Message],
     ) -> StepResult:
         out: list[tuple[int, Any]] = []
-        work = len(inbox)
-        for m in inbox:
-            if m.payload[0] == "C":
-                state.collector.note_collect(m)
-        for m in inbox:
-            tag = m.payload[0]
-            if tag == "lq":
-                self._adopt(state, m.payload[1])
-            elif tag == "C":
-                state.collector.serve_collect(ctx, m, out)
-            elif tag == "R":
-                state.collector.serve_reply(ctx, m, out)
-            else:
-                raise EngineError(f"unexpected message tag {tag!r}")
-        if state.relay:
-            state.relay = False
-            assert state.formula is not None
-            out.extend(broadcast(ctx, ("lq", print_formula(state.formula))))
+        work = self._serve_inbox(state, ctx, inbox, out)
+        if state.query is not None and state.collector.radius is None:
             state.collector.launch(ctx, state.k, out)
-        if state.collector.done and state.topology is None:
-            work += self._evaluate(state)
+        if self._built(state):
+            topo = state.topology
+            assert topo is not None
+            rest = [v for v in self.order if v != state.center]
+            counter = [0]
+            state.rows = frozenset(
+                tuple(topo.rep(env[v]) for v in self.order)
+                for env in _assignments(state.center, rest, topo, state.domain)
+                if _holds(state.query, env, topo, state.domain, None, counter)
+            )
+            work += counter[0]
         return StepResult(
             state=state,
             sends=tuple(out),
             quiescent=not out and (
-                not state.adopted or state.topology is not None
+                state.query is None or state.topology is not None
             ),
             steps=1 + work,
         )
 
-    def _evaluate(self, state: _FOLocState) -> int:
-        assert state.formula is not None
-        topo = state.collector.build()
-        state.topology = topo
-        domain = tuple(
-            i for i in topo.vertices if topo.dist(i) <= state.k
-        )
-        frees = [v for v in self.order if v != state.center]
-        counter = [0]
-        rows: set[tuple[PortTrace, ...]] = set()
-        for combo in itertools.product(domain, repeat=len(frees)):
-            env = {state.center: topo.center}
-            env.update(zip(frees, combo))
-            if _holds(state.formula, env, topo, domain, None, counter):
-                rows.add(tuple(topo.rep(env[v]) for v in self.order))
-        state.rows = frozenset(rows)
-        return counter[0]
-
     def collect(self, state: _FOLocState, ctx: NodeContext) -> FOLocReport:
         return FOLocReport(topology=state.topology, rows=state.rows)
-
-    def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
-        return local_payload_bits(payload, enc)
 
 
 def run_qe_fo_loc(
@@ -783,30 +826,6 @@ class FPLocReport:
     awake_windows: tuple[int, ...]
 
 
-class _TableTruth:
-    """Resolves ground table atoms during one evaluation window: the node's
-    own committed rows directly, remote rows from the answers that came back
-    this window."""
-
-    __slots__ = ("name", "center", "topo", "table", "answers")
-
-    def __init__(self, name, center, topo, table, answers):
-        self.name = name
-        self.center = center
-        self.topo = topo
-        self.table = table
-        self.answers = answers
-
-    def __call__(self, holder: int, args: tuple[int, ...]) -> bool:
-        if holder == self.center:
-            return tuple(self.topo.rep(c) for c in args) in self.table
-        key = _query_key(self.topo, holder, args)
-        truth = self.answers.get(key)
-        if truth is None:
-            raise EngineError("table query went unanswered within its window")
-        return truth
-
-
 def _query_key(
     topo: LocalTopology, holder: int, args: tuple[int, ...]
 ) -> tuple[PortTrace, tuple[PortTrace, ...]]:
@@ -816,23 +835,16 @@ def _query_key(
     return route, names
 
 
-class _FPLocState:
-    __slots__ = ("query", "k", "c0", "f0", "tau", "adopted", "relay",
-                 "collector", "topology", "domain", "table", "buffer",
-                 "history", "awake", "awake_windows", "window", "had_new",
-                 "inform_heard", "max_relayed", "answers")
+class _FPLocState(_LocalState):
+    __slots__ = ("c0", "f0", "tau", "table", "buffer", "history", "awake",
+                 "awake_windows", "window", "had_new", "inform_heard",
+                 "max_relayed", "answers")
 
     def __init__(self, collector: _Collector) -> None:
-        self.query: Optional[FixpointQuery] = None
-        self.k = 0
+        super().__init__(collector)
         self.c0 = 0
         self.f0 = 0
         self.tau = 0
-        self.adopted = False
-        self.relay = False
-        self.collector = collector
-        self.topology: Optional[LocalTopology] = None
-        self.domain: tuple[int, ...] = ()
         self.table: set[tuple[PortTrace, ...]] = set()
         self.buffer: set[tuple[PortTrace, ...]] = set()
         self.history: list[frozenset[tuple[PortTrace, ...]]] = []
@@ -845,35 +857,26 @@ class _FPLocState:
         self.answers: dict = {}
 
 
-class FPLocEngine(NodeEngine):
+class FPLocEngine(_LocalEngine):
     """Radius-bounded inflationary fixpoint evaluation: collect the doubled
     neighborhood once, then run synchronized evaluation windows in which
     remote table fragments are consulted by source-routed, trace-named
     queries, new rows are committed at the window boundary, and nearby nodes
     are woken by bounded informs."""
 
+    _State = _FPLocState
+    _print = staticmethod(print_fixpoint)
+
     def __init__(self, mode_kind: str):
         self.mode_kind = mode_kind
 
-    def start(self, ctx: NodeContext) -> _FPLocState:
-        return _FPLocState(_Collector(_node_nonce(ctx)))
-
-    def inject(self, state: _FPLocState, ctx: NodeContext, payload: Any) -> Any:
-        self._adopt(state, ctx, print_fixpoint(payload))
-        return state
-
-    def _adopt(self, state: _FPLocState, ctx: NodeContext, text: str) -> None:
-        if state.adopted:
-            return
+    def _read(self, state: _FPLocState, ctx: NodeContext, text: str) -> None:
         q = parse_fixpoint(text)
-        k = _validate_fp_local(q, self.mode_kind)
+        state.k = _validate_fp_local(q, self.mode_kind)
         state.query = q
-        state.k = k
         state.c0 = ctx.diameter + 2
-        state.f0 = state.c0 + 4 * k + 3
-        state.tau = 3 * k + 2
-        state.adopted = True
-        state.relay = True
+        state.f0 = state.c0 + 4 * state.k + 3
+        state.tau = 3 * state.k + 2
 
     def step(
         self,
@@ -883,45 +886,34 @@ class FPLocEngine(NodeEngine):
         inbox: Sequence[Message],
     ) -> StepResult:
         out: list[tuple[int, Any]] = []
-        work = len(inbox)
-        iterating = state.topology is not None
-        boundary = (
-            iterating
+        if (
+            state.topology is not None
             and round_no >= state.f0
             and (round_no - state.f0) % state.tau == 0
-        )
-        if boundary:
+        ):
             self._cross_boundary(state)
         if (
-            state.adopted
+            state.query is not None
             and state.topology is None
             and round_no >= state.f0
         ):
             raise EngineError("collection did not finish within its window")
-        for m in inbox:
-            if m.payload[0] == "C":
-                state.collector.note_collect(m)
-        for m in inbox:
-            work += self._dispatch(state, ctx, m, out)
-        if state.relay:
-            state.relay = False
-            assert state.query is not None
-            out.extend(broadcast(ctx, ("lq", print_fixpoint(state.query))))
+        work = self._serve_inbox(state, ctx, inbox, out)
         if (
-            state.adopted
+            state.query is not None
             and round_no == state.c0
             and state.collector.radius is None
         ):
             state.collector.launch(ctx, 2 * state.k, out)
-        if state.collector.done and state.topology is None:
-            self._finish_collection(state)
+        if self._built(state):
+            state.awake = True
         if state.topology is not None and round_no >= state.f0:
             r = (round_no - state.f0) % state.tau
             if r == 0 and state.awake:
                 work += self._open_window(state, out)
             elif r == 2 * state.k + 1 and state.awake:
                 work += self._finalize_window(state, ctx, out)
-        busy = state.adopted and (
+        busy = state.query is not None and (
             state.topology is None or state.awake or bool(state.buffer)
         )
         return StepResult(
@@ -947,15 +939,7 @@ class FPLocEngine(NodeEngine):
         state.max_relayed = 0
         state.answers = {}
 
-    def _finish_collection(self, state: _FPLocState) -> None:
-        topo = state.collector.build()
-        state.topology = topo
-        state.domain = tuple(
-            i for i in topo.vertices if topo.dist(i) <= state.k
-        )
-        state.awake = True
-
-    def _dispatch(
+    def _serve(
         self,
         state: _FPLocState,
         ctx: NodeContext,
@@ -963,15 +947,6 @@ class FPLocEngine(NodeEngine):
         out: list[tuple[int, Any]],
     ) -> int:
         tag = m.payload[0]
-        if tag == "lq":
-            self._adopt(state, ctx, m.payload[1])
-            return 0
-        if tag == "C":
-            state.collector.serve_collect(ctx, m, out)
-            return 0
-        if tag == "R":
-            state.collector.serve_reply(ctx, m, out)
-            return 0
         if tag == "A":
             return self._serve_ask(state, ctx, m, out)
         if tag == "B":
@@ -983,7 +958,7 @@ class FPLocEngine(NodeEngine):
                 state.max_relayed = budget - 1
                 out.extend(broadcast(ctx, ("N", budget - 1)))
             return 0
-        raise EngineError(f"unexpected message tag {tag!r}")
+        return super()._serve(state, ctx, m, out)
 
     def _serve_ask(
         self,
@@ -1026,23 +1001,16 @@ class FPLocEngine(NodeEngine):
     def _open_window(
         self, state: _FPLocState, out: list[tuple[int, Any]]
     ) -> int:
-        assert state.query is not None and state.topology is not None
+        q = state.query
         topo = state.topology
+        assert q is not None and topo is not None
         ground: set[tuple[int, tuple[int, ...]]] = set()
-        for g in subformulas(state.query.body):
-            if not (isinstance(g, Atom) and g.pred == state.query.name):
+        for g in subformulas(q.body):
+            if not (isinstance(g, Atom) and g.pred == q.name):
                 continue
-            vars_in: list[str] = []
-            for t in g.args:
-                if t.name not in vars_in:
-                    vars_in.append(t.name)
-            center_var = state.query.vars[0]
-            enum_vars = [v for v in vars_in if v != center_var]
-            for combo in itertools.product(
-                state.domain, repeat=len(enum_vars)
-            ):
-                env = dict(zip(enum_vars, combo))
-                env[center_var] = topo.center
+            rest = [v for v in dict.fromkeys(t.name for t in g.args)
+                    if v != q.vars[0]]
+            for env in _assignments(q.vars[0], rest, topo, state.domain):
                 ground.add(
                     (
                         env[g.args[0].name],
@@ -1068,20 +1036,26 @@ class FPLocEngine(NodeEngine):
         ctx: NodeContext,
         out: list[tuple[int, Any]],
     ) -> int:
-        assert state.query is not None and state.topology is not None
         q = state.query
         topo = state.topology
-        truth = _TableTruth(
-            q.name, topo.center, topo, state.table, state.answers
-        )
+        assert q is not None and topo is not None
+
+        def truth(holder: int, args: tuple[int, ...]) -> bool:
+            """A ground table atom: the node's own committed rows directly,
+            remote rows from the answers that came back this window."""
+            if holder == topo.center:
+                return tuple(topo.rep(c) for c in args) in state.table
+            answer = state.answers.get(_query_key(topo, holder, args))
+            if answer is None:
+                raise EngineError("table query went unanswered within its window")
+            return answer
+
         counter = [0]
-        derived: set[tuple[PortTrace, ...]] = set()
-        rest = q.vars[1:]
-        for combo in itertools.product(state.domain, repeat=len(rest)):
-            env = {q.vars[0]: topo.center}
-            env.update(zip(rest, combo))
-            if _holds(q.body, env, topo, state.domain, truth, counter):
-                derived.add(tuple(topo.rep(env[v]) for v in rest))
+        derived = {
+            tuple(topo.rep(env[v]) for v in q.vars[1:])
+            for env in _assignments(q.vars[0], q.vars[1:], topo, state.domain)
+            if _holds(q.body, env, topo, state.domain, (q.name, truth), counter)
+        }
         state.buffer = derived - state.table
         state.had_new = bool(state.buffer)
         state.awake_windows.append(state.window)
@@ -1097,9 +1071,6 @@ class FPLocEngine(NodeEngine):
             history=tuple(state.history),
             awake_windows=tuple(state.awake_windows),
         )
-
-    def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
-        return local_payload_bits(payload, enc)
 
 
 def default_fp_loc_round_cap(net: Network, q: FixpointQuery) -> int:

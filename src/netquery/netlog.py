@@ -575,13 +575,11 @@ def match_body(
     body: Sequence[NetlogLiteral],
     facts: Iterable[Fact],
     g: Graph,
-    prebound: Optional[Mapping[str, int]] = None,
 ) -> Iterator[Mapping[str, int]]:
     """All assignments satisfying the body against the given fact set, the
     graph edges, and the graph's unary input facts (centralized view)."""
-    ordered = static_order(body, prebound=(prebound or {}).keys())
     lookup = _Lookup(facts, g.unary, g.edges())
-    yield from _match_ordered(ordered, lookup, dict(prebound or {}))
+    yield from _match_ordered(static_order(body), lookup, {})
 
 
 # ------------------------------------------------------------- consequence

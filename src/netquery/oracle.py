@@ -149,7 +149,9 @@ def ring_graph(n: int, **kw) -> Graph:
 
 def star_graph(n: int, **kw) -> Graph:
     """Center node 1 with n-1 leaves."""
-    return make_graph([(1, i) for i in range(2, n + 1)], **kw)
+    return make_graph(
+        [(1, i) for i in range(2, n + 1)], nodes=range(1, n + 1), **kw
+    )
 
 
 def grid_graph(rows: int, cols: int, **kw) -> Graph:
@@ -162,7 +164,7 @@ def grid_graph(rows: int, cols: int, **kw) -> Graph:
                 edges.append((u, u + 1))
             if r + 1 < rows:
                 edges.append((u, u + cols))
-    return make_graph(edges, **kw)
+    return make_graph(edges, nodes=range(1, rows * cols + 1), **kw)
 
 
 # ---------------------------------------------------------------- relations

@@ -101,11 +101,11 @@ class _Names:
         self.rels.add(name)
         return name
 
-    def fresh_var(self, prefix: str = "y") -> str:
+    def fresh_var(self) -> str:
         i = 1
-        while f"{prefix}{i}" in self.vars:
+        while f"y{i}" in self.vars:
             i += 1
-        name = f"{prefix}{i}"
+        name = f"y{i}"
         self.vars.add(name)
         return name
 

@@ -105,6 +105,9 @@ def check_locally_consistent(g: Graph, labels: Mapping[int, int], k: int) -> boo
     missing = [a for a in g.nodes if a not in labels]
     if missing:
         raise SimError(f"label map misses nodes {missing}")
+    unknown = sorted(set(labels) - set(g.nodes))
+    if unknown:
+        raise SimError(f"label map names unknown nodes {unknown}")
     for a in g.nodes:
         seen: dict[int, int] = {}
         for b in g.neighborhood_nodes(a, k):
@@ -291,10 +294,8 @@ class NodeContext:
     neighbor_ids: Optional[Mapping[int, int]]  # port -> id, global mode only
     n_bound: int
     diameter: int
-    degree_bound: int
     self_unary: frozenset[str]
     global_unary: Mapping[str, frozenset[int]]  # readable in global mode
-    enc: EncodingParams
 
 
 def _context_for(net: Network, a: int) -> NodeContext:
@@ -316,10 +317,8 @@ def _context_for(net: Network, a: int) -> NodeContext:
         neighbor_ids=neighbor_ids,
         n_bound=g.n,
         diameter=g.diameter,
-        degree_bound=g.degree_bound,
         self_unary=self_unary,
         global_unary=global_unary,
-        enc=net.enc,
     )
 
 

@@ -64,6 +64,11 @@ def test_fixtures_ring_needs_three_nodes(capsys):
     assert err.startswith("error: ")
 
 
+def test_fixtures_one_node_grid(capsys):
+    code, out, _ = run_cli(capsys, "fixtures", "grid", "1")
+    assert (code, out) == (0, "1 0\n")
+
+
 def test_oracle_fo_table_and_csv(capsys, path3):
     code, out, _ = run_cli(
         capsys, "oracle-fo", "--net", path3, "--query", "exists y. G(x,y)"
@@ -305,6 +310,38 @@ def test_check_consistent_yes_and_no(capsys, ring4, tmp_path):
         "--radius", "1",
     )
     assert code == 1 and "no" in out
+
+
+def test_labels_need_local_consistent_identity(capsys, path3, tmp_path):
+    labels = tmp_path / "p3.labels"
+    labels.write_text("1 10\n2 20\n3 30\n")
+    query = ("--query", "exists y. G(x,y)")
+    for argv in (
+        ("qe-fo", "--net", path3, *query, "--req", "1"),
+        ("qe-fo-loc", "--net", path3, "--query", "exists y in N^1(x). G(x,y)",
+         "--req", "1", "--identity", "anonymous"),
+        ("netlog-run", "--net", path3, "--query", ROUTING_TABLE_PROGRAM),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--labels", str(labels))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "--labels" in err, argv
+
+
+def test_labels_of_unknown_nodes_are_rejected(capsys, path3, tmp_path):
+    labels = tmp_path / "p3.labels"
+    labels.write_text("1 10\n2 20\n3 30\n99 5\n")
+    code, out, err = run_cli(
+        capsys, "check-consistent", "--net", path3, "--labels", str(labels),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: label map names unknown nodes [99]\n"
+    code, out, err = run_cli(
+        capsys, "qe-fo-loc", "--net", path3, "--query",
+        "exists y in N^1(x). G(x,y)", "--req", "1",
+        "--identity", "local-consistent:1", "--labels", str(labels),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: label map names unknown nodes [99]\n"
 
 
 def test_check_consistent_rejects_nonpositive_radius(capsys, ring4, tmp_path):

@@ -1,12 +1,14 @@
 """Static checks that deletions leave nothing dead behind in the package.
 
 Every import a package or test module makes must be used in that module,
-and every module-level `_private` function or class must be referenced
-somewhere in `src/netquery`; tests do not count as callers.
+and every module-level `_private` function or class, and every `_private`
+method of a class, must be referenced somewhere in `src/netquery`; tests do
+not count as callers.
 """
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import netquery
@@ -74,5 +76,32 @@ def test_no_unreferenced_private_definitions():
         and not any(
             node.name in refs[id(other)] for _, other in stmts if other is not node
         )
+    ]
+    assert unreferenced == []
+
+
+def _reads(tree: ast.AST) -> Counter[str]:
+    """How often a tree reads each name, bare or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_no_unreferenced_private_methods():
+    # A method's reads of its own name (recursion, super() calls) do not count.
+    reads = sum((_reads(tree) for tree in TREES.values()), Counter())
+    unreferenced = [
+        f"{name}: {cls.name}.{meth.name}"
+        for name, tree in TREES.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for meth in cls.body
+        if isinstance(meth, ast.FunctionDef)
+        and meth.name.startswith("_")
+        and not meth.name.startswith("__")
+        and reads[meth.name] == _reads(meth)[meth.name]
     ]
     assert unreferenced == []

@@ -192,7 +192,7 @@ def test_linking_agrees_with_unmemoized_rule(text):
                 children = [
                     c for (lv, _), c in core.entries.items() if lv == level + 1
                 ]
-                for path, leaf in e.leaves.items():
+                for path, leaf in enumerate(e.leaves):
                     for cand in children:
                         assert (cand.text in leaf.instances) == _unmemoized_match(
                             leaf, cand

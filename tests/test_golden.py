@@ -145,6 +145,23 @@ GOLDEN_METRICS = [
         lambda: run_qe_fo(make_network(ring_graph(6)), TWO_HOP_TEXT, 1),
         (13, 6708, 1118, 446, 646),
     ),
+    # Two quantifier leaves in one FOCore entry, one under And and one under
+    # Not: each quantifier the evaluator meets must be matched to its leaf.
+    (
+        "fp-routing-path3",
+        lambda: run_qe_fp(make_network(path_graph(3)), ROUTING_TABLE_TEXT, 1),
+        (36, 3563, 1782, 756, 431),
+    ),
+    # Two free variables with the center second in the answer order.
+    (
+        "foloc-guarded-pair-grid2x3",
+        lambda: run_qe_fo_loc(
+            make_network(grid_graph(2, 3), mode=ANONYMOUS),
+            "y in N^1(x) & G(x,y)",
+            1,
+        ),
+        (7, 82, 19, 175, 22),
+    ),
 ]
 
 

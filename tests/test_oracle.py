@@ -33,6 +33,7 @@ from netquery.oracle import (
     make_graph,
     make_relation,
     neighborhood,
+    grid_graph,
     path_graph,
     ring_graph,
     star_graph,
@@ -70,6 +71,12 @@ def test_ring_needs_three_nodes():
     for n in (0, 1, 2):
         with pytest.raises(GraphError):
             ring_graph(n)
+
+
+def test_one_node_families():
+    for g in (path_graph(1), star_graph(1), grid_graph(1, 1)):
+        assert g.nodes == (1,)
+        assert g.diameter == 0
 
 
 def test_diameter_recomputed():

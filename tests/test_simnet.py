@@ -248,6 +248,16 @@ def test_missing_labels_are_reported():
         make_network(g, mode=mode)
 
 
+def test_labels_of_unknown_nodes_are_reported():
+    g = load_network("3 2\n1 2\n2 3\n").graph
+    labels = {1: 1, 2: 2, 3: 3, 99: 5}
+    with pytest.raises(SimError, match=r"label map names unknown nodes \[99\]"):
+        check_locally_consistent(g, labels, 1)
+    mode = IdentityMode("local-consistent", k=1, labels=labels)
+    with pytest.raises(SimError, match=r"unknown nodes \[99\]"):
+        make_network(g, mode=mode)
+
+
 def test_parse_identity_mode():
     assert parse_identity_mode("global") is GLOBAL_IDS
     assert parse_identity_mode("anonymous") is ANONYMOUS
