@@ -191,8 +191,6 @@ class FOCore:
         self.entries: dict[tuple[int, str], _Entry] = {}
         self.by_level: dict[int, set[str]] = {}
         self.answers: dict[int, bool] = {}
-        self.sent_answers: set[int] = set()
-        self.sent_queries: set[tuple[int, str]] = set()
         self.out: list[tuple] = []
         self.tuples: dict[tuple[int, str], tuple[int, ...]] = {}
         self.stored: set[tuple[int, ...]] = set()
@@ -229,8 +227,7 @@ class FOCore:
             return
         self.answers[k] = value
         self._dirty = True
-        if announce and k not in self.sent_answers:
-            self.sent_answers.add(k)
+        if announce:
             self.out.append(("A", k, value))
 
     def _scan_ground_atoms(self, f: Formula) -> None:
@@ -297,8 +294,7 @@ class FOCore:
         self.entries[ek] = e
         self.by_level.setdefault(level, set()).add(text)
         self._dirty = True
-        if not isinstance(formula, BoolConst) and ek not in self.sent_queries:
-            self.sent_queries.add(ek)
+        if not isinstance(formula, BoolConst):
             if kind == "B":
                 self.out.append(("Q", "B", text, level))
             else:
@@ -383,7 +379,7 @@ class FOCore:
             e = self._create_entry(f, "B", level, ())
             self.tuples[(level, e.text)] = tuple(suffix)
 
-    def ingest(self, payloads: Sequence[tuple], round_no: int) -> None:
+    def ingest(self, payloads: Sequence[tuple]) -> None:
         ans = sorted((p for p in payloads if p[0] == "A"), key=_send_order)
         qs = sorted((p for p in payloads if p[0] == "Q"), key=_send_order)
         for _, k, v in ans:
@@ -531,7 +527,7 @@ class _BroadcastEngine(NodeEngine):
         self, state: Any, ctx: NodeContext, round_no: int, inbox: Sequence[Message]
     ) -> StepResult:
         before = state.total_work()
-        state.ingest([m.payload for m in inbox], round_no)
+        state.ingest([m.payload for m in inbox])
         state.advance(round_no)
         outs = state.flush()
         return StepResult(

@@ -131,7 +131,7 @@ class FPCore:
 
     # -- iteration bookkeeping
 
-    def _begin_iteration(self, i: int, round_no: int) -> None:
+    def _begin_iteration(self, i: int) -> None:
         q = self.query
         assert q is not None
         if self.core is not None:
@@ -164,7 +164,7 @@ class FPCore:
 
     # -- round interface
 
-    def ingest(self, payloads: Sequence[tuple], round_no: int) -> None:
+    def ingest(self, payloads: Sequence[tuple]) -> None:
         inform_hops = -1
         inner: list[tuple] = []
         for p in payloads:
@@ -186,7 +186,7 @@ class FPCore:
             if inform_hops > 0:
                 self.out.append(("I", self.it, inform_hops - 1))
         if inner and self.core is not None:
-            self.core.ingest(inner, round_no)
+            self.core.ingest(inner)
 
     def advance(self, round_no: int) -> None:
         """Run the scheduled actions for this round: finish the current
@@ -205,7 +205,7 @@ class FPCore:
                 self.phase = "done"
                 self.out = []
                 return
-            self._begin_iteration(nxt, round_no)
+            self._begin_iteration(nxt)
             self.core.advance(round_no)
 
     def flush(self) -> list[tuple]:

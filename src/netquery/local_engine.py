@@ -1,16 +1,17 @@
 """Distributed evaluation of radius-bounded queries on port-numbered networks.
 
-The engines here answer queries whose quantifiers and free variables are all
-confined to a fixed-radius neighborhood of a designated center variable.  A
-node reconstructs its surroundings without reading any neighbor identity: it
-floods bounded walks over its ports, every visited node records the port
-trace of each walk that reaches it, and the returned traces are quotiented
-by the equivalence that relates two walks exactly when some visited node
-certifies that they end at the same place.  The quotient classes serve as
-self-made local names: formulas are evaluated over them, fixpoint tables are
-keyed by them, and the table fragment held by a nearby node is consulted by
-source-routing a request along a recorded walk and re-locating each name in
-the holder's own frame.
+The engines here answer radius-bounded queries, as `logic.locality` defines
+them: every quantifier and every free variable is confined to the
+fixed-radius neighborhood of one center variable.  A node reconstructs its
+surroundings without reading any neighbor identity: it floods bounded walks
+over its ports, every visited node records the port trace of each walk that
+reaches it, and the returned traces are quotiented by the equivalence that
+relates two walks exactly when some visited node certifies that they end at
+the same place.  The quotient classes serve as self-made local names:
+formulas are evaluated over them, fixpoint tables are keyed by them, and the
+table fragment held by a nearby node is consulted by source-routing a
+request along a recorded walk and re-locating each name in the holder's own
+frame.
 
 Concurrent collections are kept apart by a constant-size random nonce drawn
 by each initiator: two different initiators can otherwise record identical
@@ -41,14 +42,16 @@ from .logic import (
     FixpointQuery,
     Forall,
     Formula,
+    FormulaError,
     InNbhd,
     Not,
     Or,
     Var,
     _UnionFind,
-    _detect_radius,
+    atoms,
     constants,
     free_vars,
+    locality,
     parse_fixpoint,
     parse_formula,
     print_fixpoint,
@@ -334,31 +337,14 @@ def verify_reconstruction(net: Network, a: int, k: int) -> bool:
 # --------------------------------------------------------- query validation
 
 
-def _local_shape(
-    f: Formula, *, mode_kind: str, table: Optional[tuple[str, int]] = None
-) -> tuple[str, int]:
-    """Check the radius-bounded shape and return (center variable, radius)."""
-    centers: set[str] = set()
-    radii: set[int] = set()
-    for g in subformulas(f):
-        if isinstance(g, (Exists, Forall)):
-            if g.bound is None:
-                raise EngineError(
-                    "unbounded quantifier: the query is not radius-bounded"
-                )
-            c, r = g.bound
-            if not isinstance(c, Var):
-                raise EngineError("quantifier bounds must center on a variable")
-            centers.add(c.name)
-            radii.add(r)
-        elif isinstance(g, InNbhd):
-            if not isinstance(g.center, Var):
-                raise EngineError(
-                    "neighborhood atoms must center on a variable"
-                )
-            centers.add(g.center.name)
-            radii.add(g.radius)
-        elif isinstance(g, Cmp):
+def _check_local_atoms(
+    f: Formula, mode_kind: str, table: Optional[tuple[str, int]] = None
+) -> None:
+    """Check that every atom of f can be decided over a collected
+    neighborhood: node facts, edges, the fixpoint `table`, and order
+    comparisons only where nodes carry labels; never a constant."""
+    for g in atoms(f):
+        if isinstance(g, Cmp):
             if g.op == ">=" and mode_kind == "anonymous":
                 raise EngineError(
                     "order comparison needs node labels; "
@@ -384,62 +370,33 @@ def _local_shape(
         raise EngineError(
             "constants are not available to the local-fragment engines"
         )
-    if len(radii) != 1 or len(centers) != 1:
-        raise EngineError(
-            "cannot infer a single locality radius and center variable"
-        )
-    k = radii.pop()
-    x = centers.pop()
-    if k < 1:
-        raise EngineError("locality radius must be >= 1")
-    if x not in free_vars(f):
-        raise EngineError("the locality center must be a free variable")
-    return x, k
 
 
-def _check_free_guards(f: Formula, center: str, k: int) -> None:
-    others = [y for y in free_vars(f) if y != center]
-    if not others:
-        return
-    parts = f.parts if isinstance(f, And) else (f,)
-    guarded = {
-        p.term.name
-        for p in parts
-        if isinstance(p, InNbhd)
-        and isinstance(p.term, Var)
-        and p.radius == k
-        and isinstance(p.center, Var)
-        and p.center.name == center
-    }
-    missing = [y for y in others if y not in guarded]
-    if missing:
-        raise EngineError(
-            f"free variables {missing} lack a neighborhood guard around "
-            f"{center!r}; the query is not radius-bounded"
-        )
+def _validate_fo_local(f: Formula, mode_kind: str) -> tuple[str, int]:
+    """The (center, radius) of a first-order query FO-loc can evaluate."""
+    try:
+        center, k = locality(f)
+    except FormulaError as err:
+        raise EngineError(str(err)) from None
+    _check_local_atoms(f, mode_kind)
+    return center, k
 
 
 def _validate_fp_local(q: FixpointQuery, mode_kind: str) -> int:
+    """The radius of a fixpoint query FP-loc can evaluate."""
     if q.radius is None:
+        try:
+            locality(q.body)
+            reason = "the locality center must be the first declared variable"
+        except FormulaError as err:
+            reason = str(err)
         raise EngineError(
             "the fixpoint query carries no locality radius; "
-            "use the unrestricted fixpoint engine"
+            f"use the unrestricted fixpoint engine: {reason}"
         )
     _check_fixpoint_vars(q)
-    plain = FixpointQuery(q.name, q.vars, q.body, None)
-    if _detect_radius(plain) != q.radius:
-        raise EngineError(
-            "the body is not the radius-bounded form of any query at the "
-            "declared radius"
-        )
-    x, k = _local_shape(
-        q.body, mode_kind=mode_kind, table=(q.name, len(q.vars))
-    )
-    if x != q.vars[0] or k != q.radius:
-        raise EngineError(
-            "the locality center must be the first declared variable"
-        )
-    return k
+    _check_local_atoms(q.body, mode_kind, table=(q.name, len(q.vars)))
+    return q.radius
 
 
 # ----------------------------------------------------------- local evaluator
@@ -741,7 +698,7 @@ class FOLocEngine(_LocalEngine):
 
     def _read(self, state: _FOLocState, ctx: NodeContext, text: str) -> None:
         f = parse_formula(text)
-        state.center, state.k = _local_shape(f, mode_kind=self.mode_kind)
+        state.center, state.k = _validate_fo_local(f, self.mode_kind)
         state.query = f
 
     def step(
@@ -794,8 +751,7 @@ def run_qe_fo_loc(
     resolved per-node answer fragments.  With `with_placement` the resolved
     per-node fragments are returned as a third value."""
     f = parse_formula(formula) if isinstance(formula, str) else formula
-    center, k = _local_shape(f, mode_kind=net.mode.kind)
-    _check_free_guards(f, center, k)
+    _, k = _validate_fo_local(f, net.mode.kind)
     return _run_from_requester(
         net,
         lambda ordered: FOLocEngine(ordered, net.mode.kind),
@@ -948,7 +904,7 @@ class FPLocEngine(_LocalEngine):
     ) -> int:
         tag = m.payload[0]
         if tag == "A":
-            return self._serve_ask(state, ctx, m, out)
+            return self._serve_ask(state, m, out)
         if tag == "B":
             return self._serve_answer(state, m, out)
         if tag == "N":
@@ -961,11 +917,7 @@ class FPLocEngine(_LocalEngine):
         return super()._serve(state, ctx, m, out)
 
     def _serve_ask(
-        self,
-        state: _FPLocState,
-        ctx: NodeContext,
-        m: Message,
-        out: list[tuple[int, Any]],
+        self, state: _FPLocState, m: Message, out: list[tuple[int, Any]]
     ) -> int:
         _, route, j, names = m.payload
         route = tuple(route)

@@ -8,7 +8,7 @@ formula body with a named relation of fixed arity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, NoReturn, Optional, Union
 
 
@@ -115,10 +115,21 @@ EDGE_PRED = "G"
 
 @dataclass(frozen=True, slots=True)
 class FixpointQuery:
+    """mu name(vars). body.  `radius` is derived, never given: it is k when
+    `locality(body)` finds the body radius-bounded at radius k around
+    vars[0], and None otherwise."""
+
     name: str
     vars: tuple[str, ...]
     body: Formula
-    radius: Optional[int] = None
+    radius: Optional[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        try:
+            center, k = locality(self.body)
+        except FormulaError:
+            center, k = None, None
+        object.__setattr__(self, "radius", k if center == self.vars[0] else None)
 
     @property
     def arity(self) -> int:
@@ -678,11 +689,7 @@ def parse_fixpoint(text: str) -> FixpointQuery:
         raise FormulaError(
             f"body free variables {sorted(fv - declared)} are not declared"
         )
-    q = FixpointQuery(name_tok.text, tuple(vars_), body, radius=None)
-    radius = _detect_radius(q)
-    if radius is not None:
-        q = FixpointQuery(q.name, q.vars, q.body, radius=radius)
-    return q
+    return FixpointQuery(name_tok.text, tuple(vars_), body)
 
 
 # ------------------------------------------------------------------- stats
@@ -730,85 +737,80 @@ def substitute(f: Formula, var: str, value: int) -> Formula:
     return map_formula(f, quant, tr, smart=True)
 
 
+# ------------------------------------------------------------------ locality
+
+
+def locality(f: Formula) -> tuple[str, int]:
+    """The center variable x and radius k of a radius-bounded formula.
+
+    This is the one definition of radius-bounded (the FO_loc/FP_loc
+    fragments): every quantifier ranges over N^k(x), every membership atom
+    reads `t in N^k(x)`, and every free variable y other than x has a
+    top-level conjunct `y in N^k(x)`.  Anything else raises
+    FormulaError naming the first condition that fails."""
+    centers: set[str] = set()
+    radii: set[int] = set()
+    for g in subformulas(f):
+        if isinstance(g, (Exists, Forall)):
+            if g.bound is None:
+                raise FormulaError(
+                    "unbounded quantifier: the query is not radius-bounded"
+                )
+            c, r = g.bound
+            if not isinstance(c, Var):
+                raise FormulaError("quantifier bounds must center on a variable")
+        elif isinstance(g, InNbhd):
+            c, r = g.center, g.radius
+            if not isinstance(c, Var):
+                raise FormulaError("neighborhood atoms must center on a variable")
+        else:
+            continue
+        centers.add(c.name)
+        radii.add(r)
+    if len(radii) != 1 or len(centers) != 1:
+        raise FormulaError(
+            "cannot infer a single locality radius and center variable"
+        )
+    (x,), (k,) = centers, radii
+    if k < 1:
+        raise FormulaError("locality radius must be >= 1")
+    # x is free: the outermost of its occurrences lies outside any binder
+    # of x, since every binder's own range names x.
+    parts = f.parts if isinstance(f, And) else (f,)
+    guarded = {
+        p.term.name
+        for p in parts
+        if isinstance(p, InNbhd) and isinstance(p.term, Var)
+    }
+    missing = [y for y in free_vars(f) if y != x and y not in guarded]
+    if missing:
+        raise FormulaError(
+            f"free variables {missing} lack a neighborhood guard around "
+            f"{x!r}; the query is not radius-bounded"
+        )
+    return x, k
+
+
 # ----------------------------------------------------------- relativization
 
 
-def _rebound(f: Formula, bound: Optional[tuple[Term, int]]) -> Formula:
-    """f with every quantifier's range replaced by `bound` (None: unbounded);
-    connectives are rebuilt as they are, never flattened."""
-
-    def quant(g: Formula) -> Formula:
-        return type(g)(g.var, map_formula(g.body, quant), bound)
-
-    return map_formula(f, quant)
-
-
 def relativize(f: Formula, center: str, k: int) -> Formula:
-    """Bound every quantifier by N^k(center) and constrain every other free
-    variable to N^k(center) via top-level membership conjuncts."""
+    """The radius-bounded form of f around `center` at radius k (see
+    `locality`): every quantifier is bounded by N^k(center), and every other
+    free variable is constrained to N^k(center) by a top-level membership
+    conjunct.  Connectives below the top are rebuilt as they are."""
     if center not in free_vars(f):
         raise FormulaError(f"center {center!r} is not a free variable")
     if k < 1:
         raise FormulaError("radius must be >= 1")
     c = Var(center)
-    out = _rebound(f, (c, k))
-    guards = [
-        InNbhd(Var(y), k, c) for y in free_vars(f) if y != center
-    ]
-    if guards:
-        out = make_and([out] + guards)
-    return out
+
+    def quant(g: Formula) -> Formula:
+        return type(g)(g.var, map_formula(g.body, quant), (c, k))
+
+    guards = [InNbhd(Var(y), k, c) for y in free_vars(f) if y != center]
+    return make_and([map_formula(f, quant)] + guards)
 
 
 def relativize_fixpoint(q: FixpointQuery, k: int) -> FixpointQuery:
-    body = relativize(q.body, q.vars[0], k)
-    return FixpointQuery(q.name, q.vars, body, radius=k)
-
-
-def _detect_radius(q: FixpointQuery) -> Optional[int]:
-    """Return k if q.body is exactly relativize(inner, x1, k) for some inner."""
-    radii: set[int] = set()
-    for g in subformulas(q.body):
-        if isinstance(g, (Exists, Forall)) and g.bound is not None:
-            center, radius = g.bound
-            if not (isinstance(center, Var) and center.name == q.vars[0]):
-                return None
-            radii.add(radius)
-        if isinstance(g, InNbhd):
-            if not (isinstance(g.center, Var) and g.center.name == q.vars[0]):
-                return None
-            radii.add(g.radius)
-    if len(radii) != 1:
-        return None
-    k = radii.pop()
-    inner = _strip_relativization(q.body, q.vars[0], k)
-    if inner is None:
-        return None
-    try:
-        rebuilt = relativize(inner, q.vars[0], k)
-    except FormulaError:
-        return None
-    if canonical_print(rebuilt) == canonical_print(q.body):
-        return k
-    return None
-
-
-def _strip_relativization(f: Formula, center: str, k: int) -> Optional[Formula]:
-    """Best-effort inverse of relativize: unbound quantifiers, drop top-level
-    membership guards of free variables."""
-    if isinstance(f, And):
-        core: list[Formula] = []
-        for p in f.parts:
-            if (
-                isinstance(p, InNbhd)
-                and p.radius == k
-                and isinstance(p.center, Var)
-                and p.center.name == center
-                and isinstance(p.term, Var)
-            ):
-                continue
-            core.append(p)
-        if not core:
-            return None
-        return _rebound(make_and(core), None)
-    return _rebound(f, None)
+    return FixpointQuery(q.name, q.vars, relativize(q.body, q.vars[0], k))

@@ -156,6 +156,10 @@ def star_graph(n: int, **kw) -> Graph:
 
 def grid_graph(rows: int, cols: int, **kw) -> Graph:
     """Row-major grid, ids 1..rows*cols."""
+    if rows < 1 or cols < 1:
+        raise GraphError(
+            f"a grid needs at least one row and column, not {rows}x{cols}"
+        )
     edges = []
     for r in range(rows):
         for c in range(cols):

@@ -450,7 +450,6 @@ def _bookkeeping(kappa: int) -> list[NetlogRule]:
 def add_clocks(
     program: NetlogProgram,
     kappa: int,
-    delta: int,
     source: NetlogProgram,
 ) -> NetlogProgram:
     """Guard every computation rule with the stage clock, divert intensional
@@ -545,7 +544,7 @@ def compile(  # noqa: A001 - the operation is named after what it does
     kappa = max([delta, 1] + [k for _, k in traces])
     p2 = NetlogProgram(tuple(rewritten))
     p3 = add_comm(p2)
-    p4 = add_clocks(p3, kappa, delta, source)
+    p4 = add_clocks(p3, kappa, source)
     pnl = inflate(p4, source)
     for no, rule in enumerate(pnl.rules, start=1):
         violation = check_localization(rule)

@@ -64,6 +64,13 @@ def test_fixtures_ring_needs_three_nodes(capsys):
     assert err.startswith("error: ")
 
 
+def test_fixtures_grid_needs_positive_side(capsys):
+    for side in ("0", "-1", "-3"):
+        code, out, err = run_cli(capsys, "fixtures", "grid", side)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a grid needs at least one row")
+
+
 def test_fixtures_one_node_grid(capsys):
     code, out, _ = run_cli(capsys, "fixtures", "grid", "1")
     assert (code, out) == (0, "1 0\n")

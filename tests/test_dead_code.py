@@ -3,7 +3,7 @@
 Every import a package or test module makes must be used in that module,
 and every module-level `_private` function or class, and every `_private`
 method of a class, must be referenced somewhere in `src/netquery`; tests do
-not count as callers.
+not count as callers.  Every parameter of a package function must be read.
 """
 from __future__ import annotations
 
@@ -105,3 +105,47 @@ def test_no_unreferenced_private_methods():
         and reads[meth.name] == _reads(meth)[meth.name]
     ]
     assert unreferenced == []
+
+
+
+def _params(d: ast.FunctionDef) -> list[str]:
+    a = d.args
+    rest = [v for v in (a.vararg, a.kwarg) if v is not None]
+    every = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + rest]
+    return [p for p in every if p not in ("self", "cls")]
+
+
+def _bare_reads(tree: ast.AST) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_no_unread_parameters():
+    # A parameter counts as read when some package definition of the same
+    # name that takes it reads it, so an override may ignore what another
+    # one needs.  A method's receiver and the NodeEngine interface are
+    # exempt: an engine takes what the simulator passes.
+    engine = next(
+        node
+        for node in ast.walk(TREES["simnet.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "NodeEngine"
+    )
+    exempt = {m.name for m in engine.body if isinstance(m, ast.FunctionDef)}
+    defs: dict[str, list[ast.FunctionDef]] = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name not in exempt:
+                defs.setdefault(node.name, []).append(node)
+    unread = sorted(
+        {
+            f"{name}({p})"
+            for name, group in defs.items()
+            for d in group
+            for p in _params(d)
+            if not any(p in _params(e) and p in _bare_reads(e) for e in group)
+        }
+    )
+    assert unread == []

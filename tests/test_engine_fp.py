@@ -16,7 +16,7 @@ from netquery.fixtures import (
     exhaustive_graphs,
     fixture_graphs,
 )
-from netquery.logic import FixpointQuery, parse_fixpoint, stats
+from netquery.logic import parse_fixpoint, relativize_fixpoint, stats
 from netquery.oracle import eval_fp, path_graph, ring_graph
 from netquery.simnet import ANONYMOUS, make_network
 
@@ -206,8 +206,8 @@ def test_rejects_unknown_requester():
 
 def test_rejects_radius_bounded_queries():
     q0 = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
-    q = FixpointQuery(q0.name, q0.vars, q0.body, radius=2)
-    with pytest.raises(EngineError):
+    q = relativize_fixpoint(q0, 2)
+    with pytest.raises(EngineError, match="belong to the local-fragment"):
         run_qe_fp(_net(path_graph(3)), q, 1)
 
 

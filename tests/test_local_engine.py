@@ -34,6 +34,7 @@ from netquery.logic import (
     make_and,
     parse_fixpoint,
     parse_formula,
+    relativize,
     relativize_fixpoint,
 )
 from netquery.oracle import (
@@ -511,7 +512,44 @@ def test_fp_rejects_query_without_radius():
 
 def test_fp_rejects_mismatched_radius():
     net = make_network(path_graph(3))
-    q = tc_query(1)
-    lying = FixpointQuery(q.name, q.vars, q.body, 2)
-    with pytest.raises(EngineError, match="declared radius"):
-        run_qe_fp_loc(net, lying, 1)
+    mixed = parse_fixpoint(
+        "mu T(x,y). y in N^2(x)"
+        " & (G(x,y) | (exists z in N^1(x). (T(x,z) & G(z,y))))"
+    )
+    assert mixed.radius is None
+    with pytest.raises(
+        EngineError, match="no locality radius.*single locality radius"
+    ):
+        run_qe_fp_loc(net, mixed, 1)
+
+
+def test_fp_says_why_a_query_has_no_radius():
+    net = make_network(path_graph(3))
+    unguarded = parse_fixpoint(
+        "mu T(x,y). G(x,y) | (exists z in N^1(x). (T(x,z) & G(z,y)))"
+    )
+    with pytest.raises(EngineError, match=r"no locality radius.*\['y'\] lack"):
+        run_qe_fp_loc(net, unguarded, 1)
+    q = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
+    around_y = FixpointQuery(q.name, q.vars, relativize(q.body, "y", 1))
+    with pytest.raises(
+        EngineError, match="no locality radius.*first declared variable"
+    ):
+        run_qe_fp_loc(net, around_y, 1)
+
+
+# The transitive closure at radius 1 with its guard written first: the same
+# radius-bounded query as tc_query(1), whose guard relativize puts last.
+GUARD_FIRST_TC = (
+    "mu T(x,y). y in N^1(x)"
+    " & (G(x,y) | (exists z in N^1(x). (T(x,z) & G(z,y))))"
+)
+
+
+def test_fp_loc_runs_guard_first_query():
+    q = parse_fixpoint(GUARD_FIRST_TC)
+    assert q.radius == 1
+    for g in (ring_graph(6), grid_graph(2, 3)):
+        rel, _ = run_qe_fp_loc(make_network(g, mode=ANONYMOUS), q, 1)
+        assert rel.tuples == eval_fp_loc(g, q).final.tuples
+        assert rel.tuples == eval_fp_loc(g, tc_query(1)).final.tuples

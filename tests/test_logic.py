@@ -9,6 +9,7 @@ from netquery.logic import (
     Cmp,
     Const,
     Exists,
+    FixpointQuery,
     Forall,
     FormulaError,
     InNbhd,
@@ -18,6 +19,7 @@ from netquery.logic import (
     Var,
     canonical_print,
     free_vars,
+    locality,
     parse_formula,
     parse_fixpoint,
     print_formula,
@@ -30,9 +32,12 @@ from netquery.logic import (
 from netquery.netlog import parse_datalog
 
 from netquery.fixtures import (
+    HAS_NEIGHBOR_TEXT,
+    ROUTE_REQUEST_TEXT,
     ROUTING_TABLE_TEXT,
     SPANNING_TREE_TEXT,
     TRANSITIVE_CLOSURE_TEXT,
+    TWO_HOP_TEXT,
 )
 
 
@@ -168,6 +173,58 @@ def test_fixpoint_radius_detection_roundtrip():
     reparsed = parse_fixpoint(print_fixpoint(rq))
     assert reparsed.radius == 1
     assert canonical_print(reparsed.body) == canonical_print(rq.body)
+
+
+def _guards_first(f):
+    """f's top-level membership guards moved in front of its other conjuncts."""
+    guards = tuple(p for p in f.parts if isinstance(p, InNbhd))
+    return And(guards + tuple(p for p in f.parts if not isinstance(p, InNbhd)))
+
+
+def test_one_locality_rule_for_both_fragments():
+    for text in (TRANSITIVE_CLOSURE_TEXT, SPANNING_TREE_TEXT, ROUTE_REQUEST_TEXT):
+        q = parse_fixpoint(text)
+        assert q.radius is None
+        for k in (1, 2):
+            rq = relativize_fixpoint(q, k)
+            moved = FixpointQuery(q.name, q.vars, _guards_first(rq.body))
+            assert print_fixpoint(moved) != print_fixpoint(rq)
+            for written in (rq, moved):
+                reparsed = parse_fixpoint(print_fixpoint(written))
+                assert reparsed.radius == k
+                assert locality(reparsed.body) == ("x", k)
+    for text in (TWO_HOP_TEXT, HAS_NEIGHBOR_TEXT):
+        for k in (1, 2):
+            assert locality(relativize(parse_formula(text), "x", k)) == ("x", k)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("exists y. G(x,y)", "unbounded quantifier"),
+        ("exists y in N^1(3). G(x,y)", "quantifier bounds must center"),
+        ("y in N^1(3) & G(x,y)", "neighborhood atoms must center"),
+        ("G(x,x)", "single locality radius"),
+        ("y in N^1(x) & (exists z in N^2(x). G(y,z))", "single locality"),
+        ("y in N^1(x) & (exists z in N^1(y). G(y,z))", "single locality"),
+        ("y in N^0(x) & G(x,y)", "must be >= 1"),
+        ("exists z in N^1(x). (G(x,z) & G(z,y))", r"\['y'\] lack a .* guard"),
+        ("G(x,y) | y in N^1(x)", r"\['y'\] lack a .* guard"),
+    ],
+)
+def test_locality_names_the_failing_condition(text, reason):
+    with pytest.raises(FormulaError, match=reason):
+        locality(parse_formula(text))
+
+
+def test_fixpoint_radius_is_derived_around_the_first_variable():
+    q = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
+    around_y = relativize(q.body, "y", 1)
+    assert locality(around_y) == ("y", 1)
+    assert parse_fixpoint(f"mu T(x,y). {print_formula(around_y)}").radius is None
+    assert parse_fixpoint(f"mu T(y,x). {print_formula(around_y)}").radius == 1
+    with pytest.raises(TypeError):
+        FixpointQuery(q.name, q.vars, q.body, 1)
 
 
 # ----------------------------------------------------------------- stats

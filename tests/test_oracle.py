@@ -73,6 +73,12 @@ def test_ring_needs_three_nodes():
             ring_graph(n)
 
 
+def test_grid_needs_positive_sides():
+    for rows, cols in ((0, 3), (3, 0), (-1, -1), (-3, -1)):
+        with pytest.raises(GraphError, match="at least one row"):
+            grid_graph(rows, cols)
+
+
 def test_one_node_families():
     for g in (path_graph(1), star_graph(1), grid_graph(1, 1)):
         assert g.nodes == (1,)
