@@ -531,7 +531,6 @@ class _BroadcastEngine(NodeEngine):
         state.advance(round_no)
         outs = state.flush()
         return StepResult(
-            state=state,
             sends=tuple(s for p in outs for s in broadcast(ctx, p)),
             quiescent=not outs and state.idle(round_no),
             steps=1 + state.total_work() - before,
@@ -550,9 +549,8 @@ class FOQueryEngine(_BroadcastEngine):
     def _core(self, *args: Any) -> FOCore:
         return FOCore(*args, order=self.order)
 
-    def inject(self, state: FOCore, ctx: NodeContext, payload: Any) -> FOCore:
+    def inject(self, state: FOCore, ctx: NodeContext, payload: Any) -> None:
         state.inject_query(payload, ())
-        return state
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         return fo_payload_bits(payload, enc)
@@ -639,7 +637,7 @@ def _run_from_requester(
             f"variable order {ordered!r} does not match free variables "
             f"{tuple(variables)!r}"
         )
-    result, metrics = simnet.run(
+    results, metrics = simnet.run(
         net,
         make_engine(ordered),
         init={requester: query},
@@ -647,7 +645,7 @@ def _run_from_requester(
         round_cap=round_cap,
     )
     placement = {
-        a: frozenset(fragment(a, rep)) for a, rep in result.per_node.items()
+        a: frozenset(fragment(a, rep)) for a, rep in results.items()
     }
     rel = Relation(len(ordered), frozenset().union(*placement.values()))
     if with_placement:

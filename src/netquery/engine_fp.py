@@ -68,6 +68,12 @@ def evaluation_window(w: int, v: int, delta: int) -> int:
     return max(2 * delta * w, 1 + (v + 1) * delta)
 
 
+def _iteration_start(delta: int, window: int, i: int) -> int:
+    """The round in which iteration i's evaluation window opens: after the
+    query flood, each iteration takes one window and one inform flood."""
+    return (1 + delta) + i * (window + delta)
+
+
 def _fp_send_order(p: tuple) -> tuple:
     if p[0] == "FPQ":
         return (0, 0, "", p[1])
@@ -99,17 +105,13 @@ class FPCore:
         self.history: list[frozenset[tuple[int, ...]]] = []
         self.new_local = False
         self.inform_heard = False
-        self.informs_seen: set[int] = set()
         self.out: list[tuple] = []
         self.work = 0
 
     # -- schedule (absolute rounds, identical on every node)
 
     def _start_round(self, i: int) -> int:
-        return (1 + self.delta) + i * (self.window + self.delta)
-
-    def _commit_round(self, i: int) -> int:
-        return self._start_round(i) + self.window
+        return _iteration_start(self.delta, self.window, i)
 
     # -- query adoption
 
@@ -179,8 +181,7 @@ class FPCore:
             elif p[0] == "F":
                 if p[1] == self.it:
                     inner.append(p[2])
-        if inform_hops >= 0 and self.it not in self.informs_seen:
-            self.informs_seen.add(self.it)
+        if inform_hops >= 0 and not self.inform_heard:
             self.inform_heard = True
             self.work += 1
             if inform_hops > 0:
@@ -195,7 +196,7 @@ class FPCore:
             return
         if self.core is not None:
             self.core.advance(round_no)
-            if round_no == self._commit_round(self.it):
+            if round_no == self._start_round(self.it) + self.window:
                 self._commit()
         nxt = self.it + 1
         if round_no == self._start_round(nxt):
@@ -236,9 +237,8 @@ class FPQueryEngine(_BroadcastEngine):
 
     _core = FPCore
 
-    def inject(self, state: FPCore, ctx: NodeContext, payload: Any) -> FPCore:
+    def inject(self, state: FPCore, ctx: NodeContext, payload: Any) -> None:
         state.seed(payload)
-        return state
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         if payload[0] == "FPQ":
@@ -268,7 +268,7 @@ def default_fp_round_cap(net: Network, q: FixpointQuery) -> int:
     delta = net.graph.diameter
     window = evaluation_window(max(1, st.w), st.v, delta)
     horizon = net.graph.n**q.arity + 2
-    return (1 + delta) + horizon * (window + delta) + window + delta + 8
+    return _iteration_start(delta, window, horizon) + window + delta + 8
 
 
 def run_qe_fp(

@@ -145,9 +145,12 @@ def fixture_graphs() -> list[tuple[str, Graph]]:
     return out
 
 
-def exhaustive_graphs(max_n: int = 5, degree_bound: int = 3) -> Iterator[tuple[str, Graph]]:
+_DEGREE_BOUND = 3
+
+
+def exhaustive_graphs(max_n: int = 5) -> Iterator[tuple[str, Graph]]:
     """Every connected labeled graph on nodes 1..n for n in 2..max_n with
-    maximum degree at most degree_bound."""
+    maximum degree at most _DEGREE_BOUND."""
     for n in range(2, max_n + 1):
         all_edges = list(combinations(range(1, n + 1), 2))
         for mask in range(1 << len(all_edges)):
@@ -158,7 +161,7 @@ def exhaustive_graphs(max_n: int = 5, degree_bound: int = 3) -> Iterator[tuple[s
             for u, v in edges:
                 degree[u] += 1
                 degree[v] += 1
-            if any(d > degree_bound for d in degree.values()):
+            if any(d > _DEGREE_BOUND for d in degree.values()):
                 continue
             try:
                 g = make_graph(edges, nodes=range(1, n + 1))
@@ -167,11 +170,9 @@ def exhaustive_graphs(max_n: int = 5, degree_bound: int = 3) -> Iterator[tuple[s
             yield (f"x{n}-{mask:04x}", g)
 
 
-def random_connected_graph(
-    rng: random.Random, n: int, degree_bound: int = 3
-) -> Graph:
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
     """A random connected graph on nodes 1..n: a random spanning tree with
-    degrees at most degree_bound, plus up to n extra edges within that
+    degrees at most _DEGREE_BOUND, plus up to n extra edges within that
     bound."""
     nodes = list(range(1, n + 1))
     deg = {v: 0 for v in nodes}
@@ -180,7 +181,7 @@ def random_connected_graph(
     rng.shuffle(order)
     connected = [1]
     for v in order:
-        cands = [u for u in connected if deg[u] < degree_bound]
+        cands = [u for u in connected if deg[u] < _DEGREE_BOUND]
         u = rng.choice(cands)
         edges.add((min(u, v), max(u, v)))
         deg[u] += 1
@@ -189,7 +190,7 @@ def random_connected_graph(
     for _ in range(n):
         u, v = rng.sample(nodes, 2)
         e = (min(u, v), max(u, v))
-        if e not in edges and deg[u] < degree_bound and deg[v] < degree_bound:
+        if e not in edges and deg[u] < _DEGREE_BOUND and deg[v] < _DEGREE_BOUND:
             edges.add(e)
             deg[u] += 1
             deg[v] += 1

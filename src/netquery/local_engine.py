@@ -288,50 +288,23 @@ def collect_topology(net: Network, a: int, k: int) -> LocalTopology:
 
 
 def verify_reconstruction(net: Network, a: int, k: int) -> bool:
-    """True when the trace-quotient reconstruction of N^k(a) admits a
-    center-preserving isomorphism onto the true neighborhood fragment."""
+    """True when the trace-quotient reconstruction of N^k(a) names the true
+    neighborhood: every trace of a class resolves to the same node, the
+    vertices map one-to-one onto N^k(a), and two vertices share an edge
+    exactly when their nodes do."""
     topo = collect_topology(net, a, k)
     frag = neighborhood(net.graph, a, k)
-    classes = list(topo.vertices)
-    nodes = sorted(frag.nodes)
-    if len(classes) != len(nodes):
+    ends = [{resolve_trace(net, a, t) for t in cls} for cls in topo.classes]
+    if any(len(e) != 1 for e in ends):
         return False
-    cdeg = {
-        c: sum(1 for d in classes if topo.has_edge(c, d)) for c in classes
-    }
-    nadj: dict[int, set[int]] = {u: set() for u in nodes}
-    for u, v in frag.edges:
-        nadj[u].add(v)
-        nadj[v].add(u)
-    order = [topo.center] + sorted(
-        (c for c in classes if c != topo.center), key=lambda c: -cdeg[c]
+    node_of = [min(e) for e in ends]
+    if sorted(node_of[c] for c in topo.vertices) != list(frag.nodes):
+        return False
+    edges = {frozenset(e) for e in frag.edges}
+    return all(
+        topo.has_edge(c, d) == (frozenset((node_of[c], node_of[d])) in edges)
+        for c, d in itertools.combinations(topo.vertices, 2)
     )
-
-    def extend(i: int, assign: dict[int, int], used: set[int]) -> bool:
-        if i == len(order):
-            return True
-        c = order[i]
-        candidates = [a] if c == topo.center else [
-            u for u in nodes if u not in used and len(nadj[u]) == cdeg[c]
-        ]
-        for u in candidates:
-            if u in used:
-                continue
-            ok = True
-            for d, w in assign.items():
-                if topo.has_edge(c, d) != (w in nadj[u]):
-                    ok = False
-                    break
-            if ok:
-                assign[c] = u
-                used.add(u)
-                if extend(i + 1, assign, used):
-                    return True
-                del assign[c]
-                used.discard(u)
-        return False
-
-    return extend(0, {}, set())
 
 
 # --------------------------------------------------------- query validation
@@ -610,13 +583,12 @@ class _LocalEngine(NodeEngine):
     def start(self, ctx: NodeContext) -> Any:
         return self._State(_Collector(_node_nonce(ctx)))
 
-    def inject(self, state: Any, ctx: NodeContext, payload: Any) -> Any:
-        self._adopt(state, ctx, self._print(payload))
-        return state
+    def inject(self, state: Any, ctx: NodeContext, payload: Any) -> None:
+        self._adopt(state, self._print(payload))
 
-    def _adopt(self, state: _LocalState, ctx: NodeContext, text: str) -> None:
+    def _adopt(self, state: _LocalState, text: str) -> None:
         if state.query is None:
-            self._read(state, ctx, text)
+            self._read(state, text)
             state.relay = True
 
     def _serve(
@@ -641,7 +613,7 @@ class _LocalEngine(NodeEngine):
         for m in inbox:
             tag = m.payload[0]
             if tag == "lq":
-                self._adopt(state, ctx, m.payload[1])
+                self._adopt(state, m.payload[1])
             elif tag == "C":
                 state.collector.serve_collect(ctx, m, out)
             elif tag == "R":
@@ -696,7 +668,7 @@ class FOLocEngine(_LocalEngine):
         self.order = tuple(order)
         self.mode_kind = mode_kind
 
-    def _read(self, state: _FOLocState, ctx: NodeContext, text: str) -> None:
+    def _read(self, state: _FOLocState, text: str) -> None:
         f = parse_formula(text)
         state.center, state.k = _validate_fo_local(f, self.mode_kind)
         state.query = f
@@ -724,7 +696,6 @@ class FOLocEngine(_LocalEngine):
             )
             work += counter[0]
         return StepResult(
-            state=state,
             sends=tuple(out),
             quiescent=not out and (
                 state.query is None or state.topology is not None
@@ -791,16 +762,19 @@ def _query_key(
     return route, names
 
 
+def _fp_loc_clock(diameter: int, k: int) -> tuple[int, int, int]:
+    """FP-loc's schedule at radius k: the collection starts in round c0,
+    the first window in round f0, and a window lasts tau rounds."""
+    c0 = diameter + 2
+    return c0, c0 + 4 * k + 3, 3 * k + 2
+
+
 class _FPLocState(_LocalState):
-    __slots__ = ("c0", "f0", "tau", "table", "buffer", "history", "awake",
-                 "awake_windows", "window", "had_new", "inform_heard",
-                 "max_relayed", "answers")
+    __slots__ = ("table", "buffer", "history", "awake", "awake_windows",
+                 "window", "had_new", "inform_heard", "max_relayed", "answers")
 
     def __init__(self, collector: _Collector) -> None:
         super().__init__(collector)
-        self.c0 = 0
-        self.f0 = 0
-        self.tau = 0
         self.table: set[tuple[PortTrace, ...]] = set()
         self.buffer: set[tuple[PortTrace, ...]] = set()
         self.history: list[frozenset[tuple[PortTrace, ...]]] = []
@@ -826,13 +800,10 @@ class FPLocEngine(_LocalEngine):
     def __init__(self, mode_kind: str):
         self.mode_kind = mode_kind
 
-    def _read(self, state: _FPLocState, ctx: NodeContext, text: str) -> None:
+    def _read(self, state: _FPLocState, text: str) -> None:
         q = parse_fixpoint(text)
         state.k = _validate_fp_local(q, self.mode_kind)
         state.query = q
-        state.c0 = ctx.diameter + 2
-        state.f0 = state.c0 + 4 * state.k + 3
-        state.tau = 3 * state.k + 2
 
     def step(
         self,
@@ -842,29 +813,30 @@ class FPLocEngine(_LocalEngine):
         inbox: Sequence[Message],
     ) -> StepResult:
         out: list[tuple[int, Any]] = []
+        c0, f0, tau = _fp_loc_clock(ctx.diameter, state.k)
         if (
             state.topology is not None
-            and round_no >= state.f0
-            and (round_no - state.f0) % state.tau == 0
+            and round_no >= f0
+            and (round_no - f0) % tau == 0
         ):
             self._cross_boundary(state)
         if (
             state.query is not None
             and state.topology is None
-            and round_no >= state.f0
+            and round_no >= f0
         ):
             raise EngineError("collection did not finish within its window")
         work = self._serve_inbox(state, ctx, inbox, out)
         if (
             state.query is not None
-            and round_no == state.c0
+            and round_no == c0
             and state.collector.radius is None
         ):
             state.collector.launch(ctx, 2 * state.k, out)
         if self._built(state):
             state.awake = True
-        if state.topology is not None and round_no >= state.f0:
-            r = (round_no - state.f0) % state.tau
+        if state.topology is not None and round_no >= f0:
+            r = (round_no - f0) % tau
             if r == 0 and state.awake:
                 work += self._open_window(state, out)
             elif r == 2 * state.k + 1 and state.awake:
@@ -873,7 +845,6 @@ class FPLocEngine(_LocalEngine):
             state.topology is None or state.awake or bool(state.buffer)
         )
         return StepResult(
-            state=state,
             sends=tuple(out),
             quiescent=not out and not busy,
             steps=1 + work,
@@ -1032,8 +1003,7 @@ def default_fp_loc_round_cap(net: Network, q: FixpointQuery) -> int:
     total = sum(
         max(1, len(g.neighborhood_nodes(a, q.radius))) ** ell for a in g.nodes
     )
-    tau = 3 * q.radius + 2
-    f0 = (g.diameter + 2) + 4 * q.radius + 3
+    _, f0, tau = _fp_loc_clock(g.diameter, q.radius)
     return f0 + (total + 3) * tau + 8
 
 

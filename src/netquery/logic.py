@@ -798,11 +798,18 @@ def relativize(f: Formula, center: str, k: int) -> Formula:
     """The radius-bounded form of f around `center` at radius k (see
     `locality`): every quantifier is bounded by N^k(center), and every other
     free variable is constrained to N^k(center) by a top-level membership
-    conjunct.  Connectives below the top are rebuilt as they are."""
+    conjunct.  Connectives below the top are rebuilt as they are.  The input
+    must have no bounded quantifier and no membership atom."""
     if center not in free_vars(f):
         raise FormulaError(f"center {center!r} is not a free variable")
     if k < 1:
         raise FormulaError("radius must be >= 1")
+    for g in subformulas(f):
+        bounded = isinstance(g, (Exists, Forall)) and g.bound is not None
+        if bounded or isinstance(g, InNbhd):
+            raise FormulaError(
+                "only a formula without neighborhood bounds can be relativized"
+            )
     c = Var(center)
 
     def quant(g: Formula) -> Formula:

@@ -691,7 +691,7 @@ class _NetlogNodeState:
     snapshot: Optional[frozenset[Fact]] = None
 
 
-class NetlogEngine:
+class NetlogEngine(simnet.NodeEngine):
     """Node automaton interpreting a localized rule program on the simulator.
 
     Each round a node assembles its instance slice (previous local
@@ -715,6 +715,7 @@ class NetlogEngine:
         arrived = frozenset(m.payload for m in inbox)
         snapshot = state.local | arrived
         quiescent = snapshot == state.snapshot
+        state.snapshot = snapshot
         port_of = {b: p for p, b in ctx.neighbor_ids.items()}
         edges = [(v, u) for u in port_of]
         lookup = _Lookup(snapshot, ctx.global_unary, edges)
@@ -733,8 +734,8 @@ class NetlogEngine:
                         f"{target}"
                     )
                 sends.append((port, fact))
-        new_state = _NetlogNodeState(local=frozenset(local), snapshot=snapshot)
-        return simnet.StepResult(new_state, tuple(sends), quiescent, steps)
+        state.local = frozenset(local)
+        return simnet.StepResult(tuple(sends), quiescent, steps)
 
     def collect(self, state: _NetlogNodeState, ctx) -> frozenset[Fact]:
         return state.snapshot if state.snapshot is not None else state.local
@@ -751,10 +752,11 @@ def run_netlog(program: NetlogProgram, net, order_seed: int = 0,
                round_cap: Optional[int] = None):
     """Run the program distributedly and return (final instance, metrics).
 
-    Terminates when the global instance repeats (every node sees the same
-    slice two rounds running); the store-refresh rules keep out-buffers
-    busy, so termination ignores them.  Raises NonterminationError with the
-    partial instance when the round cap is hit.
+    A node is quiescent when its slice repeats the previous round's, so the
+    run ends when the global instance repeats.  The store-refresh rules
+    still send in that round, and those sends are never delivered.  Raises
+    NonterminationError with the partial instance when the round cap is
+    hit.
     """
     g = net.graph
     if round_cap is None:
@@ -766,7 +768,6 @@ def run_netlog(program: NetlogProgram, net, order_seed: int = 0,
             engine,
             order_seed=order_seed,
             round_cap=round_cap,
-            stop_on_quiescence_alone=True,
         )
     except simnet.RoundCapError as err:
         partial = DistributedInstance(
@@ -778,5 +779,5 @@ def run_netlog(program: NetlogProgram, net, order_seed: int = 0,
             round_cap,
             partial,
         ) from None
-    instance = DistributedInstance({a: res.per_node[a] for a in g.nodes})
+    instance = DistributedInstance({a: res[a] for a in g.nodes})
     return instance, metrics

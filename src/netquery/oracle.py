@@ -136,25 +136,23 @@ def _bfs(
     return dist
 
 
-def path_graph(n: int, **kw) -> Graph:
-    return make_graph([(i, i + 1) for i in range(1, n)], nodes=range(1, n + 1), **kw)
+def path_graph(n: int) -> Graph:
+    return make_graph([(i, i + 1) for i in range(1, n)], nodes=range(1, n + 1))
 
 
-def ring_graph(n: int, **kw) -> Graph:
+def ring_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"a ring needs at least 3 nodes, not {n}")
     edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-    return make_graph(edges, **kw)
+    return make_graph(edges)
 
 
-def star_graph(n: int, **kw) -> Graph:
+def star_graph(n: int) -> Graph:
     """Center node 1 with n-1 leaves."""
-    return make_graph(
-        [(1, i) for i in range(2, n + 1)], nodes=range(1, n + 1), **kw
-    )
+    return make_graph([(1, i) for i in range(2, n + 1)], nodes=range(1, n + 1))
 
 
-def grid_graph(rows: int, cols: int, **kw) -> Graph:
+def grid_graph(rows: int, cols: int) -> Graph:
     """Row-major grid, ids 1..rows*cols."""
     if rows < 1 or cols < 1:
         raise GraphError(
@@ -168,7 +166,7 @@ def grid_graph(rows: int, cols: int, **kw) -> Graph:
                 edges.append((u, u + 1))
             if r + 1 < rows:
                 edges.append((u, u + cols))
-    return make_graph(edges, nodes=range(1, rows * cols + 1), **kw)
+    return make_graph(edges, nodes=range(1, rows * cols + 1))
 
 
 # ---------------------------------------------------------------- relations
@@ -338,14 +336,10 @@ def eval_fp(
     raise OracleError("fixpoint did not converge within the stage cap")
 
 
-def eval_fp_loc(
-    g: Graph,
-    q: FixpointQuery,
-    aux: Optional[AuxRelations] = None,
-) -> StageTrace:
+def eval_fp_loc(g: Graph, q: FixpointQuery) -> StageTrace:
     if q.radius is None:
         raise OracleError("eval_fp_loc requires a query with a locality radius")
-    return eval_fp(g, q, aux=aux)
+    return eval_fp(g, q)
 
 
 # ----------------------------------------------------------- neighborhoods

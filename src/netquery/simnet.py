@@ -3,9 +3,9 @@
 Nodes run deterministic automata over port-numbered channels.  A round is a
 computation phase (every node steps on its in-buffer) followed by an atomic
 delivery phase (all out-buffers flushed to neighbor in-buffers, each
-in-buffer permuted by the delivery-order seed).  The run terminates when a
-computation phase leaves every out-buffer empty and every automaton
-quiescent.
+in-buffer permuted by the delivery-order seed).  The run ends after the
+first computation phase in which every node reports quiescent; the sends of
+that round are never delivered.
 """
 from __future__ import annotations
 
@@ -283,16 +283,15 @@ def network_text(g: Graph) -> str:
 
 @dataclass(frozen=True)
 class NodeContext:
-    """Everything a node automaton may read: metadata (size bound and
-    diameter always; id only in global mode; label in labeled modes), the
-    port list, mode-dependent neighbor knowledge, and input facts."""
+    """Everything a node automaton may read: metadata (diameter always; id
+    only in global mode; label in labeled modes), the port list,
+    mode-dependent neighbor knowledge, and input facts."""
 
     node: int  # simulator-internal true id (engines must honor the mode)
     node_id: Optional[int]  # exposed id, None unless mode is global
     label: Optional[int]  # exposed label (global: the id; anonymous: None)
     ports: tuple[int, ...]  # port numbers 1..deg
     neighbor_ids: Optional[Mapping[int, int]]  # port -> id, global mode only
-    n_bound: int
     diameter: int
     self_unary: frozenset[str]
     global_unary: Mapping[str, frozenset[int]]  # readable in global mode
@@ -315,7 +314,6 @@ def _context_for(net: Network, a: int) -> NodeContext:
         label=mode.label_of(a),
         ports=tuple(range(1, net.degree(a) + 1)),
         neighbor_ids=neighbor_ids,
-        n_bound=g.n,
         diameter=g.diameter,
         self_unary=self_unary,
         global_unary=global_unary,
@@ -333,19 +331,26 @@ class Message:
 
 @dataclass(frozen=True)
 class StepResult:
-    state: Any
+    """What one node's step produced.  `quiescent` says that a further
+    round would change nothing this node holds or reports; `steps` is the
+    work the step took (IN-TIME/ROUND)."""
+
     sends: tuple[tuple[int, Any], ...]  # (port, payload)
     quiescent: bool
     steps: int = 1
 
 
 class NodeEngine:
-    """Deterministic node automaton interface."""
+    """Deterministic node automaton interface.  `start` returns a node's
+    state object, which the simulator keeps for the whole run; `inject` and
+    `step` update it in place.  The run ends after the first round in which
+    every node's step reports quiescent, and the sends of that round are
+    never delivered."""
 
     def start(self, ctx: NodeContext) -> Any:
         raise NotImplementedError
 
-    def inject(self, state: Any, ctx: NodeContext, payload: Any) -> Any:
+    def inject(self, state: Any, ctx: NodeContext, payload: Any) -> None:
         raise SimError(f"{type(self).__name__} does not accept query injection")
 
     def step(
@@ -412,33 +417,23 @@ def metrics_report(metrics: Metrics, fmt: str = "table") -> str:
 # --------------------------------------------------------------------- run
 
 
-@dataclass(frozen=True)
-class DistributedResult:
-    per_node: Mapping[int, Any]
-
-
 def run(
     net: Network,
     engine: NodeEngine,
     init: Optional[Mapping[int, Any]] = None,
     order_seed: int = 0,
     round_cap: int = 10_000,
-    stop_on_quiescence_alone: bool = False,
-) -> tuple[DistributedResult, Metrics]:
-    """Drive the engine to termination.
-
-    Default termination: after a computation phase, every out-buffer is
-    empty and every node is quiescent.  With stop_on_quiescence_alone the
-    out-buffers are ignored — for interpreters whose rules keep re-sending
-    stored facts after the global state has stabilized.
-    """
+) -> tuple[dict[int, Any], Metrics]:
+    """Drive the engine to termination: the run ends after the first round
+    in which every node is quiescent.  Returns each node's collected result
+    and the run's metrics."""
     g = net.graph
     contexts = {a: _context_for(net, a) for a in g.nodes}
     states = {a: engine.start(contexts[a]) for a in g.nodes}
     for a, payload in (init or {}).items():
         if a not in states:
             raise SimError(f"init references unknown node {a}")
-        states[a] = engine.inject(states[a], contexts[a], payload)
+        engine.inject(states[a], contexts[a], payload)
     inboxes: dict[int, list[Message]] = {a: [] for a in g.nodes}
 
     msgs_sent = {a: 0 for a in g.nodes}
@@ -454,10 +449,8 @@ def run(
             max_in_steps_per_round=max_steps,
         )
 
-    def results() -> DistributedResult:
-        return DistributedResult(
-            {a: engine.collect(states[a], contexts[a]) for a in g.nodes}
-        )
+    def results() -> dict[int, Any]:
+        return {a: engine.collect(states[a], contexts[a]) for a in g.nodes}
 
     for round_no in range(1, round_cap + 1):
         all_quiet = True
@@ -465,15 +458,13 @@ def run(
         for a in g.nodes:
             res = engine.step(states[a], contexts[a], round_no, tuple(inboxes[a]))
             inboxes[a] = []
-            states[a] = res.state
             sends[a] = res.sends
             max_steps = max(max_steps, res.steps)
             if not res.quiescent:
                 all_quiet = False
-        have_out = any(sends.values())
-        if all_quiet and (stop_on_quiescence_alone or not have_out):
+        if all_quiet:
             return results(), snapshot_metrics()
-        if have_out:
+        if any(sends.values()):
             for a in g.nodes:
                 for port, payload in sends[a]:
                     b = net.neighbor_on_port(a, port)
@@ -492,5 +483,5 @@ def run(
     raise RoundCapError(
         f"round cap {round_cap} exceeded without termination",
         snapshot_metrics(),
-        results().per_node,
+        results(),
     )

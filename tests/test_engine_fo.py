@@ -100,7 +100,7 @@ def test_tuples_are_held_at_their_first_coordinate():
     f = parse_formula(TWO_HOP_TEXT)
     net = _net(path_graph(4))
     res, _ = simnet.run(net, FOQueryEngine(free_vars(f)), init={1: f})
-    held = {a: rep.tuples for a, rep in res.per_node.items()}
+    held = {a: rep.tuples for a, rep in res.items()}
     assert held[1] == frozenset({(1,)})
     assert held[4] == frozenset({(4,)})
     assert held[2] == held[3] == frozenset()
@@ -187,7 +187,7 @@ def test_linking_agrees_with_unmemoized_rule(text):
             round_cap=budget,
         )
         checked = 0
-        for core in result.per_node.values():
+        for core in result.values():
             for (level, _), e in core.entries.items():
                 children = [
                     c for (lv, _), c in core.entries.items() if lv == level + 1

@@ -108,7 +108,7 @@ def test_iterations_commit_oracle_stages_in_lockstep():
         g = GRAPHS[name]
         trace = eval_fp(g, q)
         res, _ = _run_with_reports(g, q, min(g.nodes))
-        reps = res.per_node
+        reps = res
         counts = {len(r.history) for r in reps.values()}
         assert counts == {len(trace.stages) - 1}, name
         for i in range(len(trace.stages) - 1):
@@ -121,14 +121,14 @@ def test_iterations_commit_oracle_stages_in_lockstep():
 def test_committed_tuples_stay_at_their_first_coordinate():
     q = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
     res, _ = _run_with_reports(GRAPHS["ring-4"], q, 1)
-    for a, rep in res.per_node.items():
+    for a, rep in res.items():
         assert all(t[0] == a for t in rep.tuples)
 
 
 def test_empty_body_stops_after_one_iteration():
     q = parse_fixpoint("mu T(x,y). G(x,y) & x = y & x != y")
     res, metrics = _run_with_reports(GRAPHS["path-3"], q, 1)
-    for rep in res.per_node.values():
+    for rep in res.values():
         assert rep.history == (frozenset(),)
         assert rep.tuples == frozenset()
     assert metrics.dist_time >= 1

@@ -1,11 +1,12 @@
 """Tests for the radius-bounded (local-fragment) distributed engines."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from netquery import simnet
+from netquery import local_engine, simnet
 from netquery.engine_fo import EngineError
 from netquery.fixtures import (
     SPANNING_TREE_TEXT,
@@ -176,6 +177,23 @@ def test_reconstruction_random_graphs():
                     assert verify_reconstruction(net, a, k)
 
 
+def test_reconstruction_rejects_misnamed_edges(monkeypatch):
+    # Swapping two edges between the neighbor and far classes of anonymous
+    # ring-5 leaves a 5-cycle around the center, so only the class names
+    # show that the reconstruction is wrong.
+    net = make_network(ring_graph(5), mode=ANONYMOUS)
+    topo = collect_topology(net, 1, 2)
+    assert {(1, 3), (2, 4)} <= topo.edges
+    swapped = dataclasses.replace(
+        topo, edges=topo.edges - {(1, 3), (2, 4)} | {(1, 4), (2, 3)}
+    )
+    assert verify_reconstruction(net, 1, 2)
+    monkeypatch.setattr(
+        local_engine, "collect_topology", lambda net, a, k: swapped
+    )
+    assert not verify_reconstruction(net, 1, 2)
+
+
 def _norm_topology(t):
     return (
         t.classes,
@@ -202,7 +220,7 @@ def test_protocol_topology_equals_reference():
             res, _ = simnet.run(
                 net, eng, init={min(g.nodes): f}, round_cap=400
             )
-            for a, rep in res.per_node.items():
+            for a, rep in res.items():
                 assert _norm_topology(rep.topology) == _norm_topology(
                     collect_topology(net, a, 2)
                 )
@@ -380,11 +398,11 @@ def test_fp_loc_window_history_matches_stages():
         gu = g.with_unary({"ReqNode": [min(g.nodes)]})
         net, res, _ = _run_fp_reports(gu, q, min(g.nodes))
         trace = eval_fp_loc(gu, q)
-        lengths = {len(rep.history) for rep in res.per_node.values()}
+        lengths = {len(rep.history) for rep in res.values()}
         assert len(lengths) == 1
         for w in range(lengths.pop()):
             got = set()
-            for a, rep in res.per_node.items():
+            for a, rep in res.items():
                 got |= resolve_rows(net, a, rep.history[w])
             stage = trace.stages[min(w + 1, len(trace.stages) - 1)]
             assert got == set(stage.tuples)
@@ -396,11 +414,11 @@ def test_fp_loc_iteration_bound():
         gu = g.with_unary({"ReqNode": [min(g.nodes)]})
         net, res, _ = _run_fp_reports(gu, span_query(1), min(g.nodes))
         final = set()
-        for a, rep in res.per_node.items():
+        for a, rep in res.items():
             final |= resolve_rows(net, a, rep.tuples)
         windows = 1 + max(
             max(rep.awake_windows, default=-1)
-            for rep in res.per_node.values()
+            for rep in res.values()
         )
         assert windows <= len(final) + 1
 
@@ -409,7 +427,7 @@ def test_fp_loc_iteration_bound_tight_on_path():
     gu = path_graph(6).with_unary({"ReqNode": [1]})
     net, res, _ = _run_fp_reports(gu, span_query(1), 1)
     windows = 1 + max(
-        max(rep.awake_windows, default=-1) for rep in res.per_node.values()
+        max(rep.awake_windows, default=-1) for rep in res.values()
     )
     assert windows == 6  # five rows derived one per window, then one idle
 

@@ -322,6 +322,14 @@ def test_relativize_requires_free_center():
         relativize(parse_formula("G(y,z)"), "x", 1)
 
 
+def test_relativize_rejects_bounded_input():
+    with pytest.raises(FormulaError, match="without neighborhood bounds"):
+        relativize(parse_formula("exists y in N^1(x). G(x,y)"), "x", 2)
+    tc1 = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
+    with pytest.raises(FormulaError, match="without neighborhood bounds"):
+        relativize_fixpoint(tc1, 2)
+
+
 def test_relativize_preserves_free_vars_and_quantifier_count():
     f = parse_formula("(exists z. G(x,z)) & (forall u. (!G(u,y) | u = x))")
     out = relativize(f, "x", 2)

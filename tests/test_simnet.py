@@ -5,7 +5,26 @@ import re
 
 import pytest
 
-from netquery.oracle import GraphError
+from netquery.engine_fo import FOQueryEngine, run_qe_fo
+from netquery.engine_fp import FPQueryEngine, run_qe_fp
+from netquery.fixtures import (
+    SPANNING_TREE_TEXT,
+    TRANSITIVE_CLOSURE_TEXT,
+    TWO_HOP_TEXT,
+)
+from netquery.local_engine import (
+    FOLocEngine,
+    FPLocEngine,
+    run_qe_fo_loc,
+    run_qe_fp_loc,
+)
+from netquery.logic import (
+    parse_fixpoint,
+    parse_formula,
+    relativize,
+    relativize_fixpoint,
+)
+from netquery.oracle import GraphError, grid_graph, path_graph, ring_graph
 from netquery.simnet import (
     ANONYMOUS,
     GLOBAL_IDS,
@@ -34,7 +53,7 @@ class SilentEngine(NodeEngine):
         return None
 
     def step(self, state, ctx, round_no, inbox):
-        return StepResult(state, (), quiescent=True, steps=1)
+        return StepResult((), quiescent=True, steps=1)
 
     def collect(self, state, ctx):
         return None
@@ -45,27 +64,43 @@ class SilentEngine(NodeEngine):
 
 class FloodOnce(NodeEngine):
     """Relay a token once, never back out the arrival port.  State is
-    (seen_round, inject_pending)."""
+    [seen_round, inject_pending]."""
 
     def start(self, ctx):
-        return (None, False)
+        return [None, False]
 
     def inject(self, state, ctx, payload):
-        return (None, True)
+        state[1] = True
 
     def step(self, state, ctx, round_no, inbox):
-        seen, pending = state
         sends: list[tuple[int, object]] = []
-        if pending:
+        if state[1]:
             sends = broadcast(ctx, "token")
-            return StepResult((round_no, False), tuple(sends), quiescent=True)
-        if seen is None:
-            arrivals = [m.dst_port for m in inbox if m.payload == "token"]
+            state[:] = [round_no, False]
+        elif state[0] is None:
+            arrivals = {m.dst_port for m in inbox if m.payload == "token"}
             if arrivals:
-                skip = set(arrivals)
-                sends = [(p, "token") for p in ctx.ports if p not in skip]
-                return StepResult((round_no, False), tuple(sends), quiescent=True)
-        return StepResult(state, (), quiescent=True)
+                sends = [(p, "token") for p in ctx.ports if p not in arrivals]
+                state[0] = round_no
+        return StepResult(tuple(sends), quiescent=not sends)
+
+    def collect(self, state, ctx):
+        return state[0]
+
+    def payload_bits(self, payload, enc):
+        return enc.tag_bits
+
+
+class QuietChatter(NodeEngine):
+    """Broadcasts every round and reports quiescent from round 3 on, as a
+    rule program that keeps re-sending stored facts does."""
+
+    def start(self, ctx):
+        return [0]
+
+    def step(self, state, ctx, round_no, inbox):
+        state[0] = round_no
+        return StepResult(tuple(broadcast(ctx, "hi")), quiescent=round_no >= 3)
 
     def collect(self, state, ctx):
         return state[0]
@@ -79,7 +114,7 @@ class Chatterbox(NodeEngine):
         return None
 
     def step(self, state, ctx, round_no, inbox):
-        return StepResult(state, tuple(broadcast(ctx, "hi")), quiescent=False)
+        return StepResult(tuple(broadcast(ctx, "hi")), quiescent=False)
 
     def collect(self, state, ctx):
         return None
@@ -283,7 +318,7 @@ class ContextProbe(NodeEngine):
         return ctx
 
     def step(self, state, ctx, round_no, inbox):
-        return StepResult(state, (), quiescent=True)
+        return StepResult((), quiescent=True)
 
     def collect(self, state, ctx):
         return state
@@ -297,26 +332,26 @@ def test_context_by_mode():
     g = load_network(PATH3 + "@facts\ndest 3\n").graph
 
     res, _ = run(make_network(g, GLOBAL_IDS), probe)
-    ctx = res.per_node[2]
+    ctx = res[2]
     assert ctx.node_id == 2 and ctx.label == 2
     assert sorted(ctx.neighbor_ids.values()) == [1, 3]
     assert ctx.global_unary == {"dest": frozenset({3})}
 
     res, _ = run(make_network(g, ANONYMOUS), probe)
-    ctx = res.per_node[2]
+    ctx = res[2]
     assert ctx.node_id is None and ctx.label is None
     assert ctx.neighbor_ids is None
     assert ctx.global_unary == {}
-    assert ctx.n_bound == 3 and ctx.diameter == 2
+    assert ctx.diameter == 2
     assert ctx.ports == (1, 2)
 
     labels = {1: 10, 2: 20, 3: 30}
     mode = IdentityMode("local-consistent", k=1, labels=labels)
     res, _ = run(make_network(g, mode), probe)
-    ctx = res.per_node[3]
+    ctx = res[3]
     assert ctx.node_id is None and ctx.label == 30
     # a node with a declared fact sees it locally in every mode
-    assert res.per_node[3].self_unary == frozenset({"dest"})
+    assert res[3].self_unary == frozenset({"dest"})
 
 
 # ------------------------------------------------------------- running
@@ -336,7 +371,7 @@ def test_flood_once_dist_time_equals_diameter():
     res, metrics = run(net, FloodOnce(), init={1: "go"})
     assert metrics.dist_time == 2 == net.graph.diameter
     # arrival rounds witness the synchrony invariant: sent in r, seen in r+1
-    assert res.per_node == {1: 1, 2: 2, 3: 3}
+    assert res == {1: 1, 2: 2, 3: 3}
     assert metrics.msgs_per_node == {1: 1, 2: 1, 3: 0}
     assert metrics.max_msg_bits == 8
 
@@ -347,7 +382,7 @@ def test_flood_once_ring():
     # the two flood frontiers cross once at the far side of the ring,
     # adding one delivery round past the diameter
     assert metrics.dist_time == net.graph.diameter + 1 == 3
-    assert res.per_node[3] == 3 and res.per_node[4] == 3
+    assert res[3] == 3 and res[4] == 3
 
 
 def test_broadcast_counts_degree_messages():
@@ -359,11 +394,55 @@ def test_broadcast_counts_degree_messages():
 def test_run_deterministic():
     net = load_network("5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n", port_seed=11)
     runs = [run(net, FloodOnce(), init={2: "go"}, order_seed=s) for s in (0, 1, 5)]
-    results = {tuple(sorted(r.per_node.items())) for r, _ in runs}
+    results = {tuple(sorted(r.items())) for r, _ in runs}
     assert len(results) == 1
     again, m_again = run(net, FloodOnce(), init={2: "go"}, order_seed=5)
-    assert again.per_node == runs[2][0].per_node
+    assert again == runs[2][0]
     assert m_again == runs[2][1]
+
+
+def test_run_ends_when_every_node_is_quiescent():
+    # The sends of round 3, in which every node is quiescent, are neither
+    # delivered nor counted.
+    res, metrics = run(load_network(PATH3), QuietChatter())
+    assert res == {1: 3, 2: 3, 3: 3}
+    assert metrics.dist_time == 2
+    assert metrics.msgs_per_node == {1: 2, 2: 4, 3: 2}
+
+
+def test_no_query_engine_is_quiescent_while_sending(monkeypatch):
+    # The run ends in the first round in which every node is quiescent and
+    # drops that round's sends, so an engine that reported quiescent while
+    # sending could lose messages.
+    sending = {}
+    for cls in (FOQueryEngine, FPQueryEngine, FOLocEngine, FPLocEngine):
+        def checked(self, *args, _step=cls.step, _cls=cls):
+            res = _step(self, *args)
+            assert not (res.quiescent and res.sends), _cls.__name__
+            sending[_cls] = sending.get(_cls, 0) + bool(res.sends)
+            return res
+
+        monkeypatch.setattr(cls, "step", checked)
+    fo_loc = relativize(parse_formula(TWO_HOP_TEXT), "x", 1)
+    tc_loc = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
+    span_loc = relativize_fixpoint(parse_fixpoint(SPANNING_TREE_TEXT), 1)
+    for g in (path_graph(4), ring_graph(5), grid_graph(2, 3)):
+        g = g.with_unary({"ReqNode": [1]})
+        net = make_network(g)
+        run_qe_fo(net, TWO_HOP_TEXT, 1)
+        run_qe_fp(net, TRANSITIVE_CLOSURE_TEXT, 1)
+        labels = {a: 10 + a for a in g.nodes}
+        for mode in (
+            GLOBAL_IDS,
+            IdentityMode("local-consistent", k=1, labels=labels),
+            ANONYMOUS,
+        ):
+            net = make_network(g, mode)
+            run_qe_fo_loc(net, fo_loc, 1)
+            run_qe_fp_loc(net, tc_loc, 1)
+            if mode is not ANONYMOUS:
+                run_qe_fp_loc(net, span_loc, 1)
+    assert len(sending) == 4 and all(sending.values())
 
 
 def test_round_cap_diagnostic():
