@@ -509,7 +509,8 @@ class FOCore:
 class _BroadcastEngine(NodeEngine):
     """Simulator adapter of the global engines: one core per node, built by
     `_core(self_id, neighbors, self_unary, delta)`, whose round is ingest,
-    advance and flush, with every payload broadcast."""
+    advance and flush, with every payload broadcast.  Every node is stepped
+    in every round."""
 
     def start(self, ctx: NodeContext) -> Any:
         if ctx.node_id is None or ctx.neighbor_ids is None:
@@ -534,6 +535,7 @@ class _BroadcastEngine(NodeEngine):
             sends=tuple(s for p in outs for s in broadcast(ctx, p)),
             quiescent=not outs and state.idle(round_no),
             steps=1 + state.total_work() - before,
+            wake_at=round_no + 1,  # a quantifier deadline may fall in any round
         )
 
     def collect(self, state: Any, ctx: NodeContext) -> Any:

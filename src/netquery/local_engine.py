@@ -659,7 +659,8 @@ class _FOLocState(_LocalState):
 
 class FOLocEngine(_LocalEngine):
     """Radius-bounded first-order evaluation: flood the query, collect the
-    k-neighborhood as a trace quotient, evaluate in-node over the classes."""
+    k-neighborhood as a trace quotient, evaluate in-node over the classes.
+    Only mail drives it, so it asks for no wake-up."""
 
     _State = _FOLocState
     _print = staticmethod(print_formula)
@@ -848,7 +849,30 @@ class FPLocEngine(_LocalEngine):
             sends=tuple(out),
             quiescent=not out and not busy,
             steps=1 + work,
+            wake_at=self._wake_at(state, round_no, c0, f0, tau),
         )
+
+    @staticmethod
+    def _wake_at(
+        state: _FPLocState, round_no: int, c0: int, f0: int, tau: int
+    ) -> Optional[int]:
+        """The next round in which the clock alone gives this node work:
+        the launch, the end of the collection's window, the finalize of an
+        awake window, or the next window boundary (quiescent nodes commit
+        their history there too)."""
+        if state.query is None:
+            return None
+        if state.topology is None:
+            if state.collector.radius is None and round_no < c0:
+                return c0
+            return f0
+        if round_no < f0:
+            return f0
+        start = round_no - (round_no - f0) % tau
+        finalize = start + 2 * state.k + 1
+        if state.awake and round_no < finalize:
+            return finalize
+        return start + tau
 
     # -- phases
 

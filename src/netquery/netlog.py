@@ -735,7 +735,8 @@ class NetlogEngine(simnet.NodeEngine):
                     )
                 sends.append((port, fact))
         state.local = frozenset(local)
-        return simnet.StepResult(tuple(sends), quiescent, steps)
+        # The store is replaced every round, so every round needs a step.
+        return simnet.StepResult(tuple(sends), quiescent, steps, round_no + 1)
 
     def collect(self, state: _NetlogNodeState, ctx) -> frozenset[Fact]:
         return state.snapshot if state.snapshot is not None else state.local

@@ -80,7 +80,11 @@ def make_graph(
     nodes: Optional[Iterable[int]] = None,
     degree_bound: Optional[int] = None,
     unary: Optional[Mapping[str, Iterable[int]]] = None,
+    diameter: Optional[int] = None,
 ) -> Graph:
+    """The graph on `edges` (plus isolated `nodes`).  A family constructor
+    passes its closed-form `diameter`; without one the exact diameter is
+    computed by a BFS from every node, O(n*m)."""
     edge_set: set[tuple[int, int]] = set()
     node_set: set[int] = set(nodes or ())
     for u, v in edges:
@@ -108,7 +112,8 @@ def make_graph(
     ordered = tuple(sorted(node_set))
     if len(_bfs(sorted_adj, ordered[0])) != len(ordered):
         raise GraphError("graph is not connected")
-    diameter = max(max(_bfs(sorted_adj, u).values()) for u in ordered)
+    if diameter is None:
+        diameter = max(max(_bfs(sorted_adj, u).values()) for u in ordered)
     unary_map = {p: frozenset(m) for p, m in (unary or {}).items()}
     for pred, members in unary_map.items():
         bad = members - node_set
@@ -137,19 +142,25 @@ def _bfs(
 
 
 def path_graph(n: int) -> Graph:
-    return make_graph([(i, i + 1) for i in range(1, n)], nodes=range(1, n + 1))
+    return make_graph(
+        [(i, i + 1) for i in range(1, n)], nodes=range(1, n + 1), diameter=n - 1
+    )
 
 
 def ring_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"a ring needs at least 3 nodes, not {n}")
     edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-    return make_graph(edges)
+    return make_graph(edges, diameter=n // 2)
 
 
 def star_graph(n: int) -> Graph:
     """Center node 1 with n-1 leaves."""
-    return make_graph([(1, i) for i in range(2, n + 1)], nodes=range(1, n + 1))
+    return make_graph(
+        [(1, i) for i in range(2, n + 1)],
+        nodes=range(1, n + 1),
+        diameter=min(n - 1, 2),
+    )
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -166,7 +177,9 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 edges.append((u, u + 1))
             if r + 1 < rows:
                 edges.append((u, u + cols))
-    return make_graph(edges, nodes=range(1, rows * cols + 1))
+    return make_graph(
+        edges, nodes=range(1, rows * cols + 1), diameter=rows + cols - 2
+    )
 
 
 # ---------------------------------------------------------------- relations

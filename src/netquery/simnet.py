@@ -1,14 +1,20 @@
 """Synchronous round-based message-passing network simulator.
 
 Nodes run deterministic automata over port-numbered channels.  A round is a
-computation phase (every node steps on its in-buffer) followed by an atomic
-delivery phase (all out-buffers flushed to neighbor in-buffers, each
-in-buffer permuted by the delivery-order seed).  The run ends after the
-first computation phase in which every node reports quiescent; the sends of
-that round are never delivered.
+computation phase (nodes step on their in-buffers) followed by an atomic
+delivery phase (out-buffers flushed to neighbor in-buffers, each in-buffer
+permuted by the delivery-order seed).  The simulator is event-driven: in
+round 1 every node steps; after that, a node steps in round r only when it
+has mail, when it sent in round r-1, or when the wake-up round it last asked
+for (`StepResult.wake_at`) is r.  A step the simulator skips must be a
+no-op: no sends, no change of state, the same quiescence as the node's last
+report.  The run ends after the first computation phase after which every
+node's last report is quiescent; the sends of that round are never
+delivered.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import re
@@ -333,19 +339,28 @@ class Message:
 class StepResult:
     """What one node's step produced.  `quiescent` says that a further
     round would change nothing this node holds or reports; `steps` is the
-    work the step took (IN-TIME/ROUND)."""
+    work the step took (IN-TIME/ROUND); `wake_at`, when set, is the next
+    round (after this one) in which the node must step even with no mail.
+    A node that sends is stepped in the next round anyway."""
 
     sends: tuple[tuple[int, Any], ...]  # (port, payload)
     quiescent: bool
     steps: int = 1
+    wake_at: Optional[int] = None
 
 
 class NodeEngine:
     """Deterministic node automaton interface.  `start` returns a node's
     state object, which the simulator keeps for the whole run; `inject` and
-    `step` update it in place.  The run ends after the first round in which
-    every node's step reports quiescent, and the sends of that round are
-    never delivered."""
+    `step` update it in place.
+
+    Every node steps in round 1.  From round 2 on a node steps only in a
+    round in which it has mail, in the round after one in which it sent, and
+    in the round its last step named as `wake_at`.  Any other step is
+    skipped, so it must be a no-op: it would send nothing, change no state
+    and report the same quiescence as the node's last step.  The run ends
+    after the first round after which every node's last report is
+    quiescent, and the sends of that round are never delivered."""
 
     def start(self, ctx: NodeContext) -> Any:
         raise NotImplementedError
@@ -379,6 +394,12 @@ def broadcast(ctx: NodeContext, payload: Any) -> list[tuple[int, Any]]:
 
 @dataclass(frozen=True)
 class Metrics:
+    """The paper's simulated costs: DIST-TIME (rounds with a delivery, at
+    least 1), #MSG/NODE (messages each node sent), MSG-SIZE (the largest
+    message in bits) and IN-TIME/ROUND (the largest `steps` any stepped
+    node reported; a skipped step is idle and would report 1, which round 1
+    already reaches)."""
+
     dist_time: int
     msgs_per_node: Mapping[int, int]
     max_msg_bits: int
@@ -425,8 +446,8 @@ def run(
     round_cap: int = 10_000,
 ) -> tuple[dict[int, Any], Metrics]:
     """Drive the engine to termination: the run ends after the first round
-    in which every node is quiescent.  Returns each node's collected result
-    and the run's metrics."""
+    after which every node's last report is quiescent.  Returns each node's
+    collected result and the run's metrics."""
     g = net.graph
     contexts = {a: _context_for(net, a) for a in g.nodes}
     states = {a: engine.start(contexts[a]) for a in g.nodes}
@@ -434,7 +455,10 @@ def run(
         if a not in states:
             raise SimError(f"init references unknown node {a}")
         engine.inject(states[a], contexts[a], payload)
-    inboxes: dict[int, list[Message]] = {a: [] for a in g.nodes}
+    inboxes: dict[int, list[Message]] = {}  # only nodes with mail
+    restless: set[int] = set()  # nodes whose last report is not quiescent
+    wake: dict[int, int] = {}  # node -> the wake-up round of its last report
+    calendar: list[tuple[int, int]] = []  # heap of (wake-up round, node)
 
     msgs_sent = {a: 0 for a in g.nodes}
     max_bits = 0
@@ -452,34 +476,71 @@ def run(
     def results() -> dict[int, Any]:
         return {a: engine.collect(states[a], contexts[a]) for a in g.nodes}
 
-    for round_no in range(1, round_cap + 1):
-        all_quiet = True
-        sends: dict[int, Sequence[tuple[int, Any]]] = {}  # (port, payload)
-        for a in g.nodes:
-            res = engine.step(states[a], contexts[a], round_no, tuple(inboxes[a]))
-            inboxes[a] = []
-            sends[a] = res.sends
+    round_no = 1
+    stepping: Sequence[int] = g.nodes
+    while round_no <= round_cap:
+        senders: list[tuple[int, Sequence[tuple[int, Any]]]] = []
+        for a in stepping:
+            res = engine.step(
+                states[a], contexts[a], round_no, tuple(inboxes.pop(a, ()))
+            )
             max_steps = max(max_steps, res.steps)
-            if not res.quiescent:
-                all_quiet = False
-        if all_quiet:
-            return results(), snapshot_metrics()
-        if any(sends.values()):
-            for a in g.nodes:
-                for port, payload in sends[a]:
-                    b = net.neighbor_on_port(a, port)
-                    bits = engine.payload_bits(payload, net.enc)
-                    if bits < 1:
-                        raise SimError("message must be at least one bit")
-                    inboxes[b].append(Message(payload, net.port_to[b][a]))
-                    msgs_sent[a] += 1
-                    max_bits = max(max_bits, bits)
-            deliveries += 1
-            for b in g.nodes:
-                rng = random.Random(
-                    order_seed * 2_654_435_761 + round_no * 40_503 + b
+            if res.quiescent:
+                restless.discard(a)
+            else:
+                restless.add(a)
+            w = res.wake_at
+            if w is None:
+                wake.pop(a, None)
+            elif w <= round_no:
+                raise SimError(
+                    f"node {a} asked in round {round_no} to wake in round {w}"
                 )
-                rng.shuffle(inboxes[b])
+            elif wake.get(a) != w:
+                wake[a] = w
+                heapq.heappush(calendar, (w, a))
+            if res.sends:
+                senders.append((a, res.sends))
+        if not restless:
+            return results(), snapshot_metrics()
+        if senders:
+            last: Any = None
+            for a, sends in senders:
+                for port, payload in sends:
+                    if payload is not last:  # a broadcast repeats one payload
+                        bits = engine.payload_bits(payload, net.enc)
+                        if bits < 1:
+                            raise SimError("message must be at least one bit")
+                        max_bits = max(max_bits, bits)
+                        last = payload
+                    b = net.neighbor_on_port(a, port)
+                    inboxes.setdefault(b, []).append(
+                        Message(payload, net.port_to[b][a])
+                    )
+                msgs_sent[a] += len(sends)
+            deliveries += 1
+            for b, box in inboxes.items():
+                if len(box) > 1:
+                    rng = random.Random(
+                        order_seed * 2_654_435_761 + round_no * 40_503 + b
+                    )
+                    rng.shuffle(box)
+            round_no += 1
+        else:
+            # Nothing in flight: jump to the earliest wake-up still asked for.
+            while calendar and wake.get(calendar[0][1]) != calendar[0][0]:
+                heapq.heappop(calendar)
+            if not calendar:
+                break  # nothing can change any more
+            round_no = calendar[0][0]
+        # Every wake-up in `calendar` lies after the last round stepped, and
+        # an entry a node's later report replaced is stale.
+        due = set(inboxes).union(a for a, _ in senders)
+        while calendar and calendar[0][0] == round_no:
+            w, a = heapq.heappop(calendar)
+            if wake.get(a) == w:
+                due.add(a)
+        stepping = sorted(due)
     raise RoundCapError(
         f"round cap {round_cap} exceeded without termination",
         snapshot_metrics(),

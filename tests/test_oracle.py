@@ -91,6 +91,22 @@ def test_diameter_recomputed():
     assert star_graph(5).diameter == 2
 
 
+def test_family_diameters_match_the_bfs_diameter():
+    # The family constructors give their closed-form diameter; make_graph
+    # without one computes it by a BFS from every node.
+    families = [path_graph(n) for n in range(1, 31)]
+    families += [ring_graph(n) for n in range(3, 31)]
+    families += [star_graph(n) for n in range(1, 31)]
+    families += [
+        grid_graph(rows, cols)
+        for rows in range(1, 31)
+        for cols in range(1, 31 // rows + 1)
+    ]
+    for g in families:
+        bfs = make_graph(list(g.edges()), nodes=g.nodes)
+        assert g.diameter == bfs.diameter, g.nodes
+
+
 def test_neighborhood_fragment():
     frag = neighborhood(path_graph(4), 1, 2)
     assert frag.nodes == (1, 2, 3)

@@ -1,14 +1,18 @@
 """Simulator behavior: loading, ports, rounds, delivery, metrics."""
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
 
 from netquery.engine_fo import FOQueryEngine, run_qe_fo
 from netquery.engine_fp import FPQueryEngine, run_qe_fp
+from netquery import simnet
 from netquery.fixtures import (
+    HAS_NEIGHBOR_TEXT,
     SPANNING_TREE_TEXT,
+    TRANSITIVE_CLOSURE_DATALOG,
     TRANSITIVE_CLOSURE_TEXT,
     TWO_HOP_TEXT,
 )
@@ -24,16 +28,26 @@ from netquery.logic import (
     relativize,
     relativize_fixpoint,
 )
-from netquery.oracle import GraphError, grid_graph, path_graph, ring_graph
+from netquery.netlog import run_netlog
+from netquery.oracle import (
+    GraphError,
+    grid_graph,
+    path_graph,
+    ring_graph,
+    star_graph,
+)
+from netquery.rewriter import compile as compile_program
 from netquery.simnet import (
     ANONYMOUS,
     GLOBAL_IDS,
     IdentityMode,
+    Message,
     Metrics,
     NodeEngine,
     RoundCapError,
     SimError,
     StepResult,
+    _context_for,
     broadcast,
     check_locally_consistent,
     encoding_for,
@@ -464,6 +478,221 @@ def test_silent_engine_rejects_injection():
     net = load_network(PATH3)
     with pytest.raises(SimError):
         run(net, SilentEngine(), init={1: "go"})
+
+
+# ------------------------------------------------- event-driven stepping
+
+
+def reference_run(net, engine, init=None, order_seed=0, round_cap=10_000):
+    """A plain simulator that steps every node in every round, shuffles
+    every in-buffer and sizes every message: `run` must match it on every
+    engine, since the steps `run` skips are no-ops."""
+    g = net.graph
+    contexts = {a: _context_for(net, a) for a in g.nodes}
+    states = {a: engine.start(contexts[a]) for a in g.nodes}
+    for a, payload in (init or {}).items():
+        if a not in states:
+            raise SimError(f"init references unknown node {a}")
+        engine.inject(states[a], contexts[a], payload)
+    inboxes = {a: [] for a in g.nodes}
+    msgs_sent = {a: 0 for a in g.nodes}
+    max_bits = max_steps = deliveries = 0
+
+    def outcome():
+        metrics = Metrics(
+            dist_time=max(deliveries, 1),
+            msgs_per_node=dict(msgs_sent),
+            max_msg_bits=max_bits,
+            max_in_steps_per_round=max_steps,
+        )
+        return {a: engine.collect(states[a], contexts[a]) for a in g.nodes}, metrics
+
+    for round_no in range(1, round_cap + 1):
+        all_quiet = True
+        sends = {}
+        for a in g.nodes:
+            res = engine.step(states[a], contexts[a], round_no, tuple(inboxes[a]))
+            inboxes[a] = []
+            sends[a] = res.sends
+            max_steps = max(max_steps, res.steps)
+            all_quiet = all_quiet and res.quiescent
+        if all_quiet:
+            return outcome()
+        if any(sends.values()):
+            for a in g.nodes:
+                for port, payload in sends[a]:
+                    b = net.neighbor_on_port(a, port)
+                    inboxes[b].append(Message(payload, net.port_to[b][a]))
+                    msgs_sent[a] += 1
+                    max_bits = max(max_bits, engine.payload_bits(payload, net.enc))
+            deliveries += 1
+            for b in g.nodes:
+                rng = random.Random(
+                    order_seed * 2_654_435_761 + round_no * 40_503 + b
+                )
+                rng.shuffle(inboxes[b])
+    results, metrics = outcome()
+    raise RoundCapError("round cap exceeded", metrics, results)
+
+
+DIFFERENTIAL_GRAPHS = {
+    "path": path_graph(4),
+    "ring": ring_graph(5),
+    "grid": grid_graph(2, 3),
+    "star": star_graph(5),
+}
+
+
+# Reachability from the node with the ReqNode fact: the cheapest fixpoint
+# the global engine runs on these graphs.  Relativized, it keeps FP-loc nodes
+# behind its wave quiescent while nodes ahead still work.
+REACH_TEXT = "mu R(x). ReqNode(x) | (exists y. (R(y) & G(y,x)))"
+
+
+@pytest.mark.parametrize("shape", sorted(DIFFERENTIAL_GRAPHS))
+def test_run_matches_stepping_every_node(monkeypatch, shape):
+    """Every engine family, run through its entry point, collects the same
+    results with the same metrics as under the every-node reference, in
+    every identity mode it accepts, for port and delivery-order seeds 0-2
+    (the costly global engines for equal seeds only)."""
+    compared = []
+
+    def both(net, engine, init=None, order_seed=0, round_cap=10_000):
+        expected = reference_run(net, engine, init, order_seed, round_cap)
+        got = run(net, engine, init, order_seed=order_seed, round_cap=round_cap)
+        assert got == expected, (type(engine).__name__, net.mode.kind, order_seed)
+        compared.append(type(engine).__name__)
+        return got
+
+    monkeypatch.setattr(simnet, "run", both)
+    g = DIFFERENTIAL_GRAPHS[shape].with_unary({"ReqNode": [1]})
+    fo_loc = relativize(parse_formula(TWO_HOP_TEXT), "x", 1)
+    tc_loc = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
+    reach_loc = relativize_fixpoint(parse_fixpoint(REACH_TEXT), 1)
+    program = compile_program(TRANSITIVE_CLOSURE_DATALOG, g.diameter).program
+    labels = {a: 10 + a for a in g.nodes}
+    modes = (
+        GLOBAL_IDS,
+        IdentityMode("local-consistent", k=1, labels=labels),
+        ANONYMOUS,
+    )
+    for port_seed in (0, 1, 2):
+        for mode in modes:
+            net = make_network(g, mode, port_seed=port_seed)
+            for order_seed in (0, 1, 2):
+                if mode is GLOBAL_IDS:
+                    if order_seed == port_seed:
+                        run_qe_fo(net, HAS_NEIGHBOR_TEXT, 1, order_seed=order_seed)
+                        run_qe_fp(net, REACH_TEXT, 2, order_seed=order_seed)
+                    run_netlog(program, net, order_seed=order_seed)
+                run_qe_fo_loc(net, fo_loc, 1, order_seed=order_seed)
+                run_qe_fp_loc(net, tc_loc, 1, order_seed=order_seed)
+                run_qe_fp_loc(net, reach_loc, 2, order_seed=order_seed)
+    assert sorted(set(compared)) == [
+        "FOLocEngine", "FOQueryEngine", "FPLocEngine", "FPQueryEngine",
+        "NetlogEngine",
+    ]
+    assert len(compared) == 3 * (2 + 3 + 3 * 3 * len(modes))
+
+
+def test_fp_loc_node_steps_do_not_grow_with_the_ring(monkeypatch):
+    # DIST-TIME grows as n/2 while each node does a fixed amount of work;
+    # a node with no mail and no wake-up due is not stepped, so node steps
+    # per node stay flat too.
+    steps = [0]
+
+    def counted(self, *args, _step=FPLocEngine.step):
+        steps[0] += 1
+        return _step(self, *args)
+
+    monkeypatch.setattr(FPLocEngine, "step", counted)
+    tc_loc = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
+    per_node = {}
+    for n in (64, 128, 256):
+        steps[0] = 0
+        _, metrics = run_qe_fp_loc(make_network(ring_graph(n), ANONYMOUS), tc_loc, 1)
+        assert metrics.dist_time == n // 2 + 9
+        per_node[n] = steps[0] / n
+    assert per_node[256] <= 1.05 * per_node[64], per_node
+
+
+class Stuck(NodeEngine):
+    """Never quiescent, never sends, asks for no wake-up; fails once it is
+    stepped more than `limit` times."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.steps = 0
+
+    def start(self, ctx):
+        return None
+
+    def step(self, state, ctx, round_no, inbox):
+        self.steps += 1
+        assert self.steps <= self.limit, "an idle node was stepped"
+        return StepResult((), quiescent=False)
+
+    def collect(self, state, ctx):
+        return None
+
+    def payload_bits(self, payload, enc):
+        return 1
+
+
+def test_round_cap_is_raised_without_spinning():
+    # Nothing can ever change, so the run stops after round 1 instead of
+    # stepping idle nodes up to the cap.
+    net = load_network(PATH3)
+    engine = Stuck(limit=net.n)
+    with pytest.raises(RoundCapError) as err:
+        run(net, engine, round_cap=10**6)
+    assert engine.steps == net.n
+    assert err.value.metrics.dist_time == 1
+    assert set(err.value.results) == {1, 2, 3}
+
+
+class Alarm(NodeEngine):
+    """Node 1 sleeps until round `at` with nothing in flight; each node
+    records the rounds it was stepped in."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def start(self, ctx):
+        return []
+
+    def step(self, state, ctx, round_no, inbox):
+        state.append(round_no)
+        waiting = ctx.node == 1 and round_no < self.at
+        return StepResult(
+            (), quiescent=not waiting, wake_at=self.at if waiting else None
+        )
+
+    def collect(self, state, ctx):
+        return state
+
+    def payload_bits(self, payload, enc):
+        return 1
+
+
+def test_run_jumps_to_the_next_wake_up():
+    res, metrics = run(load_network(PATH3), Alarm(at=50))
+    assert res == {1: [1, 50], 2: [1], 3: [1]}
+    assert metrics.dist_time == 1
+    with pytest.raises(RoundCapError):
+        run(load_network(PATH3), Alarm(at=50), round_cap=49)
+
+
+class Snooze(Alarm):
+    """Asks to wake in the round it is in."""
+
+    def step(self, state, ctx, round_no, inbox):
+        return StepResult((), quiescent=False, wake_at=round_no)
+
+
+def test_wake_up_must_lie_ahead():
+    with pytest.raises(SimError, match="in round 1 to wake in round 1"):
+        run(load_network(PATH3), Snooze(at=1))
 
 
 # ------------------------------------------------------------- metrics
