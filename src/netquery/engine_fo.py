@@ -178,6 +178,7 @@ class FOCore:
         self_unary: frozenset[str],
         delta: int,
         order: tuple[str, ...],
+        formulas: dict[str, Formula],
         table: Optional[tuple[str, frozenset[tuple[int, ...]]]] = None,
         round_offset: int = 0,
     ):
@@ -186,6 +187,8 @@ class FOCore:
         self.self_unary = frozenset(self_unary)
         self.delta = delta
         self.order = tuple(order)
+        # Query text -> parsed formula, shared by every core of one run.
+        self.formulas = formulas
         self.table = table  # (name, committed rows) of a fixpoint relation
         self.round_offset = round_offset
         self.entries: dict[tuple[int, str], _Entry] = {}
@@ -392,7 +395,10 @@ class FOCore:
             level = extra if kind == "B" else len(suffix)
             known = self.entries.get((level, text))
             if known is None:
-                self._create_entry(parse_formula(text), kind, level, suffix)
+                f = self.formulas.get(text)
+                if f is None:
+                    f = self.formulas[text] = parse_formula(text)
+                self._create_entry(f, kind, level, suffix)
             elif known.suffix != suffix:
                 raise EngineError(
                     f"open query {text!r} reached with conflicting assignments"
@@ -510,7 +516,9 @@ class _BroadcastEngine(NodeEngine):
     """Simulator adapter of the global engines: one core per node, built by
     `_core(self_id, neighbors, self_unary, delta)`, whose round is ingest,
     advance and flush, with every payload broadcast.  Every node is stepped
-    in every round."""
+    in every round.  One engine object serves one run, and its cores share
+    the engine's `formulas`, so each query text a run floods is parsed once;
+    a text that fails to parse is not kept."""
 
     def start(self, ctx: NodeContext) -> Any:
         if ctx.node_id is None or ctx.neighbor_ids is None:
@@ -547,9 +555,10 @@ class FOQueryEngine(_BroadcastEngine):
 
     def __init__(self, order: tuple[str, ...]):
         self.order = tuple(order)
+        self.formulas: dict[str, Formula] = {}
 
     def _core(self, *args: Any) -> FOCore:
-        return FOCore(*args, order=self.order)
+        return FOCore(*args, order=self.order, formulas=self.formulas)
 
     def inject(self, state: FOCore, ctx: NodeContext, payload: Any) -> None:
         state.inject_query(payload, ())

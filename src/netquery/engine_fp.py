@@ -41,6 +41,7 @@ from .engine_fo import (
 )
 from .logic import (
     FixpointQuery,
+    Formula,
     parse_fixpoint,
     print_fixpoint,
     stats,
@@ -91,11 +92,13 @@ class FPCore:
         neighbors: frozenset[int],
         self_unary: frozenset[str],
         delta: int,
+        formulas: dict[str, Formula],
     ):
         self.self_id = self_id
         self.neighbors = frozenset(neighbors)
         self.self_unary = frozenset(self_unary)
         self.delta = delta
+        self.formulas = formulas  # handed to every iteration's FOCore
         self.query: Optional[FixpointQuery] = None
         self.window = 0  # evaluation window length, set with the query
         self.phase = "wait"  # wait -> run -> done
@@ -147,6 +150,7 @@ class FPCore:
             self_unary=self.self_unary,
             delta=self.delta,
             order=q.vars,
+            formulas=self.formulas,
             table=(q.name, frozenset(self.committed)),
             round_offset=self._start_round(i) - 1,
         )
@@ -235,7 +239,11 @@ class FPQueryEngine(_BroadcastEngine):
     """One FPCore per node; the requester is seeded with the query, everyone
     else learns it from the flood."""
 
-    _core = FPCore
+    def __init__(self) -> None:
+        self.formulas: dict[str, Formula] = {}
+
+    def _core(self, *args: Any) -> FPCore:
+        return FPCore(*args, formulas=self.formulas)
 
     def inject(self, state: FPCore, ctx: NodeContext, payload: Any) -> None:
         state.seed(payload)

@@ -559,13 +559,15 @@ def _node_nonce(ctx: NodeContext) -> int:
 
 
 class _LocalState:
-    """What a local engine keeps per node: the adopted query and its radius,
-    the walk collection, and the topology and domain it yields."""
+    """What a local engine keeps per node: the adopted query, its centre
+    variable and radius, the walk collection, and the topology and domain
+    it yields."""
 
-    __slots__ = ("query", "k", "relay", "collector", "topology", "domain")
+    __slots__ = ("query", "center", "k", "relay", "collector", "topology", "domain")
 
     def __init__(self, collector: _Collector) -> None:
         self.query: Any = None
+        self.center = ""
         self.k = 0
         self.relay = False
         self.collector = collector
@@ -578,7 +580,13 @@ class _LocalEngine(NodeEngine):
     it once, serve the walk collection, and build the topology and the
     radius-k domain when the collection comes home.  An engine names its
     state class `_State` and its query printer `_print`, reads a query text
-    in `_read`, and serves its own message tags in `_serve`."""
+    into (query, centre variable, radius) in `_read`, and serves its own
+    message tags in `_serve`.  One engine object serves every node of a
+    run, so each distinct text is read once per run; a text that fails to
+    read is not kept and fails again at every node that reads it."""
+
+    def __init__(self) -> None:
+        self.reads: dict[str, tuple[Any, str, int]] = {}
 
     def start(self, ctx: NodeContext) -> Any:
         return self._State(_Collector(_node_nonce(ctx)))
@@ -588,7 +596,10 @@ class _LocalEngine(NodeEngine):
 
     def _adopt(self, state: _LocalState, text: str) -> None:
         if state.query is None:
-            self._read(state, text)
+            read = self.reads.get(text)
+            if read is None:
+                read = self.reads[text] = self._read(text)
+            state.query, state.center, state.k = read
             state.relay = True
 
     def _serve(
@@ -649,11 +660,10 @@ class FOLocReport:
 
 
 class _FOLocState(_LocalState):
-    __slots__ = ("center", "rows")
+    __slots__ = ("rows",)
 
     def __init__(self, collector: _Collector) -> None:
         super().__init__(collector)
-        self.center = ""
         self.rows: frozenset[tuple[PortTrace, ...]] = frozenset()
 
 
@@ -666,13 +676,13 @@ class FOLocEngine(_LocalEngine):
     _print = staticmethod(print_formula)
 
     def __init__(self, order: tuple[str, ...], mode_kind: str):
+        super().__init__()
         self.order = tuple(order)
         self.mode_kind = mode_kind
 
-    def _read(self, state: _FOLocState, text: str) -> None:
+    def _read(self, text: str) -> tuple[Formula, str, int]:
         f = parse_formula(text)
-        state.center, state.k = _validate_fo_local(f, self.mode_kind)
-        state.query = f
+        return (f, *_validate_fo_local(f, self.mode_kind))
 
     def step(
         self,
@@ -799,12 +809,12 @@ class FPLocEngine(_LocalEngine):
     _print = staticmethod(print_fixpoint)
 
     def __init__(self, mode_kind: str):
+        super().__init__()
         self.mode_kind = mode_kind
 
-    def _read(self, state: _FPLocState, text: str) -> None:
+    def _read(self, text: str) -> tuple[FixpointQuery, str, int]:
         q = parse_fixpoint(text)
-        state.k = _validate_fp_local(q, self.mode_kind)
-        state.query = q
+        return q, q.vars[0], _validate_fp_local(q, self.mode_kind)
 
     def step(
         self,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, NoReturn, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Union
 
 
 class ParseError(ValueError):
@@ -330,7 +330,7 @@ class _UnionFind:
             self.parent[ra] = rb
 
     def same(self, a: Hashable, b: Hashable) -> bool:
-        return self.find(a) == self.find(b)
+        return a == b or self.find(a) == self.find(b)
 
 
 # ------------------------------------------------------------------ printing
@@ -428,8 +428,7 @@ def _token_re(comment: str, ops: str) -> re.Pattern[str]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "name", "int", "eof", or the operator text itself
     text: str
     pos: int
@@ -451,16 +450,17 @@ class _TokenStream:
         self.toks: list[_Tok] = []
         self.i = 0
         pos = 0
-        while pos < len(text):
-            m = self.token_re.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
+        for m in self.token_re.finditer(text):
+            if m.start() != pos:
+                break
             kind, word = m.lastgroup, m.group()
             if kind == "op":
                 kind = word = self.aliases.get(word, word)
             if kind != "skip":
                 self.toks.append(_Tok(kind, word, pos))
             pos = m.end()
+        if pos < len(text):
+            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
         self.toks.append(_Tok("eof", "", pos))
 
     def peek(self, ahead: int = 0) -> _Tok:

@@ -2,13 +2,26 @@
 and the distributed store-and-push engine.
 
 Provides the parsed rule types, the localization checker for distributed
-rules, a body-matching engine used by both evaluation modes, and the
-per-round immediate-consequence operator over per-node stores.
+rules, the rule plans both evaluation modes run, and the per-round
+immediate-consequence operator over per-node stores.
+
+A rule is compiled once into a plan (`plan_rule`): its body in an order
+in which every literal is evaluable when reached, then its head, as steps
+over one list of variable slots that every binding overwrites in place.  A positive literal probes an
+index keyed by its argument positions bound before it, a negated literal
+probes a membership set, and guards bind or test slots.  The indexes live
+on a `FactView` of one evaluation's facts, which builds only those the
+plans probe; their buckets keep the facts' ascending order, so a plan
+yields its bindings in a fixed order.  Building a plan is the rule safety
+check: `parse_netlog`, `oracle.eval_datalog` and `rewriter.compile` reject
+through it a body that cannot be ordered or that leaves a head variable
+unbound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import simnet
 from .logic import EDGE_PRED, Const, Term, Var, _TokenStream, _token_re, _UnionFind, term_str
@@ -296,6 +309,7 @@ def parse_netlog(text: str) -> NetlogProgram:
             raise NetlogError(
                 f"rule {idx} violates localization restriction {violation}"
             )
+    node_plans(rules)
     return NetlogProgram(tuple(rules))
 
 
@@ -377,9 +391,9 @@ def body_holding_vars(rule: NetlogRule) -> tuple[str, ...]:
     out: list[str] = []
     for lit in rule.body:
         if isinstance(lit, RelLit) and lit.holding is not None:
-            hv = lit.holding_var()
-            if hv is not None and hv not in out:
-                out.append(hv)
+            t = lit.args[lit.holding]
+            if isinstance(t, Var) and t.name not in out:
+                out.append(t.name)
     return tuple(out)
 
 
@@ -396,65 +410,146 @@ def _lit_vars(lit: NetlogLiteral) -> set[str]:
     return out
 
 
-def static_order(
-    body: Sequence[NetlogLiteral], prebound: Iterable[str] = ()
-) -> list[NetlogLiteral]:
-    """Order body literals so every literal is evaluable when reached:
-    positive relation atoms join and bind, equality/decrement guards may bind
-    one side, negated atoms and pure comparisons need all variables bound."""
-    bound = set(prebound)
-    remaining = list(body)
-    ordered: list[NetlogLiteral] = []
+def _ready(lit: NetlogLiteral, bound: Mapping[str, int]) -> bool:
+    """Whether a body literal is evaluable once the variables in `bound` are:
+    a positive relation atom joins and binds, an equality guard may bind one
+    side and a decrement guard its left side, and a negated atom or a
+    comparison needs every variable bound."""
+    if isinstance(lit, RelLit):
+        return lit.positive or all(
+            t.name in bound for t in lit.args if isinstance(t, Var)
+        )
+    left_ok = not isinstance(lit.left, Var) or lit.left.name in bound
+    right_ok = not isinstance(lit.right, Var) or lit.right.name in bound
+    if lit.op == "=":
+        return left_ok or right_ok
+    if lit.op == "dec":
+        return right_ok
+    return left_ok and right_ok
 
-    def ready(lit: NetlogLiteral) -> bool:
-        if isinstance(lit, RelLit):
-            if lit.positive:
-                return True
-            return _lit_vars(lit) <= bound
-        lv = lit.left.name if isinstance(lit.left, Var) else None
-        rv = lit.right.name if isinstance(lit.right, Var) else None
-        left_ok = lv is None or lv in bound
-        right_ok = rv is None or rv in bound
-        if lit.op == "=":
-            return left_ok or right_ok
-        if lit.op == "dec":
-            return right_ok
-        return left_ok and right_ok
 
-    while remaining:
-        for lit in remaining:
-            if ready(lit):
-                ordered.append(lit)
-                remaining.remove(lit)
-                bound |= _lit_vars(lit)
-                break
+# Plan step operations.  A step is a tuple whose first item is one of these;
+# slots index the binding list, constants included (see plan_rule).
+_JOIN, _ABSENT, _LET, _LET_DEC, _EQ, _NE, _GE, _DEC, _HEAD = range(9)
+_TESTS = {"=": _EQ, "!=": _NE, ">=": _GE, "dec": _DEC}
+
+
+def _tuple_getter(slots: Sequence[int]) -> Callable[[list[int]], tuple[int, ...]]:
+    """The values in the given slots, always as a tuple."""
+    if len(slots) == 1:
+        (s,) = slots
+        return lambda env: (env[s],)
+    if not slots:
+        return lambda env: ()
+    return itemgetter(*slots)
+
+
+class RulePlan(NamedTuple):
+    """A rule compiled for evaluation: its body in evaluable order, then its
+    head, as steps over one binding list.  The first `held` slots hold the
+    prebound variables and the last slots the rule's constants."""
+
+    rule: NetlogRule
+    steps: tuple[tuple, ...]
+    held: int
+    rest: tuple[int, ...]  # the binding list after the held slots
+
+    def fire(self, view: "FactView", out: list[Fact], holder: int = 0) -> None:
+        """Append to `out` the head fact of every binding of the body in
+        `view`, with the prebound variables set to `holder`."""
+        _match_literal(self.steps, 0, [holder] * self.held + list(self.rest), view, out)
+
+
+def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
+    """Compile a rule into a plan, with the variables in `prebound` bound in
+    advance.  The body is ordered by taking, each time, the first remaining
+    literal that is evaluable (`_ready`); then comes the head.  This is the
+    rule safety check: it raises NetlogError when literals remain and none
+    is evaluable, or when the body leaves a head variable unbound."""
+    slots: dict[str, int] = {}  # bound variable -> slot
+    for name in prebound:
+        slots.setdefault(name, len(slots))
+    held = len(slots)
+    consts: list[int] = []  # stored at the end of the list, addressed from it
+
+    def slot(t: Term) -> int:
+        if isinstance(t, Const):
+            if t.value not in consts:
+                consts.append(t.value)
+            return -1 - consts.index(t.value)
+        return slots[t.name]
+
+    steps: list[tuple] = []
+    remaining = list(rule.body)
+    i = 0
+    while i < len(remaining):
+        lit = remaining[i]
+        if not (isinstance(lit, RelLit) and lit.positive) and not _ready(lit, slots):
+            i += 1
+            continue
+        del remaining[i]
+        i = 0
+        if isinstance(lit, GuardLit):
+            # Every operand is bound but the one an = or dec guard binds.
+            left, right = lit.left, lit.right
+            if isinstance(left, Var) and left.name not in slots:
+                op = _LET_DEC if lit.op == "dec" else _LET
+                steps.append((op, len(slots), slot(right)))
+                slots[left.name] = len(slots)
+            elif isinstance(right, Var) and right.name not in slots:
+                steps.append((_LET, len(slots), slot(left)))
+                slots[right.name] = len(slots)
+            else:
+                steps.append((_TESTS[lit.op], slot(left), slot(right)))
+        elif not lit.positive:
+            args = _tuple_getter([slot(t) for t in lit.args])
+            steps.append((_ABSENT, lit.pred, args))
         else:
-            names = sorted(set().union(*(_lit_vars(l) for l in remaining)) - bound)
-            raise NetlogError(
-                f"unsafe rule body: variables {names} cannot be bound"
-            )
-    return ordered
-
-
-def _check_safe(rule: NetlogRule) -> None:
-    """Raise NetlogError unless the body can be ordered so that every
-    literal is evaluable when reached and the body binds every head
-    variable."""
-    bound: set[str] = set()
-    for lit in static_order(rule.body):
-        bound |= _lit_vars(lit)
-    unbound = sorted(_lit_vars(rule.head) - bound)
-    if unbound:
+            # Bound positions key the index; the others bind fresh slots in
+            # position order, or repeat a variable bound at an earlier one.
+            first = len(slots)
+            key_pos, key_slots, free, same = [], [], [], []
+            mask = 0  # the key positions as bits, naming the index
+            for p, t in enumerate(lit.args):
+                s = slot(t) if isinstance(t, Const) else slots.get(t.name)
+                if s is None:
+                    slots[t.name] = len(slots)  # type: ignore[union-attr]
+                    free.append(p)
+                elif s >= first:
+                    same.append((free[s - first], p))
+                else:
+                    key_pos.append(p)
+                    key_slots.append(s)
+                    mask |= 1 << p
+            name = (lit.pred, len(lit.args), mask, tuple(same))
+            key = itemgetter(*key_slots) if key_slots else None
+            steps.append((_JOIN, name, key, first, len(free), (key_pos, free)))
+    if remaining:
+        names = sorted(set().union(*map(_lit_vars, remaining)) - slots.keys())
+        raise NetlogError(f"unsafe rule body: variables {names} cannot be bound")
+    try:
+        head = _tuple_getter([
+            slots[t.name] if isinstance(t, Var) else slot(t) for t in rule.head.args
+        ])
+    except KeyError:
+        unbound = sorted(_lit_vars(rule.head) - slots.keys())
         raise NetlogError(
             f"unsafe rule: head variables {unbound} are not bound by the "
             f"body in {print_rule(rule)}"
-        )
+        ) from None
+    steps.append((_HEAD, rule.head.pred, head))
+    rest = (0,) * (len(slots) - held) + tuple(reversed(consts))
+    return RulePlan(rule, tuple(steps), held, rest)
 
 
-class _Lookup:
-    """Fact access for one evaluation context: a fact store, the unary input
-    facts, and the visible edges, each given once and matched both ways.  A
-    node sees its own store and only the edges that touch it."""
+class FactView:
+    """The facts one evaluation sees: a fact store, the unary input facts
+    and the visible edges, each given once and matched both ways.  A node
+    sees its own store and only the edges that touch it.  The indexes that
+    plan steps probe are built on first use; a bucket lists its tuples in
+    ascending order."""
+
+    __slots__ = ("by_pred", "unary", "edges", "indexes")
 
     def __init__(
         self,
@@ -465,110 +560,93 @@ class _Lookup:
         self.by_pred: dict[str, list[tuple[int, ...]]] = {}
         for pred, args in facts:
             self.by_pred.setdefault(pred, []).append(args)
-        for lst in self.by_pred.values():
-            lst.sort()
         self.unary = unary
-        both = {e for u, v in edges for e in ((u, v), (v, u))}
-        self.edges = sorted(both)
-        self.edge_set = frozenset(both)
+        self.edges = tuple(edges)
+        self.indexes: dict[Any, Any] = {}  # a plan step's name -> its index
 
-    def candidates(self, pred: str) -> Sequence[tuple[int, ...]]:
+    def tuples(self, pred: str) -> list[tuple[int, ...]]:
+        """Every tuple of `pred`, ascending and without repeats."""
         if pred == EDGE_PRED:
-            return self.edges
-        out = list(self.by_pred.get(pred, ()))
-        if pred in self.unary:
-            out.extend((a,) for a in sorted(self.unary[pred]))
-        return sorted(set(out))
+            return sorted({e for u, v in self.edges for e in ((u, v), (v, u))})
+        out = set(self.by_pred.get(pred, ()))
+        out.update((a,) for a in self.unary.get(pred, ()))
+        return sorted(out)
 
-    def contains(self, pred: str, args: tuple[int, ...]) -> bool:
-        if pred == EDGE_PRED:
-            return args in self.edge_set
-        if pred in self.unary and len(args) == 1 and args[0] in self.unary[pred]:
-            return True
-        return args in set(self.by_pred.get(pred, ()))
-
-
-def _resolve_term(t: Term, env: Mapping[str, int]) -> Optional[int]:
-    if isinstance(t, Const):
-        return t.value
-    return env.get(t.name)
+    def build(self, step: tuple) -> Any:
+        """The index a `_JOIN` step probes: its literal's tuples that agree
+        on repeated variables, cut down to the positions the step binds,
+        under the values at the positions bound before it (a list when
+        none are).  For an `_ABSENT` step, the set of the literal's tuples."""
+        if step[0] == _ABSENT:
+            index: Any = set(self.tuples(step[1]))
+        else:
+            pred, arity, _mask, same = step[1]
+            key_pos, free = step[5]
+            rows = [t for t in self.tuples(pred) if len(t) == arity]
+            if same:
+                rows = [t for t in rows if all(t[a] == t[b] for a, b in same)]
+            project = itemgetter(*free) if free else lambda t: ()
+            if not key_pos:
+                index = [project(t) for t in rows]
+            else:
+                key = itemgetter(*key_pos)
+                index = {}
+                for t in rows:
+                    index.setdefault(key(t), []).append(project(t))
+        self.indexes[step[1]] = index
+        return index
 
 
 def _match_literal(
-    lit: NetlogLiteral, lookup: _Lookup, env: dict[str, int]
-) -> Iterator[dict[str, int]]:
-    if isinstance(lit, RelLit):
-        if lit.positive:
-            for tup in lookup.candidates(lit.pred):
-                if len(tup) != len(lit.args):
-                    continue
-                env2 = dict(env)
-                ok = True
-                for term, val in zip(lit.args, tup):
-                    if isinstance(term, Const):
-                        if term.value != val:
-                            ok = False
-                            break
-                    else:
-                        bound = env2.get(term.name)
-                        if bound is None:
-                            env2[term.name] = val
-                        elif bound != val:
-                            ok = False
-                            break
-                if ok:
-                    yield env2
-            return
-        args = tuple(_resolve_term(t, env) for t in lit.args)
-        if any(a is None for a in args):
-            raise NetlogError(
-                f"negated literal {print_literal(lit)} has unbound variables"
-            )
-        if not lookup.contains(lit.pred, args):  # type: ignore[arg-type]
-            yield env
-        return
-    left = _resolve_term(lit.left, env)
-    right = _resolve_term(lit.right, env)
-    if lit.op == "dec":
-        if right is None:
-            raise NetlogError("decrement guard with unbound right side")
-        want = right - 1
-        if left is None:
-            env2 = dict(env)
-            env2[lit.left.name] = want  # type: ignore[union-attr]
-            yield env2
-        elif left == want:
-            yield env
-        return
-    if lit.op == "=":
-        if left is None and right is None:
-            raise NetlogError("equality guard with both sides unbound")
-        if left is None:
-            env2 = dict(env)
-            env2[lit.left.name] = right  # type: ignore[union-attr]
-            yield env2
-        elif right is None:
-            env2 = dict(env)
-            env2[lit.right.name] = left  # type: ignore[union-attr]
-            yield env2
-        elif left == right:
-            yield env
-        return
-    if left is None or right is None:
-        raise NetlogError("comparison guard with unbound variables")
-    if (lit.op == "!=" and left != right) or (lit.op == ">=" and left >= right):
-        yield env
-
-
-def _match_ordered(
-    ordered: Sequence[NetlogLiteral], lookup: _Lookup, env: dict[str, int]
-) -> Iterator[dict[str, int]]:
-    if not ordered:
-        yield env
-        return
-    head, rest = ordered[0], ordered[1:]
-    for env2 in _match_literal(head, lookup, env):
-        yield from _match_ordered(rest, lookup, env2)
+    plan: tuple[tuple, ...], k: int, env: list[int], view: FactView, out: list[Fact]
+) -> None:
+    """Run step k of a plan for the binding in `env`, and step k + 1 for
+    every binding that step yields, in order; the head step appends its
+    fact to `out`.  A step writes only slots no earlier step binds, so one
+    list serves every binding."""
+    step = plan[k]
+    op = step[0]
+    if op == _JOIN:
+        _, name, key, first, width, _positions = step
+        index = view.indexes.get(name)
+        if index is None:
+            index = view.build(step)
+        rows = index if key is None else index.get(key(env), ())
+        k += 1
+        if width == 1:
+            for env[first] in rows:
+                _match_literal(plan, k, env, view, out)
+        elif width:
+            for env[first:first + width] in rows:
+                _match_literal(plan, k, env, view, out)
+        else:
+            for _ in rows:
+                _match_literal(plan, k, env, view, out)
+    elif op == _HEAD:
+        out.append((step[1], step[2](env)))
+    elif op == _NE:
+        if env[step[1]] != env[step[2]]:
+            _match_literal(plan, k + 1, env, view, out)
+    elif op == _LET:
+        env[step[1]] = env[step[2]]
+        _match_literal(plan, k + 1, env, view, out)
+    elif op == _ABSENT:
+        members = view.indexes.get(step[1])
+        if members is None:
+            members = view.build(step)
+        if step[2](env) not in members:
+            _match_literal(plan, k + 1, env, view, out)
+    elif op == _EQ:
+        if env[step[1]] == env[step[2]]:
+            _match_literal(plan, k + 1, env, view, out)
+    elif op == _GE:
+        if env[step[1]] >= env[step[2]]:
+            _match_literal(plan, k + 1, env, view, out)
+    elif op == _LET_DEC:
+        env[step[1]] = env[step[2]] - 1
+        _match_literal(plan, k + 1, env, view, out)
+    elif env[step[1]] == env[step[2]] - 1:  # _DEC
+        _match_literal(plan, k + 1, env, view, out)
 
 
 def match_body(
@@ -578,52 +656,60 @@ def match_body(
 ) -> Iterator[Mapping[str, int]]:
     """All assignments satisfying the body against the given fact set, the
     graph edges, and the graph's unary input facts (centralized view)."""
-    lookup = _Lookup(facts, g.unary, g.edges())
-    yield from _match_ordered(static_order(body), lookup, {})
+    names = sorted(set().union(*map(_lit_vars, body)))
+    head = RelLit("", tuple(Var(n) for n in names))
+    out: list[Fact] = []
+    plan_rule(NetlogRule(head, tuple(body))).fire(FactView(facts, g.unary, g.edges()), out)
+    for _, values in out:
+        yield dict(zip(names, values))
 
 
 # ------------------------------------------------------------- consequence
 
 
-def _instantiate_head(rule: NetlogRule, env: Mapping[str, int]) -> Fact:
-    args = []
-    for t in rule.head.args:
-        val = _resolve_term(t, env)
-        if val is None:
-            raise NetlogError(
-                f"unsafe instantiation: head variable {t.name!r} unbound "  # type: ignore[union-attr]
-                f"in rule {print_rule(rule)}"
-            )
-        args.append(val)
-    return (rule.head.pred, tuple(args))
+def node_plans(rules: Sequence[NetlogRule]) -> tuple[RulePlan, ...]:
+    """Each rule's plan for evaluation at a node, which binds the body
+    holding variables to the node in advance."""
+    plans = []
+    for idx, rule in enumerate(rules, start=1):
+        if rule.head.holding is None:
+            raise NetlogError(f"rule {print_rule(rule)} has no head holding marker")
+        try:
+            plans.append(plan_rule(rule, body_holding_vars(rule)))
+        except NetlogError as e:
+            raise NetlogError(f"rule {idx}: {e}") from None
+    return tuple(plans)
 
 
-def _body_orders(program: NetlogProgram) -> dict[int, list[NetlogLiteral]]:
-    """Each rule's evaluation order, keyed by id(rule), with the body
-    holding variables bound in advance."""
-    return {
-        id(rule): static_order(rule.body, prebound=body_holding_vars(rule))
-        for rule in program.rules
-    }
+def _placed(
+    plans: Sequence[RulePlan], view: FactView, v: int
+) -> list[tuple[int, Fact]]:
+    """Every fact the plans derive at node v, in order, with the node named
+    by its head holding argument."""
+    placed = []
+    for plan in plans:
+        out: list[Fact] = []
+        plan.fire(view, out, v)
+        holding = plan.rule.head.holding
+        placed.extend((fact[1][holding], fact) for fact in out)  # type: ignore[index]
+    return placed
 
 
-def _fire(
-    program: NetlogProgram,
-    orders: Mapping[int, list[NetlogLiteral]],
-    v: int,
-    lookup: _Lookup,
-) -> Iterator[tuple[int, Fact]]:
-    """Every fact the rules derive at node v, with the node named by the
-    head holding argument."""
-    for rule in program.rules:
-        env0 = {name: v for name in body_holding_vars(rule)}
-        for env in _match_ordered(orders[id(rule)], lookup, env0):
-            fact = _instantiate_head(rule, env)
-            if rule.head.holding is None:
+def _consequence(
+    plans: Sequence[RulePlan], g: Graph, instance: DistributedInstance
+) -> DistributedInstance:
+    new_stores: dict[int, set[Fact]] = {v: set() for v in g.nodes}
+    for v in g.nodes:
+        edges = [(v, u) for u in g.adj[v]]
+        view = FactView(instance.stores.get(v, frozenset()), g.unary, edges)
+        for target, fact in _placed(plans, view, v):
+            if target not in new_stores:
                 raise NetlogError(
-                    f"rule {print_rule(rule)} has no head holding marker"
+                    f"fact {fact[0]}{fact[1]} addressed to unknown node "
+                    f"{target}"
                 )
-            yield fact[1][rule.head.holding], fact
+            new_stores[target].add(fact)
+    return DistributedInstance({v: frozenset(fs) for v, fs in new_stores.items()})
 
 
 def consequence(
@@ -634,19 +720,7 @@ def consequence(
     and global unary input facts); each derived fact is placed at the node
     named by the head holding argument.  The result replaces the previous
     instance — persistence requires explicit copy rules."""
-    orders = _body_orders(program)
-    new_stores: dict[int, set[Fact]] = {v: set() for v in g.nodes}
-    for v in g.nodes:
-        edges = [(v, u) for u in g.adj[v]]
-        lookup = _Lookup(instance.stores.get(v, frozenset()), g.unary, edges)
-        for target, fact in _fire(program, orders, v, lookup):
-            if target not in new_stores:
-                raise NetlogError(
-                    f"fact {fact[0]}{fact[1]} addressed to unknown node "
-                    f"{target}"
-                )
-            new_stores[target].add(fact)
-    return DistributedInstance({v: frozenset(fs) for v, fs in new_stores.items()})
+    return _consequence(node_plans(program.rules), g, instance)
 
 
 def netlog_stages(
@@ -657,9 +731,10 @@ def netlog_stages(
     the cap is exceeded."""
     if cap is None:
         cap = default_round_cap(program, g)
+    plans = node_plans(program.rules)
     stages = [start_instance(g)]
     for _ in range(cap):
-        nxt = consequence(program, g, stages[-1])
+        nxt = _consequence(plans, g, stages[-1])
         stages.append(nxt)
         if nxt == stages[-2]:
             return stages
@@ -702,8 +777,7 @@ class NetlogEngine(simnet.NodeEngine):
     """
 
     def __init__(self, program: NetlogProgram):
-        self.program = program
-        self.orders = _body_orders(program)
+        self.plans = node_plans(program.rules)
 
     def start(self, ctx) -> _NetlogNodeState:
         if ctx.node_id is None:
@@ -718,12 +792,10 @@ class NetlogEngine(simnet.NodeEngine):
         state.snapshot = snapshot
         port_of = {b: p for p, b in ctx.neighbor_ids.items()}
         edges = [(v, u) for u in port_of]
-        lookup = _Lookup(snapshot, ctx.global_unary, edges)
+        derived = _placed(self.plans, FactView(snapshot, ctx.global_unary, edges), v)
         local: set[Fact] = set()
         sends: list[tuple[int, Fact]] = []
-        steps = 1
-        for target, fact in _fire(self.program, self.orders, v, lookup):
-            steps += 1
+        for target, fact in derived:
             if target == v:
                 local.add(fact)
             else:
@@ -736,7 +808,7 @@ class NetlogEngine(simnet.NodeEngine):
                 sends.append((port, fact))
         state.local = frozenset(local)
         # The store is replaced every round, so every round needs a step.
-        return simnet.StepResult(tuple(sends), quiescent, steps, round_no + 1)
+        return simnet.StepResult(tuple(sends), quiescent, 1 + len(derived), round_no + 1)
 
     def collect(self, state: _NetlogNodeState, ctx) -> frozenset[Fact]:
         return state.snapshot if state.snapshot is not None else state.local

@@ -389,22 +389,21 @@ def eval_datalog(program, g: Graph) -> StageTrace:
     provides the concrete types and parser.
     """
     # local import to keep layering one-way
-    from .netlog import NetlogError, _check_safe, match_body
+    from .netlog import FactView, NetlogError, plan_rule
 
-    for rule in program.rules:
-        try:
-            _check_safe(rule)
-        except NetlogError as e:
-            raise OracleError(str(e)) from None
+    try:
+        plans = [plan_rule(rule) for rule in program.rules]
+    except NetlogError as e:
+        raise OracleError(str(e)) from None
     facts: frozenset[tuple[str, tuple[int, ...]]] = frozenset()
     stages = [facts]
     cap = _datalog_cap(program, g)
     for _ in range(cap):
-        derived: set[tuple[str, tuple[int, ...]]] = set()
-        for rule in program.rules:
-            for env in match_body(rule.body, facts, g):
-                args = tuple(_resolve(t, env) for t in rule.head.args)
-                derived.add((rule.head.pred, args))
+        view = FactView(facts, g.unary, g.edges())
+        out: list[tuple[str, tuple[int, ...]]] = []
+        for plan in plans:
+            plan.fire(view, out)
+        derived = set(out)
         nxt = facts | derived
         stages.append(nxt)
         if nxt == facts:

@@ -28,7 +28,7 @@ i*(kappa+1)+1 of the distributed run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .logic import EDGE_PRED, Const, Term, Var, _UnionFind
@@ -39,16 +39,15 @@ from .netlog import (
     NetlogProgram,
     NetlogRule,
     RelLit,
-    _check_safe,
     _equality_classes,
     _lit_vars,
     body_holding_vars,
     check_localization,
     parse_datalog,
+    plan_rule,
     print_literal,
     print_program,
     print_rule,
-    static_order,
 )
 
 RESERVED = ("start", "clock", "continue", "inf", "stop")
@@ -131,9 +130,10 @@ def _rel(pred: str, *args: Term, positive: bool = True) -> RelLit:
 def _program_preds(rules: Sequence[NetlogRule]) -> dict[str, int]:
     out: dict[str, int] = {}
     for r in rules:
-        lits = [r.head] + [l for l in r.body if isinstance(l, RelLit)]
-        for lit in lits:
-            out.setdefault(lit.pred, len(lit.args))
+        out.setdefault(r.head.pred, len(r.head.args))
+        for lit in r.body:
+            if isinstance(lit, RelLit):
+                out.setdefault(lit.pred, len(lit.args))
     return out
 
 
@@ -344,7 +344,7 @@ def add_comm(program: NetlogProgram) -> NetlogProgram:
             continue
         uf = _equality_classes(rule)
         push = not uf.same(head_hv, hvs[0])
-        rules.append(replace(rule, push=push))
+        rules.append(NetlogRule(rule.head, rule.body, push))
     return NetlogProgram(tuple(rules))
 
 
@@ -362,7 +362,7 @@ def _guarded(rule: NetlogRule) -> NetlogRule:
     x = hvs[0] if hvs else rule.head.holding_var()
     assert x is not None
     extra = (_rel("clock", Var(x), Var(qv)), GuardLit("!=", Var(qv), Const(0)))
-    return replace(rule, body=rule.body + extra)
+    return NetlogRule(rule.head, rule.body + extra, rule.push)
 
 
 def _head_vars(arity: int) -> list[Var]:
@@ -470,9 +470,8 @@ def add_clocks(
     for rule in program.rules:
         g = _guarded(rule)
         if rule.head.pred in intensional:
-            g = replace(
-                g, head=replace(g.head, pred="temp" + rule.head.pred)
-            )
+            head = RelLit("temp" + g.head.pred, g.head.args, g.head.positive, g.head.holding)
+            g = NetlogRule(head, g.body, g.push)
         rules.append(g)
     for pred in intensional:
         rules.extend(_commit_rules(pred, arities[pred]))
@@ -527,7 +526,7 @@ def compile(  # noqa: A001 - the operation is named after what it does
                 f"rule {no}: source rules must be centralized (no @ or ^)"
             )
         try:
-            _check_safe(rule)
+            plan_rule(rule)
         except NetlogError as e:
             raise CompileError(f"rule {no}: {e}") from None
     p1 = localize(source)
@@ -554,7 +553,7 @@ def compile(  # noqa: A001 - the operation is named after what it does
                 f"localization restriction {violation}"
             )
         try:
-            static_order(rule.body, prebound=body_holding_vars(rule))
+            plan_rule(rule, body_holding_vars(rule))
         except NetlogError as e:
             raise CompileError(
                 f"compiled rule {no} ({print_rule(rule)}) is not evaluable: {e}"

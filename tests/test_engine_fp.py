@@ -1,7 +1,7 @@
 """Distributed fixpoint evaluation against the centralized oracle."""
 import pytest
 
-from netquery import simnet
+from netquery import engine_fo, simnet
 from netquery.engine_fp import (
     EngineError,
     FPQueryEngine,
@@ -233,3 +233,17 @@ def test_ring_six_converges():
     assert got.tuples == eval_fp(g, q).final.tuples
     d = g.diameter
     assert m.dist_time <= d + (g.n**2) * (2 * d * stats(q).w + d)
+
+
+def test_query_texts_are_parsed_once_per_run(monkeypatch):
+    """The FOCores of every node and iteration share one parse memo, so a
+    run parses each distinct query text once."""
+    texts = []
+    real = engine_fo.parse_formula
+    monkeypatch.setattr(
+        engine_fo, "parse_formula", lambda text: texts.append(text) or real(text)
+    )
+    q = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
+    got, _ = run_qe_fp(_net(path_graph(3)), q, 1)
+    assert got.tuples == eval_fp(path_graph(3), q).final.tuples
+    assert texts and len(texts) == len(set(texts))

@@ -31,6 +31,7 @@ from netquery.logic import (
     Atom,
     FixpointQuery,
     InNbhd,
+    ParseError,
     Var,
     make_and,
     parse_fixpoint,
@@ -571,3 +572,34 @@ def test_fp_loc_runs_guard_first_query():
         rel, _ = run_qe_fp_loc(make_network(g, mode=ANONYMOUS), q, 1)
         assert rel.tuples == eval_fp_loc(g, q).final.tuples
         assert rel.tuples == eval_fp_loc(g, tc_query(1)).final.tuples
+
+
+def test_query_text_is_read_once_per_run(monkeypatch):
+    """Every node adopts the flooded text, but one run reads each distinct
+    text once; the next run reads it afresh."""
+    texts = []
+    real = local_engine.parse_fixpoint
+    monkeypatch.setattr(
+        local_engine, "parse_fixpoint", lambda text: texts.append(text) or real(text)
+    )
+    q = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
+    net = make_network(ring_graph(8), mode=ANONYMOUS)
+    run_qe_fp_loc(net, q, 1)
+    assert len(texts) == 1
+    run_qe_fp_loc(net, q, 1)
+    assert len(texts) == 2
+
+
+@pytest.mark.parametrize(
+    "engine,text,error",
+    [
+        (FPLocEngine("anonymous"), "mu T(x,y). G(x,y", ParseError),
+        (FOLocEngine(("x",), "anonymous"), "exists y. G(x,y)", EngineError),
+    ],
+)
+def test_unreadable_query_fails_at_every_node(engine, text, error):
+    for nonce in (1, 2):
+        state = engine._State(local_engine._Collector(nonce))
+        with pytest.raises(error):
+            engine._adopt(state, text)
+    assert engine.reads == {}

@@ -3,26 +3,40 @@ immediate-consequence operator, and round sequences against the
 centralized fixpoint results."""
 from __future__ import annotations
 
+import random
+import re
+from itertools import product
+
 import pytest
 
 from netquery.fixtures import (
     FLIP_PROGRAM,
+    PATH_FAR_DATALOG,
     ROUTE_DISCOVERY_PROGRAM,
     ROUTE_REQUEST_TEXT,
     NEXT_HOP_TEXT,
     ROUTING_TABLE_PROGRAM,
     ROUTING_TABLE_TEXT,
+    SAME_GENERATION_DATALOG,
     SPANNING_TREE_PROGRAM,
+    TRANSITIVE_CLOSURE_DATALOG,
+    WIN_DATALOG,
+    exhaustive_graphs,
+    random_connected_graph,
 )
-from netquery.logic import ParseError, parse_fixpoint
+from netquery.logic import EDGE_PRED, ParseError, parse_fixpoint
 from netquery.netlog import (
     Const,
     DistributedInstance,
+    FactView,
     GuardLit,
     NetlogError,
+    NetlogRule,
     NonterminationError,
     RelLit,
     Var,
+    _lit_vars,
+    body_holding_vars,
     check_localization,
     consequence,
     make_instance,
@@ -30,10 +44,13 @@ from netquery.netlog import (
     netlog_stages,
     parse_datalog,
     parse_netlog,
+    plan_rule,
+    print_literal,
     print_program,
     start_instance,
 )
-from netquery.oracle import eval_fp, make_graph, path_graph, ring_graph
+from netquery.oracle import eval_datalog, eval_fp, make_graph, path_graph, ring_graph
+from netquery.rewriter import compile
 
 
 def path3():
@@ -94,6 +111,19 @@ def test_parse_arity_mismatch():
 def test_parse_syntax_error_position():
     with pytest.raises(ParseError):
         parse_netlog("T(@x,y) :- G(@x,y)")  # missing final period
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("P(@x, y) :- start(@x).", "head variables ['y']"),
+        ("P(@x) :- start(@x); !Q(@x, y).", "variables ['y'] cannot be bound"),
+        ("P(@x) :- start(@x); y != x.", "variables ['y'] cannot be bound"),
+    ],
+)
+def test_parse_netlog_rejects_unsafe_rules(text, reason):
+    with pytest.raises(NetlogError, match="rule 1: .*" + re.escape(reason)):
+        parse_netlog(text)
 
 
 # ------------------------------------------------------------- localization
@@ -164,6 +194,295 @@ def test_match_body_negation_closed_world():
     facts = frozenset({("T", (2, 1))})
     envs = list(match_body(program.rules[0].body, facts, path3()))
     assert {(e["x"], e["y"]) for e in envs} == {(2, 1), (2, 3), (3, 2)}
+
+
+# ------------------------------------------------------ plans vs reference
+
+
+class ReferenceLookup:
+    """Fact access of the generator matcher below: a predicate's candidates
+    are copied and sorted on every probe."""
+
+    def __init__(self, facts, unary, edges):
+        self.by_pred = {}
+        for pred, args in facts:
+            self.by_pred.setdefault(pred, []).append(args)
+        for lst in self.by_pred.values():
+            lst.sort()
+        self.unary = unary
+        both = {e for u, v in edges for e in ((u, v), (v, u))}
+        self.edges = sorted(both)
+        self.edge_set = frozenset(both)
+
+    def candidates(self, pred):
+        if pred == EDGE_PRED:
+            return self.edges
+        out = list(self.by_pred.get(pred, ()))
+        if pred in self.unary:
+            out.extend((a,) for a in sorted(self.unary[pred]))
+        return sorted(set(out))
+
+    def contains(self, pred, args):
+        if pred == EDGE_PRED:
+            return args in self.edge_set
+        if pred in self.unary and len(args) == 1 and args[0] in self.unary[pred]:
+            return True
+        return args in set(self.by_pred.get(pred, ()))
+
+
+def reference_order(body, prebound=()):
+    """The body order the generator matcher used: each time, the first
+    remaining literal that is evaluable."""
+    bound = set(prebound)
+    remaining = list(body)
+    ordered = []
+
+    def ready(lit):
+        if isinstance(lit, RelLit):
+            return lit.positive or _lit_vars(lit) <= bound
+        left_ok = not isinstance(lit.left, Var) or lit.left.name in bound
+        right_ok = not isinstance(lit.right, Var) or lit.right.name in bound
+        if lit.op == "=":
+            return left_ok or right_ok
+        if lit.op == "dec":
+            return right_ok
+        return left_ok and right_ok
+
+    while remaining:
+        lit = next(lit for lit in remaining if ready(lit))
+        ordered.append(lit)
+        remaining.remove(lit)
+        bound |= _lit_vars(lit)
+    return ordered
+
+
+def _ref_term(t, env):
+    return t.value if isinstance(t, Const) else env.get(t.name)
+
+
+def reference_literal(lit, lookup, env):
+    """The matcher the plans replaced: every binding of one literal that
+    extends `env`, each in a fresh dict, in candidate order."""
+    if isinstance(lit, RelLit):
+        if lit.positive:
+            for tup in lookup.candidates(lit.pred):
+                if len(tup) != len(lit.args):
+                    continue
+                env2 = dict(env)
+                ok = True
+                for term, val in zip(lit.args, tup):
+                    if isinstance(term, Const):
+                        ok = term.value == val
+                    else:
+                        bound = env2.get(term.name)
+                        if bound is None:
+                            env2[term.name] = val
+                        else:
+                            ok = bound == val
+                    if not ok:
+                        break
+                if ok:
+                    yield env2
+            return
+        args = tuple(_ref_term(t, env) for t in lit.args)
+        assert None not in args, print_literal(lit)
+        if not lookup.contains(lit.pred, args):
+            yield env
+        return
+    left, right = _ref_term(lit.left, env), _ref_term(lit.right, env)
+    if lit.op == "dec":
+        assert right is not None
+        if left is None:
+            yield {**env, lit.left.name: right - 1}
+        elif left == right - 1:
+            yield env
+        return
+    if lit.op == "=":
+        assert left is not None or right is not None
+        if left is None:
+            yield {**env, lit.left.name: right}
+        elif right is None:
+            yield {**env, lit.right.name: left}
+        elif left == right:
+            yield env
+        return
+    assert left is not None and right is not None
+    if (lit.op == "!=" and left != right) or (lit.op == ">=" and left >= right):
+        yield env
+
+
+def reference_matches(ordered, lookup, env):
+    if not ordered:
+        yield env
+        return
+    for env2 in reference_literal(ordered[0], lookup, env):
+        yield from reference_matches(ordered[1:], lookup, env2)
+
+
+def reference_fire(rule, prebound, lookup, holder=None):
+    """The head facts the reference derives, in derivation order."""
+    env0 = {name: holder for name in prebound}
+    return [
+        (rule.head.pred, tuple(_ref_term(t, env) for t in rule.head.args))
+        for env in reference_matches(reference_order(rule.body, prebound), lookup, env0)
+    ]
+
+
+def reference_consequence(program, g, instance):
+    stores = {v: set() for v in g.nodes}
+    for v in g.nodes:
+        edges = [(v, u) for u in g.adj[v]]
+        lookup = ReferenceLookup(instance.stores.get(v, frozenset()), g.unary, edges)
+        for rule in program.rules:
+            for fact in reference_fire(rule, body_holding_vars(rule), lookup, v):
+                stores[fact[1][rule.head.holding]].add(fact)
+    return DistributedInstance({v: frozenset(fs) for v, fs in stores.items()})
+
+
+def reference_stages(program, g, cap):
+    stages = [start_instance(g)]
+    for _ in range(cap):
+        stages.append(reference_consequence(program, g, stages[-1]))
+        if stages[-1] == stages[-2]:
+            return stages
+    return None
+
+
+def reference_eval_datalog(program, g):
+    facts = frozenset()
+    stages = [facts]
+    while True:
+        lookup = ReferenceLookup(facts, g.unary, g.edges())
+        derived = {f for rule in program.rules for f in reference_fire(rule, (), lookup)}
+        nxt = facts | derived
+        stages.append(nxt)
+        if nxt == facts:
+            return tuple(stages)
+        facts = nxt
+
+
+DATALOG_SOURCES = (
+    TRANSITIVE_CLOSURE_DATALOG,
+    SAME_GENERATION_DATALOG,
+    WIN_DATALOG,
+    PATH_FAR_DATALOG,
+)
+# A variable repeated inside one literal, and constants in positive ones.
+REPEATS_DATALOG = """
+L(x) :- S(x,x).
+M(x,y) :- R(y,x,y); !S(x,y); R(x,1,z); z >= 1.
+"""
+NODE_PROGRAMS = (
+    compile(SAME_GENERATION_DATALOG, 2).program,
+    compile(TRANSITIVE_CLOSURE_DATALOG, 2).program,
+    parse_netlog(ROUTE_DISCOVERY_PROGRAM),
+    parse_netlog(ROUTING_TABLE_PROGRAM),
+    parse_netlog(SPANNING_TREE_PROGRAM),
+    parse_netlog(FLIP_PROGRAM),
+)
+
+
+def _differential_graphs():
+    yield from (g for _name, g in exhaustive_graphs(4))
+    rng = random.Random(12)
+    for n in (5, 6, 7):
+        yield random_connected_graph(rng, n)
+
+
+def _random_store(rng, rule, g):
+    """Random facts for every relation the rule names, over the nodes, 0
+    and the rule's constants, with a few facts of a foreign arity; unary
+    facts are spread over the store and the input facts, some in both."""
+    values = sorted(set(g.nodes) | {0} | {
+        t.value
+        for lit in (rule.head,) + rule.body
+        for t in ((lit.left, lit.right) if isinstance(lit, GuardLit) else lit.args)
+        if isinstance(t, Const)
+    })
+    facts, unary = set(), {}
+    rels = {(lit.pred, len(lit.args)) for lit in (rule.head,) + rule.body
+            if isinstance(lit, RelLit) and lit.pred != EDGE_PRED}
+    for pred, arity in sorted(rels):
+        space = list(product(values, repeat=arity))
+        chosen = rng.sample(space, min(len(space), rng.randint(0, 24)))
+        if arity == 1 and rng.random() < 0.5:
+            third = len(chosen) // 3
+            unary[pred] = frozenset(a for (a,) in chosen[: 2 * third + 1])
+            chosen = chosen[third:]
+        facts |= {(pred, args) for args in chosen}
+        if rng.random() < 0.2:
+            facts.add((pred, tuple(rng.choice(values) for _ in range(arity + 1))))
+    return frozenset(facts), unary
+
+
+def test_plans_yield_the_reference_bindings():
+    """Every rule of the compiled SG and TC programs, the fixture programs
+    and the Datalog sources (and two rules with repeated variables) binds its variables on seeded random stores as
+    the generator matcher did: the same bindings, multiplicity and order
+    included, and so the same head facts in the same order."""
+    rules = [(r, body_holding_vars(r)) for p in NODE_PROGRAMS for r in p.rules]
+    rules += [
+        (r, ())
+        for text in DATALOG_SOURCES + (REPEATS_DATALOG,)
+        for r in parse_datalog(text).rules
+    ]
+    rng = random.Random(2010)
+    checked = 0
+    for g in _differential_graphs():
+        for rule, prebound in rules:
+            facts, unary = _random_store(rng, rule, g)
+            if prebound:
+                holder = rng.choice(g.nodes)
+                edges = [(holder, u) for u in g.adj[holder]]
+            else:
+                holder, edges = 0, list(g.edges())
+            lookup = ReferenceLookup(facts, unary, edges)
+            env0 = {name: holder for name in prebound}
+            want = list(reference_matches(reference_order(rule.body, prebound), lookup, env0))
+            names = sorted({n for env in want for n in env})
+            probe = NetlogRule(RelLit("binding", tuple(Var(n) for n in names)), rule.body)
+            view = FactView(facts, unary, edges)
+            got: list = []
+            plan_rule(probe, prebound).fire(view, got, holder)
+            assert [args for _, args in got] == [
+                tuple(env[n] for n in names) for env in want
+            ], str(rule)
+            heads: list = []
+            plan_rule(rule, prebound).fire(view, heads, holder)
+            assert heads == reference_fire(rule, prebound, lookup, holder), str(rule)
+            checked += len(want)
+    assert checked > 10_000
+
+
+def test_stages_match_the_reference_stage_for_stage():
+    unary = {"ReqNode": [1], "dest": [3]}
+    for g in [path_graph(3), ring_graph(4), *(
+        random_connected_graph(random.Random(seed), 5) for seed in range(2)
+    )]:
+        g = g.with_unary(unary)
+        programs = NODE_PROGRAMS[2:] + (
+            compile(TRANSITIVE_CLOSURE_DATALOG, g.diameter).program,
+        )
+        for program in programs:
+            want = reference_stages(program, g, 40)
+            if want is None:
+                with pytest.raises(NonterminationError):
+                    netlog_stages(program, g, cap=40)
+            else:
+                assert netlog_stages(program, g, cap=40) == want
+    g = path_graph(4)
+    program = compile(SAME_GENERATION_DATALOG, g.diameter).program
+    assert netlog_stages(program, g) == reference_stages(program, g, 200)
+
+
+def test_eval_datalog_matches_the_reference_stage_for_stage():
+    rng = random.Random(7)
+    graphs = [g for _name, g in exhaustive_graphs(4)]
+    graphs += [random_connected_graph(rng, n) for n in (5, 6, 7)]
+    for g in graphs:
+        for text in DATALOG_SOURCES:
+            program = parse_datalog(text)
+            assert eval_datalog(program, g).stages == reference_eval_datalog(program, g)
 
 
 # ------------------------------------------------------------ consequence

@@ -139,5 +139,5 @@ def test_mutation_corpus_digest():
     assert len(lines) == 1278
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "7aeed92152f79cabbeec827415b0b4f0cf253bd05c6f970ed334bce95658b233"
+        "918b10e69ac29ad95902ca3fc918962246c3472f7e277427fcf4f2bc9dcb2ec3"
     )
