@@ -95,29 +95,47 @@ def answer_key(text: str) -> int:
 # ------------------------------------------------------------------- tables
 
 
+@dataclass(frozen=True)
+class _Quantifier:
+    """An outermost quantifier occurrence of a query text: what every node
+    derives alike from it."""
+
+    quant: Formula  # the Exists/Forall subformula
+    var: str
+    is_exists: bool
+    text: str  # canonical text
+    depth: int  # binder nesting, inside quant, of the deepest atom variable
+
+
+@dataclass(frozen=True)
+class _Template:
+    """The node-independent facts about one canonical query text."""
+
+    text: str
+    formula: Formula
+    probes: tuple[int, ...]  # values that can make it a quantifier instance
+    ground: tuple[tuple[str, tuple[int, ...], int], ...]  # (pred, args, key)
+    free: tuple[str, ...]  # free variables
+    quantifiers: tuple[_Quantifier, ...]  # of a closed text: outermost, pre-order
+
+
 @dataclass
 class _Leaf:
     """One outermost quantifier occurrence of a stored query, with the
     absolute round by which its value can be aggregated locally."""
 
-    quant: Formula  # the Exists/Forall subformula
-    var: str
-    is_exists: bool
+    shape: _Quantifier
     deadline: int
     key: int  # answer key of the quantifier's value
     instances: set[str] = field(default_factory=set)  # instance query texts
-    # value b -> canonical text of the instance that substitutes b for var
-    texts: dict[int, str] = field(default_factory=dict)
 
 
 @dataclass
 class _Entry:
-    text: str
-    formula: Formula
+    template: _Template
     level: int  # number of instantiations performed so far
     kind: str  # "B" closed query, "O" open query
     key: int  # answer key of the query's value
-    probes: tuple[int, ...]  # values that can make it a quantifier instance
     suffix: tuple[int, ...] = ()  # open: already-assigned values, leftmost first
     leaves: list[_Leaf] = field(default_factory=list)  # in pre-order
     value: Optional[bool] = None
@@ -144,12 +162,96 @@ def _quantifier_leaves(f: Formula) -> Iterator[Formula]:
             yield from _quantifier_leaves(p)
 
 
+def _atom_depth(f: Formula, env: Mapping[str, int], depth: int) -> int:
+    """The largest binder nesting depth (f's own binder at depth + 1) of a
+    variable in an atom of f, `env` giving the depths of enclosing binders;
+    0 for atoms without variables."""
+    if isinstance(f, (Atom, Cmp)):
+        return max(
+            (env[t.name] for t in _terms_of(f) if isinstance(t, Var)), default=0
+        )
+    if isinstance(f, Not):
+        return _atom_depth(f.body, env, depth)
+    if isinstance(f, (And, Or)):
+        return max((_atom_depth(p, env, depth) for p in f.parts), default=0)
+    if isinstance(f, (Exists, Forall)):
+        return _atom_depth(f.body, {**env, f.var: depth + 1}, depth + 1)
+    return 0
+
+
 def _cmp_holds(op: str, a: int, b: int) -> bool:
     if op == "=":
         return a == b
     if op == "!=":
         return a != b
     return a >= b
+
+
+class QueryTable:
+    """What the nodes of one run derive alike from the query texts it
+    floods, derived once: the engine object of a run owns one and hands it
+    to every FOCore it builds, on every node and in every fixpoint
+    iteration.  It maps a received text to its template (a text that fails
+    to parse is not kept, so it fails at every node that reads it), a
+    canonical text to its template, (text, value) to the template of the
+    instance that substitutes the value, and a ground atom to its answer
+    key.  Nothing in it depends on a node, a level or a round."""
+
+    def __init__(self) -> None:
+        self.received: dict[str, _Template] = {}
+        self.templates: dict[str, _Template] = {}
+        self.instances: dict[tuple[str, int], _Template] = {}
+        self.atom_keys: dict[Atom, int] = {}
+
+    def read(self, text: str) -> _Template:
+        t = self.received.get(text)
+        if t is None:
+            t = self.received[text] = self.template(parse_formula(text))
+        return t
+
+    def template(self, f: Formula) -> _Template:
+        text = canonical_print(f)
+        t = self.templates.get(text)
+        if t is None:
+            ground = tuple(
+                (a.pred, tuple(c.value for c in a.args), self.atom_key(a))
+                for a in atoms(f)
+                if isinstance(a, Atom) and all(isinstance(c, Const) for c in a.args)
+            )
+            free = free_vars(f)
+            quantifiers = () if free else tuple(
+                _Quantifier(
+                    q,
+                    q.var,  # type: ignore[union-attr]
+                    isinstance(q, Exists),
+                    canonical_print(q),
+                    _atom_depth(q, {}, 0),
+                )
+                for q in _quantifier_leaves(f)
+            )
+            probes = tuple(sorted(set(constants(f)) | {1}))
+            t = _Template(text, f, probes, ground, free, quantifiers)
+            self.templates[text] = t
+        return t
+
+    def instance(self, text: str, f: Formula, var: str, value: int) -> _Template:
+        """The template of f, whose canonical text is `text`, with `value`
+        for `var`.  Within a run a text fixes the variable: a quantifier's
+        own, or an open query's rightmost free variable in the answer order
+        every core shares."""
+        inst = self.instances.get((text, value))
+        if inst is None:
+            inst = self.template(substitute(f, var, value))
+            self.instances[(text, value)] = inst
+        return inst
+
+    def atom_key(self, a: Atom) -> int:
+        k = self.atom_keys.get(a)
+        if k is None:
+            if not all(isinstance(c, Const) for c in a.args):
+                raise EngineError(f"cannot evaluate open atom {canonical_print(a)!r}")
+            k = self.atom_keys[a] = answer_key(canonical_print(a))
+        return k
 
 
 # ----------------------------------------------------------------- the core
@@ -169,6 +271,16 @@ class FOCore:
     Deterministic and order-insensitive: a round ingests the whole inbox
     into the query/answer tables, then runs a local pass to a fixed point in
     sorted key order, then flushes the queued broadcasts in sorted order.
+
+    Everything a query text implies regardless of the node comes from the
+    run's shared `QueryTable`; deciding atoms, deadlines, answers and links
+    stay here.  A closed entry's quantifier leaf links the entries one level
+    down that are its instances: those whose text is the leaf's quantifier
+    with one of the candidate's probes substituted (`_match`).  To find
+    them without a scan, `links` maps (level, text) to every leaf that
+    prints that text for some value in `values` (1, the own id and every
+    probe seen so far); a probe seen for the first time registers the
+    existing leaves under it, so every matching pair meets in `links`.
     """
 
     def __init__(
@@ -178,7 +290,7 @@ class FOCore:
         self_unary: frozenset[str],
         delta: int,
         order: tuple[str, ...],
-        formulas: dict[str, Formula],
+        queries: QueryTable,
         table: Optional[tuple[str, frozenset[tuple[int, ...]]]] = None,
         round_offset: int = 0,
     ):
@@ -187,12 +299,13 @@ class FOCore:
         self.self_unary = frozenset(self_unary)
         self.delta = delta
         self.order = tuple(order)
-        # Query text -> parsed formula, shared by every core of one run.
-        self.formulas = formulas
+        self.queries = queries
         self.table = table  # (name, committed rows) of a fixpoint relation
         self.round_offset = round_offset
         self.entries: dict[tuple[int, str], _Entry] = {}
-        self.by_level: dict[int, set[str]] = {}
+        self.unresolved: dict[tuple[int, str], _Entry] = {}  # closed, no value
+        self.links: dict[tuple[int, str], list[_Leaf]] = {}
+        self.values: set[int] = {1, self_id}
         self.answers: dict[int, bool] = {}
         self.out: list[tuple] = []
         self.tuples: dict[tuple[int, str], tuple[int, ...]] = {}
@@ -233,141 +346,111 @@ class FOCore:
         if announce:
             self.out.append(("A", k, value))
 
-    def _scan_ground_atoms(self, f: Formula) -> None:
-        for a in atoms(f):
-            if isinstance(a, Atom) and all(isinstance(t, Const) for t in a.args):
-                args = tuple(t.value for t in a.args)
-                v = self._decide_atom(a.pred, args)
-                if v is not None:
-                    self._insert_answer(answer_key(canonical_print(a)), v, announce=True)
-
-    # -- deadlines
-
-    def _leaf_deadline(self, q: Formula, entry_level: int) -> int:
-        """Round by which the quantifier occurrence q of a level-`entry_level`
-        query is decidable everywhere.  An atom first becomes ground when the
-        deepest variable in it is instantiated; the instantiating node is a
-        party to the atom, so the truth value floods from it within delta
-        rounds of that instantiation."""
-        top = entry_level
-
-        def go(f: Formula, env: dict[str, int], depth: int) -> None:
-            nonlocal top
-            if isinstance(f, (Atom, Cmp)):
-                lv = [env[t.name] for t in _terms_of(f) if isinstance(t, Var)]
-                top = max(top, max(lv) if lv else entry_level)
-            elif isinstance(f, Not):
-                go(f.body, env, depth)
-            elif isinstance(f, (And, Or)):
-                for p in f.parts:
-                    go(p, env, depth)
-            elif isinstance(f, (Exists, Forall)):
-                inner = dict(env)
-                inner[f.var] = entry_level + depth + 1
-                go(f.body, inner, depth + 1)
-
-        go(q, {}, 0)
-        return self.round_offset + 1 + (max(top, 1) + 1) * self.delta
-
     # -- query table construction
 
     def _create_entry(
         self,
-        formula: Formula,
+        t: _Template,
         kind: str,
         level: int,
         suffix: tuple[int, ...],
     ) -> _Entry:
-        text = canonical_print(formula)
-        ek = (level, text)
+        ek = (level, t.text)
         if ek in self.entries:
             e = self.entries[ek]
             if kind == "O" and e.suffix != suffix:
                 raise EngineError(
-                    f"open query {text!r} reached with conflicting assignments"
+                    f"open query {t.text!r} reached with conflicting assignments"
                 )
             return e
         self.work += 1
-        if isinstance(formula, (Atom, Cmp, BoolConst)):
-            key = answer_key(text)  # fact truth does not depend on the depth
+        if isinstance(t.formula, (Atom, Cmp, BoolConst)):
+            key = answer_key(t.text)  # fact truth does not depend on the depth
         else:
-            key = answer_key(f"{level}|{text}")
-        probes = tuple(sorted(set(constants(formula)) | {1}))
-        e = _Entry(text, formula, level, kind, key, probes, suffix)
+            key = answer_key(f"{level}|{t.text}")
+        e = _Entry(t, level, kind, key, suffix)
         self.entries[ek] = e
-        self.by_level.setdefault(level, set()).add(text)
+        if kind == "B":
+            self.unresolved[ek] = e
         self._dirty = True
-        if not isinstance(formula, BoolConst):
+        if not isinstance(t.formula, BoolConst):
             if kind == "B":
-                self.out.append(("Q", "B", text, level))
+                self.out.append(("Q", "B", t.text, level))
             else:
-                self.out.append(("Q", "O", text, suffix))
-        self._scan_ground_atoms(formula)
+                self.out.append(("Q", "O", t.text, suffix))
+        for pred, args, k in t.ground:
+            v = self._decide_atom(pred, args)
+            if v is not None:
+                self._insert_answer(k, v, announce=True)
+        fresh = [b for b in t.probes if b not in self.values]
+        if fresh:
+            self.values.update(fresh)
+            for (lv, _), parent in self.entries.items():
+                for leaf in parent.leaves:
+                    self._register(lv + 1, leaf, fresh)
         if kind == "O":
             self._extend_open(e)
         else:
+            # An atom first becomes ground when the deepest variable in it
+            # is instantiated; the instantiating node is a party to the
+            # atom, so its truth value floods from it within delta rounds.
             e.leaves = [
                 _Leaf(
-                    quant=q,
-                    var=q.var,  # type: ignore[union-attr]
-                    is_exists=isinstance(q, Exists),
-                    deadline=self._leaf_deadline(q, level),
-                    key=answer_key(f"{level}|{canonical_print(q)}"),
+                    q,
+                    self.round_offset + 1 + (max(level + q.depth, 1) + 1) * self.delta,
+                    answer_key(f"{level}|{q.text}"),
                 )
-                for q in _quantifier_leaves(formula)
+                for q in t.quantifiers
             ]
+            for leaf in e.leaves:
+                self._register(level + 1, leaf, self.values)
             self._spawn_instances(e)
-            self._link_new_parent(e)
-        self._link_new_child(e)
+        for leaf in self.links.get(ek, ()):
+            if t.text not in leaf.instances and self._match(leaf, e):
+                leaf.instances.add(t.text)
         return e
 
+    def _register(self, level: int, leaf: _Leaf, values: Iterable[int]) -> None:
+        """File `leaf` under the text of its instance for each value, and
+        link the stored level-`level` entries among them."""
+        q = leaf.shape
+        for b in values:
+            text = self.queries.instance(q.text, q.quant, q.var, b).text
+            self.links.setdefault((level, text), []).append(leaf)
+            cand = self.entries.get((level, text))
+            if cand is None or text in leaf.instances:
+                continue
+            if self._match(leaf, cand):
+                leaf.instances.add(text)
+
     def _extend_open(self, e: _Entry) -> None:
-        present = set(free_vars(e.formula))
-        remaining = [v for v in self.order if v in present]
+        t = e.template
+        remaining = [v for v in self.order if v in t.free]
         if not remaining:
-            raise EngineError(f"open query {e.text!r} has no free variables left")
-        rightmost = remaining[-1]
-        nf = substitute(e.formula, rightmost, self.self_id)
+            raise EngineError(f"open query {t.text!r} has no free variables left")
+        nt = self.queries.instance(t.text, t.formula, remaining[-1], self.self_id)
         ns = (self.self_id,) + e.suffix
         if len(remaining) == 1:
-            be = self._create_entry(nf, "B", e.level + 1, ())
-            self.tuples[(e.level + 1, be.text)] = ns
+            be = self._create_entry(nt, "B", e.level + 1, ())
+            self.tuples[(e.level + 1, be.template.text)] = ns
         else:
-            self._create_entry(nf, "O", e.level + 1, ns)
+            self._create_entry(nt, "O", e.level + 1, ns)
 
     def _spawn_instances(self, e: _Entry) -> None:
         for leaf in e.leaves:
-            inst = substitute(leaf.quant, leaf.var, self.self_id)
-            ie = self._create_entry(inst, "B", e.level + 1, ())
-            leaf.instances.add(ie.text)
-            leaf.texts[self.self_id] = ie.text
+            q = leaf.shape
+            inst = self.queries.instance(q.text, q.quant, q.var, self.self_id)
+            leaf.instances.add(inst.text)
+            self._create_entry(inst, "B", e.level + 1, ())
 
     def _match(self, leaf: _Leaf, cand: _Entry) -> bool:
-        for b in cand.probes:
-            text = leaf.texts.get(b)
-            if text is None:
-                text = canonical_print(substitute(leaf.quant, leaf.var, b))
-                leaf.texts[b] = text
-            if text == cand.text:
+        """Whether substituting one of cand's probes for the leaf's
+        variable prints cand's text."""
+        q, text = leaf.shape, cand.template.text
+        for b in cand.template.probes:
+            if self.queries.instance(q.text, q.quant, q.var, b).text == text:
                 return True
         return False
-
-    def _link(self, parent: _Entry, cand: _Entry) -> None:
-        for leaf in parent.leaves:
-            if cand.text not in leaf.instances and self._match(leaf, cand):
-                leaf.instances.add(cand.text)
-
-    def _link_new_parent(self, e: _Entry) -> None:
-        if not e.leaves:
-            return
-        for text2 in sorted(self.by_level.get(e.level + 1, ())):
-            self._link(e, self.entries[(e.level + 1, text2)])
-
-    def _link_new_child(self, e: _Entry) -> None:
-        if e.level == 0:
-            return
-        for ptext in sorted(self.by_level.get(e.level - 1, ())):
-            self._link(self.entries[(e.level - 1, ptext)], e)
 
     # -- round interface
 
@@ -376,11 +459,12 @@ class FOCore:
         already assigned (leftmost first); a closed query records the suffix
         as the candidate answer tuple of this node."""
         level = len(suffix)
-        if free_vars(f):
-            e = self._create_entry(f, "O", level, tuple(suffix))
+        t = self.queries.template(f)
+        if t.free:
+            self._create_entry(t, "O", level, tuple(suffix))
         else:
-            e = self._create_entry(f, "B", level, ())
-            self.tuples[(level, e.text)] = tuple(suffix)
+            self._create_entry(t, "B", level, ())
+            self.tuples[(level, t.text)] = tuple(suffix)
 
     def ingest(self, payloads: Sequence[tuple]) -> None:
         ans = sorted((p for p in payloads if p[0] == "A"), key=_send_order)
@@ -395,28 +479,29 @@ class FOCore:
             level = extra if kind == "B" else len(suffix)
             known = self.entries.get((level, text))
             if known is None:
-                f = self.formulas.get(text)
-                if f is None:
-                    f = self.formulas[text] = parse_formula(text)
-                self._create_entry(f, kind, level, suffix)
+                self._create_entry(self.queries.read(text), kind, level, suffix)
             elif known.suffix != suffix:
                 raise EngineError(
                     f"open query {text!r} reached with conflicting assignments"
                 )
 
     def advance(self, round_no: int) -> None:
-        changed = True
-        while changed:
+        """Evaluate the unresolved closed entries in sorted key order, pass
+        after pass, until a pass changes nothing.  No entry is created
+        here, so one sort serves every pass."""
+        pending = [self.unresolved[ek] for ek in sorted(self.unresolved)]
+        while pending:
             self._dirty = False
-            for ek in sorted(self.entries):
-                e = self.entries[ek]
-                if e.kind == "B" and e.value is None:
+            for e in pending:
+                if e.value is None:
                     self._eval_entry(e, round_no)
-            changed = self._dirty
-        for ek in sorted(self.tuples):
-            e = self.entries[ek]
-            if e.value is True:
-                self.stored.add(self.tuples[ek])
+            pending = [e for e in pending if e.value is None]
+            if not self._dirty:
+                break
+        self.unresolved = {(e.level, e.template.text): e for e in pending}
+        for ek, answer in self.tuples.items():
+            if self.entries[ek].value is True:
+                self.stored.add(answer)
 
     def _eval_entry(self, e: _Entry, round_no: int) -> Optional[bool]:
         if e.value is not None:
@@ -424,10 +509,10 @@ class FOCore:
         if e.key in self.answers:
             v: Optional[bool] = self.answers[e.key]
         else:
-            v = self._ev(e, e.formula, iter(e.leaves), round_no)
+            v = self._ev(e, e.template.formula, iter(e.leaves), round_no)
         if v is not None:
             e.value = v
-            announce = not isinstance(e.formula, (Cmp, BoolConst))
+            announce = not isinstance(e.template.formula, (Cmp, BoolConst))
             self._insert_answer(e.key, v, announce)
             self._dirty = True
         return v
@@ -446,9 +531,7 @@ class FOCore:
                 return _cmp_holds(f.op, f.left.value, f.right.value)
             raise EngineError(f"cannot evaluate open comparison {canonical_print(f)!r}")
         if isinstance(f, Atom):
-            if not all(isinstance(t, Const) for t in f.args):
-                raise EngineError(f"cannot evaluate open atom {canonical_print(f)!r}")
-            return self.answers.get(answer_key(canonical_print(f)))
+            return self.answers.get(self.queries.atom_key(f))
         if isinstance(f, Not):
             v = self._ev(e, f.body, leaves, round_no)
             return None if v is None else not v
@@ -469,10 +552,10 @@ class FOCore:
             for text in sorted(leaf.instances):
                 inst = self.entries[(e.level + 1, text)]
                 vals.append(self._eval_entry(inst, round_no))
-            if leaf.is_exists and any(v is True for v in vals):
+            if leaf.shape.is_exists and any(v is True for v in vals):
                 self._insert_answer(leaf.key, True, announce=True)
                 return True
-            if not leaf.is_exists and any(v is False for v in vals):
+            if not leaf.shape.is_exists and any(v is False for v in vals):
                 self._insert_answer(leaf.key, False, announce=True)
                 return False
             if round_no >= leaf.deadline:
@@ -481,7 +564,7 @@ class FOCore:
                 # needs to be sent.
                 v = (
                     any(v is True for v in vals)
-                    if leaf.is_exists
+                    if leaf.shape.is_exists
                     else not any(v is False for v in vals)
                 )
                 self._insert_answer(leaf.key, v, announce=False)
@@ -516,9 +599,10 @@ class _BroadcastEngine(NodeEngine):
     """Simulator adapter of the global engines: one core per node, built by
     `_core(self_id, neighbors, self_unary, delta)`, whose round is ingest,
     advance and flush, with every payload broadcast.  Every node is stepped
-    in every round.  One engine object serves one run, and its cores share
-    the engine's `formulas`, so each query text a run floods is parsed once;
-    a text that fails to parse is not kept."""
+    in every round.  One engine object serves one run: it owns the run's
+    `QueryTable` and hands it to every core it builds, so each query text
+    the run floods is parsed, printed and instantiated once per run, not
+    once per node."""
 
     def start(self, ctx: NodeContext) -> Any:
         if ctx.node_id is None or ctx.neighbor_ids is None:
@@ -555,10 +639,10 @@ class FOQueryEngine(_BroadcastEngine):
 
     def __init__(self, order: tuple[str, ...]):
         self.order = tuple(order)
-        self.formulas: dict[str, Formula] = {}
+        self.queries = QueryTable()
 
     def _core(self, *args: Any) -> FOCore:
-        return FOCore(*args, order=self.order, formulas=self.formulas)
+        return FOCore(*args, order=self.order, queries=self.queries)
 
     def inject(self, state: FOCore, ctx: NodeContext, payload: Any) -> None:
         state.inject_query(payload, ())

@@ -32,6 +32,7 @@ from typing import Any, Optional, Sequence, Union
 from .engine_fo import (
     EngineError,
     FOCore,
+    QueryTable,
     _BroadcastEngine,
     _check_fixpoint_vars,
     _run_from_requester,
@@ -41,7 +42,6 @@ from .engine_fo import (
 )
 from .logic import (
     FixpointQuery,
-    Formula,
     parse_fixpoint,
     print_fixpoint,
     stats,
@@ -92,13 +92,13 @@ class FPCore:
         neighbors: frozenset[int],
         self_unary: frozenset[str],
         delta: int,
-        formulas: dict[str, Formula],
+        queries: QueryTable,
     ):
         self.self_id = self_id
         self.neighbors = frozenset(neighbors)
         self.self_unary = frozenset(self_unary)
         self.delta = delta
-        self.formulas = formulas  # handed to every iteration's FOCore
+        self.queries = queries  # handed to every iteration's FOCore
         self.query: Optional[FixpointQuery] = None
         self.window = 0  # evaluation window length, set with the query
         self.phase = "wait"  # wait -> run -> done
@@ -150,7 +150,7 @@ class FPCore:
             self_unary=self.self_unary,
             delta=self.delta,
             order=q.vars,
-            formulas=self.formulas,
+            queries=self.queries,
             table=(q.name, frozenset(self.committed)),
             round_offset=self._start_round(i) - 1,
         )
@@ -240,10 +240,10 @@ class FPQueryEngine(_BroadcastEngine):
     else learns it from the flood."""
 
     def __init__(self) -> None:
-        self.formulas: dict[str, Formula] = {}
+        self.queries = QueryTable()
 
     def _core(self, *args: Any) -> FPCore:
-        return FPCore(*args, formulas=self.formulas)
+        return FPCore(*args, queries=self.queries)
 
     def inject(self, state: FPCore, ctx: NodeContext, payload: Any) -> None:
         state.seed(payload)

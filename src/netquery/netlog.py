@@ -546,10 +546,11 @@ class FactView:
     """The facts one evaluation sees: a fact store, the unary input facts
     and the visible edges, each given once and matched both ways.  A node
     sees its own store and only the edges that touch it.  The indexes that
-    plan steps probe are built on first use; a bucket lists its tuples in
-    ascending order."""
+    plan steps probe are built on first use, each predicate's sorted tuples
+    once for all its indexes; a bucket lists its tuples in ascending
+    order."""
 
-    __slots__ = ("by_pred", "unary", "edges", "indexes")
+    __slots__ = ("by_pred", "unary", "edges", "indexes", "sorted")
 
     def __init__(
         self,
@@ -563,14 +564,20 @@ class FactView:
         self.unary = unary
         self.edges = tuple(edges)
         self.indexes: dict[Any, Any] = {}  # a plan step's name -> its index
+        self.sorted: dict[str, list[tuple[int, ...]]] = {}
 
     def tuples(self, pred: str) -> list[tuple[int, ...]]:
-        """Every tuple of `pred`, ascending and without repeats."""
-        if pred == EDGE_PRED:
-            return sorted({e for u, v in self.edges for e in ((u, v), (v, u))})
-        out = set(self.by_pred.get(pred, ()))
-        out.update((a,) for a in self.unary.get(pred, ()))
-        return sorted(out)
+        """Every tuple of `pred`, ascending and without repeats.  The list
+        is shared by every index built on `pred`, so it is never changed."""
+        rows = self.sorted.get(pred)
+        if rows is None:
+            if pred == EDGE_PRED:
+                out = {e for u, v in self.edges for e in ((u, v), (v, u))}
+            else:
+                out = set(self.by_pred.get(pred, ()))
+                out.update((a,) for a in self.unary.get(pred, ()))
+            rows = self.sorted[pred] = sorted(out)
+        return rows
 
     def build(self, step: tuple) -> Any:
         """The index a `_JOIN` step probes: its literal's tuples that agree
@@ -778,6 +785,10 @@ class NetlogEngine(simnet.NodeEngine):
 
     def __init__(self, program: NetlogProgram):
         self.plans = node_plans(program.rules)
+        # Fact -> wire bits.  One engine object serves one run, so one
+        # encoding: the copy and push rules re-send the same facts round
+        # after round, and each distinct fact is sized once.
+        self.sizes: dict[Fact, int] = {}
 
     def start(self, ctx) -> _NetlogNodeState:
         if ctx.node_id is None:
@@ -814,10 +825,12 @@ class NetlogEngine(simnet.NodeEngine):
         return state.snapshot if state.snapshot is not None else state.local
 
     def payload_bits(self, payload: Fact, enc) -> int:
-        pred, args = payload
-        bits = enc.tag_bits
-        for a in args:
-            bits += max(enc.id_bits, a.bit_length() or 1)
+        bits = self.sizes.get(payload)
+        if bits is None:
+            bits = enc.tag_bits
+            for a in payload[1]:
+                bits += max(enc.id_bits, a.bit_length() or 1)
+            self.sizes[payload] = bits
         return bits
 
 

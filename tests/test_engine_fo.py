@@ -3,29 +3,44 @@ import random
 
 import pytest
 
-from netquery import simnet
+from netquery import engine_fp, simnet
 from netquery.engine_fo import (
     EngineError,
+    FOCore,
     FOQueryEngine,
     answer_key,
     clock_value,
     run_qe_fo,
 )
+from netquery.engine_fp import run_qe_fp
 from netquery.fixtures import (
     HAS_NEIGHBOR_TEXT,
+    ROUTING_TABLE_TEXT,
+    SPANNING_TREE_TEXT,
+    TRANSITIVE_CLOSURE_TEXT,
     TWO_HOP_TEXT,
     exhaustive_graphs,
     random_connected_graph,
 )
 from netquery.logic import (
+    And,
+    Atom,
+    Cmp,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    Var,
+    _terms_of,
     canonical_print,
     constants,
     free_vars,
+    parse_fixpoint,
     parse_formula,
     stats,
     substitute,
 )
-from netquery.oracle import eval_fo, make_graph, path_graph, ring_graph
+from netquery.oracle import eval_fo, eval_fp, make_graph, path_graph, ring_graph
 from netquery.simnet import ANONYMOUS
 
 
@@ -162,43 +177,144 @@ class _CoreKeepingEngine(FOQueryEngine):
         return state
 
 
-def _unmemoized_match(leaf, cand):
-    # A candidate is an instance of the leaf when substituting one of its
-    # constants (or 1, for a quantifier that never uses its variable) for
-    # the quantified variable prints the candidate's text.
-    probes = sorted(set(constants(cand.formula)) | {1})
-    return any(
-        canonical_print(substitute(leaf.quant, leaf.var, b)) == cand.text
-        for b in probes
+def _fo_cores(g, text, seed):
+    f = parse_formula(text)
+    budget = clock_value(max(1, stats(f).w), g.diameter) + g.diameter + 8
+    result, _ = simnet.run(
+        _net(g, port_seed=seed),
+        _CoreKeepingEngine(free_vars(f)),
+        init={1: f},
+        order_seed=seed,
+        round_cap=budget,
     )
+    return list(result.values())
+
+
+def _fp_cores(g, text):
+    """Every FOCore that an FP run of `text` on g builds, on every node and
+    in every iteration; each checks that `advance` creates no entry."""
+    made = []
+
+    class Recorded(FOCore):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            made.append(self)
+
+        def advance(self, round_no):
+            before = len(self.entries)
+            super().advance(round_no)
+            assert len(self.entries) == before
+
+    q = parse_fixpoint(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_fp, "FOCore", Recorded)
+        got, _ = run_qe_fp(_net(g), q, 1)
+    assert got.tuples == eval_fp(g, q).final.tuples
+    return made
+
+
+_FP_TEXTS = {
+    "tc": TRANSITIVE_CLOSURE_TEXT,
+    "routing": ROUTING_TABLE_TEXT,
+    "spanning-tree": SPANNING_TREE_TEXT,
+}
+_FP_GRAPHS = {
+    "path5": path_graph(5),
+    "ring5": ring_graph(5),
+    "random5": random_connected_graph(random.Random(0), 5),
+}
+
+
+@pytest.fixture(scope="module")
+def fp_cores():
+    return {
+        (t, name): _fp_cores(g.with_unary({"ReqNode": [1]}), text)
+        for t, text in _FP_TEXTS.items()
+        for name, g in _FP_GRAPHS.items()
+    }
+
+
+def _check_links(cores):
+    """Each leaf of every core links exactly the entries one level down,
+    open ones included, that the reference rule makes its instances: a
+    candidate is an instance when substituting one of its constants (or 1,
+    for a quantifier that never uses its variable) for the quantified
+    variable prints the candidate's text.  The rule is applied from the
+    formulas alone, so every (leaf, candidate) pair is decided by it."""
+    printed = {}  # (quantifier, variable, value) -> instance text
+    linked = 0
+    for core in cores:
+        probes = {
+            ek: set(constants(e.template.formula)) | {1}
+            for ek, e in core.entries.items()
+        }
+        values = set().union(*probes.values())
+        for (level, _), e in core.entries.items():
+            for path, leaf in enumerate(e.leaves):
+                q = leaf.shape
+                want = set()
+                for b in values:
+                    k = (q.quant, q.var, b)
+                    if k not in printed:
+                        printed[k] = canonical_print(substitute(q.quant, q.var, b))
+                    if b in probes.get((level + 1, printed[k]), ()):
+                        want.add(printed[k])
+                assert leaf.instances == want, (core.self_id, level, path)
+                linked += len(want)
+    assert linked > 0
 
 
 @pytest.mark.parametrize("text", [TWO_HOP_TEXT, HAS_NEIGHBOR_TEXT])
 def test_linking_agrees_with_unmemoized_rule(text):
-    f = parse_formula(text)
     for seed in (0, 1, 2):
-        g = random_connected_graph(random.Random(seed), 5)
-        budget = clock_value(stats(f).w, g.diameter) + g.diameter + 8
-        result, _ = simnet.run(
-            _net(g, port_seed=seed),
-            _CoreKeepingEngine(free_vars(f)),
-            init={1: f},
-            order_seed=seed,
-            round_cap=budget,
-        )
-        checked = 0
-        for core in result.values():
-            for (level, _), e in core.entries.items():
-                children = [
-                    c for (lv, _), c in core.entries.items() if lv == level + 1
-                ]
-                for path, leaf in enumerate(e.leaves):
-                    for cand in children:
-                        assert (cand.text in leaf.instances) == _unmemoized_match(
-                            leaf, cand
-                        ), (seed, path, cand.text)
-                        checked += 1
-        assert checked > 0
+        _check_links(_fo_cores(random_connected_graph(random.Random(seed), 5), text, seed))
+
+
+@pytest.mark.parametrize("graph", sorted(_FP_GRAPHS))
+@pytest.mark.parametrize("text", sorted(_FP_TEXTS))
+def test_fp_linking_agrees_with_unmemoized_rule(fp_cores, text, graph):
+    _check_links(fp_cores[(text, graph)])
+
+
+def _leaf_deadline(q, entry_level, round_offset, delta):
+    """Reference: the round by which the quantifier occurrence q of a
+    level-`entry_level` query is decidable everywhere.  An atom first
+    becomes ground when the deepest variable in it is instantiated; the
+    instantiating node is a party to the atom, so the truth value floods
+    from it within delta rounds of that instantiation."""
+    top = entry_level
+
+    def go(f, env, depth):
+        nonlocal top
+        if isinstance(f, (Atom, Cmp)):
+            lv = [env[t.name] for t in _terms_of(f) if isinstance(t, Var)]
+            top = max(top, max(lv) if lv else entry_level)
+        elif isinstance(f, Not):
+            go(f.body, env, depth)
+        elif isinstance(f, (And, Or)):
+            for p in f.parts:
+                go(p, env, depth)
+        elif isinstance(f, (Exists, Forall)):
+            inner = dict(env)
+            inner[f.var] = entry_level + depth + 1
+            go(f.body, inner, depth + 1)
+
+    go(q, {}, 0)
+    return round_offset + 1 + (max(top, 1) + 1) * delta
+
+
+def test_leaf_deadlines_follow_the_reference_rule(fp_cores):
+    cores = [c for cs in fp_cores.values() for c in cs]
+    for text in _MATRIX:
+        cores += _fo_cores(path_graph(4), text, 0)
+    seen = set()
+    for core in cores:
+        for (level, _), e in core.entries.items():
+            for leaf in e.leaves:
+                want = _leaf_deadline(leaf.shape.quant, level, core.round_offset, core.delta)
+                assert leaf.deadline == want, (leaf.shape.text, level)
+                seen.add((level, core.round_offset))
+    assert len({lv for lv, _ in seen}) >= 3 and len({r for _, r in seen}) >= 5
 
 
 # ------------------------------------------------------------- determinism

@@ -16,7 +16,14 @@ from netquery.fixtures import (
     exhaustive_graphs,
     fixture_graphs,
 )
-from netquery.logic import parse_fixpoint, relativize_fixpoint, stats
+from netquery.logic import (
+    Exists,
+    Forall,
+    canonical_print,
+    parse_fixpoint,
+    relativize_fixpoint,
+    stats,
+)
 from netquery.oracle import eval_fp, path_graph, ring_graph
 from netquery.simnet import ANONYMOUS, make_network
 
@@ -247,3 +254,28 @@ def test_query_texts_are_parsed_once_per_run(monkeypatch):
     got, _ = run_qe_fp(_net(path_graph(3)), q, 1)
     assert got.tuples == eval_fp(path_graph(3), q).final.tuples
     assert texts and len(texts) == len(set(texts))
+
+
+def test_instances_are_derived_once_per_run(monkeypatch):
+    """The run's query table substitutes each (text, value) pair once for
+    every node and iteration, and the next run starts from an empty table,
+    so it derives every pair again."""
+    pairs = []
+    real = engine_fo.substitute
+
+    def recording(f, var, value):
+        pairs.append((canonical_print(f), value, isinstance(f, (Exists, Forall))))
+        return real(f, var, value)
+
+    monkeypatch.setattr(engine_fo, "substitute", recording)
+    q = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
+    runs = []
+    for _ in range(2):
+        pairs.clear()
+        got, _ = run_qe_fp(_net(path_graph(4)), q, 1)
+        assert got.tuples == eval_fp(path_graph(4), q).final.tuples
+        runs.append(sorted(pairs))
+    first, second = runs
+    assert len(first) == len(set(first))
+    assert {v for _, v, quant in first if quant} == {1, 2, 3, 4}
+    assert second == first
