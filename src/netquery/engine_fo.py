@@ -258,11 +258,13 @@ class QueryTable:
 
 
 def _send_order(p: tuple) -> tuple:
+    """Answers by key, then closed queries by level, then open queries by
+    the length of their assignments, each next by its text."""
     if p[0] == "A":
-        return (0, f"{p[1]:020d}", str(int(p[2])))
+        return (0, p[1], int(p[2]))
     if p[1] == "B":
-        return (1, f"{p[3]:06d}", p[2])
-    return (2, f"{len(p[3]):06d}", p[2] + "|" + ",".join(str(x) for x in p[3]))
+        return (1, p[3], p[2])
+    return (2, len(p[3]), p[2] + "|" + ",".join(str(x) for x in p[3]))
 
 
 class FOCore:

@@ -569,7 +569,7 @@ class _LocalState:
         self.query: Any = None
         self.center = ""
         self.k = 0
-        self.relay = False
+        self.relay: Optional[str] = None  # the query text still to relay
         self.collector = collector
         self.topology: Optional[LocalTopology] = None
         self.domain: tuple[int, ...] = ()
@@ -582,11 +582,12 @@ class _LocalEngine(NodeEngine):
     state class `_State` and its query printer `_print`, reads a query text
     into (query, centre variable, radius) in `_read`, and serves its own
     message tags in `_serve`.  One engine object serves every node of a
-    run, so each distinct text is read once per run; a text that fails to
-    read is not kept and fails again at every node that reads it."""
+    run, so each distinct text is read, and the query it reads printed for
+    the relay, once per run; a text that fails to read is not kept and
+    fails again at every node that reads it."""
 
     def __init__(self) -> None:
-        self.reads: dict[str, tuple[Any, str, int]] = {}
+        self.reads: dict[str, tuple[Any, str, int, str]] = {}
 
     def start(self, ctx: NodeContext) -> Any:
         return self._State(_Collector(_node_nonce(ctx)))
@@ -598,9 +599,9 @@ class _LocalEngine(NodeEngine):
         if state.query is None:
             read = self.reads.get(text)
             if read is None:
-                read = self.reads[text] = self._read(text)
-            state.query, state.center, state.k = read
-            state.relay = True
+                query, center, k = self._read(text)
+                read = self.reads[text] = (query, center, k, self._print(query))
+            state.query, state.center, state.k, state.relay = read
 
     def _serve(
         self, state: Any, ctx: NodeContext, m: Message, out: list[tuple[int, Any]]
@@ -631,9 +632,9 @@ class _LocalEngine(NodeEngine):
                 state.collector.serve_reply(ctx, m, out)
             else:
                 work += self._serve(state, ctx, m, out)
-        if state.relay:
-            state.relay = False
-            out.extend(broadcast(ctx, ("lq", self._print(state.query))))
+        if state.relay is not None:
+            out.extend(broadcast(ctx, ("lq", state.relay)))
+            state.relay = None
         return work
 
     def _built(self, state: _LocalState) -> bool:

@@ -7,21 +7,25 @@ immediate-consequence operator over per-node stores.
 
 A rule is compiled once into a plan (`plan_rule`): its body in an order
 in which every literal is evaluable when reached, then its head, as steps
-over one list of variable slots that every binding overwrites in place.  A positive literal probes an
-index keyed by its argument positions bound before it, a negated literal
-probes a membership set, and guards bind or test slots.  The indexes live
-on a `FactView` of one evaluation's facts, which builds only those the
-plans probe; their buckets keep the facts' ascending order, so a plan
-yields its bindings in a fixed order.  Building a plan is the rule safety
-check: `parse_netlog`, `oracle.eval_datalog` and `rewriter.compile` reject
-through it a body that cannot be ordered or that leaves a head variable
-unbound.
+over numbered variable slots.  A positive literal probes an index keyed by
+its argument positions bound before it, a negated literal probes a
+membership set, and guards bind or test slots.  The indexes live on a
+`FactView` of one evaluation's facts, which builds only those the plans
+probe; their buckets keep the facts' ascending order, so a plan yields its
+bindings in a fixed order.  Building a plan is the rule safety check:
+`parse_netlog`, `oracle.eval_datalog` and `rewriter.compile` reject through
+it a body that cannot be ordered or that leaves a head variable unbound.
+
+A plan runs as Python code generated from its steps (`_generate`) the first
+time it fires, and kept on the plan: nested loops over the index buckets,
+with the slots as local variables.  Every evaluation fires its plans
+through `_match_literal`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import simnet
 from .logic import EDGE_PRED, Const, Term, Var, _TokenStream, _token_re, _UnionFind, term_str
@@ -429,35 +433,32 @@ def _ready(lit: NetlogLiteral, bound: Mapping[str, int]) -> bool:
 
 
 # Plan step operations.  A step is a tuple whose first item is one of these;
-# slots index the binding list, constants included (see plan_rule).
+# slots number the rule's variables, and a negative slot names a constant
+# (see plan_rule).
 _JOIN, _ABSENT, _LET, _LET_DEC, _EQ, _NE, _GE, _DEC, _HEAD = range(9)
 _TESTS = {"=": _EQ, "!=": _NE, ">=": _GE, "dec": _DEC}
+_TEST_CODE = {_EQ: "{} == {}", _NE: "{} != {}", _GE: "{} >= {}", _DEC: "{} == {} - 1"}
+# Statements nested in one generated function; CPython refuses more than 20
+# nested loops, so a deeper plan continues in a function of its own.
+_MAX_NESTING = 16
 
 
-def _tuple_getter(slots: Sequence[int]) -> Callable[[list[int]], tuple[int, ...]]:
-    """The values in the given slots, always as a tuple."""
-    if len(slots) == 1:
-        (s,) = slots
-        return lambda env: (env[s],)
-    if not slots:
-        return lambda env: ()
-    return itemgetter(*slots)
-
-
-class RulePlan(NamedTuple):
+class RulePlan:
     """A rule compiled for evaluation: its body in evaluable order, then its
-    head, as steps over one binding list.  The first `held` slots hold the
-    prebound variables and the last slots the rule's constants."""
+    head, as steps over the rule's variable slots.  The first `held` slots
+    hold the prebound variables, and slot -1 - i the constant `consts[i]`.
+    `run` is the plan's generated function, made when it first fires."""
 
-    rule: NetlogRule
-    steps: tuple[tuple, ...]
-    held: int
-    rest: tuple[int, ...]  # the binding list after the held slots
+    __slots__ = ("rule", "steps", "held", "consts", "run")
 
-    def fire(self, view: "FactView", out: list[Fact], holder: int = 0) -> None:
-        """Append to `out` the head fact of every binding of the body in
-        `view`, with the prebound variables set to `holder`."""
-        _match_literal(self.steps, 0, [holder] * self.held + list(self.rest), view, out)
+    def __init__(
+        self, rule: NetlogRule, steps: tuple[tuple, ...], held: int, consts: tuple[int, ...]
+    ):
+        self.rule = rule
+        self.steps = steps
+        self.held = held
+        self.consts = consts
+        self.run: Optional[Callable[[FactView, list[Fact], int], None]] = None
 
 
 def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
@@ -470,7 +471,7 @@ def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
     for name in prebound:
         slots.setdefault(name, len(slots))
     held = len(slots)
-    consts: list[int] = []  # stored at the end of the list, addressed from it
+    consts: list[int] = []
 
     def slot(t: Term) -> int:
         if isinstance(t, Const):
@@ -502,8 +503,7 @@ def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
             else:
                 steps.append((_TESTS[lit.op], slot(left), slot(right)))
         elif not lit.positive:
-            args = _tuple_getter([slot(t) for t in lit.args])
-            steps.append((_ABSENT, lit.pred, args))
+            steps.append((_ABSENT, lit.pred, tuple(slot(t) for t in lit.args)))
         else:
             # Bound positions key the index; the others bind fresh slots in
             # position order, or repeat a variable bound at an earlier one.
@@ -522,15 +522,16 @@ def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
                     key_slots.append(s)
                     mask |= 1 << p
             name = (lit.pred, len(lit.args), mask, tuple(same))
-            key = itemgetter(*key_slots) if key_slots else None
-            steps.append((_JOIN, name, key, first, len(free), (key_pos, free)))
+            steps.append(
+                (_JOIN, name, tuple(key_slots), first, len(free), (key_pos, free))
+            )
     if remaining:
         names = sorted(set().union(*map(_lit_vars, remaining)) - slots.keys())
         raise NetlogError(f"unsafe rule body: variables {names} cannot be bound")
     try:
-        head = _tuple_getter([
+        head = tuple(
             slots[t.name] if isinstance(t, Var) else slot(t) for t in rule.head.args
-        ])
+        )
     except KeyError:
         unbound = sorted(_lit_vars(rule.head) - slots.keys())
         raise NetlogError(
@@ -538,8 +539,87 @@ def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
             f"body in {print_rule(rule)}"
         ) from None
     steps.append((_HEAD, rule.head.pred, head))
-    rest = (0,) * (len(slots) - held) + tuple(reversed(consts))
-    return RulePlan(rule, tuple(steps), held, rest)
+    return RulePlan(rule, tuple(steps), held, tuple(consts))
+
+
+def _generate(plan: RulePlan) -> Callable[[FactView, list[Fact], int], None]:
+    """The plan as Python code: one nested `for` per join, one `if` per test
+    and one assignment per bound guard, with the slots as locals `v<slot>`,
+    the held slots read from `holder` and the constants inlined.  Each index
+    is fetched from the view once per call and built where a binding first
+    reaches it.  Predicate names and steps reach the code through its
+    globals (`n<k>`, `s<k>`, `p<k>` for step k), never through its text."""
+    held, consts, steps = plan.held, plan.consts, plan.steps
+    first_probe: dict[Any, int] = {}  # index name -> the first step probing it
+    env: dict[str, Any] = {}
+    for k, step in enumerate(steps):
+        if step[0] in (_JOIN, _ABSENT):
+            env[f"n{k}"], env[f"s{k}"] = step[1], step
+            first_probe.setdefault(step[1], k)
+        elif step[0] == _HEAD:
+            env[f"p{k}"] = step[1]
+
+    def val(s: int) -> str:
+        if s < 0:
+            return str(int(consts[-1 - s]))
+        return "holder" if s < held else f"v{s}"
+
+    def tup(slots: Sequence[int]) -> str:
+        comma = "," if len(slots) == 1 else ""
+        return "(" + ", ".join(map(val, slots)) + comma + ")"
+
+    def params(bound: list[int]) -> str:
+        return "view, out, holder" + "".join(f", v{s}" for s in bound)
+
+    lines: list[str] = []
+
+    def function(k0: int, bound: list[int]) -> None:
+        """Steps k0 on as function f<k0> of the slots in `bound`."""
+        lines.append(f"def f{k0}({params(bound)}):")
+        probes = sorted({
+            first_probe[step[1]] for step in steps[k0:] if step[0] in (_JOIN, _ABSENT)
+        })
+        if probes:
+            lines.append("    indexes = view.indexes")
+        lines.extend(f"    i{i} = indexes.get(n{i})" for i in probes)
+        bound = list(bound)
+        nesting = 0
+        for k in range(k0, len(steps)):
+            pad = "    " * (nesting + 1)
+            op, a, b = steps[k][:3]
+            if op in (_LET, _LET_DEC):
+                lines.append(f"{pad}v{a} = {val(b)}" + (" - 1" if op == _LET_DEC else ""))
+                bound.append(a)
+            elif op == _HEAD:
+                lines.append(f"{pad}out.append((p{k}, {tup(b)}))")
+            elif nesting == _MAX_NESTING:
+                lines.append(f"{pad}f{k}({params(bound)})")
+                return function(k, bound)
+            elif op in _TEST_CODE:
+                lines.append(f"{pad}if {_TEST_CODE[op].format(val(a), val(b))}:")
+                nesting += 1
+            else:
+                i = first_probe[a]
+                lines.append(f"{pad}if i{i} is None:")
+                lines.append(f"{pad}    i{i} = view.build(s{k})")
+                if op == _ABSENT:
+                    lines.append(f"{pad}if {tup(b)} not in i{i}:")
+                else:
+                    first, width = steps[k][3:5]
+                    fresh = range(first, first + width)
+                    bound.extend(fresh)
+                    target = ", ".join(f"v{s}" for s in fresh) or "_"
+                    if b:
+                        key = val(b[0]) if len(b) == 1 else tup(b)
+                        rows = f"i{i}.get({key}, ())"
+                    else:
+                        rows = f"i{i}"
+                    lines.append(f"{pad}for {target} in {rows}:")
+                nesting += 1
+
+    function(0, [])
+    exec(compile("\n".join(lines), "<netlog plan>", "exec"), env)
+    return env["f0"]
 
 
 class FactView:
@@ -605,55 +685,15 @@ class FactView:
 
 
 def _match_literal(
-    plan: tuple[tuple, ...], k: int, env: list[int], view: FactView, out: list[Fact]
+    plan: RulePlan, view: FactView, out: list[Fact], holder: int = 0
 ) -> None:
-    """Run step k of a plan for the binding in `env`, and step k + 1 for
-    every binding that step yields, in order; the head step appends its
-    fact to `out`.  A step writes only slots no earlier step binds, so one
-    list serves every binding."""
-    step = plan[k]
-    op = step[0]
-    if op == _JOIN:
-        _, name, key, first, width, _positions = step
-        index = view.indexes.get(name)
-        if index is None:
-            index = view.build(step)
-        rows = index if key is None else index.get(key(env), ())
-        k += 1
-        if width == 1:
-            for env[first] in rows:
-                _match_literal(plan, k, env, view, out)
-        elif width:
-            for env[first:first + width] in rows:
-                _match_literal(plan, k, env, view, out)
-        else:
-            for _ in rows:
-                _match_literal(plan, k, env, view, out)
-    elif op == _HEAD:
-        out.append((step[1], step[2](env)))
-    elif op == _NE:
-        if env[step[1]] != env[step[2]]:
-            _match_literal(plan, k + 1, env, view, out)
-    elif op == _LET:
-        env[step[1]] = env[step[2]]
-        _match_literal(plan, k + 1, env, view, out)
-    elif op == _ABSENT:
-        members = view.indexes.get(step[1])
-        if members is None:
-            members = view.build(step)
-        if step[2](env) not in members:
-            _match_literal(plan, k + 1, env, view, out)
-    elif op == _EQ:
-        if env[step[1]] == env[step[2]]:
-            _match_literal(plan, k + 1, env, view, out)
-    elif op == _GE:
-        if env[step[1]] >= env[step[2]]:
-            _match_literal(plan, k + 1, env, view, out)
-    elif op == _LET_DEC:
-        env[step[1]] = env[step[2]] - 1
-        _match_literal(plan, k + 1, env, view, out)
-    elif env[step[1]] == env[step[2]] - 1:  # _DEC
-        _match_literal(plan, k + 1, env, view, out)
+    """Append to `out` the head fact of every binding of the plan's body in
+    `view`, with the prebound variables set to `holder`, in the plan's
+    order.  The plan's code is generated on its first call."""
+    run = plan.run
+    if run is None:
+        run = plan.run = _generate(plan)
+    run(view, out, holder)
 
 
 def match_body(
@@ -666,7 +706,8 @@ def match_body(
     names = sorted(set().union(*map(_lit_vars, body)))
     head = RelLit("", tuple(Var(n) for n in names))
     out: list[Fact] = []
-    plan_rule(NetlogRule(head, tuple(body))).fire(FactView(facts, g.unary, g.edges()), out)
+    plan = plan_rule(NetlogRule(head, tuple(body)))
+    _match_literal(plan, FactView(facts, g.unary, g.edges()), out)
     for _, values in out:
         yield dict(zip(names, values))
 
@@ -696,7 +737,7 @@ def _placed(
     placed = []
     for plan in plans:
         out: list[Fact] = []
-        plan.fire(view, out, v)
+        _match_literal(plan, view, out, v)
         holding = plan.rule.head.holding
         placed.extend((fact[1][holding], fact) for fact in out)  # type: ignore[index]
     return placed

@@ -389,7 +389,7 @@ def eval_datalog(program, g: Graph) -> StageTrace:
     provides the concrete types and parser.
     """
     # local import to keep layering one-way
-    from .netlog import FactView, NetlogError, plan_rule
+    from .netlog import FactView, NetlogError, _match_literal, plan_rule
 
     try:
         plans = [plan_rule(rule) for rule in program.rules]
@@ -402,7 +402,7 @@ def eval_datalog(program, g: Graph) -> StageTrace:
         view = FactView(facts, g.unary, g.edges())
         out: list[tuple[str, tuple[int, ...]]] = []
         for plan in plans:
-            plan.fire(view, out)
+            _match_literal(plan, view, out)
         derived = set(out)
         nxt = facts | derived
         stages.append(nxt)

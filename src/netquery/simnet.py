@@ -19,7 +19,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .oracle import Graph, make_graph
 
@@ -167,10 +167,10 @@ class Network:
         return len(self.ports[a])
 
     def neighbor_on_port(self, a: int, port: int) -> int:
-        try:
-            return self.ports[a][port - 1]
-        except IndexError:
-            raise SimError(f"node {a} has no port {port}") from None
+        ports = self.ports[a]
+        if not 1 <= port <= len(ports):
+            raise SimError(f"node {a} has no port {port}")
+        return ports[port - 1]
 
 
 def make_network(
@@ -329,8 +329,10 @@ def _context_for(net: Network, a: int) -> NodeContext:
 # ---------------------------------------------------------------- messages
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
+    """One delivered message: a tuple, which is cheaper to make than a
+    frozen dataclass, read by its field names."""
+
     payload: Any
     dst_port: int  # arrival port at the receiver
 
@@ -455,6 +457,10 @@ def run(
         if a not in states:
             raise SimError(f"init references unknown node {a}")
         engine.inject(states[a], contexts[a], payload)
+    # node -> (neighbor, arrival port at the neighbor) by port - 1
+    links = {
+        a: tuple((b, net.port_to[b][a]) for b in net.ports[a]) for a in g.nodes
+    }
     inboxes: dict[int, list[Message]] = {}  # only nodes with mail
     restless: set[int] = set()  # nodes whose last report is not quiescent
     wake: dict[int, int] = {}  # node -> the wake-up round of its last report
@@ -505,18 +511,22 @@ def run(
             return results(), snapshot_metrics()
         if senders:
             last: Any = None
+            payload_bits, enc = engine.payload_bits, net.enc
             for a, sends in senders:
+                link = links[a]
+                degree = len(link)
                 for port, payload in sends:
                     if payload is not last:  # a broadcast repeats one payload
-                        bits = engine.payload_bits(payload, net.enc)
+                        bits = payload_bits(payload, enc)
                         if bits < 1:
                             raise SimError("message must be at least one bit")
-                        max_bits = max(max_bits, bits)
+                        if bits > max_bits:
+                            max_bits = bits
                         last = payload
-                    b = net.neighbor_on_port(a, port)
-                    inboxes.setdefault(b, []).append(
-                        Message(payload, net.port_to[b][a])
-                    )
+                    if not 1 <= port <= degree:
+                        raise SimError(f"node {a} has no port {port}")
+                    b, arrival = link[port - 1]
+                    inboxes.setdefault(b, []).append(Message(payload, arrival))
                 msgs_sent[a] += len(sends)
             deliveries += 1
             for b, box in inboxes.items():

@@ -8,6 +8,7 @@ from netquery.engine_fo import (
     EngineError,
     FOCore,
     FOQueryEngine,
+    _send_order,
     answer_key,
     clock_value,
     run_qe_fo,
@@ -337,6 +338,53 @@ def test_results_do_not_depend_on_delivery_or_port_order():
             )
     assert all(o == outcomes[0] for o in outcomes)
     assert outcomes[0][0] == [(1,), (2,), (3,), (4,), (5,)]
+
+
+def _reference_send_order(p):
+    """The send order as zero-padded text keys."""
+    if p[0] == "A":
+        return (0, f"{p[1]:020d}", str(int(p[2])))
+    if p[1] == "B":
+        return (1, f"{p[3]:06d}", p[2])
+    return (2, f"{len(p[3]):06d}", p[2] + "|" + ",".join(str(x) for x in p[3]))
+
+
+def _reference_fp_send_order(p):
+    if p[0] == "FPQ":
+        return (0, 0, "", p[1])
+    if p[0] == "I":
+        return (1, p[1], "", "")
+    return (2, p[1]) + _reference_send_order(p[2])
+
+
+def _random_payload(rng):
+    text = "".join(rng.choice("xyG(),|&1") for _ in range(rng.randint(0, 4)))
+    kind = rng.choice("ABO")
+    if kind == "A":
+        key = rng.choice([rng.randrange(2**64), rng.randrange(1000), 2**64 - 1, 0])
+        return ("A", key, rng.choice([True, False, 0, 1]))
+    if kind == "B":
+        return ("Q", "B", text, rng.choice([rng.randrange(10**6), rng.randrange(12)]))
+    suffix = tuple(rng.randrange(rng.choice([10, 10**4])) for _ in range(rng.randint(0, 4)))
+    return ("Q", "O", text, suffix)
+
+
+def test_send_order_matches_the_text_keyed_reference():
+    """Integer keys sort payloads as the zero-padded text keys did: answer
+    keys are below 2^64 < 10^20 and levels below 10^6."""
+    rng = random.Random(14)
+    for _ in range(300):
+        payloads = [_random_payload(rng) for _ in range(rng.randint(0, 40))]
+        assert sorted(payloads, key=_send_order) == sorted(
+            payloads, key=_reference_send_order
+        )
+        wrapped = [("F", rng.randrange(4), p) for p in payloads]
+        wrapped += [("FPQ", "x", rng.randrange(3)) for _ in range(rng.randint(0, 2))]
+        wrapped += [("I", rng.randrange(4), rng.randrange(3)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(wrapped)
+        assert sorted(wrapped, key=engine_fp._fp_send_order) == sorted(
+            wrapped, key=_reference_fp_send_order
+        )
 
 
 # -------------------------------------------------------------- edge cases

@@ -590,6 +590,30 @@ def test_query_text_is_read_once_per_run(monkeypatch):
     assert len(texts) == 2
 
 
+@pytest.mark.parametrize("engine", [FOLocEngine, FPLocEngine])
+def test_relay_text_is_printed_once_per_run(monkeypatch, engine):
+    """Every node relays the query it adopted, but one run prints it once
+    for the relay, besides the print of the injected query; the next run
+    prints it afresh."""
+    printed = []
+    real = engine._print
+    monkeypatch.setattr(
+        engine, "_print", staticmethod(lambda q: printed.append(real(q)) or real(q))
+    )
+    g = ring_graph(8)
+    net = make_network(g, mode=ANONYMOUS)
+    for run in (1, 2):
+        if engine is FPLocEngine:
+            q = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
+            rel, _ = run_qe_fp_loc(net, q, 1)
+            assert rel.tuples == eval_fp_loc(g, q).final.tuples
+        else:
+            rel, _ = run_qe_fo_loc(net, DEG2, 1)
+            assert rel.tuples == eval_fo(g, parse_formula(DEG2), ("x",)).tuples
+        assert len(printed) == 2 * run
+    assert printed[1] == printed[0]
+
+
 @pytest.mark.parametrize(
     "engine,text,error",
     [

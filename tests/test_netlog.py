@@ -3,6 +3,7 @@ immediate-consequence operator, and round sequences against the
 centralized fixpoint results."""
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from itertools import product
@@ -30,12 +31,14 @@ from netquery.netlog import (
     DistributedInstance,
     FactView,
     GuardLit,
+    NetlogEngine,
     NetlogError,
     NetlogRule,
     NonterminationError,
     RelLit,
     Var,
     _lit_vars,
+    _match_literal,
     body_holding_vars,
     check_localization,
     consequence,
@@ -47,10 +50,19 @@ from netquery.netlog import (
     plan_rule,
     print_literal,
     print_program,
+    run_netlog,
     start_instance,
 )
-from netquery.oracle import eval_datalog, eval_fp, make_graph, path_graph, ring_graph
+from netquery.oracle import (
+    eval_datalog,
+    eval_fp,
+    grid_graph,
+    make_graph,
+    path_graph,
+    ring_graph,
+)
 from netquery.rewriter import compile
+from netquery.simnet import make_network
 
 
 def path3():
@@ -372,6 +384,17 @@ REPEATS_DATALOG = """
 L(x) :- S(x,x).
 M(x,y) :- R(y,x,y); !S(x,y); R(x,1,z); z >= 1.
 """
+# Plan shapes: a join whose every position is bound before it (zero width)
+# on a key of two positions, a two-position key that binds, a constant in
+# the head and in a negated literal, a decrement that binds and one that
+# tests, and constants in comparisons.
+PLAN_SHAPES_DATALOG = """
+Z(x,y) :- R(x,y,z); S(x,y).
+K(x,w) :- S(x,y); R(x,y,w).
+C(x,2) :- S(x,y); !R(x,1,y).
+D(x,y) :- S(x,z); y = z - 1; S(y,w); x = w - 1.
+E(x) :- S(x,y); 3 >= y; x != 1; y = 2.
+"""
 NODE_PROGRAMS = (
     compile(SAME_GENERATION_DATALOG, 2).program,
     compile(TRANSITIVE_CLOSURE_DATALOG, 2).program,
@@ -416,14 +439,15 @@ def _random_store(rng, rule, g):
 
 
 def test_plans_yield_the_reference_bindings():
-    """Every rule of the compiled SG and TC programs, the fixture programs
-    and the Datalog sources (and two rules with repeated variables) binds its variables on seeded random stores as
-    the generator matcher did: the same bindings, multiplicity and order
-    included, and so the same head facts in the same order."""
+    """Every rule of the compiled SG and TC programs, the fixture programs,
+    the Datalog sources, two rules with repeated variables and the plan
+    shapes binds its variables on seeded random stores as the generator
+    matcher did: the same bindings, multiplicity and order included, and so
+    the same head facts in the same order."""
     rules = [(r, body_holding_vars(r)) for p in NODE_PROGRAMS for r in p.rules]
     rules += [
         (r, ())
-        for text in DATALOG_SOURCES + (REPEATS_DATALOG,)
+        for text in DATALOG_SOURCES + (REPEATS_DATALOG, PLAN_SHAPES_DATALOG)
         for r in parse_datalog(text).rules
     ]
     rng = random.Random(2010)
@@ -443,15 +467,60 @@ def test_plans_yield_the_reference_bindings():
             probe = NetlogRule(RelLit("binding", tuple(Var(n) for n in names)), rule.body)
             view = FactView(facts, unary, edges)
             got: list = []
-            plan_rule(probe, prebound).fire(view, got, holder)
+            _match_literal(plan_rule(probe, prebound), view, got, holder)
             assert [args for _, args in got] == [
                 tuple(env[n] for n in names) for env in want
             ], str(rule)
             heads: list = []
-            plan_rule(rule, prebound).fire(view, heads, holder)
+            _match_literal(plan_rule(rule, prebound), view, heads, holder)
             assert heads == reference_fire(rule, prebound, lookup, holder), str(rule)
             checked += len(want)
     assert checked > 10_000
+
+
+def test_plans_deeper_than_one_generated_function_yield_the_reference():
+    """A body of 30 joins, each followed by a test, nests deeper than one
+    generated function may, so the plan continues in further functions; it
+    still binds as the generator matcher did."""
+    body = "; ".join(f"S(x{i},x{i + 1}); x{i + 1} != 0" for i in range(30))
+    rule = parse_datalog(f"Chain(x0,x30) :- {body}.").rules[0]
+    facts = frozenset({("S", (i, i + 1)) for i in range(40)} | {("S", (1, 1))})
+    view = FactView(facts, {}, ())
+    got: list = []
+    _match_literal(plan_rule(rule), view, got)
+    assert got == reference_fire(rule, (), ReferenceLookup(facts, {}, ()))
+    assert len(got) == 70
+
+
+def _sg_step_digest(seed):
+    """sha256 over the sends and work of every node step of the compiled
+    same-generation program on the 3x3 grid, in call order."""
+    g = grid_graph(3, 3)
+    program = compile(SAME_GENERATION_DATALOG, g.diameter).program
+    digest = hashlib.sha256()
+    real = NetlogEngine.step
+
+    def recording(self, *args):
+        res = real(self, *args)
+        digest.update(repr((res.sends, res.steps)).encode())
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NetlogEngine, "step", recording)
+        run_netlog(program, make_network(g, port_seed=seed), order_seed=seed)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "5fa7c5af3285ca32902368a542db9e47f2e3609470f80a95ea458f1e32011cc6"),
+    (1, "722b0457f5eda56778e5797a2df4c947ac4d3e1d68e930b8bb5e72d4a2c9faa5"),
+])
+def test_sg_node_steps_send_the_pinned_facts(seed, digest):
+    """Every node step of the compiled SG program sends the pinned facts in
+    the pinned order and reports the pinned work, at port and
+    delivery-order seeds 0 and 1.  The pins were taken with the step-by-step
+    plan interpreter that generated plans replaced."""
+    assert _sg_step_digest(seed) == digest
 
 
 def test_stages_match_the_reference_stage_for_stage():

@@ -160,6 +160,44 @@ def test_ports_are_consistent_bijections():
             assert net.ports[b][q - 1] == a
 
 
+def test_neighbor_on_port_rejects_ports_outside_one_to_degree():
+    net = make_network(path_graph(3))
+    assert {net.neighbor_on_port(2, p) for p in (1, 2)} == {1, 3}
+    for port in (0, -1, 3):
+        with pytest.raises(SimError, match=f"node 2 has no port {port}"):
+            net.neighbor_on_port(2, port)
+
+
+class SendOnPort(NodeEngine):
+    """Node 2 sends one message on a given port in round 1."""
+
+    def __init__(self, port):
+        self.port = port
+
+    def start(self, ctx):
+        return None
+
+    def step(self, state, ctx, round_no, inbox):
+        sends = ((self.port, "x"),) if ctx.node_id == 2 and round_no == 1 else ()
+        return StepResult(sends, quiescent=not sends)
+
+    def collect(self, state, ctx):
+        return None
+
+    def payload_bits(self, payload, enc):
+        return enc.tag_bits
+
+
+@pytest.mark.parametrize("port", [0, -1, 3])
+def test_sending_on_a_missing_port_is_an_error(port):
+    net = make_network(path_graph(3))
+    with pytest.raises(SimError, match=f"node 2 has no port {port}"):
+        run(net, SendOnPort(port))
+    for good in (1, 2):
+        _, metrics = run(net, SendOnPort(good))
+        assert metrics.msgs_per_node[2] == 1
+
+
 def test_ports_deterministic_in_seed():
     a = load_network(PATH3, port_seed=3)
     b = load_network(PATH3, port_seed=3)
