@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .engine_fo import EngineError, _check_fixpoint_vars, _run_from_requester
 from .logic import (
@@ -47,7 +47,6 @@ from .logic import (
     Not,
     Or,
     Var,
-    _UnionFind,
     atoms,
     constants,
     free_vars,
@@ -176,57 +175,75 @@ class LocalTopology:
         return a != b and (min(a, b), max(a, b)) in self.edges
 
 
-# Per-trace collection record: (tracelist of the endpoint, its input facts,
-# its exposed label or None).
-_Entry = tuple[tuple[PortTrace, ...], tuple[str, ...], Optional[int]]
+# A collection row: (a walk's trace, the tracelist its endpoint recorded,
+# the endpoint's input facts, its exposed label or None).  It is made once,
+# at the node it describes, and forwarded home unchanged.
+_Row = tuple[PortTrace, tuple[PortTrace, ...], tuple[str, ...], Optional[int]]
 
 
 def _topology_from_entries(
-    radius: int, entries: Mapping[PortTrace, _Entry]
+    radius: int, entries: Mapping[PortTrace, _Row]
 ) -> LocalTopology:
-    uf = _UnionFind(entries)
-    for t, e in entries.items():
-        for u in e[0]:
-            if u in entries:
-                uf.union(t, u)
-    groups: dict[PortTrace, set[PortTrace]] = {}
-    for t in entries:
-        groups.setdefault(uf.find(t), set()).add(t)
-    keyed = sorted(
-        (min((len(t), t) for t in g), frozenset(g)) for g in groups.values()
-    )
-    classes = tuple(g for _, g in keyed)
-    reps = tuple(key[1] for key, _ in keyed)
-    class_of = {t: i for i, g in enumerate(classes) for t in g}
-    vertices = tuple(
-        i for i, r in enumerate(reps) if len(r) // 2 <= radius
-    )
-    vset = set(vertices)
-    edges: set[tuple[int, int]] = set()
-    for t in entries:
-        if not t:
-            continue
-        c1 = class_of[t[:-2]]
-        c2 = class_of[t]
-        if c1 in vset and c2 in vset and c1 != c2:
-            edges.add((min(c1, c2), max(c1, c2)))
+    """Quotient the rows (keyed by trace) by the same-endpoint relation.
+    Each trace is linked both ways to every collected trace its row lists;
+    traces are visited in (length, trace) order and each one not yet
+    reached starts a class, so the first trace of a component is its
+    representative and classes come out in representative order.  A
+    class's facts and label are its representative's, and another trace
+    of the class that disagrees means a wrong merge."""
+    linked: dict[PortTrace, list[PortTrace]] = {t: [] for t in entries}
+    for t, row in entries.items():
+        mine = linked[t]
+        for u in row[1]:
+            if u != t and u in linked:
+                mine.append(u)
+                linked[u].append(t)
+    visit = sorted(entries)
+    visit.sort(key=len)  # stable, so (length, trace) order
+    class_of: dict[PortTrace, int] = {}
+    classes: list[frozenset[PortTrace]] = []
+    reps: list[PortTrace] = []
     attrs: dict[int, frozenset[str]] = {}
     labels: dict[int, Optional[int]] = {}
-    for i, cls in enumerate(classes):
-        a: set[str] = set()
-        ls: set[int] = set()
-        for t in cls:
-            e = entries[t]
-            a.update(e[1])
-            if e[2] is not None:
-                ls.add(e[2])
-        attrs[i] = frozenset(a)
-        labels[i] = min(ls) if ls else None
+    for t in visit:
+        if t in class_of:
+            continue
+        c = len(reps)
+        class_of[t] = c
+        members = [t]
+        for u in members:
+            for v in linked[u]:
+                if v not in class_of:
+                    class_of[v] = c
+                    members.append(v)
+        _, _, facts, label = entries[t]
+        for u in members:
+            row = entries[u]
+            if row[2] != facts or row[3] != label:
+                raise EngineError(
+                    f"traces {t!r} and {u!r} are merged but report "
+                    "different facts or labels"
+                )
+        reps.append(t)
+        classes.append(frozenset(members))
+        attrs[c] = frozenset(facts)
+        labels[c] = label
+    # Representatives are in length order, so the vertices are a prefix.
+    n = 0
+    while n < len(reps) and len(reps[n]) <= 2 * radius:
+        n += 1
+    edges: set[tuple[int, int]] = set()
+    for t in entries:
+        if t:
+            c1 = class_of[t[:-2]]
+            c2 = class_of[t]
+            if c1 < n and c2 < n and c1 != c2:
+                edges.add((c1, c2) if c1 < c2 else (c2, c1))
     return LocalTopology(
-        classes=classes,
+        classes=tuple(classes),
         class_of=class_of,
-        reps=reps,
-        vertices=vertices,
+        reps=tuple(reps),
+        vertices=tuple(range(n)),
         edges=frozenset(edges),
         center=class_of[()],
         attrs=attrs,
@@ -259,17 +276,18 @@ def _walk_traces(net: Network, start: int, radius: int) -> dict[PortTrace, int]:
 
 def _central_entries(
     net: Network, start: int, radius: int
-) -> dict[PortTrace, _Entry]:
+) -> dict[PortTrace, _Row]:
     walks = _walk_traces(net, start, radius)
     by_end: dict[int, set[PortTrace]] = {}
     for t, u in walks.items():
         if t:
             by_end.setdefault(u, set()).add(t)
     g = net.graph
-    out: dict[PortTrace, _Entry] = {}
+    out: dict[PortTrace, _Row] = {}
     for t, u in walks.items():
         attrs = tuple(sorted(p for p, m in g.unary.items() if u in m))
         out[t] = (
+            t,
             tuple(sorted(by_end.get(u, ()))),
             attrs,
             net.mode.label_of(u),
@@ -375,107 +393,204 @@ def _validate_fp_local(q: FixpointQuery, mode_kind: str) -> int:
 # ----------------------------------------------------------- local evaluator
 
 
-def _holds(
-    f: Formula,
-    env: dict[str, int],
-    topo: LocalTopology,
-    domain: tuple[int, ...],
-    table: Optional[tuple[str, Callable[[int, tuple[int, ...]], bool]]],
-    work: list[int],
-) -> bool:
-    """Truth of f over the classes, with the table atoms named table[0]
-    decided by table[1](holder, args)."""
-    work[0] += 1
+class _Eval:
+    """One evaluation at one node: what compiled checks read (the
+    topology, the domain every quantifier ranges over, the table callback)
+    and the work they count, one step per formula node visited."""
+
+    __slots__ = ("domain", "edges", "attrs", "labels", "reps", "table", "work")
+
+    def __init__(
+        self,
+        topo: LocalTopology,
+        domain: tuple[int, ...],
+        table: Optional[Callable[[int, tuple[int, ...]], bool]] = None,
+    ) -> None:
+        self.domain = domain
+        self.edges = topo.edges
+        self.attrs = topo.attrs
+        self.labels = topo.labels
+        self.reps = topo.reps
+        self.table = table
+        self.work = 0
+
+
+# A compiled formula: its truth in an environment, a list of class indices
+# indexed by variable slot.
+_Check = Callable[[list[int], _Eval], bool]
+
+
+def _compile(f: Formula, slots: dict[str, int], table: Optional[str]) -> _Check:
+    """The check deciding f, with the atoms named `table` decided by the
+    evaluation's table callback.  Each bound variable gets a slot here; the
+    domain is the one ball every bound names, and the parser gives each
+    binder a fresh name, so a binding is never restored."""
     if isinstance(f, BoolConst):
-        return f.value
-    if isinstance(f, Atom):
-        if f.pred == EDGE_PRED:
-            a = env[f.args[0].name]
-            b = env[f.args[1].name]
-            return topo.has_edge(a, b)
-        if table is not None and f.pred == table[0]:
-            holder = env[f.args[0].name]
-            return table[1](holder, tuple(env[t.name] for t in f.args[1:]))
-        return f.pred in topo.attrs.get(env[f.args[0].name], frozenset())
-    if isinstance(f, Cmp):
-        a = env[f.left.name]
-        b = env[f.right.name]
-        if f.op == "=":
-            return a == b
-        if f.op == "!=":
-            return a != b
-        la, lb = topo.labels.get(a), topo.labels.get(b)
-        if la is None or lb is None:
-            raise EngineError("order comparison on an unlabeled node")
-        return la >= lb
-    if isinstance(f, InNbhd):
-        return topo.dist(env[f.term.name]) <= f.radius
-    if isinstance(f, Not):
-        return not _holds(f.body, env, topo, domain, table, work)
-    if isinstance(f, And):
-        return all(
-            _holds(p, env, topo, domain, table, work) for p in f.parts
-        )
-    if isinstance(f, Or):
-        return any(
-            _holds(p, env, topo, domain, table, work) for p in f.parts
-        )
-    if isinstance(f, (Exists, Forall)):
-        # The domain is the one ball every bound names, and the parser gives
-        # each binder a fresh name, so the binding is simply dropped after.
+        value = f.value
+
+        def check(env, cx):
+            cx.work += 1
+            return value
+
+    elif isinstance(f, Atom) and f.pred == EDGE_PRED:
+        i, j = (slots[t.name] for t in f.args)
+
+        def check(env, cx):
+            cx.work += 1
+            a, b = env[i], env[j]
+            return a != b and ((a, b) if a < b else (b, a)) in cx.edges
+
+    elif isinstance(f, Atom) and f.pred == table:
+        i, *rest = (slots[t.name] for t in f.args)
+
+        def check(env, cx):
+            cx.work += 1
+            return cx.table(env[i], tuple([env[s] for s in rest]))
+
+    elif isinstance(f, Atom):
+        pred, i = f.pred, slots[f.args[0].name]
+
+        def check(env, cx):
+            cx.work += 1
+            return pred in cx.attrs[env[i]]
+
+    elif isinstance(f, Cmp):
+        op, i, j = f.op, slots[f.left.name], slots[f.right.name]
+
+        def check(env, cx):
+            cx.work += 1
+            a, b = env[i], env[j]
+            if op == "=":
+                return a == b
+            if op == "!=":
+                return a != b
+            la, lb = cx.labels[a], cx.labels[b]
+            if la is None or lb is None:
+                raise EngineError("order comparison on an unlabeled node")
+            return la >= lb
+
+    elif isinstance(f, InNbhd):
+        i, length = slots[f.term.name], 2 * f.radius
+
+        def check(env, cx):
+            cx.work += 1
+            return len(cx.reps[env[i]]) <= length
+
+    elif isinstance(f, Not):
+        body = _compile(f.body, slots, table)
+
+        def check(env, cx):
+            cx.work += 1
+            return not body(env, cx)
+
+    elif isinstance(f, (And, Or)):
+        parts = [_compile(p, slots, table) for p in f.parts]
+        settle = isinstance(f, Or)  # the part value that settles f
+
+        def check(env, cx):
+            cx.work += 1
+            for part in parts:
+                if part(env, cx) == settle:
+                    return settle
+            return not settle
+
+    elif isinstance(f, (Exists, Forall)):
+        s = slots.setdefault(f.var, len(slots))
+        body = _compile(f.body, slots, table)
         settle = isinstance(f, Exists)  # the body value that settles f
-        value = not settle
-        for c in domain:
-            env[f.var] = c
-            if _holds(f.body, env, topo, domain, table, work) == settle:
-                value = settle
-                break
-        env.pop(f.var, None)
-        return value
-    raise EngineError(f"cannot evaluate {type(f).__name__} locally")
+
+        def check(env, cx):
+            cx.work += 1
+            for c in cx.domain:
+                env[s] = c
+                if body(env, cx) == settle:
+                    return settle
+            return not settle
+
+    else:
+        raise EngineError(f"cannot evaluate {type(f).__name__} locally")
+    return check
 
 
-def _assignments(
-    center: str, rest: Sequence[str], topo: LocalTopology, domain: tuple[int, ...]
-) -> Iterator[dict[str, int]]:
-    """Every environment that binds `center` to the topology's center and
-    each of `rest` to a class of `domain`."""
-    for combo in itertools.product(domain, repeat=len(rest)):
-        env = {center: topo.center}
-        env.update(zip(rest, combo))
-        yield env
+class _Compiled(NamedTuple):
+    """A query compiled once per run.  `check` decides the body in an
+    environment of `width` slots: the centre variable in slot 0, the other
+    free variables in slots 1..`free`, then the bound variables.  A result
+    row is the representatives of the classes in the `out` slots.  FP-loc's
+    table atoms are listed in `shapes` as (argument names, non-centre
+    variables); FO-loc has none."""
+
+    check: _Check
+    width: int
+    free: int
+    out: list[int]
+    shapes: list[tuple[tuple[str, ...], tuple[str, ...]]]
+
+
+def _compile_query(
+    body: Formula,
+    center: str,
+    free: Sequence[str],
+    out: Sequence[str],
+    table: Optional[str] = None,
+) -> _Compiled:
+    slots = {v: i for i, v in enumerate((center, *free))}
+    check = _compile(body, slots, table)
+    shapes = []
+    for g in subformulas(body):
+        if isinstance(g, Atom) and g.pred == table:
+            names = tuple(t.name for t in g.args)
+            rest = tuple(v for v in dict.fromkeys(names) if v != center)
+            shapes.append((names, rest))
+    return _Compiled(check, len(slots), len(free), [slots[v] for v in out], shapes)
+
+
+def _holds(check: _Check, env: list[int], cx: _Eval) -> bool:
+    """Truth of a compiled query in one environment: the one entry point
+    of every local evaluation."""
+    return check(env, cx)
+
+
+def _rows(query: _Compiled, cx: _Eval, center: int) -> set[tuple[PortTrace, ...]]:
+    """The result rows of every environment that binds the centre variable
+    to `center` and the other free variables to classes of the domain."""
+    env = [center] * query.width
+    rows = set()
+    for combo in itertools.product(cx.domain, repeat=query.free):
+        env[1 : 1 + query.free] = combo
+        if _holds(query.check, env, cx):
+            rows.add(tuple([cx.reps[env[s]] for s in query.out]))
+    return rows
 
 
 # ------------------------------------------------------- collection protocol
 
 
-def _wire_entries(entries: Mapping[PortTrace, _Entry]) -> tuple:
-    return tuple(
-        (t, e[0], e[1], e[2]) for t, e in sorted(entries.items())
-    )
-
-
 class _Collector:
     """Per-node state of the walk-flood collection.  One wave is launched by
     this node (identified by its nonce); waves of every other node are served
-    with the same rules."""
+    with the same rules.  A walk that was forwarded waits for one reply per
+    port, keeping each as (port, rows); when the last one is in, it replies
+    with its own row followed by the children's rows in port order, which is
+    the order of their traces."""
 
-    __slots__ = ("nonce", "radius", "records", "pending", "acc", "stored")
+    __slots__ = ("nonce", "radius", "records", "pending", "stored")
 
     def __init__(self, nonce: int):
         self.nonce = nonce
         self.radius: Optional[int] = None  # set by launch
         self.records: dict[int, set[PortTrace]] = {}
-        self.pending: dict[tuple[int, PortTrace], set[int]] = {}
-        self.acc: dict[tuple[int, PortTrace], dict[PortTrace, _Entry]] = {}
-        self.stored: Optional[dict[PortTrace, _Entry]] = None
+        # (wave, walk) -> (ports still to reply, [(port, rows)] received)
+        self.pending: dict[tuple[int, PortTrace], tuple] = {}
+        self.stored: Optional[dict[PortTrace, _Row]] = None
 
     @property
     def done(self) -> bool:
         return self.stored is not None
 
-    def _self_entry(self, ctx: NodeContext, wave: int) -> _Entry:
+    def _row(self, ctx: NodeContext, wave: int, walk: PortTrace) -> _Row:
         return (
+            walk,
             tuple(sorted(self.records.get(wave, ()))),
             tuple(sorted(ctx.self_unary)),
             ctx.label,
@@ -486,63 +601,68 @@ class _Collector:
     ) -> None:
         self.radius = radius
         if not ctx.ports:
-            self.stored = {(): self._self_entry(ctx, self.nonce)}
+            self.stored = {(): self._row(ctx, self.nonce, ())}
             return
-        self.pending[(self.nonce, ())] = set(ctx.ports)
-        self.acc[(self.nonce, ())] = {}
+        self.pending[(self.nonce, ())] = (set(ctx.ports), [])
         for p in ctx.ports:
             out.append((p, ("C", self.nonce, radius, (p,))))
 
-    def note_collect(self, msg: Message) -> None:
-        """First pass over the inbox: record every arriving trace before any
-        reply snapshot of this round is taken."""
-        _, wave, _, todd = msg.payload
-        full = tuple(todd) + (msg.dst_port,)
+    def note_collect(self, msg: Message) -> PortTrace:
+        """First pass over the inbox: record an arriving trace before any
+        row of this round is made, and return it."""
+        full = msg.payload[3] + (msg.dst_port,)
         if len(full) % 2:
             raise EngineError(f"malformed collection trace {full!r}")
-        self.records.setdefault(wave, set()).add(full)
+        self.records.setdefault(msg.payload[1], set()).add(full)
+        return full
 
     def serve_collect(
-        self, ctx: NodeContext, msg: Message, out: list[tuple[int, Any]]
+        self,
+        ctx: NodeContext,
+        msg: Message,
+        full: PortTrace,
+        out: list[tuple[int, Any]],
     ) -> None:
-        _, wave, budget, todd = msg.payload
-        full = tuple(todd) + (msg.dst_port,)
+        _, wave, budget, _ = msg.payload
         rest = [p for p in ctx.ports if p != msg.dst_port]
         if budget > 0 and rest:
-            self.pending[(wave, full)] = set(rest)
-            self.acc[(wave, full)] = {}
+            self.pending[(wave, full)] = (set(rest), [])
             for p in rest:
                 out.append((p, ("C", wave, budget - 1, full + (p,))))
         else:
-            entry = {full: self._self_entry(ctx, wave)}
-            out.append((msg.dst_port, ("R", wave, full, _wire_entries(entry))))
+            row = self._row(ctx, wave, full)
+            out.append((msg.dst_port, ("R", wave, full, (row,))))
 
     def serve_reply(
         self, ctx: NodeContext, msg: Message, out: list[tuple[int, Any]]
     ) -> None:
-        _, wave, walk, wire = msg.payload
-        walk = tuple(walk)
+        _, wave, walk, rows = msg.payload
         key = (wave, walk[:-2])
-        pend = self.pending.get(key)
-        if pend is None or walk[-2] not in pend:
+        waiting = self.pending.get(key)
+        port = walk[-2]
+        if waiting is None or port not in waiting[0]:
             raise EngineError("reply for a walk that was never forwarded")
-        pend.discard(walk[-2])
-        bucket = self.acc[key]
-        for t, lst, attrs, label in wire:
-            bucket[tuple(t)] = (tuple(lst), tuple(attrs), label)
-        if pend:
+        ports, replies = waiting
+        ports.discard(port)
+        replies.append((port, rows))
+        if ports:
             return
         del self.pending[key]
-        entries = self.acc.pop(key)
+        replies.sort()  # ports differ, so no two rows are compared
         prefix = key[1]
         if prefix == ():
             if wave != self.nonce:
                 raise EngineError("root reply for a foreign wave")
-            entries[()] = self._self_entry(ctx, self.nonce)
-            self.stored = entries
+            stored = {(): self._row(ctx, wave, ())}
+            for _, rows in replies:
+                for row in rows:
+                    stored[row[0]] = row
+            self.stored = stored
             return
-        entries[prefix] = self._self_entry(ctx, wave)
-        out.append((prefix[-1], ("R", wave, prefix, _wire_entries(entries))))
+        wire = [self._row(ctx, wave, prefix)]
+        for _, rows in replies:
+            wire.extend(rows)
+        out.append((prefix[-1], ("R", wave, prefix, tuple(wire))))
 
     def build(self) -> LocalTopology:
         assert self.stored is not None and self.radius is not None
@@ -559,14 +679,14 @@ def _node_nonce(ctx: NodeContext) -> int:
 
 
 class _LocalState:
-    """What a local engine keeps per node: the adopted query, its centre
-    variable and radius, the walk collection, and the topology and domain
-    it yields."""
+    """What a local engine keeps per node: the adopted query (compiled), its
+    centre variable and radius, the walk collection, and the topology and
+    domain it yields."""
 
     __slots__ = ("query", "center", "k", "relay", "collector", "topology", "domain")
 
     def __init__(self, collector: _Collector) -> None:
-        self.query: Any = None
+        self.query: Optional[_Compiled] = None
         self.center = ""
         self.k = 0
         self.relay: Optional[str] = None  # the query text still to relay
@@ -580,14 +700,16 @@ class _LocalEngine(NodeEngine):
     it once, serve the walk collection, and build the topology and the
     radius-k domain when the collection comes home.  An engine names its
     state class `_State` and its query printer `_print`, reads a query text
-    into (query, centre variable, radius) in `_read`, and serves its own
-    message tags in `_serve`.  One engine object serves every node of a
-    run, so each distinct text is read, and the query it reads printed for
-    the relay, once per run; a text that fails to read is not kept and
-    fails again at every node that reads it."""
+    into (parsed query, centre variable, radius, compiled query) in
+    `_read`, and serves its own message tags in `_serve`.  One engine object
+    serves every node of a run, so `reads` maps each distinct text to what
+    `_read` made of it and the parsed query printed for the relay: each text
+    is read, compiled and printed once per run, and every node evaluates
+    through the same compiled checks.  A text that fails to read is not
+    kept and fails again at every node that reads it."""
 
     def __init__(self) -> None:
-        self.reads: dict[str, tuple[Any, str, int, str]] = {}
+        self.reads: dict[str, tuple[Any, str, int, _Compiled, str]] = {}
 
     def start(self, ctx: NodeContext) -> Any:
         return self._State(_Collector(_node_nonce(ctx)))
@@ -599,9 +721,9 @@ class _LocalEngine(NodeEngine):
         if state.query is None:
             read = self.reads.get(text)
             if read is None:
-                query, center, k = self._read(text)
-                read = self.reads[text] = (query, center, k, self._print(query))
-            state.query, state.center, state.k, state.relay = read
+                read = self._read(text)
+                read = self.reads[text] = (*read, self._print(read[0]))
+            _, state.center, state.k, state.query, state.relay = read
 
     def _serve(
         self, state: Any, ctx: NodeContext, m: Message, out: list[tuple[int, Any]]
@@ -615,21 +737,22 @@ class _LocalEngine(NodeEngine):
         inbox: Sequence[Message],
         out: list[tuple[int, Any]],
     ) -> int:
-        """Note every arriving collection trace before any reply snapshot of
-        this round is taken, serve the inbox in order, and relay a newly
-        adopted query; returns the work done."""
+        """Note every arriving collection trace before any row of this round
+        is made, serve the inbox in order, and relay a newly adopted query;
+        returns the work done."""
         work = len(inbox)
-        for m in inbox:
-            if m.payload[0] == "C":
-                state.collector.note_collect(m)
+        collector = state.collector
+        walks = iter(
+            [collector.note_collect(m) for m in inbox if m.payload[0] == "C"]
+        )
         for m in inbox:
             tag = m.payload[0]
             if tag == "lq":
                 self._adopt(state, m.payload[1])
             elif tag == "C":
-                state.collector.serve_collect(ctx, m, out)
+                collector.serve_collect(ctx, m, next(walks), out)
             elif tag == "R":
-                state.collector.serve_reply(ctx, m, out)
+                collector.serve_reply(ctx, m, out)
             else:
                 work += self._serve(state, ctx, m, out)
         if state.relay is not None:
@@ -681,9 +804,11 @@ class FOLocEngine(_LocalEngine):
         self.order = tuple(order)
         self.mode_kind = mode_kind
 
-    def _read(self, text: str) -> tuple[Formula, str, int]:
+    def _read(self, text: str) -> tuple[Formula, str, int, _Compiled]:
         f = parse_formula(text)
-        return (f, *_validate_fo_local(f, self.mode_kind))
+        center, k = _validate_fo_local(f, self.mode_kind)
+        rest = [v for v in self.order if v != center]
+        return f, center, k, _compile_query(f, center, rest, self.order)
 
     def step(
         self,
@@ -698,15 +823,10 @@ class FOLocEngine(_LocalEngine):
             state.collector.launch(ctx, state.k, out)
         if self._built(state):
             topo = state.topology
-            assert topo is not None
-            rest = [v for v in self.order if v != state.center]
-            counter = [0]
-            state.rows = frozenset(
-                tuple(topo.rep(env[v]) for v in self.order)
-                for env in _assignments(state.center, rest, topo, state.domain)
-                if _holds(state.query, env, topo, state.domain, None, counter)
-            )
-            work += counter[0]
+            assert topo is not None and state.query is not None
+            cx = _Eval(topo, state.domain)
+            state.rows = frozenset(_rows(state.query, cx, topo.center))
+            work += cx.work
         return StepResult(
             sends=tuple(out),
             quiescent=not out and (
@@ -813,9 +933,11 @@ class FPLocEngine(_LocalEngine):
         super().__init__()
         self.mode_kind = mode_kind
 
-    def _read(self, text: str) -> tuple[FixpointQuery, str, int]:
+    def _read(self, text: str) -> tuple[FixpointQuery, str, int, _Compiled]:
         q = parse_fixpoint(text)
-        return q, q.vars[0], _validate_fp_local(q, self.mode_kind)
+        k = _validate_fp_local(q, self.mode_kind)
+        rest = q.vars[1:]
+        return q, q.vars[0], k, _compile_query(q.body, q.vars[0], rest, rest, q.name)
 
     def step(
         self,
@@ -963,18 +1085,11 @@ class FPLocEngine(_LocalEngine):
         topo = state.topology
         assert q is not None and topo is not None
         ground: set[tuple[int, tuple[int, ...]]] = set()
-        for g in subformulas(q.body):
-            if not (isinstance(g, Atom) and g.pred == q.name):
-                continue
-            rest = [v for v in dict.fromkeys(t.name for t in g.args)
-                    if v != q.vars[0]]
-            for env in _assignments(q.vars[0], rest, topo, state.domain):
-                ground.add(
-                    (
-                        env[g.args[0].name],
-                        tuple(env[t.name] for t in g.args[1:]),
-                    )
-                )
+        for names, rest in q.shapes:
+            for combo in itertools.product(state.domain, repeat=len(rest)):
+                env = dict(zip(rest, combo))
+                env[state.center] = topo.center
+                ground.add((env[names[0]], tuple([env[v] for v in names[1:]])))
         sent = 0
         for holder, args in sorted(ground):
             if holder == topo.center:
@@ -1008,19 +1123,14 @@ class FPLocEngine(_LocalEngine):
                 raise EngineError("table query went unanswered within its window")
             return answer
 
-        counter = [0]
-        derived = {
-            tuple(topo.rep(env[v]) for v in q.vars[1:])
-            for env in _assignments(q.vars[0], q.vars[1:], topo, state.domain)
-            if _holds(q.body, env, topo, state.domain, (q.name, truth), counter)
-        }
-        state.buffer = derived - state.table
+        cx = _Eval(topo, state.domain, truth)
+        state.buffer = _rows(q, cx, topo.center) - state.table
         state.had_new = bool(state.buffer)
         state.awake_windows.append(state.window)
         if state.had_new:
             out.extend(broadcast(ctx, ("N", state.k)))
         state.awake = False
-        return counter[0]
+        return cx.work
 
     def collect(self, state: _FPLocState, ctx: NodeContext) -> FPLocReport:
         return FPLocReport(
@@ -1098,12 +1208,16 @@ def local_payload_bits(payload: tuple, enc: EncodingParams) -> int:
             + _trace_bits(payload[3], enc)
         )
     if tag == "R":
+        # Per row: the trace and each listed trace as _trace_bits, every
+        # input fact, and a presence bit plus the label when there is one.
+        pb = enc.port_bits
         bits = enc.tag_bits + _NONCE_BITS + _trace_bits(payload[2], enc)
         for t, lst, attrs, label in payload[3]:
-            bits += _trace_bits(t, enc)
-            bits += sum(_trace_bits(u, enc) for u in lst)
-            bits += sum(8 + enc.text_bits(s) for s in attrs)
-            bits += 1 + (enc.id_bits if label is not None else 0)
+            bits += 9 + pb * (len(t) + sum(map(len, lst))) + 8 * len(lst)
+            if attrs:
+                bits += sum(8 + enc.text_bits(s) for s in attrs)
+            if label is not None:
+                bits += enc.id_bits
         return bits
     if tag == "A":
         return (

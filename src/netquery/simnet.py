@@ -337,13 +337,13 @@ class Message(NamedTuple):
     dst_port: int  # arrival port at the receiver
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """What one node's step produced.  `quiescent` says that a further
-    round would change nothing this node holds or reports; `steps` is the
-    work the step took (IN-TIME/ROUND); `wake_at`, when set, is the next
-    round (after this one) in which the node must step even with no mail.
-    A node that sends is stepped in the next round anyway."""
+class StepResult(NamedTuple):
+    """What one node's step produced (a tuple, like `Message`, because
+    every node step makes one).  `quiescent` says that a further round
+    would change nothing this node holds or reports; `steps` is the work
+    the step took (IN-TIME/ROUND); `wake_at`, when set, is the next round
+    (after this one) in which the node must step even with no mail.  A
+    node that sends is stepped in the next round anyway."""
 
     sends: tuple[tuple[int, Any], ...]  # (port, payload)
     quiescent: bool

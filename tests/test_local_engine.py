@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -9,8 +11,10 @@ import pytest
 from netquery import local_engine, simnet
 from netquery.engine_fo import EngineError
 from netquery.fixtures import (
+    HAS_NEIGHBOR_TEXT,
     SPANNING_TREE_TEXT,
     TRANSITIVE_CLOSURE_TEXT,
+    TWO_HOP_TEXT,
     exhaustive_graphs,
     fixture_graphs,
     random_connected_graph,
@@ -28,14 +32,26 @@ from netquery.local_engine import (
     verify_reconstruction,
 )
 from netquery.logic import (
+    EDGE_PRED,
+    And,
     Atom,
+    BoolConst,
+    Cmp,
+    Exists,
     FixpointQuery,
+    Forall,
     InNbhd,
+    Not,
+    Or,
     ParseError,
     Var,
+    _UnionFind,
+    free_vars,
     make_and,
     parse_fixpoint,
     parse_formula,
+    print_fixpoint,
+    print_formula,
     relativize,
     relativize_fixpoint,
 )
@@ -249,8 +265,6 @@ FO_BATTERY = [
 
 
 def test_fo_loc_matches_oracle_on_fixture_graphs():
-    from netquery.logic import free_vars
-
     for _, g in fixture_graphs():
         marks = [min(g.nodes)] + ([max(g.nodes)] if len(g.nodes) > 2 else [])
         gm = g.with_unary({"Mark": marks})
@@ -627,3 +641,358 @@ def test_unreadable_query_fails_at_every_node(engine, text, error):
         with pytest.raises(error):
             engine._adopt(state, text)
     assert engine.reads == {}
+
+
+# ------------------------------------------------------- pinned node steps
+
+LABELED_ORDER = "(exists y in N^1(x). (G(x,y) & x >= y)) | Mark(x)"
+
+
+def _local_step_digest(case, seed):
+    """sha256 over (round, sends, steps, quiescent, wake_at) of every node
+    step of one local-engine run, in call order."""
+    digest = hashlib.sha256()
+    if case == "anonymous-grid-3x3":
+        engine = FOLocEngine
+        net = make_network(grid_graph(3, 3), mode=ANONYMOUS, port_seed=seed)
+        call = lambda: run_qe_fo_loc(net, DEG2, 1, order_seed=seed)
+    elif case == "anonymous-ring-8":
+        engine = FPLocEngine
+        net = make_network(ring_graph(8), mode=ANONYMOUS, port_seed=seed)
+        call = lambda: run_qe_fp_loc(net, tc_query(1), 1, order_seed=seed)
+    else:
+        g = grid_graph(2, 3).with_unary({"Mark": [1, 6]})
+        engine = FOLocEngine
+        mode = IdentityMode("local-consistent", 1, injective_labels(g))
+        net = make_network(g, mode=mode, port_seed=seed)
+        call = lambda: run_qe_fo_loc(net, LABELED_ORDER, 1, order_seed=seed)
+    real = engine.step
+
+    def recording(self, state, ctx, round_no, inbox):
+        res = real(self, state, ctx, round_no, inbox)
+        digest.update(
+            repr(
+                (round_no, res.sends, res.steps, res.quiescent, res.wake_at)
+            ).encode()
+        )
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "step", recording)
+        call()
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case,seed,digest", [
+    ("anonymous-grid-3x3", 0,
+     "a6bc34fa7a968fba0736037b6c74692056d89ab45f7734ce795a90cc4cbc25ab"),
+    ("anonymous-grid-3x3", 1,
+     "8fa1c02a7bbbec95ad9a09e358310b156767251900c9776a46680b47fba8786c"),
+    ("anonymous-ring-8", 0,
+     "cb6ed2d70fa6151c10a36c0f8507275982b94d0d9cc973c1651ab28d188cf4d3"),
+    ("anonymous-ring-8", 1,
+     "807c8ffe22d1a668e4d4d4d99a616100a90a1efc272cab84975416cac6a8a9cb"),
+    ("labeled-grid-2x3", 0,
+     "1bae28dd5428616e1050c15b1ec42bf6d561b5377fa008bfba1e27ca973588a6"),
+    ("labeled-grid-2x3", 1,
+     "f53483d373c8a6e0d49521f53841d2bff95ac7e3a9c7a80c837d302360ef7a1b"),
+])
+def test_local_node_steps_send_the_pinned_payloads(case, seed, digest):
+    """Every node step of FO-loc and FP-loc sends the pinned payloads in the
+    pinned order and reports the pinned work, quiescence and wake-up, at
+    port and delivery-order seeds 0 and 1.  The pins were taken with the
+    interpreted evaluator and the sorted-reply collector."""
+    assert _local_step_digest(case, seed) == digest
+
+
+# ------------------------------------------ compiled evaluation vs reference
+
+
+def reference_holds(f, env, topo, domain, table, work):
+    """The formula interpreter the compiled checks replaced: truth of f over
+    the classes, with the table atoms named table[0] decided by
+    table[1](holder, args), adding 1 to work[0] per formula node visited."""
+    work[0] += 1
+    if isinstance(f, BoolConst):
+        return f.value
+    if isinstance(f, Atom):
+        if f.pred == EDGE_PRED:
+            a = env[f.args[0].name]
+            b = env[f.args[1].name]
+            return topo.has_edge(a, b)
+        if table is not None and f.pred == table[0]:
+            holder = env[f.args[0].name]
+            return table[1](holder, tuple(env[t.name] for t in f.args[1:]))
+        return f.pred in topo.attrs.get(env[f.args[0].name], frozenset())
+    if isinstance(f, Cmp):
+        a = env[f.left.name]
+        b = env[f.right.name]
+        if f.op == "=":
+            return a == b
+        if f.op == "!=":
+            return a != b
+        la, lb = topo.labels.get(a), topo.labels.get(b)
+        if la is None or lb is None:
+            raise EngineError("order comparison on an unlabeled node")
+        return la >= lb
+    if isinstance(f, InNbhd):
+        return topo.dist(env[f.term.name]) <= f.radius
+    if isinstance(f, Not):
+        return not reference_holds(f.body, env, topo, domain, table, work)
+    if isinstance(f, And):
+        return all(
+            reference_holds(p, env, topo, domain, table, work) for p in f.parts
+        )
+    if isinstance(f, Or):
+        return any(
+            reference_holds(p, env, topo, domain, table, work) for p in f.parts
+        )
+    if isinstance(f, (Exists, Forall)):
+        settle = isinstance(f, Exists)
+        value = not settle
+        for c in domain:
+            env[f.var] = c
+            if reference_holds(f.body, env, topo, domain, table, work) == settle:
+                value = settle
+                break
+        env.pop(f.var, None)
+        return value
+    raise EngineError(f"cannot evaluate {type(f).__name__} locally")
+
+
+FO_LOCAL_TEXTS = [text for text, _ in FO_BATTERY] + [
+    print_formula(relativize(parse_formula(text), "x", k))
+    for text in (TWO_HOP_TEXT, HAS_NEIGHBOR_TEXT)
+    for k in (1, 2)
+]
+FP_LOCAL_QUERIES = [span_query(1), span_query(2), tc_query(1), tc_query(2)]
+
+
+def _table_truth(holder, args):
+    """A fixed table for the differential test: some atoms hold, some not."""
+    return (3 * holder + sum(args) + len(args)) % 4 != 1
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except EngineError as err:
+        return str(err)
+
+
+def _compare_with_interpreter(net, engine, text, table):
+    """Every environment of every node: the compiled check and the
+    interpreter agree on truth (or error) and on the work they count.
+    Returns (environments compared, errors seen)."""
+    parsed, center, k, query = engine._read(text)
+    if table is None:
+        body, names, radius = parsed, [v for v in engine.order if v != center], k
+    else:
+        body, names, radius = parsed.body, parsed.vars[1:], 2 * k
+    compared = errors = 0
+    for a in sorted(net.graph.nodes):
+        topo = collect_topology(net, a, radius)
+        domain = tuple(i for i in topo.vertices if topo.dist(i) <= k)
+        for combo in itertools.product(domain, repeat=len(names)):
+            env = dict(zip([center, *names], (topo.center, *combo)))
+            work = [0]
+            want = _outcome(lambda: reference_holds(
+                body, env, topo, domain, table and (parsed.name, table), work
+            ))
+            slots = [topo.center] * query.width
+            slots[1:1 + query.free] = combo
+            cx = local_engine._Eval(topo, domain, table)
+            got = _outcome(lambda: local_engine._holds(query.check, slots, cx))
+            assert (got, cx.work) == (want, work[0]), (text, a, combo)
+            compared += 1
+            errors += isinstance(got, str)
+    return compared, errors
+
+
+def _differential_graphs():
+    graphs = [g for _, g in exhaustive_graphs(4)]
+    rng = random.Random(11)
+    graphs += [random_connected_graph(rng, n) for n in (5, 6, 7, 8)]
+    for g in graphs:
+        marks = [min(g.nodes)] + ([max(g.nodes)] if len(g.nodes) > 2 else [])
+        yield g.with_unary({"Mark": marks, "ReqNode": [min(g.nodes)]})
+
+
+def test_compiled_checks_match_the_interpreter():
+    """FO-loc and FP-loc (table callback included) evaluate every local
+    fixture query as the interpreter did, in the anonymous, labeled and
+    global modes: same truth, same work, short-circuits included.  An order
+    comparison compiled for labeled nodes and run on anonymous ones raises
+    the interpreter's error after the same work."""
+    compared = errors = 0
+    for g in _differential_graphs():
+        for kind, mode in (
+            ("anonymous", ANONYMOUS),
+            ("labeled", IdentityMode("local-consistent", 1, injective_labels(g))),
+            ("global", None),
+        ):
+            net = make_network(g, mode=mode) if mode else make_network(g)
+            for text in FO_LOCAL_TEXTS:
+                f = parse_formula(text)
+                engine = FOLocEngine(
+                    tuple(free_vars(f)), "global" if kind == "anonymous" else kind
+                )
+                c, e = _compare_with_interpreter(net, engine, text, None)
+                compared += c
+                errors += e
+            for q in FP_LOCAL_QUERIES:
+                engine = FPLocEngine("global" if kind == "anonymous" else kind)
+                c, e = _compare_with_interpreter(
+                    net, engine, print_fixpoint(q), _table_truth
+                )
+                compared += c
+                errors += e
+    assert compared > 10_000
+    assert errors > 100
+
+
+# ------------------------------------------- the quotient vs union-find
+
+
+def reference_topology(radius, entries):
+    """The union-find quotient the one-pass build replaced: union every
+    trace with each collected trace its row lists, name each class by its
+    least (length, trace), and union the facts and take the least label of
+    its traces."""
+    uf = _UnionFind(entries)
+    for t, row in entries.items():
+        for u in row[1]:
+            if u in entries:
+                uf.union(t, u)
+    groups = {}
+    for t in entries:
+        groups.setdefault(uf.find(t), set()).add(t)
+    keyed = sorted(
+        (min((len(t), t) for t in g), frozenset(g)) for g in groups.values()
+    )
+    classes = tuple(g for _, g in keyed)
+    reps = tuple(key[1] for key, _ in keyed)
+    class_of = {t: i for i, g in enumerate(classes) for t in g}
+    vertices = tuple(i for i, r in enumerate(reps) if len(r) // 2 <= radius)
+    edges = set()
+    for t in entries:
+        if t:
+            c1, c2 = class_of[t[:-2]], class_of[t]
+            if c1 in vertices and c2 in vertices and c1 != c2:
+                edges.add((min(c1, c2), max(c1, c2)))
+    attrs, labels = {}, {}
+    for i, cls in enumerate(classes):
+        attrs[i] = frozenset(a for t in cls for a in entries[t][2])
+        ls = {entries[t][3] for t in cls} - {None}
+        labels[i] = min(ls) if ls else None
+    return local_engine.LocalTopology(
+        classes=classes,
+        class_of=class_of,
+        reps=reps,
+        vertices=vertices,
+        edges=frozenset(edges),
+        center=class_of[()],
+        attrs=attrs,
+        labels=labels,
+    )
+
+
+def test_quotient_matches_the_union_find_build():
+    """Classes (compared as sets), representatives, class indices, vertices,
+    edges, facts and labels equal the union-find build's on the reference
+    entries of every node at radius 1, 2 and 3."""
+    checked = 0
+    for g in _differential_graphs():
+        for mode in (ANONYMOUS, IdentityMode("local-consistent", 1, injective_labels(g))):
+            net = make_network(g, mode=mode, port_seed=3)
+            for a in sorted(g.nodes):
+                for k in (1, 2, 3):
+                    entries = local_engine._central_entries(net, a, k)
+                    got = local_engine._topology_from_entries(k, entries)
+                    assert got == reference_topology(k, entries)
+                    checked += 1
+    assert checked > 500
+
+
+def _row(t, lst, facts=(), label=None):
+    return (t, tuple(lst), tuple(facts), label)
+
+
+def test_quotient_links_rows_both_ways():
+    """A degree-1 node replied to the short walk x before the longer walk y
+    reached it, so only y's row lists x; a third walk z to the same node
+    lists only y.  All three are one class, named by x."""
+    x, y, z = (1, 1), (2, 1, 2, 1), (2, 1, 3, 1)
+    rows = [
+        _row((), []),
+        _row(x, [x]),
+        _row((2, 1), [(2, 1)]),
+        _row(y, [x, y]),
+        _row(z, [y, z]),
+    ]
+    entries = {r[0]: r for r in rows}
+    topo = local_engine._topology_from_entries(1, entries)
+    assert topo == reference_topology(1, entries)
+    assert topo.classes[topo.class_of[x]] == {x, y, z}
+    assert topo.rep(topo.class_of[z]) == x
+    assert topo.vertices == (0, 1, 2)
+
+
+@pytest.mark.parametrize("short,long", [
+    (_row((1, 1), [(1, 1)], ("Mark",)), _row((2, 1), [(1, 1), (2, 1)])),
+    (_row((1, 1), [(1, 1)], (), 5), _row((2, 1), [(1, 1), (2, 1)], (), 6)),
+])
+def test_quotient_rejects_merged_traces_that_disagree(short, long):
+    """Two traces merged into one class must report the same endpoint's
+    facts and label; the union-find build silently combined them."""
+    entries = {r[0]: r for r in (_row((), []), short, long)}
+    with pytest.raises(EngineError, match="different facts or labels"):
+        local_engine._topology_from_entries(1, entries)
+    agreeing = dict(entries)
+    agreeing[long[0]] = long[:2] + short[2:]
+    assert local_engine._topology_from_entries(1, agreeing) == reference_topology(
+        1, agreeing
+    )
+
+
+# ---------------------------------------------- payload sizes vs the fold
+
+
+def reference_reply_bits(payload, enc):
+    """The per-field fold that sized an R payload before the closed form."""
+    def trace_bits(trace):
+        return 8 + enc.port_bits * len(trace)
+
+    bits = enc.tag_bits + local_engine._NONCE_BITS + trace_bits(payload[2])
+    for t, lst, attrs, label in payload[3]:
+        bits += trace_bits(t)
+        bits += sum(trace_bits(u) for u in lst)
+        bits += sum(8 + enc.text_bits(s) for s in attrs)
+        bits += 1 + (enc.id_bits if label is not None else 0)
+    return bits
+
+
+def test_reply_sizes_match_the_per_field_fold(monkeypatch):
+    """Every R payload of labeled-mode runs with unary facts, on FO-loc and
+    FP-loc, is sized as the per-field fold sized it."""
+    real = local_engine.local_payload_bits
+    replies = []
+
+    def recording(payload, enc):
+        if payload[0] == "R":
+            replies.append((payload, enc))
+        return real(payload, enc)
+
+    monkeypatch.setattr(local_engine, "local_payload_bits", recording)
+    for g in (grid_graph(2, 3), ring_graph(6), path_graph(4)):
+        gu = g.with_unary({"Mark": [1, max(g.nodes)], "ReqNode": [1]})
+        mode = IdentityMode("local-consistent", 1, injective_labels(g))
+        for seed in (0, 1):
+            net = make_network(gu, mode=mode, port_seed=seed)
+            run_qe_fo_loc(net, LABELED_ORDER, 1, order_seed=seed)
+            run_qe_fp_loc(net, span_query(1), 1, order_seed=seed)
+    rows = [row for payload, _ in replies for row in payload[3]]
+    assert any(row[2] for row in rows) and all(row[3] is not None for row in rows)
+    assert len(replies) > 300
+    for payload, enc in replies:
+        assert real(payload, enc) == reference_reply_bits(payload, enc)
