@@ -292,6 +292,19 @@ def cmd_fixtures(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+def _round_cap(text: str) -> int:
+    """A `--rounds-cap` value: a positive ASCII integer."""
+    try:
+        cap = _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(
+            f"{cap} is not a positive number of rounds"
+        )
+    return cap
+
+
 # Every option a sub-command may take, in the order --help lists them.
 _OPTIONS = {
     "--net": dict(help="network file (edge-list format)"),
@@ -305,7 +318,7 @@ _OPTIONS = {
     ),
     "--port-seed": dict(type=int, default=0),
     "--order-seed": dict(type=int, default=0),
-    "--rounds-cap": dict(type=int, default=None),
+    "--rounds-cap": dict(type=_round_cap, default=None),
     "--format": dict(choices=("table", "csv"), default="table"),
     "--check": dict(
         action="store_true",

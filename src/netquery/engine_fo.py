@@ -68,6 +68,7 @@ from .simnet import (
     NodeEngine,
     StepResult,
     broadcast,
+    sends_bits,
 )
 
 
@@ -625,11 +626,13 @@ class _BroadcastEngine(NodeEngine):
         state.ingest([m.payload for m in inbox])
         state.advance(round_no)
         outs = state.flush()
+        sends = tuple(s for p in outs for s in broadcast(ctx, p))
         return StepResult(
-            sends=tuple(s for p in outs for s in broadcast(ctx, p)),
+            sends=sends,
             quiescent=not outs and state.idle(round_no),
             steps=1 + state.total_work() - before,
             wake_at=round_no + 1,  # a quantifier deadline may fall in any round
+            bits=sends_bits(sends, self.payload_bits, ctx.enc),
         )
 
     def collect(self, state: Any, ctx: NodeContext) -> Any:

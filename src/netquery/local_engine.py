@@ -67,6 +67,7 @@ from .simnet import (
     StepResult,
     broadcast,
     check_locally_consistent,
+    sends_bits,
 )
 
 __all__ = [
@@ -833,6 +834,7 @@ class FOLocEngine(_LocalEngine):
                 state.query is None or state.topology is not None
             ),
             steps=1 + work,
+            bits=sends_bits(out, local_payload_bits, ctx.enc),
         )
 
     def collect(self, state: _FOLocState, ctx: NodeContext) -> FOLocReport:
@@ -983,6 +985,7 @@ class FPLocEngine(_LocalEngine):
             quiescent=not out and not busy,
             steps=1 + work,
             wake_at=self._wake_at(state, round_no, c0, f0, tau),
+            bits=sends_bits(out, local_payload_bits, ctx.enc),
         )
 
     @staticmethod

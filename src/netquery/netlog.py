@@ -12,7 +12,10 @@ its argument positions bound before it, a negated literal probes a
 membership set, and guards bind or test slots.  The indexes live on a
 `FactView` of one evaluation's facts, which builds only those the plans
 probe; their buckets keep the facts' ascending order, so a plan yields its
-bindings in a fixed order.  Building a plan is the rule safety check:
+bindings in a fixed order.  A view may share a memo with earlier views, as
+each node's views do across rounds, and reuses every index built on a
+predicate whose tuples have not changed.  Building a plan is the rule
+safety check:
 `parse_netlog`, `oracle.eval_datalog` and `rewriter.compile` reject through
 it a body that cannot be ordered or that leaves a head variable unbound.
 
@@ -23,7 +26,7 @@ through `_match_literal`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -447,9 +450,11 @@ class RulePlan:
     """A rule compiled for evaluation: its body in evaluable order, then its
     head, as steps over the rule's variable slots.  The first `held` slots
     hold the prebound variables, and slot -1 - i the constant `consts[i]`.
-    `run` is the plan's generated function, made when it first fires."""
+    A plan is `local` when its head holding argument is a held slot, so
+    that every fact it derives stays at the holder.  `run` is the plan's
+    generated function, made when it first fires."""
 
-    __slots__ = ("rule", "steps", "held", "consts", "run")
+    __slots__ = ("rule", "steps", "held", "consts", "local", "run")
 
     def __init__(
         self, rule: NetlogRule, steps: tuple[tuple, ...], held: int, consts: tuple[int, ...]
@@ -458,6 +463,8 @@ class RulePlan:
         self.steps = steps
         self.held = held
         self.consts = consts
+        holding = rule.head.holding
+        self.local = holding is not None and 0 <= steps[-1][2][holding] < held
         self.run: Optional[Callable[[FactView, list[Fact], int], None]] = None
 
 
@@ -618,7 +625,9 @@ def _generate(plan: RulePlan) -> Callable[[FactView, list[Fact], int], None]:
                 nesting += 1
 
     function(0, [])
-    exec(compile("\n".join(lines), "<netlog plan>", "exec"), env)
+    # A file name per rule keeps the plans' functions apart in a profile.
+    name = f"<netlog plan {print_rule(plan.rule)}>"
+    exec(compile("\n".join(lines), name, "exec"), env)
     return env["f0"]
 
 
@@ -627,60 +636,72 @@ class FactView:
     and the visible edges, each given once and matched both ways.  A node
     sees its own store and only the edges that touch it.  The indexes that
     plan steps probe are built on first use, each predicate's sorted tuples
-    once for all its indexes; a bucket lists its tuples in ascending
-    order."""
+    once for all its indexes; a bucket lists its tuples in ascending order.
 
-    __slots__ = ("by_pred", "unary", "edges", "indexes", "sorted")
+    `memo` maps each predicate to the tuple set it had when last seen, that
+    set's ascending list and the indexes built on the list, by step name.
+    A view given the memo of earlier views reuses the list and the indexes
+    of a predicate whose tuples equal the memo's.  None of them is ever
+    changed once built."""
+
+    __slots__ = ("by_pred", "unary", "edges", "indexes", "seen", "memo")
 
     def __init__(
         self,
         facts: Iterable[Fact],
         unary: Mapping[str, frozenset[int]],
         edges: Iterable[tuple[int, int]],
+        memo: Optional[dict[str, tuple[set, list, dict]]] = None,
     ):
-        self.by_pred: dict[str, list[tuple[int, ...]]] = {}
+        self.by_pred: dict[str, set[tuple[int, ...]]] = {}
         for pred, args in facts:
-            self.by_pred.setdefault(pred, []).append(args)
+            self.by_pred.setdefault(pred, set()).add(args)
         self.unary = unary
         self.edges = tuple(edges)
         self.indexes: dict[Any, Any] = {}  # a plan step's name -> its index
-        self.sorted: dict[str, list[tuple[int, ...]]] = {}
-
-    def tuples(self, pred: str) -> list[tuple[int, ...]]:
-        """Every tuple of `pred`, ascending and without repeats.  The list
-        is shared by every index built on `pred`, so it is never changed."""
-        rows = self.sorted.get(pred)
-        if rows is None:
-            if pred == EDGE_PRED:
-                out = {e for u, v in self.edges for e in ((u, v), (v, u))}
-            else:
-                out = set(self.by_pred.get(pred, ()))
-                out.update((a,) for a in self.unary.get(pred, ()))
-            rows = self.sorted[pred] = sorted(out)
-        return rows
+        self.seen: dict[str, tuple[set, list, dict]] = {}  # this view's entries
+        self.memo = {} if memo is None else memo
 
     def build(self, step: tuple) -> Any:
         """The index a `_JOIN` step probes: its literal's tuples that agree
         on repeated variables, cut down to the positions the step binds,
         under the values at the positions bound before it (a list when
         none are).  For an `_ABSENT` step, the set of the literal's tuples."""
-        if step[0] == _ABSENT:
-            index: Any = set(self.tuples(step[1]))
-        else:
-            pred, arity, _mask, same = step[1]
-            key_pos, free = step[5]
-            rows = [t for t in self.tuples(pred) if len(t) == arity]
-            if same:
-                rows = [t for t in rows if all(t[a] == t[b] for a, b in same)]
-            project = itemgetter(*free) if free else lambda t: ()
-            if not key_pos:
-                index = [project(t) for t in rows]
+        name = step[1]
+        pred = name if step[0] == _ABSENT else name[0]
+        entry = self.seen.get(pred)
+        if entry is None:
+            if pred == EDGE_PRED:
+                out = {e for u, v in self.edges for e in ((u, v), (v, u))}
             else:
-                key = itemgetter(*key_pos)
-                index = {}
-                for t in rows:
-                    index.setdefault(key(t), []).append(project(t))
-        self.indexes[step[1]] = index
+                out = self.by_pred.get(pred, set())
+                if pred in self.unary:
+                    out = out | {(a,) for a in self.unary[pred]}
+            entry = self.memo.get(pred)
+            if entry is None or entry[0] != out:
+                entry = self.memo[pred] = (out, sorted(out), {})
+            self.seen[pred] = entry
+        if step[0] == _ABSENT:
+            index: Any = entry[0]
+        else:
+            _, rows, built = entry
+            index = built.get(name)
+            if index is None:
+                _pred, arity, _mask, same = name
+                key_pos, free = step[5]
+                rows = [t for t in rows if len(t) == arity]
+                if same:
+                    rows = [t for t in rows if all(t[a] == t[b] for a, b in same)]
+                project = itemgetter(*free) if free else lambda t: ()
+                if not key_pos:
+                    index = [project(t) for t in rows]
+                else:
+                    key = itemgetter(*key_pos)
+                    index = {}
+                    for t in rows:
+                        index.setdefault(key(t), []).append(project(t))
+                built[name] = index
+        self.indexes[name] = index
         return index
 
 
@@ -731,16 +752,20 @@ def node_plans(rules: Sequence[NetlogRule]) -> tuple[RulePlan, ...]:
 
 def _placed(
     plans: Sequence[RulePlan], view: FactView, v: int
-) -> list[tuple[int, Fact]]:
-    """Every fact the plans derive at node v, in order, with the node named
-    by its head holding argument."""
-    placed = []
+) -> tuple[list[Fact], list[tuple[int, list[Fact]]]]:
+    """Every fact the plans derive at node v, in order: the local plans'
+    facts, which stay at v, and for each other plan its head holding
+    position and its facts, each for the node named at that position."""
+    here: list[Fact] = []
+    placed: list[tuple[int, list[Fact]]] = []
     for plan in plans:
-        out: list[Fact] = []
-        _match_literal(plan, view, out, v)
-        holding = plan.rule.head.holding
-        placed.extend((fact[1][holding], fact) for fact in out)  # type: ignore[index]
-    return placed
+        if plan.local:
+            _match_literal(plan, view, here, v)
+        else:
+            out: list[Fact] = []
+            _match_literal(plan, view, out, v)
+            placed.append((plan.rule.head.holding, out))  # type: ignore[arg-type]
+    return here, placed
 
 
 def _consequence(
@@ -750,13 +775,17 @@ def _consequence(
     for v in g.nodes:
         edges = [(v, u) for u in g.adj[v]]
         view = FactView(instance.stores.get(v, frozenset()), g.unary, edges)
-        for target, fact in _placed(plans, view, v):
-            if target not in new_stores:
-                raise NetlogError(
-                    f"fact {fact[0]}{fact[1]} addressed to unknown node "
-                    f"{target}"
-                )
-            new_stores[target].add(fact)
+        here, placed = _placed(plans, view, v)
+        new_stores[v].update(here)
+        for holding, facts in placed:
+            for fact in facts:
+                target = fact[1][holding]
+                if target not in new_stores:
+                    raise NetlogError(
+                        f"fact {fact[0]}{fact[1]} addressed to unknown node "
+                        f"{target}"
+                    )
+                new_stores[target].add(fact)
     return DistributedInstance({v: frozenset(fs) for v, fs in new_stores.items()})
 
 
@@ -776,9 +805,11 @@ def netlog_stages(
 ) -> list[DistributedInstance]:
     """Round-by-round instance sequence starting from the start-fact seeding,
     ending when one round changes nothing.  Raises NonterminationError when
-    the cap is exceeded."""
+    the cap is exceeded, and NetlogError when the cap is below 1."""
     if cap is None:
         cap = default_round_cap(program, g)
+    elif cap < 1:
+        raise NetlogError(f"round cap {cap} is not a positive number of rounds")
     plans = node_plans(program.rules)
     stages = [start_instance(g)]
     for _ in range(cap):
@@ -808,9 +839,14 @@ def default_round_cap(program: NetlogProgram, g: Graph) -> int:
 @dataclass
 class _NetlogNodeState:
     """snapshot holds this node's slice of the current global instance:
-    locally derived facts from the previous round plus just-arrived pushes."""
+    locally derived facts from the previous round plus just-arrived pushes.
+    The neighbour-to-port map, the incident edges and the index memo of the
+    node's views are kept for the whole run."""
 
     local: frozenset[Fact]
+    port_of: dict[int, int]
+    edges: tuple[tuple[int, int], ...]
+    memo: dict[str, tuple[set, list, dict]] = field(default_factory=dict)
     snapshot: Optional[frozenset[Fact]] = None
 
 
@@ -821,8 +857,12 @@ class NetlogEngine(simnet.NodeEngine):
     derivations plus arrived pushed facts), fires every rule on it, keeps
     derivations addressed to itself, and sends push-rule derivations to the
     neighbor named by the head holding argument.  The store is replaced
-    every round; persistence needs explicit copy rules.
+    every round; persistence needs explicit copy rules.  A step reads its
+    inbox as a set and its views sort what they index, so the order of
+    delivery cannot reach what it derives.
     """
+
+    reads_inbox_as_set = True
 
     def __init__(self, program: NetlogProgram):
         self.plans = node_plans(program.rules)
@@ -832,35 +872,50 @@ class NetlogEngine(simnet.NodeEngine):
         self.sizes: dict[Fact, int] = {}
 
     def start(self, ctx) -> _NetlogNodeState:
-        if ctx.node_id is None:
+        v = ctx.node_id
+        if v is None:
             raise NetlogError("the rule engine needs globally unique node ids")
-        return _NetlogNodeState(local=frozenset({("start", (ctx.node_id,))}))
+        port_of = {b: p for p, b in ctx.neighbor_ids.items()}
+        return _NetlogNodeState(
+            frozenset({("start", (v,))}), port_of, tuple((v, u) for u in port_of)
+        )
 
     def step(self, state: _NetlogNodeState, ctx, round_no: int, inbox):
         v = ctx.node_id
-        arrived = frozenset(m.payload for m in inbox)
-        snapshot = state.local | arrived
+        snapshot = state.local.union([m[0] for m in inbox])
         quiescent = snapshot == state.snapshot
         state.snapshot = snapshot
-        port_of = {b: p for p, b in ctx.neighbor_ids.items()}
-        edges = [(v, u) for u in port_of]
-        derived = _placed(self.plans, FactView(snapshot, ctx.global_unary, edges), v)
-        local: set[Fact] = set()
+        view = FactView(snapshot, ctx.global_unary, state.edges, state.memo)
+        here, placed = _placed(self.plans, view, v)
+        local = set(here)
         sends: list[tuple[int, Fact]] = []
-        for target, fact in derived:
-            if target == v:
-                local.add(fact)
-            else:
-                port = port_of.get(target)
-                if port is None:
-                    raise NetlogError(
-                        f"fact {fact[0]}{fact[1]} addressed to non-neighbor "
-                        f"{target}"
-                    )
+        bits = 0
+        work = 1 + len(here)
+        port_of, sizes = state.port_of, self.sizes
+        for holding, facts in placed:
+            work += len(facts)
+            for fact in facts:
+                target = fact[1][holding]
+                try:
+                    port = port_of[target]
+                except KeyError:
+                    if target != v:
+                        raise NetlogError(
+                            f"fact {fact[0]}{fact[1]} addressed to non-neighbor "
+                            f"{target}"
+                        ) from None
+                    local.add(fact)
+                    continue
                 sends.append((port, fact))
+                try:
+                    size = sizes[fact]
+                except KeyError:
+                    size = self.payload_bits(fact, ctx.enc)
+                if size > bits:
+                    bits = size
         state.local = frozenset(local)
         # The store is replaced every round, so every round needs a step.
-        return simnet.StepResult(tuple(sends), quiescent, 1 + len(derived), round_no + 1)
+        return simnet.StepResult(tuple(sends), quiescent, work, round_no + 1, bits)
 
     def collect(self, state: _NetlogNodeState, ctx) -> frozenset[Fact]:
         return state.snapshot if state.snapshot is not None else state.local

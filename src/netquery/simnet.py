@@ -11,6 +11,14 @@ no-op: no sends, no change of state, the same quiescence as the node's last
 report.  The run ends after the first computation phase after which every
 node's last report is quiescent; the sends of that round are never
 delivered.
+
+Each step reports the largest wire size among its sends (`StepResult.bits`,
+from the engine's own `payload_bits`).  The simulator checks that a step
+that sends reports at least one bit, and MSG-SIZE is the largest over the
+delivered rounds.  An engine that reads its in-buffer as a set declares so
+(`NodeEngine.reads_inbox_as_set`), and its in-buffers are not permuted.
+Each permutation is seeded by (order seed, round, node) alone, so skipping
+some leaves the others as they were.
 """
 from __future__ import annotations
 
@@ -18,8 +26,9 @@ import heapq
 import math
 import random
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .oracle import Graph, make_graph
 
@@ -291,7 +300,8 @@ def network_text(g: Graph) -> str:
 class NodeContext:
     """Everything a node automaton may read: metadata (diameter always; id
     only in global mode; label in labeled modes), the port list,
-    mode-dependent neighbor knowledge, and input facts."""
+    mode-dependent neighbor knowledge, input facts, and the bit-cost model
+    by which the engine sizes its sends."""
 
     node: int  # simulator-internal true id (engines must honor the mode)
     node_id: Optional[int]  # exposed id, None unless mode is global
@@ -301,6 +311,7 @@ class NodeContext:
     diameter: int
     self_unary: frozenset[str]
     global_unary: Mapping[str, frozenset[int]]  # readable in global mode
+    enc: EncodingParams
 
 
 def _context_for(net: Network, a: int) -> NodeContext:
@@ -323,6 +334,7 @@ def _context_for(net: Network, a: int) -> NodeContext:
         diameter=g.diameter,
         self_unary=self_unary,
         global_unary=global_unary,
+        enc=net.enc,
     )
 
 
@@ -337,18 +349,26 @@ class Message(NamedTuple):
     dst_port: int  # arrival port at the receiver
 
 
+# Message(payload, port) without the call of its Python-level __new__.
+_new_message = tuple.__new__
+
+
 class StepResult(NamedTuple):
     """What one node's step produced (a tuple, like `Message`, because
     every node step makes one).  `quiescent` says that a further round
     would change nothing this node holds or reports; `steps` is the work
     the step took (IN-TIME/ROUND); `wake_at`, when set, is the next round
     (after this one) in which the node must step even with no mail.  A
-    node that sends is stepped in the next round anyway."""
+    node that sends is stepped in the next round anyway.  `bits` is the
+    largest `payload_bits(payload, ctx.enc)` among the sends, at least 1
+    when there are any, with each distinct payload object of the step
+    sized once."""
 
     sends: tuple[tuple[int, Any], ...]  # (port, payload)
     quiescent: bool
     steps: int = 1
     wake_at: Optional[int] = None
+    bits: int = 0
 
 
 class NodeEngine:
@@ -362,7 +382,15 @@ class NodeEngine:
     skipped, so it must be a no-op: it would send nothing, change no state
     and report the same quiescence as the node's last step.  The run ends
     after the first round after which every node's last report is
-    quiescent, and the sends of that round are never delivered."""
+    quiescent, and the sends of that round are never delivered.
+
+    A step sizes its own sends with `payload_bits` and reports the largest
+    as `StepResult.bits`.  An engine whose steps read their inbox as a set,
+    so that the order of delivery cannot reach anything it sends, holds or
+    reports, sets `reads_inbox_as_set`; the simulator then delivers in
+    send order and does not permute its in-buffers."""
+
+    reads_inbox_as_set = False
 
     def start(self, ctx: NodeContext) -> Any:
         raise NotImplementedError
@@ -389,6 +417,28 @@ class NodeEngine:
 def broadcast(ctx: NodeContext, payload: Any) -> list[tuple[int, Any]]:
     """One logical broadcast: a copy on every port."""
     return [(p, payload) for p in ctx.ports]
+
+
+_NO_PAYLOAD = object()
+
+
+def sends_bits(
+    sends: Sequence[tuple[int, Any]],
+    size: Callable[[Any, EncodingParams], int],
+    enc: EncodingParams,
+) -> int:
+    """The largest `size(payload, enc)` among the sends, 0 for none.  A
+    payload repeated on consecutive sends, as a broadcast repeats one, is
+    sized once."""
+    bits = 0
+    last: Any = _NO_PAYLOAD
+    for _port, payload in sends:
+        if payload is not last:
+            b = size(payload, enc)
+            if b > bits:
+                bits = b
+            last = payload
+    return bits
 
 
 # ----------------------------------------------------------------- metrics
@@ -449,7 +499,10 @@ def run(
 ) -> tuple[dict[int, Any], Metrics]:
     """Drive the engine to termination: the run ends after the first round
     after which every node's last report is quiescent.  Returns each node's
-    collected result and the run's metrics."""
+    collected result and the run's metrics.  Raises SimError when the round
+    cap is below 1."""
+    if round_cap < 1:
+        raise SimError(f"round cap {round_cap} is not a positive number of rounds")
     g = net.graph
     contexts = {a: _context_for(net, a) for a in g.nodes}
     states = {a: engine.start(contexts[a]) for a in g.nodes}
@@ -457,11 +510,13 @@ def run(
         if a not in states:
             raise SimError(f"init references unknown node {a}")
         engine.inject(states[a], contexts[a], payload)
-    # node -> (neighbor, arrival port at the neighbor) by port - 1
+    shuffle = not engine.reads_inbox_as_set
+    # node -> {port: (neighbor, arrival port at the neighbor)}
     links = {
-        a: tuple((b, net.port_to[b][a]) for b in net.ports[a]) for a in g.nodes
+        a: {p: (b, net.port_to[b][a]) for p, b in enumerate(net.ports[a], 1)}
+        for a in g.nodes
     }
-    inboxes: dict[int, list[Message]] = {}  # only nodes with mail
+    inboxes: defaultdict[int, list[Message]] = defaultdict(list)  # nodes with mail
     restless: set[int] = set()  # nodes whose last report is not quiescent
     wake: dict[int, int] = {}  # node -> the wake-up round of its last report
     calendar: list[tuple[int, int]] = []  # heap of (wake-up round, node)
@@ -486,6 +541,7 @@ def run(
     stepping: Sequence[int] = g.nodes
     while round_no <= round_cap:
         senders: list[tuple[int, Sequence[tuple[int, Any]]]] = []
+        round_bits = 0
         for a in stepping:
             res = engine.step(
                 states[a], contexts[a], round_no, tuple(inboxes.pop(a, ()))
@@ -506,35 +562,35 @@ def run(
                 wake[a] = w
                 heapq.heappush(calendar, (w, a))
             if res.sends:
+                if res.bits < 1:
+                    raise SimError(
+                        f"node {a} sent in round {round_no} with a largest "
+                        f"message of {res.bits} bits; a message must be at "
+                        f"least one bit"
+                    )
+                round_bits = max(round_bits, res.bits)
                 senders.append((a, res.sends))
         if not restless:
             return results(), snapshot_metrics()
         if senders:
-            last: Any = None
-            payload_bits, enc = engine.payload_bits, net.enc
+            max_bits = max(max_bits, round_bits)
             for a, sends in senders:
                 link = links[a]
-                degree = len(link)
                 for port, payload in sends:
-                    if payload is not last:  # a broadcast repeats one payload
-                        bits = payload_bits(payload, enc)
-                        if bits < 1:
-                            raise SimError("message must be at least one bit")
-                        if bits > max_bits:
-                            max_bits = bits
-                        last = payload
-                    if not 1 <= port <= degree:
-                        raise SimError(f"node {a} has no port {port}")
-                    b, arrival = link[port - 1]
-                    inboxes.setdefault(b, []).append(Message(payload, arrival))
+                    try:
+                        b, arrival = link[port]
+                    except KeyError:
+                        raise SimError(f"node {a} has no port {port}") from None
+                    inboxes[b].append(_new_message(Message, (payload, arrival)))
                 msgs_sent[a] += len(sends)
             deliveries += 1
-            for b, box in inboxes.items():
-                if len(box) > 1:
-                    rng = random.Random(
-                        order_seed * 2_654_435_761 + round_no * 40_503 + b
-                    )
-                    rng.shuffle(box)
+            if shuffle:
+                for b, box in inboxes.items():
+                    if len(box) > 1:
+                        rng = random.Random(
+                            order_seed * 2_654_435_761 + round_no * 40_503 + b
+                        )
+                        rng.shuffle(box)
             round_no += 1
         else:
             # Nothing in flight: jump to the earliest wake-up still asked for.

@@ -466,21 +466,50 @@ def test_round_cap_exceeded_is_an_error(capsys, tmp_path):
     assert err == "error: round cap 2 exceeded without termination\n"
 
 
-def test_module_invocation_subprocess(path3):
-    # The child imports the same package as this process.
+def test_a_non_positive_round_cap_is_rejected(capsys, path3):
+    for argv in (
+        ("qe-fo", "--net", path3, "--query", "exists y. G(x,y)", "--req", "1"),
+        ("netlog-run", "--net", path3, "--query", "T(@x) :- start(@x)."),
+    ):
+        for cap in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--rounds-cap", cap])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert (
+                f"argument --rounds-cap: {cap} is not a positive number of rounds"
+                in err
+            )
+
+
+def _run_module(module: str, *argv: str) -> subprocess.CompletedProcess:
+    """`python -m module argv...` in a child that imports the same package
+    as this process."""
     src = str(Path(netquery.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "netquery.cli",
-            "oracle-fo", "--net", path3, "--query", "exists y. G(x,y)",
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_module_invocation_subprocess(path3):
+    proc = _run_module(
+        "netquery.cli", "oracle-fo", "--net", path3, "--query", "exists y. G(x,y)"
+    )
     assert proc.returncode == 0
+    assert "3 tuples" in proc.stdout
+
+
+def test_package_invocation_subprocess(path3):
+    # `python -m netquery` runs the same front end as the `netquery` script.
+    proc = _run_module(
+        "netquery", "oracle-fo", "--net", path3, "--query", "exists y. G(x,y)"
+    )
+    assert proc.returncode == 0, proc.stderr
     assert "3 tuples" in proc.stdout

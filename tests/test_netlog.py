@@ -523,6 +523,143 @@ def test_sg_node_steps_send_the_pinned_facts(seed, digest):
     assert _sg_step_digest(seed) == digest
 
 
+@pytest.mark.parametrize("seed,digest", [
+    (0, "5fa7c5af3285ca32902368a542db9e47f2e3609470f80a95ea458f1e32011cc6"),
+    (1, "722b0457f5eda56778e5797a2df4c947ac4d3e1d68e930b8bb5e72d4a2c9faa5"),
+])
+def test_sg_node_steps_do_not_depend_on_delivery_order(monkeypatch, seed, digest):
+    """The engine reads its inbox as a set, so the simulator delivers to it
+    in send order.  With the in-buffer shuffle forced back on, the inboxes
+    arrive in other orders, yet every step still sends the pinned facts and
+    the run ends with the same instance and metrics."""
+    g = grid_graph(3, 3)
+    program = compile(SAME_GENERATION_DATALOG, g.diameter).program
+    net = make_network(g, port_seed=seed)
+    real = NetlogEngine.step
+
+    def run_recording_inboxes():
+        orders = []
+
+        def recording(self, state, ctx, round_no, inbox):
+            orders.append(tuple(inbox))
+            return real(self, state, ctx, round_no, inbox)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(NetlogEngine, "step", recording)
+            return run_netlog(program, net, order_seed=seed), orders
+
+    assert NetlogEngine.reads_inbox_as_set
+    plain, plain_orders = run_recording_inboxes()
+    monkeypatch.setattr(NetlogEngine, "reads_inbox_as_set", False)
+    shuffled, shuffled_orders = run_recording_inboxes()
+    assert shuffled == plain
+    assert shuffled_orders != plain_orders
+    assert [frozenset(o) for o in shuffled_orders] == [
+        frozenset(o) for o in plain_orders
+    ]
+    assert _sg_step_digest(seed) == digest
+
+
+def _store_sequence(rng, rules, g, length):
+    """`length` seeded random stores over the relations the rules name,
+    each made from the one before: a relation keeps its tuples, swaps one
+    tuple for another (so its size stays), gets a tuple of a foreign arity,
+    empties, or gets back the tuples it had some stores earlier.  Values
+    are the nodes, 0 and the rules' constants; some unary relations are
+    also input facts, fixed for the whole sequence."""
+    lits = [
+        lit for rule in rules for lit in (rule.head,) + rule.body
+        if isinstance(lit, RelLit)
+    ]
+    values = sorted(set(g.nodes) | {0} | {
+        t.value for lit in lits for t in lit.args if isinstance(t, Const)
+    })
+    arities = {lit.pred: len(lit.args) for lit in lits if lit.pred != EDGE_PRED}
+    unary = {
+        pred: frozenset(rng.sample(g.nodes, 2))
+        for pred, arity in sorted(arities.items())
+        if arity == 1 and rng.random() < 0.3
+    }
+
+    def fresh(arity):
+        return tuple(rng.choice(values) for _ in range(arity))
+
+    rels = {
+        pred: {fresh(arity) for _ in range(rng.randint(2, 16))}
+        for pred, arity in sorted(arities.items())
+    }
+    history = {pred: [frozenset(ts)] for pred, ts in rels.items()}
+    stores = []
+    for _ in range(length):
+        stores.append(frozenset((p, t) for p, ts in rels.items() for t in ts))
+        for pred, ts in rels.items():
+            move = rng.choice(("keep", "keep", "swap", "swap", "foreign", "empty", "back"))
+            if move == "swap" and ts:
+                size = len(ts)
+                ts.remove(rng.choice(sorted(ts)))
+                while len(ts) < size:
+                    ts.add(fresh(arities[pred]))
+            elif move == "foreign":
+                ts.add(fresh(arities[pred] + 1))
+            elif move == "empty":
+                ts.clear()
+            elif move == "back":
+                ts.clear()
+                ts.update(rng.choice(history[pred]))
+            history[pred].append(frozenset(ts))
+    return stores, unary
+
+
+def test_the_index_memo_serves_the_bindings_of_fresh_views():
+    """Every compiled SG and TC rule at a node, and every plan-shape rule,
+    binds its variables over a sequence of stores as over fresh views when
+    one memo is carried through the sequence: the same bindings in the
+    same order.  The memo is reused, also where a relation changed but kept
+    its size."""
+    programs = [
+        (compile(SAME_GENERATION_DATALOG, 2).program.rules, True),
+        (compile(TRANSITIVE_CLOSURE_DATALOG, 2).program.rules, True),
+        (parse_datalog(PLAN_SHAPES_DATALOG).rules, False),
+    ]
+    rng = random.Random(1993)
+    checked = reused = same_size_rebuilt = 0
+    for g in (grid_graph(2, 3), ring_graph(5), random_connected_graph(rng, 6)):
+        for rules, at_node in programs:
+            plans = []
+            for rule in rules:
+                prebound = body_holding_vars(rule) if at_node else ()
+                names = sorted(set().union(*map(_lit_vars, rule.body)))
+                probe = NetlogRule(
+                    RelLit("binding", tuple(Var(n) for n in names)), rule.body
+                )
+                plans.append(plan_rule(probe, prebound))
+            if at_node:
+                holder = rng.choice(g.nodes)
+                edges = [(holder, u) for u in g.adj[holder]]
+            else:
+                holder, edges = 0, list(g.edges())
+            stores, unary = _store_sequence(rng, rules, g, 16)
+            memo = {}
+            for facts in stores:
+                before = dict(memo)
+                view = FactView(facts, unary, edges, memo)
+                fresh = FactView(facts, unary, edges)
+                for plan in plans:
+                    got, want = [], []
+                    _match_literal(plan, view, got, holder)
+                    _match_literal(plan, fresh, want, holder)
+                    assert got == want, str(plan.rule)
+                    checked += len(want)
+                for pred, entry in view.seen.items():
+                    old = before.get(pred)
+                    if old is entry:
+                        reused += 1
+                    elif old is not None and len(old[0]) == len(entry[0]):
+                        same_size_rebuilt += 1
+    assert checked > 1_000
+    assert reused > 100 and same_size_rebuilt > 100, (reused, same_size_rebuilt)
+
+
 def test_stages_match_the_reference_stage_for_stage():
     unary = {"ReqNode": [1], "dest": [3]}
     for g in [path_graph(3), ring_graph(4), *(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import re
+from functools import partialmethod
 
 import pytest
 
@@ -28,7 +29,7 @@ from netquery.logic import (
     relativize,
     relativize_fixpoint,
 )
-from netquery.netlog import run_netlog
+from netquery.netlog import NetlogEngine, run_netlog
 from netquery.oracle import (
     GraphError,
     grid_graph,
@@ -57,6 +58,7 @@ from netquery.simnet import (
     network_text,
     parse_identity_mode,
     run,
+    sends_bits,
 )
 
 PATH3 = "3 2\n1 2\n2 3\n"
@@ -96,7 +98,10 @@ class FloodOnce(NodeEngine):
             if arrivals:
                 sends = [(p, "token") for p in ctx.ports if p not in arrivals]
                 state[0] = round_no
-        return StepResult(tuple(sends), quiescent=not sends)
+        return StepResult(
+            tuple(sends), quiescent=not sends,
+            bits=sends_bits(sends, self.payload_bits, ctx.enc),
+        )
 
     def collect(self, state, ctx):
         return state[0]
@@ -114,7 +119,10 @@ class QuietChatter(NodeEngine):
 
     def step(self, state, ctx, round_no, inbox):
         state[0] = round_no
-        return StepResult(tuple(broadcast(ctx, "hi")), quiescent=round_no >= 3)
+        return StepResult(
+            tuple(broadcast(ctx, "hi")), quiescent=round_no >= 3,
+            bits=ctx.enc.tag_bits,
+        )
 
     def collect(self, state, ctx):
         return state[0]
@@ -128,7 +136,9 @@ class Chatterbox(NodeEngine):
         return None
 
     def step(self, state, ctx, round_no, inbox):
-        return StepResult(tuple(broadcast(ctx, "hi")), quiescent=False)
+        return StepResult(
+            tuple(broadcast(ctx, "hi")), quiescent=False, bits=ctx.enc.tag_bits
+        )
 
     def collect(self, state, ctx):
         return None
@@ -179,7 +189,7 @@ class SendOnPort(NodeEngine):
 
     def step(self, state, ctx, round_no, inbox):
         sends = ((self.port, "x"),) if ctx.node_id == 2 and round_no == 1 else ()
-        return StepResult(sends, quiescent=not sends)
+        return StepResult(sends, quiescent=not sends, bits=ctx.enc.tag_bits)
 
     def collect(self, state, ctx):
         return None
@@ -506,6 +516,35 @@ def test_round_cap_diagnostic():
     assert set(err.value.results) == {1, 2, 3}
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_run_rejects_a_non_positive_round_cap(cap):
+    net = load_network(PATH3)
+    named = f"round cap {cap} is not a positive number of rounds"
+    with pytest.raises(SimError, match=named):
+        run(net, SilentEngine(), round_cap=cap)
+    with pytest.raises(SimError, match=named):
+        run_qe_fo(make_network(path_graph(3)), HAS_NEIGHBOR_TEXT, 1, round_cap=cap)
+
+
+class Unsized(SendOnPort):
+    """Node 2 sends on port 1 in round 1 and reports `bits` for it."""
+
+    def __init__(self, bits):
+        super().__init__(1)
+        self.bits = bits
+
+    def step(self, state, ctx, round_no, inbox):
+        return super().step(state, ctx, round_no, inbox)._replace(bits=self.bits)
+
+
+@pytest.mark.parametrize("bits", [0, -3])
+def test_a_step_that_sends_less_than_one_bit_is_an_error(bits):
+    with pytest.raises(SimError, match="a message must be at least one bit"):
+        run(make_network(path_graph(3)), Unsized(bits))
+    _, metrics = run(make_network(path_graph(3)), Unsized(5))
+    assert metrics.max_msg_bits == 5
+
+
 def test_inject_unknown_node():
     net = load_network(PATH3)
     with pytest.raises(SimError):
@@ -592,8 +631,19 @@ def test_run_matches_stepping_every_node(monkeypatch, shape):
     """Every engine family, run through its entry point, collects the same
     results with the same metrics as under the every-node reference, in
     every identity mode it accepts, for port and delivery-order seeds 0-2
-    (the costly global engines for equal seeds only)."""
+    (the costly global engines for equal seeds only).  Every step reports
+    as `bits` the largest `payload_bits` among its sends."""
     compared = []
+
+    def sized(self, state, ctx, round_no, inbox, _step):
+        res = _step(self, state, ctx, round_no, inbox)
+        assert res.bits == max(
+            (self.payload_bits(p, ctx.enc) for _, p in res.sends), default=0
+        ), type(self).__name__
+        return res
+
+    for cls in (FOQueryEngine, FPQueryEngine, FOLocEngine, FPLocEngine, NetlogEngine):
+        monkeypatch.setattr(cls, "step", partialmethod(sized, _step=cls.step))
 
     def both(net, engine, init=None, order_seed=0, round_cap=10_000):
         expected = reference_run(net, engine, init, order_seed, round_cap)
