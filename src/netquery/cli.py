@@ -292,12 +292,18 @@ def cmd_fixtures(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def _round_cap(text: str) -> int:
-    """A `--rounds-cap` value: a positive ASCII integer."""
+def _integer(text: str) -> int:
+    """An integer argument: ASCII `-?[0-9]+` only, so that other Unicode
+    digits, a `+` sign and `_` separators are rejected, not reinterpreted."""
     try:
-        cap = _ascii_int(text)
+        return _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+def _round_cap(text: str) -> int:
+    """A `--rounds-cap` value: a positive ASCII integer."""
+    cap = _integer(text)
     if cap < 1:
         raise argparse.ArgumentTypeError(
             f"{cap} is not a positive number of rounds"
@@ -309,23 +315,23 @@ def _round_cap(text: str) -> int:
 _OPTIONS = {
     "--net": dict(help="network file (edge-list format)"),
     "--query": dict(help="query text or path to a file holding it"),
-    "--req": dict(type=int, help="requesting node id"),
+    "--req": dict(type=_integer, help="requesting node id"),
     "--identity": dict(
         default="global", help="global | local-consistent:<k> | anonymous"
     ),
     "--labels": dict(
         help="label map file for locally-consistent mode ('node label' lines)"
     ),
-    "--port-seed": dict(type=int, default=0),
-    "--order-seed": dict(type=int, default=0),
+    "--port-seed": dict(type=_integer, default=0),
+    "--order-seed": dict(type=_integer, default=0),
     "--rounds-cap": dict(type=_round_cap, default=None),
     "--format": dict(choices=("table", "csv"), default="table"),
     "--check": dict(
         action="store_true",
         help="also run the centralized evaluator and fail on mismatch",
     ),
-    "--delta": dict(type=int, default=None, help="network diameter"),
-    "--radius": dict(type=int, default=1),
+    "--delta": dict(type=_integer, default=None, help="network diameter"),
+    "--radius": dict(type=_integer, default=1),
 }
 
 _RUN_OPTIONS = (
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "family", choices=("path", "ring", "star", "grid", "all")
     )
-    p.add_argument("size", type=int)
+    p.add_argument("size", type=_integer)
     p.add_argument("--out", help="directory to write graph files into")
     p.set_defaults(fn=cmd_fixtures)
 

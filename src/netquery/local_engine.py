@@ -13,21 +13,15 @@ table fragment held by a nearby node is consulted by source-routing a
 request along a recorded walk and re-locating each name in the holder's own
 frame.
 
-Concurrent collections are kept apart by a constant-size random nonce drawn
-by each initiator: two different initiators can otherwise record identical
-port traces at the same node (for instance on a ring whose ports are labeled
-the same way everywhere), which would merge classes that belong to distinct
-nodes.  The nonce scopes every record to one wave, and the reconstruction
-verifier cross-checks the outcome against the reference construction.
-
-The module also provides centralized reference constructions (direct walk
-enumeration on the network object) used to validate the protocol, and a
-reconstruction verifier.
+Concurrent collections are kept apart by the constant-size random nonce
+each initiator's context carries: two different initiators can otherwise
+record identical port traces at the same node (for instance on a ring whose
+ports are labeled the same way everywhere), which would merge classes that
+belong to distinct nodes.  The nonce scopes every record to one wave.
 """
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -57,7 +51,6 @@ from .logic import (
     print_formula,
     subformulas,
 )
-from .oracle import neighborhood
 from .simnet import (
     EncodingParams,
     Message,
@@ -73,8 +66,6 @@ from .simnet import (
 __all__ = [
     "PortTrace",
     "LocalTopology",
-    "collect_topology",
-    "verify_reconstruction",
     "resolve_trace",
     "reverse_trace",
     "reduce_trace",
@@ -93,7 +84,7 @@ __all__ = [
 # names the walk's start.
 PortTrace = tuple[int, ...]
 
-_NONCE_BITS = 32
+_NONCE_BITS = 32  # the width of `NodeContext.nonce`
 _SMALL_COUNTER_BITS = 8
 
 
@@ -249,80 +240,6 @@ def _topology_from_entries(
         center=class_of[()],
         attrs=attrs,
         labels=labels,
-    )
-
-
-# ----------------------------------------------- centralized reference build
-
-
-def _walk_traces(net: Network, start: int, radius: int) -> dict[PortTrace, int]:
-    """Every even trace of at most radius+1 steps from `start` that never
-    immediately reverses, mapped to its endpoint."""
-    out: dict[PortTrace, int] = {(): start}
-    frontier: list[tuple[PortTrace, int]] = [((), start)]
-    for _ in range(radius + 1):
-        nxt: list[tuple[PortTrace, int]] = []
-        for trace, u in frontier:
-            entered = trace[-1] if trace else None
-            for p in range(1, net.degree(u) + 1):
-                if p == entered:
-                    continue
-                v = net.neighbor_on_port(u, p)
-                t2 = trace + (p, net.port_to[v][u])
-                out[t2] = v
-                nxt.append((t2, v))
-        frontier = nxt
-    return out
-
-
-def _central_entries(
-    net: Network, start: int, radius: int
-) -> dict[PortTrace, _Row]:
-    walks = _walk_traces(net, start, radius)
-    by_end: dict[int, set[PortTrace]] = {}
-    for t, u in walks.items():
-        if t:
-            by_end.setdefault(u, set()).add(t)
-    g = net.graph
-    out: dict[PortTrace, _Row] = {}
-    for t, u in walks.items():
-        attrs = tuple(sorted(p for p, m in g.unary.items() if u in m))
-        out[t] = (
-            t,
-            tuple(sorted(by_end.get(u, ()))),
-            attrs,
-            net.mode.label_of(u),
-        )
-    return out
-
-
-def collect_topology(net: Network, a: int, k: int) -> LocalTopology:
-    """Reference construction of the trace-quotient view of N^k(a): what the
-    distributed collection at `a` produces, computed directly."""
-    if a not in net.graph.adj:
-        raise EngineError(f"{a} is not a node")
-    if k < 1:
-        raise EngineError("collection radius must be >= 1")
-    return _topology_from_entries(k, _central_entries(net, a, k))
-
-
-def verify_reconstruction(net: Network, a: int, k: int) -> bool:
-    """True when the trace-quotient reconstruction of N^k(a) names the true
-    neighborhood: every trace of a class resolves to the same node, the
-    vertices map one-to-one onto N^k(a), and two vertices share an edge
-    exactly when their nodes do."""
-    topo = collect_topology(net, a, k)
-    frag = neighborhood(net.graph, a, k)
-    ends = [{resolve_trace(net, a, t) for t in cls} for cls in topo.classes]
-    if any(len(e) != 1 for e in ends):
-        return False
-    node_of = [min(e) for e in ends]
-    if sorted(node_of[c] for c in topo.vertices) != list(frag.nodes):
-        return False
-    edges = {frozenset(e) for e in frag.edges}
-    return all(
-        topo.has_edge(c, d) == (frozenset((node_of[c], node_of[d])) in edges)
-        for c, d in itertools.combinations(topo.vertices, 2)
     )
 
 
@@ -670,12 +587,6 @@ class _Collector:
         return _topology_from_entries(self.radius, self.stored)
 
 
-def _node_nonce(ctx: NodeContext) -> int:
-    # Stands in for each node's private random source; the true id seeds it
-    # but never appears in any message or derived value.
-    return random.Random(1_000_003 * ctx.node + 7).getrandbits(_NONCE_BITS)
-
-
 # ------------------------------------------------------------ shared engine
 
 
@@ -713,7 +624,7 @@ class _LocalEngine(NodeEngine):
         self.reads: dict[str, tuple[Any, str, int, _Compiled, str]] = {}
 
     def start(self, ctx: NodeContext) -> Any:
-        return self._State(_Collector(_node_nonce(ctx)))
+        return self._State(_Collector(ctx.nonce))
 
     def inject(self, state: Any, ctx: NodeContext, payload: Any) -> None:
         self._adopt(state, self._print(payload))

@@ -12,10 +12,14 @@ report.  The run ends after the first computation phase after which every
 node's last report is quiescent; the sends of that round are never
 delivered.
 
+A node's context (`NodeContext`) holds what the identity mode exposes and
+a private 32-bit nonce, the node's own random bits; the simulator's own node
+numbers reach an engine only as the ids of global mode.
+
 Each step reports the largest wire size among its sends (`StepResult.bits`,
-from the engine's own `payload_bits`).  The simulator checks that a step
-that sends reports at least one bit, and MSG-SIZE is the largest over the
-delivered rounds.  An engine that reads its in-buffer as a set declares so
+which the engine sizes itself).  The simulator checks that a step that sends
+reports at least one bit, and MSG-SIZE is the largest over the delivered
+rounds.  An engine that reads its in-buffer as a set declares so
 (`NodeEngine.reads_inbox_as_set`), and its in-buffers are not permuted.
 Each permutation is seeded by (order seed, round, node) alone, so skipping
 some leaves the others as they were.
@@ -298,12 +302,11 @@ def network_text(g: Graph) -> str:
 
 @dataclass(frozen=True)
 class NodeContext:
-    """Everything a node automaton may read: metadata (diameter always; id
-    only in global mode; label in labeled modes), the port list,
-    mode-dependent neighbor knowledge, input facts, and the bit-cost model
-    by which the engine sizes its sends."""
+    """Everything a node automaton may read: what the identity mode exposes
+    (diameter always; id only in global mode; label in labeled modes), the
+    port list, mode-dependent neighbor knowledge, input facts, the bit-cost
+    model by which the engine sizes its sends, and the node's nonce."""
 
-    node: int  # simulator-internal true id (engines must honor the mode)
     node_id: Optional[int]  # exposed id, None unless mode is global
     label: Optional[int]  # exposed label (global: the id; anonymous: None)
     ports: tuple[int, ...]  # port numbers 1..deg
@@ -312,6 +315,13 @@ class NodeContext:
     self_unary: frozenset[str]
     global_unary: Mapping[str, frozenset[int]]  # readable in global mode
     enc: EncodingParams
+    nonce: int  # the node's private random bits, never an identity
+
+
+def _nonce(a: int) -> int:
+    """Node `a`'s 32 private random bits, seeded from `a` as a stand-in for
+    the node's own random source."""
+    return random.Random(1_000_003 * a + 7).getrandbits(32)
 
 
 def _context_for(net: Network, a: int) -> NodeContext:
@@ -326,7 +336,6 @@ def _context_for(net: Network, a: int) -> NodeContext:
     self_unary = frozenset(p for p, members in g.unary.items() if a in members)
     global_unary = g.unary if mode.kind == "global" else {}
     return NodeContext(
-        node=a,
         node_id=node_id,
         label=mode.label_of(a),
         ports=tuple(range(1, net.degree(a) + 1)),
@@ -335,6 +344,7 @@ def _context_for(net: Network, a: int) -> NodeContext:
         self_unary=self_unary,
         global_unary=global_unary,
         enc=net.enc,
+        nonce=_nonce(a),
     )
 
 
@@ -360,9 +370,8 @@ class StepResult(NamedTuple):
     the step took (IN-TIME/ROUND); `wake_at`, when set, is the next round
     (after this one) in which the node must step even with no mail.  A
     node that sends is stepped in the next round anyway.  `bits` is the
-    largest `payload_bits(payload, ctx.enc)` among the sends, at least 1
-    when there are any, with each distinct payload object of the step
-    sized once."""
+    largest wire size among the sends, at least 1 when there are any, with
+    each distinct payload object of the step sized once."""
 
     sends: tuple[tuple[int, Any], ...]  # (port, payload)
     quiescent: bool
@@ -384,11 +393,12 @@ class NodeEngine:
     after the first round after which every node's last report is
     quiescent, and the sends of that round are never delivered.
 
-    A step sizes its own sends with `payload_bits` and reports the largest
-    as `StepResult.bits`.  An engine whose steps read their inbox as a set,
-    so that the order of delivery cannot reach anything it sends, holds or
-    reports, sets `reads_inbox_as_set`; the simulator then delivers in
-    send order and does not permute its in-buffers."""
+    Every method gets the node's `NodeContext`: what the identity mode
+    exposes plus the node's nonce.  A step sizes its own sends and reports
+    the largest as `StepResult.bits`.  An engine whose steps read their
+    inbox as a set, so that the order of delivery cannot reach anything it
+    sends, holds or reports, sets `reads_inbox_as_set`; the simulator then
+    delivers in send order and does not permute its in-buffers."""
 
     reads_inbox_as_set = False
 
@@ -408,9 +418,6 @@ class NodeEngine:
         raise NotImplementedError
 
     def collect(self, state: Any, ctx: NodeContext) -> Any:
-        raise NotImplementedError
-
-    def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         raise NotImplementedError
 
 

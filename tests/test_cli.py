@@ -482,6 +482,34 @@ def test_a_non_positive_round_cap_is_rejected(capsys, path3):
             )
 
 
+@pytest.mark.parametrize("word", ["\u0661", "1_0", "+1"])
+def test_integer_options_take_ascii_digits_only(capsys, path3, ring4, tmp_path, word):
+    """Every integer argument rejects what `int` would reinterpret: an
+    Arabic-Indic digit one, a `_` separator and a `+` sign."""
+    labels = tmp_path / "r4.labels"
+    labels.write_text("1 10\n2 20\n3 30\n4 40\n")
+    qe = ("qe-fo", "--net", path3, "--query", "exists y. G(x,y)", "--req", "1")
+    cases = [
+        (qe, "--req"),
+        (qe, "--port-seed"),
+        (qe, "--order-seed"),
+        (qe, "--rounds-cap"),
+        (("compile", "--net", path3, "--query", "T(x,y) :- G(x,y)."), "--delta"),
+        (("check-consistent", "--net", ring4, "--labels", str(labels)), "--radius"),
+    ]
+    for argv, flag in cases:
+        assert main(list(argv)) in (0, 1), flag  # the command runs as written
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, word])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {word!r} is not an integer" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fixtures", "path", word])
+    assert exc.value.code == 2
+    assert f"argument size: {word!r} is not an integer" in capsys.readouterr().err
+
+
 def _run_module(module: str, *argv: str) -> subprocess.CompletedProcess:
     """`python -m module argv...` in a child that imports the same package
     as this process."""

@@ -3,11 +3,14 @@
 Every import a package or test module makes must be used in that module,
 and every module-level `_private` function or class, and every `_private`
 method of a class, must be referenced somewhere in `src/netquery`; tests do
-not count as callers.  Every parameter of a package function must be read.
+not count as callers.  Every parameter of a package function must be read,
+and every module must stay small enough to compile without growing the
+parser's token array.
 """
 from __future__ import annotations
 
 import ast
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -149,3 +152,25 @@ def test_no_unread_parameters():
         }
     )
     assert unread == []
+
+
+# CPython's parser doubles its token array past this many tokens when it
+# compiles a module from source, which raises the peak memory of every
+# process that imports the package.
+TOKEN_LIMIT = 8192
+
+
+def test_modules_stay_below_the_token_limit():
+    """Every package module tokenizes, comments and blank lines aside, to
+    fewer than TOKEN_LIMIT tokens."""
+    over = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        with path.open("rb") as f:
+            count = sum(
+                1
+                for tok in tokenize.tokenize(f.readline)
+                if tok.type not in (tokenize.COMMENT, tokenize.NL)
+            )
+        if count >= TOKEN_LIMIT:
+            over[path.name] = count
+    assert over == {}

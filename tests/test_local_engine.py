@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -23,13 +24,11 @@ from netquery.local_engine import (
     FOLocEngine,
     FPLocEngine,
     check_locally_consistent,
-    collect_topology,
     reduce_trace,
     resolve_trace,
     reverse_trace,
     run_qe_fo_loc,
     run_qe_fp_loc,
-    verify_reconstruction,
 )
 from netquery.logic import (
     EDGE_PRED,
@@ -56,10 +55,12 @@ from netquery.logic import (
     relativize_fixpoint,
 )
 from netquery.oracle import (
+    apply_isomorphism,
     eval_fo,
     eval_fp_loc,
     grid_graph,
     make_graph,
+    neighborhood,
     path_graph,
     ring_graph,
 )
@@ -206,7 +207,7 @@ def test_reconstruction_rejects_misnamed_edges(monkeypatch):
     )
     assert verify_reconstruction(net, 1, 2)
     monkeypatch.setattr(
-        local_engine, "collect_topology", lambda net, a, k: swapped
+        sys.modules[__name__], "collect_topology", lambda net, a, k: swapped
     )
     assert not verify_reconstruction(net, 1, 2)
 
@@ -473,6 +474,72 @@ def test_fp_loc_seed_invariance():
     assert len(rels) == 1
 
 
+# ------------------------------------------------------------- isomorphism
+
+
+def _permuted_network(net, perm):
+    """`net` relabeled by `perm`, with every port number, input fact and
+    label carried to the image node."""
+    mode = net.mode
+    if mode.labels is not None:
+        mode = dataclasses.replace(
+            mode, labels={perm[a]: lab for a, lab in mode.labels.items()}
+        )
+    return simnet.Network(
+        apply_isomorphism(net.graph, perm),
+        {perm[a]: tuple(perm[b] for b in bs) for a, bs in net.ports.items()},
+        {
+            perm[a]: {perm[b]: p for b, p in to.items()}
+            for a, to in net.port_to.items()
+        },
+        mode,
+        net.enc,
+    )
+
+
+def test_local_reports_are_invariant_under_isomorphism(monkeypatch):
+    """Relabel the nodes by a seeded permutation, carrying ports, facts,
+    labels and nonces along: in the anonymous and labeled modes every
+    node's FO-loc and FP-loc report equals its image's, and so do the
+    simulated metrics.  Nothing a node computes depends on the
+    simulator's node numbers."""
+    real_nonce = simnet._nonce
+    compared = 0
+    for seed, g in enumerate((ring_graph(7), grid_graph(3, 3), path_graph(5))):
+        g = g.with_unary({"Mark": [1, 2]})
+        nodes = sorted(g.nodes)
+        images = random.Random(seed).sample(nodes, len(nodes))
+        perm = dict(zip(nodes, images))
+        inverse = {b: a for a, b in perm.items()}
+        for mode in (
+            ANONYMOUS, IdentityMode("local-consistent", 1, injective_labels(g))
+        ):
+            net = make_network(g, mode, port_seed=seed)
+            image = _permuted_network(net, perm)
+            for engine, query in (
+                (FOLocEngine(("x",), mode.kind), parse_formula(DEG2)),
+                (FPLocEngine(mode.kind), tc_query(1)),
+            ):
+                monkeypatch.setattr(simnet, "_nonce", real_nonce)
+                want, want_m = simnet.run(net, engine, {1: query}, round_cap=400)
+                monkeypatch.setattr(
+                    simnet, "_nonce", lambda a: real_nonce(inverse[a])
+                )
+                got, got_m = simnet.run(
+                    image, engine, {perm[1]: query}, round_cap=400
+                )
+                for a in nodes:
+                    assert got[perm[a]] == want[a], (mode.kind, a)
+                    assert len(want[a].topology.vertices) > 1
+                    compared += 1
+                assert got_m == dataclasses.replace(
+                    want_m,
+                    msgs_per_node={
+                        perm[a]: m for a, m in want_m.msgs_per_node.items()
+                    },
+                )
+    assert compared == 84
+
 # ------------------------------------------------------------------ rejection
 
 
@@ -705,6 +772,80 @@ def test_local_node_steps_send_the_pinned_payloads(case, seed, digest):
     assert _local_step_digest(case, seed) == digest
 
 
+# ------------------------------------------ centralized reference builds
+
+
+def _walk_traces(net, start, radius):
+    """Every even trace of at most radius+1 steps from `start` that never
+    immediately reverses, mapped to its endpoint."""
+    out = {(): start}
+    frontier = [((), start)]
+    for _ in range(radius + 1):
+        nxt = []
+        for trace, u in frontier:
+            entered = trace[-1] if trace else None
+            for p in range(1, net.degree(u) + 1):
+                if p == entered:
+                    continue
+                v = net.neighbor_on_port(u, p)
+                t2 = trace + (p, net.port_to[v][u])
+                out[t2] = v
+                nxt.append((t2, v))
+        frontier = nxt
+    return out
+
+
+def _central_entries(net, start, radius):
+    """The collection rows of every walk from `start`, keyed by trace, made
+    directly on the network rather than by the protocol."""
+    walks = _walk_traces(net, start, radius)
+    by_end = {}
+    for t, u in walks.items():
+        if t:
+            by_end.setdefault(u, set()).add(t)
+    g = net.graph
+    out = {}
+    for t, u in walks.items():
+        attrs = tuple(sorted(p for p, m in g.unary.items() if u in m))
+        out[t] = (
+            t,
+            tuple(sorted(by_end.get(u, ()))),
+            attrs,
+            net.mode.label_of(u),
+        )
+    return out
+
+
+def collect_topology(net, a, k):
+    """Reference construction of the trace-quotient view of N^k(a): what the
+    distributed collection at `a` produces, computed directly."""
+    if a not in net.graph.adj:
+        raise EngineError(f"{a} is not a node")
+    if k < 1:
+        raise EngineError("collection radius must be >= 1")
+    return local_engine._topology_from_entries(k, _central_entries(net, a, k))
+
+
+def verify_reconstruction(net, a, k):
+    """True when the trace-quotient reconstruction of N^k(a) names the true
+    neighborhood: every trace of a class resolves to the same node, the
+    vertices map one-to-one onto N^k(a), and two vertices share an edge
+    exactly when their nodes do."""
+    topo = collect_topology(net, a, k)
+    frag = neighborhood(net.graph, a, k)
+    ends = [{resolve_trace(net, a, t) for t in cls} for cls in topo.classes]
+    if any(len(e) != 1 for e in ends):
+        return False
+    node_of = [min(e) for e in ends]
+    if sorted(node_of[c] for c in topo.vertices) != list(frag.nodes):
+        return False
+    edges = {frozenset(e) for e in frag.edges}
+    return all(
+        topo.has_edge(c, d) == (frozenset((node_of[c], node_of[d])) in edges)
+        for c, d in itertools.combinations(topo.vertices, 2)
+    )
+
+
 # ------------------------------------------ compiled evaluation vs reference
 
 
@@ -907,7 +1048,7 @@ def test_quotient_matches_the_union_find_build():
             net = make_network(g, mode=mode, port_seed=3)
             for a in sorted(g.nodes):
                 for k in (1, 2, 3):
-                    entries = local_engine._central_entries(net, a, k)
+                    entries = _central_entries(net, a, k)
                     got = local_engine._topology_from_entries(k, entries)
                     assert got == reference_topology(k, entries)
                     checked += 1

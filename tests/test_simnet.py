@@ -1,6 +1,8 @@
 """Simulator behavior: loading, ports, rounds, delivery, metrics."""
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 import re
 from functools import partialmethod
@@ -16,6 +18,7 @@ from netquery.fixtures import (
     TRANSITIVE_CLOSURE_DATALOG,
     TRANSITIVE_CLOSURE_TEXT,
     TWO_HOP_TEXT,
+    exhaustive_graphs,
 )
 from netquery.local_engine import (
     FOLocEngine,
@@ -74,9 +77,6 @@ class SilentEngine(NodeEngine):
     def collect(self, state, ctx):
         return None
 
-    def payload_bits(self, payload, enc):
-        return 1
-
 
 class FloodOnce(NodeEngine):
     """Relay a token once, never back out the arrival port.  State is
@@ -127,9 +127,6 @@ class QuietChatter(NodeEngine):
     def collect(self, state, ctx):
         return state[0]
 
-    def payload_bits(self, payload, enc):
-        return enc.tag_bits
-
 
 class Chatterbox(NodeEngine):
     def start(self, ctx):
@@ -142,9 +139,6 @@ class Chatterbox(NodeEngine):
 
     def collect(self, state, ctx):
         return None
-
-    def payload_bits(self, payload, enc):
-        return enc.tag_bits
 
 
 # ------------------------------------------------------------- loading
@@ -193,9 +187,6 @@ class SendOnPort(NodeEngine):
 
     def collect(self, state, ctx):
         return None
-
-    def payload_bits(self, payload, enc):
-        return enc.tag_bits
 
 
 @pytest.mark.parametrize("port", [0, -1, 3])
@@ -385,9 +376,6 @@ class ContextProbe(NodeEngine):
     def collect(self, state, ctx):
         return state
 
-    def payload_bits(self, payload, enc):
-        return 1
-
 
 def test_context_by_mode():
     probe = ContextProbe()
@@ -414,6 +402,38 @@ def test_context_by_mode():
     assert ctx.node_id is None and ctx.label == 30
     # a node with a declared fact sees it locally in every mode
     assert res[3].self_unary == frozenset({"dest"})
+
+    # Anonymous by construction: nodes of equal degree and equal facts get
+    # equal contexts but for their private nonces.
+    path5 = "5 4\n1 2\n2 3\n3 4\n4 5\n@facts\nP 2\nP 4\n"
+    res, _ = run(load_network(path5, ANONYMOUS), probe)
+    alike = [
+        (a, b)
+        for a, b in itertools.combinations(sorted(res), 2)
+        if (res[a].ports, res[a].self_unary) == (res[b].ports, res[b].self_unary)
+    ]
+    assert alike == [(1, 5), (2, 4)]
+    for a, b in alike:
+        assert res[a].nonce != res[b].nonce
+        blank = [dataclasses.replace(res[x], nonce=0) for x in (a, b)]
+        assert blank[0] == blank[1]
+
+
+def test_nonces_are_distinct_where_collection_waves_can_meet():
+    """Two FP-loc collection waves at radius k reach 2k+1 hops from their
+    initiators, so they can meet at one node when the initiators lie within
+    2(2k+1) hops.  No node can tell two waves with equal nonces apart, so
+    the simulator's nonces must differ within every such span; a collision
+    there goes unnoticed and gives a wrong relation."""
+    graphs = [g for _, g in exhaustive_graphs(5)]
+    graphs += [ring_graph(512), grid_graph(30, 30)]
+    for g in graphs:
+        net = make_network(g, ANONYMOUS)
+        nonce = {a: _context_for(net, a).nonce for a in g.nodes}
+        for k in (1, 2):
+            for a in g.nodes:
+                near = [nonce[b] for b in g.neighborhood_nodes(a, 2 * (2 * k + 1))]
+                assert len(set(near)) == len(near), (g.n, k, a)
 
 
 # ------------------------------------------------------------- running
@@ -723,9 +743,6 @@ class Stuck(NodeEngine):
     def collect(self, state, ctx):
         return None
 
-    def payload_bits(self, payload, enc):
-        return 1
-
 
 def test_round_cap_is_raised_without_spinning():
     # Nothing can ever change, so the run stops after round 1 instead of
@@ -751,16 +768,13 @@ class Alarm(NodeEngine):
 
     def step(self, state, ctx, round_no, inbox):
         state.append(round_no)
-        waiting = ctx.node == 1 and round_no < self.at
+        waiting = ctx.node_id == 1 and round_no < self.at
         return StepResult(
             (), quiescent=not waiting, wake_at=self.at if waiting else None
         )
 
     def collect(self, state, ctx):
         return state
-
-    def payload_bits(self, payload, enc):
-        return 1
 
 
 def test_run_jumps_to_the_next_wake_up():
