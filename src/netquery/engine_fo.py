@@ -17,6 +17,12 @@ existential, true for a universal) in the same round.  Short-circuit
 resolutions found before the deadline are broadcast.  This keeps all nodes'
 answer tables consistent regardless of message order, and the total response
 time within the clock budget of `clock_value`.
+
+Each closed query text is compiled once per run, when the run's
+`QueryTable` first meets it, into a closure that gives its three-valued
+value on a node from that node's answers, with the atom keys bound; its
+quantifier positions ask the node's core for the leaf's value.  A node is
+charged the text's node count outside quantifier bodies per evaluation.
 """
 from __future__ import annotations
 
@@ -26,7 +32,6 @@ from typing import (
     Any,
     Callable,
     Iterable,
-    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -118,6 +123,8 @@ class _Template:
     ground: tuple[tuple[str, tuple[int, ...], int], ...]  # (pred, args, key)
     free: tuple[str, ...]  # free variables
     quantifiers: tuple[_Quantifier, ...]  # of a closed text: outermost, pre-order
+    evaluate: Optional[_Eval]  # of a closed text: its compiled value
+    size: int  # of a closed text: its node count outside quantifier bodies
 
 
 @dataclass
@@ -129,6 +136,7 @@ class _Leaf:
     deadline: int
     key: int  # answer key of the quantifier's value
     instances: set[str] = field(default_factory=set)  # instance query texts
+    ordered: list[_Entry] = field(default_factory=list)  # theirs, by text
 
 
 @dataclass
@@ -150,17 +158,6 @@ class FONodeReport:
 
 
 # ------------------------------------------------------------ formula walks
-
-
-def _quantifier_leaves(f: Formula) -> Iterator[Formula]:
-    """Outermost quantifier occurrences, in pre-order."""
-    if isinstance(f, (Exists, Forall)):
-        yield f
-    elif isinstance(f, Not):
-        yield from _quantifier_leaves(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from _quantifier_leaves(p)
 
 
 def _atom_depth(f: Formula, env: Mapping[str, int], depth: int) -> int:
@@ -186,6 +183,56 @@ def _cmp_holds(op: str, a: int, b: int) -> bool:
     if op == "!=":
         return a != b
     return a >= b
+
+
+# A closed text's three-valued value on a node: (core, entry, round) -> value.
+_Eval = Callable[["FOCore", "_Entry", int], Optional[bool]]
+
+
+def _compile(
+    f: Formula, queries: QueryTable, quants: list[Formula]
+) -> tuple[_Eval, int]:
+    """f, a part of a closed query text, compiled: its three-valued value
+    and its node count outside quantifier bodies.  Every part is evaluated,
+    without short circuits, so a quantifier's instances are visited as the
+    count assumes; each quantifier met is the entry's next leaf, and is
+    appended to `quants`."""
+    if isinstance(f, BoolConst):
+        v: Optional[bool] = f.value
+        return (lambda core, e, r: v), 1
+    if isinstance(f, Cmp):
+        if isinstance(f.left, Const) and isinstance(f.right, Const):
+            v = _cmp_holds(f.op, f.left.value, f.right.value)
+            return (lambda core, e, r: v), 1
+        raise EngineError(f"cannot evaluate open comparison {canonical_print(f)!r}")
+    if isinstance(f, Atom):
+        k = queries.atom_key(f)
+        return (lambda core, e, r: core.answers.get(k)), 1
+    if isinstance(f, Not):
+        body, n = _compile(f.body, queries, quants)
+
+        def negation(core: FOCore, e: _Entry, r: int) -> Optional[bool]:
+            v = body(core, e, r)
+            return None if v is None else not v
+
+        return negation, n + 1
+    if isinstance(f, (And, Or)):
+        compiled = [_compile(p, queries, quants) for p in f.parts]
+        parts = tuple(g for g, _ in compiled)
+        decisive = isinstance(f, Or)  # the part value that decides f
+
+        def junction(core: FOCore, e: _Entry, r: int) -> Optional[bool]:
+            vals = [g(core, e, r) for g in parts]
+            if decisive in vals:
+                return decisive
+            return None if None in vals else not decisive
+
+        return junction, 1 + sum(n for _, n in compiled)
+    if isinstance(f, (Exists, Forall)):
+        i = len(quants)
+        quants.append(f)
+        return (lambda core, e, r: core._quantify(e, e.leaves[i], r)), 1
+    raise EngineError(f"unsupported subformula {f!r}")
 
 
 class QueryTable:
@@ -220,7 +267,9 @@ class QueryTable:
                 if isinstance(a, Atom) and all(isinstance(c, Const) for c in a.args)
             )
             free = free_vars(f)
-            quantifiers = () if free else tuple(
+            quants: list[Formula] = []
+            evaluate, size = (None, 0) if free else _compile(f, self, quants)
+            quantifiers = tuple(
                 _Quantifier(
                     q,
                     q.var,  # type: ignore[union-attr]
@@ -228,10 +277,12 @@ class QueryTable:
                     canonical_print(q),
                     _atom_depth(q, {}, 0),
                 )
-                for q in _quantifier_leaves(f)
+                for q in quants
             )
             probes = tuple(sorted(set(constants(f)) | {1}))
-            t = _Template(text, f, probes, ground, free, quantifiers)
+            t = _Template(
+                text, f, probes, ground, free, quantifiers, evaluate, size
+            )
             self.templates[text] = t
         return t
 
@@ -276,14 +327,18 @@ class FOCore:
     sorted key order, then flushes the queued broadcasts in sorted order.
 
     Everything a query text implies regardless of the node comes from the
-    run's shared `QueryTable`; deciding atoms, deadlines, answers and links
-    stay here.  A closed entry's quantifier leaf links the entries one level
-    down that are its instances: those whose text is the leaf's quantifier
-    with one of the candidate's probes substituted (`_match`).  To find
-    them without a scan, `links` maps (level, text) to every leaf that
-    prints that text for some value in `values` (1, the own id and every
-    probe seen so far); a probe seen for the first time registers the
-    existing leaves under it, so every matching pair meets in `links`.
+    run's shared `QueryTable`, its compiled value included; deciding atoms,
+    deadlines, answers and links stay here.  A leaf keeps its instance
+    entries in text order, re-sorted only when it gains one, and `idle`
+    reads only the leaves that may still await their deadline.
+
+    A closed entry's quantifier leaf links the entries one level down that
+    are its instances: those whose text is the leaf's quantifier with one
+    of the candidate's probes substituted (`_match`).  To find them without
+    a scan, `links` maps (level, text) to every leaf that prints that text
+    for some value in `values` (1, the own id and every probe seen so far);
+    a probe seen for the first time registers the existing leaves under it,
+    so every matching pair meets in `links`.
     """
 
     def __init__(
@@ -308,6 +363,7 @@ class FOCore:
         self.entries: dict[tuple[int, str], _Entry] = {}
         self.unresolved: dict[tuple[int, str], _Entry] = {}  # closed, no value
         self.links: dict[tuple[int, str], list[_Leaf]] = {}
+        self.open_leaves: list[_Leaf] = []  # may still await their deadline
         self.values: set[int] = {1, self_id}
         self.answers: dict[int, bool] = {}
         self.out: list[tuple] = []
@@ -405,6 +461,7 @@ class FOCore:
                 )
                 for q in t.quantifiers
             ]
+            self.open_leaves.extend(e.leaves)
             for leaf in e.leaves:
                 self._register(level + 1, leaf, self.values)
             self._spawn_instances(e)
@@ -509,71 +566,42 @@ class FOCore:
     def _eval_entry(self, e: _Entry, round_no: int) -> Optional[bool]:
         if e.value is not None:
             return e.value
-        if e.key in self.answers:
-            v: Optional[bool] = self.answers[e.key]
-        else:
-            v = self._ev(e, e.template.formula, iter(e.leaves), round_no)
+        t = e.template
+        v = self.answers.get(e.key)
+        if v is None:
+            self.work += t.size
+            v = t.evaluate(self, e, round_no)  # type: ignore[misc]
         if v is not None:
             e.value = v
-            announce = not isinstance(e.template.formula, (Cmp, BoolConst))
+            announce = not isinstance(t.formula, (Cmp, BoolConst))
             self._insert_answer(e.key, v, announce)
             self._dirty = True
         return v
 
-    def _ev(
-        self, e: _Entry, f: Formula, leaves: Iterator[_Leaf], round_no: int
-    ) -> Optional[bool]:
-        """Three-valued value of f, a part of e's formula; `leaves` yields
-        e's quantifier leaves from f's first one on.  Every part is visited,
-        so each quantifier met is the next leaf."""
-        self.work += 1
-        if isinstance(f, BoolConst):
-            return f.value
-        if isinstance(f, Cmp):
-            if isinstance(f.left, Const) and isinstance(f.right, Const):
-                return _cmp_holds(f.op, f.left.value, f.right.value)
-            raise EngineError(f"cannot evaluate open comparison {canonical_print(f)!r}")
-        if isinstance(f, Atom):
-            return self.answers.get(self.queries.atom_key(f))
-        if isinstance(f, Not):
-            v = self._ev(e, f.body, leaves, round_no)
-            return None if v is None else not v
-        if isinstance(f, (And, Or)):
-            vals = [self._ev(e, p, leaves, round_no) for p in f.parts]
-            if isinstance(f, And):
-                if any(v is False for v in vals):
-                    return False
-                return True if all(v is True for v in vals) else None
-            if any(v is True for v in vals):
-                return True
-            return False if all(v is False for v in vals) else None
-        if isinstance(f, (Exists, Forall)):
-            leaf = next(leaves)
-            if leaf.key in self.answers:
-                return self.answers[leaf.key]
-            vals = []
-            for text in sorted(leaf.instances):
-                inst = self.entries[(e.level + 1, text)]
-                vals.append(self._eval_entry(inst, round_no))
-            if leaf.shape.is_exists and any(v is True for v in vals):
-                self._insert_answer(leaf.key, True, announce=True)
-                return True
-            if not leaf.shape.is_exists and any(v is False for v in vals):
-                self._insert_answer(leaf.key, False, announce=True)
-                return False
-            if round_no >= leaf.deadline:
-                # Every instance value is derivable network-wide by now, so
-                # all nodes reach the same default in the same round; nothing
-                # needs to be sent.
-                v = (
-                    any(v is True for v in vals)
-                    if leaf.shape.is_exists
-                    else not any(v is False for v in vals)
-                )
-                self._insert_answer(leaf.key, v, announce=False)
-                return v
-            return None
-        raise EngineError(f"unsupported subformula {f!r}")
+    def _quantify(self, e: _Entry, leaf: _Leaf, round_no: int) -> Optional[bool]:
+        """The value of one of e's quantifier leaves: its answer if known,
+        else a witness (a counterexample for a universal) among its
+        instances, else its default once its deadline has come."""
+        v = self.answers.get(leaf.key)
+        if v is not None:
+            return v
+        if len(leaf.ordered) != len(leaf.instances):
+            level = e.level + 1
+            leaf.ordered = [
+                self.entries[(level, text)] for text in sorted(leaf.instances)
+            ]
+        vals = [self._eval_entry(inst, round_no) for inst in leaf.ordered]
+        decisive = leaf.shape.is_exists
+        if decisive in vals:
+            self._insert_answer(leaf.key, decisive, announce=True)
+            return decisive
+        if round_no >= leaf.deadline:
+            # Every instance value is derivable network-wide by now, so all
+            # nodes reach the same default in the same round; nothing needs
+            # to be sent.
+            self._insert_answer(leaf.key, not decisive, announce=False)
+            return not decisive
+        return None
 
     def flush(self) -> list[tuple]:
         out = sorted(self.out, key=_send_order)
@@ -581,12 +609,14 @@ class FOCore:
         return out
 
     def idle(self, round_no: int) -> bool:
-        """No quantifier still awaits its deadline."""
-        return not any(
-            round_no < leaf.deadline and leaf.key not in self.answers
-            for e in self.entries.values()
-            for leaf in e.leaves
-        )
+        """No quantifier still awaits its deadline.  Rounds only grow and
+        answers are never withdrawn, so a leaf dropped here stays closed."""
+        self.open_leaves = [
+            leaf
+            for leaf in self.open_leaves
+            if round_no < leaf.deadline and leaf.key not in self.answers
+        ]
+        return not self.open_leaves
 
     def total_work(self) -> int:
         return self.work
@@ -604,8 +634,16 @@ class _BroadcastEngine(NodeEngine):
     advance and flush, with every payload broadcast.  Every node is stepped
     in every round.  One engine object serves one run: it owns the run's
     `QueryTable` and hands it to every core it builds, so each query text
-    the run floods is parsed, printed and instantiated once per run, not
-    once per node."""
+    the run floods is parsed, printed, instantiated and compiled once per
+    run, not once per node.
+
+    Both cores read their inbox as a set by construction: `FOCore.ingest`
+    sorts what it takes in, `FPCore.ingest` keeps the largest hop count
+    among a round's FPQ copies and among its I copies and hands the F
+    payloads to its FOCore, and both `flush`es sort.  So the simulator
+    delivers in send order and does not shuffle."""
+
+    reads_inbox_as_set = True
 
     def start(self, ctx: NodeContext) -> Any:
         if ctx.node_id is None or ctx.neighbor_ids is None:

@@ -171,20 +171,25 @@ class FPCore:
     # -- round interface
 
     def ingest(self, payloads: Sequence[tuple]) -> None:
+        floods: list[tuple[int, str]] = []  # (hops, text) of each FPQ copy
         inform_hops = -1
         inner: list[tuple] = []
         for p in payloads:
             if p[0] == "FPQ":
-                if self.query is None:
-                    self.adopt(parse_fixpoint(p[1]))
-                    if p[2] > 0:
-                        self.out.append(("FPQ", p[1], p[2] - 1))
+                floods.append((p[2], p[1]))
             elif p[0] == "I":
                 if p[1] == self.it:
                     inform_hops = max(inform_hops, p[2])
             elif p[0] == "F":
                 if p[1] == self.it:
                     inner.append(p[2])
+        if floods and self.query is None:
+            # Like an inform, the query flood goes on with the largest hop
+            # count among the round's copies, whatever their order.
+            hops, text = max(floods)
+            self.adopt(parse_fixpoint(text))
+            if hops > 0:
+                self.out.append(("FPQ", text, hops - 1))
         if inform_hops >= 0 and not self.inform_heard:
             self.inform_heard = True
             self.work += 1

@@ -1,4 +1,6 @@
 """Distributed first-order evaluation against the centralized oracle."""
+import copy
+import hashlib
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from netquery.engine_fo import (
     EngineError,
     FOCore,
     FOQueryEngine,
+    _BroadcastEngine,
     _send_order,
     answer_key,
     clock_value,
@@ -26,6 +29,7 @@ from netquery.fixtures import (
 from netquery.logic import (
     And,
     Atom,
+    BoolConst,
     Cmp,
     Exists,
     Forall,
@@ -318,7 +322,168 @@ def test_leaf_deadlines_follow_the_reference_rule(fp_cores):
     assert len({lv for lv, _ in seen}) >= 3 and len({r for _, r in seen}) >= 5
 
 
+# ------------------------------------------------------ compiled evaluation
+
+
+def _reference_value(core, e, round_no):
+    """The interpreted three-valued walk that compiled templates replaced:
+    the value of closed entry e read from its formula tree, and the work
+    the walk charges, one per node it visits outside quantifier bodies.
+    Every part is visited, so each quantifier met is e's next leaf; the
+    core evaluates the leaf's instances."""
+    work = 0
+    leaves = iter(e.leaves)
+
+    def ev(f):
+        nonlocal work
+        work += 1
+        if isinstance(f, BoolConst):
+            return f.value
+        if isinstance(f, Cmp):
+            a, b = f.left.value, f.right.value
+            return {"=": a == b, "!=": a != b, ">=": a >= b}[f.op]
+        if isinstance(f, Atom):
+            return core.answers.get(answer_key(canonical_print(f)))
+        if isinstance(f, Not):
+            v = ev(f.body)
+            return None if v is None else not v
+        if isinstance(f, (And, Or)):
+            vals = [ev(p) for p in f.parts]
+            if isinstance(f, And):
+                if any(v is False for v in vals):
+                    return False
+                return True if all(v is True for v in vals) else None
+            if any(v is True for v in vals):
+                return True
+            return False if all(v is False for v in vals) else None
+        leaf = next(leaves)
+        assert leaf.shape.quant == f
+        if leaf.key in core.answers:
+            return core.answers[leaf.key]
+        vals = [
+            core._eval_entry(core.entries[(e.level + 1, text)], round_no)
+            for text in sorted(leaf.instances)
+        ]
+        if leaf.shape.is_exists and any(v is True for v in vals):
+            core._insert_answer(leaf.key, True, announce=True)
+            return True
+        if not leaf.shape.is_exists and any(v is False for v in vals):
+            core._insert_answer(leaf.key, False, announce=True)
+            return False
+        if round_no >= leaf.deadline:
+            v = (
+                any(v is True for v in vals)
+                if leaf.shape.is_exists
+                else not any(v is False for v in vals)
+            )
+            core._insert_answer(leaf.key, v, announce=False)
+            return v
+        return None
+
+    value = ev(e.template.formula)
+    assert next(leaves, None) is None
+    return value, work
+
+
+def _copy_core(core, forget):
+    """A copy of a core's node state that shares the run's query table.
+    With `forget`, the copy keeps only the answers that decide atoms: no
+    quantifier or compound entry value is known any more."""
+    queries = core.queries
+    shared = [queries, *queries.templates.values()]
+    shared += [q for t in queries.templates.values() for q in t.quantifiers]
+    copied = copy.deepcopy(core, {id(x): x for x in shared})
+    if forget:
+        for e in copied.entries.values():
+            if not isinstance(e.template.formula, (Atom, Cmp, BoolConst)):
+                e.value = None
+                copied.answers.pop(e.key, None)
+                for leaf in e.leaves:
+                    copied.answers.pop(leaf.key, None)
+    return copied
+
+
+def _check_compiled_values(cores):
+    """On copies of each core at the end of its run, with and without the
+    derived answers, before every deadline and after all of them, every
+    closed entry's compiled value equals the reference walk's, its size
+    equals the walk's work, and evaluating all of them in key order leaves
+    both copies with the same answers, sends, entry values and work."""
+    checked = 0
+    for core in cores:
+        last = max((lf.deadline for e in core.entries.values() for lf in e.leaves), default=0)
+        for forget in (False, True):
+            for round_no in (0, last + 1):
+                ref, comp = _copy_core(core, forget), _copy_core(core, forget)
+                for ek in sorted(ek for ek, e in core.entries.items() if e.kind == "B"):
+                    want = _reference_value(ref, ref.entries[ek], round_no)
+                    e = comp.entries[ek]
+                    got = (e.template.evaluate(comp, e, round_no), e.template.size)
+                    assert got == want, (core.self_id, ek, round_no, forget)
+                    checked += want[0] is not None
+                assert comp.answers == ref.answers and comp.out == ref.out
+                assert comp.work == ref.work
+                assert [e.value for e in comp.entries.values()] == [
+                    e.value for e in ref.entries.values()
+                ]
+    assert checked > 0
+
+
+def test_compiled_values_match_the_interpreted_walk_for_fp(fp_cores):
+    _check_compiled_values(fp_cores[("tc", "path5")])
+
+
+@pytest.mark.parametrize("text", _MATRIX)
+def test_compiled_values_match_the_interpreted_walk_for_fo(text):
+    _check_compiled_values(_fo_cores(path_graph(4), text, 0))
+
+
 # ------------------------------------------------------------- determinism
+
+
+def _global_step_digest(case, seed):
+    """sha256 over (round, sends, steps, quiescent, wake_at) of every node
+    step of one global-engine run, in call order."""
+    digest = hashlib.sha256()
+    if case == "fp-tc-path-5":
+        net = _net(path_graph(5), port_seed=seed)
+        call = lambda: run_qe_fp(net, TRANSITIVE_CLOSURE_TEXT, 1, order_seed=seed)
+    else:
+        net = _net(ring_graph(8), port_seed=seed)
+        call = lambda: run_qe_fo(net, TWO_HOP_TEXT, 1, order_seed=seed)
+    real = _BroadcastEngine.step
+
+    def recording(self, state, ctx, round_no, inbox):
+        res = real(self, state, ctx, round_no, inbox)
+        digest.update(
+            repr(
+                (round_no, res.sends, res.steps, res.quiescent, res.wake_at)
+            ).encode()
+        )
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BroadcastEngine, "step", recording)
+        call()
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case,seed,digest", [
+    ("fp-tc-path-5", 0,
+     "5fb506bea33ec8f6ff2d16bde2d0caee79cc3fd98738cf22835296c56795f1a4"),
+    ("fp-tc-path-5", 1,
+     "5fb506bea33ec8f6ff2d16bde2d0caee79cc3fd98738cf22835296c56795f1a4"),
+    ("fo-two-hop-ring-8", 0,
+     "98e1aae8f4f487d31929a361b9bd1c127fa9d74c458c28379b2caa3012e73d55"),
+    ("fo-two-hop-ring-8", 1,
+     "98e1aae8f4f487d31929a361b9bd1c127fa9d74c458c28379b2caa3012e73d55"),
+])
+def test_global_node_steps_send_the_pinned_payloads(case, seed, digest):
+    """Every node step of the FO and FP engines sends the pinned payloads in
+    the pinned order and reports the pinned work, quiescence and wake-up,
+    at port and delivery-order seeds 0 and 1.  The pins were taken with the
+    interpreted three-valued evaluator that compiled templates replaced."""
+    assert _global_step_digest(case, seed) == digest
 
 
 def test_results_do_not_depend_on_delivery_or_port_order():

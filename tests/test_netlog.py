@@ -523,43 +523,6 @@ def test_sg_node_steps_send_the_pinned_facts(seed, digest):
     assert _sg_step_digest(seed) == digest
 
 
-@pytest.mark.parametrize("seed,digest", [
-    (0, "5fa7c5af3285ca32902368a542db9e47f2e3609470f80a95ea458f1e32011cc6"),
-    (1, "722b0457f5eda56778e5797a2df4c947ac4d3e1d68e930b8bb5e72d4a2c9faa5"),
-])
-def test_sg_node_steps_do_not_depend_on_delivery_order(monkeypatch, seed, digest):
-    """The engine reads its inbox as a set, so the simulator delivers to it
-    in send order.  With the in-buffer shuffle forced back on, the inboxes
-    arrive in other orders, yet every step still sends the pinned facts and
-    the run ends with the same instance and metrics."""
-    g = grid_graph(3, 3)
-    program = compile(SAME_GENERATION_DATALOG, g.diameter).program
-    net = make_network(g, port_seed=seed)
-    real = NetlogEngine.step
-
-    def run_recording_inboxes():
-        orders = []
-
-        def recording(self, state, ctx, round_no, inbox):
-            orders.append(tuple(inbox))
-            return real(self, state, ctx, round_no, inbox)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(NetlogEngine, "step", recording)
-            return run_netlog(program, net, order_seed=seed), orders
-
-    assert NetlogEngine.reads_inbox_as_set
-    plain, plain_orders = run_recording_inboxes()
-    monkeypatch.setattr(NetlogEngine, "reads_inbox_as_set", False)
-    shuffled, shuffled_orders = run_recording_inboxes()
-    assert shuffled == plain
-    assert shuffled_orders != plain_orders
-    assert [frozenset(o) for o in shuffled_orders] == [
-        frozenset(o) for o in plain_orders
-    ]
-    assert _sg_step_digest(seed) == digest
-
-
 def _store_sequence(rng, rules, g, length):
     """`length` seeded random stores over the relations the rules name,
     each made from the one before: a relation keeps its tuples, swaps one

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 import re
+from collections import Counter
 from functools import partialmethod
 
 import pytest
@@ -14,6 +16,7 @@ from netquery.engine_fp import FPQueryEngine, run_qe_fp
 from netquery import simnet
 from netquery.fixtures import (
     HAS_NEIGHBOR_TEXT,
+    SAME_GENERATION_DATALOG,
     SPANNING_TREE_TEXT,
     TRANSITIVE_CLOSURE_DATALOG,
     TRANSITIVE_CLOSURE_TEXT,
@@ -795,6 +798,97 @@ class Snooze(Alarm):
 def test_wake_up_must_lie_ahead():
     with pytest.raises(SimError, match="in round 1 to wake in round 1"):
         run(load_network(PATH3), Snooze(at=1))
+
+
+# ------------------------------------------------------- delivery order
+
+
+def _sg_run(seed):
+    g = grid_graph(3, 3)
+    program = compile_program(SAME_GENERATION_DATALOG, g.diameter).program
+    return run_netlog(program, make_network(g, port_seed=seed), order_seed=seed)
+
+
+def _two_hop_run(seed):
+    net = make_network(ring_graph(8), port_seed=seed)
+    return run_qe_fo(net, TWO_HOP_TEXT, 1, order_seed=seed)
+
+
+def _tc_run(seed):
+    net = make_network(path_graph(5), port_seed=seed)
+    return run_qe_fp(net, TRANSITIVE_CLOSURE_TEXT, 1, order_seed=seed)
+
+
+# Every engine that reads its inbox as a set, with a run whose steps are
+# pinned: the SG program in test_netlog, the global engines in
+# test_engine_fo.
+SET_READERS = {
+    "netlog-sg-grid-3x3": (NetlogEngine, _sg_run),
+    "fo-two-hop-ring-8": (FOQueryEngine, _two_hop_run),
+    "fp-tc-path-5": (FPQueryEngine, _tc_run),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", sorted(SET_READERS))
+def test_set_reading_engines_do_not_depend_on_delivery_order(
+    monkeypatch, case, seed
+):
+    """An engine that reads its inbox as a set gets its mail in send order.
+    With the in-buffer shuffle forced back on, the inboxes arrive in other
+    orders, yet every step reports the same (round, sends, steps,
+    quiescence, wake-up), whose digest the step pins fix, and the run ends
+    with the same result and metrics."""
+    engine, call = SET_READERS[case]
+    real = engine.step
+
+    def run_recording():
+        digest, inboxes = hashlib.sha256(), []
+
+        def recording(self, state, ctx, round_no, inbox):
+            inboxes.append(inbox)
+            res = real(self, state, ctx, round_no, inbox)
+            digest.update(
+                repr(
+                    (round_no, res.sends, res.steps, res.quiescent, res.wake_at)
+                ).encode()
+            )
+            return res
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "step", recording)
+            return call(seed), inboxes, digest.hexdigest()
+
+    assert engine.reads_inbox_as_set
+    plain, plain_inboxes, plain_digest = run_recording()
+    monkeypatch.setattr(engine, "reads_inbox_as_set", False)
+    shuffled, shuffled_inboxes, shuffled_digest = run_recording()
+    assert shuffled == plain
+    assert shuffled_digest == plain_digest
+    assert shuffled_inboxes != plain_inboxes
+    assert [Counter(box) for box in shuffled_inboxes] == [
+        Counter(box) for box in plain_inboxes
+    ]
+
+
+def test_every_set_reading_engine_has_a_delivery_order_case():
+    """The package's engines that declare `reads_inbox_as_set` (the leaves
+    of its engine classes) are exactly those of SET_READERS, so a new
+    declaration needs a case there."""
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    package = {
+        c for c in subclasses(NodeEngine) if c.__module__.startswith("netquery.")
+    }
+    engines = {c for c in package if not package.intersection(c.__subclasses__())}
+    assert {FOLocEngine, FPLocEngine} <= engines
+    assert {c for c in engines if c.reads_inbox_as_set} == {
+        engine for engine, _ in SET_READERS.values()
+    }
 
 
 # ------------------------------------------------------------- metrics
