@@ -50,6 +50,7 @@ from .logic import (
     FixpointQuery,
     Forall,
     Formula,
+    FormulaError,
     InNbhd,
     Not,
     Or,
@@ -57,6 +58,7 @@ from .logic import (
     _terms_of,
     atoms,
     canonical_print,
+    check_atoms,
     constants,
     free_vars,
     parse_formula,
@@ -200,11 +202,9 @@ def _compile(
     if isinstance(f, BoolConst):
         v: Optional[bool] = f.value
         return (lambda core, e, r: v), 1
-    if isinstance(f, Cmp):
-        if isinstance(f.left, Const) and isinstance(f.right, Const):
-            v = _cmp_holds(f.op, f.left.value, f.right.value)
-            return (lambda core, e, r: v), 1
-        raise EngineError(f"cannot evaluate open comparison {canonical_print(f)!r}")
+    if isinstance(f, Cmp):  # ground: the text is closed
+        v = _cmp_holds(f.op, f.left.value, f.right.value)  # type: ignore[union-attr]
+        return (lambda core, e, r: v), 1
     if isinstance(f, Atom):
         k = queries.atom_key(f)
         return (lambda core, e, r: core.answers.get(k)), 1
@@ -242,14 +242,16 @@ class QueryTable:
     iteration.  It maps a received text to its template (a text that fails
     to parse is not kept, so it fails at every node that reads it), a
     canonical text to its template, (text, value) to the template of the
-    instance that substitutes the value, and a ground atom to its answer
-    key.  Nothing in it depends on a node, a level or a round."""
+    instance that substitutes the value, a ground atom to its answer key,
+    and (level, text) to the answer key of a query's value.  Nothing in it
+    depends on a node or a round."""
 
     def __init__(self) -> None:
         self.received: dict[str, _Template] = {}
         self.templates: dict[str, _Template] = {}
         self.instances: dict[tuple[str, int], _Template] = {}
         self.atom_keys: dict[Atom, int] = {}
+        self.keys: dict[tuple[Optional[int], str], int] = {}
 
     def read(self, text: str) -> _Template:
         t = self.received.get(text)
@@ -300,9 +302,17 @@ class QueryTable:
     def atom_key(self, a: Atom) -> int:
         k = self.atom_keys.get(a)
         if k is None:
-            if not all(isinstance(c, Const) for c in a.args):
-                raise EngineError(f"cannot evaluate open atom {canonical_print(a)!r}")
             k = self.atom_keys[a] = answer_key(canonical_print(a))
+        return k
+
+    def key(self, level: Optional[int], text: str) -> int:
+        """The answer key of the value of `text` after `level`
+        instantiations, or of a fact's (level None), which no depth
+        changes."""
+        k = self.keys.get((level, text))
+        if k is None:
+            k = answer_key(text if level is None else f"{level}|{text}")
+            self.keys[(level, text)] = k
         return k
 
 
@@ -375,9 +385,6 @@ class FOCore:
     # -- local fact knowledge
 
     def _decide_atom(self, pred: str, args: tuple[int, ...]) -> Optional[bool]:
-        if self.table is not None and pred == self.table[0]:
-            # Closed-world: the node named by the first argument decides.
-            return args in self.table[1] if args[0] == self.self_id else None
         if pred == EDGE_PRED:
             if self.self_id not in args:
                 return None
@@ -386,11 +393,12 @@ class FOCore:
                 return False
             other = b if a == self.self_id else a
             return other in self.neighbors
-        if len(args) == 1:
-            if args[0] != self.self_id:
-                return None
-            return pred in self.self_unary
-        raise EngineError(f"relation {pred}/{len(args)} is not available")
+        # Closed-world: the node named by the first argument decides.
+        if args[0] != self.self_id:
+            return None
+        if self.table is not None and pred == self.table[0]:
+            return args in self.table[1]
+        return pred in self.self_unary
 
     # -- answer table
 
@@ -423,10 +431,8 @@ class FOCore:
                 )
             return e
         self.work += 1
-        if isinstance(t.formula, (Atom, Cmp, BoolConst)):
-            key = answer_key(t.text)  # fact truth does not depend on the depth
-        else:
-            key = answer_key(f"{level}|{t.text}")
+        fact = isinstance(t.formula, (Atom, Cmp, BoolConst))
+        key = self.queries.key(None if fact else level, t.text)
         e = _Entry(t, level, kind, key, suffix)
         self.entries[ek] = e
         if kind == "B":
@@ -457,7 +463,7 @@ class FOCore:
                 _Leaf(
                     q,
                     self.round_offset + 1 + (max(level + q.depth, 1) + 1) * self.delta,
-                    answer_key(f"{level}|{q.text}"),
+                    self.queries.key(level, q.text),
                 )
                 for q in t.quantifiers
             ]
@@ -711,43 +717,29 @@ def fo_payload_bits(payload: tuple, enc: EncodingParams) -> int:
 # -------------------------------------------------------------- entry point
 
 
-def _validate_query(
-    f: Formula, net: Network, allow: Optional[Mapping[str, int]] = None
-) -> None:
+def _admit_global(net: Network, query: Union[Formula, FixpointQuery]) -> None:
+    """Admit a query to the global engines, once per run before any node
+    steps: no neighborhood bound, atoms by `check_atoms`, constants that
+    name nodes, and no free variable named like the binders that canonical
+    printing makes (q1, q2, ...).  The engines trust what passes."""
+    f = query.body if isinstance(query, FixpointQuery) else query
     for g in subformulas(f):
-        if isinstance(g, InNbhd):
+        if isinstance(g, InNbhd) or (
+            isinstance(g, (Exists, Forall)) and g.bound is not None
+        ):
             raise EngineError(
-                "neighborhood atoms belong to the local-fragment engines"
+                "neighborhood bounds belong to the local-fragment engines"
             )
-        if isinstance(g, (Exists, Forall)) and g.bound is not None:
-            raise EngineError(
-                "radius-bounded quantifiers belong to the local-fragment engines"
-            )
-        if isinstance(g, Atom):
-            if g.pred == EDGE_PRED:
-                continue
-            if allow and allow.get(g.pred) == len(g.args):
-                continue
-            if len(g.args) != 1 or (allow and g.pred in allow):
-                raise EngineError(
-                    f"relation {g.pred}/{len(g.args)} is not available on the network"
-                )
-    nodes = set(net.graph.adj)
+    try:
+        check_atoms(query)
+    except FormulaError as err:
+        raise EngineError(str(err)) from None
     for c in constants(f):
-        if c not in nodes:
+        if c not in net.graph.adj:
             raise EngineError(f"constant {c} is not a node id")
     for v in free_vars(f):
         if v.startswith("q") and v[1:].isdigit():
-            raise EngineError(f"free variable name {v!r} is reserved")
-
-
-def _check_fixpoint_vars(q: FixpointQuery) -> None:
-    if q.name == EDGE_PRED:
-        raise EngineError(f"fixpoint relation may not shadow {EDGE_PRED!r}")
-    if set(free_vars(q.body)) != set(q.vars):
-        raise EngineError(
-            "every declared fixpoint variable must occur in the body"
-        )
+            raise EngineError(f"variable name {v!r} is reserved")
 
 
 def _run_from_requester(
@@ -806,11 +798,7 @@ def run_qe_fo(
     {()} for true, {} for false).  With `with_placement` the per-node
     fragments are returned as a third value."""
     f = parse_formula(formula) if isinstance(formula, str) else formula
-    if net.mode.kind != "global":
-        raise EngineError(
-            "the first-order query engine needs globally unique node ids"
-        )
-    _validate_query(f, net)
+    _admit_global(net, f)
     delta = net.graph.diameter
     budget = clock_value(max(1, stats(f).w), max(1, delta))
     return _run_from_requester(

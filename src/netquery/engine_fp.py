@@ -34,10 +34,9 @@ from .engine_fo import (
     FOCore,
     QueryTable,
     _BroadcastEngine,
-    _check_fixpoint_vars,
+    _admit_global,
     _run_from_requester,
     _send_order,
-    _validate_query,
     fo_payload_bits,
 )
 from .logic import (
@@ -48,6 +47,12 @@ from .logic import (
     substitute,
 )
 from .simnet import EncodingParams, Network, NodeContext
+
+# EngineError is re-exported: the driver here raises it.
+__all__ = [
+    "EngineError", "FPCore", "FPNodeReport", "FPQueryEngine",
+    "default_fp_round_cap", "evaluation_window", "run_qe_fp",
+]
 
 
 @dataclass(frozen=True)
@@ -264,18 +269,6 @@ class FPQueryEngine(_BroadcastEngine):
 # -------------------------------------------------------------- entry point
 
 
-def validate_fixpoint(q: FixpointQuery, net: Network) -> None:
-    if q.radius is not None:
-        raise EngineError(
-            "radius-bounded fixpoint queries belong to the local-fragment engines"
-        )
-    _check_fixpoint_vars(q)
-    for v in q.vars:
-        if v.startswith("q") and v[1:].isdigit():
-            raise EngineError(f"declared variable name {v!r} is reserved")
-    _validate_query(q.body, net, allow={q.name: q.arity})
-
-
 def default_fp_round_cap(net: Network, q: FixpointQuery) -> int:
     st = stats(q)
     delta = net.graph.diameter
@@ -297,11 +290,7 @@ def run_qe_fp(
     is the union of the per-node committed fragments.  With
     `with_placement` the per-node fragments are returned as a third value."""
     q = parse_fixpoint(query) if isinstance(query, str) else query
-    if net.mode.kind != "global":
-        raise EngineError(
-            "the fixpoint query engine needs globally unique node ids"
-        )
-    validate_fixpoint(q, net)
+    _admit_global(net, q)
     return _run_from_requester(
         net,
         lambda _order: FPQueryEngine(),

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .engine_fo import EngineError, _check_fixpoint_vars, _run_from_requester
+from .engine_fo import EngineError, _run_from_requester
 from .logic import (
     EDGE_PRED,
     And,
@@ -40,8 +40,8 @@ from .logic import (
     InNbhd,
     Not,
     Or,
-    Var,
     atoms,
+    check_atoms,
     constants,
     free_vars,
     locality,
@@ -58,6 +58,7 @@ from .simnet import (
     NodeContext,
     NodeEngine,
     StepResult,
+    _NONCE_BITS,
     broadcast,
     check_locally_consistent,
     sends_bits,
@@ -84,7 +85,6 @@ __all__ = [
 # names the walk's start.
 PortTrace = tuple[int, ...]
 
-_NONCE_BITS = 32  # the width of `NodeContext.nonce`
 _SMALL_COUNTER_BITS = 8
 
 
@@ -243,69 +243,48 @@ def _topology_from_entries(
     )
 
 
-# --------------------------------------------------------- query validation
+# ---------------------------------------------------------- query admission
 
 
-def _check_local_atoms(
-    f: Formula, mode_kind: str, table: Optional[tuple[str, int]] = None
-) -> None:
-    """Check that every atom of f can be decided over a collected
-    neighborhood: node facts, edges, the fixpoint `table`, and order
-    comparisons only where nodes carry labels; never a constant."""
-    for g in atoms(f):
-        if isinstance(g, Cmp):
-            if g.op == ">=" and mode_kind == "anonymous":
-                raise EngineError(
-                    "order comparison needs node labels; "
-                    "the network is anonymous"
-                )
-        elif isinstance(g, Atom):
-            if g.pred == EDGE_PRED:
-                continue
-            if table is not None and g.pred == table[0]:
-                if len(g.args) != table[1]:
-                    raise EngineError(
-                        f"table atom {g.pred} used with arity {len(g.args)}"
-                    )
-                if not all(isinstance(t, Var) for t in g.args):
-                    raise EngineError("table atoms must use variables")
-                continue
-            if len(g.args) != 1:
-                raise EngineError(
-                    f"relation {g.pred}/{len(g.args)} is not available "
-                    "on the network"
-                )
+def _locality(query: Union[Formula, FixpointQuery]) -> tuple[str, int]:
+    """The centre variable and radius of a radius-bounded query (see
+    `logic.locality`); a fixpoint query's centre is its first declared
+    variable."""
+    fixpoint = isinstance(query, FixpointQuery)
+    try:
+        center, k = locality(query.body if fixpoint else query)
+        if fixpoint and center != query.vars[0]:
+            raise FormulaError("the locality center must be the first declared variable")
+    except FormulaError as err:
+        raise EngineError(
+            "the fixpoint query carries no locality radius; use the "
+            f"unrestricted fixpoint engine: {err}" if fixpoint else str(err)
+        ) from None
+    return center, k
+
+
+def _admit_local(net: Network, query: Union[Formula, FixpointQuery]) -> int:
+    """Admit a query to the local engines, once per run before any node
+    steps, and return its radius: a radius-bounded query (`_locality`),
+    atoms by `check_atoms`, no constant, and order comparisons only where
+    nodes carry labels.  The engines trust what passes."""
+    _, k = _locality(query)
+    f = query.body if isinstance(query, FixpointQuery) else query
+    try:
+        check_atoms(query)
+    except FormulaError as err:
+        raise EngineError(str(err)) from None
     if constants(f):
         raise EngineError(
             "constants are not available to the local-fragment engines"
         )
-
-
-def _validate_fo_local(f: Formula, mode_kind: str) -> tuple[str, int]:
-    """The (center, radius) of a first-order query FO-loc can evaluate."""
-    try:
-        center, k = locality(f)
-    except FormulaError as err:
-        raise EngineError(str(err)) from None
-    _check_local_atoms(f, mode_kind)
-    return center, k
-
-
-def _validate_fp_local(q: FixpointQuery, mode_kind: str) -> int:
-    """The radius of a fixpoint query FP-loc can evaluate."""
-    if q.radius is None:
-        try:
-            locality(q.body)
-            reason = "the locality center must be the first declared variable"
-        except FormulaError as err:
-            reason = str(err)
+    if net.mode.kind == "anonymous" and any(
+        isinstance(g, Cmp) and g.op == ">=" for g in atoms(f)
+    ):
         raise EngineError(
-            "the fixpoint query carries no locality radius; "
-            f"use the unrestricted fixpoint engine: {reason}"
+            "order comparison needs node labels; the network is anonymous"
         )
-    _check_fixpoint_vars(q)
-    _check_local_atoms(q.body, mode_kind, table=(q.name, len(q.vars)))
-    return q.radius
+    return k
 
 
 # ----------------------------------------------------------- local evaluator
@@ -711,14 +690,13 @@ class FOLocEngine(_LocalEngine):
     _State = _FOLocState
     _print = staticmethod(print_formula)
 
-    def __init__(self, order: tuple[str, ...], mode_kind: str):
+    def __init__(self, order: tuple[str, ...]):
         super().__init__()
         self.order = tuple(order)
-        self.mode_kind = mode_kind
 
     def _read(self, text: str) -> tuple[Formula, str, int, _Compiled]:
         f = parse_formula(text)
-        center, k = _validate_fo_local(f, self.mode_kind)
+        center, k = _locality(f)
         rest = [v for v in self.order if v != center]
         return f, center, k, _compile_query(f, center, rest, self.order)
 
@@ -767,10 +745,10 @@ def run_qe_fo_loc(
     resolved per-node answer fragments.  With `with_placement` the resolved
     per-node fragments are returned as a third value."""
     f = parse_formula(formula) if isinstance(formula, str) else formula
-    _, k = _validate_fo_local(f, net.mode.kind)
+    k = _admit_local(net, f)
     return _run_from_requester(
         net,
-        lambda ordered: FOLocEngine(ordered, net.mode.kind),
+        FOLocEngine,
         f,
         requester,
         free_vars(f),
@@ -842,15 +820,11 @@ class FPLocEngine(_LocalEngine):
     _State = _FPLocState
     _print = staticmethod(print_fixpoint)
 
-    def __init__(self, mode_kind: str):
-        super().__init__()
-        self.mode_kind = mode_kind
-
     def _read(self, text: str) -> tuple[FixpointQuery, str, int, _Compiled]:
         q = parse_fixpoint(text)
-        k = _validate_fp_local(q, self.mode_kind)
+        center, k = _locality(q)
         rest = q.vars[1:]
-        return q, q.vars[0], k, _compile_query(q.body, q.vars[0], rest, rest, q.name)
+        return q, center, k, _compile_query(q.body, center, rest, rest, q.name)
 
     def step(
         self,
@@ -1079,10 +1053,10 @@ def run_qe_fp_loc(
     the relation is the union of the resolved per-node table fragments.
     With `with_placement` the resolved fragments are returned per node."""
     q = parse_fixpoint(query) if isinstance(query, str) else query
-    _validate_fp_local(q, net.mode.kind)
+    _admit_local(net, q)
     return _run_from_requester(
         net,
-        lambda _order: FPLocEngine(net.mode.kind),
+        lambda _order: FPLocEngine(),
         q,
         requester,
         q.vars,

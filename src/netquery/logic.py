@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Union
+from typing import (
+    Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Optional,
+    Union,
+)
 
 
 class ParseError(ValueError):
@@ -595,20 +598,27 @@ class _Parser(_TokenStream):
 # ------------------------------------------------- post-parse normalization
 
 
+def _arity_clash(
+    uses: Iterable[tuple[str, int, Any]], arities: dict[str, int]
+) -> Optional[tuple[Any, str, int, int]]:
+    """The first use (predicate, arity, where) that disagrees with
+    `arities`, as (where, predicate, arity, recorded arity); a first use
+    records its arity."""
+    for pred, n, where in uses:
+        if arities.setdefault(pred, n) != n:
+            return where, pred, n, arities[pred]
+    return None
+
+
 def _check_arities(f: Formula, fixpoint_name: Optional[str] = None,
                    fixpoint_arity: Optional[int] = None) -> None:
     seen: dict[str, int] = {EDGE_PRED: 2}
     if fixpoint_name is not None:
         seen[fixpoint_name] = fixpoint_arity  # type: ignore[assignment]
-    for g in atoms(f):
-        if isinstance(g, Atom):
-            expected = seen.get(g.pred)
-            if expected is None:
-                seen[g.pred] = len(g.args)
-            elif expected != len(g.args):
-                raise FormulaError(
-                    f"arity mismatch for {g.pred}: {len(g.args)} vs {expected}"
-                )
+    uses = ((g.pred, len(g.args), None) for g in atoms(f) if isinstance(g, Atom))
+    clash = _arity_clash(uses, seen)
+    if clash is not None:
+        raise FormulaError("arity mismatch for %s: %d vs %d" % clash[1:])
 
 
 def _uniquify_binders(f: Formula) -> Formula:
@@ -789,6 +799,34 @@ def locality(f: Formula) -> tuple[str, int]:
             f"{x!r}; the query is not radius-bounded"
         )
     return x, k
+
+
+def check_atoms(
+    query: Union[Formula, FixpointQuery], tables: Mapping[str, int] = {}
+) -> None:
+    """The one rule for the relations a query reads, which every engine and
+    the oracle apply.  A relation atom reads the edge relation G/2, a unary
+    input fact, read closed-world (a predicate no node holds is empty), or
+    a named relation at its declared arity: one in `tables` (a fixpoint or
+    auxiliary relation) or a fixpoint query's own.  A named relation may
+    not shadow G, and each declared variable of a fixpoint query occurs
+    free in its body.  Anything else raises FormulaError naming it."""
+    if isinstance(query, FixpointQuery):
+        if set(free_vars(query.body)) != set(query.vars):
+            raise FormulaError(
+                "every declared fixpoint variable must occur in the body"
+            )
+        tables = {**tables, query.name: query.arity}
+        query = query.body
+    if EDGE_PRED in tables:
+        raise FormulaError(f"a named relation may not shadow {EDGE_PRED!r}")
+    for g in atoms(query):
+        if isinstance(g, Atom):
+            n = len(g.args)
+            if n != tables.get(g.pred, 2 if g.pred == EDGE_PRED else 1):
+                raise FormulaError(
+                    f"relation {g.pred}/{n} is not available on the network"
+                )
 
 
 # ----------------------------------------------------------- relativization

@@ -31,7 +31,9 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import simnet
-from .logic import EDGE_PRED, Const, Term, Var, _TokenStream, _token_re, _UnionFind, term_str
+from .logic import (
+    EDGE_PRED, Const, Term, Var, _arity_clash, _TokenStream, _token_re, _UnionFind, term_str,
+)
 from .oracle import Graph, Relation
 
 Fact = tuple[str, tuple[int, ...]]
@@ -277,18 +279,18 @@ class _RuleParser(_TokenStream):
 
 
 def _check_arities(rules: Sequence[NetlogRule]) -> None:
-    arities: dict[str, int] = {EDGE_PRED: 2}
-    for idx, rule in enumerate(rules, start=1):
-        lits = [rule.head] + [lit for lit in rule.body if isinstance(lit, RelLit)]
-        for lit in lits:
-            known = arities.get(lit.pred)
-            if known is None:
-                arities[lit.pred] = len(lit.args)
-            elif known != len(lit.args):
-                raise NetlogError(
-                    f"rule {idx}: predicate {lit.pred} used with arity "
-                    f"{len(lit.args)} but previously with arity {known}"
-                )
+    uses = (
+        (lit.pred, len(lit.args), idx)
+        for idx, rule in enumerate(rules, start=1)
+        for lit in (rule.head, *rule.body)
+        if isinstance(lit, RelLit)
+    )
+    clash = _arity_clash(uses, {EDGE_PRED: 2})
+    if clash is not None:
+        raise NetlogError(
+            "rule %d: predicate %s used with arity %d but previously with "
+            "arity %d" % clash
+        )
 
 
 def parse_datalog(text: str) -> NetlogProgram:
@@ -305,6 +307,15 @@ def parse_netlog(text: str) -> NetlogProgram:
     rules = _RuleParser(text, distributed=True).parse_program()
     if not rules:
         raise NetlogError("empty program")
+    check_distributed(rules)
+    return NetlogProgram(tuple(rules))
+
+
+def check_distributed(rules: Sequence[NetlogRule]) -> None:
+    """What every distributed program satisfies, whether parsed or
+    compiled: consistent arities, a holding marker on every head, the
+    localization restrictions, and a node plan for every rule.  Raises
+    NetlogError naming the first rule that fails."""
     _check_arities(rules)
     for idx, rule in enumerate(rules, start=1):
         if rule.head.holding is None:
@@ -317,7 +328,6 @@ def parse_netlog(text: str) -> NetlogProgram:
                 f"rule {idx} violates localization restriction {violation}"
             )
     node_plans(rules)
-    return NetlogProgram(tuple(rules))
 
 
 # ------------------------------------------------------- localization check

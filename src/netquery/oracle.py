@@ -20,10 +20,12 @@ from .logic import (
     FixpointQuery,
     Forall,
     Formula,
+    FormulaError,
     InNbhd,
     Not,
     Or,
     Term,
+    check_atoms,
     constants,
     free_vars,
 )
@@ -237,6 +239,8 @@ def holds(
     env: Mapping[str, int],
     aux: Optional[AuxRelations] = None,
 ) -> bool:
+    """Truth of f under `env`, for an f whose atoms `check_atoms` admits
+    with the `aux` relations (`eval_fo` checks that)."""
     aux = aux or {}
     if isinstance(f, BoolConst):
         return f.value
@@ -246,11 +250,7 @@ def holds(
             return g.has_edge(args[0], args[1])
         if f.pred in aux:
             return args in aux[f.pred].tuples
-        if f.pred in g.unary:
-            if len(args) != 1:
-                raise OracleError(f"unary predicate {f.pred} used with arity {len(args)}")
-            return args[0] in g.unary[f.pred]
-        raise OracleError(f"unknown predicate {f.pred!r}")
+        return args[0] in g.unary.get(f.pred, ())  # closed-world
     if isinstance(f, Cmp):
         a = _resolve(f.left, env)
         b = _resolve(f.right, env)
@@ -286,8 +286,14 @@ def holds(
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _check_constants(g: Graph, f: Formula) -> None:
-    for c in constants(f):
+def _check_query(g: Graph, query, aux: AuxRelations) -> None:
+    """Reject what the oracle cannot decide: a query `check_atoms` does
+    not admit with the `aux` relations, or a constant that names no node."""
+    try:
+        check_atoms(query, {name: rel.arity for name, rel in aux.items()})
+    except FormulaError as err:
+        raise OracleError(str(err)) from None
+    for c in constants(query.body if isinstance(query, FixpointQuery) else query):
         if c not in g.adj:
             raise OracleError(f"constant {c} does not name a node")
 
@@ -300,7 +306,7 @@ def eval_fo(
 ) -> Relation:
     """All satisfying assignments to the free variables, in declared order
     (first occurrence unless an explicit order is given)."""
-    _check_constants(g, f)
+    _check_query(g, f, aux or {})
     fv = tuple(order) if order is not None else free_vars(f)
     if order is not None and set(order) != set(free_vars(f)):
         raise OracleError(
@@ -332,7 +338,7 @@ def eval_fp(
     aux: Optional[AuxRelations] = None,
 ) -> StageTrace:
     """Inflationary fixpoint: I_0 = empty, I_{i+1} = body(I_i) union I_i."""
-    _check_constants(g, q.body)
+    _check_query(g, q, aux or {})
     aux = dict(aux or {})
     ell = q.arity
     stages = [Relation(ell, frozenset())]

@@ -42,12 +42,11 @@ from .netlog import (
     _equality_classes,
     _lit_vars,
     body_holding_vars,
-    check_localization,
+    check_distributed,
     parse_datalog,
     plan_rule,
     print_literal,
     print_program,
-    print_rule,
 )
 
 RESERVED = ("start", "clock", "continue", "inf", "stop")
@@ -545,19 +544,10 @@ def compile(  # noqa: A001 - the operation is named after what it does
     p3 = add_comm(p2)
     p4 = add_clocks(p3, kappa, source)
     pnl = inflate(p4, source)
-    for no, rule in enumerate(pnl.rules, start=1):
-        violation = check_localization(rule)
-        if violation is not None:
-            raise CompileError(
-                f"compiled rule {no} ({print_rule(rule)}) violates "
-                f"localization restriction {violation}"
-            )
-        try:
-            plan_rule(rule, body_holding_vars(rule))
-        except NetlogError as e:
-            raise CompileError(
-                f"compiled rule {no} ({print_rule(rule)}) is not evaluable: {e}"
-            ) from None
+    try:
+        check_distributed(pnl.rules)
+    except NetlogError as e:
+        raise CompileError(f"compiled program: {e}") from None
     return CompileOutput(
         program=pnl, kappa=kappa, delta=delta, traces=tuple(traces)
     )

@@ -318,10 +318,13 @@ class NodeContext:
     nonce: int  # the node's private random bits, never an identity
 
 
+_NONCE_BITS = 32  # the width of `NodeContext.nonce`, on the wire too
+
+
 def _nonce(a: int) -> int:
-    """Node `a`'s 32 private random bits, seeded from `a` as a stand-in for
-    the node's own random source."""
-    return random.Random(1_000_003 * a + 7).getrandbits(32)
+    """Node `a`'s _NONCE_BITS private random bits, seeded from `a` as a
+    stand-in for the node's own random source."""
+    return random.Random(1_000_003 * a + 7).getrandbits(_NONCE_BITS)
 
 
 def _context_for(net: Network, a: int) -> NodeContext:

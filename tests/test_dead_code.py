@@ -5,11 +5,14 @@ and every module-level `_private` function or class, and every `_private`
 method of a class, must be referenced somewhere in `src/netquery`; tests do
 not count as callers.  Every parameter of a package function must be read,
 and every module must stay small enough to compile without growing the
-parser's token array.
+parser's token array.  Every name `bench/layers.py` counts or wraps must be
+defined in the package.
 """
 from __future__ import annotations
 
 import ast
+import importlib
+import operator
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -174,3 +177,72 @@ def test_modules_stay_below_the_token_limit():
         if count >= TOKEN_LIMIT:
             over[path.name] = count
     assert over == {}
+
+
+LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+
+def _hooked_names() -> set[tuple[str, str]]:
+    """(module, qualified name) of every package name `bench/layers.py`
+    counts or wraps, read from its source: the `MODULES` it attributes
+    time to (name ""), the `CALL_COUNTS` it counts, the attributes it
+    patches with `_patched`, and the methods `_CountingEngine` wraps
+    (module "simnet", on a `NodeEngine`)."""
+    tree = ast.parse(LAYERS.read_text(), str(LAYERS))
+    consts: dict[str, object] = {}
+    getattrs: dict[str, tuple[str, str]] = {}  # local name -> (module, attr)
+    hooked: set[tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            name, value = node.targets[0].id, node.value
+            if name in ("MODULES", "CALL_COUNTS"):
+                consts[name] = ast.literal_eval(value)
+            elif isinstance(value, ast.Call) and getattr(value.func, "id", "") == "getattr":
+                owner, attr = value.args[0], value.args[1]
+                getattrs[name] = (owner.id, attr.value)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_patched":
+            owner, attr = node.args[0].id, node.args[1].value
+            module, prefix = getattrs.get(owner, (owner, ""))
+            hooked.add((module, f"{prefix}.{attr}" if prefix else attr))
+        elif isinstance(node, ast.ClassDef) and node.name == "_CountingEngine":
+            hooked |= {
+                ("simnet", f"NodeEngine.{m.name}")
+                for m in node.body
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+            }
+    hooked |= {(m, "") for m in consts["MODULES"]}
+    for module, qualnames in consts["CALL_COUNTS"].values():
+        hooked |= {(module, q) for q in qualnames}
+    return hooked
+
+
+def _has(owner: object, qualname: str) -> bool:
+    try:
+        operator.attrgetter(qualname)(owner)
+    except AttributeError:
+        return False
+    return True
+
+
+def _engine_classes(cls: type) -> list[type]:
+    return [cls] + [c for sub in cls.__subclasses__() for c in _engine_classes(sub)]
+
+
+def test_every_name_the_layer_benchmark_hooks_is_defined():
+    """`bench/layers.py` skips a counter or wrapper whose name is gone, so a
+    rename would silently drop a per-layer metric.  Each name it counts or
+    wraps is defined in the package; an engine method counts as defined
+    when some engine class defines it."""
+    for name in ("cli", "engine_fp", "local_engine", "netlog"):
+        importlib.import_module(f"netquery.{name}")  # every engine class
+    missing = []
+    for module, qualname in sorted(_hooked_names()):
+        mod = importlib.import_module(f"netquery.{module}")
+        owners = [mod]
+        if qualname.startswith("NodeEngine."):
+            owners = _engine_classes(mod.NodeEngine)
+            qualname = qualname.split(".", 1)[1]
+        if qualname and not any(_has(o, qualname) for o in owners):
+            missing.append(f"{module}.{qualname}")
+    assert missing == []
+

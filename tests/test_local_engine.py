@@ -234,7 +234,7 @@ def test_protocol_topology_equals_reference():
                 if mode
                 else make_network(g, port_seed=seed)
             )
-            eng = FOLocEngine(("x",), net.mode.kind)
+            eng = FOLocEngine(("x",))
             res, _ = simnet.run(
                 net, eng, init={min(g.nodes): f}, round_cap=400
             )
@@ -387,7 +387,7 @@ def test_fp_loc_anonymous_exhaustive():
 
 def _run_fp_reports(g, q, requester):
     net = make_network(g)
-    eng = FPLocEngine(net.mode.kind)
+    eng = FPLocEngine()
     res, metrics = simnet.run(
         net, eng, init={requester: q}, round_cap=100_000
     )
@@ -517,8 +517,8 @@ def test_local_reports_are_invariant_under_isomorphism(monkeypatch):
             net = make_network(g, mode, port_seed=seed)
             image = _permuted_network(net, perm)
             for engine, query in (
-                (FOLocEngine(("x",), mode.kind), parse_formula(DEG2)),
-                (FPLocEngine(mode.kind), tc_query(1)),
+                (FOLocEngine(("x",)), parse_formula(DEG2)),
+                (FPLocEngine(), tc_query(1)),
             ):
                 monkeypatch.setattr(simnet, "_nonce", real_nonce)
                 want, want_m = simnet.run(net, engine, {1: query}, round_cap=400)
@@ -573,6 +573,23 @@ def test_rejects_order_comparison_when_anonymous():
     net = make_network(path_graph(3), mode=ANONYMOUS)
     with pytest.raises(EngineError, match="anonymous"):
         run_qe_fo_loc(net, "exists y in N^1(x). (G(x,y) & x >= y)", 1)
+
+
+def test_an_engine_without_a_mode_compares_only_labeled_nodes():
+    """The engines take no identity mode: run directly, FO-loc evaluates
+    an order comparison where nodes carry labels and raises EngineError on
+    an anonymous network, at the node that compares."""
+    g = path_graph(4)
+    f = parse_formula("exists y in N^1(x). (G(x,y) & x >= y)")
+    labeled = make_network(
+        g, IdentityMode("local-consistent", 1, injective_labels(g))
+    )
+    res, _ = simnet.run(labeled, FOLocEngine(("x",)), {1: f}, round_cap=400)
+    got = {(a,) for a, rep in res.items() if rep.rows}
+    assert got == eval_fo(g, f, ("x",)).tuples == {(2,), (3,), (4,)}
+    anonymous = make_network(g, ANONYMOUS)
+    with pytest.raises(EngineError, match="unlabeled"):
+        simnet.run(anonymous, FOLocEngine(("x",)), {1: f}, round_cap=400)
 
 
 def test_rejects_unguarded_free_variable():
@@ -698,8 +715,8 @@ def test_relay_text_is_printed_once_per_run(monkeypatch, engine):
 @pytest.mark.parametrize(
     "engine,text,error",
     [
-        (FPLocEngine("anonymous"), "mu T(x,y). G(x,y", ParseError),
-        (FOLocEngine(("x",), "anonymous"), "exists y. G(x,y)", EngineError),
+        (FPLocEngine(), "mu T(x,y). G(x,y", ParseError),
+        (FOLocEngine(("x",)), "exists y. G(x,y)", EngineError),
     ],
 )
 def test_unreadable_query_fails_at_every_node(engine, text, error):
@@ -975,14 +992,12 @@ def test_compiled_checks_match_the_interpreter():
             net = make_network(g, mode=mode) if mode else make_network(g)
             for text in FO_LOCAL_TEXTS:
                 f = parse_formula(text)
-                engine = FOLocEngine(
-                    tuple(free_vars(f)), "global" if kind == "anonymous" else kind
-                )
+                engine = FOLocEngine(tuple(free_vars(f)))
                 c, e = _compare_with_interpreter(net, engine, text, None)
                 compared += c
                 errors += e
             for q in FP_LOCAL_QUERIES:
-                engine = FPLocEngine("global" if kind == "anonymous" else kind)
+                engine = FPLocEngine()
                 c, e = _compare_with_interpreter(
                     net, engine, print_fixpoint(q), _table_truth
                 )
