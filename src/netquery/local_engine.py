@@ -597,7 +597,14 @@ class _LocalEngine(NodeEngine):
     `_read` made of it and the parsed query printed for the relay: each text
     is read, compiled and printed once per run, and every node evaluates
     through the same compiled checks.  A text that fails to read is not
-    kept and fails again at every node that reads it."""
+    kept and fails again at every node that reads it.
+
+    A step serves its inbox sorted, so it reads the inbox as a set and the
+    simulator does not permute it.  Messages compare by payload first, and
+    two local messages in one inbox differ by their tag, wave, trace, route
+    or query text before any row or label would be compared."""
+
+    reads_inbox_as_set = True
 
     def __init__(self) -> None:
         self.reads: dict[str, tuple[Any, str, int, _Compiled, str]] = {}
@@ -629,9 +636,10 @@ class _LocalEngine(NodeEngine):
         out: list[tuple[int, Any]],
     ) -> int:
         """Note every arriving collection trace before any row of this round
-        is made, serve the inbox in order, and relay a newly adopted query;
-        returns the work done."""
+        is made, serve the inbox in sorted order, and relay a newly adopted
+        query; returns the work done."""
         work = len(inbox)
+        inbox = sorted(inbox)
         collector = state.collector
         walks = iter(
             [collector.note_collect(m) for m in inbox if m.payload[0] == "C"]
@@ -707,6 +715,12 @@ class FOLocEngine(_LocalEngine):
         round_no: int,
         inbox: Sequence[Message],
     ) -> StepResult:
+        if not inbox and state.relay is None and (
+            state.query is None or state.collector.radius is not None
+        ):
+            # Nothing to serve, relay or launch, and the collection can only
+            # come home through a reply: the simulator's after-send step.
+            return StepResult((), state.query is None or state.topology is not None)
         out: list[tuple[int, Any]] = []
         work = self._serve_inbox(state, ctx, inbox, out)
         if state.query is not None and state.collector.radius is None:

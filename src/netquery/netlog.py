@@ -97,7 +97,14 @@ class NetlogRule:
 
 @dataclass(frozen=True, slots=True)
 class NetlogProgram:
+    """A rule program.  A program that `parse_netlog` or `rewriter.compile`
+    made carries the node plans `check_distributed` built for it, so every
+    run of it reuses them; they take no part in equality."""
+
     rules: tuple[NetlogRule, ...]
+    plans: Optional[tuple[RulePlan, ...]] = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def intensional_preds(self) -> tuple[str, ...]:
@@ -307,15 +314,14 @@ def parse_netlog(text: str) -> NetlogProgram:
     rules = _RuleParser(text, distributed=True).parse_program()
     if not rules:
         raise NetlogError("empty program")
-    check_distributed(rules)
-    return NetlogProgram(tuple(rules))
+    return NetlogProgram(tuple(rules), check_distributed(rules))
 
 
-def check_distributed(rules: Sequence[NetlogRule]) -> None:
+def check_distributed(rules: Sequence[NetlogRule]) -> tuple[RulePlan, ...]:
     """What every distributed program satisfies, whether parsed or
     compiled: consistent arities, a holding marker on every head, the
-    localization restrictions, and a node plan for every rule.  Raises
-    NetlogError naming the first rule that fails."""
+    localization restrictions, and a node plan for every rule, which it
+    returns.  Raises NetlogError naming the first rule that fails."""
     _check_arities(rules)
     for idx, rule in enumerate(rules, start=1):
         if rule.head.holding is None:
@@ -327,7 +333,7 @@ def check_distributed(rules: Sequence[NetlogRule]) -> None:
             raise NetlogError(
                 f"rule {idx} violates localization restriction {violation}"
             )
-    node_plans(rules)
+    return node_plans(rules)
 
 
 # ------------------------------------------------------- localization check
@@ -760,6 +766,13 @@ def node_plans(rules: Sequence[NetlogRule]) -> tuple[RulePlan, ...]:
     return tuple(plans)
 
 
+def _program_plans(program: NetlogProgram) -> tuple[RulePlan, ...]:
+    """The program's node plans: those it carries, or new ones."""
+    if program.plans is not None:
+        return program.plans
+    return node_plans(program.rules)
+
+
 def _placed(
     plans: Sequence[RulePlan], view: FactView, v: int
 ) -> tuple[list[Fact], list[tuple[int, list[Fact]]]]:
@@ -807,7 +820,7 @@ def consequence(
     and global unary input facts); each derived fact is placed at the node
     named by the head holding argument.  The result replaces the previous
     instance — persistence requires explicit copy rules."""
-    return _consequence(node_plans(program.rules), g, instance)
+    return _consequence(_program_plans(program), g, instance)
 
 
 def netlog_stages(
@@ -820,7 +833,7 @@ def netlog_stages(
         cap = default_round_cap(program, g)
     elif cap < 1:
         raise NetlogError(f"round cap {cap} is not a positive number of rounds")
-    plans = node_plans(program.rules)
+    plans = _program_plans(program)
     stages = [start_instance(g)]
     for _ in range(cap):
         nxt = _consequence(plans, g, stages[-1])
@@ -875,7 +888,7 @@ class NetlogEngine(simnet.NodeEngine):
     reads_inbox_as_set = True
 
     def __init__(self, program: NetlogProgram):
-        self.plans = node_plans(program.rules)
+        self.plans = _program_plans(program)
         # Fact -> wire bits.  One engine object serves one run, so one
         # encoding: the copy and push rules re-send the same facts round
         # after round, and each distinct fact is sized once.

@@ -545,11 +545,14 @@ def compile(  # noqa: A001 - the operation is named after what it does
     p4 = add_clocks(p3, kappa, source)
     pnl = inflate(p4, source)
     try:
-        check_distributed(pnl.rules)
+        plans = check_distributed(pnl.rules)
     except NetlogError as e:
         raise CompileError(f"compiled program: {e}") from None
     return CompileOutput(
-        program=pnl, kappa=kappa, delta=delta, traces=tuple(traces)
+        program=NetlogProgram(pnl.rules, plans),
+        kappa=kappa,
+        delta=delta,
+        traces=tuple(traces),
     )
 
 

@@ -2,8 +2,8 @@
 
 Nodes run deterministic automata over port-numbered channels.  A round is a
 computation phase (nodes step on their in-buffers) followed by an atomic
-delivery phase (out-buffers flushed to neighbor in-buffers, each in-buffer
-permuted by the delivery-order seed).  The simulator is event-driven: in
+delivery phase (out-buffers flushed to neighbor in-buffers, in send order
+or permuted; see below).  The simulator is event-driven: in
 round 1 every node steps; after that, a node steps in round r only when it
 has mail, when it sent in round r-1, or when the wake-up round it last asked
 for (`StepResult.wake_at`) is r.  A step the simulator skips must be a
@@ -21,8 +21,9 @@ which the engine sizes itself).  The simulator checks that a step that sends
 reports at least one bit, and MSG-SIZE is the largest over the delivered
 rounds.  An engine that reads its in-buffer as a set declares so
 (`NodeEngine.reads_inbox_as_set`), and its in-buffers are not permuted.
-Each permutation is seeded by (order seed, round, node) alone, so skipping
-some leaves the others as they were.
+Every package engine does; in-order readers, such as test engines, get
+each in-buffer permuted by a seed of (order seed, round, node) alone, so
+skipping some leaves the others as they were.
 """
 from __future__ import annotations
 
@@ -401,7 +402,8 @@ class NodeEngine:
     the largest as `StepResult.bits`.  An engine whose steps read their
     inbox as a set, so that the order of delivery cannot reach anything it
     sends, holds or reports, sets `reads_inbox_as_set`; the simulator then
-    delivers in send order and does not permute its in-buffers."""
+    delivers in send order and does not permute its in-buffers.  Every
+    package engine sets it."""
 
     reads_inbox_as_set = False
 

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from netquery import netlog
 from netquery.fixtures import (
     FLIP_PROGRAM,
     PATH_FAR_DATALOG,
@@ -521,6 +522,29 @@ def test_sg_node_steps_send_the_pinned_facts(seed, digest):
     delivery-order seeds 0 and 1.  The pins were taken with the step-by-step
     plan interpreter that generated plans replaced."""
     assert _sg_step_digest(seed) == digest
+
+
+def test_a_program_is_planned_once_for_all_its_runs(monkeypatch):
+    """`rewriter.compile` and `parse_netlog` keep the node plans that the
+    distributed check builds, and every run of the program reuses them."""
+    calls = []
+    real = netlog.node_plans
+
+    def counted(rules):
+        calls.append(rules)
+        return real(rules)
+
+    monkeypatch.setattr(netlog, "node_plans", counted)
+    g = grid_graph(3, 3)
+    net = make_network(g)
+    program = compile(TRANSITIVE_CLOSURE_DATALOG, g.diameter).program
+    first = run_netlog(program, net)
+    assert run_netlog(program, net) == first
+    assert len(calls) == 1
+    parsed = parse_netlog(str(program))
+    assert parsed == program and parsed.plans is not None
+    assert run_netlog(parsed, net) == first
+    assert len(calls) == 2
 
 
 def _store_sequence(rng, rules, g, length):

@@ -819,13 +819,53 @@ def _tc_run(seed):
     return run_qe_fp(net, TRANSITIVE_CLOSURE_TEXT, 1, order_seed=seed)
 
 
+DEG2 = "exists y in N^1(x). exists z in N^1(x). (G(x,y) & G(x,z) & y != z)"
+
+
+def _deg2_loc_run(seed):
+    net = make_network(grid_graph(3, 3), ANONYMOUS, port_seed=seed)
+    return run_qe_fo_loc(net, DEG2, 1, order_seed=seed)
+
+
+def _tc_loc_run(seed):
+    net = make_network(ring_graph(8), ANONYMOUS, port_seed=seed)
+    tc_loc = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
+    return run_qe_fp_loc(net, tc_loc, 1, order_seed=seed)
+
+
+def _reach_loc_run(seed):
+    """FP-loc reachability at radius 2, whose informs (("N", 2)) are relayed
+    as ("N", 1); fails unless some step relays one, so that the case keeps
+    covering the relay."""
+    g = grid_graph(3, 3).with_unary({"ReqNode": [1]})
+    net = make_network(g, ANONYMOUS, port_seed=seed)
+    reach_loc = relativize_fixpoint(parse_fixpoint(REACH_TEXT), 2)
+    relays = [0]
+    step = FPLocEngine.step
+
+    def counting(self, state, ctx, round_no, inbox):
+        res = step(self, state, ctx, round_no, inbox)
+        relays[0] += sum(p == ("N", 1) for _, p in res.sends)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FPLocEngine, "step", counting)
+        out = run_qe_fp_loc(net, reach_loc, 1, order_seed=seed)
+    assert relays[0] > 0
+    return out, relays[0]
+
+
 # Every engine that reads its inbox as a set, with a run whose steps are
 # pinned: the SG program in test_netlog, the global engines in
-# test_engine_fo.
+# test_engine_fo, FO-loc DEG2 and FP-loc TC in test_local_engine; the
+# FP-loc reachability run adds relayed informs.
 SET_READERS = {
     "netlog-sg-grid-3x3": (NetlogEngine, _sg_run),
     "fo-two-hop-ring-8": (FOQueryEngine, _two_hop_run),
     "fp-tc-path-5": (FPQueryEngine, _tc_run),
+    "fo-loc-deg2-grid-3x3": (FOLocEngine, _deg2_loc_run),
+    "fp-loc-tc-ring-8": (FPLocEngine, _tc_loc_run),
+    "fp-loc-reach-grid-3x3": (FPLocEngine, _reach_loc_run),
 }
 
 
