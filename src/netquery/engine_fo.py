@@ -69,7 +69,6 @@ from .logic import (
 from .oracle import Relation
 from .simnet import (
     EncodingParams,
-    Message,
     Network,
     NodeContext,
     NodeEngine,
@@ -664,10 +663,14 @@ class _BroadcastEngine(NodeEngine):
         )
 
     def step(
-        self, state: Any, ctx: NodeContext, round_no: int, inbox: Sequence[Message]
+        self,
+        state: Any,
+        ctx: NodeContext,
+        round_no: int,
+        inbox: Sequence[tuple[Any, int]],
     ) -> StepResult:
         before = state.total_work()
-        state.ingest([m.payload for m in inbox])
+        state.ingest([payload for payload, _ in inbox])
         state.advance(round_no)
         outs = state.flush()
         sends = tuple(s for p in outs for s in broadcast(ctx, p))

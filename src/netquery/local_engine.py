@@ -53,7 +53,6 @@ from .logic import (
 )
 from .simnet import (
     EncodingParams,
-    Message,
     Network,
     NodeContext,
     NodeEngine,
@@ -504,36 +503,37 @@ class _Collector:
         for p in ctx.ports:
             out.append((p, ("C", self.nonce, radius, (p,))))
 
-    def note_collect(self, msg: Message) -> PortTrace:
-        """First pass over the inbox: record an arriving trace before any
-        row of this round is made, and return it."""
-        full = msg.payload[3] + (msg.dst_port,)
+    def note_collect(self, payload: tuple, port: int) -> PortTrace:
+        """First pass over the inbox: record a trace arriving on `port`
+        before any row of this round is made, and return it."""
+        full = payload[3] + (port,)
         if len(full) % 2:
             raise EngineError(f"malformed collection trace {full!r}")
-        self.records.setdefault(msg.payload[1], set()).add(full)
+        self.records.setdefault(payload[1], set()).add(full)
         return full
 
     def serve_collect(
         self,
         ctx: NodeContext,
-        msg: Message,
+        payload: tuple,
+        port: int,
         full: PortTrace,
         out: list[tuple[int, Any]],
     ) -> None:
-        _, wave, budget, _ = msg.payload
-        rest = [p for p in ctx.ports if p != msg.dst_port]
+        _, wave, budget, _ = payload
+        rest = [p for p in ctx.ports if p != port]
         if budget > 0 and rest:
             self.pending[(wave, full)] = (set(rest), [])
             for p in rest:
                 out.append((p, ("C", wave, budget - 1, full + (p,))))
         else:
             row = self._row(ctx, wave, full)
-            out.append((msg.dst_port, ("R", wave, full, (row,))))
+            out.append((port, ("R", wave, full, (row,))))
 
     def serve_reply(
-        self, ctx: NodeContext, msg: Message, out: list[tuple[int, Any]]
+        self, ctx: NodeContext, payload: tuple, out: list[tuple[int, Any]]
     ) -> None:
-        _, wave, walk, rows = msg.payload
+        _, wave, walk, rows = payload
         key = (wave, walk[:-2])
         waiting = self.pending.get(key)
         port = walk[-2]
@@ -624,15 +624,20 @@ class _LocalEngine(NodeEngine):
             _, state.center, state.k, state.query, state.relay = read
 
     def _serve(
-        self, state: Any, ctx: NodeContext, m: Message, out: list[tuple[int, Any]]
+        self,
+        state: Any,
+        ctx: NodeContext,
+        payload: tuple,
+        port: int,
+        out: list[tuple[int, Any]],
     ) -> int:
-        raise EngineError(f"unexpected message tag {m.payload[0]!r}")
+        raise EngineError(f"unexpected message tag {payload[0]!r}")
 
     def _serve_inbox(
         self,
         state: _LocalState,
         ctx: NodeContext,
-        inbox: Sequence[Message],
+        inbox: Sequence[tuple[Any, int]],
         out: list[tuple[int, Any]],
     ) -> int:
         """Note every arriving collection trace before any row of this round
@@ -641,19 +646,21 @@ class _LocalEngine(NodeEngine):
         work = len(inbox)
         inbox = sorted(inbox)
         collector = state.collector
-        walks = iter(
-            [collector.note_collect(m) for m in inbox if m.payload[0] == "C"]
-        )
-        for m in inbox:
-            tag = m.payload[0]
+        walks = iter([
+            collector.note_collect(payload, port)
+            for payload, port in inbox
+            if payload[0] == "C"
+        ])
+        for payload, port in inbox:
+            tag = payload[0]
             if tag == "lq":
-                self._adopt(state, m.payload[1])
+                self._adopt(state, payload[1])
             elif tag == "C":
-                collector.serve_collect(ctx, m, next(walks), out)
+                collector.serve_collect(ctx, payload, port, next(walks), out)
             elif tag == "R":
-                collector.serve_reply(ctx, m, out)
+                collector.serve_reply(ctx, payload, out)
             else:
-                work += self._serve(state, ctx, m, out)
+                work += self._serve(state, ctx, payload, port, out)
         if state.relay is not None:
             out.extend(broadcast(ctx, ("lq", state.relay)))
             state.relay = None
@@ -713,7 +720,7 @@ class FOLocEngine(_LocalEngine):
         state: _FOLocState,
         ctx: NodeContext,
         round_no: int,
-        inbox: Sequence[Message],
+        inbox: Sequence[tuple[Any, int]],
     ) -> StepResult:
         if not inbox and state.relay is None and (
             state.query is None or state.collector.radius is not None
@@ -845,7 +852,7 @@ class FPLocEngine(_LocalEngine):
         state: _FPLocState,
         ctx: NodeContext,
         round_no: int,
-        inbox: Sequence[Message],
+        inbox: Sequence[tuple[Any, int]],
     ) -> StepResult:
         out: list[tuple[int, Any]] = []
         c0, f0, tau = _fp_loc_clock(ctx.diameter, state.k)
@@ -929,29 +936,34 @@ class FPLocEngine(_LocalEngine):
         self,
         state: _FPLocState,
         ctx: NodeContext,
-        m: Message,
+        payload: tuple,
+        port: int,
         out: list[tuple[int, Any]],
     ) -> int:
-        tag = m.payload[0]
+        tag = payload[0]
         if tag == "A":
-            return self._serve_ask(state, m, out)
+            return self._serve_ask(state, payload, port, out)
         if tag == "B":
-            return self._serve_answer(state, m, out)
+            return self._serve_answer(state, payload, port, out)
         if tag == "N":
             state.inform_heard = True
-            budget = m.payload[1]
+            budget = payload[1]
             if budget - 1 > state.max_relayed:
                 state.max_relayed = budget - 1
                 out.extend(broadcast(ctx, ("N", budget - 1)))
             return 0
-        return super()._serve(state, ctx, m, out)
+        return super()._serve(state, ctx, payload, port, out)
 
     def _serve_ask(
-        self, state: _FPLocState, m: Message, out: list[tuple[int, Any]]
+        self,
+        state: _FPLocState,
+        payload: tuple,
+        port: int,
+        out: list[tuple[int, Any]],
     ) -> int:
-        _, route, j, names = m.payload
+        _, route, j, names = payload
         route = tuple(route)
-        if m.dst_port != route[j - 1]:
+        if port != route[j - 1]:
             raise EngineError("routed query strayed from its walk")
         if j < len(route):
             out.append((route[j], ("A", route, j + 2, names)))
@@ -968,11 +980,15 @@ class FPLocEngine(_LocalEngine):
         return 1
 
     def _serve_answer(
-        self, state: _FPLocState, m: Message, out: list[tuple[int, Any]]
+        self,
+        state: _FPLocState,
+        payload: tuple,
+        port: int,
+        out: list[tuple[int, Any]],
     ) -> int:
-        _, back, j, route, names, truth = m.payload
+        _, back, j, route, names, truth = payload
         back = tuple(back)
-        if m.dst_port != back[j - 1]:
+        if port != back[j - 1]:
             raise EngineError("routed answer strayed from its walk")
         if j < len(back):
             out.append((back[j], ("B", back, j + 2, route, names, truth)))

@@ -12,10 +12,10 @@ its argument positions bound before it, a negated literal probes a
 membership set, and guards bind or test slots.  The indexes live on a
 `FactView` of one evaluation's facts, which builds only those the plans
 probe; their buckets keep the facts' ascending order, so a plan yields its
-bindings in a fixed order.  A view may share a memo with earlier views, as
-each node's views do across rounds, and reuses every index built on a
-predicate whose tuples have not changed.  Building a plan is the rule
-safety check:
+bindings in a fixed order.  A view reads a store grouped by predicate
+(`group_facts`).  It may share a memo with earlier views, as each node's
+views do across rounds, and reuses every index built on a predicate whose
+tuples have not changed.  Building a plan is the rule safety check:
 `parse_netlog`, `oracle.eval_datalog` and `rewriter.compile` reject through
 it a body that cannot be ordered or that leaves a head variable unbound.
 
@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import (
+    AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence,
+)
 
 from . import simnet
 from .logic import (
@@ -647,31 +649,42 @@ def _generate(plan: RulePlan) -> Callable[[FactView, list[Fact], int], None]:
     return env["f0"]
 
 
+def group_facts(facts: Iterable[Fact]) -> dict[str, set[tuple[int, ...]]]:
+    """A flat fact set as the store a `FactView` reads."""
+    store: dict[str, set[tuple[int, ...]]] = {}
+    for pred, args in facts:
+        store.setdefault(pred, set()).add(args)
+    return store
+
+
+_NO_TUPLES: frozenset[tuple[int, ...]] = frozenset()
+
+
 class FactView:
-    """The facts one evaluation sees: a fact store, the unary input facts
-    and the visible edges, each given once and matched both ways.  A node
-    sees its own store and only the edges that touch it.  The indexes that
-    plan steps probe are built on first use, each predicate's sorted tuples
-    once for all its indexes; a bucket lists its tuples in ascending order.
+    """The facts one evaluation sees: a fact store grouped by predicate
+    (`group_facts`), the unary input facts and the visible edges, each
+    given once and matched both ways.  A node sees its own store and only
+    the edges that touch it.  The indexes that plan steps probe are built
+    on first use, each predicate's sorted tuples once for all its indexes;
+    a bucket lists its tuples in ascending order.
 
     `memo` maps each predicate to the tuple set it had when last seen, that
     set's ascending list and the indexes built on the list, by step name.
     A view given the memo of earlier views reuses the list and the indexes
-    of a predicate whose tuples equal the memo's.  None of them is ever
-    changed once built."""
+    of a predicate whose tuples are the memo's set, or equal to it.  None
+    of them is ever changed once built, and a store set that enters the
+    memo is never mutated again, so that the identity check stays sound."""
 
-    __slots__ = ("by_pred", "unary", "edges", "indexes", "seen", "memo")
+    __slots__ = ("store", "unary", "edges", "indexes", "seen", "memo")
 
     def __init__(
         self,
-        facts: Iterable[Fact],
+        store: Mapping[str, AbstractSet[tuple[int, ...]]],
         unary: Mapping[str, frozenset[int]],
         edges: Iterable[tuple[int, int]],
         memo: Optional[dict[str, tuple[set, list, dict]]] = None,
     ):
-        self.by_pred: dict[str, set[tuple[int, ...]]] = {}
-        for pred, args in facts:
-            self.by_pred.setdefault(pred, set()).add(args)
+        self.store = store
         self.unary = unary
         self.edges = tuple(edges)
         self.indexes: dict[Any, Any] = {}  # a plan step's name -> its index
@@ -690,11 +703,11 @@ class FactView:
             if pred == EDGE_PRED:
                 out = {e for u, v in self.edges for e in ((u, v), (v, u))}
             else:
-                out = self.by_pred.get(pred, set())
+                out = self.store.get(pred, _NO_TUPLES)
                 if pred in self.unary:
                     out = out | {(a,) for a in self.unary[pred]}
             entry = self.memo.get(pred)
-            if entry is None or entry[0] != out:
+            if entry is None or (entry[0] is not out and entry[0] != out):
                 entry = self.memo[pred] = (out, sorted(out), {})
             self.seen[pred] = entry
         if step[0] == _ABSENT:
@@ -744,7 +757,7 @@ def match_body(
     head = RelLit("", tuple(Var(n) for n in names))
     out: list[Fact] = []
     plan = plan_rule(NetlogRule(head, tuple(body)))
-    _match_literal(plan, FactView(facts, g.unary, g.edges()), out)
+    _match_literal(plan, FactView(group_facts(facts), g.unary, g.edges()), out)
     for _, values in out:
         yield dict(zip(names, values))
 
@@ -773,22 +786,16 @@ def _program_plans(program: NetlogProgram) -> tuple[RulePlan, ...]:
     return node_plans(program.rules)
 
 
-def _placed(
+def _derived(
     plans: Sequence[RulePlan], view: FactView, v: int
-) -> tuple[list[Fact], list[tuple[int, list[Fact]]]]:
-    """Every fact the plans derive at node v, in order: the local plans'
-    facts, which stay at v, and for each other plan its head holding
-    position and its facts, each for the node named at that position."""
-    here: list[Fact] = []
-    placed: list[tuple[int, list[Fact]]] = []
+) -> Iterator[tuple[RulePlan, list[Fact]]]:
+    """Each plan with the facts it derives at node v, in plan order.  A
+    local plan's facts stay at v; another's go to the node named at its
+    head holding position."""
     for plan in plans:
-        if plan.local:
-            _match_literal(plan, view, here, v)
-        else:
-            out: list[Fact] = []
-            _match_literal(plan, view, out, v)
-            placed.append((plan.rule.head.holding, out))  # type: ignore[arg-type]
-    return here, placed
+        facts: list[Fact] = []
+        _match_literal(plan, view, facts, v)
+        yield plan, facts
 
 
 def _consequence(
@@ -797,10 +804,12 @@ def _consequence(
     new_stores: dict[int, set[Fact]] = {v: set() for v in g.nodes}
     for v in g.nodes:
         edges = [(v, u) for u in g.adj[v]]
-        view = FactView(instance.stores.get(v, frozenset()), g.unary, edges)
-        here, placed = _placed(plans, view, v)
-        new_stores[v].update(here)
-        for holding, facts in placed:
+        store = group_facts(instance.stores.get(v, ()))
+        for plan, facts in _derived(plans, FactView(store, g.unary, edges), v):
+            if plan.local:
+                new_stores[v].update(facts)
+                continue
+            holding = plan.rule.head.holding
             for fact in facts:
                 target = fact[1][holding]
                 if target not in new_stores:
@@ -859,18 +868,27 @@ def default_round_cap(program: NetlogProgram, g: Graph) -> int:
 # -------------------------------------------------------- distributed run
 
 
+_ARGS = itemgetter(1)  # a fact's argument tuple
+_PAYLOAD = itemgetter(0)  # a delivered message's payload
+
+
 @dataclass
 class _NetlogNodeState:
-    """snapshot holds this node's slice of the current global instance:
-    locally derived facts from the previous round plus just-arrived pushes.
-    The neighbour-to-port map, the incident edges and the index memo of the
+    """A node's facts, each store mapping a predicate to its set of argument
+    tuples, with no empty set.  `local` holds what the node's last step
+    derived for itself; the next step adds the facts that arrive to it, and
+    the result is that round's slice of the global instance, `snapshot`.  A
+    snapshot keeps the previous snapshot's set object for every predicate
+    whose tuples did not change, so its views find their memo entries by
+    identity; a set in a snapshot is never mutated again.  The
+    neighbour-to-port map, the incident edges and the index memo of the
     node's views are kept for the whole run."""
 
-    local: frozenset[Fact]
+    local: dict[str, set[tuple[int, ...]]]
     port_of: dict[int, int]
     edges: tuple[tuple[int, int], ...]
     memo: dict[str, tuple[set, list, dict]] = field(default_factory=dict)
-    snapshot: Optional[frozenset[Fact]] = None
+    snapshot: Optional[dict[str, set[tuple[int, ...]]]] = None
 
 
 class NetlogEngine(simnet.NodeEngine):
@@ -880,9 +898,13 @@ class NetlogEngine(simnet.NodeEngine):
     derivations plus arrived pushed facts), fires every rule on it, keeps
     derivations addressed to itself, and sends push-rule derivations to the
     neighbor named by the head holding argument.  The store is replaced
-    every round; persistence needs explicit copy rules.  A step reads its
-    inbox as a set and its views sort what they index, so the order of
-    delivery cannot reach what it derives.
+    every round; persistence needs explicit copy rules.  A node keeps its
+    slice per predicate (`_NetlogNodeState`), so a step costs its arrivals,
+    its derivations and one comparison per predicate with the previous
+    slice, which also decides quiescence; a predicate that did not change
+    reuses its sorted list and indexes at once.  A step reads its inbox as
+    a set and its views sort what they index, so the order of delivery
+    cannot reach what it derives.
     """
 
     reads_inbox_as_set = True
@@ -900,48 +922,77 @@ class NetlogEngine(simnet.NodeEngine):
             raise NetlogError("the rule engine needs globally unique node ids")
         port_of = {b: p for p, b in ctx.neighbor_ids.items()}
         return _NetlogNodeState(
-            frozenset({("start", (v,))}), port_of, tuple((v, u) for u in port_of)
+            {"start": {(v,)}}, port_of, tuple((v, u) for u in port_of)
         )
 
     def step(self, state: _NetlogNodeState, ctx, round_no: int, inbox):
         v = ctx.node_id
-        snapshot = state.local.union([m[0] for m in inbox])
-        quiescent = snapshot == state.snapshot
+        snapshot = state.local
+        # Several neighbours may push the same fact: add each once.
+        for pred, args in set(map(_PAYLOAD, inbox)):
+            tuples = snapshot.get(pred)
+            if tuples is None:
+                snapshot[pred] = {args}
+            else:
+                tuples.add(args)
+        # Neither store holds an empty set, so the slice repeats the
+        # previous one when both name the same predicates with equal sets.
+        previous = state.snapshot
+        quiescent = previous is not None and len(previous) == len(snapshot)
+        if previous is not None:
+            for pred, tuples in snapshot.items():
+                old = previous.get(pred)
+                if old == tuples:
+                    snapshot[pred] = old
+                else:
+                    quiescent = False
         state.snapshot = snapshot
         view = FactView(snapshot, ctx.global_unary, state.edges, state.memo)
-        here, placed = _placed(self.plans, view, v)
-        local = set(here)
+        local: dict[str, set[tuple[int, ...]]] = {}
         sends: list[tuple[int, Fact]] = []
-        bits = 0
-        work = 1 + len(here)
-        port_of, sizes = state.port_of, self.sizes
-        for holding, facts in placed:
+        work = 1
+        port_of = state.port_of
+        for plan, facts in _derived(self.plans, view, v):
+            if not facts:
+                continue
             work += len(facts)
+            if plan.local:
+                pred = plan.rule.head.pred
+                tuples = local.get(pred)
+                if tuples is None:
+                    local[pred] = set(map(_ARGS, facts))
+                else:
+                    tuples.update(map(_ARGS, facts))
+                continue
+            holding = plan.rule.head.holding
             for fact in facts:
-                target = fact[1][holding]
                 try:
-                    port = port_of[target]
+                    sends.append((port_of[fact[1][holding]], fact))
                 except KeyError:
+                    target = fact[1][holding]
                     if target != v:
                         raise NetlogError(
                             f"fact {fact[0]}{fact[1]} addressed to non-neighbor "
                             f"{target}"
                         ) from None
-                    local.add(fact)
-                    continue
-                sends.append((port, fact))
-                try:
-                    size = sizes[fact]
-                except KeyError:
-                    size = self.payload_bits(fact, ctx.enc)
-                if size > bits:
-                    bits = size
-        state.local = frozenset(local)
+                    local.setdefault(fact[0], set()).add(fact[1])
+        state.local = local
+        bits = 0
+        if sends:
+            # `sizes` holds every fact sized so far; a step that sends a new
+            # one sizes its sends through `payload_bits`, which adds them.
+            try:
+                bits = max(map(self.sizes.__getitem__, map(_ARGS, sends)))
+            except KeyError:
+                bits = max(self.payload_bits(fact, ctx.enc) for _, fact in sends)
         # The store is replaced every round, so every round needs a step.
         return simnet.StepResult(tuple(sends), quiescent, work, round_no + 1, bits)
 
     def collect(self, state: _NetlogNodeState, ctx) -> frozenset[Fact]:
-        return state.snapshot if state.snapshot is not None else state.local
+        store = state.snapshot if state.snapshot is not None else state.local
+        return frozenset(
+            (pred, args) for pred, tuples in store.items() for args in tuples
+        )
 
     def payload_bits(self, payload: Fact, enc) -> int:
         bits = self.sizes.get(payload)

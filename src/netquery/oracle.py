@@ -2,12 +2,16 @@
 
 Brute-force, unoptimized by design: nested iteration over all assignments,
 BFS-recomputed metadata, inflationary fixpoints iterated stage by stage.
+The one exception is `eval_fp_loc`, which lets a radius-bounded query's
+non-centre variables range over the centre's ball only, where its guard
+makes every other assignment false.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .logic import (
     And,
@@ -339,26 +343,51 @@ def eval_fp(
 ) -> StageTrace:
     """Inflationary fixpoint: I_0 = empty, I_{i+1} = body(I_i) union I_i."""
     _check_query(g, q, aux or {})
-    aux = dict(aux or {})
+    return _stages(
+        g, q, aux, lambda stage: eval_fo(g, q.body, order=q.vars, aux=stage).tuples
+    )
+
+
+def eval_fp_loc(g: Graph, q: FixpointQuery) -> StageTrace:
+    """`eval_fp` for a radius-bounded query, over balls.  `logic.locality`
+    guards every declared variable but the centre x = vars[0] by a top-level
+    `y in N^k(x)`, so a tuple with a component outside x's k-ball is false
+    in every stage: the centre ranges over all nodes, the other variables
+    over its ball only, and each stage equals `eval_fp`'s."""
+    if q.radius is None:
+        raise OracleError("eval_fp_loc requires a query with a locality radius")
+    _check_query(g, q, {})
+    candidates = [
+        (a, *rest)
+        for a in g.nodes
+        for rest in product(g.neighborhood_nodes(a, q.radius), repeat=q.arity - 1)
+    ]
+    return _stages(g, q, None, lambda stage: {
+        t for t in candidates if holds(g, q.body, dict(zip(q.vars, t)), stage)
+    })
+
+
+def _stages(
+    g: Graph,
+    q: FixpointQuery,
+    aux: Optional[AuxRelations],
+    produce: Callable[[AuxRelations], Iterable[tuple[int, ...]]],
+) -> StageTrace:
+    """The inflationary stages of q, where `produce` gives the tuples the
+    body holds for under the relations of one stage."""
+    stage = dict(aux or {})
     ell = q.arity
     stages = [Relation(ell, frozenset())]
     current: frozenset[tuple[int, ...]] = frozenset()
     cap = g.n**ell + 2
     for _ in range(cap):
-        aux[q.name] = Relation(ell, current)
-        produced = eval_fo(g, q.body, order=q.vars, aux=aux)
-        nxt = current | produced.tuples
+        stage[q.name] = Relation(ell, current)
+        nxt = current.union(produce(stage))
         stages.append(Relation(ell, nxt))
         if nxt == current:
             return StageTrace(tuple(stages))
         current = nxt
     raise OracleError("fixpoint did not converge within the stage cap")
-
-
-def eval_fp_loc(g: Graph, q: FixpointQuery) -> StageTrace:
-    if q.radius is None:
-        raise OracleError("eval_fp_loc requires a query with a locality radius")
-    return eval_fp(g, q)
 
 
 # ----------------------------------------------------------- neighborhoods
@@ -395,7 +424,7 @@ def eval_datalog(program, g: Graph) -> StageTrace:
     provides the concrete types and parser.
     """
     # local import to keep layering one-way
-    from .netlog import FactView, NetlogError, _match_literal, plan_rule
+    from .netlog import FactView, NetlogError, _match_literal, group_facts, plan_rule
 
     try:
         plans = [plan_rule(rule) for rule in program.rules]
@@ -405,7 +434,7 @@ def eval_datalog(program, g: Graph) -> StageTrace:
     stages = [facts]
     cap = _datalog_cap(program, g)
     for _ in range(cap):
-        view = FactView(facts, g.unary, g.edges())
+        view = FactView(group_facts(facts), g.unary, g.edges())
         out: list[tuple[str, tuple[int, ...]]] = []
         for plan in plans:
             _match_literal(plan, view, out)

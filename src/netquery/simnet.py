@@ -16,6 +16,9 @@ A node's context (`NodeContext`) holds what the identity mode exposes and
 a private 32-bit nonce, the node's own random bits; the simulator's own node
 numbers reach an engine only as the ids of global mode.
 
+A delivered message is a plain `(payload, arrival port)` pair, and a node's
+in-buffer a tuple of them: one delivery format for every engine.
+
 Each step reports the largest wire size among its sends (`StepResult.bits`,
 which the engine sizes itself).  The simulator checks that a step that sends
 reports at least one bit, and MSG-SIZE is the largest over the delivered
@@ -352,30 +355,18 @@ def _context_for(net: Network, a: int) -> NodeContext:
     )
 
 
-# ---------------------------------------------------------------- messages
-
-
-class Message(NamedTuple):
-    """One delivered message: a tuple, which is cheaper to make than a
-    frozen dataclass, read by its field names."""
-
-    payload: Any
-    dst_port: int  # arrival port at the receiver
-
-
-# Message(payload, port) without the call of its Python-level __new__.
-_new_message = tuple.__new__
+# ------------------------------------------------------------------- steps
 
 
 class StepResult(NamedTuple):
-    """What one node's step produced (a tuple, like `Message`, because
-    every node step makes one).  `quiescent` says that a further round
-    would change nothing this node holds or reports; `steps` is the work
-    the step took (IN-TIME/ROUND); `wake_at`, when set, is the next round
-    (after this one) in which the node must step even with no mail.  A
-    node that sends is stepped in the next round anyway.  `bits` is the
-    largest wire size among the sends, at least 1 when there are any, with
-    each distinct payload object of the step sized once."""
+    """What one node's step produced (a tuple, because every node step
+    makes one).  `quiescent` says that a further round would change nothing
+    this node holds or reports; `steps` is the work the step took
+    (IN-TIME/ROUND); `wake_at`, when set, is the next round (after this
+    one) in which the node must step even with no mail.  A node that sends
+    is stepped in the next round anyway.  `bits` is the largest wire size
+    among the sends, at least 1 when there are any, with each distinct
+    payload object of the step sized once."""
 
     sends: tuple[tuple[int, Any], ...]  # (port, payload)
     quiescent: bool
@@ -396,6 +387,11 @@ class NodeEngine:
     and report the same quiescence as the node's last step.  The run ends
     after the first round after which every node's last report is
     quiescent, and the sends of that round are never delivered.
+
+    A step's inbox is a tuple of `(payload, arrival port)` pairs, one per
+    message delivered to the node in the round before.  They are plain
+    tuples, not a named type: the simulator makes one per delivered message,
+    and a tuple subclass costs several times as much to make and free.
 
     Every method gets the node's `NodeContext`: what the identity mode
     exposes plus the node's nonce.  A step sizes its own sends and reports
@@ -418,7 +414,7 @@ class NodeEngine:
         state: Any,
         ctx: NodeContext,
         round_no: int,
-        inbox: Sequence[Message],
+        inbox: Sequence[tuple[Any, int]],
     ) -> StepResult:
         raise NotImplementedError
 
@@ -528,7 +524,8 @@ def run(
         a: {p: (b, net.port_to[b][a]) for p, b in enumerate(net.ports[a], 1)}
         for a in g.nodes
     }
-    inboxes: defaultdict[int, list[Message]] = defaultdict(list)  # nodes with mail
+    # node -> its (payload, arrival port) pairs, for nodes with mail
+    inboxes: defaultdict[int, list[tuple[Any, int]]] = defaultdict(list)
     restless: set[int] = set()  # nodes whose last report is not quiescent
     wake: dict[int, int] = {}  # node -> the wake-up round of its last report
     calendar: list[tuple[int, int]] = []  # heap of (wake-up round, node)
@@ -593,7 +590,7 @@ def run(
                         b, arrival = link[port]
                     except KeyError:
                         raise SimError(f"node {a} has no port {port}") from None
-                    inboxes[b].append(_new_message(Message, (payload, arrival)))
+                    inboxes[b].append((payload, arrival))
                 msgs_sent[a] += len(sends)
             deliveries += 1
             if shuffle:

@@ -1,4 +1,6 @@
 """Distributed fixpoint evaluation against the centralized oracle."""
+import math
+
 import pytest
 
 from netquery import engine_fo, simnet
@@ -12,7 +14,9 @@ from netquery.engine_fp import (
 from netquery.fixtures import (
     ROUTING_TABLE_TEXT,
     SPANNING_TREE_TEXT,
+    TRANSITIVE_CLOSURE_DATALOG,
     TRANSITIVE_CLOSURE_TEXT,
+    TWO_HOP_TEXT,
     exhaustive_graphs,
     fixture_graphs,
 )
@@ -24,7 +28,9 @@ from netquery.logic import (
     relativize_fixpoint,
     stats,
 )
+from netquery.netlog import run_netlog
 from netquery.oracle import eval_fp, path_graph, ring_graph
+from netquery.rewriter import compile as compile_program
 from netquery.simnet import ANONYMOUS, make_network
 
 GRAPHS = dict(fixture_graphs())
@@ -156,18 +162,37 @@ def test_response_time_within_budget():
 
 
 def test_message_size_logarithmic_in_network_size():
+    """MSG-SIZE is at most a + b * log2(n), with a fixed by the query text,
+    for FP TC on paths, FO two-hop on rings and compiled TC on paths."""
     q = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
     for name in ["path-3", "path-6"]:
         g = GRAPHS[name]
         _, m = run_qe_fp(_net(g), q, min(g.nodes))
         # formula text plus a constant number of ids and counters
         assert m.max_msg_bits <= 8 * 64 + 6 * g.n.bit_length(), name
+    for n in (4, 6, 8):
+        _, m = engine_fo.run_qe_fo(_net(ring_graph(n)), TWO_HOP_TEXT, 1)
+        # the query text with node ids in place of its free variable, a tag
+        # and a counter
+        assert m.max_msg_bits <= 8 * (len(TWO_HOP_TEXT) + 8) + 6 * math.log2(n), n
+    for n in range(3, 9):
+        g = path_graph(n)
+        program = compile_program(TRANSITIVE_CLOSURE_DATALOG, g.diameter).program
+        _, m = run_netlog(program, _net(g))
+        # A pushed fact is a tag and at most `arity` arguments, each a node
+        # id or a clock value below n, so of at most log2(n) + 1 bits.
+        arity = max(len(rule.head.args) for rule in program.rules if rule.push)
+        assert m.max_msg_bits <= 8 + arity * (math.log2(n) + 1), n
 
 
 # ---------------------------------------------------------- insensitivity
 
 
-def test_outcome_insensitive_to_delivery_order_and_ports():
+def test_outcome_insensitive_to_delivery_order_and_ports(permuted_inboxes):
+    """TC on ring-4 gives the same relation and metrics under port seeds
+    and inbox orders: every step's inbox is permuted by a generator seeded
+    with the order seed, and in every run some permutation leaves send
+    order."""
     q = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
     g = GRAPHS["ring-4"]
     want = eval_fp(g, q).final
@@ -175,7 +200,9 @@ def test_outcome_insensitive_to_delivery_order_and_ports():
     for order_seed in (0, 1, 7):
         for port_seed in (0, 3):
             net = make_network(g, port_seed=port_seed)
-            got, m = run_qe_fp(net, q, 2, order_seed=order_seed)
+            with permuted_inboxes(FPQueryEngine, order_seed) as moved:
+                got, m = run_qe_fp(net, q, 2, order_seed=order_seed)
+            assert any(moved)
             assert got.tuples == want.tuples
             signatures.add(
                 (

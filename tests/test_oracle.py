@@ -314,6 +314,28 @@ def test_eval_fp_loc_requires_radius():
         eval_fp_loc(path_graph(3), parse_fixpoint(TRANSITIVE_CLOSURE_TEXT))
 
 
+REACH_TEXT = "mu R(x). ReqNode(x) | (exists y. (R(y) & G(y,x)))"
+
+
+def test_eval_fp_loc_over_balls_equals_eval_fp_stage_for_stage():
+    """The ball oracle and the brute-force spec agree in every stage on the
+    FP-loc engine's queries (TC, spanning tree and reachability at radius 1
+    and 2) on every connected graph of up to 4 nodes and on seeded random
+    graphs, with the requester fact on the smallest node."""
+    queries = [
+        relativize_fixpoint(parse_fixpoint(text), k)
+        for text in (TRANSITIVE_CLOSURE_TEXT, SPANNING_TREE_TEXT, REACH_TEXT)
+        for k in (1, 2)
+    ]
+    rng = random.Random(1995)
+    graphs = [g for _, g in exhaustive_graphs(4)]
+    graphs += [random_connected_graph(rng, n) for n in (5, 6, 7, 8)]
+    for g in graphs:
+        g = g.with_unary({"ReqNode": [min(g.nodes)]})
+        for q in queries:
+            assert eval_fp_loc(g, q) == eval_fp(g, q), (g.adj, q)
+
+
 # ----------------------------------------------------------------- datalog
 
 

@@ -48,7 +48,6 @@ from netquery.simnet import (
     ANONYMOUS,
     GLOBAL_IDS,
     IdentityMode,
-    Message,
     Metrics,
     NodeEngine,
     RoundCapError,
@@ -97,7 +96,7 @@ class FloodOnce(NodeEngine):
             sends = broadcast(ctx, "token")
             state[:] = [round_no, False]
         elif state[0] is None:
-            arrivals = {m.dst_port for m in inbox if m.payload == "token"}
+            arrivals = {port for payload, port in inbox if payload == "token"}
             if arrivals:
                 sends = [(p, "token") for p in ctx.ports if p not in arrivals]
                 state[0] = round_no
@@ -622,7 +621,7 @@ def reference_run(net, engine, init=None, order_seed=0, round_cap=10_000):
             for a in g.nodes:
                 for port, payload in sends[a]:
                     b = net.neighbor_on_port(a, port)
-                    inboxes[b].append(Message(payload, net.port_to[b][a]))
+                    inboxes[b].append((payload, net.port_to[b][a]))
                     msgs_sent[a] += 1
                     max_bits = max(max_bits, engine.payload_bits(payload, net.enc))
             deliveries += 1
