@@ -189,7 +189,6 @@ def cmd_qe(args) -> int:
         net,
         query,
         _requester(args),
-        order_seed=args.order_seed,
         round_cap=args.rounds_cap,
         with_placement=True,
     )
@@ -206,9 +205,7 @@ def cmd_qe(args) -> int:
 def cmd_netlog_run(args) -> int:
     net = _load_net(args)
     program = parse_netlog(_query_text(args))
-    instance, metrics = run_netlog(
-        program, net, order_seed=args.order_seed, round_cap=args.rounds_cap
-    )
+    instance, metrics = run_netlog(program, net, round_cap=args.rounds_cap)
     _print_facts(sorted(instance.union_facts()), args.format)
     _print_placement(instance.stores, args.format)
     print(metrics_report(metrics, args.format))
@@ -323,7 +320,6 @@ _OPTIONS = {
         help="label map file for locally-consistent mode ('node label' lines)"
     ),
     "--port-seed": dict(type=_integer, default=0),
-    "--order-seed": dict(type=_integer, default=0),
     "--rounds-cap": dict(type=_round_cap, default=None),
     "--format": dict(choices=("table", "csv"), default="table"),
     "--check": dict(
@@ -336,7 +332,7 @@ _OPTIONS = {
 
 _RUN_OPTIONS = (
     "--net", "--query", "--identity", "--labels", "--port-seed",
-    "--order-seed", "--rounds-cap", "--format", "--check",
+    "--rounds-cap", "--format", "--check",
 )
 _EVAL_OPTIONS = ("--net", "--query", "--format")
 

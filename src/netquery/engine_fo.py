@@ -645,10 +645,7 @@ class _BroadcastEngine(NodeEngine):
     Both cores read their inbox as a set by construction: `FOCore.ingest`
     sorts what it takes in, `FPCore.ingest` keeps the largest hop count
     among a round's FPQ copies and among its I copies and hands the F
-    payloads to its FOCore, and both `flush`es sort.  So the simulator
-    delivers in send order and does not shuffle."""
-
-    reads_inbox_as_set = True
+    payloads to its FOCore, and both `flush`es sort."""
 
     def start(self, ctx: NodeContext) -> Any:
         if ctx.node_id is None or ctx.neighbor_ids is None:
@@ -753,7 +750,6 @@ def _run_from_requester(
     variables: tuple[str, ...],
     order: Optional[Sequence[str]],
     *,
-    order_seed: int,
     round_cap: int,
     with_placement: bool,
     fragment: Callable[[int, Any], Iterable[tuple[int, ...]]],
@@ -774,7 +770,6 @@ def _run_from_requester(
         net,
         make_engine(ordered),
         init={requester: query},
-        order_seed=order_seed,
         round_cap=round_cap,
     )
     placement = {
@@ -792,7 +787,6 @@ def run_qe_fo(
     requester: int,
     *,
     order: Optional[Sequence[str]] = None,
-    order_seed: int = 0,
     round_cap: Optional[int] = None,
     with_placement: bool = False,
 ):
@@ -811,7 +805,6 @@ def run_qe_fo(
         requester,
         free_vars(f),
         order,
-        order_seed=order_seed,
         round_cap=round_cap if round_cap is not None else budget + delta + 8,
         with_placement=with_placement,
         fragment=lambda a, rep: rep.tuples,

@@ -282,7 +282,7 @@ def run_qe_fp(
     query: Union[FixpointQuery, str],
     requester: int,
     *,
-    order_seed: int = 0,
+    order_seed: int = 0,  # unread: bench/workloads.py passes it (ROADMAP item 2)
     round_cap: Optional[int] = None,
     with_placement: bool = False,
 ):
@@ -298,7 +298,6 @@ def run_qe_fp(
         requester,
         q.vars,
         None,
-        order_seed=order_seed,
         round_cap=(
             round_cap if round_cap is not None else default_fp_round_cap(net, q)
         ),

@@ -599,12 +599,10 @@ class _LocalEngine(NodeEngine):
     through the same compiled checks.  A text that fails to read is not
     kept and fails again at every node that reads it.
 
-    A step serves its inbox sorted, so it reads the inbox as a set and the
-    simulator does not permute it.  Messages compare by payload first, and
-    two local messages in one inbox differ by their tag, wave, trace, route
-    or query text before any row or label would be compared."""
-
-    reads_inbox_as_set = True
+    A step serves its inbox sorted, so it reads the inbox as a set.
+    Messages compare by payload first, and two local messages in one inbox
+    differ by their tag, wave, trace, route or query text before any row or
+    label would be compared."""
 
     def __init__(self) -> None:
         self.reads: dict[str, tuple[Any, str, int, _Compiled, str]] = {}
@@ -757,7 +755,7 @@ def run_qe_fo_loc(
     requester: int,
     *,
     order: Optional[Sequence[str]] = None,
-    order_seed: int = 0,
+    order_seed: int = 0,  # unread: bench/workloads.py passes it (ROADMAP item 2)
     round_cap: Optional[int] = None,
     with_placement: bool = False,
 ):
@@ -774,7 +772,6 @@ def run_qe_fo_loc(
         requester,
         free_vars(f),
         order,
-        order_seed=order_seed,
         round_cap=(
             round_cap if round_cap is not None
             else net.graph.diameter + 2 * k + 16
@@ -1075,7 +1072,7 @@ def run_qe_fp_loc(
     query: Union[FixpointQuery, str],
     requester: int,
     *,
-    order_seed: int = 0,
+    order_seed: int = 0,  # unread: bench/workloads.py passes it (ROADMAP item 2)
     round_cap: Optional[int] = None,
     with_placement: bool = False,
 ):
@@ -1091,7 +1088,6 @@ def run_qe_fp_loc(
         requester,
         q.vars,
         None,
-        order_seed=order_seed,
         round_cap=(
             round_cap if round_cap is not None
             else default_fp_loc_round_cap(net, q)

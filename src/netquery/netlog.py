@@ -13,7 +13,8 @@ membership set, and guards bind or test slots.  The indexes live on a
 `FactView` of one evaluation's facts, which builds only those the plans
 probe; their buckets keep the facts' ascending order, so a plan yields its
 bindings in a fixed order.  A view reads a store grouped by predicate
-(`group_facts`).  It may share a memo with earlier views, as each node's
+(`group_facts`) and an edge set that holds both orientations
+(`both_ways`).  It may share a memo with earlier views, as each node's
 views do across rounds, and reuses every index built on a predicate whose
 tuples have not changed.  Building a plan is the rule safety check:
 `parse_netlog`, `oracle.eval_datalog` and `rewriter.compile` reject through
@@ -657,23 +658,30 @@ def group_facts(facts: Iterable[Fact]) -> dict[str, set[tuple[int, ...]]]:
     return store
 
 
+def both_ways(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """Edges as the set of both their orientations, which a `FactView`
+    matches `G` atoms against."""
+    return frozenset(e for u, v in edges for e in ((u, v), (v, u)))
+
+
 _NO_TUPLES: frozenset[tuple[int, ...]] = frozenset()
 
 
 class FactView:
     """The facts one evaluation sees: a fact store grouped by predicate
-    (`group_facts`), the unary input facts and the visible edges, each
-    given once and matched both ways.  A node sees its own store and only
-    the edges that touch it.  The indexes that plan steps probe are built
-    on first use, each predicate's sorted tuples once for all its indexes;
-    a bucket lists its tuples in ascending order.
+    (`group_facts`), the unary input facts and the visible edges in both
+    orientations (`both_ways`), taken as given.  A node sees its own store
+    and only the edges that touch it.  The indexes that plan steps probe
+    are built on first use, each predicate's sorted tuples once for all its
+    indexes; a bucket lists its tuples in ascending order.
 
     `memo` maps each predicate to the tuple set it had when last seen, that
     set's ascending list and the indexes built on the list, by step name.
     A view given the memo of earlier views reuses the list and the indexes
-    of a predicate whose tuples are the memo's set, or equal to it.  None
-    of them is ever changed once built, and a store set that enters the
-    memo is never mutated again, so that the identity check stays sound."""
+    of a predicate whose tuples are the memo's set, or equal to it; views
+    that share one edge set find its entry by identity.  None of them is
+    ever changed once built, and a store set that enters the memo is never
+    mutated again, so that the identity check stays sound."""
 
     __slots__ = ("store", "unary", "edges", "indexes", "seen", "memo")
 
@@ -681,12 +689,12 @@ class FactView:
         self,
         store: Mapping[str, AbstractSet[tuple[int, ...]]],
         unary: Mapping[str, frozenset[int]],
-        edges: Iterable[tuple[int, int]],
+        edges: AbstractSet[tuple[int, int]],
         memo: Optional[dict[str, tuple[set, list, dict]]] = None,
     ):
         self.store = store
         self.unary = unary
-        self.edges = tuple(edges)
+        self.edges = edges
         self.indexes: dict[Any, Any] = {}  # a plan step's name -> its index
         self.seen: dict[str, tuple[set, list, dict]] = {}  # this view's entries
         self.memo = {} if memo is None else memo
@@ -701,7 +709,7 @@ class FactView:
         entry = self.seen.get(pred)
         if entry is None:
             if pred == EDGE_PRED:
-                out = {e for u, v in self.edges for e in ((u, v), (v, u))}
+                out = self.edges
             else:
                 out = self.store.get(pred, _NO_TUPLES)
                 if pred in self.unary:
@@ -757,7 +765,8 @@ def match_body(
     head = RelLit("", tuple(Var(n) for n in names))
     out: list[Fact] = []
     plan = plan_rule(NetlogRule(head, tuple(body)))
-    _match_literal(plan, FactView(group_facts(facts), g.unary, g.edges()), out)
+    view = FactView(group_facts(facts), g.unary, both_ways(g.edges()))
+    _match_literal(plan, view, out)
     for _, values in out:
         yield dict(zip(names, values))
 
@@ -803,7 +812,7 @@ def _consequence(
 ) -> DistributedInstance:
     new_stores: dict[int, set[Fact]] = {v: set() for v in g.nodes}
     for v in g.nodes:
-        edges = [(v, u) for u in g.adj[v]]
+        edges = both_ways((v, u) for u in g.adj[v])
         store = group_facts(instance.stores.get(v, ()))
         for plan, facts in _derived(plans, FactView(store, g.unary, edges), v):
             if plan.local:
@@ -881,12 +890,13 @@ class _NetlogNodeState:
     snapshot keeps the previous snapshot's set object for every predicate
     whose tuples did not change, so its views find their memo entries by
     identity; a set in a snapshot is never mutated again.  The
-    neighbour-to-port map, the incident edges and the index memo of the
-    node's views are kept for the whole run."""
+    neighbour-to-port map, the incident edges in both orientations and the
+    index memo of the node's views are kept for the whole run, so every
+    view of the node shares one edge set."""
 
     local: dict[str, set[tuple[int, ...]]]
     port_of: dict[int, int]
-    edges: tuple[tuple[int, int], ...]
+    edges: frozenset[tuple[int, int]]
     memo: dict[str, tuple[set, list, dict]] = field(default_factory=dict)
     snapshot: Optional[dict[str, set[tuple[int, ...]]]] = None
 
@@ -907,8 +917,6 @@ class NetlogEngine(simnet.NodeEngine):
     cannot reach what it derives.
     """
 
-    reads_inbox_as_set = True
-
     def __init__(self, program: NetlogProgram):
         self.plans = _program_plans(program)
         # Fact -> wire bits.  One engine object serves one run, so one
@@ -922,7 +930,7 @@ class NetlogEngine(simnet.NodeEngine):
             raise NetlogError("the rule engine needs globally unique node ids")
         port_of = {b: p for p, b in ctx.neighbor_ids.items()}
         return _NetlogNodeState(
-            {"start": {(v,)}}, port_of, tuple((v, u) for u in port_of)
+            {"start": {(v,)}}, port_of, both_ways((v, u) for u in port_of)
         )
 
     def step(self, state: _NetlogNodeState, ctx, round_no: int, inbox):
@@ -1004,8 +1012,13 @@ class NetlogEngine(simnet.NodeEngine):
         return bits
 
 
-def run_netlog(program: NetlogProgram, net, order_seed: int = 0,
-               round_cap: Optional[int] = None):
+def run_netlog(
+    program: NetlogProgram,
+    net,
+    *,
+    order_seed: int = 0,  # unread: bench/workloads.py passes it (ROADMAP item 2)
+    round_cap: Optional[int] = None,
+):
     """Run the program distributedly and return (final instance, metrics).
 
     A node is quiescent when its slice repeats the previous round's, so the
@@ -1019,12 +1032,7 @@ def run_netlog(program: NetlogProgram, net, order_seed: int = 0,
         round_cap = default_round_cap(program, g)
     engine = NetlogEngine(program)
     try:
-        res, metrics = simnet.run(
-            net,
-            engine,
-            order_seed=order_seed,
-            round_cap=round_cap,
-        )
+        res, metrics = simnet.run(net, engine, round_cap=round_cap)
     except simnet.RoundCapError as err:
         partial = DistributedInstance(
             {a: frozenset(fs) for a, fs in err.results.items()}

@@ -424,7 +424,9 @@ def eval_datalog(program, g: Graph) -> StageTrace:
     provides the concrete types and parser.
     """
     # local import to keep layering one-way
-    from .netlog import FactView, NetlogError, _match_literal, group_facts, plan_rule
+    from .netlog import (
+        FactView, NetlogError, _match_literal, both_ways, group_facts, plan_rule,
+    )
 
     try:
         plans = [plan_rule(rule) for rule in program.rules]
@@ -433,8 +435,9 @@ def eval_datalog(program, g: Graph) -> StageTrace:
     facts: frozenset[tuple[str, tuple[int, ...]]] = frozenset()
     stages = [facts]
     cap = _datalog_cap(program, g)
+    edges = both_ways(g.edges())
     for _ in range(cap):
-        view = FactView(group_facts(facts), g.unary, g.edges())
+        view = FactView(group_facts(facts), g.unary, edges)
         out: list[tuple[str, tuple[int, ...]]] = []
         for plan in plans:
             _match_literal(plan, view, out)

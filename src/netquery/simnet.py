@@ -2,31 +2,29 @@
 
 Nodes run deterministic automata over port-numbered channels.  A round is a
 computation phase (nodes step on their in-buffers) followed by an atomic
-delivery phase (out-buffers flushed to neighbor in-buffers, in send order
-or permuted; see below).  The simulator is event-driven: in
-round 1 every node steps; after that, a node steps in round r only when it
-has mail, when it sent in round r-1, or when the wake-up round it last asked
-for (`StepResult.wake_at`) is r.  A step the simulator skips must be a
-no-op: no sends, no change of state, the same quiescence as the node's last
-report.  The run ends after the first computation phase after which every
-node's last report is quiescent; the sends of that round are never
-delivered.
+delivery phase (out-buffers flushed to neighbor in-buffers, in send order).
+The simulator is event-driven: in round 1 every node steps; after that, a
+node steps in round r only when it has mail, when it sent in round r-1, or
+when the wake-up round it last asked for (`StepResult.wake_at`) is r.  A
+step the simulator skips must be a no-op: no sends, no change of state, the
+same quiescence as the node's last report.  The run ends after the first
+computation phase after which every node's last report is quiescent; the
+sends of that round are never delivered.
 
 A node's context (`NodeContext`) holds what the identity mode exposes and
 a private 32-bit nonce, the node's own random bits; the simulator's own node
 numbers reach an engine only as the ids of global mode.
 
 A delivered message is a plain `(payload, arrival port)` pair, and a node's
-in-buffer a tuple of them: one delivery format for every engine.
+in-buffer a tuple of them: one delivery format for every engine.  An
+in-buffer is a multiset (`NodeEngine`), so the simulator has one schedule,
+send order; the tests check that no engine depends on it by permuting
+in-buffers before a step reads them.
 
 Each step reports the largest wire size among its sends (`StepResult.bits`,
 which the engine sizes itself).  The simulator checks that a step that sends
 reports at least one bit, and MSG-SIZE is the largest over the delivered
-rounds.  An engine that reads its in-buffer as a set declares so
-(`NodeEngine.reads_inbox_as_set`), and its in-buffers are not permuted.
-Every package engine does; in-order readers, such as test engines, get
-each in-buffer permuted by a seed of (order seed, round, node) alone, so
-skipping some leaves the others as they were.
+rounds.
 """
 from __future__ import annotations
 
@@ -395,13 +393,12 @@ class NodeEngine:
 
     Every method gets the node's `NodeContext`: what the identity mode
     exposes plus the node's nonce.  A step sizes its own sends and reports
-    the largest as `StepResult.bits`.  An engine whose steps read their
-    inbox as a set, so that the order of delivery cannot reach anything it
-    sends, holds or reports, sets `reads_inbox_as_set`; the simulator then
-    delivers in send order and does not permute its in-buffers.  Every
-    package engine sets it."""
+    the largest as `StepResult.bits`.
 
-    reads_inbox_as_set = False
+    A step reads its inbox as a multiset: the order of its pairs must not
+    reach anything the step sends, holds or reports.  The simulator
+    delivers in send order; the tests permute inboxes to check the
+    contract."""
 
     def start(self, ctx: NodeContext) -> Any:
         raise NotImplementedError
@@ -502,7 +499,6 @@ def run(
     net: Network,
     engine: NodeEngine,
     init: Optional[Mapping[int, Any]] = None,
-    order_seed: int = 0,
     round_cap: int = 10_000,
 ) -> tuple[dict[int, Any], Metrics]:
     """Drive the engine to termination: the run ends after the first round
@@ -518,7 +514,6 @@ def run(
         if a not in states:
             raise SimError(f"init references unknown node {a}")
         engine.inject(states[a], contexts[a], payload)
-    shuffle = not engine.reads_inbox_as_set
     # node -> {port: (neighbor, arrival port at the neighbor)}
     links = {
         a: {p: (b, net.port_to[b][a]) for p, b in enumerate(net.ports[a], 1)}
@@ -593,13 +588,6 @@ def run(
                     inboxes[b].append((payload, arrival))
                 msgs_sent[a] += len(sends)
             deliveries += 1
-            if shuffle:
-                for b, box in inboxes.items():
-                    if len(box) > 1:
-                        rng = random.Random(
-                            order_seed * 2_654_435_761 + round_no * 40_503 + b
-                        )
-                        rng.shuffle(box)
             round_no += 1
         else:
             # Nothing in flight: jump to the earliest wake-up still asked for.

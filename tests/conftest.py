@@ -9,8 +9,8 @@ import pytest
 
 @pytest.fixture
 def permuted_inboxes():
-    """Delivery-order checks for engines that read their inbox as a set,
-    which the simulator hands every inbox in send order.  Within
+    """Delivery-order checks: the simulator hands every inbox in send
+    order, and an engine must compute the same from any order.  Within
     `with permuted_inboxes(engine_cls, seed) as moved:`, every step of
     `engine_cls` gets its inbox permuted by one `random.Random(seed)`
     before the real step reads it, and `moved` records, step by step,

@@ -482,6 +482,21 @@ def test_a_non_positive_round_cap_is_rejected(capsys, path3):
             )
 
 
+def test_order_seed_is_no_longer_an_option(capsys, path3):
+    """The simulator delivers in send order, so there is no delivery-order
+    seed to set: a command line that still passes one fails."""
+    for argv in (
+        ("qe-fo", "--net", path3, "--query", "exists y. G(x,y)", "--req", "1"),
+        ("netlog-run", "--net", path3, "--query", "T(@x) :- start(@x)."),
+    ):
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--order-seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --order-seed 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("word", ["\u0661", "1_0", "+1"])
 def test_integer_options_take_ascii_digits_only(capsys, path3, ring4, tmp_path, word):
     """Every integer argument rejects what `int` would reinterpret: an
@@ -492,7 +507,6 @@ def test_integer_options_take_ascii_digits_only(capsys, path3, ring4, tmp_path, 
     cases = [
         (qe, "--req"),
         (qe, "--port-seed"),
-        (qe, "--order-seed"),
         (qe, "--rounds-cap"),
         (("compile", "--net", path3, "--query", "T(x,y) :- G(x,y)."), "--delta"),
         (("check-consistent", "--net", ring4, "--labels", str(labels)), "--radius"),

@@ -154,7 +154,13 @@ def test_no_unread_parameters():
             if not any(p in _params(e) and p in _bare_reads(e) for e in group)
         }
     )
-    assert unread == []
+    # The four drivers that bench/workloads.py calls with `order_seed=` keep
+    # it, unread, until the benchmark stops passing it (ROADMAP item 2); no
+    # other parameter may go unread.
+    assert unread == [
+        f"{driver}(order_seed)"
+        for driver in ("run_netlog", "run_qe_fo_loc", "run_qe_fp", "run_qe_fp_loc")
+    ]
 
 
 # CPython's parser doubles its token array past this many tokens when it

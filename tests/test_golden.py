@@ -136,7 +136,6 @@ GOLDEN_METRICS = [
             make_network(path_graph(5), port_seed=0),
             TRANSITIVE_CLOSURE_TEXT,
             1,
-            order_seed=0,
         ),
         (81, 14935, 3734, 398, 305),
     ),

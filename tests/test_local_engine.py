@@ -297,13 +297,15 @@ def test_fo_loc_ring_metrics_size_independent():
     assert times == sorted(times) and times[-1] > times[0]
 
 
-def test_fo_loc_seed_invariance():
+def test_fo_loc_seed_invariance(permuted_inboxes):
     g = grid_graph(2, 3)
     rels = set()
     for port_seed in (0, 1, 5):
         for order_seed in (0, 2):
             net = make_network(g, port_seed=port_seed)
-            rel, _ = run_qe_fo_loc(net, DEG2, 1, order_seed=order_seed)
+            with permuted_inboxes(FOLocEngine, order_seed) as moved:
+                rel, _ = run_qe_fo_loc(net, DEG2, 1)
+            assert any(moved)
             rels.add(rel.tuples)
     assert len(rels) == 1
 
@@ -463,13 +465,15 @@ def test_fp_loc_ring_metrics_size_independent():
     assert len(steps) == 1
 
 
-def test_fp_loc_seed_invariance():
+def test_fp_loc_seed_invariance(permuted_inboxes):
     g = grid_graph(2, 3).with_unary({"ReqNode": [1]})
     rels = set()
     for port_seed in (0, 1, 5):
         for order_seed in (0, 2):
             net = make_network(g, port_seed=port_seed)
-            rel, _ = run_qe_fp_loc(net, span_query(1), 1, order_seed=order_seed)
+            with permuted_inboxes(FPLocEngine, order_seed) as moved:
+                rel, _ = run_qe_fp_loc(net, span_query(1), 1)
+            assert any(moved)
             rels.add(rel.tuples)
     assert len(rels) == 1
 
@@ -740,17 +744,17 @@ def _local_step_digest(case, seed, order_free=False):
     if case == "anonymous-grid-3x3":
         engine = FOLocEngine
         net = make_network(grid_graph(3, 3), mode=ANONYMOUS, port_seed=seed)
-        call = lambda: run_qe_fo_loc(net, DEG2, 1, order_seed=seed)
+        call = lambda: run_qe_fo_loc(net, DEG2, 1)
     elif case == "anonymous-ring-8":
         engine = FPLocEngine
         net = make_network(ring_graph(8), mode=ANONYMOUS, port_seed=seed)
-        call = lambda: run_qe_fp_loc(net, tc_query(1), 1, order_seed=seed)
+        call = lambda: run_qe_fp_loc(net, tc_query(1), 1)
     else:
         g = grid_graph(2, 3).with_unary({"Mark": [1, 6]})
         engine = FOLocEngine
         mode = IdentityMode("local-consistent", 1, injective_labels(g))
         net = make_network(g, mode=mode, port_seed=seed)
-        call = lambda: run_qe_fo_loc(net, LABELED_ORDER, 1, order_seed=seed)
+        call = lambda: run_qe_fo_loc(net, LABELED_ORDER, 1)
     real = engine.step
 
     def recording(self, state, ctx, round_no, inbox):
@@ -786,8 +790,9 @@ def _local_step_digest(case, seed, order_free=False):
 def test_local_node_steps_send_the_pinned_payloads(case, seed, digest):
     """Every node step of FO-loc and FP-loc sends the pinned payloads in the
     pinned order and reports the pinned work, quiescence and wake-up, at
-    port and delivery-order seeds 0 and 1.  The pins were taken with the
-    sorted-reply collector and the sorted inbox."""
+    port seeds 0 and 1; test_simnet checks that permuted inboxes leave
+    these digests as they are.  The pins were taken with the sorted-reply
+    collector and the sorted inbox."""
     assert _local_step_digest(case, seed) == digest
 
 
@@ -1169,8 +1174,8 @@ def test_reply_sizes_match_the_per_field_fold(monkeypatch):
         mode = IdentityMode("local-consistent", 1, injective_labels(g))
         for seed in (0, 1):
             net = make_network(gu, mode=mode, port_seed=seed)
-            run_qe_fo_loc(net, LABELED_ORDER, 1, order_seed=seed)
-            run_qe_fp_loc(net, span_query(1), 1, order_seed=seed)
+            run_qe_fo_loc(net, LABELED_ORDER, 1)
+            run_qe_fp_loc(net, span_query(1), 1)
     rows = [row for payload, _ in replies for row in payload[3]]
     assert any(row[2] for row in rows) and all(row[3] is not None for row in rows)
     assert len(replies) > 300

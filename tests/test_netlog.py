@@ -41,6 +41,7 @@ from netquery.netlog import (
     _lit_vars,
     _match_literal,
     body_holding_vars,
+    both_ways,
     check_localization,
     consequence,
     group_facts,
@@ -467,7 +468,7 @@ def test_plans_yield_the_reference_bindings():
             want = list(reference_matches(reference_order(rule.body, prebound), lookup, env0))
             names = sorted({n for env in want for n in env})
             probe = NetlogRule(RelLit("binding", tuple(Var(n) for n in names)), rule.body)
-            view = FactView(group_facts(facts), unary, edges)
+            view = FactView(group_facts(facts), unary, both_ways(edges))
             got: list = []
             _match_literal(plan_rule(probe, prebound), view, got, holder)
             assert [args for _, args in got] == [
@@ -487,7 +488,7 @@ def test_plans_deeper_than_one_generated_function_yield_the_reference():
     body = "; ".join(f"S(x{i},x{i + 1}); x{i + 1} != 0" for i in range(30))
     rule = parse_datalog(f"Chain(x0,x30) :- {body}.").rules[0]
     facts = frozenset({("S", (i, i + 1)) for i in range(40)} | {("S", (1, 1))})
-    view = FactView(group_facts(facts), {}, ())
+    view = FactView(group_facts(facts), {}, frozenset())
     got: list = []
     _match_literal(plan_rule(rule), view, got)
     assert got == reference_fire(rule, (), ReferenceLookup(facts, {}, ()))
@@ -509,7 +510,7 @@ def _sg_step_digest(seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NetlogEngine, "step", recording)
-        run_netlog(program, make_network(g, port_seed=seed), order_seed=seed)
+        run_netlog(program, make_network(g, port_seed=seed))
     return digest.hexdigest()
 
 
@@ -519,9 +520,10 @@ def _sg_step_digest(seed):
 ])
 def test_sg_node_steps_send_the_pinned_facts(seed, digest):
     """Every node step of the compiled SG program sends the pinned facts in
-    the pinned order and reports the pinned work, at port and
-    delivery-order seeds 0 and 1.  The pins were taken with the step-by-step
-    plan interpreter that generated plans replaced."""
+    the pinned order and reports the pinned work, at port seeds 0 and 1;
+    test_simnet checks that permuted inboxes leave them as they are.  The
+    pins were taken with the step-by-step plan interpreter that generated
+    plans replaced."""
     assert _sg_step_digest(seed) == digest
 
 
@@ -623,9 +625,9 @@ def test_the_index_memo_serves_the_bindings_of_fresh_views():
                 plans.append(plan_rule(probe, prebound))
             if at_node:
                 holder = rng.choice(g.nodes)
-                edges = [(holder, u) for u in g.adj[holder]]
+                edges = both_ways((holder, u) for u in g.adj[holder])
             else:
-                holder, edges = 0, list(g.edges())
+                holder, edges = 0, both_ways(g.edges())
             stores, unary = _store_sequence(rng, rules, g, 16)
             memo = {}
             for facts in stores:
@@ -838,7 +840,7 @@ def test_run_netlog_order_seed_invariance(permuted_inboxes):
     outcomes, moved = [], []
     for s in range(5):
         with permuted_inboxes(NetlogEngine, s) as moves:
-            outcomes.append(run_netlog(program, net, order_seed=s)[0])
+            outcomes.append(run_netlog(program, net)[0])
         moved += moves
     assert all(o == outcomes[0] for o in outcomes)
     assert outcomes[0].facts_of("ST") == {(1, 2), (1, 4), (2, 3)}

@@ -477,12 +477,33 @@ def test_broadcast_counts_degree_messages():
 
 def test_run_deterministic():
     net = load_network("5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n", port_seed=11)
-    runs = [run(net, FloodOnce(), init={2: "go"}, order_seed=s) for s in (0, 1, 5)]
-    results = {tuple(sorted(r.items())) for r, _ in runs}
-    assert len(results) == 1
-    again, m_again = run(net, FloodOnce(), init={2: "go"}, order_seed=5)
-    assert again == runs[2][0]
-    assert m_again == runs[2][1]
+    first = run(net, FloodOnce(), init={2: "go"})
+    assert run(net, FloodOnce(), init={2: "go"}) == first
+
+
+class SendTwice(NodeEngine):
+    """Every node but 1 sends two tagged copies of its number on port 1 in
+    round 1; every node records the payloads of its inboxes in order."""
+
+    def start(self, ctx):
+        return []
+
+    def step(self, state, ctx, round_no, inbox):
+        state.extend(payload for payload, _ in inbox)
+        if round_no > 1 or ctx.node_id == 1:
+            return StepResult((), quiescent=True)
+        sends = ((1, ("a", ctx.node_id)), (1, ("b", ctx.node_id)))
+        return StepResult(sends, quiescent=False, bits=1)
+
+    def collect(self, state, ctx):
+        return state
+
+
+def test_run_delivers_in_send_order():
+    # Senders step in ascending node order, and each one's sends arrive in
+    # the order the step listed them.
+    res, _ = run(make_network(star_graph(5), port_seed=3), SendTwice())
+    assert res[1] == [(tag, b) for b in range(2, 6) for tag in "ab"]
 
 
 def test_run_ends_when_every_node_is_quiescent():
@@ -582,10 +603,12 @@ def test_silent_engine_rejects_injection():
 # ------------------------------------------------- event-driven stepping
 
 
-def reference_run(net, engine, init=None, order_seed=0, round_cap=10_000):
+def reference_run(net, engine, init=None, seed=0, round_cap=10_000):
     """A plain simulator that steps every node in every round, shuffles
-    every in-buffer and sizes every message: `run` must match it on every
-    engine, since the steps `run` skips are no-ops."""
+    every in-buffer by a generator seeded with (seed, round, node) and sizes
+    every message: `run`, which delivers in send order, must match it on
+    every engine, since the steps `run` skips are no-ops and an in-buffer
+    is a multiset."""
     g = net.graph
     contexts = {a: _context_for(net, a) for a in g.nodes}
     states = {a: engine.start(contexts[a]) for a in g.nodes}
@@ -626,9 +649,7 @@ def reference_run(net, engine, init=None, order_seed=0, round_cap=10_000):
                     max_bits = max(max_bits, engine.payload_bits(payload, net.enc))
             deliveries += 1
             for b in g.nodes:
-                rng = random.Random(
-                    order_seed * 2_654_435_761 + round_no * 40_503 + b
-                )
+                rng = random.Random(seed * 2_654_435_761 + round_no * 40_503 + b)
                 rng.shuffle(inboxes[b])
     results, metrics = outcome()
     raise RoundCapError("round cap exceeded", metrics, results)
@@ -652,9 +673,10 @@ REACH_TEXT = "mu R(x). ReqNode(x) | (exists y. (R(y) & G(y,x)))"
 def test_run_matches_stepping_every_node(monkeypatch, shape):
     """Every engine family, run through its entry point, collects the same
     results with the same metrics as under the every-node reference, in
-    every identity mode it accepts, for port and delivery-order seeds 0-2
-    (the costly global engines for equal seeds only).  Every step reports
-    as `bits` the largest `payload_bits` among its sends."""
+    every identity mode it accepts, for port seeds 0-2 and reference
+    in-buffer shuffles seeded 0-2 (the costly global engines for equal
+    seeds only).  Every step reports as `bits` the largest `payload_bits`
+    among its sends."""
     compared = []
 
     def sized(self, state, ctx, round_no, inbox, _step):
@@ -667,10 +689,10 @@ def test_run_matches_stepping_every_node(monkeypatch, shape):
     for cls in (FOQueryEngine, FPQueryEngine, FOLocEngine, FPLocEngine, NetlogEngine):
         monkeypatch.setattr(cls, "step", partialmethod(sized, _step=cls.step))
 
-    def both(net, engine, init=None, order_seed=0, round_cap=10_000):
-        expected = reference_run(net, engine, init, order_seed, round_cap)
-        got = run(net, engine, init, order_seed=order_seed, round_cap=round_cap)
-        assert got == expected, (type(engine).__name__, net.mode.kind, order_seed)
+    def both(net, engine, init=None, round_cap=10_000):
+        expected = reference_run(net, engine, init, ref_seed, round_cap)
+        got = run(net, engine, init, round_cap=round_cap)
+        assert got == expected, (type(engine).__name__, net.mode.kind, ref_seed)
         compared.append(type(engine).__name__)
         return got
 
@@ -689,15 +711,15 @@ def test_run_matches_stepping_every_node(monkeypatch, shape):
     for port_seed in (0, 1, 2):
         for mode in modes:
             net = make_network(g, mode, port_seed=port_seed)
-            for order_seed in (0, 1, 2):
+            for ref_seed in (0, 1, 2):  # read by `both`
                 if mode is GLOBAL_IDS:
-                    if order_seed == port_seed:
-                        run_qe_fo(net, HAS_NEIGHBOR_TEXT, 1, order_seed=order_seed)
-                        run_qe_fp(net, REACH_TEXT, 2, order_seed=order_seed)
-                    run_netlog(program, net, order_seed=order_seed)
-                run_qe_fo_loc(net, fo_loc, 1, order_seed=order_seed)
-                run_qe_fp_loc(net, tc_loc, 1, order_seed=order_seed)
-                run_qe_fp_loc(net, reach_loc, 2, order_seed=order_seed)
+                    if ref_seed == port_seed:
+                        run_qe_fo(net, HAS_NEIGHBOR_TEXT, 1)
+                        run_qe_fp(net, REACH_TEXT, 2)
+                    run_netlog(program, net)
+                run_qe_fo_loc(net, fo_loc, 1)
+                run_qe_fp_loc(net, tc_loc, 1)
+                run_qe_fp_loc(net, reach_loc, 2)
     assert sorted(set(compared)) == [
         "FOLocEngine", "FOQueryEngine", "FPLocEngine", "FPQueryEngine",
         "NetlogEngine",
@@ -805,17 +827,17 @@ def test_wake_up_must_lie_ahead():
 def _sg_run(seed):
     g = grid_graph(3, 3)
     program = compile_program(SAME_GENERATION_DATALOG, g.diameter).program
-    return run_netlog(program, make_network(g, port_seed=seed), order_seed=seed)
+    return run_netlog(program, make_network(g, port_seed=seed))
 
 
 def _two_hop_run(seed):
     net = make_network(ring_graph(8), port_seed=seed)
-    return run_qe_fo(net, TWO_HOP_TEXT, 1, order_seed=seed)
+    return run_qe_fo(net, TWO_HOP_TEXT, 1)
 
 
 def _tc_run(seed):
     net = make_network(path_graph(5), port_seed=seed)
-    return run_qe_fp(net, TRANSITIVE_CLOSURE_TEXT, 1, order_seed=seed)
+    return run_qe_fp(net, TRANSITIVE_CLOSURE_TEXT, 1)
 
 
 DEG2 = "exists y in N^1(x). exists z in N^1(x). (G(x,y) & G(x,z) & y != z)"
@@ -823,13 +845,13 @@ DEG2 = "exists y in N^1(x). exists z in N^1(x). (G(x,y) & G(x,z) & y != z)"
 
 def _deg2_loc_run(seed):
     net = make_network(grid_graph(3, 3), ANONYMOUS, port_seed=seed)
-    return run_qe_fo_loc(net, DEG2, 1, order_seed=seed)
+    return run_qe_fo_loc(net, DEG2, 1)
 
 
 def _tc_loc_run(seed):
     net = make_network(ring_graph(8), ANONYMOUS, port_seed=seed)
     tc_loc = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
-    return run_qe_fp_loc(net, tc_loc, 1, order_seed=seed)
+    return run_qe_fp_loc(net, tc_loc, 1)
 
 
 def _reach_loc_run(seed):
@@ -849,15 +871,14 @@ def _reach_loc_run(seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FPLocEngine, "step", counting)
-        out = run_qe_fp_loc(net, reach_loc, 1, order_seed=seed)
+        out = run_qe_fp_loc(net, reach_loc, 1)
     assert relays[0] > 0
     return out, relays[0]
 
 
-# Every engine that reads its inbox as a set, with a run whose steps are
-# pinned: the SG program in test_netlog, the global engines in
-# test_engine_fo, FO-loc DEG2 and FP-loc TC in test_local_engine; the
-# FP-loc reachability run adds relayed informs.
+# Every package engine, with a run whose steps are pinned: the SG program in
+# test_netlog, the global engines in test_engine_fo, FO-loc DEG2 and FP-loc
+# TC in test_local_engine; the FP-loc reachability run adds relayed informs.
 SET_READERS = {
     "netlog-sg-grid-3x3": (NetlogEngine, _sg_run),
     "fo-two-hop-ring-8": (FOQueryEngine, _two_hop_run),
@@ -871,17 +892,17 @@ SET_READERS = {
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("case", sorted(SET_READERS))
 def test_set_reading_engines_do_not_depend_on_delivery_order(
-    monkeypatch, case, seed
+    permuted_inboxes, case, seed
 ):
-    """An engine that reads its inbox as a set gets its mail in send order.
-    With the in-buffer shuffle forced back on, the inboxes arrive in other
-    orders, yet every step reports the same (round, sends, steps,
-    quiescence, wake-up), whose digest the step pins fix, and the run ends
-    with the same result and metrics."""
+    """An engine reads its inbox as a multiset.  With every inbox permuted
+    before the step reads it, the inboxes arrive in other orders, yet every
+    step reports the same (round, sends, steps, quiescence, wake-up), whose
+    digest the step pins fix, and the run ends with the same result and
+    metrics."""
     engine, call = SET_READERS[case]
     real = engine.step
 
-    def run_recording():
+    def run_recording(permute):
         digest, inboxes = hashlib.sha256(), []
 
         def recording(self, state, ctx, round_no, inbox):
@@ -896,24 +917,26 @@ def test_set_reading_engines_do_not_depend_on_delivery_order(
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "step", recording)
-            return call(seed), inboxes, digest.hexdigest()
+            if not permute:
+                return call(seed), inboxes, digest.hexdigest()
+            with permuted_inboxes(engine, seed) as moved:
+                out = call(seed), inboxes, digest.hexdigest()
+            assert any(moved)
+            return out
 
-    assert engine.reads_inbox_as_set
-    plain, plain_inboxes, plain_digest = run_recording()
-    monkeypatch.setattr(engine, "reads_inbox_as_set", False)
-    shuffled, shuffled_inboxes, shuffled_digest = run_recording()
-    assert shuffled == plain
-    assert shuffled_digest == plain_digest
-    assert shuffled_inboxes != plain_inboxes
-    assert [Counter(box) for box in shuffled_inboxes] == [
+    plain, plain_inboxes, plain_digest = run_recording(False)
+    permuted, permuted_boxes, permuted_digest = run_recording(True)
+    assert permuted == plain
+    assert permuted_digest == plain_digest
+    assert permuted_boxes != plain_inboxes
+    assert [Counter(box) for box in permuted_boxes] == [
         Counter(box) for box in plain_inboxes
     ]
 
 
 def test_every_set_reading_engine_has_a_delivery_order_case():
-    """The package's engines that declare `reads_inbox_as_set` (the leaves
-    of its engine classes) are exactly those of SET_READERS, so a new
-    declaration needs a case there."""
+    """Every leaf of the package's engine classes has a case in
+    SET_READERS, so a new engine needs a delivery-order case there."""
 
     def subclasses(cls):
         for sub in cls.__subclasses__():
@@ -925,9 +948,7 @@ def test_every_set_reading_engine_has_a_delivery_order_case():
     }
     engines = {c for c in package if not package.intersection(c.__subclasses__())}
     assert {FOLocEngine, FPLocEngine} <= engines
-    assert {c for c in engines if c.reads_inbox_as_set} == {
-        engine for engine, _ in SET_READERS.values()
-    }
+    assert engines == {engine for engine, _ in SET_READERS.values()}
 
 
 # ------------------------------------------------------------- metrics
