@@ -234,26 +234,28 @@ def _terms_of(g: Formula) -> tuple[Term, ...]:
 def free_vars(f: Formula) -> tuple[str, ...]:
     """Free variables in order of first occurrence."""
     out: list[str] = []
-
-    def go(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, (Atom, Cmp, InNbhd)):
-            for t in _terms_of(g):
-                if isinstance(t, Var) and t.name not in bound and t.name not in out:
-                    out.append(t.name)
-        elif isinstance(g, Not):
-            go(g.body, bound)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                go(p, bound)
-        elif isinstance(g, (Exists, Forall)):
-            if g.bound is not None:
-                c = g.bound[0]
-                if isinstance(c, Var) and c.name not in bound and c.name not in out:
-                    out.append(c.name)
-            go(g.body, bound | {g.var})
-
-    go(f, frozenset())
+    _add_free_vars(f, frozenset(), out)
     return tuple(out)
+
+
+def _add_free_vars(g: Formula, bound: frozenset[str], out: list[str]) -> None:
+    """Append to `out` the free variables of g outside `bound` that it does
+    not hold yet, in order of first occurrence."""
+    if isinstance(g, (Atom, Cmp, InNbhd)):
+        for t in _terms_of(g):
+            if isinstance(t, Var) and t.name not in bound and t.name not in out:
+                out.append(t.name)
+    elif isinstance(g, Not):
+        _add_free_vars(g.body, bound, out)
+    elif isinstance(g, (And, Or)):
+        for p in g.parts:
+            _add_free_vars(p, bound, out)
+    elif isinstance(g, (Exists, Forall)):
+        if g.bound is not None:
+            c = g.bound[0]
+            if isinstance(c, Var) and c.name not in bound and c.name not in out:
+                out.append(c.name)
+        _add_free_vars(g.body, bound | {g.var}, out)
 
 
 def bound_vars(f: Formula) -> tuple[str, ...]:
@@ -624,25 +626,27 @@ def _check_arities(f: Formula, fixpoint_name: Optional[str] = None,
 def _uniquify_binders(f: Formula) -> Formula:
     """Rename shadowing/duplicate binders so every binder is distinct and no
     bound name collides with a free name."""
-    taken = set(free_vars(f))
+    return _rename_binders(f, {}, set(free_vars(f)))
 
-    def go(g: Formula, env: dict[str, str]) -> Formula:
-        def tr(t: Term) -> Term:
-            if isinstance(t, Var) and t.name in env:
-                return Var(env[t.name])
-            return t
 
-        def quant(h: Formula) -> Formula:
-            name = h.var
-            while name in taken:
-                name += "'"
-            taken.add(name)
-            body = go(h.body, {**env, h.var: name})
-            return type(h)(name, body, _map_bound(h.bound, tr))
+def _rename_binders(g: Formula, env: dict[str, str], taken: set[str]) -> Formula:
+    """g with each binder renamed to a name not in `taken` (which records
+    it) and each variable that `env` maps renamed as it says."""
 
-        return map_formula(g, quant, tr)
+    def tr(t: Term) -> Term:
+        if isinstance(t, Var) and t.name in env:
+            return Var(env[t.name])
+        return t
 
-    return go(f, {})
+    def quant(h: Formula) -> Formula:
+        name = h.var
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        body = _rename_binders(h.body, {**env, h.var: name}, taken)
+        return type(h)(name, body, _map_bound(h.bound, tr))
+
+    return map_formula(g, quant, tr)
 
 
 def _drop_unused_binders(f: Formula) -> Formula:
@@ -727,13 +731,15 @@ def substitute(f: Formula, var: str, value: int) -> Formula:
     explicit membership conjunct (for exists) or disjoined negation (for
     forall), preserving the bounded quantifier's semantics.
     """
-    const = Const(value)
+    return _substitute(f, var, Const(value))
 
+
+def _substitute(f: Formula, var: str, const: Const) -> Formula:
     def tr(t: Term) -> Term:
         return const if isinstance(t, Var) and t.name == var else t
 
     def quant(g: Formula) -> Formula:
-        body = map_formula(g.body, quant, tr, smart=True)
+        body = _substitute(g.body, var, const)
         if g.var != var:
             return type(g)(g.var, body, _map_bound(g.bound, tr))
         if g.bound is None:
@@ -849,12 +855,15 @@ def relativize(f: Formula, center: str, k: int) -> Formula:
                 "only a formula without neighborhood bounds can be relativized"
             )
     c = Var(center)
-
-    def quant(g: Formula) -> Formula:
-        return type(g)(g.var, map_formula(g.body, quant), (c, k))
-
     guards = [InNbhd(Var(y), k, c) for y in free_vars(f) if y != center]
-    return make_and([map_formula(f, quant)] + guards)
+    return make_and([_bound_quantifiers(f, (c, k))] + guards)
+
+
+def _bound_quantifiers(f: Formula, bound: tuple[Term, int]) -> Formula:
+    """f with every quantifier ranging over `bound`."""
+    return map_formula(
+        f, lambda g: type(g)(g.var, _bound_quantifiers(g.body, bound), bound)
+    )
 
 
 def relativize_fixpoint(q: FixpointQuery, k: int) -> FixpointQuery:

@@ -574,7 +574,10 @@ def _generate(plan: RulePlan) -> Callable[[FactView, list[Fact], int], None]:
     the held slots read from `holder` and the constants inlined.  Each index
     is fetched from the view once per call and built where a binding first
     reaches it.  Predicate names and steps reach the code through its
-    globals (`n<k>`, `s<k>`, `p<k>` for step k), never through its text."""
+    globals (`n<k>`, `s<k>`, `p<k>` for step k), never through its text.
+    A function that continues in another takes it as a keyword-only
+    default, and no function stays in the globals, so the code holds no
+    reference cycle."""
     held, consts, steps = plan.held, plan.consts, plan.steps
     first_probe: dict[Any, int] = {}  # index name -> the first step probing it
     env: dict[str, Any] = {}
@@ -597,18 +600,19 @@ def _generate(plan: RulePlan) -> Callable[[FactView, list[Fact], int], None]:
     def params(bound: list[int]) -> str:
         return "view, out, holder" + "".join(f", v{s}" for s in bound)
 
-    lines: list[str] = []
-
-    def function(k0: int, bound: list[int]) -> None:
-        """Steps k0 on as function f<k0> of the slots in `bound`."""
-        lines.append(f"def f{k0}({params(bound)}):")
+    functions: list[str] = []  # each function's source
+    starts = [0]  # the first step of each generated function
+    bound: list[int] = []  # the slots bound so far; a function's parameters
+    for k0 in starts:
+        # Steps k0 on as function f<k0> of the slots in `bound`.
+        head = f"def f{k0}({params(bound)}"
+        lines = []
         probes = sorted({
             first_probe[step[1]] for step in steps[k0:] if step[0] in (_JOIN, _ABSENT)
         })
         if probes:
             lines.append("    indexes = view.indexes")
         lines.extend(f"    i{i} = indexes.get(n{i})" for i in probes)
-        bound = list(bound)
         nesting = 0
         for k in range(k0, len(steps)):
             pad = "    " * (nesting + 1)
@@ -620,7 +624,8 @@ def _generate(plan: RulePlan) -> Callable[[FactView, list[Fact], int], None]:
                 lines.append(f"{pad}out.append((p{k}, {tup(b)}))")
             elif nesting == _MAX_NESTING:
                 lines.append(f"{pad}f{k}({params(bound)})")
-                return function(k, bound)
+                starts.append(k)
+                break
             elif op in _TEST_CODE:
                 lines.append(f"{pad}if {_TEST_CODE[op].format(val(a), val(b))}:")
                 nesting += 1
@@ -642,12 +647,16 @@ def _generate(plan: RulePlan) -> Callable[[FactView, list[Fact], int], None]:
                         rows = f"i{i}"
                     lines.append(f"{pad}for {target} in {rows}:")
                 nesting += 1
-
-    function(0, [])
+        if starts[-1] > k0:
+            head += f", *, f{starts[-1]}=f{starts[-1]}"
+        functions.append("\n".join([head + "):"] + lines))
     # A file name per rule keeps the plans' functions apart in a profile.
     name = f"<netlog plan {print_rule(plan.rule)}>"
-    exec(compile("\n".join(lines), name, "exec"), env)
-    return env["f0"]
+    exec(compile("\n".join(reversed(functions)), name, "exec"), env)
+    run = env["f0"]
+    for k0 in starts:
+        del env[f"f{k0}"]
+    return run
 
 
 def group_facts(facts: Iterable[Fact]) -> dict[str, set[tuple[int, ...]]]:

@@ -2,9 +2,11 @@
 
 Brute-force, unoptimized by design: nested iteration over all assignments,
 BFS-recomputed metadata, inflationary fixpoints iterated stage by stage.
-The one exception is `eval_fp_loc`, which lets a radius-bounded query's
-non-centre variables range over the centre's ball only, where its guard
-makes every other assignment false.
+The one exception is a radius-bounded formula (`logic.locality`) in
+`eval_fo` and `eval_fp_loc`: its non-centre variables range over the
+centre's ball only, where its guards make every other assignment false.
+`eval_fp` stays brute force, as the specification the ball evaluation is
+tested against.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .logic import (
     check_atoms,
     constants,
     free_vars,
+    locality,
 )
 
 
@@ -316,21 +319,37 @@ def eval_fo(
         raise OracleError(
             f"order {order!r} does not match free variables {free_vars(f)!r}"
         )
-    result: set[tuple[int, ...]] = set()
-    env: dict[str, int] = {}
+    return Relation(len(fv), _satisfying(g, f, fv, _ball_candidates(g, f, fv), aux))
 
-    def enumerate_from(i: int) -> None:
-        if i == len(fv):
-            if holds(g, f, env, aux):
-                result.add(tuple(env[x] for x in fv))
-            return
-        for b in g.nodes:
-            env[fv[i]] = b
-            enumerate_from(i + 1)
-        del env[fv[i]]
 
-    enumerate_from(0)
-    return Relation(len(fv), frozenset(result))
+def _satisfying(
+    g: Graph,
+    f: Formula,
+    fv: Sequence[str],
+    candidates: Iterable[tuple[int, ...]],
+    aux: Optional[AuxRelations],
+) -> frozenset[tuple[int, ...]]:
+    """The candidate assignments to `fv` under which f holds."""
+    return frozenset(t for t in candidates if holds(g, f, dict(zip(fv, t)), aux))
+
+
+def _ball_candidates(
+    g: Graph, f: Formula, fv: Sequence[str]
+) -> Iterable[tuple[int, ...]]:
+    """Every assignment to `fv` that can satisfy f.  For a radius-bounded f
+    (`logic.locality`) the centre ranges over all nodes and every other
+    variable over the centre's ball, outside which its guard is false;
+    otherwise every assignment is a candidate."""
+    try:
+        x, k = locality(f)
+    except FormulaError:
+        return product(g.nodes, repeat=len(fv))
+    i = fv.index(x)
+    return (
+        rest[:i] + (a,) + rest[i:]
+        for a in g.nodes
+        for rest in product(g.neighborhood_nodes(a, k), repeat=len(fv) - 1)
+    )
 
 
 # -------------------------------------------------------------- fp semantics
@@ -343,9 +362,9 @@ def eval_fp(
 ) -> StageTrace:
     """Inflationary fixpoint: I_0 = empty, I_{i+1} = body(I_i) union I_i."""
     _check_query(g, q, aux or {})
-    return _stages(
-        g, q, aux, lambda stage: eval_fo(g, q.body, order=q.vars, aux=stage).tuples
-    )
+    return _stages(g, q, aux, lambda stage: _satisfying(
+        g, q.body, q.vars, product(g.nodes, repeat=q.arity), stage
+    ))
 
 
 def eval_fp_loc(g: Graph, q: FixpointQuery) -> StageTrace:
@@ -357,14 +376,10 @@ def eval_fp_loc(g: Graph, q: FixpointQuery) -> StageTrace:
     if q.radius is None:
         raise OracleError("eval_fp_loc requires a query with a locality radius")
     _check_query(g, q, {})
-    candidates = [
-        (a, *rest)
-        for a in g.nodes
-        for rest in product(g.neighborhood_nodes(a, q.radius), repeat=q.arity - 1)
-    ]
-    return _stages(g, q, None, lambda stage: {
-        t for t in candidates if holds(g, q.body, dict(zip(q.vars, t)), stage)
-    })
+    candidates = list(_ball_candidates(g, q.body, q.vars))
+    return _stages(
+        g, q, None, lambda stage: _satisfying(g, q.body, q.vars, candidates, stage)
+    )
 
 
 def _stages(

@@ -25,9 +25,17 @@ Each step reports the largest wire size among its sends (`StepResult.bits`,
 which the engine sizes itself).  The simulator checks that a step that sends
 reports at least one bit, and MSG-SIZE is the largest over the delivered
 rounds.
+
+A run pauses Python's cyclic garbage collector (`run`): the nodes' state
+only grows during a run, and the collector would rescan it again and again
+although none of it can be cyclic garbage.  That is sound only because no
+step, and nothing a step calls, builds a reference cycle, so reference
+counting alone frees what a run drops; the tests check this for every
+engine family.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import random
@@ -398,7 +406,13 @@ class NodeEngine:
     A step reads its inbox as a multiset: the order of its pairs must not
     reach anything the step sends, holds or reports.  The simulator
     delivers in send order; the tests permute inboxes to check the
-    contract."""
+    contract.
+
+    A run pauses the cyclic garbage collector, so a step, and everything it
+    calls, must not build a reference cycle (a nested function that calls
+    itself is one): what the run drops is freed by reference counting
+    alone.  The tests run every engine family with the collector off and
+    check that a collection afterwards finds nothing."""
 
     def start(self, ctx: NodeContext) -> Any:
         raise NotImplementedError
@@ -504,9 +518,28 @@ def run(
     """Drive the engine to termination: the run ends after the first round
     after which every node's last report is quiescent.  Returns each node's
     collected result and the run's metrics.  Raises SimError when the round
-    cap is below 1."""
+    cap is below 1.
+
+    The cyclic garbage collector is paused for the whole run, because no
+    step builds a reference cycle (`NodeEngine`); it is enabled again on
+    every way out, unless the caller had disabled it."""
     if round_cap < 1:
         raise SimError(f"round cap {round_cap} is not a positive number of rounds")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(net, engine, init, round_cap)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(
+    net: Network,
+    engine: NodeEngine,
+    init: Optional[Mapping[int, Any]],
+    round_cap: int,
+) -> tuple[dict[int, Any], Metrics]:
     g = net.graph
     contexts = {a: _context_for(net, a) for a in g.nodes}
     states = {a: engine.start(contexts[a]) for a in g.nodes}

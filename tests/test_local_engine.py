@@ -46,6 +46,7 @@ from netquery.logic import (
     Var,
     _UnionFind,
     free_vars,
+    locality,
     make_and,
     parse_fixpoint,
     parse_formula,
@@ -59,6 +60,7 @@ from netquery.oracle import (
     eval_fo,
     eval_fp_loc,
     grid_graph,
+    holds,
     make_graph,
     neighborhood,
     path_graph,
@@ -1034,6 +1036,37 @@ def test_compiled_checks_match_the_interpreter():
                 errors += e
     assert compared > 10_000
     assert errors > 100
+
+
+def brute_force_fo(g, f, order):
+    """The tuples over `order` that satisfy f, every assignment tried: the
+    brute-force enumeration the oracle's ball evaluation must equal."""
+    return {
+        t
+        for t in itertools.product(g.nodes, repeat=len(order))
+        if holds(g, f, dict(zip(order, t)))
+    }
+
+
+def test_eval_fo_over_balls_equals_brute_force():
+    """`eval_fo` ranges a radius-bounded formula's centre over all nodes
+    and its other free variables over the centre's ball only.  On every
+    FO-loc fixture formula, in every order of its free variables (so the
+    centre need not come first), it equals the brute-force enumeration on
+    every connected graph of up to 4 nodes and on seeded random graphs.
+    A path through the centre adds three free variables, the centre in the
+    middle."""
+    through = relativize(parse_formula("G(y,x) & G(x,z) & y != z"), "x", 1)
+    nonempty = 0
+    for g in _differential_graphs():
+        for text in FO_LOCAL_TEXTS + [print_formula(through)]:
+            f = parse_formula(text)
+            locality(f)  # radius-bounded, so the oracle ranges over balls
+            for order in itertools.permutations(free_vars(f)):
+                want = brute_force_fo(g, f, order)
+                assert eval_fo(g, f, order).tuples == want, (g.adj, text, order)
+                nonempty += bool(want)
+    assert nonempty > 100
 
 
 # ------------------------------------------- the quotient vs union-find

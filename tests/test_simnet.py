@@ -2,16 +2,18 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
 import re
+import types
 from collections import Counter
 from functools import partialmethod
 
 import pytest
 
-from netquery.engine_fo import FOQueryEngine, run_qe_fo
+from netquery.engine_fo import EngineError, FOQueryEngine, run_qe_fo
 from netquery.engine_fp import FPQueryEngine, run_qe_fp
 from netquery import simnet
 from netquery.fixtures import (
@@ -675,29 +677,43 @@ def test_run_matches_stepping_every_node(monkeypatch, shape):
     results with the same metrics as under the every-node reference, in
     every identity mode it accepts, for port seeds 0-2 and reference
     in-buffer shuffles seeded 0-2 (the costly global engines for equal
-    seeds only).  Every step reports as `bits` the largest `payload_bits`
+    seeds only).  Each node sends the same messages, in the same order, with
+    the same `steps`, in the same rounds under both: the steps the reference
+    adds are no-ops and send nothing, and its shuffled in-buffers may not
+    reach a send.  Every step reports as `bits` the largest `payload_bits`
     among its sends."""
     compared = []
+    g = DIFFERENTIAL_GRAPHS[shape].with_unary({"ReqNode": [1]})
+    node_of = {simnet._nonce(a): a for a in g.nodes}  # a context names no node
+    assert len(node_of) == g.n
+    sent = {}  # (round, node) -> (sends, steps) of each step that sends
 
     def sized(self, state, ctx, round_no, inbox, _step):
         res = _step(self, state, ctx, round_no, inbox)
         assert res.bits == max(
             (self.payload_bits(p, ctx.enc) for _, p in res.sends), default=0
         ), type(self).__name__
+        if res.sends:
+            sent[round_no, node_of[ctx.nonce]] = (res.sends, res.steps)
         return res
 
     for cls in (FOQueryEngine, FPQueryEngine, FOLocEngine, FPLocEngine, NetlogEngine):
         monkeypatch.setattr(cls, "step", partialmethod(sized, _step=cls.step))
 
     def both(net, engine, init=None, round_cap=10_000):
+        where = (type(engine).__name__, net.mode.kind, ref_seed)
+        sent.clear()
         expected = reference_run(net, engine, init, ref_seed, round_cap)
+        expected_sent = dict(sent)
+        assert expected_sent, where
+        sent.clear()
         got = run(net, engine, init, round_cap=round_cap)
-        assert got == expected, (type(engine).__name__, net.mode.kind, ref_seed)
+        assert got == expected, where
+        assert sent == expected_sent, where
         compared.append(type(engine).__name__)
         return got
 
     monkeypatch.setattr(simnet, "run", both)
-    g = DIFFERENTIAL_GRAPHS[shape].with_unary({"ReqNode": [1]})
     fo_loc = relativize(parse_formula(TWO_HOP_TEXT), "x", 1)
     tc_loc = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
     reach_loc = relativize_fixpoint(parse_fixpoint(REACH_TEXT), 1)
@@ -949,6 +965,99 @@ def test_every_set_reading_engine_has_a_delivery_order_case():
     engines = {c for c in package if not package.intersection(c.__subclasses__())}
     assert {FOLocEngine, FPLocEngine} <= engines
     assert engines == {engine for engine, _ in SET_READERS.values()}
+
+
+# ------------------------------------------------- the cyclic collector
+
+
+# One small run per engine family, each through its driver from query text
+# (or, for netlog, from a freshly compiled program, whose plans are
+# generated inside the run).
+CYCLE_CASES = {
+    "fo": lambda: run_qe_fo(make_network(ring_graph(4)), TWO_HOP_TEXT, 1),
+    "fp": lambda: run_qe_fp(make_network(path_graph(3)), TRANSITIVE_CLOSURE_TEXT, 1),
+    "fo-loc": lambda: run_qe_fo_loc(
+        make_network(grid_graph(2, 3), ANONYMOUS), DEG2, 1
+    ),
+    "fp-loc": lambda: run_qe_fp_loc(
+        make_network(ring_graph(6), ANONYMOUS),
+        relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1),
+        1,
+    ),
+    "netlog": lambda: run_netlog(
+        compile_program(TRANSITIVE_CLOSURE_DATALOG, 2).program,
+        make_network(path_graph(3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CYCLE_CASES))
+def test_runs_leave_no_cyclic_garbage(case):
+    """`run` pauses the cyclic collector, which is sound only while
+    reference counting frees everything a run drops.  Run with the
+    collector off, each engine family leaves nothing for a collection to
+    find; a failure names the functions among the garbage (a nested
+    function that calls itself is a cycle)."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        CYCLE_CASES[case]()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        leaked = Counter(
+            o.__qualname__ for o in gc.garbage if isinstance(o, types.FunctionType)
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert found == 0, f"{found} objects in cycles, among them {dict(leaked)}"
+
+
+class CollectorProbe(FloodOnce):
+    """Records at each step whether the collector is on, then steps as
+    `then` does."""
+
+    def __init__(self, then):
+        self.then = then
+        self.seen = set()
+
+    def step(self, state, ctx, round_no, inbox):
+        self.seen.add(gc.isenabled())
+        return self.then(self, state, ctx, round_no, inbox)
+
+
+def failing_step(self, state, ctx, round_no, inbox):
+    raise EngineError("the step failed")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("then, error", [
+    (FloodOnce.step, None),
+    (Chatterbox.step, RoundCapError),
+    (Snooze.step, SimError),
+    (failing_step, EngineError),
+], ids=["return", "round-cap", "wake-up", "engine-error"])
+def test_run_pauses_the_collector_and_restores_it(then, error, enabled):
+    """Every step runs with the collector off, and `run` leaves it as it
+    found it: after a normal return, a `RoundCapError`, the `SimError` of a
+    wake-up that is not ahead, and an engine's own error from a step."""
+    engine = CollectorProbe(then)
+    net = load_network(PATH3)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            run(net, engine, init={1: "go"})
+        else:
+            with pytest.raises(error):
+                run(net, engine, init={1: "go"}, round_cap=5)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert engine.seen == {False}
 
 
 # ------------------------------------------------------------- metrics
