@@ -151,13 +151,6 @@ class _Entry:
     value: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class FONodeReport:
-    """Per-node outcome: the locally held answer tuples."""
-
-    tuples: frozenset[tuple[int, ...]]
-
-
 # ------------------------------------------------------------ formula walks
 
 
@@ -626,8 +619,8 @@ class FOCore:
     def total_work(self) -> int:
         return self.work
 
-    def report(self) -> FONodeReport:
-        return FONodeReport(tuples=frozenset(self.stored))
+    def fragment(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.stored)
 
 
 # ------------------------------------------------------------ simnet engine
@@ -679,8 +672,8 @@ class _BroadcastEngine(NodeEngine):
             bits=sends_bits(sends, self.payload_bits, ctx.enc),
         )
 
-    def collect(self, state: Any, ctx: NodeContext) -> Any:
-        return state.report()
+    def collect(self, state: Any, ctx: NodeContext) -> frozenset:
+        return state.fragment()
 
 
 class FOQueryEngine(_BroadcastEngine):
@@ -752,12 +745,14 @@ def _run_from_requester(
     *,
     round_cap: int,
     with_placement: bool,
-    fragment: Callable[[int, Any], Iterable[tuple[int, ...]]],
+    fragment: Callable[[int, frozenset], Iterable[tuple[int, ...]]],
 ):
     """The body shared by the query drivers: inject the query at the
     requester, run the engine built for the answer-variable order, and
-    gather the per-node fragments (``fragment(node, report)``) into one
-    relation; with `with_placement` the fragments are a third value."""
+    gather the per-node fragments into one relation; with `with_placement`
+    the fragments are a third value.  A node's result is its answer
+    fragment, a frozenset of rows; ``fragment(node, rows)`` gives them as
+    tuples of node ids."""
     if requester not in net.graph.adj:
         raise EngineError(f"requester {requester} is not a node")
     ordered = tuple(order) if order is not None else tuple(variables)
@@ -773,7 +768,7 @@ def _run_from_requester(
         round_cap=round_cap,
     )
     placement = {
-        a: frozenset(fragment(a, rep)) for a, rep in results.items()
+        a: frozenset(fragment(a, rows)) for a, rows in results.items()
     }
     rel = Relation(len(ordered), frozenset().union(*placement.values()))
     if with_placement:
@@ -807,5 +802,5 @@ def run_qe_fo(
         order,
         round_cap=round_cap if round_cap is not None else budget + delta + 8,
         with_placement=with_placement,
-        fragment=lambda a, rep: rep.tuples,
+        fragment=lambda a, rows: rows,
     )

@@ -26,7 +26,6 @@ centralized inflationary evaluation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
 from .engine_fo import (
@@ -50,19 +49,9 @@ from .simnet import EncodingParams, Network, NodeContext
 
 # EngineError is re-exported: the driver here raises it.
 __all__ = [
-    "EngineError", "FPCore", "FPNodeReport", "FPQueryEngine",
+    "EngineError", "FPCore", "FPQueryEngine",
     "default_fp_round_cap", "evaluation_window", "run_qe_fp",
 ]
-
-
-@dataclass(frozen=True)
-class FPNodeReport:
-    """Per-node outcome: the locally committed tuples, plus the table after
-    every iteration (the union over nodes of ``history[i]`` is stage ``i+1``
-    of the centralized evaluation)."""
-
-    tuples: frozenset[tuple[int, ...]]
-    history: tuple[frozenset[tuple[int, ...]], ...]
 
 
 def evaluation_window(w: int, v: int, delta: int) -> int:
@@ -110,6 +99,8 @@ class FPCore:
         self.it = -1  # index of the current iteration, -1 before the first
         self.core: Optional[FOCore] = None
         self.committed: set[tuple[int, ...]] = set()
+        # The table after each iteration: the union over nodes of
+        # history[i] is stage i+1 of the centralized evaluation.
         self.history: list[frozenset[tuple[int, ...]]] = []
         self.new_local = False
         self.inform_heard = False
@@ -236,10 +227,8 @@ class FPCore:
     def total_work(self) -> int:
         return self.work + (self.core.work if self.core is not None else 0)
 
-    def report(self) -> FPNodeReport:
-        return FPNodeReport(
-            tuples=frozenset(self.committed), history=tuple(self.history)
-        )
+    def fragment(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.committed)
 
 
 # ------------------------------------------------------------ simnet engine
@@ -302,5 +291,5 @@ def run_qe_fp(
             round_cap if round_cap is not None else default_fp_round_cap(net, q)
         ),
         with_placement=with_placement,
-        fragment=lambda a, rep: rep.tuples,
+        fragment=lambda a, rows: rows,
     )

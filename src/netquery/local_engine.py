@@ -73,8 +73,6 @@ __all__ = [
     "run_qe_fp_loc",
     "check_locally_consistent",
     "local_payload_bits",
-    "FOLocReport",
-    "FPLocReport",
 ]
 
 
@@ -130,21 +128,27 @@ def resolve_trace(net: Network, start: int, trace: PortTrace) -> int:
 # ------------------------------------------------------------ the quotient
 
 
+# The centre's class.  `_topology_from_entries` visits traces in (length,
+# trace) order, so the empty trace, the walk's start, founds class 0.
+_CENTER = 0
+
+
 @dataclass(frozen=True)
 class LocalTopology:
-    """The neighborhood a node reconstructs from traces alone.  The recorded
-    walk traces are partitioned by the certified same-endpoint equivalence
-    (closed reflexively, symmetrically and transitively); the classes are
-    the vertices, named by index and represented by their least trace, with
-    edges certified by recorded walks, plus the input facts and (where the
-    identity mode provides one) the label carried home by the collection."""
+    """The neighborhood a node reconstructs from traces alone, holding only
+    what evaluation reads.  The recorded walk traces are partitioned by the
+    certified same-endpoint equivalence (closed reflexively, symmetrically
+    and transitively); `class_of` maps each trace to its class, and the
+    classes are named by index and represented by their least trace, the
+    centre's being `_CENTER`.  The vertices are the classes within the
+    radius, with edges certified by recorded walks, plus the input facts
+    and (where the identity mode provides one) the label carried home by
+    the collection."""
 
-    classes: tuple[frozenset[PortTrace], ...]
     class_of: Mapping[PortTrace, int]
     reps: tuple[PortTrace, ...]
     vertices: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
-    center: int
     attrs: Mapping[int, frozenset[str]]
     labels: Mapping[int, Optional[int]]
 
@@ -161,9 +165,6 @@ class LocalTopology:
             raise EngineError(
                 f"trace {trace!r} lies outside the collected fragment"
             ) from None
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return a != b and (min(a, b), max(a, b)) in self.edges
 
 
 # A collection row: (a walk's trace, the tracelist its endpoint recorded,
@@ -192,7 +193,6 @@ def _topology_from_entries(
     visit = sorted(entries)
     visit.sort(key=len)  # stable, so (length, trace) order
     class_of: dict[PortTrace, int] = {}
-    classes: list[frozenset[PortTrace]] = []
     reps: list[PortTrace] = []
     attrs: dict[int, frozenset[str]] = {}
     labels: dict[int, Optional[int]] = {}
@@ -216,7 +216,6 @@ def _topology_from_entries(
                     "different facts or labels"
                 )
         reps.append(t)
-        classes.append(frozenset(members))
         attrs[c] = frozenset(facts)
         labels[c] = label
     # Representatives are in length order, so the vertices are a prefix.
@@ -231,12 +230,10 @@ def _topology_from_entries(
             if c1 < n and c2 < n and c1 != c2:
                 edges.add((c1, c2) if c1 < c2 else (c2, c1))
     return LocalTopology(
-        classes=tuple(classes),
         class_of=class_of,
         reps=tuple(reps),
         vertices=tuple(range(n)),
         edges=frozenset(edges),
-        center=class_of[()],
         attrs=attrs,
         labels=labels,
     )
@@ -681,12 +678,6 @@ class _LocalEngine(NodeEngine):
 # -------------------------------------------------------- first-order engine
 
 
-@dataclass(frozen=True)
-class FOLocReport:
-    topology: Optional[LocalTopology]
-    rows: frozenset[tuple[PortTrace, ...]]
-
-
 class _FOLocState(_LocalState):
     __slots__ = ("rows",)
 
@@ -734,7 +725,7 @@ class FOLocEngine(_LocalEngine):
             topo = state.topology
             assert topo is not None and state.query is not None
             cx = _Eval(topo, state.domain)
-            state.rows = frozenset(_rows(state.query, cx, topo.center))
+            state.rows = frozenset(_rows(state.query, cx, _CENTER))
             work += cx.work
         return StepResult(
             sends=tuple(out),
@@ -745,8 +736,8 @@ class FOLocEngine(_LocalEngine):
             bits=sends_bits(out, local_payload_bits, ctx.enc),
         )
 
-    def collect(self, state: _FOLocState, ctx: NodeContext) -> FOLocReport:
-        return FOLocReport(topology=state.topology, rows=state.rows)
+    def collect(self, state: _FOLocState, ctx: NodeContext) -> frozenset:
+        return state.rows
 
 
 def run_qe_fo_loc(
@@ -777,21 +768,13 @@ def run_qe_fo_loc(
             else net.graph.diameter + 2 * k + 16
         ),
         with_placement=with_placement,
-        fragment=lambda a, rep: (
-            tuple(resolve_trace(net, a, t) for t in row) for row in rep.rows
+        fragment=lambda a, rows: (
+            tuple(resolve_trace(net, a, t) for t in row) for row in rows
         ),
     )
 
 
 # ----------------------------------------------------------- fixpoint engine
-
-
-@dataclass(frozen=True)
-class FPLocReport:
-    topology: Optional[LocalTopology]
-    tuples: frozenset[tuple[PortTrace, ...]]
-    history: tuple[frozenset[tuple[PortTrace, ...]], ...]
-    awake_windows: tuple[int, ...]
 
 
 def _query_key(
@@ -959,7 +942,6 @@ class FPLocEngine(_LocalEngine):
         out: list[tuple[int, Any]],
     ) -> int:
         _, route, j, names = payload
-        route = tuple(route)
         if port != route[j - 1]:
             raise EngineError("routed query strayed from its walk")
         if j < len(route):
@@ -968,9 +950,7 @@ class FPLocEngine(_LocalEngine):
         topo = state.topology
         if topo is None:
             raise EngineError("table query arrived before any table exists")
-        row = tuple(
-            topo.rep(topo.class_index(tuple(t))) for t in names
-        )
+        row = tuple(topo.rep(topo.class_index(t)) for t in names)
         truth = row in state.table
         back = reverse_trace(route)
         out.append((back[0], ("B", back, 2, route, names, truth)))
@@ -984,13 +964,12 @@ class FPLocEngine(_LocalEngine):
         out: list[tuple[int, Any]],
     ) -> int:
         _, back, j, route, names, truth = payload
-        back = tuple(back)
         if port != back[j - 1]:
             raise EngineError("routed answer strayed from its walk")
         if j < len(back):
             out.append((back[j], ("B", back, j + 2, route, names, truth)))
             return 1
-        state.answers[(tuple(route), tuple(tuple(t) for t in names))] = truth
+        state.answers[(route, names)] = truth
         return 0
 
     def _open_window(
@@ -1003,11 +982,11 @@ class FPLocEngine(_LocalEngine):
         for names, rest in q.shapes:
             for combo in itertools.product(state.domain, repeat=len(rest)):
                 env = dict(zip(rest, combo))
-                env[state.center] = topo.center
+                env[state.center] = _CENTER
                 ground.add((env[names[0]], tuple([env[v] for v in names[1:]])))
         sent = 0
         for holder, args in sorted(ground):
-            if holder == topo.center:
+            if holder == _CENTER:
                 continue
             route, names = _query_key(topo, holder, args)
             key = (route, names)
@@ -1031,7 +1010,7 @@ class FPLocEngine(_LocalEngine):
         def truth(holder: int, args: tuple[int, ...]) -> bool:
             """A ground table atom: the node's own committed rows directly,
             remote rows from the answers that came back this window."""
-            if holder == topo.center:
+            if holder == _CENTER:
                 return tuple(topo.rep(c) for c in args) in state.table
             answer = state.answers.get(_query_key(topo, holder, args))
             if answer is None:
@@ -1039,7 +1018,7 @@ class FPLocEngine(_LocalEngine):
             return answer
 
         cx = _Eval(topo, state.domain, truth)
-        state.buffer = _rows(q, cx, topo.center) - state.table
+        state.buffer = _rows(q, cx, _CENTER) - state.table
         state.had_new = bool(state.buffer)
         state.awake_windows.append(state.window)
         if state.had_new:
@@ -1047,13 +1026,8 @@ class FPLocEngine(_LocalEngine):
         state.awake = False
         return cx.work
 
-    def collect(self, state: _FPLocState, ctx: NodeContext) -> FPLocReport:
-        return FPLocReport(
-            topology=state.topology,
-            tuples=frozenset(state.table),
-            history=tuple(state.history),
-            awake_windows=tuple(state.awake_windows),
-        )
+    def collect(self, state: _FPLocState, ctx: NodeContext) -> frozenset:
+        return frozenset(state.table)
 
 
 def default_fp_loc_round_cap(net: Network, q: FixpointQuery) -> int:
@@ -1093,9 +1067,8 @@ def run_qe_fp_loc(
             else default_fp_loc_round_cap(net, q)
         ),
         with_placement=with_placement,
-        fragment=lambda a, rep: (
-            (a,) + tuple(resolve_trace(net, a, t) for t in row)
-            for row in rep.tuples
+        fragment=lambda a, rows: (
+            (a,) + tuple(resolve_trace(net, a, t) for t in row) for row in rows
         ),
     )
 

@@ -430,6 +430,10 @@ class NodeEngine:
         raise NotImplementedError
 
     def collect(self, state: Any, ctx: NodeContext) -> Any:
+        """The node's result.  Results outlive the run, and the first
+        collection after the collector resumes scans all of them, so
+        `collect` returns only what the driver reads: for a query engine,
+        the node's answer fragment as a frozenset."""
         raise NotImplementedError
 
 
@@ -522,7 +526,9 @@ def run(
 
     The cyclic garbage collector is paused for the whole run, because no
     step builds a reference cycle (`NodeEngine`); it is enabled again on
-    every way out, unless the caller had disabled it."""
+    every way out, unless the caller had disabled it.  The results outlive
+    the run, so the first collection after it resumes scans them; that is
+    why `NodeEngine.collect` returns only what the driver reads."""
     if round_cap < 1:
         raise SimError(f"round cap {round_cap} is not a positive number of rounds")
     enabled = gc.isenabled()

@@ -120,7 +120,7 @@ def test_tuples_are_held_at_their_first_coordinate():
     f = parse_formula(TWO_HOP_TEXT)
     net = _net(path_graph(4))
     res, _ = simnet.run(net, FOQueryEngine(free_vars(f)), init={1: f})
-    held = {a: rep.tuples for a, rep in res.items()}
+    held = dict(res)
     assert held[1] == frozenset({(1,)})
     assert held[4] == frozenset({(4,)})
     assert held[2] == held[3] == frozenset()

@@ -1,5 +1,6 @@
 """Distributed fixpoint evaluation against the centralized oracle."""
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,10 +41,21 @@ def _net(g, **kw):
     return make_network(g, **kw)
 
 
+class _HistoryEngine(FPQueryEngine):
+    """FP whose node result also carries the node's table after every
+    iteration: the union over nodes of ``history[i]`` is stage ``i+1`` of
+    the centralized evaluation."""
+
+    def collect(self, state, ctx):
+        return SimpleNamespace(
+            tuples=super().collect(state, ctx), history=tuple(state.history)
+        )
+
+
 def _run_with_reports(g, q, requester, **kw):
     net = _net(g)
     cap = default_fp_round_cap(net, q)
-    return simnet.run(net, FPQueryEngine(), init={requester: q}, round_cap=cap, **kw)
+    return simnet.run(net, _HistoryEngine(), init={requester: q}, round_cap=cap, **kw)
 
 
 # ------------------------------------------------------------ window length

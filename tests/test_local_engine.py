@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -128,11 +129,11 @@ def test_collect_topology_path_center():
     topo = collect_topology(net, 2, 1)
     assert len(topo.vertices) == 3
     assert len(topo.edges) == 2
-    others = [c for c in topo.vertices if c != topo.center]
+    others = [c for c in topo.vertices if c != CENTER]
     assert len(others) == 2
-    assert topo.has_edge(topo.center, others[0])
-    assert topo.has_edge(topo.center, others[1])
-    assert not topo.has_edge(others[0], others[1])
+    assert has_edge(topo, CENTER, others[0])
+    assert has_edge(topo, CENTER, others[1])
+    assert not has_edge(topo, others[0], others[1])
     assert {resolve_trace(net, 2, topo.rep(c)) for c in others} == {1, 3}
 
 
@@ -151,10 +152,10 @@ def test_collect_topology_ring4_separates_neighbors():
     net = make_network(ring_graph(4))
     topo = collect_topology(net, 1, 1)
     assert len(topo.vertices) == 3
-    others = [c for c in topo.vertices if c != topo.center]
+    others = [c for c in topo.vertices if c != CENTER]
     assert len(others) == 2
     assert len(topo.edges) == 2
-    assert not topo.has_edge(others[0], others[1])
+    assert not has_edge(topo, others[0], others[1])
 
 
 def test_collect_topology_rejects_bad_inputs():
@@ -216,10 +217,10 @@ def test_reconstruction_rejects_misnamed_edges(monkeypatch):
 
 def _norm_topology(t):
     return (
-        t.classes,
+        classes_of(t),
         t.vertices,
         t.edges,
-        t.center,
+        t.class_of[()],
         dict(t.attrs),
         dict(t.labels),
     )
@@ -236,7 +237,7 @@ def test_protocol_topology_equals_reference():
                 if mode
                 else make_network(g, port_seed=seed)
             )
-            eng = FOLocEngine(("x",))
+            eng = FOLocReporter(("x",))
             res, _ = simnet.run(
                 net, eng, init={min(g.nodes): f}, round_cap=400
             )
@@ -391,7 +392,7 @@ def test_fp_loc_anonymous_exhaustive():
 
 def _run_fp_reports(g, q, requester):
     net = make_network(g)
-    eng = FPLocEngine()
+    eng = FPLocReporter()
     res, metrics = simnet.run(
         net, eng, init={requester: q}, round_cap=100_000
     )
@@ -523,8 +524,8 @@ def test_local_reports_are_invariant_under_isomorphism(monkeypatch):
             net = make_network(g, mode, port_seed=seed)
             image = _permuted_network(net, perm)
             for engine, query in (
-                (FOLocEngine(("x",)), parse_formula(DEG2)),
-                (FPLocEngine(), tc_query(1)),
+                (FOLocReporter(("x",)), parse_formula(DEG2)),
+                (FPLocReporter(), tc_query(1)),
             ):
                 monkeypatch.setattr(simnet, "_nonce", real_nonce)
                 want, want_m = simnet.run(net, engine, {1: query}, round_cap=400)
@@ -591,7 +592,7 @@ def test_an_engine_without_a_mode_compares_only_labeled_nodes():
         g, IdentityMode("local-consistent", 1, injective_labels(g))
     )
     res, _ = simnet.run(labeled, FOLocEngine(("x",)), {1: f}, round_cap=400)
-    got = {(a,) for a, rep in res.items() if rep.rows}
+    got = {(a,) for a, rows in res.items() if rows}
     assert got == eval_fo(g, f, ("x",)).tuples == {(2,), (3,), (4,)}
     anonymous = make_network(g, ANONYMOUS)
     with pytest.raises(EngineError, match="unlabeled"):
@@ -866,12 +867,52 @@ def _central_entries(net, start, radius):
 
 def collect_topology(net, a, k):
     """Reference construction of the trace-quotient view of N^k(a): what the
-    distributed collection at `a` produces, computed directly."""
+    distributed collection at `a` produces, computed directly.  The centre
+    is class CENTER."""
     if a not in net.graph.adj:
         raise EngineError(f"{a} is not a node")
     if k < 1:
         raise EngineError("collection radius must be >= 1")
-    return local_engine._topology_from_entries(k, _central_entries(net, a, k))
+    topo = local_engine._topology_from_entries(k, _central_entries(net, a, k))
+    assert topo.class_of[()] == CENTER
+    return topo
+
+
+CENTER = local_engine._CENTER
+
+
+def has_edge(topo, a, b):
+    """Whether the reconstruction certifies an edge between classes a, b."""
+    return a != b and (min(a, b), max(a, b)) in topo.edges
+
+
+def classes_of(topo):
+    """The traces of each class, in class order, rebuilt from `class_of`."""
+    classes = [set() for _ in topo.reps]
+    for t, c in topo.class_of.items():
+        classes[c].add(t)
+    return tuple(map(frozenset, classes))
+
+
+class FOLocReporter(FOLocEngine):
+    """FO-loc whose node result also carries the node's topology."""
+
+    def collect(self, state, ctx):
+        rows = super().collect(state, ctx)
+        return SimpleNamespace(topology=state.topology, rows=rows)
+
+
+class FPLocReporter(FPLocEngine):
+    """FP-loc whose node result also carries the node's topology, its table
+    after every window and the windows it was awake in."""
+
+    def collect(self, state, ctx):
+        return SimpleNamespace(
+            topology=state.topology,
+            tuples=super().collect(state, ctx),
+            history=tuple(state.history),
+            awake_windows=tuple(state.awake_windows),
+        )
 
 
 def verify_reconstruction(net, a, k):
@@ -881,7 +922,7 @@ def verify_reconstruction(net, a, k):
     exactly when their nodes do."""
     topo = collect_topology(net, a, k)
     frag = neighborhood(net.graph, a, k)
-    ends = [{resolve_trace(net, a, t) for t in cls} for cls in topo.classes]
+    ends = [{resolve_trace(net, a, t) for t in cls} for cls in classes_of(topo)]
     if any(len(e) != 1 for e in ends):
         return False
     node_of = [min(e) for e in ends]
@@ -889,7 +930,7 @@ def verify_reconstruction(net, a, k):
         return False
     edges = {frozenset(e) for e in frag.edges}
     return all(
-        topo.has_edge(c, d) == (frozenset((node_of[c], node_of[d])) in edges)
+        has_edge(topo, c, d) == (frozenset((node_of[c], node_of[d])) in edges)
         for c, d in itertools.combinations(topo.vertices, 2)
     )
 
@@ -908,7 +949,7 @@ def reference_holds(f, env, topo, domain, table, work):
         if f.pred == EDGE_PRED:
             a = env[f.args[0].name]
             b = env[f.args[1].name]
-            return topo.has_edge(a, b)
+            return has_edge(topo, a, b)
         if table is not None and f.pred == table[0]:
             holder = env[f.args[0].name]
             return table[1](holder, tuple(env[t.name] for t in f.args[1:]))
@@ -983,12 +1024,12 @@ def _compare_with_interpreter(net, engine, text, table):
         topo = collect_topology(net, a, radius)
         domain = tuple(i for i in topo.vertices if topo.dist(i) <= k)
         for combo in itertools.product(domain, repeat=len(names)):
-            env = dict(zip([center, *names], (topo.center, *combo)))
+            env = dict(zip([center, *names], (CENTER, *combo)))
             work = [0]
             want = _outcome(lambda: reference_holds(
                 body, env, topo, domain, table and (parsed.name, table), work
             ))
-            slots = [topo.center] * query.width
+            slots = [CENTER] * query.width
             slots[1:1 + query.free] = combo
             cx = local_engine._Eval(topo, domain, table)
             got = _outcome(lambda: local_engine._holds(query.check, slots, cx))
@@ -1104,12 +1145,10 @@ def reference_topology(radius, entries):
         ls = {entries[t][3] for t in cls} - {None}
         labels[i] = min(ls) if ls else None
     return local_engine.LocalTopology(
-        classes=classes,
         class_of=class_of,
         reps=reps,
         vertices=vertices,
         edges=frozenset(edges),
-        center=class_of[()],
         attrs=attrs,
         labels=labels,
     )
@@ -1151,7 +1190,7 @@ def test_quotient_links_rows_both_ways():
     entries = {r[0]: r for r in rows}
     topo = local_engine._topology_from_entries(1, entries)
     assert topo == reference_topology(1, entries)
-    assert topo.classes[topo.class_of[x]] == {x, y, z}
+    assert classes_of(topo)[topo.class_of[x]] == {x, y, z}
     assert topo.rep(topo.class_of[z]) == x
     assert topo.vertices == (0, 1, 2)
 

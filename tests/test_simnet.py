@@ -28,6 +28,7 @@ from netquery.fixtures import (
 from netquery.local_engine import (
     FOLocEngine,
     FPLocEngine,
+    LocalTopology,
     run_qe_fo_loc,
     run_qe_fp_loc,
 )
@@ -965,6 +966,45 @@ def test_every_set_reading_engine_has_a_delivery_order_case():
     engines = {c for c in package if not package.intersection(c.__subclasses__())}
     assert {FOLocEngine, FPLocEngine} <= engines
     assert engines == {engine for engine, _ in SET_READERS.values()}
+
+
+@pytest.mark.parametrize("case", sorted(SET_READERS))
+def test_every_node_result_is_a_frozenset(monkeypatch, case):
+    """A node's result is its answer fragment, a plain frozenset: results
+    outlive the run, and the first collection after it scans them."""
+    real, results = simnet.run, []
+
+    def recording(*args, **kw):
+        out = real(*args, **kw)
+        results.append(out[0])
+        return out
+
+    monkeypatch.setattr(simnet, "run", recording)
+    SET_READERS[case][1](0)
+    assert results
+    for res in results:
+        assert {type(r) for r in res.values()} == {frozenset}
+
+
+@pytest.mark.parametrize("engine,query", [
+    (FOLocEngine(("x",)), parse_formula(DEG2)),
+    (FPLocEngine(), relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)),
+])
+def test_local_results_reach_no_topology(engine, query):
+    """A local engine's node result holds its rows, not the ball the node
+    reconstructed: no LocalTopology can be reached from the results."""
+    net = make_network(grid_graph(3, 3), ANONYMOUS)
+    results, _ = simnet.run(net, engine, {1: query}, round_cap=400)
+    assert all(results.values())
+    seen, todo = set(), [results]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, LocalTopology)
+        todo.extend(gc.get_referents(obj))
+    assert len(seen) > 2 * len(results)
 
 
 # ------------------------------------------------- the cyclic collector
