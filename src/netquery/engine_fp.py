@@ -78,7 +78,10 @@ def _fp_send_order(p: tuple) -> tuple:
 
 
 class FPCore:
-    """One node's share of the distributed fixpoint evaluation."""
+    """One node's share of the distributed fixpoint evaluation.  It keeps
+    the committed table, not its past: after iteration i (`_commit`) the
+    union over nodes of `committed` is stage i+1 of the centralized
+    evaluation."""
 
     def __init__(
         self,
@@ -99,9 +102,6 @@ class FPCore:
         self.it = -1  # index of the current iteration, -1 before the first
         self.core: Optional[FOCore] = None
         self.committed: set[tuple[int, ...]] = set()
-        # The table after each iteration: the union over nodes of
-        # history[i] is stage i+1 of the centralized evaluation.
-        self.history: list[frozenset[tuple[int, ...]]] = []
         self.new_local = False
         self.inform_heard = False
         self.out: list[tuple] = []
@@ -158,7 +158,6 @@ class FPCore:
         assert self.core is not None
         fresh = set(self.core.stored) - self.committed
         self.committed |= fresh
-        self.history.append(frozenset(self.committed))
         self.new_local = bool(fresh)
         self.work += 1
         if fresh and self.delta >= 1:

@@ -152,12 +152,6 @@ class LocalTopology:
     attrs: Mapping[int, frozenset[str]]
     labels: Mapping[int, Optional[int]]
 
-    def rep(self, idx: int) -> PortTrace:
-        return self.reps[idx]
-
-    def dist(self, idx: int) -> int:
-        return len(self.reps[idx]) // 2
-
     def class_index(self, trace: PortTrace) -> int:
         try:
             return self.class_of[trace]
@@ -465,7 +459,8 @@ class _Collector:
     with the same rules.  A walk that was forwarded waits for one reply per
     port, keeping each as (port, rows); when the last one is in, it replies
     with its own row followed by the children's rows in port order, which is
-    the order of their traces."""
+    the order of their traces.  This node's own rows wait in `stored` until
+    `_LocalEngine._home` takes them, in the step they come home."""
 
     __slots__ = ("nonce", "radius", "records", "pending", "stored")
 
@@ -476,10 +471,6 @@ class _Collector:
         # (wave, walk) -> (ports still to reply, [(port, rows)] received)
         self.pending: dict[tuple[int, PortTrace], tuple] = {}
         self.stored: Optional[dict[PortTrace, _Row]] = None
-
-    @property
-    def done(self) -> bool:
-        return self.stored is not None
 
     def _row(self, ctx: NodeContext, wave: int, walk: PortTrace) -> _Row:
         return (
@@ -558,20 +549,15 @@ class _Collector:
             wire.extend(rows)
         out.append((prefix[-1], ("R", wave, prefix, tuple(wire))))
 
-    def build(self) -> LocalTopology:
-        assert self.stored is not None and self.radius is not None
-        return _topology_from_entries(self.radius, self.stored)
-
 
 # ------------------------------------------------------------ shared engine
 
 
 class _LocalState:
     """What a local engine keeps per node: the adopted query (compiled), its
-    centre variable and radius, the walk collection, and the topology and
-    domain it yields."""
+    centre variable and radius, and the walk collection."""
 
-    __slots__ = ("query", "center", "k", "relay", "collector", "topology", "domain")
+    __slots__ = ("query", "center", "k", "relay", "collector")
 
     def __init__(self, collector: _Collector) -> None:
         self.query: Optional[_Compiled] = None
@@ -579,22 +565,21 @@ class _LocalState:
         self.k = 0
         self.relay: Optional[str] = None  # the query text still to relay
         self.collector = collector
-        self.topology: Optional[LocalTopology] = None
-        self.domain: tuple[int, ...] = ()
 
 
 class _LocalEngine(NodeEngine):
     """What the local engines share: adopt the first query heard and relay
-    it once, serve the walk collection, and build the topology and the
-    radius-k domain when the collection comes home.  An engine names its
-    state class `_State` and its query printer `_print`, reads a query text
-    into (parsed query, centre variable, radius, compiled query) in
-    `_read`, and serves its own message tags in `_serve`.  One engine object
-    serves every node of a run, so `reads` maps each distinct text to what
-    `_read` made of it and the parsed query printed for the relay: each text
-    is read, compiled and printed once per run, and every node evaluates
-    through the same compiled checks.  A text that fails to read is not
-    kept and fails again at every node that reads it.
+    it once, serve the walk collection, and hand over the topology and the
+    radius-k domain once, in the step the collection comes home (`_home`).
+    An engine names its state class `_State` and its query printer
+    `_print`, reads a query text into (parsed query, centre variable,
+    radius, compiled query) in `_read`, and serves its own message tags in
+    `_serve`.  One engine object serves every node of a run, so `reads`
+    maps each distinct text to what `_read` made of it and the parsed query
+    printed for the relay: each text is read, compiled and printed once per
+    run, and every node evaluates through the same compiled checks.  A text
+    that fails to read is not kept and fails again at every node that
+    reads it.
 
     A step serves its inbox sorted, so it reads the inbox as a set.
     Messages compare by payload first, and two local messages in one inbox
@@ -661,15 +646,17 @@ class _LocalEngine(NodeEngine):
             state.relay = None
         return work
 
-    def _built(self, state: _LocalState) -> bool:
-        """Build the topology and domain if the collection just came home,
-        and say whether it did."""
-        if state.topology is not None or not state.collector.done:
-            return False
-        topo = state.collector.build()
-        state.topology = topo
-        state.domain = tuple(i for i in topo.vertices if topo.dist(i) <= state.k)
-        return True
+    def _home(
+        self, state: _LocalState
+    ) -> Optional[tuple[LocalTopology, tuple[int, ...]]]:
+        """The topology and the radius-k domain, once: in the step the
+        collection comes home, when the collector lets go of its rows."""
+        collector = state.collector
+        if collector.stored is None:
+            return None
+        topo = _topology_from_entries(collector.radius, collector.stored)
+        collector.stored = None
+        return topo, tuple(i for i, t in enumerate(topo.reps) if len(t) <= 2 * state.k)
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         return local_payload_bits(payload, enc)
@@ -683,13 +670,14 @@ class _FOLocState(_LocalState):
 
     def __init__(self, collector: _Collector) -> None:
         super().__init__(collector)
-        self.rows: frozenset[tuple[PortTrace, ...]] = frozenset()
+        self.rows: Optional[frozenset[tuple[PortTrace, ...]]] = None  # until evaluated
 
 
 class FOLocEngine(_LocalEngine):
     """Radius-bounded first-order evaluation: flood the query, collect the
-    k-neighborhood as a trace quotient, evaluate in-node over the classes.
-    Only mail drives it, so it asks for no wake-up."""
+    k-neighborhood as a trace quotient, evaluate in-node over the classes in
+    the step the collection comes home, and keep only the rows.  Only mail
+    drives it, so it asks for no wake-up."""
 
     _State = _FOLocState
     _print = staticmethod(print_formula)
@@ -716,28 +704,25 @@ class FOLocEngine(_LocalEngine):
         ):
             # Nothing to serve, relay or launch, and the collection can only
             # come home through a reply: the simulator's after-send step.
-            return StepResult((), state.query is None or state.topology is not None)
+            return StepResult((), state.query is None or state.rows is not None)
         out: list[tuple[int, Any]] = []
         work = self._serve_inbox(state, ctx, inbox, out)
         if state.query is not None and state.collector.radius is None:
             state.collector.launch(ctx, state.k, out)
-        if self._built(state):
-            topo = state.topology
-            assert topo is not None and state.query is not None
-            cx = _Eval(topo, state.domain)
+        home = self._home(state)
+        if home is not None:
+            cx = _Eval(*home)
             state.rows = frozenset(_rows(state.query, cx, _CENTER))
             work += cx.work
         return StepResult(
             sends=tuple(out),
-            quiescent=not out and (
-                state.query is None or state.topology is not None
-            ),
+            quiescent=not out and (state.query is None or state.rows is not None),
             steps=1 + work,
             bits=sends_bits(out, local_payload_bits, ctx.enc),
         )
 
     def collect(self, state: _FOLocState, ctx: NodeContext) -> frozenset:
-        return state.rows
+        return state.rows or frozenset()
 
 
 def run_qe_fo_loc(
@@ -780,9 +765,9 @@ def run_qe_fo_loc(
 def _query_key(
     topo: LocalTopology, holder: int, args: tuple[int, ...]
 ) -> tuple[PortTrace, tuple[PortTrace, ...]]:
-    route = topo.rep(holder)
+    route = topo.reps[holder]
     back = reverse_trace(route)
-    names = tuple(reduce_trace(back + topo.rep(c)) for c in args)
+    names = tuple(reduce_trace(back + topo.reps[c]) for c in args)
     return route, names
 
 
@@ -794,16 +779,19 @@ def _fp_loc_clock(diameter: int, k: int) -> tuple[int, int, int]:
 
 
 class _FPLocState(_LocalState):
-    __slots__ = ("table", "buffer", "history", "awake", "awake_windows",
-                 "window", "had_new", "inform_heard", "max_relayed", "answers")
+    """FP-loc's node state: the topology and domain handed over by the
+    collection, which every window evaluates over, and the table."""
+
+    __slots__ = ("topology", "domain", "table", "buffer", "awake", "window",
+                 "had_new", "inform_heard", "max_relayed", "answers")
 
     def __init__(self, collector: _Collector) -> None:
         super().__init__(collector)
+        self.topology: Optional[LocalTopology] = None
+        self.domain: tuple[int, ...] = ()
         self.table: set[tuple[PortTrace, ...]] = set()
         self.buffer: set[tuple[PortTrace, ...]] = set()
-        self.history: list[frozenset[tuple[PortTrace, ...]]] = []
         self.awake = False
-        self.awake_windows: list[int] = []
         self.window = -1
         self.had_new = False
         self.inform_heard = False
@@ -855,7 +843,9 @@ class FPLocEngine(_LocalEngine):
             and state.collector.radius is None
         ):
             state.collector.launch(ctx, 2 * state.k, out)
-        if self._built(state):
+        home = self._home(state)
+        if home is not None:
+            state.topology, state.domain = home
             state.awake = True
         if state.topology is not None and round_no >= f0:
             r = (round_no - f0) % tau
@@ -880,8 +870,9 @@ class FPLocEngine(_LocalEngine):
     ) -> Optional[int]:
         """The next round in which the clock alone gives this node work:
         the launch, the end of the collection's window, the finalize of an
-        awake window, or the next window boundary (quiescent nodes commit
-        their history there too)."""
+        awake window, or the next window boundary (a quiescent node wakes
+        there too, since `window` and the per-window resets advance only in
+        a boundary step)."""
         if state.query is None:
             return None
         if state.topology is None:
@@ -902,7 +893,6 @@ class FPLocEngine(_LocalEngine):
         if state.window >= 0:
             state.table |= state.buffer
             state.buffer = set()
-            state.history.append(frozenset(state.table))
             state.awake = state.had_new or state.inform_heard
         else:
             state.awake = True
@@ -950,7 +940,7 @@ class FPLocEngine(_LocalEngine):
         topo = state.topology
         if topo is None:
             raise EngineError("table query arrived before any table exists")
-        row = tuple(topo.rep(topo.class_index(t)) for t in names)
+        row = tuple(topo.reps[topo.class_index(t)] for t in names)
         truth = row in state.table
         back = reverse_trace(route)
         out.append((back[0], ("B", back, 2, route, names, truth)))
@@ -1011,7 +1001,7 @@ class FPLocEngine(_LocalEngine):
             """A ground table atom: the node's own committed rows directly,
             remote rows from the answers that came back this window."""
             if holder == _CENTER:
-                return tuple(topo.rep(c) for c in args) in state.table
+                return tuple(topo.reps[c] for c in args) in state.table
             answer = state.answers.get(_query_key(topo, holder, args))
             if answer is None:
                 raise EngineError("table query went unanswered within its window")
@@ -1020,7 +1010,6 @@ class FPLocEngine(_LocalEngine):
         cx = _Eval(topo, state.domain, truth)
         state.buffer = _rows(q, cx, _CENTER) - state.table
         state.had_new = bool(state.buffer)
-        state.awake_windows.append(state.window)
         if state.had_new:
             out.extend(broadcast(ctx, ("N", state.k)))
         state.awake = False

@@ -888,6 +888,7 @@ def default_round_cap(program: NetlogProgram, g: Graph) -> int:
 
 _ARGS = itemgetter(1)  # a fact's argument tuple
 _PAYLOAD = itemgetter(0)  # a delivered message's payload
+_SENT_FACT = itemgetter(1)  # the fact of a (port, fact) send
 
 
 @dataclass
@@ -999,7 +1000,7 @@ class NetlogEngine(simnet.NodeEngine):
             # `sizes` holds every fact sized so far; a step that sends a new
             # one sizes its sends through `payload_bits`, which adds them.
             try:
-                bits = max(map(self.sizes.__getitem__, map(_ARGS, sends)))
+                bits = max(map(self.sizes.__getitem__, map(_SENT_FACT, sends)))
             except KeyError:
                 bits = max(self.payload_bits(fact, ctx.enc) for _, fact in sends)
         # The store is replaced every round, so every round needs a step.

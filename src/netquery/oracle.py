@@ -52,13 +52,22 @@ class OracleError(ValueError):
 @dataclass(frozen=True)
 class Graph:
     """Finite connected bounded-degree undirected graph with recomputed
-    metadata and unary input facts."""
+    metadata and unary input facts, each on nodes of the graph and none
+    named like the edge relation."""
 
     nodes: tuple[int, ...]  # sorted ids
     adj: Mapping[int, tuple[int, ...]]  # sorted neighbor lists
     degree_bound: int
     diameter: int
     unary: Mapping[str, frozenset[int]]
+
+    def __post_init__(self) -> None:
+        if EDGE_PRED in self.unary:
+            raise GraphError(f"unary fact {EDGE_PRED} would shadow the edge relation")
+        for pred, members in self.unary.items():
+            bad = members.difference(self.adj)
+            if bad:
+                raise GraphError(f"{pred} fact references unknown node {min(bad)}")
 
     @property
     def n(self) -> int:
@@ -124,10 +133,6 @@ def make_graph(
     if diameter is None:
         diameter = max(max(_bfs(sorted_adj, u).values()) for u in ordered)
     unary_map = {p: frozenset(m) for p, m in (unary or {}).items()}
-    for pred, members in unary_map.items():
-        bad = members - node_set
-        if bad:
-            raise GraphError(f"{pred} fact references unknown node {sorted(bad)[0]}")
     return Graph(ordered, sorted_adj, degree_bound, diameter, unary_map)
 
 

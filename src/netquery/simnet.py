@@ -44,6 +44,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
+from .logic import EDGE_PRED
 from .oracle import Graph, make_graph
 
 
@@ -271,6 +272,8 @@ def load_network(
             if len(parts) != 2:
                 raise SimError(f"line {no}: malformed fact line {ln!r}")
             (a,) = _node_ids(no, "fact", ln, parts[1:])
+            if parts[0] == EDGE_PRED:
+                raise SimError(f"line {no}: fact {ln!r} names the edge relation")
             if (parts[0], a) in facts:
                 raise SimError(
                     f"line {no}: fact {ln!r} repeats the fact of line "

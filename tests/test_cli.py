@@ -428,6 +428,17 @@ def test_options_a_command_ignores_are_rejected(capsys, path3, ring4, tmp_path):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_a_fact_named_like_the_edge_relation_is_an_error(capsys, tmp_path):
+    net = tmp_path / "g-fact.net"
+    net.write_text(network_text(path_graph(3)) + "@facts\nG 1\n")
+    code, out, err = run_cli(
+        capsys, "oracle-fo", "--net", str(net),
+        "--query", "G(x,x) | exists y. G(x,y)",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: line 5: fact 'G 1' names the edge relation\n"
+
+
 def test_parse_error_is_position_tagged(capsys, path3):
     code, _, err = run_cli(
         capsys, "oracle-fo", "--net", path3, "--query", "exists y. G(x,"

@@ -7,6 +7,7 @@ import pytest
 from netquery import engine_fo, simnet
 from netquery.engine_fp import (
     EngineError,
+    FPCore,
     FPQueryEngine,
     default_fp_round_cap,
     evaluation_window,
@@ -41,10 +42,25 @@ def _net(g, **kw):
     return make_network(g, **kw)
 
 
+class _HistoryCore(FPCore):
+    """FPCore that also keeps its table after every iteration."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.history = []
+
+    def _commit(self):
+        super()._commit()
+        self.history.append(frozenset(self.committed))
+
+
 class _HistoryEngine(FPQueryEngine):
     """FP whose node result also carries the node's table after every
     iteration: the union over nodes of ``history[i]`` is stage ``i+1`` of
     the centralized evaluation."""
+
+    def _core(self, *args):
+        return _HistoryCore(*args, queries=self.queries)
 
     def collect(self, state, ctx):
         return SimpleNamespace(

@@ -134,7 +134,7 @@ def test_collect_topology_path_center():
     assert has_edge(topo, CENTER, others[0])
     assert has_edge(topo, CENTER, others[1])
     assert not has_edge(topo, others[0], others[1])
-    assert {resolve_trace(net, 2, topo.rep(c)) for c in others} == {1, 3}
+    assert {resolve_trace(net, 2, topo.reps[c]) for c in others} == {1, 3}
 
 
 def test_collect_topology_triangle_sees_far_edge():
@@ -378,6 +378,25 @@ def test_fp_loc_matches_oracle_on_fixture_graphs():
                 )
                 got, _ = run_qe_fp_loc(net, q, min(g.nodes))
                 assert got.tuples == want.tuples
+
+
+@pytest.mark.parametrize("mode", [None, ANONYMOUS], ids=["global", "anonymous"])
+@pytest.mark.parametrize("marked", [[1], []], ids=["marked", "unmarked"])
+def test_one_node_network(mode, marked):
+    """A node without ports: its collection comes home in the step that
+    launches it, so each local engine answers without sending a message."""
+    g = make_graph([], nodes=[1], unary={"Mark": marked})
+    net = make_network(g, mode=mode) if mode else make_network(g)
+    f = parse_formula("Mark(x) & !(exists y in N^1(x). G(x,y))")
+    q = parse_fixpoint("mu T(x). Mark(x) | exists y in N^1(x). (G(x,y) & T(y))")
+    for got, want in (
+        (run_qe_fo_loc(net, f, 1), eval_fo(g, f, ("x",))),
+        (run_qe_fp_loc(net, q, 1), eval_fp_loc(g, q).final),
+    ):
+        rel, metrics = got
+        assert rel.tuples == want.tuples == frozenset((a,) for a in marked)
+        assert metrics.total_msgs == 0
+        assert metrics.dist_time == 1
 
 
 def test_fp_loc_anonymous_exhaustive():
@@ -895,7 +914,21 @@ def classes_of(topo):
 
 
 class FOLocReporter(FOLocEngine):
-    """FO-loc whose node result also carries the node's topology."""
+    """FO-loc whose node result also carries the topology the collection
+    handed over, kept in the reporter's own node state."""
+
+    class _State(FOLocEngine._State):
+        __slots__ = ("topology",)
+
+        def __init__(self, collector):
+            super().__init__(collector)
+            self.topology = None
+
+    def _home(self, state):
+        home = super()._home(state)
+        if home is not None:
+            state.topology = home[0]
+        return home
 
     def collect(self, state, ctx):
         rows = super().collect(state, ctx)
@@ -904,7 +937,25 @@ class FOLocReporter(FOLocEngine):
 
 class FPLocReporter(FPLocEngine):
     """FP-loc whose node result also carries the node's topology, its table
-    after every window and the windows it was awake in."""
+    after every window and the windows it was awake in, recorded in the
+    reporter's own node state."""
+
+    class _State(FPLocEngine._State):
+        __slots__ = ("history", "awake_windows")
+
+        def __init__(self, collector):
+            super().__init__(collector)
+            self.history = []
+            self.awake_windows = []
+
+    def _cross_boundary(self, state):
+        super()._cross_boundary(state)
+        if state.window > 0:  # a window ended and its rows were committed
+            state.history.append(frozenset(state.table))
+
+    def _finalize_window(self, state, ctx, out):
+        state.awake_windows.append(state.window)
+        return super()._finalize_window(state, ctx, out)
 
     def collect(self, state, ctx):
         return SimpleNamespace(
@@ -966,7 +1017,7 @@ def reference_holds(f, env, topo, domain, table, work):
             raise EngineError("order comparison on an unlabeled node")
         return la >= lb
     if isinstance(f, InNbhd):
-        return topo.dist(env[f.term.name]) <= f.radius
+        return len(topo.reps[env[f.term.name]]) <= 2 * f.radius
     if isinstance(f, Not):
         return not reference_holds(f.body, env, topo, domain, table, work)
     if isinstance(f, And):
@@ -1022,7 +1073,7 @@ def _compare_with_interpreter(net, engine, text, table):
     compared = errors = 0
     for a in sorted(net.graph.nodes):
         topo = collect_topology(net, a, radius)
-        domain = tuple(i for i in topo.vertices if topo.dist(i) <= k)
+        domain = tuple(i for i in topo.vertices if len(topo.reps[i]) <= 2 * k)
         for combo in itertools.product(domain, repeat=len(names)):
             env = dict(zip([center, *names], (CENTER, *combo)))
             work = [0]
@@ -1191,7 +1242,7 @@ def test_quotient_links_rows_both_ways():
     topo = local_engine._topology_from_entries(1, entries)
     assert topo == reference_topology(1, entries)
     assert classes_of(topo)[topo.class_of[x]] == {x, y, z}
-    assert topo.rep(topo.class_of[z]) == x
+    assert topo.reps[topo.class_of[z]] == x
     assert topo.vertices == (0, 1, 2)
 
 

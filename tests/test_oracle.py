@@ -65,6 +65,17 @@ def test_make_graph_rejects_degree_violation():
 def test_make_graph_rejects_unknown_unary_member():
     with pytest.raises(GraphError):
         make_graph([(1, 2)], unary={"ReqNode": [7]})
+    with pytest.raises(GraphError, match="P fact references unknown node 7"):
+        path_graph(3).with_unary({"P": [9, 7]})
+
+
+def test_a_unary_fact_named_like_the_edge_relation_is_rejected():
+    # Every engine and the oracle read G as the edge relation, so a unary
+    # fact G would be dropped silently.
+    with pytest.raises(GraphError, match="unary fact G would shadow the edge relation"):
+        make_graph([(1, 2), (2, 3)], unary={"G": [1]})
+    with pytest.raises(GraphError, match="unary fact G would shadow the edge relation"):
+        path_graph(3).with_unary({"G": [1]})
 
 
 def test_ring_needs_three_nodes():

@@ -291,6 +291,12 @@ def test_load_facts_section():
     assert net.graph.unary == {"ReqNode": frozenset({1}), "dest": frozenset({3})}
 
 
+def test_load_rejects_a_fact_named_like_the_edge_relation():
+    named = "line 5: fact 'G 1' names the edge relation"
+    with pytest.raises(SimError, match=re.escape(named)):
+        load_network("3 2\n1 2\n2 3\n@facts\nG 1\n")
+
+
 def test_load_facts_unknown_node():
     with pytest.raises(GraphError):
         load_network("3 2\n1 2\n2 3\n@facts\nReqNode 9\n")
@@ -1005,6 +1011,61 @@ def test_local_results_reach_no_topology(engine, query):
         assert not isinstance(obj, LocalTopology)
         todo.extend(gc.get_referents(obj))
     assert len(seen) > 2 * len(results)
+
+
+def _reachable(root):
+    """Every object reachable from `root` by `gc.get_referents`, without
+    entering classes, modules or functions: the only functions a node
+    state holds are the compiled checks, made once per run before any
+    collection."""
+    seen, todo, out = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return out
+
+
+def _is_ball(obj):
+    """A reconstructed ball: a LocalTopology, or a dict of collection rows
+    (trace -> row whose first field is that trace)."""
+    return isinstance(obj, LocalTopology) or isinstance(obj, dict) and any(
+        isinstance(row, tuple) and len(row) == 4 and row[0] == trace
+        for trace, row in obj.items()
+    )
+
+
+@pytest.mark.parametrize("engine,args,query,part", [
+    (FOLocEngine, (("x",),), parse_formula(DEG2), lambda state: state),
+    (
+        FPLocEngine, (),
+        relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1),
+        lambda state: state.collector,
+    ),
+], ids=["fo-loc", "fp-loc"])
+def test_local_nodes_let_go_of_their_ball(engine, args, query, part):
+    """Once FO-loc has evaluated, nothing of the ball can be reached from a
+    node's state; once FP-loc has its topology, its collector holds no
+    rows.  Walked from every node's state when the run collects it."""
+    held, walked = [], []
+
+    class Walking(engine):
+        def collect(self, state, ctx):
+            reached = _reachable(part(state))
+            walked.append(len(reached))
+            held.extend(type(obj).__name__ for obj in reached if _is_ball(obj))
+            return super().collect(state, ctx)
+
+    net = make_network(grid_graph(3, 3), ANONYMOUS)
+    results, _ = simnet.run(net, Walking(*args), {1: query}, round_cap=400)
+    assert all(results.values())
+    assert len(walked) == 9 and min(walked) > 3
+    assert held == []
 
 
 # ------------------------------------------------- the cyclic collector
