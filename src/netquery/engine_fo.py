@@ -231,25 +231,23 @@ class QueryTable:
     """What the nodes of one run derive alike from the query texts it
     floods, derived once: the engine object of a run owns one and hands it
     to every FOCore it builds, on every node and in every fixpoint
-    iteration.  It maps a received text to its template (a text that fails
-    to parse is not kept, so it fails at every node that reads it), a
-    canonical text to its template, (text, value) to the template of the
-    instance that substitutes the value, a ground atom to its answer key,
-    and (level, text) to the answer key of a query's value.  Nothing in it
-    depends on a node or a round."""
+    iteration.  It maps a canonical text to its template, (text, value)
+    to the template of the instance that substitutes the value, a ground
+    atom to its answer key, and (level, text) to the answer key of a
+    query's value.  Every flooded text is canonical, so a received text
+    finds its template among the canonical ones; a text that fails to
+    parse is not kept, so it fails at every node that reads it.  Nothing
+    in it depends on a node or a round."""
 
     def __init__(self) -> None:
-        self.received: dict[str, _Template] = {}
         self.templates: dict[str, _Template] = {}
         self.instances: dict[tuple[str, int], _Template] = {}
         self.atom_keys: dict[Atom, int] = {}
         self.keys: dict[tuple[Optional[int], str], int] = {}
 
     def read(self, text: str) -> _Template:
-        t = self.received.get(text)
-        if t is None:
-            t = self.received[text] = self.template(parse_formula(text))
-        return t
+        t = self.templates.get(text)
+        return self.template(parse_formula(text)) if t is None else t
 
     def template(self, f: Formula) -> _Template:
         text = canonical_print(f)

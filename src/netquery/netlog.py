@@ -37,7 +37,7 @@ from . import simnet
 from .logic import (
     EDGE_PRED, Const, Term, Var, _arity_clash, _TokenStream, _token_re, _UnionFind, term_str,
 )
-from .oracle import Graph, Relation
+from .oracle import Graph
 
 Fact = tuple[str, tuple[int, ...]]
 
@@ -152,13 +152,6 @@ class DistributedInstance:
         return frozenset(
             args for fs in self.stores.values() for p, args in fs if p == pred
         )
-
-    def relation(self, pred: str, arity: int) -> Relation:
-        tuples = self.facts_of(pred)
-        for t in tuples:
-            if len(t) != arity:
-                raise NetlogError(f"fact {pred}{t} does not have arity {arity}")
-        return Relation(arity, tuples)
 
 
 def make_instance(
@@ -763,23 +756,6 @@ def _match_literal(
     run(view, out, holder)
 
 
-def match_body(
-    body: Sequence[NetlogLiteral],
-    facts: Iterable[Fact],
-    g: Graph,
-) -> Iterator[Mapping[str, int]]:
-    """All assignments satisfying the body against the given fact set, the
-    graph edges, and the graph's unary input facts (centralized view)."""
-    names = sorted(set().union(*map(_lit_vars, body)))
-    head = RelLit("", tuple(Var(n) for n in names))
-    out: list[Fact] = []
-    plan = plan_rule(NetlogRule(head, tuple(body)))
-    view = FactView(group_facts(facts), g.unary, both_ways(g.edges()))
-    _match_literal(plan, view, out)
-    for _, values in out:
-        yield dict(zip(names, values))
-
-
 # ------------------------------------------------------------- consequence
 
 
@@ -816,9 +792,15 @@ def _derived(
         yield plan, facts
 
 
-def _consequence(
-    plans: Sequence[RulePlan], g: Graph, instance: DistributedInstance
+def consequence(
+    program: NetlogProgram, g: Graph, instance: DistributedInstance
 ) -> DistributedInstance:
+    """One application of the distributed immediate-consequence operator:
+    every node fires every rule against its own store (plus incident edges
+    and global unary input facts); each derived fact is placed at the node
+    named by the head holding argument.  The result replaces the previous
+    instance — persistence requires explicit copy rules."""
+    plans = _program_plans(program)
     new_stores: dict[int, set[Fact]] = {v: set() for v in g.nodes}
     for v in g.nodes:
         edges = both_ways((v, u) for u in g.adj[v])
@@ -839,17 +821,6 @@ def _consequence(
     return DistributedInstance({v: frozenset(fs) for v, fs in new_stores.items()})
 
 
-def consequence(
-    program: NetlogProgram, g: Graph, instance: DistributedInstance
-) -> DistributedInstance:
-    """One application of the distributed immediate-consequence operator:
-    every node fires every rule against its own store (plus incident edges
-    and global unary input facts); each derived fact is placed at the node
-    named by the head holding argument.  The result replaces the previous
-    instance — persistence requires explicit copy rules."""
-    return _consequence(_program_plans(program), g, instance)
-
-
 def netlog_stages(
     program: NetlogProgram, g: Graph, cap: Optional[int] = None
 ) -> list[DistributedInstance]:
@@ -860,10 +831,10 @@ def netlog_stages(
         cap = default_round_cap(program, g)
     elif cap < 1:
         raise NetlogError(f"round cap {cap} is not a positive number of rounds")
-    plans = _program_plans(program)
+    program = NetlogProgram(program.rules, _program_plans(program))
     stages = [start_instance(g)]
     for _ in range(cap):
-        nxt = _consequence(plans, g, stages[-1])
+        nxt = consequence(program, g, stages[-1])
         stages.append(nxt)
         if nxt == stages[-2]:
             return stages

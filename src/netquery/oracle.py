@@ -211,14 +211,6 @@ class Relation:
         return tuple(item) in self.tuples
 
 
-def make_relation(arity: int, tuples: Iterable[Sequence[int]]) -> Relation:
-    out = frozenset(tuple(t) for t in tuples)
-    for t in out:
-        if len(t) != arity:
-            raise OracleError(f"tuple {t} does not have arity {arity}")
-    return Relation(arity, out)
-
-
 @dataclass(frozen=True)
 class StageTrace:
     stages: tuple  # Relations or fact-set instances; I_0 empty, last two equal
@@ -320,7 +312,7 @@ def eval_fo(
     (first occurrence unless an explicit order is given)."""
     _check_query(g, f, aux or {})
     fv = tuple(order) if order is not None else free_vars(f)
-    if order is not None and set(order) != set(free_vars(f)):
+    if order is not None and sorted(fv) != sorted(free_vars(f)):
         raise OracleError(
             f"order {order!r} does not match free variables {free_vars(f)!r}"
         )
@@ -410,27 +402,6 @@ def _stages(
     raise OracleError("fixpoint did not converge within the stage cap")
 
 
-# ----------------------------------------------------------- neighborhoods
-
-
-@dataclass(frozen=True)
-class NeighborhoodFragment:
-    center: int
-    nodes: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]  # (min, max) pairs within the fragment
-    dist: Mapping[int, int]  # true distance from the center
-
-
-def neighborhood(g: Graph, a: int, k: int) -> NeighborhoodFragment:
-    if a not in g.adj:
-        raise OracleError(f"unknown node {a}")
-    if k < 0:
-        raise OracleError("radius must be >= 0")
-    dist = _bfs(g.adj, a, k)
-    edges = frozenset((u, v) for u in dist for v in g.adj[u] if u < v and v in dist)
-    return NeighborhoodFragment(a, tuple(sorted(dist)), edges, dist)
-
-
 # ------------------------------------------------------------------ datalog
 
 
@@ -474,17 +445,3 @@ def _datalog_cap(program, g: Graph) -> int:
     # Conservative: one stage per distinct derivable fact, plus two.
     heads = {(r.head.pred, len(r.head.args)) for r in program.rules}
     return sum(g.n**arity for _pred, arity in heads) + 2
-
-
-# ------------------------------------------------------------- genericity
-
-
-def apply_isomorphism(g: Graph, mapping: Mapping[int, int]) -> Graph:
-    edges = [(mapping[u], mapping[v]) for u, v in g.edges()]
-    unary = {p: [mapping[x] for x in members] for p, members in g.unary.items()}
-    return make_graph(
-        edges,
-        nodes=[mapping[u] for u in g.nodes],
-        degree_bound=g.degree_bound,
-        unary=unary,
-    )

@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 import netquery
-from netquery.cli import main
-from netquery.fixtures import (
+from fixture_data import (
     ROUTING_TABLE_PROGRAM,
     SPANNING_TREE_TEXT,
     TRANSITIVE_CLOSURE_DATALOG,
 )
+from netquery.cli import main
 from netquery.logic import parse_fixpoint, print_fixpoint, relativize_fixpoint
 from netquery.oracle import path_graph, ring_graph
 from netquery.simnet import network_text

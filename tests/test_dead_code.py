@@ -3,7 +3,9 @@
 Every import a package or test module makes must be used in that module,
 and every module-level `_private` function or class, and every `_private`
 method of a class, must be referenced somewhere in `src/netquery`; tests do
-not count as callers.  Every parameter of a package function must be read,
+not count as callers.  Every public module-level function or class must be
+referenced by the package or by `bench/`, so what only the tests read lives
+in the tests.  Every parameter of a package function must be read,
 and every module must stay small enough to compile without growing the
 parser's token array.  Every name `bench/layers.py` counts or wraps must be
 defined in the package.
@@ -84,6 +86,44 @@ def test_no_unreferenced_private_definitions():
         )
     ]
     assert unreferenced == []
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_TREES = [
+    ast.parse(p.read_text(), str(p))
+    for p in sorted(BENCH.glob("*.py"))
+    if not p.name.startswith("test_")
+]
+
+
+def _is_all(node: ast.stmt) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def test_no_public_definition_only_the_tests_read():
+    # A definition's references to itself and its module's `__all__` do
+    # not count; a reference from another statement of its own module does.
+    stmts = [
+        (name, node)
+        for name, tree in TREES.items()
+        for node in tree.body
+        if not _is_all(node)
+    ]
+    refs = {id(node): _references(node) for _, node in stmts}
+    bench = set().union(*map(_references, BENCH_TREES))
+    unread = [
+        f"{name}: {node.name}"
+        for name, node in stmts
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in bench
+        and not any(
+            node.name in refs[id(other)] for _, other in stmts if other is not node
+        )
+    ]
+    assert unread == []
 
 
 def _reads(tree: ast.AST) -> Counter[str]:

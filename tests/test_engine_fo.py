@@ -5,11 +5,19 @@ import random
 
 import pytest
 
+from fixture_data import (
+    HAS_NEIGHBOR_TEXT,
+    ROUTING_TABLE_TEXT,
+    SPANNING_TREE_TEXT,
+    TWO_HOP_TEXT,
+    random_connected_graph,
+)
 from netquery import engine_fp, simnet
 from netquery.engine_fo import (
     EngineError,
     FOCore,
     FOQueryEngine,
+    QueryTable,
     _BroadcastEngine,
     _send_order,
     answer_key,
@@ -17,15 +25,7 @@ from netquery.engine_fo import (
     run_qe_fo,
 )
 from netquery.engine_fp import run_qe_fp
-from netquery.fixtures import (
-    HAS_NEIGHBOR_TEXT,
-    ROUTING_TABLE_TEXT,
-    SPANNING_TREE_TEXT,
-    TRANSITIVE_CLOSURE_TEXT,
-    TWO_HOP_TEXT,
-    exhaustive_graphs,
-    random_connected_graph,
-)
+from netquery.fixtures import TRANSITIVE_CLOSURE_TEXT, exhaustive_graphs
 from netquery.logic import (
     And,
     Atom,
@@ -35,6 +35,7 @@ from netquery.logic import (
     Forall,
     Not,
     Or,
+    ParseError,
     Var,
     _terms_of,
     canonical_print,
@@ -505,6 +506,38 @@ def test_results_do_not_depend_on_delivery_or_port_order(permuted_inboxes):
             )
     assert all(o == outcomes[0] for o in outcomes)
     assert outcomes[0][0] == [(1,), (2,), (3,), (4,), (5,)]
+
+
+def test_every_received_query_text_is_canonical(monkeypatch):
+    """Each text a node reads from a Q payload is the canonical text of
+    the template it gets, so `QueryTable.read` finds it among the
+    templates, over the FO fixture queries on ring-5 and path-4 and the FP
+    fixture queries on path-4."""
+    texts = []
+    real = QueryTable.read
+
+    def read(self, text):
+        t = real(self, text)
+        texts.append((text, t.text))
+        return t
+
+    monkeypatch.setattr(QueryTable, "read", read)
+    for g in (ring_graph(5), path_graph(4)):
+        for text in (TWO_HOP_TEXT, HAS_NEIGHBOR_TEXT):
+            run_qe_fo(_net(g), text, 1)
+    g = path_graph(4).with_unary({"ReqNode": [1]})
+    for text in (TRANSITIVE_CLOSURE_TEXT, ROUTING_TABLE_TEXT, SPANNING_TREE_TEXT):
+        run_qe_fp(_net(g), text, 1)
+    assert len(texts) > 1_000
+    assert all(read == got for read, got in texts)
+    # On a miss, `read` parses: a text that is not canonical gets the
+    # template of its canonical text, and one that fails to parse is not kept.
+    table = QueryTable()
+    t = table.read(TWO_HOP_TEXT)
+    assert t.text != TWO_HOP_TEXT and table.read(t.text) is t
+    with pytest.raises(ParseError):
+        table.read("G(x,")
+    assert list(table.templates) == [t.text]
 
 
 def _reference_send_order(p):

@@ -8,19 +8,18 @@ from __future__ import annotations
 
 import pytest
 
-from netquery import rewriter
-from netquery.engine_fo import run_qe_fo
-from netquery.engine_fp import run_qe_fp
-from netquery.fixtures import (
+from fixture_data import (
     HAS_NEIGHBOR_TEXT,
     NEXT_HOP_TEXT,
     ROUTE_REQUEST_TEXT,
     ROUTING_TABLE_TEXT,
-    SAME_GENERATION_DATALOG,
     SPANNING_TREE_TEXT,
-    TRANSITIVE_CLOSURE_TEXT,
     TWO_HOP_TEXT,
 )
+from netquery import rewriter
+from netquery.engine_fo import run_qe_fo
+from netquery.engine_fp import run_qe_fp
+from netquery.fixtures import SAME_GENERATION_DATALOG, TRANSITIVE_CLOSURE_TEXT
 from netquery.local_engine import run_qe_fo_loc, run_qe_fp_loc
 from netquery.logic import (
     And,

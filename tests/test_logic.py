@@ -3,6 +3,13 @@ from __future__ import annotations
 
 import pytest
 
+from fixture_data import (
+    HAS_NEIGHBOR_TEXT,
+    ROUTE_REQUEST_TEXT,
+    ROUTING_TABLE_TEXT,
+    SPANNING_TREE_TEXT,
+    TWO_HOP_TEXT,
+)
 from netquery.logic import (
     And,
     Atom,
@@ -31,14 +38,7 @@ from netquery.logic import (
 )
 from netquery.netlog import parse_datalog
 
-from netquery.fixtures import (
-    HAS_NEIGHBOR_TEXT,
-    ROUTE_REQUEST_TEXT,
-    ROUTING_TABLE_TEXT,
-    SPANNING_TREE_TEXT,
-    TRANSITIVE_CLOSURE_TEXT,
-    TWO_HOP_TEXT,
-)
+from netquery.fixtures import TRANSITIVE_CLOSURE_TEXT
 
 
 # ----------------------------------------------------------------- parsing

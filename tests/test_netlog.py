@@ -10,22 +10,21 @@ from itertools import product
 
 import pytest
 
-from netquery import netlog
-from netquery.fixtures import (
+from fixture_data import (
     FLIP_PROGRAM,
+    NEXT_HOP_TEXT,
     PATH_FAR_DATALOG,
     ROUTE_DISCOVERY_PROGRAM,
     ROUTE_REQUEST_TEXT,
-    NEXT_HOP_TEXT,
     ROUTING_TABLE_PROGRAM,
     ROUTING_TABLE_TEXT,
-    SAME_GENERATION_DATALOG,
     SPANNING_TREE_PROGRAM,
     TRANSITIVE_CLOSURE_DATALOG,
     WIN_DATALOG,
-    exhaustive_graphs,
     random_connected_graph,
 )
+from netquery import netlog
+from netquery.fixtures import SAME_GENERATION_DATALOG, exhaustive_graphs
 from netquery.logic import EDGE_PRED, ParseError, parse_fixpoint
 from netquery.netlog import (
     Const,
@@ -46,7 +45,6 @@ from netquery.netlog import (
     consequence,
     group_facts,
     make_instance,
-    match_body,
     netlog_stages,
     parse_datalog,
     parse_netlog,
@@ -192,23 +190,6 @@ def test_example_programs_are_localized():
         program = parse_netlog(text)
         for rule in program.rules:
             assert check_localization(rule) is None
-
-
-# ------------------------------------------------------------- match_body
-
-
-def test_match_body_joins_and_guards():
-    program = parse_datalog("P(x,z) :- G(x,y); G(y,z); z != x.")
-    envs = list(match_body(program.rules[0].body, frozenset(), path3()))
-    triples = {(e["x"], e["y"], e["z"]) for e in envs}
-    assert triples == {(1, 2, 3), (3, 2, 1)}
-
-
-def test_match_body_negation_closed_world():
-    program = parse_datalog("P(x) :- G(x,y); !T(y,x).")
-    facts = frozenset({("T", (2, 1))})
-    envs = list(match_body(program.rules[0].body, facts, path3()))
-    assert {(e["x"], e["y"]) for e in envs} == {(2, 1), (2, 3), (3, 2)}
 
 
 # ------------------------------------------------------ plans vs reference
@@ -825,8 +806,8 @@ def test_run_netlog_route_discovery_with_facts():
     program = parse_netlog(ROUTE_DISCOVERY_PROGRAM)
     inst, _ = run_netlog(program, net)
     assert inst == netlog_stages(program, net.graph)[-1]
-    assert inst.relation("RouteReq", 3).tuples == frozenset({(1, 2, 3), (2, 3, 3)})
-    assert inst.relation("Nexthop", 3).tuples == frozenset({(2, 3, 3), (1, 2, 3)})
+    assert inst.facts_of("RouteReq") == frozenset({(1, 2, 3), (2, 3, 3)})
+    assert inst.facts_of("Nexthop") == frozenset({(2, 3, 3), (1, 2, 3)})
 
 
 def test_run_netlog_order_seed_invariance(permuted_inboxes):

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import fixture_data
 from netquery import fixtures
 from netquery.logic import ParseError, parse_fixpoint, parse_formula
 from netquery.netlog import parse_datalog, parse_netlog
@@ -106,16 +107,18 @@ def _mutate(rng: random.Random, text: str) -> str:
 def _corpus(mutations: int, seed: int = 0):
     """(parser, input) pairs: every formula fixture through both formula
     parsers and every rule fixture through both rule parsers, each as
-    written and in `mutations` random mutations, plus a few edge cases."""
+    written and in `mutations` random mutations, plus a few edge cases.
+    The fixtures are the package's and the tests' together, in name order."""
     rng = random.Random(seed)
-    for name in sorted(vars(fixtures)):
+    texts = {**vars(fixture_data), **vars(fixtures)}
+    for name in sorted(texts):
         if name.endswith("_TEXT"):
             parsers = (parse_formula, parse_fixpoint)
         elif name.endswith(("_PROGRAM", "_DATALOG")):
             parsers = (parse_netlog, parse_datalog)
         else:
             continue
-        text = getattr(fixtures, name)
+        text = texts[name]
         for t in [text] + [_mutate(rng, text) for _ in range(mutations)]:
             for parse in parsers:
                 yield parse, t

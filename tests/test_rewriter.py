@@ -5,12 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from netquery.fixtures import (
-    PATH_FAR_DATALOG,
-    SAME_GENERATION_DATALOG,
-    TRANSITIVE_CLOSURE_DATALOG,
-    WIN_DATALOG,
-)
+from fixture_data import PATH_FAR_DATALOG, TRANSITIVE_CLOSURE_DATALOG, WIN_DATALOG
+from netquery.fixtures import SAME_GENERATION_DATALOG
 from netquery.netlog import (
     GuardLit,
     NetlogEngine,

@@ -13,16 +13,18 @@ from functools import partialmethod
 
 import pytest
 
+from fixture_data import (
+    HAS_NEIGHBOR_TEXT,
+    SPANNING_TREE_TEXT,
+    TRANSITIVE_CLOSURE_DATALOG,
+    TWO_HOP_TEXT,
+)
 from netquery.engine_fo import EngineError, FOQueryEngine, run_qe_fo
 from netquery.engine_fp import FPQueryEngine, run_qe_fp
 from netquery import simnet
 from netquery.fixtures import (
-    HAS_NEIGHBOR_TEXT,
     SAME_GENERATION_DATALOG,
-    SPANNING_TREE_TEXT,
-    TRANSITIVE_CLOSURE_DATALOG,
     TRANSITIVE_CLOSURE_TEXT,
-    TWO_HOP_TEXT,
     exhaustive_graphs,
 )
 from netquery.local_engine import (
