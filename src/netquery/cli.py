@@ -18,7 +18,7 @@ from .engine_fo import run_qe_fo
 from .engine_fp import run_qe_fp
 from .fixtures import exhaustive_graphs
 from .local_engine import run_qe_fo_loc, run_qe_fp_loc
-from .logic import free_vars, parse_fixpoint, parse_formula
+from .logic import parse_fixpoint, parse_formula
 from .netlog import netlog_stages, parse_datalog, parse_netlog, run_netlog
 from .oracle import (
     eval_datalog,
@@ -155,18 +155,14 @@ def _check_outcome(ok: bool) -> int:
     return 0 if ok else 1
 
 
-def _fo_oracle(g, f):
-    return eval_fo(g, f, free_vars(f))
-
-
 # ----------------------------------------------------------------- commands
 
 
 # sub-command -> (query parser, distributed driver, centralized evaluator)
 _QUERY_ENGINES = {
-    "qe-fo": (parse_formula, run_qe_fo, _fo_oracle),
+    "qe-fo": (parse_formula, run_qe_fo, eval_fo),
     "qe-fp": (parse_fixpoint, run_qe_fp, lambda g, q: eval_fp(g, q).final),
-    "qe-fo-loc": (parse_formula, run_qe_fo_loc, _fo_oracle),
+    "qe-fo-loc": (parse_formula, run_qe_fo_loc, eval_fo),
     "qe-fp-loc": (
         parse_fixpoint, run_qe_fp_loc, lambda g, q: eval_fp_loc(g, q).final
     ),

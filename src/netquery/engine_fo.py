@@ -234,20 +234,15 @@ class QueryTable:
     iteration.  It maps a canonical text to its template, (text, value)
     to the template of the instance that substitutes the value, a ground
     atom to its answer key, and (level, text) to the answer key of a
-    query's value.  Every flooded text is canonical, so a received text
-    finds its template among the canonical ones; a text that fails to
-    parse is not kept, so it fails at every node that reads it.  Nothing
-    in it depends on a node or a round."""
+    query's value.  Every flooded text was made by `template` on the
+    sending side, so a received text indexes `templates` directly.
+    Nothing in it depends on a node or a round."""
 
     def __init__(self) -> None:
         self.templates: dict[str, _Template] = {}
         self.instances: dict[tuple[str, int], _Template] = {}
         self.atom_keys: dict[Atom, int] = {}
         self.keys: dict[tuple[Optional[int], str], int] = {}
-
-    def read(self, text: str) -> _Template:
-        t = self.templates.get(text)
-        return self.template(parse_formula(text)) if t is None else t
 
     def template(self, f: Formula) -> _Template:
         text = canonical_print(f)
@@ -323,8 +318,10 @@ class FOCore:
     """One node's share of the distributed first-order evaluation.
 
     Deterministic and order-insensitive: a round ingests the whole inbox
-    into the query/answer tables, then runs a local pass to a fixed point in
-    sorted key order, then flushes the queued broadcasts in sorted order.
+    into the query/answer tables, in whatever order it arrives, then runs a
+    local pass to a fixed point in sorted key order, then flushes the queued
+    broadcasts in sorted order.  Ingesting commutes, so a core orders what
+    it sends, not what it reads.
 
     Everything a query text implies regardless of the node comes from the
     run's shared `QueryTable`, its compiled value included; deciding atoms,
@@ -523,19 +520,20 @@ class FOCore:
             self.tuples[(level, t.text)] = tuple(suffix)
 
     def ingest(self, payloads: Sequence[tuple]) -> None:
-        ans = sorted((p for p in payloads if p[0] == "A"), key=_send_order)
-        qs = sorted((p for p in payloads if p[0] == "Q"), key=_send_order)
-        for _, k, v in ans:
+        for p in payloads:
             self.work += 1
-            self._insert_answer(k, bool(v), announce=True)
-        for _, kind, text, extra in qs:
-            self.work += 1
+            if p[0] == "A":
+                self._insert_answer(p[1], bool(p[2]), announce=True)
+                continue
+            _, kind, text, extra = p
             # A closed query carries its level, an open one its assignments.
             suffix = () if kind == "B" else tuple(extra)
             level = extra if kind == "B" else len(suffix)
             known = self.entries.get((level, text))
             if known is None:
-                self._create_entry(self.queries.read(text), kind, level, suffix)
+                self._create_entry(
+                    self.queries.templates[text], kind, level, suffix
+                )
             elif known.suffix != suffix:
                 raise EngineError(
                     f"open query {text!r} reached with conflicting assignments"
@@ -633,10 +631,11 @@ class _BroadcastEngine(NodeEngine):
     the run floods is parsed, printed, instantiated and compiled once per
     run, not once per node.
 
-    Both cores read their inbox as a set by construction: `FOCore.ingest`
-    sorts what it takes in, `FPCore.ingest` keeps the largest hop count
-    among a round's FPQ copies and among its I copies and hands the F
-    payloads to its FOCore, and both `flush`es sort."""
+    Both cores read their inbox as a set by construction: a core orders
+    what it sends, not what it reads.  `FOCore.ingest` takes payloads in
+    any order, since ingesting them commutes; `FPCore.ingest` keeps the
+    largest hop count among a round's FPQ copies and among its I copies
+    and hands the F payloads to its FOCore; and both `flush`es sort."""
 
     def start(self, ctx: NodeContext) -> Any:
         if ctx.node_id is None or ctx.neighbor_ids is None:
@@ -735,40 +734,29 @@ def _admit_global(net: Network, query: Union[Formula, FixpointQuery]) -> None:
 
 def _run_from_requester(
     net: Network,
-    make_engine: Callable[[tuple[str, ...]], NodeEngine],
+    engine: NodeEngine,
     query: Any,
     requester: int,
-    variables: tuple[str, ...],
-    order: Optional[Sequence[str]],
+    arity: int,
     *,
     round_cap: int,
     with_placement: bool,
     fragment: Callable[[int, frozenset], Iterable[tuple[int, ...]]],
 ):
     """The body shared by the query drivers: inject the query at the
-    requester, run the engine built for the answer-variable order, and
-    gather the per-node fragments into one relation; with `with_placement`
-    the fragments are a third value.  A node's result is its answer
-    fragment, a frozenset of rows; ``fragment(node, rows)`` gives them as
-    tuples of node ids."""
+    requester, run the engine, and gather the per-node fragments into one
+    relation of the given arity; with `with_placement` the fragments are a
+    third value.  A node's result is its answer fragment, a frozenset of
+    rows; ``fragment(node, rows)`` gives them as tuples of node ids."""
     if requester not in net.graph.adj:
         raise EngineError(f"requester {requester} is not a node")
-    ordered = tuple(order) if order is not None else tuple(variables)
-    if len(set(ordered)) != len(ordered) or set(ordered) != set(variables):
-        raise EngineError(
-            f"variable order {ordered!r} does not match free variables "
-            f"{tuple(variables)!r}"
-        )
     results, metrics = simnet.run(
-        net,
-        make_engine(ordered),
-        init={requester: query},
-        round_cap=round_cap,
+        net, engine, init={requester: query}, round_cap=round_cap
     )
     placement = {
         a: frozenset(fragment(a, rows)) for a, rows in results.items()
     }
-    rel = Relation(len(ordered), frozenset().union(*placement.values()))
+    rel = Relation(arity, frozenset().union(*placement.values()))
     if with_placement:
         return rel, metrics, placement
     return rel, metrics
@@ -779,25 +767,25 @@ def run_qe_fo(
     formula: Union[Formula, str],
     requester: int,
     *,
-    order: Optional[Sequence[str]] = None,
     round_cap: Optional[int] = None,
     with_placement: bool = False,
 ):
     """Evaluate a first-order query distributively; the relation is the
-    union of the per-node held fragments (arity 0 encodes a Boolean result:
-    {()} for true, {} for false).  With `with_placement` the per-node
-    fragments are returned as a third value."""
+    union of the per-node held fragments, its columns the free variables
+    in order of first occurrence (arity 0 encodes a Boolean result: {()}
+    for true, {} for false).  With `with_placement` the per-node fragments
+    are returned as a third value."""
     f = parse_formula(formula) if isinstance(formula, str) else formula
     _admit_global(net, f)
     delta = net.graph.diameter
     budget = clock_value(max(1, stats(f).w), max(1, delta))
+    order = free_vars(f)
     return _run_from_requester(
         net,
-        FOQueryEngine,
+        FOQueryEngine(order),
         f,
         requester,
-        free_vars(f),
-        order,
+        len(order),
         round_cap=round_cap if round_cap is not None else budget + delta + 8,
         with_placement=with_placement,
         fragment=lambda a, rows: rows,

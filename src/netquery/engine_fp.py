@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Union
 
 from .engine_fo import (
-    EngineError,
     FOCore,
     QueryTable,
     _BroadcastEngine,
@@ -46,12 +45,6 @@ from .logic import (
     substitute,
 )
 from .simnet import EncodingParams, Network, NodeContext
-
-# EngineError is re-exported: the driver here raises it.
-__all__ = [
-    "EngineError", "FPCore", "FPQueryEngine",
-    "default_fp_round_cap", "evaluation_window", "run_qe_fp",
-]
 
 
 def evaluation_window(w: int, v: int, delta: int) -> int:
@@ -275,17 +268,17 @@ def run_qe_fp(
     with_placement: bool = False,
 ):
     """Evaluate an inflationary fixpoint query distributively; the relation
-    is the union of the per-node committed fragments.  With
-    `with_placement` the per-node fragments are returned as a third value."""
+    is the union of the per-node committed fragments, its columns the
+    declared variables in order.  With `with_placement` the per-node
+    fragments are returned as a third value."""
     q = parse_fixpoint(query) if isinstance(query, str) else query
     _admit_global(net, q)
     return _run_from_requester(
         net,
-        lambda _order: FPQueryEngine(),
+        FPQueryEngine(),
         q,
         requester,
-        q.vars,
-        None,
+        q.arity,
         round_cap=(
             round_cap if round_cap is not None else default_fp_round_cap(net, q)
         ),

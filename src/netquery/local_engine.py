@@ -59,21 +59,8 @@ from .simnet import (
     StepResult,
     _NONCE_BITS,
     broadcast,
-    check_locally_consistent,
     sends_bits,
 )
-
-__all__ = [
-    "PortTrace",
-    "LocalTopology",
-    "resolve_trace",
-    "reverse_trace",
-    "reduce_trace",
-    "run_qe_fo_loc",
-    "run_qe_fp_loc",
-    "check_locally_consistent",
-    "local_payload_bits",
-]
 
 
 # A port trace is a flat tuple of port numbers: positions 0, 2, 4, ... are
@@ -140,14 +127,13 @@ class LocalTopology:
     certified same-endpoint equivalence (closed reflexively, symmetrically
     and transitively); `class_of` maps each trace to its class, and the
     classes are named by index and represented by their least trace, the
-    centre's being `_CENTER`.  The vertices are the classes within the
-    radius, with edges certified by recorded walks, plus the input facts
+    centre's being `_CENTER`.  The edges join classes within the radius
+    and are certified by recorded walks; each class has its input facts
     and (where the identity mode provides one) the label carried home by
     the collection."""
 
     class_of: Mapping[PortTrace, int]
     reps: tuple[PortTrace, ...]
-    vertices: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
     attrs: Mapping[int, frozenset[str]]
     labels: Mapping[int, Optional[int]]
@@ -212,7 +198,8 @@ def _topology_from_entries(
         reps.append(t)
         attrs[c] = frozenset(facts)
         labels[c] = label
-    # Representatives are in length order, so the vertices are a prefix.
+    # Representatives are in length order, so the classes within the radius
+    # are a prefix.
     n = 0
     while n < len(reps) and len(reps[n]) <= 2 * radius:
         n += 1
@@ -226,7 +213,6 @@ def _topology_from_entries(
     return LocalTopology(
         class_of=class_of,
         reps=tuple(reps),
-        vertices=tuple(range(n)),
         edges=frozenset(edges),
         attrs=attrs,
         labels=labels,
@@ -730,24 +716,24 @@ def run_qe_fo_loc(
     formula: Union[Formula, str],
     requester: int,
     *,
-    order: Optional[Sequence[str]] = None,
     order_seed: int = 0,  # unread: bench/workloads.py passes it (ROADMAP item 2)
     round_cap: Optional[int] = None,
     with_placement: bool = False,
 ):
     """Evaluate a radius-bounded first-order query distributively; every node
     answers for itself as the center and the relation is the union of the
-    resolved per-node answer fragments.  With `with_placement` the resolved
-    per-node fragments are returned as a third value."""
+    resolved per-node answer fragments, its columns the free variables in
+    order of first occurrence.  With `with_placement` the resolved per-node
+    fragments are returned as a third value."""
     f = parse_formula(formula) if isinstance(formula, str) else formula
     k = _admit_local(net, f)
+    order = free_vars(f)
     return _run_from_requester(
         net,
-        FOLocEngine,
+        FOLocEngine(order),
         f,
         requester,
-        free_vars(f),
-        order,
+        len(order),
         round_cap=(
             round_cap if round_cap is not None
             else net.graph.diameter + 2 * k + 16
@@ -1040,17 +1026,17 @@ def run_qe_fp_loc(
     with_placement: bool = False,
 ):
     """Evaluate a radius-bounded inflationary fixpoint query distributively;
-    the relation is the union of the resolved per-node table fragments.
-    With `with_placement` the resolved fragments are returned per node."""
+    the relation is the union of the resolved per-node table fragments, its
+    columns the declared variables in order.  With `with_placement` the
+    resolved fragments are returned per node."""
     q = parse_fixpoint(query) if isinstance(query, str) else query
     _admit_local(net, q)
     return _run_from_requester(
         net,
-        lambda _order: FPLocEngine(),
+        FPLocEngine(),
         q,
         requester,
-        q.vars,
-        None,
+        q.arity,
         round_cap=(
             round_cap if round_cap is not None
             else default_fp_loc_round_cap(net, q)

@@ -102,7 +102,8 @@ class NetlogRule:
 class NetlogProgram:
     """A rule program.  A program that `parse_netlog` or `rewriter.compile`
     made carries the node plans `check_distributed` built for it, so every
-    run of it reuses them; they take no part in equality."""
+    run of it reuses them; a run of a program built without them checks it
+    the same way.  The plans take no part in equality."""
 
     rules: tuple[NetlogRule, ...]
     plans: Optional[tuple[RulePlan, ...]] = field(
@@ -761,11 +762,10 @@ def _match_literal(
 
 def node_plans(rules: Sequence[NetlogRule]) -> tuple[RulePlan, ...]:
     """Each rule's plan for evaluation at a node, which binds the body
-    holding variables to the node in advance."""
+    holding variables to the node in advance.  Every head carries a holding
+    marker: `check_distributed` checks that first."""
     plans = []
     for idx, rule in enumerate(rules, start=1):
-        if rule.head.holding is None:
-            raise NetlogError(f"rule {print_rule(rule)} has no head holding marker")
         try:
             plans.append(plan_rule(rule, body_holding_vars(rule)))
         except NetlogError as e:
@@ -774,10 +774,12 @@ def node_plans(rules: Sequence[NetlogRule]) -> tuple[RulePlan, ...]:
 
 
 def _program_plans(program: NetlogProgram) -> tuple[RulePlan, ...]:
-    """The program's node plans: those it carries, or new ones."""
+    """The program's node plans: those it carries, or new ones from
+    `check_distributed`, so a program built without plans is checked like
+    a parsed one."""
     if program.plans is not None:
         return program.plans
-    return node_plans(program.rules)
+    return check_distributed(program.rules)
 
 
 def _derived(

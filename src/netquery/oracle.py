@@ -244,7 +244,7 @@ def holds(
     aux: Optional[AuxRelations] = None,
 ) -> bool:
     """Truth of f under `env`, for an f whose atoms `check_atoms` admits
-    with the `aux` relations (`eval_fo` checks that)."""
+    with the `aux` relations (`_check_query` checks that)."""
     aux = aux or {}
     if isinstance(f, BoolConst):
         return f.value
@@ -302,21 +302,12 @@ def _check_query(g: Graph, query, aux: AuxRelations) -> None:
             raise OracleError(f"constant {c} does not name a node")
 
 
-def eval_fo(
-    g: Graph,
-    f: Formula,
-    order: Optional[Sequence[str]] = None,
-    aux: Optional[AuxRelations] = None,
-) -> Relation:
-    """All satisfying assignments to the free variables, in declared order
-    (first occurrence unless an explicit order is given)."""
-    _check_query(g, f, aux or {})
-    fv = tuple(order) if order is not None else free_vars(f)
-    if order is not None and sorted(fv) != sorted(free_vars(f)):
-        raise OracleError(
-            f"order {order!r} does not match free variables {free_vars(f)!r}"
-        )
-    return Relation(len(fv), _satisfying(g, f, fv, _ball_candidates(g, f, fv), aux))
+def eval_fo(g: Graph, f: Formula) -> Relation:
+    """All satisfying assignments to the free variables, its columns the
+    free variables in order of first occurrence."""
+    _check_query(g, f, {})
+    fv = free_vars(f)
+    return Relation(len(fv), _satisfying(g, f, fv, _ball_candidates(g, f, fv), None))
 
 
 def _satisfying(

@@ -5,7 +5,7 @@ The compilation proceeds in five steps:
 
 1. localize: mark the leftmost argument of every literal as the holding
    variable, so every fact lives at the node named by its first argument.
-2. rewrite_rule: split every rule whose body spans several holders into a
+2. rewrite: split every rule whose body spans several holders into a
    local part plus sub-query rules evaluated where their data lives.  A
    sub-query connected to the local part by an edge literal pushes its
    result one hop (cost 1); a disconnected sub-query floods its result
@@ -29,7 +29,7 @@ i*(kappa+1)+1 of the distributed run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .logic import EDGE_PRED, Const, Term, Var, _UnionFind
 from .netlog import (
@@ -57,21 +57,6 @@ class CompileError(ValueError):
 
 
 # ------------------------------------------------------------------- types
-
-
-@dataclass(frozen=True)
-class RewriteContext:
-    """One invocation frame of the rule-splitting recursion."""
-
-    rule: NetlogRule
-    holding_var: str
-    connection_vars: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if self.holding_var not in self.connection_vars:
-            raise CompileError(
-                "the holding variable must be a connection variable"
-            )
 
 
 @dataclass(frozen=True)
@@ -203,6 +188,9 @@ def _rewrite(
     counter: list[int],
     depth: int,
 ) -> tuple[list[NetlogRule], int]:
+    """Split one localized rule, held at `holding_var`, so every output rule
+    reads only facts held on a single node; returns the rules and the round
+    count kappa_r."""
     rel = [l for l in rule.body if isinstance(l, RelLit)]
     guards = [l for l in rule.body if isinstance(l, GuardLit)]
     local_rel = [l for l in rel if l.holding_var() == holding_var]
@@ -303,29 +291,6 @@ def _rewrite(
     new_body.extend(sub_atoms)
     r_prime = NetlogRule(rule.head, tuple(new_body), push=False)
     return [r_prime] + out_rules, max(kappas)
-
-
-def rewrite_rule(
-    ctx: RewriteContext,
-    delta: int,
-    names: Optional[_Names] = None,
-    rule_no: int = 1,
-) -> tuple[list[NetlogRule], int]:
-    """Split one localized rule so every output rule reads only facts held
-    on a single node; returns the rules and the round count kappa_r."""
-    if names is None:
-        names = _Names(set(_program_preds([ctx.rule])))
-    names.note_vars(sorted(_rule_var_names(ctx.rule)))
-    return _rewrite(
-        ctx.rule,
-        ctx.holding_var,
-        ctx.connection_vars,
-        delta,
-        names,
-        rule_no,
-        [0],
-        1,
-    )
 
 
 # --------------------------------------------------- step 3: communication
@@ -535,8 +500,8 @@ def compile(  # noqa: A001 - the operation is named after what it does
     for no, rule in enumerate(p1.rules, start=1):
         h = rule.head.holding_var()
         assert h is not None
-        ctx = RewriteContext(rule, h, frozenset({h}))
-        t_r, k_r = rewrite_rule(ctx, delta, names, no)
+        names.note_vars(sorted(_rule_var_names(rule)))
+        t_r, k_r = _rewrite(rule, h, frozenset({h}), delta, names, no, [0], 1)
         traces.append((tuple(t_r), k_r))
         rewritten.extend(t_r)
     kappa = max([delta, 1] + [k for _, k in traces])

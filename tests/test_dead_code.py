@@ -1,7 +1,8 @@
 """Static checks that deletions leave nothing dead behind in the package.
 
 Every import a package or test module makes must be used in that module,
-and every module-level `_private` function or class, and every `_private`
+and no package module assigns `__all__`, so a name imported only to
+re-export it counts as unused.  Every module-level `_private` function or class, and every `_private`
 method of a class, must be referenced somewhere in `src/netquery`; tests do
 not count as callers.  Every public module-level function or class must be
 referenced by the package or by `bench/`, so what only the tests read lives
@@ -30,8 +31,7 @@ TEST_TREES = {
 
 
 def _names_used(tree: ast.AST) -> set[str]:
-    """Bare names a tree reads, including those inside quoted annotations
-    and the strings of `__all__`."""
+    """Bare names a tree reads, including those inside quoted annotations."""
     used: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -96,21 +96,23 @@ BENCH_TREES = [
 ]
 
 
-def _is_all(node: ast.stmt) -> bool:
-    return isinstance(node, ast.Assign) and any(
-        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-    )
+def test_no_module_assigns_all():
+    # Without `__all__`, a name imported only to re-export it is unused.
+    assigned = [
+        name
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)
+        and node.id == "__all__"
+    ]
+    assert assigned == []
 
 
 def test_no_public_definition_only_the_tests_read():
-    # A definition's references to itself and its module's `__all__` do
-    # not count; a reference from another statement of its own module does.
-    stmts = [
-        (name, node)
-        for name, tree in TREES.items()
-        for node in tree.body
-        if not _is_all(node)
-    ]
+    # A definition's references to itself do not count; a reference from
+    # another statement of its own module does.
+    stmts = [(name, node) for name, tree in TREES.items() for node in tree.body]
     refs = {id(node): _references(node) for _, node in stmts}
     bench = set().union(*map(_references, BENCH_TREES))
     unread = [

@@ -17,7 +17,6 @@ from netquery.engine_fo import (
     EngineError,
     FOCore,
     FOQueryEngine,
-    QueryTable,
     _BroadcastEngine,
     _send_order,
     answer_key,
@@ -35,7 +34,6 @@ from netquery.logic import (
     Forall,
     Not,
     Or,
-    ParseError,
     Var,
     _terms_of,
     canonical_print,
@@ -149,7 +147,7 @@ def test_matches_oracle_on_all_small_connected_graphs():
         net = _net(g)
         for text in _MATRIX:
             f = parse_formula(text)
-            want = eval_fo(g, f, order=free_vars(f))
+            want = eval_fo(g, f)
             got, metrics = run_qe_fo(net, f, 1)
             assert got.tuples == want.tuples, (_name, text)
             w = stats(f).w
@@ -508,38 +506,6 @@ def test_results_do_not_depend_on_delivery_or_port_order(permuted_inboxes):
     assert outcomes[0][0] == [(1,), (2,), (3,), (4,), (5,)]
 
 
-def test_every_received_query_text_is_canonical(monkeypatch):
-    """Each text a node reads from a Q payload is the canonical text of
-    the template it gets, so `QueryTable.read` finds it among the
-    templates, over the FO fixture queries on ring-5 and path-4 and the FP
-    fixture queries on path-4."""
-    texts = []
-    real = QueryTable.read
-
-    def read(self, text):
-        t = real(self, text)
-        texts.append((text, t.text))
-        return t
-
-    monkeypatch.setattr(QueryTable, "read", read)
-    for g in (ring_graph(5), path_graph(4)):
-        for text in (TWO_HOP_TEXT, HAS_NEIGHBOR_TEXT):
-            run_qe_fo(_net(g), text, 1)
-    g = path_graph(4).with_unary({"ReqNode": [1]})
-    for text in (TRANSITIVE_CLOSURE_TEXT, ROUTING_TABLE_TEXT, SPANNING_TREE_TEXT):
-        run_qe_fp(_net(g), text, 1)
-    assert len(texts) > 1_000
-    assert all(read == got for read, got in texts)
-    # On a miss, `read` parses: a text that is not canonical gets the
-    # template of its canonical text, and one that fails to parse is not kept.
-    table = QueryTable()
-    t = table.read(TWO_HOP_TEXT)
-    assert t.text != TWO_HOP_TEXT and table.read(t.text) is t
-    with pytest.raises(ParseError):
-        table.read("G(x,")
-    assert list(table.templates) == [t.text]
-
-
 def _reference_send_order(p):
     """The send order as zero-padded text keys."""
     if p[0] == "A":
@@ -633,12 +599,10 @@ def test_rejects_wide_relations_and_reserved_names():
         run_qe_fo(net, "exists y. G(q1,y)", 1)
 
 
-def test_explicit_variable_order_controls_tuple_layout():
+def test_columns_follow_first_occurrence_order():
+    # Both queries ask for the edge from node 1; the second names y first.
     net = _net(path_graph(3))
-    f = parse_formula("G(x,y)")
-    fwd, _ = run_qe_fo(net, f, 1, order=("x", "y"))
-    rev, _ = run_qe_fo(net, f, 1, order=("y", "x"))
-    assert fwd.tuples == frozenset({(1, 2), (2, 1), (2, 3), (3, 2)})
-    assert fwd.tuples == rev.tuples  # symmetric relation; layouts agree
-    with pytest.raises(EngineError):
-        run_qe_fo(net, f, 1, order=("x",))
+    fwd, _ = run_qe_fo(net, "x = 1 & G(x,y)", 1)
+    rev, _ = run_qe_fo(net, "G(y,x) & x = 1", 1)
+    assert fwd.tuples == {(1, 2)}
+    assert rev.tuples == {(2, 1)}

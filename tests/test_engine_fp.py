@@ -12,8 +12,8 @@ from fixture_data import (
     fixture_graphs,
 )
 from netquery import engine_fo, simnet
+from netquery.engine_fo import EngineError
 from netquery.engine_fp import (
-    EngineError,
     FPCore,
     FPQueryEngine,
     default_fp_round_cap,

@@ -24,7 +24,6 @@ from netquery.fixtures import TRANSITIVE_CLOSURE_TEXT, exhaustive_graphs
 from netquery.local_engine import (
     FOLocEngine,
     FPLocEngine,
-    check_locally_consistent,
     reduce_trace,
     resolve_trace,
     reverse_trace,
@@ -125,9 +124,9 @@ def test_collect_topology_path_center():
     # one class per endpoint, edges only center-endpoint, no endpoint-endpoint
     net = make_network(path_graph(3))
     topo = collect_topology(net, 2, 1)
-    assert len(topo.vertices) == 3
+    assert len(vertices(topo, 1)) == 3
     assert len(topo.edges) == 2
-    others = [c for c in topo.vertices if c != CENTER]
+    others = [c for c in vertices(topo, 1) if c != CENTER]
     assert len(others) == 2
     assert has_edge(topo, CENTER, others[0])
     assert has_edge(topo, CENTER, others[1])
@@ -140,7 +139,7 @@ def test_collect_topology_triangle_sees_far_edge():
     # four-port walk even though neither neighbor is the center
     net = make_network(make_graph([(1, 2), (2, 3), (1, 3)]))
     topo = collect_topology(net, 1, 1)
-    assert len(topo.vertices) == 3
+    assert len(vertices(topo, 1)) == 3
     assert len(topo.edges) == 3
 
 
@@ -149,8 +148,8 @@ def test_collect_topology_ring4_separates_neighbors():
     # edge between them is certified (their common far node is out of range)
     net = make_network(ring_graph(4))
     topo = collect_topology(net, 1, 1)
-    assert len(topo.vertices) == 3
-    others = [c for c in topo.vertices if c != CENTER]
+    assert len(vertices(topo, 1)) == 3
+    others = [c for c in vertices(topo, 1) if c != CENTER]
     assert len(others) == 2
     assert len(topo.edges) == 2
     assert not has_edge(topo, others[0], others[1])
@@ -216,7 +215,7 @@ def test_reconstruction_rejects_misnamed_edges(monkeypatch):
 def _norm_topology(t):
     return (
         classes_of(t),
-        t.vertices,
+        t.reps,
         t.edges,
         t.class_of[()],
         dict(t.attrs),
@@ -272,7 +271,7 @@ def test_fo_loc_matches_oracle_on_fixture_graphs():
         gm = g.with_unary({"Mark": marks})
         for ftext, uses_order in FO_BATTERY:
             f = parse_formula(ftext)
-            want = eval_fo(gm, f, free_vars(f))
+            want = eval_fo(gm, f)
             for _, mode in modes_for(g, with_order=uses_order):
                 net = (
                     make_network(gm, mode=mode) if mode else make_network(gm)
@@ -320,24 +319,14 @@ def test_fo_loc_noninjective_labels():
     assert rel.tuples == frozenset({(v,) for v in g.nodes})
 
 
-def test_check_locally_consistent_reexported():
-    g = ring_graph(6)
-    labels = {1: 1, 2: 2, 3: 3, 4: 1, 5: 2, 6: 3}
-    assert check_locally_consistent(g, labels, 1)
-    assert not check_locally_consistent(g, labels, 2)
-
-
-def test_fo_loc_order_parameter():
-    g = path_graph(4)
-    net = make_network(g)
-    f = "(y in N^2(x)) & (exists z in N^2(x). (G(x,z) & G(z,y)))"
-    rel_xy, _ = run_qe_fo_loc(net, f, 1, order=("x", "y"))
-    rel_yx, _ = run_qe_fo_loc(net, f, 1, order=("y", "x"))
-    assert rel_yx.tuples == {(b, a) for a, b in rel_xy.tuples}
-    with pytest.raises(EngineError):
-        run_qe_fo_loc(net, f, 1, order=("x", "x"))
-    with pytest.raises(EngineError):
-        run_qe_fo_loc(net, f, 1, order=("x", "z"))
+def test_fo_loc_columns_follow_first_occurrence_order():
+    # The same conjuncts in the other order name y first, so the columns swap.
+    net = make_network(path_graph(4).with_unary({"Mark": [1]}))
+    body = "exists z in N^2(x). (G(x,z) & G(z,y) & Mark(y))"
+    rel_xy, _ = run_qe_fo_loc(net, f"({body}) & (y in N^2(x))", 1)
+    rel_yx, _ = run_qe_fo_loc(net, f"(y in N^2(x)) & ({body})", 1)
+    assert rel_xy.tuples == {(1, 1), (3, 1)}
+    assert rel_yx.tuples == {(1, 1), (1, 3)}
 
 
 # ------------------------------------------------------------------ FP engine
@@ -388,7 +377,7 @@ def test_one_node_network(mode, marked):
     f = parse_formula("Mark(x) & !(exists y in N^1(x). G(x,y))")
     q = parse_fixpoint("mu T(x). Mark(x) | exists y in N^1(x). (G(x,y) & T(y))")
     for got, want in (
-        (run_qe_fo_loc(net, f, 1), eval_fo(g, f, ("x",))),
+        (run_qe_fo_loc(net, f, 1), eval_fo(g, f)),
         (run_qe_fp_loc(net, q, 1), eval_fp_loc(g, q).final),
     ):
         rel, metrics = got
@@ -554,7 +543,7 @@ def test_local_reports_are_invariant_under_isomorphism(monkeypatch):
                 )
                 for a in nodes:
                     assert got[perm[a]] == want[a], (mode.kind, a)
-                    assert len(want[a].topology.vertices) > 1
+                    assert len(vertices(want[a].topology, 1)) > 1
                     compared += 1
                 assert got_m == dataclasses.replace(
                     want_m,
@@ -610,7 +599,7 @@ def test_an_engine_without_a_mode_compares_only_labeled_nodes():
     )
     res, _ = simnet.run(labeled, FOLocEngine(("x",)), {1: f}, round_cap=400)
     got = {(a,) for a, rows in res.items() if rows}
-    assert got == eval_fo(g, f, ("x",)).tuples == {(2,), (3,), (4,)}
+    assert got == eval_fo(g, f).tuples == {(2,), (3,), (4,)}
     anonymous = make_network(g, ANONYMOUS)
     with pytest.raises(EngineError, match="unlabeled"):
         simnet.run(anonymous, FOLocEngine(("x",)), {1: f}, round_cap=400)
@@ -731,7 +720,7 @@ def test_relay_text_is_printed_once_per_run(monkeypatch, engine):
             assert rel.tuples == eval_fp_loc(g, q).final.tuples
         else:
             rel, _ = run_qe_fo_loc(net, DEG2, 1)
-            assert rel.tuples == eval_fo(g, parse_formula(DEG2), ("x",)).tuples
+            assert rel.tuples == eval_fo(g, parse_formula(DEG2)).tuples
         assert len(printed) == 2 * run
     assert printed[1] == printed[0]
 
@@ -903,6 +892,12 @@ def has_edge(topo, a, b):
     return a != b and (min(a, b), max(a, b)) in topo.edges
 
 
+def vertices(topo, k):
+    """The classes within radius k: a prefix, as the representatives are in
+    length order."""
+    return tuple(c for c, r in enumerate(topo.reps) if len(r) <= 2 * k)
+
+
 def classes_of(topo):
     """The traces of each class, in class order, rebuilt from `class_of`."""
     classes = [set() for _ in topo.reps]
@@ -976,12 +971,12 @@ def verify_reconstruction(net, a, k):
     if any(len(e) != 1 for e in ends):
         return False
     node_of = [min(e) for e in ends]
-    if sorted(node_of[c] for c in topo.vertices) != list(ball):
+    if sorted(node_of[c] for c in vertices(topo, k)) != list(ball):
         return False
     edges = {frozenset((u, v)) for u in ball for v in g.adj[u] if v in ball}
     return all(
         has_edge(topo, c, d) == (frozenset((node_of[c], node_of[d])) in edges)
-        for c, d in itertools.combinations(topo.vertices, 2)
+        for c, d in itertools.combinations(vertices(topo, k), 2)
     )
 
 
@@ -1072,7 +1067,7 @@ def _compare_with_interpreter(net, engine, text, table):
     compared = errors = 0
     for a in sorted(net.graph.nodes):
         topo = collect_topology(net, a, radius)
-        domain = tuple(i for i in topo.vertices if len(topo.reps[i]) <= 2 * k)
+        domain = vertices(topo, k)
         for combo in itertools.product(domain, repeat=len(names)):
             env = dict(zip([center, *names], (CENTER, *combo)))
             work = [0]
@@ -1142,21 +1137,28 @@ def brute_force_fo(g, f, order):
 def test_eval_fo_over_balls_equals_brute_force():
     """`eval_fo` ranges a radius-bounded formula's centre over all nodes
     and its other free variables over the centre's ball only.  On every
-    FO-loc fixture formula, in every order of its free variables (so the
-    centre need not come first), it equals the brute-force enumeration on
-    every connected graph of up to 4 nodes and on seeded random graphs.
-    A path through the centre adds three free variables, the centre in the
-    middle."""
-    through = relativize(parse_formula("G(y,x) & G(x,z) & y != z"), "x", 1)
+    FO-loc fixture formula it equals the brute-force enumeration on every
+    connected graph of up to 4 nodes and on seeded random graphs.  Three
+    paths through the centre add three free variables each, the centre
+    first, in the middle and last in order of first occurrence."""
+    paths = [
+        relativize(parse_formula(text), "x", k)
+        for text, k in (
+            ("G(x,y) & G(y,z) & x != z", 2),
+            ("G(y,x) & G(x,z) & y != z", 1),
+            ("G(y,z) & G(z,x) & y != x", 2),
+        )
+    ]
+    texts = FO_LOCAL_TEXTS + [print_formula(f) for f in paths]
+    assert {free_vars(f).index("x") for f in paths} == {0, 1, 2}
     nonempty = 0
     for g in _differential_graphs():
-        for text in FO_LOCAL_TEXTS + [print_formula(through)]:
+        for text in texts:
             f = parse_formula(text)
             locality(f)  # radius-bounded, so the oracle ranges over balls
-            for order in itertools.permutations(free_vars(f)):
-                want = brute_force_fo(g, f, order)
-                assert eval_fo(g, f, order).tuples == want, (g.adj, text, order)
-                nonempty += bool(want)
+            want = brute_force_fo(g, f, free_vars(f))
+            assert eval_fo(g, f).tuples == want, (g.adj, text)
+            nonempty += bool(want)
     assert nonempty > 100
 
 
@@ -1182,12 +1184,12 @@ def reference_topology(radius, entries):
     classes = tuple(g for _, g in keyed)
     reps = tuple(key[1] for key, _ in keyed)
     class_of = {t: i for i, g in enumerate(classes) for t in g}
-    vertices = tuple(i for i, r in enumerate(reps) if len(r) // 2 <= radius)
+    inside = {i for i, r in enumerate(reps) if len(r) // 2 <= radius}
     edges = set()
     for t in entries:
         if t:
             c1, c2 = class_of[t[:-2]], class_of[t]
-            if c1 in vertices and c2 in vertices and c1 != c2:
+            if c1 in inside and c2 in inside and c1 != c2:
                 edges.add((min(c1, c2), max(c1, c2)))
     attrs, labels = {}, {}
     for i, cls in enumerate(classes):
@@ -1197,7 +1199,6 @@ def reference_topology(radius, entries):
     return local_engine.LocalTopology(
         class_of=class_of,
         reps=reps,
-        vertices=vertices,
         edges=frozenset(edges),
         attrs=attrs,
         labels=labels,
@@ -1205,9 +1206,9 @@ def reference_topology(radius, entries):
 
 
 def test_quotient_matches_the_union_find_build():
-    """Classes (compared as sets), representatives, class indices, vertices,
-    edges, facts and labels equal the union-find build's on the reference
-    entries of every node at radius 1, 2 and 3."""
+    """Classes (compared as sets), representatives, class indices, edges,
+    facts and labels equal the union-find build's on the reference entries
+    of every node at radius 1, 2 and 3."""
     checked = 0
     for g in _differential_graphs():
         for mode in (ANONYMOUS, IdentityMode("local-consistent", 1, injective_labels(g))):
@@ -1242,7 +1243,7 @@ def test_quotient_links_rows_both_ways():
     assert topo == reference_topology(1, entries)
     assert classes_of(topo)[topo.class_of[x]] == {x, y, z}
     assert topo.reps[topo.class_of[z]] == x
-    assert topo.vertices == (0, 1, 2)
+    assert vertices(topo, 1) == (0, 1, 2)
 
 
 @pytest.mark.parametrize("short,long", [

@@ -33,6 +33,7 @@ from netquery.netlog import (
     GuardLit,
     NetlogEngine,
     NetlogError,
+    NetlogProgram,
     NetlogRule,
     NonterminationError,
     RelLit,
@@ -164,6 +165,31 @@ def test_restriction_iii_push_without_edge():
     with pytest.raises(NetlogError) as err:
         parse_netlog("^Q(@y,x) :- T(@x,y).")
     assert "(iii)" in str(err.value)
+
+
+def test_a_program_built_without_plans_is_checked_when_run():
+    """A program built from rules directly carries no node plans, and both
+    entry points that run it reject what `parse_netlog` rejects: here
+    rule 3, whose body is held at x and at y."""
+    x, y = Var("x"), Var("y")
+
+    def held(pred, *args):
+        return RelLit(pred, args, holding=0)
+
+    program = NetlogProgram((
+        NetlogRule(held("B", x), (held("start", x),)),
+        NetlogRule(held("C", y), (held("start", y),)),
+        NetlogRule(held("A", x), (held("B", x), held("C", y), held(EDGE_PRED, x, y))),
+    ))
+    with pytest.raises(NetlogError, match=r"rule 3 .* restriction \(i\)"):
+        parse_netlog(print_program(program))
+    g = path3()
+    for run in (
+        lambda: run_netlog(program, make_network(g)),
+        lambda: netlog_stages(program, g),
+    ):
+        with pytest.raises(NetlogError, match=r"rule 3 .* restriction \(i\)"):
+            run()
 
 
 def test_edge_literal_orientation_not_distinguished():

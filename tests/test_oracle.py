@@ -150,7 +150,7 @@ def test_radius_questions_agree_with_all_pairs_bfs():
                 ball = {b: d for b, d in ref[a].items() if d <= k}
                 assert g.neighborhood_nodes(a, k) == tuple(sorted(ball))
         want = {(x, y) for y in g.nodes for x, d in ref[y].items() if d <= 1}
-        assert eval_fo(g, in_ball, order=("x", "y")).tuples == want
+        assert eval_fo(g, in_ball).tuples == want  # columns (x, y)
 
 
 def test_graph_memory_is_linear_in_size():
@@ -184,17 +184,11 @@ def test_two_hop_formula_on_path():
     assert rel.tuples == {(1,), (3,)}
 
 
-def test_eval_fo_explicit_order():
-    rel = eval_fo(path_graph(3), parse_formula("G(x,y)"), order=["y", "x"])
-    assert rel.tuples == {(2, 1), (1, 2), (3, 2), (2, 3)}
-
-
-@pytest.mark.parametrize("order", [["x", "y", "x"], ["x", "x"], ["x"]])
-def test_eval_fo_rejects_an_order_that_is_no_permutation(order):
-    # An order names each free variable once, as the distributed drivers
-    # require; a repeated one would add a column of arbitrary values.
-    with pytest.raises(OracleError, match="does not match free variables"):
-        eval_fo(path_graph(3), parse_formula("G(x,y)"), order=order)
+def test_eval_fo_columns_follow_first_occurrence_order():
+    # Both formulas hold for the edge from node 1; the second names y first.
+    g = path_graph(3)
+    assert eval_fo(g, parse_formula("x = 1 & G(x,y)")).tuples == {(1, 2)}
+    assert eval_fo(g, parse_formula("G(y,x) & x = 1")).tuples == {(2, 1)}
 
 
 def test_eval_fo_rejects_unknown_constant():

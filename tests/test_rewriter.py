@@ -8,7 +8,6 @@ import pytest
 from fixture_data import PATH_FAR_DATALOG, TRANSITIVE_CLOSURE_DATALOG, WIN_DATALOG
 from netquery.fixtures import SAME_GENERATION_DATALOG
 from netquery.netlog import (
-    GuardLit,
     NetlogEngine,
     NetlogProgram,
     NetlogRule,
@@ -23,11 +22,9 @@ from netquery.netlog import (
 from netquery.oracle import eval_datalog, path_graph, ring_graph, star_graph
 from netquery.rewriter import (
     CompileError,
-    RewriteContext,
     compile,
     emit_text,
     localize,
-    rewrite_rule,
 )
 from netquery.simnet import make_network
 
@@ -109,32 +106,14 @@ def test_negated_literal_travels_into_pushed_subquery():
 
 
 def test_rewrite_rule_operation_splits_on_context():
-    p1 = localize(parse_datalog(TRANSITIVE_CLOSURE_DATALOG))
-    rule = p1.rules[1]
-    ctx = RewriteContext(rule, "x", frozenset({"x"}))
-    rules, kappa_r = rewrite_rule(ctx, delta=4)
+    rules, kappa_r = compile(TRANSITIVE_CLOSURE_DATALOG, delta=4).traces[1]
     assert kappa_r == 2
     assert len(rules) == 2
 
 
-def test_rewrite_context_requires_holder_among_connection_vars():
-    rule = localize(parse_datalog("T(x,y) :- G(x,y).")).rules[0]
-    with pytest.raises(CompileError):
-        RewriteContext(rule, "x", frozenset({"y"}))
-
-
 def test_unplaceable_comparison_is_rejected():
-    rule = NetlogRule(
-        RelLit("R", (Var("x"),), holding=0),
-        (
-            RelLit("G", (Var("x"), Var("y")), holding=0),
-            RelLit("S", (Var("z"), Var("u")), holding=0),
-            GuardLit("!=", Var("v"), Var("w")),
-        ),
-    )
-    ctx = RewriteContext(rule, "x", frozenset({"x"}))
-    with pytest.raises(CompileError):
-        rewrite_rule(ctx, delta=2)
+    with pytest.raises(CompileError, match="rule 1: comparison v = 1 .* placed"):
+        compile("R(x) :- G(x,y); S(z,u); v = 1.", 2)
 
 
 # ------------------------------------------------- communication and clocks
