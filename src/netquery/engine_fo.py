@@ -32,7 +32,6 @@ from typing import (
     Any,
     Callable,
     Iterable,
-    Mapping,
     Optional,
     Sequence,
     Union,
@@ -51,10 +50,10 @@ from .logic import (
     Forall,
     Formula,
     FormulaError,
-    InNbhd,
     Not,
     Or,
     Var,
+    _scoped,
     _terms_of,
     atoms,
     canonical_print,
@@ -62,8 +61,8 @@ from .logic import (
     constants,
     free_vars,
     parse_formula,
+    ranges,
     stats,
-    subformulas,
     substitute,
 )
 from .oracle import Relation
@@ -154,21 +153,19 @@ class _Entry:
 # ------------------------------------------------------------ formula walks
 
 
-def _atom_depth(f: Formula, env: Mapping[str, int], depth: int) -> int:
-    """The largest binder nesting depth (f's own binder at depth + 1) of a
-    variable in an atom of f, `env` giving the depths of enclosing binders;
-    0 for atoms without variables."""
-    if isinstance(f, (Atom, Cmp)):
-        return max(
-            (env[t.name] for t in _terms_of(f) if isinstance(t, Var)), default=0
-        )
-    if isinstance(f, Not):
-        return _atom_depth(f.body, env, depth)
-    if isinstance(f, (And, Or)):
-        return max((_atom_depth(p, env, depth) for p in f.parts), default=0)
-    if isinstance(f, (Exists, Forall)):
-        return _atom_depth(f.body, {**env, f.var: depth + 1}, depth + 1)
-    return 0
+def _atom_depth(q: Formula) -> int:
+    """The largest binder nesting depth inside q (q's own binder at depth 1)
+    of a variable an atom of q reads; 0 when no atom reads one.  q is a
+    quantifier of a closed text, so q binds every variable in it."""
+    return max(
+        (
+            len(binders) - binders[::-1].index(t.name)
+            for g, binders in _scoped(q)
+            for t in _terms_of(g)
+            if isinstance(t, Var)
+        ),
+        default=0,
+    )
 
 
 def _cmp_holds(op: str, a: int, b: int) -> bool:
@@ -262,7 +259,7 @@ class QueryTable:
                     q.var,  # type: ignore[union-attr]
                     isinstance(q, Exists),
                     canonical_print(q),
-                    _atom_depth(q, {}, 0),
+                    _atom_depth(q),
                 )
                 for q in quants
             )
@@ -713,13 +710,8 @@ def _admit_global(net: Network, query: Union[Formula, FixpointQuery]) -> None:
     name nodes, and no free variable named like the binders that canonical
     printing makes (q1, q2, ...).  The engines trust what passes."""
     f = query.body if isinstance(query, FixpointQuery) else query
-    for g in subformulas(f):
-        if isinstance(g, InNbhd) or (
-            isinstance(g, (Exists, Forall)) and g.bound is not None
-        ):
-            raise EngineError(
-                "neighborhood bounds belong to the local-fragment engines"
-            )
+    if any(ranges(f)):
+        raise EngineError("neighborhood bounds belong to the local-fragment engines")
     try:
         check_atoms(query)
     except FormulaError as err:

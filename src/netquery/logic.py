@@ -202,16 +202,25 @@ def make_or(parts) -> Formula:
 # ------------------------------------------------------------------- walking
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Pre-order traversal of all subformulas, including f itself."""
-    yield f
+def _scoped(
+    f: Formula, binders: tuple[str, ...] = ()
+) -> Iterator[tuple[Formula, tuple[str, ...]]]:
+    """Pre-order traversal of the subformulas of f, including f itself, each
+    with the names bound around it (outermost first; `binders` around f).
+    A quantifier's own variable is bound in its body, not around it."""
+    yield f, binders
     if isinstance(f, Not):
-        yield from subformulas(f.body)
+        yield from _scoped(f.body, binders)
     elif isinstance(f, (And, Or)):
         for p in f.parts:
-            yield from subformulas(p)
+            yield from _scoped(p, binders)
     elif isinstance(f, (Exists, Forall)):
-        yield from subformulas(f.body)
+        yield from _scoped(f.body, binders + (f.var,))
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """Pre-order traversal of all subformulas, including f itself."""
+    return (g for g, _ in _scoped(f))
 
 
 def atoms(f: Formula) -> Iterator[Formula]:
@@ -221,58 +230,54 @@ def atoms(f: Formula) -> Iterator[Formula]:
             yield g
 
 
+def ranges(f: Formula) -> Iterator[tuple[Formula, Term, int]]:
+    """Every neighborhood f names, as (subformula, center, radius) in
+    pre-order: each membership atom and each bounded quantifier."""
+    for g in subformulas(f):
+        if isinstance(g, InNbhd):
+            yield g, g.center, g.radius
+        elif isinstance(g, (Exists, Forall)) and g.bound is not None:
+            yield (g, *g.bound)
+
+
 def _terms_of(g: Formula) -> tuple[Term, ...]:
+    """The terms g itself reads, outside its subformulas.  A bounded
+    quantifier reads its range center: the center is evaluated before the
+    binder takes a value, in the scope around the quantifier, so it is a
+    term of the quantifier and not of its body."""
     if isinstance(g, Atom):
         return g.args
     if isinstance(g, Cmp):
         return (g.left, g.right)
     if isinstance(g, InNbhd):
         return (g.term, g.center)
+    if isinstance(g, (Exists, Forall)) and g.bound is not None:
+        return (g.bound[0],)
     return ()
 
 
 def free_vars(f: Formula) -> tuple[str, ...]:
     """Free variables in order of first occurrence."""
-    out: list[str] = []
-    _add_free_vars(f, frozenset(), out)
-    return tuple(out)
-
-
-def _add_free_vars(g: Formula, bound: frozenset[str], out: list[str]) -> None:
-    """Append to `out` the free variables of g outside `bound` that it does
-    not hold yet, in order of first occurrence."""
-    if isinstance(g, (Atom, Cmp, InNbhd)):
+    out: dict[str, None] = {}
+    for g, binders in _scoped(f):
         for t in _terms_of(g):
-            if isinstance(t, Var) and t.name not in bound and t.name not in out:
-                out.append(t.name)
-    elif isinstance(g, Not):
-        _add_free_vars(g.body, bound, out)
-    elif isinstance(g, (And, Or)):
-        for p in g.parts:
-            _add_free_vars(p, bound, out)
-    elif isinstance(g, (Exists, Forall)):
-        if g.bound is not None:
-            c = g.bound[0]
-            if isinstance(c, Var) and c.name not in bound and c.name not in out:
-                out.append(c.name)
-        _add_free_vars(g.body, bound | {g.var}, out)
+            if isinstance(t, Var) and t.name not in binders:
+                out[t.name] = None
+    return tuple(out)
 
 
 def bound_vars(f: Formula) -> tuple[str, ...]:
-    out = []
-    for g in subformulas(f):
-        if isinstance(g, (Exists, Forall)):
-            out.append(g.var)
-    return tuple(out)
+    return tuple(g.var for g in subformulas(f) if isinstance(g, (Exists, Forall)))
 
 
 def constants(f: Formula) -> tuple[int, ...]:
-    """Distinct constant values in order of first occurrence."""
-    out: list[int] = []
-    for g in atoms(f):
+    """Distinct constant values in order of first occurrence, range centers
+    included."""
+    out: dict[int, None] = {}
+    for g in subformulas(f):
         for t in _terms_of(g):
-            if isinstance(t, Const) and t.value not in out:
-                out.append(t.value)
+            if isinstance(t, Const):
+                out[t.value] = None
     return tuple(out)
 
 
@@ -764,25 +769,19 @@ def locality(f: Formula) -> tuple[str, int]:
     reads `t in N^k(x)`, and every free variable y other than x has a
     top-level conjunct `y in N^k(x)`.  Anything else raises
     FormulaError naming the first condition that fails."""
-    centers: set[str] = set()
-    radii: set[int] = set()
-    for g in subformulas(f):
-        if isinstance(g, (Exists, Forall)):
-            if g.bound is None:
-                raise FormulaError(
-                    "unbounded quantifier: the query is not radius-bounded"
-                )
-            c, r = g.bound
-            if not isinstance(c, Var):
-                raise FormulaError("quantifier bounds must center on a variable")
-        elif isinstance(g, InNbhd):
-            c, r = g.center, g.radius
-            if not isinstance(c, Var):
-                raise FormulaError("neighborhood atoms must center on a variable")
-        else:
+    if any(
+        isinstance(g, (Exists, Forall)) and g.bound is None for g in subformulas(f)
+    ):
+        raise FormulaError("unbounded quantifier: the query is not radius-bounded")
+    named = list(ranges(f))
+    for g, c, _ in named:
+        if isinstance(c, Var):
             continue
-        centers.add(c.name)
-        radii.add(r)
+        if isinstance(g, InNbhd):
+            raise FormulaError("neighborhood atoms must center on a variable")
+        raise FormulaError("quantifier bounds must center on a variable")
+    centers = {c.name for _, c, _ in named}
+    radii = {r for _, _, r in named}
     if len(radii) != 1 or len(centers) != 1:
         raise FormulaError(
             "cannot infer a single locality radius and center variable"
@@ -848,12 +847,10 @@ def relativize(f: Formula, center: str, k: int) -> Formula:
         raise FormulaError(f"center {center!r} is not a free variable")
     if k < 1:
         raise FormulaError("radius must be >= 1")
-    for g in subformulas(f):
-        bounded = isinstance(g, (Exists, Forall)) and g.bound is not None
-        if bounded or isinstance(g, InNbhd):
-            raise FormulaError(
-                "only a formula without neighborhood bounds can be relativized"
-            )
+    if any(ranges(f)):
+        raise FormulaError(
+            "only a formula without neighborhood bounds can be relativized"
+        )
     c = Var(center)
     guards = [InNbhd(Var(y), k, c) for y in free_vars(f) if y != center]
     return make_and([_bound_quantifiers(f, (c, k))] + guards)

@@ -37,7 +37,7 @@ from . import simnet
 from .logic import (
     EDGE_PRED, Const, Term, Var, _arity_clash, _TokenStream, _token_re, _UnionFind, term_str,
 )
-from .oracle import Graph
+from .oracle import Graph, datalog_cap
 
 Fact = tuple[str, tuple[int, ...]]
 
@@ -116,21 +116,6 @@ class NetlogProgram:
         for r in self.rules:
             if r.head.pred not in seen:
                 seen.append(r.head.pred)
-        return tuple(seen)
-
-    @property
-    def body_only_preds(self) -> tuple[str, ...]:
-        heads = set(self.intensional_preds)
-        seen: list[str] = []
-        for r in self.rules:
-            for lit in r.body:
-                if (
-                    isinstance(lit, RelLit)
-                    and lit.pred not in heads
-                    and lit.pred != EDGE_PRED
-                    and lit.pred not in seen
-                ):
-                    seen.append(lit.pred)
         return tuple(seen)
 
     def __str__(self) -> str:
@@ -849,11 +834,7 @@ def netlog_stages(
 
 
 def default_round_cap(program: NetlogProgram, g: Graph) -> int:
-    arities = {
-        (r.head.pred, len(r.head.args)) for r in program.rules
-    }
-    universe = sum(g.n**arity for _pred, arity in arities)
-    return 10 * (universe + 2)
+    return 10 * datalog_cap(program, g)
 
 
 # -------------------------------------------------------- distributed run

@@ -416,7 +416,7 @@ def eval_datalog(program, g: Graph) -> StageTrace:
         raise OracleError(str(e)) from None
     facts: frozenset[tuple[str, tuple[int, ...]]] = frozenset()
     stages = [facts]
-    cap = _datalog_cap(program, g)
+    cap = datalog_cap(program, g)
     edges = both_ways(g.edges())
     for _ in range(cap):
         view = FactView(group_facts(facts), g.unary, edges)
@@ -432,7 +432,8 @@ def eval_datalog(program, g: Graph) -> StageTrace:
     raise OracleError("datalog evaluation did not converge within the stage cap")
 
 
-def _datalog_cap(program, g: Graph) -> int:
-    # Conservative: one stage per distinct derivable fact, plus two.
+def datalog_cap(program, g: Graph) -> int:
+    """Stages that suffice for a rule program on g: one per fact its heads
+    can derive (n**arity per head predicate), plus two."""
     heads = {(r.head.pred, len(r.head.args)) for r in program.rules}
     return sum(g.n**arity for _pred, arity in heads) + 2

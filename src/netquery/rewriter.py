@@ -420,8 +420,8 @@ def add_clocks(
     derivations into temporary relations, and add the commit and
     coordination rules."""
     intensional = list(source.intensional_preds)
-    arities = _program_preds(list(source.rules))
-    used = set(_program_preds(list(program.rules))) | set(arities)
+    arities = _program_preds(source.rules)
+    used = set(_program_preds(program.rules)) | set(arities)
     clash = sorted(
         (set(RESERVED) & used)
         | {"temp" + p for p in intensional if "temp" + p in used}
@@ -449,12 +449,8 @@ def add_clocks(
 def inflate(program: NetlogProgram, source: NetlogProgram) -> NetlogProgram:
     """Add the copy rules: auxiliaries survive while the clock runs,
     committed source relations survive unconditionally."""
-    source_preds = (
-        set(source.intensional_preds)
-        | set(source.body_only_preds)
-        | {EDGE_PRED}
-    )
-    arities = _program_preds(list(program.rules))
+    source_preds = _program_preds(source.rules)
+    arities = _program_preds(program.rules)
     rules = list(program.rules)
     for pred in sorted(arities):
         if pred in RESERVED or pred in source_preds or pred == EDGE_PRED:
@@ -465,9 +461,8 @@ def inflate(program: NetlogProgram, source: NetlogProgram) -> NetlogProgram:
         rules.append(
             NetlogRule(lit, (lit, clock, GuardLit("!=", Var("q"), Const(0))))
         )
-    intensional = _program_preds(list(source.rules))
     for pred in sorted(source.intensional_preds):
-        lit = _rel(pred, *_head_vars(intensional[pred]))
+        lit = _rel(pred, *_head_vars(source_preds[pred]))
         rules.append(NetlogRule(lit, (lit,)))
     return NetlogProgram(tuple(rules))
 
@@ -494,7 +489,7 @@ def compile(  # noqa: A001 - the operation is named after what it does
         except NetlogError as e:
             raise CompileError(f"rule {no}: {e}") from None
     p1 = localize(source)
-    names = _Names(set(_program_preds(list(source.rules))) | {EDGE_PRED})
+    names = _Names(set(_program_preds(source.rules)) | {EDGE_PRED})
     traces: list[tuple[tuple[NetlogRule, ...], int]] = []
     rewritten: list[NetlogRule] = []
     for no, rule in enumerate(p1.rules, start=1):

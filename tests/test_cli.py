@@ -439,6 +439,14 @@ def test_a_fact_named_like_the_edge_relation_is_an_error(capsys, tmp_path):
     assert err == "error: line 5: fact 'G 1' names the edge relation\n"
 
 
+@pytest.mark.parametrize("query", ["x in N^1(99)", "exists y in N^1(99). y = y"])
+def test_a_constant_that_names_no_node_is_an_error(capsys, path3, query):
+    # A quantifier's range centre is a constant of the query like any other.
+    code, out, err = run_cli(capsys, "oracle-fo", "--net", path3, "--query", query)
+    assert (code, out) == (2, "")
+    assert err == "error: constant 99 does not name a node\n"
+
+
 def test_parse_error_is_position_tagged(capsys, path3):
     code, _, err = run_cli(
         capsys, "oracle-fo", "--net", path3, "--query", "exists y. G(x,"

@@ -9,13 +9,15 @@ referenced by the package or by `bench/`, so what only the tests read lives
 in the tests.  Every parameter of a package function must be read,
 and every module must stay small enough to compile without growing the
 parser's token array.  Every name `bench/layers.py` counts or wraps must be
-defined in the package.
+defined in the package.  The package's self-recursive functions over a
+formula are a fixed list, so a new hand-written walk is a deliberate choice.
 """
 from __future__ import annotations
 
 import ast
 import importlib
 import operator
+import re
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -203,6 +205,52 @@ def test_no_unread_parameters():
         f"{driver}(order_seed)"
         for driver in ("run_netlog", "run_qe_fo_loc", "run_qe_fp", "run_qe_fp_loc")
     ]
+
+
+# Every other question about a formula's syntax goes through
+# `logic._scoped`; these rebuild a formula or evaluate it.
+FORMULA_RECURSIONS = {
+    "engine_fo._compile",
+    "local_engine._compile",
+    "logic._bound_quantifiers",
+    "logic._drop_unused_binders",
+    "logic._render",
+    "logic._rename_binders",
+    "logic._scoped",
+    "logic._substitute",
+    "logic.map_formula",
+    "oracle.holds",
+}
+
+
+def _calls(tree: ast.AST) -> set[str]:
+    """Names a tree calls, bare or as an attribute."""
+    return {
+        n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_formula_recursions_are_the_listed_ones():
+    """A function that takes a `Formula` and calls itself, directly or from
+    a nested function, is one of FORMULA_RECURSIONS."""
+    found = set()
+    for name, tree in TREES.items():
+        for d in ast.walk(tree):
+            if not isinstance(d, ast.FunctionDef):
+                continue
+            a = d.args
+            annotations = [
+                ast.unparse(p.annotation)
+                for p in a.posonlyargs + a.args + a.kwonlyargs
+                if p.annotation is not None
+            ]
+            if d.name in _calls(d) and any(
+                re.search(r"\bFormula\b", t) for t in annotations
+            ):
+                found.add(f"{name[:-3]}.{d.name}")
+    assert found == FORMULA_RECURSIONS
 
 
 # CPython's parser doubles its token array past this many tokens when it

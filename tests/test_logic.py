@@ -25,6 +25,7 @@ from netquery.logic import (
     ParseError,
     Var,
     canonical_print,
+    constants,
     free_vars,
     locality,
     parse_formula,
@@ -253,6 +254,12 @@ def test_stats_constants_only():
 def test_stats_repeated_constant_counts_once():
     s = stats(parse_formula("G(3,3)"))
     assert s.num_constants == 1
+
+
+def test_a_range_center_counts_as_a_constant():
+    f = parse_formula("exists y in N^1(99). y = y")
+    assert constants(f) == (99,)
+    assert stats(f).num_constants == 1
 
 
 # ------------------------------------------------------------ substitution

@@ -192,8 +192,9 @@ def test_eval_fo_columns_follow_first_occurrence_order():
 
 
 def test_eval_fo_rejects_unknown_constant():
-    with pytest.raises(OracleError):
-        eval_fo(path_graph(3), parse_formula("G(x,9)"))
+    for text in ("G(x,9)", "exists y in N^1(99). y = y"):
+        with pytest.raises(OracleError, match="does not name a node"):
+            eval_fo(path_graph(3), parse_formula(text))
 
 
 # ---------------------------------------------------------------- eval_fp
