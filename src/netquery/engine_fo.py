@@ -362,7 +362,6 @@ class FOCore:
         self.answers: dict[int, bool] = {}
         self.out: list[tuple] = []
         self.tuples: dict[tuple[int, str], tuple[int, ...]] = {}
-        self.stored: set[tuple[int, ...]] = set()
         self.work = 0
         self._dirty = False
 
@@ -550,9 +549,6 @@ class FOCore:
             if not self._dirty:
                 break
         self.unresolved = {(e.level, e.template.text): e for e in pending}
-        for ek, answer in self.tuples.items():
-            if self.entries[ek].value is True:
-                self.stored.add(answer)
 
     def _eval_entry(self, e: _Entry, round_no: int) -> Optional[bool]:
         if e.value is not None:
@@ -613,7 +609,8 @@ class FOCore:
         return self.work
 
     def fragment(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.stored)
+        """The candidate tuples whose entry `advance` has found true."""
+        return frozenset(t for ek, t in self.tuples.items() if self.entries[ek].value)
 
 
 # ------------------------------------------------------------ simnet engine

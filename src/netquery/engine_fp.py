@@ -91,7 +91,7 @@ class FPCore:
         self.queries = queries  # handed to every iteration's FOCore
         self.query: Optional[FixpointQuery] = None
         self.window = 0  # evaluation window length, set with the query
-        self.phase = "wait"  # wait -> run -> done
+        self.done = False  # set when an iteration ends with nothing new
         self.it = -1  # index of the current iteration, -1 before the first
         self.core: Optional[FOCore] = None
         self.committed: set[tuple[int, ...]] = set()
@@ -113,7 +113,6 @@ class FPCore:
         st = stats(q)
         self.query = q
         self.window = evaluation_window(max(1, st.w), st.v, self.delta)
-        self.phase = "run"
         self.work += 1
 
     def seed(self, q: FixpointQuery) -> None:
@@ -131,7 +130,6 @@ class FPCore:
         if self.core is not None:
             self.work += self.core.work
         self.it = i
-        self.new_local = False
         self.inform_heard = False
         self.core = FOCore(
             self_id=self.self_id,
@@ -149,7 +147,7 @@ class FPCore:
 
     def _commit(self) -> None:
         assert self.core is not None
-        fresh = set(self.core.stored) - self.committed
+        fresh = self.core.fragment() - self.committed
         self.committed |= fresh
         self.new_local = bool(fresh)
         self.work += 1
@@ -189,7 +187,7 @@ class FPCore:
     def advance(self, round_no: int) -> None:
         """Run the scheduled actions for this round: finish the current
         evaluation window, commit, and decide whether to continue."""
-        if self.phase != "run":
+        if self.query is None or self.done:
             return
         if self.core is not None:
             self.core.advance(round_no)
@@ -200,7 +198,7 @@ class FPCore:
             if nxt > 0 and not (self.new_local or self.inform_heard):
                 self.work += self.core.work if self.core is not None else 0
                 self.core = None
-                self.phase = "done"
+                self.done = True
                 self.out = []
                 return
             self._begin_iteration(nxt)
@@ -214,7 +212,7 @@ class FPCore:
         return sorted(out, key=_fp_send_order)
 
     def idle(self, round_no: int) -> bool:
-        return self.phase == "done"
+        return self.done
 
     def total_work(self) -> int:
         return self.work + (self.core.work if self.core is not None else 0)

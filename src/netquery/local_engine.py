@@ -223,20 +223,15 @@ def _topology_from_entries(
 
 
 def _locality(query: Union[Formula, FixpointQuery]) -> tuple[str, int]:
-    """The centre variable and radius of a radius-bounded query (see
-    `logic.locality`); a fixpoint query's centre is its first declared
-    variable."""
-    fixpoint = isinstance(query, FixpointQuery)
+    """`logic.locality`, whose FormulaError is re-raised as EngineError."""
     try:
-        center, k = locality(query.body if fixpoint else query)
-        if fixpoint and center != query.vars[0]:
-            raise FormulaError("the locality center must be the first declared variable")
+        return locality(query)
     except FormulaError as err:
         raise EngineError(
             "the fixpoint query carries no locality radius; use the "
-            f"unrestricted fixpoint engine: {err}" if fixpoint else str(err)
+            f"unrestricted fixpoint engine: {err}"
+            if isinstance(query, FixpointQuery) else str(err)
         ) from None
-    return center, k
 
 
 def _admit_local(net: Network, query: Union[Formula, FixpointQuery]) -> int:
@@ -769,7 +764,7 @@ class _FPLocState(_LocalState):
     collection, which every window evaluates over, and the table."""
 
     __slots__ = ("topology", "domain", "table", "buffer", "awake", "window",
-                 "had_new", "inform_heard", "max_relayed", "answers")
+                 "inform_heard", "max_relayed", "answers")
 
     def __init__(self, collector: _Collector) -> None:
         super().__init__(collector)
@@ -779,7 +774,6 @@ class _FPLocState(_LocalState):
         self.buffer: set[tuple[PortTrace, ...]] = set()
         self.awake = False
         self.window = -1
-        self.had_new = False
         self.inform_heard = False
         self.max_relayed = 0
         self.answers: dict = {}
@@ -798,7 +792,7 @@ class FPLocEngine(_LocalEngine):
     def _read(self, text: str) -> tuple[FixpointQuery, str, int, _Compiled]:
         q = parse_fixpoint(text)
         center, k = _locality(q)
-        rest = q.vars[1:]
+        rest = tuple(v for v in q.vars if v != center)
         return q, center, k, _compile_query(q.body, center, rest, rest, q.name)
 
     def step(
@@ -877,13 +871,12 @@ class FPLocEngine(_LocalEngine):
 
     def _cross_boundary(self, state: _FPLocState) -> None:
         if state.window >= 0:
+            state.awake = bool(state.buffer) or state.inform_heard
             state.table |= state.buffer
             state.buffer = set()
-            state.awake = state.had_new or state.inform_heard
         else:
             state.awake = True
         state.window += 1
-        state.had_new = False
         state.inform_heard = False
         state.max_relayed = 0
         state.answers = {}
@@ -995,8 +988,7 @@ class FPLocEngine(_LocalEngine):
 
         cx = _Eval(topo, state.domain, truth)
         state.buffer = _rows(q, cx, _CENTER) - state.table
-        state.had_new = bool(state.buffer)
-        if state.had_new:
+        if state.buffer:
             out.extend(broadcast(ctx, ("N", state.k)))
         state.awake = False
         return cx.work
@@ -1005,14 +997,13 @@ class FPLocEngine(_LocalEngine):
         return frozenset(state.table)
 
 
-def default_fp_loc_round_cap(net: Network, q: FixpointQuery) -> int:
-    assert q.radius is not None
+def default_fp_loc_round_cap(net: Network, q: FixpointQuery, k: int) -> int:
     g = net.graph
     ell = len(q.vars) - 1
     total = sum(
-        max(1, len(g.neighborhood_nodes(a, q.radius))) ** ell for a in g.nodes
+        max(1, len(g.neighborhood_nodes(a, k))) ** ell for a in g.nodes
     )
-    _, f0, tau = _fp_loc_clock(g.diameter, q.radius)
+    _, f0, tau = _fp_loc_clock(g.diameter, k)
     return f0 + (total + 3) * tau + 8
 
 
@@ -1030,7 +1021,7 @@ def run_qe_fp_loc(
     columns the declared variables in order.  With `with_placement` the
     resolved fragments are returned per node."""
     q = parse_fixpoint(query) if isinstance(query, str) else query
-    _admit_local(net, q)
+    k = _admit_local(net, q)
     return _run_from_requester(
         net,
         FPLocEngine(),
@@ -1039,7 +1030,7 @@ def run_qe_fp_loc(
         q.arity,
         round_cap=(
             round_cap if round_cap is not None
-            else default_fp_loc_round_cap(net, q)
+            else default_fp_loc_round_cap(net, q, k)
         ),
         with_placement=with_placement,
         fragment=lambda a, rows: (

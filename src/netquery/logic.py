@@ -8,7 +8,7 @@ formula body with a named relation of fixed arity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Optional,
     Union,
@@ -118,21 +118,12 @@ EDGE_PRED = "G"
 
 @dataclass(frozen=True, slots=True)
 class FixpointQuery:
-    """mu name(vars). body.  `radius` is derived, never given: it is k when
-    `locality(body)` finds the body radius-bounded at radius k around
-    vars[0], and None otherwise."""
+    """mu name(vars). body.  Whether it is radius-bounded, and at which
+    radius, is `locality(q)`'s question."""
 
     name: str
     vars: tuple[str, ...]
     body: Formula
-    radius: Optional[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        try:
-            center, k = locality(self.body)
-        except FormulaError:
-            center, k = None, None
-        object.__setattr__(self, "radius", k if center == self.vars[0] else None)
 
     @property
     def arity(self) -> int:
@@ -761,14 +752,16 @@ def _substitute(f: Formula, var: str, const: Const) -> Formula:
 # ------------------------------------------------------------------ locality
 
 
-def locality(f: Formula) -> tuple[str, int]:
-    """The center variable x and radius k of a radius-bounded formula.
+def locality(query: Union[Formula, FixpointQuery]) -> tuple[str, int]:
+    """The center variable x and radius k of a radius-bounded query.
 
     This is the one definition of radius-bounded (the FO_loc/FP_loc
     fragments): every quantifier ranges over N^k(x), every membership atom
     reads `t in N^k(x)`, and every free variable y other than x has a
-    top-level conjunct `y in N^k(x)`.  Anything else raises
-    FormulaError naming the first condition that fails."""
+    top-level conjunct `y in N^k(x)`; a fixpoint query's body must be so
+    around its first declared variable.  Anything else raises FormulaError
+    naming the first condition that fails."""
+    f = query.body if isinstance(query, FixpointQuery) else query
     if any(
         isinstance(g, (Exists, Forall)) and g.bound is None for g in subformulas(f)
     ):
@@ -803,6 +796,8 @@ def locality(f: Formula) -> tuple[str, int]:
             f"free variables {missing} lack a neighborhood guard around "
             f"{x!r}; the query is not radius-bounded"
         )
+    if isinstance(query, FixpointQuery) and x != query.vars[0]:
+        raise FormulaError("the locality center must be the first declared variable")
     return x, k
 
 

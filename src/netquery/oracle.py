@@ -96,13 +96,13 @@ class Graph:
 def make_graph(
     edges: Iterable[tuple[int, int]],
     nodes: Optional[Iterable[int]] = None,
-    degree_bound: Optional[int] = None,
     unary: Optional[Mapping[str, Iterable[int]]] = None,
     diameter: Optional[int] = None,
 ) -> Graph:
-    """The graph on `edges` (plus isolated `nodes`).  A family constructor
-    passes its closed-form `diameter`; without one the exact diameter is
-    computed by a BFS from every node, O(n*m)."""
+    """The graph on `edges` (plus isolated `nodes`).  Its degree bound is
+    its largest degree, at least 1.  A family constructor passes its
+    closed-form `diameter`; without one the exact diameter is computed by a
+    BFS from every node, O(n*m)."""
     edge_set: set[tuple[int, int]] = set()
     node_set: set[int] = set(nodes or ())
     for u, v in edges:
@@ -118,15 +118,7 @@ def make_graph(
         adj[u].append(v)
         adj[v].append(u)
     sorted_adj = {u: tuple(sorted(vs)) for u, vs in adj.items()}
-    max_deg = max((len(vs) for vs in sorted_adj.values()), default=0)
-    if degree_bound is None:
-        degree_bound = max(max_deg, 1)
-    elif max_deg > degree_bound:
-        offender = next(u for u, vs in sorted_adj.items() if len(vs) > degree_bound)
-        raise GraphError(
-            f"degree bound {degree_bound} violated at node {offender} "
-            f"(degree {len(sorted_adj[offender])})"
-        )
+    degree_bound = max(1, max(len(vs) for vs in sorted_adj.values()))
     ordered = tuple(sorted(node_set))
     if len(_bfs(sorted_adj, ordered[0])) != len(ordered):
         raise GraphError("graph is not connected")
@@ -361,8 +353,10 @@ def eval_fp_loc(g: Graph, q: FixpointQuery) -> StageTrace:
     `y in N^k(x)`, so a tuple with a component outside x's k-ball is false
     in every stage: the centre ranges over all nodes, the other variables
     over its ball only, and each stage equals `eval_fp`'s."""
-    if q.radius is None:
-        raise OracleError("eval_fp_loc requires a query with a locality radius")
+    try:
+        locality(q)
+    except FormulaError as err:
+        raise OracleError(f"eval_fp_loc needs a radius-bounded query: {err}") from None
     _check_query(g, q, {})
     candidates = list(_ball_candidates(g, q.body, q.vars))
     return _stages(

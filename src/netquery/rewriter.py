@@ -47,6 +47,7 @@ from .netlog import (
     plan_rule,
     print_literal,
     print_program,
+    print_rule,
 )
 
 RESERVED = ("start", "clock", "continue", "inf", "stop")
@@ -506,14 +507,27 @@ def compile(  # noqa: A001 - the operation is named after what it does
     pnl = inflate(p4, source)
     try:
         plans = check_distributed(pnl.rules)
-    except NetlogError as e:
-        raise CompileError(f"compiled program: {e}") from None
+    except NetlogError:
+        raise CompileError(_blame(pnl.rules, traces)) from None
     return CompileOutput(
         program=NetlogProgram(pnl.rules, plans),
         kappa=kappa,
         delta=delta,
         traces=tuple(traces),
     )
+
+
+def _blame(rules: Sequence[NetlogRule], traces: Sequence[tuple]) -> str:
+    """The first failing compiled rule and the source rule it came from:
+    rewritten rules open the program in source order, then the compiler's."""
+    owner = [f"rule {no}: " for no, (t_r, _) in enumerate(traces, 1) for _ in t_r]
+    for i, rule in enumerate(rules):
+        try:
+            check_distributed(rules[: i + 1])
+        except NetlogError as e:
+            source = owner[i] if i < len(owner) else ""
+            return f"{source}compiled program: {e}; in {print_rule(rule)}"
+    raise AssertionError("the compiled rules pass their checks")
 
 
 def emit_text(output: CompileOutput) -> str:

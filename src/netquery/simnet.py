@@ -221,10 +221,10 @@ def load_network(
     text: str,
     mode: IdentityMode = GLOBAL_IDS,
     port_seed: int = 0,
-    degree_bound: Optional[int] = None,
 ) -> Network:
     """Parse the edge-list format: first line `n m`, then m lines `u v`,
-    then optionally a line `@facts` followed by `Pred node` lines."""
+    then optionally a line `@facts` followed by `Pred node` lines.  The
+    graph's degree bound is its largest degree (`oracle.make_graph`)."""
     numbered = [
         (no, ln)
         for no, ln in enumerate((ln.strip() for ln in text.splitlines()), 1)
@@ -281,10 +281,7 @@ def load_network(
                 )
             facts[parts[0], a] = no
             unary.setdefault(parts[0], set()).add(a)
-    g = make_graph(
-        list(edges), nodes=range(1, n + 1), degree_bound=degree_bound,
-        unary=unary,
-    )
+    g = make_graph(list(edges), nodes=range(1, n + 1), unary=unary)
     return make_network(g, mode=mode, port_seed=port_seed)
 
 

@@ -177,6 +177,5 @@ def apply_isomorphism(g: Graph, mapping: Mapping[int, int]) -> Graph:
     return make_graph(
         edges,
         nodes=[mapping[u] for u in g.nodes],
-        degree_bound=g.degree_bound,
         unary=unary,
     )

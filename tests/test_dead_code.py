@@ -11,6 +11,8 @@ and every module must stay small enough to compile without growing the
 parser's token array.  Every name `bench/layers.py` counts or wraps must be
 defined in the package.  The package's self-recursive functions over a
 formula are a fixed list, so a new hand-written walk is a deliberate choice.
+A package record keeps only what its caller gave it: no dataclass field is
+`init=False` and no module calls `object.__setattr__`.
 """
 from __future__ import annotations
 
@@ -128,6 +130,28 @@ def test_no_public_definition_only_the_tests_read():
         )
     ]
     assert unread == []
+
+
+def _sets_derived_state(call: ast.Call) -> bool:
+    """`field(init=False)` or `object.__setattr__(...)`: the two ways a
+    frozen dataclass stores what its caller did not give it."""
+    func = ast.unparse(call.func)
+    if func == "object.__setattr__":
+        return True
+    return func.split(".")[-1] == "field" and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and not k.value.value
+        for k in call.keywords
+    )
+
+
+def test_records_hold_only_what_they_were_given():
+    derived = [
+        f"{name}:{node.lineno}: {ast.unparse(node.func)}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _sets_derived_state(node)
+    ]
+    assert derived == []
 
 
 def _reads(tree: ast.AST) -> Counter[str]:

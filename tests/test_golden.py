@@ -29,6 +29,7 @@ from netquery.logic import (
     Not,
     Var,
     canonical_print,
+    locality,
     parse_fixpoint,
     parse_formula,
     print_fixpoint,
@@ -242,7 +243,7 @@ def test_golden_fixpoint_texts(text, printed, canonical):
 
 def test_golden_relativized_fixpoint_text():
     q = _tc_local()
-    assert q.radius == 1
+    assert locality(q) == ("x", 1)
     assert print_fixpoint(q) == (
         "mu T(x,y). (G(x,y) | (exists z in N^1(x). T(x,z) & G(z,y)))"
         " & y in N^1(x)"
@@ -250,7 +251,7 @@ def test_golden_relativized_fixpoint_text():
     assert canonical_print(q.body) == (
         "(G(x,y) | (exists q1 in N^1(x). T(x,q1) & G(q1,y))) & y in N^1(x)"
     )
-    assert parse_fixpoint(print_fixpoint(q)).radius == 1
+    assert locality(parse_fixpoint(print_fixpoint(q))) == ("x", 1)
 
 
 def test_golden_substitute_bounded_forall():

@@ -39,6 +39,7 @@ from netquery.logic import (
     Exists,
     FixpointQuery,
     Forall,
+    FormulaError,
     InNbhd,
     Not,
     Or,
@@ -646,7 +647,8 @@ def test_fp_rejects_mismatched_radius():
         "mu T(x,y). y in N^2(x)"
         " & (G(x,y) | (exists z in N^1(x). (T(x,z) & G(z,y))))"
     )
-    assert mixed.radius is None
+    with pytest.raises(FormulaError, match="single locality radius"):
+        locality(mixed)
     with pytest.raises(
         EngineError, match="no locality radius.*single locality radius"
     ):
@@ -678,7 +680,7 @@ GUARD_FIRST_TC = (
 
 def test_fp_loc_runs_guard_first_query():
     q = parse_fixpoint(GUARD_FIRST_TC)
-    assert q.radius == 1
+    assert locality(q) == ("x", 1)
     for g in (ring_graph(6), grid_graph(2, 3)):
         rel, _ = run_qe_fp_loc(make_network(g, mode=ANONYMOUS), q, 1)
         assert rel.tuples == eval_fp_loc(g, q).final.tuples

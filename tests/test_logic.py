@@ -1,6 +1,8 @@
 """Parser, printer, stats, substitution, relativization."""
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from fixture_data import (
@@ -148,7 +150,8 @@ def test_parse_fixpoint_transitive_closure():
     assert q.name == "T"
     assert q.vars == ("x", "y")
     assert q.arity == 2
-    assert q.radius is None
+    with pytest.raises(FormulaError, match="unbounded quantifier"):
+        locality(q)
 
 
 def test_parse_fixpoint_spanning_tree():
@@ -170,9 +173,9 @@ def test_fixpoint_undeclared_free_variable():
 def test_fixpoint_radius_detection_roundtrip():
     q = parse_fixpoint(SPANNING_TREE_TEXT)
     rq = relativize_fixpoint(q, 1)
-    assert rq.radius == 1
+    assert locality(rq) == ("x", 1)
     reparsed = parse_fixpoint(print_fixpoint(rq))
-    assert reparsed.radius == 1
+    assert locality(reparsed) == ("x", 1)
     assert canonical_print(reparsed.body) == canonical_print(rq.body)
 
 
@@ -185,14 +188,15 @@ def _guards_first(f):
 def test_one_locality_rule_for_both_fragments():
     for text in (TRANSITIVE_CLOSURE_TEXT, SPANNING_TREE_TEXT, ROUTE_REQUEST_TEXT):
         q = parse_fixpoint(text)
-        assert q.radius is None
+        with pytest.raises(FormulaError, match="unbounded quantifier"):
+            locality(q)
         for k in (1, 2):
             rq = relativize_fixpoint(q, k)
             moved = FixpointQuery(q.name, q.vars, _guards_first(rq.body))
             assert print_fixpoint(moved) != print_fixpoint(rq)
             for written in (rq, moved):
                 reparsed = parse_fixpoint(print_fixpoint(written))
-                assert reparsed.radius == k
+                assert locality(reparsed) == ("x", k)
                 assert locality(reparsed.body) == ("x", k)
     for text in (TWO_HOP_TEXT, HAS_NEIGHBOR_TEXT):
         for k in (1, 2):
@@ -222,10 +226,39 @@ def test_fixpoint_radius_is_derived_around_the_first_variable():
     q = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
     around_y = relativize(q.body, "y", 1)
     assert locality(around_y) == ("y", 1)
-    assert parse_fixpoint(f"mu T(x,y). {print_formula(around_y)}").radius is None
-    assert parse_fixpoint(f"mu T(y,x). {print_formula(around_y)}").radius == 1
+    with pytest.raises(FormulaError, match="first declared variable"):
+        locality(parse_fixpoint(f"mu T(x,y). {print_formula(around_y)}"))
+    assert locality(parse_fixpoint(f"mu T(y,x). {print_formula(around_y)}")) == ("y", 1)
     with pytest.raises(TypeError):
         FixpointQuery(q.name, q.vars, q.body, 1)
+
+
+def test_fixpoint_query_keeps_only_what_it_was_given():
+    assert [f.name for f in fields(FixpointQuery)] == ["name", "vars", "body"]
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("mu T(x,y). exists z. G(x,z)", "unbounded quantifier"),
+        ("mu T(x,y). x in N^1(y) & G(x,y)", "first declared variable"),
+        ("mu T(y,x). y in N^1(x) & G(x,y)", "first declared variable"),
+        (
+            "mu T(x,y). exists z in N^1(x). (G(x,z) & T(z,y))",
+            r"\['y'\] lack a .* guard",
+        ),
+        ("mu T(x,y). y in N^1(x) & (exists z in N^2(x). T(z,y))", "single locality"),
+    ],
+)
+def test_fixpoint_locality_names_the_failing_condition(text, reason):
+    q = parse_fixpoint(text)
+    with pytest.raises(FormulaError, match=reason):
+        locality(q)
+
+
+def test_fixpoint_locality_reads_the_body_around_the_first_variable():
+    q = parse_fixpoint("mu T(x,y). y in N^2(x) & (G(x,y) | T(y,x))")
+    assert locality(q) == locality(q.body) == ("x", 2)
 
 
 # ----------------------------------------------------------------- stats

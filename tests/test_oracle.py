@@ -54,11 +54,6 @@ def test_make_graph_rejects_disconnected():
         make_graph([(1, 2), (3, 4)])
 
 
-def test_make_graph_rejects_degree_violation():
-    with pytest.raises(GraphError):
-        make_graph([(1, 2), (1, 3), (1, 4)], degree_bound=2)
-
-
 def test_make_graph_rejects_unknown_unary_member():
     with pytest.raises(GraphError):
         make_graph([(1, 2)], unary={"ReqNode": [7]})
@@ -310,8 +305,33 @@ def test_relativized_equals_plain_when_radius_covers_diameter():
 
 
 def test_eval_fp_loc_requires_radius():
-    with pytest.raises(OracleError):
+    with pytest.raises(OracleError, match="unbounded quantifier"):
         eval_fp_loc(path_graph(3), parse_fixpoint(TRANSITIVE_CLOSURE_TEXT))
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (
+            "mu T(x,y). G(x,y) | (exists z in N^1(x). (T(x,z) & G(z,y)))",
+            r"\['y'\] lack a neighborhood guard",
+        ),
+        (
+            "mu T(y,x). y in N^1(x)"
+            " & (G(x,y) | (exists z in N^1(x). (T(x,z) & G(z,y))))",
+            "the locality center must be the first declared variable",
+        ),
+    ],
+)
+def test_eval_fp_loc_names_why_a_query_is_not_radius_bounded(text, reason):
+    with pytest.raises(OracleError, match=reason):
+        eval_fp_loc(path_graph(3), parse_fixpoint(text))
+
+
+def test_a_graph_degree_bound_is_its_largest_degree():
+    assert star_graph(5).degree_bound == 4
+    assert path_graph(4).degree_bound == 2
+    assert make_graph([], nodes=[1]).degree_bound == 1
 
 
 REACH_TEXT = "mu R(x). ReqNode(x) | (exists y. (R(y) & G(y,x)))"

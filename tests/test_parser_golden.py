@@ -142,5 +142,5 @@ def test_mutation_corpus_digest():
     assert len(lines) == 1278
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "918b10e69ac29ad95902ca3fc918962246c3472f7e277427fcf4f2bc9dcb2ec3"
+        "687aca2326efd07526ce181020e438399c031daa341abcf450e8136d3cf86b86"
     )

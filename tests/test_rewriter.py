@@ -215,6 +215,29 @@ def test_unsafe_source_rule_is_rejected():
         compile("R(x,y) :- G(x,z).", delta=2)
 
 
+@pytest.mark.parametrize(
+    "source, message, culprit",
+    [
+        (
+            "S(x) :- G(x,y).\nR(x,y) :- G(x,y); G(z,w); x != z.",
+            "rule 2: compiled program: rule 3: unsafe rule body: "
+            "variables ['x'] cannot be bound",
+            "Q_2_1_1(@y1, x) :- G(@z, w); x != z; y1 = z; clock(@z, q); q != 0.",
+        ),
+        (
+            "P(y) :- G(w,y); P(z); !Q(z,y).\nQ(x,y) :- G(x,y).",
+            "rule 1: compiled program: rule 4: unsafe rule body: "
+            "variables ['y'] cannot be bound",
+            "Q_1_2_1(@y4, y) :- P(@z); !Q(@z, y); y4 = z; clock(@z, q); q != 0.",
+        ),
+    ],
+)
+def test_a_compiled_rule_error_names_its_source_rule(source, message, culprit):
+    with pytest.raises(CompileError) as err:
+        compile(source, delta=2)
+    assert str(err.value) == f"{message}; in {culprit}"
+
+
 def test_distributed_source_rules_are_rejected():
     rule = NetlogRule(
         RelLit("R", (Var("x"),), holding=0),

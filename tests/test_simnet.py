@@ -282,10 +282,7 @@ def test_load_rejects_duplicate_edge_either_orientation():
 
 def test_degree_bound_star():
     star = "4 3\n1 2\n1 3\n1 4\n"
-    net = load_network(star, degree_bound=3)
-    assert net.graph.degree_bound == 3
-    with pytest.raises(GraphError):
-        load_network(star, degree_bound=2)
+    assert load_network(star).graph.degree_bound == 3
 
 
 def test_load_facts_section():
