@@ -34,7 +34,6 @@ from .engine_fo import (
     _BroadcastEngine,
     _admit_global,
     _run_from_requester,
-    _send_order,
     fo_payload_bits,
 )
 from .logic import (
@@ -63,11 +62,11 @@ def _iteration_start(delta: int, window: int, i: int) -> int:
 
 
 def _fp_send_order(p: tuple) -> tuple:
+    """An FPQ or I payload's place in a round's sends: query floods by
+    text, then informs by iteration."""
     if p[0] == "FPQ":
         return (0, 0, "", p[1])
-    if p[0] == "I":
-        return (1, p[1], "", "")
-    return (2, p[1]) + _send_order(p[2])
+    return (1, p[1], "", "")
 
 
 class FPCore:
@@ -205,11 +204,13 @@ class FPCore:
             self.core.advance(round_no)
 
     def flush(self) -> list[tuple]:
-        out = list(self.out)
+        """The round's FPQ and I payloads in `_fp_send_order`, then the
+        core's, all of one iteration, as `FOCore.flush` orders them."""
+        out = sorted(self.out, key=_fp_send_order)
         self.out = []
         if self.core is not None:
             out.extend(("F", self.it, p) for p in self.core.flush())
-        return sorted(out, key=_fp_send_order)
+        return out
 
     def idle(self, round_no: int) -> bool:
         return self.done

@@ -23,14 +23,16 @@ it a body that cannot be ordered or that leaves a head variable unbound.
 A plan runs as Python code generated from its steps (`_generate`) the first
 time it fires, and kept on the plan: nested loops over the index buckets,
 with the slots as local variables.  Every evaluation fires its plans
-through `_match_literal`.
+through `_match_literal`.  A node of a distributed run fires a plan only
+when a relation it reads, or the count of a relation it reads only as a
+gate, has changed since the plan last fired there (`NetlogEngine`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
-    AbstractSet, Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence,
+    AbstractSet, Any, Callable, Iterable, Mapping, Optional, Sequence,
 )
 
 from . import simnet
@@ -450,9 +452,10 @@ class RulePlan:
     hold the prebound variables, and slot -1 - i the constant `consts[i]`.
     A plan is `local` when its head holding argument is a held slot, so
     that every fact it derives stays at the holder.  `run` is the plan's
-    generated function, made when it first fires."""
+    generated function, made when it first fires, and `reads` and `gates`
+    (`_inputs`) are made when an engine first runs the plan."""
 
-    __slots__ = ("rule", "steps", "held", "consts", "local", "run")
+    __slots__ = ("rule", "steps", "held", "consts", "local", "reads", "gates", "run")
 
     def __init__(
         self, rule: NetlogRule, steps: tuple[tuple, ...], held: int, consts: tuple[int, ...]
@@ -463,7 +466,85 @@ class RulePlan:
         self.consts = consts
         holding = rule.head.holding
         self.local = holding is not None and 0 <= steps[-1][2][holding] < held
+        self.reads: tuple[str, ...] = ()
+        self.gates: Optional[tuple[_Gate, ...]] = None
         self.run: Optional[Callable[[FactView, list[Fact], int], None]] = None
+
+
+@dataclass
+class _Gate:
+    """A gate of a plan (`_inputs`) as the steps and constants of a plan
+    that derives one fact per tuple the gate passes, with slot 0 the holder
+    and the gate's fresh variables from slot 1, so that equal gates of
+    different plans compare equal.  `run` is its generated code, made when
+    it is first counted."""
+
+    steps: tuple[tuple, ...]
+    consts: tuple[int, ...]
+    run: Optional[Callable[[FactView, list[Fact], int], None]] = field(
+        default=None, compare=False, repr=False
+    )
+
+    def count(self, view: FactView, holder: int) -> int:
+        """How many of the holder's tuples pass the gate."""
+        if self.run is None:
+            name = f"<netlog gate {self.steps} {self.consts}>"
+            self.run = _generate(self.steps, 1, self.consts, name)
+        passed: list[Fact] = []
+        self.run(view, passed, holder)
+        return len(passed)
+
+
+def _inputs(plan: RulePlan) -> tuple[tuple[str, ...], tuple[_Gate, ...]]:
+    """What a node plan's output depends on besides the holder and its
+    fixed edges: the predicates it reads other than `G` and its gates, in
+    step order, and its gates.  A gate is a positive literal, other than
+    `G`, whose key positions are all held or constant and whose fresh
+    variables are read by nothing but comparisons among themselves, held
+    variables and constants.  Below a gate the plan repeats the same
+    bindings once per tuple that passes those comparisons, so that count is
+    all the plan takes from it."""
+
+    def read(step: tuple) -> tuple[int, ...]:
+        if step[0] in _TEST_CODE:
+            return step[1:3]
+        return step[2] if step[0] in (_JOIN, _ABSENT, _HEAD) else (step[2],)
+
+    steps, held, consts = plan.steps, plan.held, plan.consts
+    reads: list[str] = []
+    gates: list[_Gate] = []
+    for k, step in enumerate(steps):
+        op = step[0]
+        if op not in (_JOIN, _ABSENT):
+            continue
+        pred = step[1][0] if op == _JOIN else step[1]
+        if pred == EDGE_PRED:
+            continue
+        if op == _JOIN and all(x < held for x in step[2]):
+            first = step[3]
+            fresh = range(first, first + step[4])
+            readers = [s for s in steps[k + 1:] if any(x in fresh for x in read(s))]
+            if all(
+                s[0] in _TEST_CODE and all(x < held or x in fresh for x in s[1:3])
+                for s in readers
+            ):
+                gate_consts: list[int] = []
+
+                def slot(x: int) -> int:
+                    if x >= 0:
+                        return 0 if x < held else x - first + 1
+                    if consts[-1 - x] not in gate_consts:
+                        gate_consts.append(consts[-1 - x])
+                    return -1 - gate_consts.index(consts[-1 - x])
+
+                gate = [(_JOIN, step[1], tuple(map(slot, step[2])), 1) + step[4:]]
+                gate += [(s[0], slot(s[1]), slot(s[2])) for s in readers]
+                gate.append((_HEAD, pred, ()))
+                gates.append(_Gate(tuple(gate), tuple(gate_consts)))
+                continue
+        if pred not in reads:
+            reads.append(pred)
+    return tuple(reads), tuple(gates)
 
 
 def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
@@ -527,9 +608,10 @@ def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
                     key_slots.append(s)
                     mask |= 1 << p
             name = (lit.pred, len(lit.args), mask, tuple(same))
-            steps.append(
-                (_JOIN, name, tuple(key_slots), first, len(free), (key_pos, free))
-            )
+            steps.append((
+                _JOIN, name, tuple(key_slots), first, len(free),
+                (tuple(key_pos), tuple(free)),
+            ))
     if remaining:
         names = sorted(set().union(*map(_lit_vars, remaining)) - slots.keys())
         raise NetlogError(f"unsafe rule body: variables {names} cannot be bound")
@@ -547,17 +629,18 @@ def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
     return RulePlan(rule, tuple(steps), held, tuple(consts))
 
 
-def _generate(plan: RulePlan) -> Callable[[FactView, list[Fact], int], None]:
-    """The plan as Python code: one nested `for` per join, one `if` per test
-    and one assignment per bound guard, with the slots as locals `v<slot>`,
-    the held slots read from `holder` and the constants inlined.  Each index
-    is fetched from the view once per call and built where a binding first
-    reaches it.  Predicate names and steps reach the code through its
+def _generate(
+    steps: tuple[tuple, ...], held: int, consts: tuple[int, ...], name: str
+) -> Callable[[FactView, list[Fact], int], None]:
+    """A plan's steps as Python code under the file name `name`: one nested
+    `for` per join, one `if` per test and one assignment per bound guard,
+    with the slots as locals `v<slot>`, the held slots read from `holder`
+    and the constants inlined.  Each index is fetched from the view once
+    per call and built where a binding first reaches it.  Predicate names and steps reach the code through its
     globals (`n<k>`, `s<k>`, `p<k>` for step k), never through its text.
     A function that continues in another takes it as a keyword-only
     default, and no function stays in the globals, so the code holds no
     reference cycle."""
-    held, consts, steps = plan.held, plan.consts, plan.steps
     first_probe: dict[Any, int] = {}  # index name -> the first step probing it
     env: dict[str, Any] = {}
     for k, step in enumerate(steps):
@@ -629,8 +712,6 @@ def _generate(plan: RulePlan) -> Callable[[FactView, list[Fact], int], None]:
         if starts[-1] > k0:
             head += f", *, f{starts[-1]}=f{starts[-1]}"
         functions.append("\n".join([head + "):"] + lines))
-    # A file name per rule keeps the plans' functions apart in a profile.
-    name = f"<netlog plan {print_rule(plan.rule)}>"
     exec(compile("\n".join(reversed(functions)), name, "exec"), env)
     run = env["f0"]
     for k0 in starts:
@@ -738,7 +819,9 @@ def _match_literal(
     order.  The plan's code is generated on its first call."""
     run = plan.run
     if run is None:
-        run = plan.run = _generate(plan)
+        # A file name per rule keeps the plans' functions apart in a profile.
+        name = f"<netlog plan {print_rule(plan.rule)}>"
+        run = plan.run = _generate(plan.steps, plan.held, plan.consts, name)
     run(view, out, holder)
 
 
@@ -767,18 +850,6 @@ def _program_plans(program: NetlogProgram) -> tuple[RulePlan, ...]:
     return check_distributed(program.rules)
 
 
-def _derived(
-    plans: Sequence[RulePlan], view: FactView, v: int
-) -> Iterator[tuple[RulePlan, list[Fact]]]:
-    """Each plan with the facts it derives at node v, in plan order.  A
-    local plan's facts stay at v; another's go to the node named at its
-    head holding position."""
-    for plan in plans:
-        facts: list[Fact] = []
-        _match_literal(plan, view, facts, v)
-        yield plan, facts
-
-
 def consequence(
     program: NetlogProgram, g: Graph, instance: DistributedInstance
 ) -> DistributedInstance:
@@ -792,7 +863,10 @@ def consequence(
     for v in g.nodes:
         edges = both_ways((v, u) for u in g.adj[v])
         store = group_facts(instance.stores.get(v, ()))
-        for plan, facts in _derived(plans, FactView(store, g.unary, edges), v):
+        view = FactView(store, g.unary, edges)
+        for plan in plans:
+            facts: list[Fact] = []
+            _match_literal(plan, view, facts, v)
             if plan.local:
                 new_stores[v].update(facts)
                 continue
@@ -842,7 +916,6 @@ def default_round_cap(program: NetlogProgram, g: Graph) -> int:
 
 _ARGS = itemgetter(1)  # a fact's argument tuple
 _PAYLOAD = itemgetter(0)  # a delivered message's payload
-_SENT_FACT = itemgetter(1)  # the fact of a (port, fact) send
 
 
 @dataclass
@@ -856,11 +929,19 @@ class _NetlogNodeState:
     identity; a set in a snapshot is never mutated again.  The
     neighbour-to-port map, the incident edges in both orientations and the
     index memo of the node's views are kept for the whole run, so every
-    view of the node shares one edge set."""
+    view of the node shares one edge set.
+
+    `firings` holds, per plan, its last firing at the node: the plan's
+    inputs then (the `reads` sets of that snapshot, then its gate counts),
+    how many facts it derived, the argument tuples it kept at the node, its
+    (port, fact) sends in order and the largest wire size among them.  The
+    inputs are held by reference, so that both memos, this one and the
+    views' index memo, rest on snapshot sets never being mutated."""
 
     local: dict[str, set[tuple[int, ...]]]
     port_of: dict[int, int]
     edges: frozenset[tuple[int, int]]
+    firings: list[Optional[tuple]]
     memo: dict[str, tuple[set, list, dict]] = field(default_factory=dict)
     snapshot: Optional[dict[str, set[tuple[int, ...]]]] = None
 
@@ -874,18 +955,34 @@ class NetlogEngine(simnet.NodeEngine):
     neighbor named by the head holding argument.  The store is replaced
     every round; persistence needs explicit copy rules.  A node keeps its
     slice per predicate (`_NetlogNodeState`), so a step costs its arrivals,
-    its derivations and one comparison per predicate with the previous
-    slice, which also decides quiescence; a predicate that did not change
-    reuses its sorted list and indexes at once.  A step reads its inbox as
-    a set and its views sort what they index, so the order of delivery
-    cannot reach what it derives.
+    one comparison per predicate with the previous slice, which also
+    decides quiescence, the program's gate counts, one comparison per plan
+    with the plan's last firing, and the facts of the plans that fire; a
+    predicate that did not change reuses its sorted list and indexes at
+    once.  A plan fires unless every relation it reads is the set (or
+    equal to the set) it read at its last firing and every gate passes as
+    many tuples (`RulePlan.reads`, `_Gate`): then its output is the same,
+    and the step re-emits that firing's kept facts and sends, in order,
+    and counts its facts as work, as a firing would.  A step reads its
+    inbox as a set and its views sort what they index, so the order of
+    delivery cannot reach what it derives.
     """
 
     def __init__(self, program: NetlogProgram):
         self.plans = _program_plans(program)
+        # The program's distinct gates, counted once per step, and each
+        # plan's gates as places in that list.  Equal gates of a program's
+        # plans are counted by the first one's code, made in its first run.
+        self.gates: list[_Gate] = []
+        for plan in self.plans:
+            if plan.gates is None:
+                plan.reads, plan.gates = _inputs(plan)
+            self.gates += [gate for gate in plan.gates if gate not in self.gates]
+        self.gated = [
+            (plan, tuple(map(self.gates.index, plan.gates))) for plan in self.plans
+        ]
         # Fact -> wire bits.  One engine object serves one run, so one
-        # encoding: the copy and push rules re-send the same facts round
-        # after round, and each distinct fact is sized once.
+        # encoding: each distinct fact is sized once.
         self.sizes: dict[Fact, int] = {}
 
     def start(self, ctx) -> _NetlogNodeState:
@@ -894,7 +991,8 @@ class NetlogEngine(simnet.NodeEngine):
             raise NetlogError("the rule engine needs globally unique node ids")
         port_of = {b: p for p, b in ctx.neighbor_ids.items()}
         return _NetlogNodeState(
-            {"start": {(v,)}}, port_of, both_ways((v, u) for u in port_of)
+            {"start": {(v,)}}, port_of, both_ways((v, u) for u in port_of),
+            [None] * len(self.plans),
         )
 
     def step(self, state: _NetlogNodeState, ctx, round_no: int, inbox):
@@ -920,45 +1018,64 @@ class NetlogEngine(simnet.NodeEngine):
                     quiescent = False
         state.snapshot = snapshot
         view = FactView(snapshot, ctx.global_unary, state.edges, state.memo)
+        counts = [gate.count(view, v) for gate in self.gates]
         local: dict[str, set[tuple[int, ...]]] = {}
         sends: list[tuple[int, Fact]] = []
         work = 1
-        port_of = state.port_of
-        for plan, facts in _derived(self.plans, view, v):
-            if not facts:
+        bits = 0
+        firings = state.firings
+        for i, (plan, gates) in enumerate(self.gated):
+            inputs = (*map(snapshot.get, plan.reads), *map(counts.__getitem__, gates))
+            last = firings[i]
+            if last is None or last[0] != inputs:
+                facts: list[Fact] = []
+                _match_literal(plan, view, facts, v)
+                last = firings[i] = (inputs, *self._route(plan, facts, state, ctx))
+            _, n, kept, sent, size = last
+            if not n:
                 continue
-            work += len(facts)
-            if plan.local:
+            work += n
+            if kept:
                 pred = plan.rule.head.pred
                 tuples = local.get(pred)
                 if tuples is None:
-                    local[pred] = set(map(_ARGS, facts))
+                    local[pred] = set(kept)
                 else:
-                    tuples.update(map(_ARGS, facts))
-                continue
-            holding = plan.rule.head.holding
-            for fact in facts:
-                try:
-                    sends.append((port_of[fact[1][holding]], fact))
-                except KeyError:
-                    target = fact[1][holding]
-                    if target != v:
-                        raise NetlogError(
-                            f"fact {fact[0]}{fact[1]} addressed to non-neighbor "
-                            f"{target}"
-                        ) from None
-                    local.setdefault(fact[0], set()).add(fact[1])
+                    tuples.update(kept)
+            if sent:
+                sends += sent
+                bits = max(bits, size)
         state.local = local
-        bits = 0
-        if sends:
-            # `sizes` holds every fact sized so far; a step that sends a new
-            # one sizes its sends through `payload_bits`, which adds them.
-            try:
-                bits = max(map(self.sizes.__getitem__, map(_SENT_FACT, sends)))
-            except KeyError:
-                bits = max(self.payload_bits(fact, ctx.enc) for _, fact in sends)
         # The store is replaced every round, so every round needs a step.
         return simnet.StepResult(tuple(sends), quiescent, work, round_no + 1, bits)
+
+    def _route(self, plan: RulePlan, facts: list[Fact], state: _NetlogNodeState, ctx):
+        """A firing's facts placed: their number, the argument tuples kept
+        at the node, the (port, fact) sends to neighbours in order and the
+        largest wire size among those."""
+        if plan.local:
+            return len(facts), frozenset(map(_ARGS, facts)), (), 0
+        holding = plan.rule.head.holding
+        port_of = state.port_of
+        kept, sent = set(), []
+        for fact in facts:
+            target = fact[1][holding]
+            if target in port_of:
+                sent.append((port_of[target], fact))
+            elif target == ctx.node_id:
+                kept.add(fact[1])
+            else:
+                raise NetlogError(
+                    f"fact {fact[0]}{fact[1]} addressed to non-neighbor {target}"
+                )
+        out = [fact for _, fact in sent] if kept else facts
+        # `sizes` holds every fact sized so far; a firing that sends a new
+        # one sizes its sends through `payload_bits`, which adds them.
+        try:
+            size = max(map(self.sizes.__getitem__, out), default=0)
+        except KeyError:
+            size = max(self.payload_bits(fact, ctx.enc) for fact in out)
+        return len(facts), kept, sent, size
 
     def collect(self, state: _NetlogNodeState, ctx) -> frozenset[Fact]:
         store = state.snapshot if state.snapshot is not None else state.local

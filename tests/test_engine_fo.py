@@ -17,6 +17,7 @@ from netquery.engine_fo import (
     EngineError,
     FOCore,
     FOQueryEngine,
+    QueryTable,
     _BroadcastEngine,
     _send_order,
     answer_key,
@@ -537,20 +538,27 @@ def _random_payload(rng):
 
 def test_send_order_matches_the_text_keyed_reference():
     """Integer keys sort payloads as the zero-padded text keys did: answer
-    keys are below 2^64 < 10^20 and levels below 10^6."""
+    keys are below 2^64 < 10^20 and levels below 10^6.  An FP node's flush
+    sends its FPQ and I payloads and its core's payloads, wrapped in F, in
+    the reference order."""
     rng = random.Random(14)
     for _ in range(300):
         payloads = [_random_payload(rng) for _ in range(rng.randint(0, 40))]
         assert sorted(payloads, key=_send_order) == sorted(
             payloads, key=_reference_send_order
         )
-        wrapped = [("F", rng.randrange(4), p) for p in payloads]
-        wrapped += [("FPQ", "x", rng.randrange(3)) for _ in range(rng.randint(0, 2))]
-        wrapped += [("I", rng.randrange(4), rng.randrange(3)) for _ in range(rng.randint(0, 3))]
-        rng.shuffle(wrapped)
-        assert sorted(wrapped, key=engine_fp._fp_send_order) == sorted(
-            wrapped, key=_reference_fp_send_order
-        )
+        node = engine_fp.FPCore(1, frozenset(), frozenset(), 1, QueryTable())
+        node.it = rng.randrange(4)
+        node.out = [
+            ("FPQ", rng.choice("xyz"), rng.randrange(3))
+            for _ in range(rng.randint(0, 2))
+        ]
+        node.out += [("I", rng.randrange(4), rng.randrange(3)) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(node.out)
+        node.core = FOCore(1, frozenset(), frozenset(), 1, (), QueryTable())
+        node.core.out = list(payloads)
+        want = node.out + [("F", node.it, p) for p in payloads]
+        assert node.flush() == sorted(want, key=_reference_fp_send_order)
 
 
 # -------------------------------------------------------------- edge cases

@@ -3,6 +3,8 @@ immediate-consequence operator, and round sequences against the
 centralized fixpoint results."""
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import random
 import re
@@ -23,7 +25,7 @@ from fixture_data import (
     WIN_DATALOG,
     random_connected_graph,
 )
-from netquery import netlog
+from netquery import netlog, simnet
 from netquery.fixtures import SAME_GENERATION_DATALOG, exhaustive_graphs
 from netquery.logic import EDGE_PRED, ParseError, parse_fixpoint
 from netquery.netlog import (
@@ -64,7 +66,8 @@ from netquery.oracle import (
     ring_graph,
 )
 from netquery.rewriter import compile
-from netquery.simnet import _context_for, make_network
+from netquery.simnet import StepResult, _context_for, make_network
+from test_rewriter import EQ_PROGRAMS
 
 
 def path3():
@@ -886,6 +889,166 @@ def test_a_node_slice_repeats_exactly_when_every_predicate_does():
     collected = engine.collect(state, ctx)
     assert type(collected) is frozenset
     assert collected == {("R", (2,)), ("P", (2, 1)), ("T", (2, 5))}
+
+
+class AlwaysFiringEngine(NetlogEngine):
+    """The reference for the firing memo: every step fires every plan on a
+    view with a fresh index memo, places each fact by its head holding
+    argument and sizes every send."""
+
+    def step(self, state, ctx, round_no, inbox):
+        v = ctx.node_id
+        snapshot = state.local
+        for pred, args in {payload for payload, _port in inbox}:
+            snapshot.setdefault(pred, set()).add(args)
+        quiescent = snapshot == state.snapshot
+        state.snapshot = snapshot
+        view = FactView(snapshot, ctx.global_unary, state.edges)
+        local, sends, work = {}, [], 1
+        for plan in self.plans:
+            facts = []
+            _match_literal(plan, view, facts, v)
+            work += len(facts)
+            for pred, args in facts:
+                target = args[plan.rule.head.holding]
+                if target == v:
+                    local.setdefault(pred, set()).add(args)
+                else:
+                    sends.append((state.port_of[target], (pred, args)))
+        state.local = local
+        bits = max((self.payload_bits(fact, ctx.enc) for _, fact in sends), default=0)
+        return StepResult(tuple(sends), quiescent, work, round_no + 1, bits)
+
+
+def _recorded_run(engine, net, cap):
+    """Every step result of a run of `engine` on `net`, in call order, and
+    how the run ended: its results and metrics, or the error's name."""
+    records = []
+    step = engine.step
+
+    def recording(*args):
+        records.append(step(*args))
+        return records[-1]
+
+    engine.step = recording
+    try:
+        outcome = simnet.run(net, engine, round_cap=cap)
+    except (NetlogError, simnet.RoundCapError) as err:
+        outcome = type(err).__name__
+    return records, outcome
+
+
+# Inputs for the plan-shape rules, which change with the clock.
+PLAN_SHAPES_INPUTS = """
+S(@x, q) :- clock(@x, q).
+R(@x, y, q) :- G(@x, y); clock(@x, q).
+"""
+# A gate that passes two tuples (P(@x, q); q >= 1); one whose count goes
+# 1, 0, 1, 1 and then 0 (C(@x, q); q != 2); a predicate with both unary
+# input facts and derived facts, read whole and as a gate (Mark); a
+# negated literal over a changing relation (!C(@x, 1)); and a fact that a
+# plan that is not local keeps at its own node (Self(@y, x)).
+REUSE_PROGRAMS = tuple(parse_netlog(text) for text in (
+    """
+    P(@x, 1) :- start(@x).
+    P(@x, 2) :- start(@x).
+    P(@x, y) :- P(@x, y).
+    C(@x, 3) :- start(@x).
+    C(@x, p) :- C(@x, q); q >= 1; p = q - 1.
+    ^A(@y, x) :- P(@x, q); q >= 1; G(@x, y).
+    ^B(@y, x) :- C(@x, q); q != 2; G(@x, y).
+    Out(@x) :- P(@x, 1); !C(@x, 1).
+    Self(@y, x) :- A(@x, z); y = x.
+    """,
+    """
+    ^Mark(@y) :- Mark(@x); G(@x, y).
+    Pair(@x, z) :- Mark(@x); Mark(z).
+    Near(@x, y) :- G(@x, y); Mark(y).
+    """,
+))
+
+
+def _differential_programs(g):
+    """The rewriter tests' programs compiled, which are every Datalog
+    fixture and two-hop, the compiled plan shapes fed by their inputs, the
+    hand-written node programs and the reuse cases."""
+    for _name, text in EQ_PROGRAMS:
+        yield _compiled(text, g.diameter)
+    yield _compiled(PLAN_SHAPES_DATALOG, g.diameter, PLAN_SHAPES_INPUTS)
+    yield from NODE_PROGRAMS[2:]
+    yield from REUSE_PROGRAMS
+
+
+@functools.cache
+def _compiled(text, delta, inputs=""):
+    """A Datalog program compiled for diameter `delta`, with the rules
+    `inputs` added, made once, so that its plans' code is made once."""
+    return parse_netlog(str(compile(text, delta).program) + inputs)
+
+
+@contextlib.contextmanager
+def _counted_firings(fired):
+    """Within the block, every plan firing through `_match_literal` is
+    appended to `fired`."""
+    real = netlog._match_literal
+
+    def counted(plan, *args):
+        fired.append(plan)
+        return real(plan, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netlog, "_match_literal", counted)
+        yield
+
+
+def test_reused_firings_step_as_the_always_firing_reference(permuted_inboxes):
+    """Every node step sends the same facts in the same order, and reports
+    the same work, quiescence, wake-up round and size, as the reference
+    that fires every plan at every step, and every run ends alike: on the
+    differential graphs at port seed 0, and on those of five nodes or more
+    also at port seed 1 with permuted inboxes.  Reuse happens in most
+    runs."""
+    reused = runs = 0
+    for g in _differential_graphs():
+        g = g.with_unary({"ReqNode": [1], "dest": [max(g.nodes)], "Mark": [1]})
+        seeds = ((0, False), (1, True)) if len(g.nodes) >= 5 else ((0, False),)
+        for program in _differential_programs(g):
+            for seed, permuted in seeds:
+                net = make_network(g, port_seed=seed)
+                cap = min(netlog.default_round_cap(program, g), 60)
+                fired = []
+                with contextlib.ExitStack() as stack:
+                    if permuted:
+                        stack.enter_context(permuted_inboxes(NetlogEngine, seed))
+                        stack.enter_context(permuted_inboxes(AlwaysFiringEngine, seed))
+                    want = _recorded_run(AlwaysFiringEngine(program), net, cap)
+                    stack.enter_context(_counted_firings(fired))
+                    got = _recorded_run(NetlogEngine(program), net, cap)
+                assert got == want, str(program)
+                runs += 1
+                reused += len(fired) < len(want[0]) * len(program.rules)
+    assert reused > runs / 2, (reused, runs)
+
+
+def test_snapshot_sets_are_never_mutated():
+    """Both memos of a node, its views' indexes and its plans' last
+    firings, hold snapshot sets by reference: no set that a step took into
+    a snapshot changes afterwards, through the compiled SG and TC runs on
+    the 3x3 grid."""
+    taken = []
+
+    class Recording(NetlogEngine):
+        def step(self, state, *args):
+            res = super().step(state, *args)
+            taken.extend((ts, frozenset(ts)) for ts in state.snapshot.values())
+            return res
+
+    g = grid_graph(3, 3)
+    for text in (SAME_GENERATION_DATALOG, TRANSITIVE_CLOSURE_DATALOG):
+        program = compile(text, g.diameter).program
+        simnet.run(make_network(g), Recording(program), round_cap=1000)
+    assert len(taken) > 1000
+    assert all(ts == copy for ts, copy in taken)
 
 
 def test_run_netlog_nontermination_diagnostic():
