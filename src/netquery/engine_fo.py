@@ -137,6 +137,7 @@ class _Leaf:
     key: int  # answer key of the quantifier's value
     instances: set[str] = field(default_factory=set)  # instance query texts
     ordered: list[_Entry] = field(default_factory=list)  # theirs, by text
+    kept: frozenset[str] = frozenset()  # instance texts of the first evaluation
 
 
 @dataclass
@@ -227,8 +228,8 @@ def _compile(
 class QueryTable:
     """What the nodes of one run derive alike from the query texts it
     floods, derived once: the engine object of a run owns one and hands it
-    to every FOCore it builds, on every node and in every fixpoint
-    iteration.  It maps a canonical text to its template, (text, value)
+    to the FOCore it builds on every node, which a fixpoint run restarts in
+    every iteration.  It maps a canonical text to its template, (text, value)
     to the template of the instance that substitutes the value, a ground
     atom to its answer key, and (level, text) to the answer key of a
     query's value.  Every flooded text was made by `template` on the
@@ -333,6 +334,16 @@ class FOCore:
     for some value in `values` (1, the own id and every probe seen so far);
     a probe seen for the first time registers the existing leaves under it,
     so every matching pair meets in `links`.
+
+    A fixpoint run evaluates the same query once per iteration, so it builds
+    this structure once and then `restart`s the core against the next
+    committed table.  Which entries a run creates, and when, depends on no
+    answer, table or deadline, so each evaluation creates the same entries
+    as the first, in the same rounds after its start: after a restart,
+    `_create_entry` activates the kept entry instead of building it, with
+    the same work, Q payload and ground-atom answers, and a leaf's
+    instances are its `kept` texts whose entries are active.  A text the
+    first evaluation did not create raises `EngineError`.
     """
 
     def __init__(
@@ -354,7 +365,8 @@ class FOCore:
         self.queries = queries
         self.table = table  # (name, committed rows) of a fixpoint relation
         self.round_offset = round_offset
-        self.entries: dict[tuple[int, str], _Entry] = {}
+        self.entries: dict[tuple[int, str], _Entry] = {}  # created or activated
+        self.kept: Optional[dict[tuple[int, str], _Entry]] = None  # set by `restart`
         self.unresolved: dict[tuple[int, str], _Entry] = {}  # closed, no value
         self.links: dict[tuple[int, str], list[_Leaf]] = {}
         self.open_leaves: list[_Leaf] = []  # may still await their deadline
@@ -405,18 +417,35 @@ class FOCore:
         level: int,
         suffix: tuple[int, ...],
     ) -> _Entry:
+        """Make the entry of `t` at `level` visible: build it in the first
+        evaluation, activate the kept one after a `restart`.  Both charge
+        one work unit, send its Q payload, decide its ground atoms and
+        reach its children the same way; only building links instances."""
         ek = (level, t.text)
-        if ek in self.entries:
-            e = self.entries[ek]
+        e = self.entries.get(ek)
+        if e is not None:
             if kind == "O" and e.suffix != suffix:
                 raise EngineError(
                     f"open query {t.text!r} reached with conflicting assignments"
                 )
             return e
         self.work += 1
-        fact = isinstance(t.formula, (Atom, Cmp, BoolConst))
-        key = self.queries.key(None if fact else level, t.text)
-        e = _Entry(t, level, kind, key, suffix)
+        build = self.kept is None
+        if self.kept is None:
+            fact = isinstance(t.formula, (Atom, Cmp, BoolConst))
+            key = self.queries.key(None if fact else level, t.text)
+            e = _Entry(t, level, kind, key, suffix)
+        else:
+            e = self.kept.get(ek)
+            if e is None:
+                raise EngineError(
+                    f"query {t.text!r} at level {level} is not in the structure"
+                    " built by the first evaluation"
+                )
+            if e.suffix != suffix:
+                raise EngineError(
+                    f"open query {t.text!r} reached with conflicting assignments"
+                )
         self.entries[ek] = e
         if kind == "B":
             self.unresolved[ek] = e
@@ -430,7 +459,7 @@ class FOCore:
             v = self._decide_atom(pred, args)
             if v is not None:
                 self._insert_answer(k, v, announce=True)
-        fresh = [b for b in t.probes if b not in self.values]
+        fresh = [b for b in t.probes if b not in self.values] if build else []
         if fresh:
             self.values.update(fresh)
             for (lv, _), parent in self.entries.items():
@@ -439,23 +468,33 @@ class FOCore:
         if kind == "O":
             self._extend_open(e)
         else:
-            # An atom first becomes ground when the deepest variable in it
-            # is instantiated; the instantiating node is a party to the
-            # atom, so its truth value floods from it within delta rounds.
-            e.leaves = [
-                _Leaf(
-                    q,
-                    self.round_offset + 1 + (max(level + q.depth, 1) + 1) * self.delta,
-                    self.queries.key(level, q.text),
-                )
-                for q in t.quantifiers
-            ]
+            if build:
+                # An atom first becomes ground when the deepest variable in
+                # it is instantiated; the instantiating node is a party to
+                # the atom, so its truth value floods from it within delta
+                # rounds.
+                e.leaves = [
+                    _Leaf(
+                        q,
+                        self.round_offset
+                        + 1
+                        + (max(level + q.depth, 1) + 1) * self.delta,
+                        self.queries.key(level, q.text),
+                    )
+                    for q in t.quantifiers
+                ]
+                for leaf in e.leaves:
+                    self._register(level + 1, leaf, self.values)
+            else:
+                for leaf in e.leaves:
+                    leaf.instances = {
+                        x for x in leaf.kept if (level + 1, x) in self.entries
+                    }
+                    leaf.ordered = []
             self.open_leaves.extend(e.leaves)
-            for leaf in e.leaves:
-                self._register(level + 1, leaf, self.values)
             self._spawn_instances(e)
         for leaf in self.links.get(ek, ()):
-            if t.text not in leaf.instances and self._match(leaf, e):
+            if t.text not in leaf.instances and (not build or self._match(leaf, e)):
                 leaf.instances.add(t.text)
         return e
 
@@ -514,6 +553,39 @@ class FOCore:
         else:
             self._create_entry(t, "B", level, ())
             self.tuples[(level, t.text)] = tuple(suffix)
+
+    def restart(
+        self, table: tuple[str, frozenset[tuple[int, ...]]], round_offset: int
+    ) -> None:
+        """Start a new evaluation of the same query, with atoms over the
+        fixpoint relation decided against `table` and the deadlines moved
+        to `round_offset`.  Answers, sends, candidate tuples and entry
+        values are cleared, and no entry is visible until it is activated
+        where a fresh core would create it.  The first restart keeps the
+        entries, each leaf's instance texts as `kept`, and as `links` the
+        leaves that each entry is an instance of."""
+        if self.kept is None:
+            self.kept = self.entries
+            self.links = {}
+            for (level, _), e in self.entries.items():
+                for leaf in e.leaves:
+                    leaf.kept = frozenset(leaf.instances)
+                    for text in leaf.kept:
+                        self.links.setdefault((level + 1, text), []).append(leaf)
+        shift = round_offset - self.round_offset
+        for e in self.kept.values():
+            e.value = None
+            for leaf in e.leaves:
+                leaf.deadline += shift
+        self.table = table
+        self.round_offset = round_offset
+        self.entries = {}
+        self.unresolved = {}
+        self.open_leaves = []
+        self.answers = {}
+        self.out = []
+        self.tuples = {}
+        self.work = 0
 
     def ingest(self, payloads: Sequence[tuple]) -> None:
         for p in payloads:

@@ -6,14 +6,18 @@ round counter:
 * Query flood: the requester broadcasts the printed fixpoint query with a
   hop budget of one less than the diameter; every node relays it once while
   the budget lasts, so by round ``1 + delta`` every node holds the query.
-* Evaluation window (one per iteration): every node starts a fresh
-  first-order core for the query body with its own id substituted for the
-  last declared variable, the remaining variables resolved by the usual
-  open-query machinery.  Atoms over the relation being computed are decided
-  by the node named in their first argument, against the table committed in
-  earlier iterations.  Positive tuples collect in the core until the window
+* Evaluation window (one per iteration): every node evaluates the query
+  body with its own id substituted for the last declared variable, the
+  remaining variables resolved by the usual open-query machinery.  Atoms
+  over the relation being computed are decided by the node named in their
+  first argument, against the table committed in earlier iterations.
+  Positive tuples collect in the node's first-order core until the window
   closes, then move into the committed table all at once, so every node
-  switches stages in the same round.
+  switches stages in the same round.  The node builds that core in
+  iteration 0 and restarts it in every later iteration: every iteration
+  floods the same query texts in the same rounds, and only the answers
+  about the relation being computed change, so the entries, leaves and
+  instance links are built once per run.
 * Inform window: a node that committed new tuples floods a small notice
   (relayed at most once per node per iteration).  At the end of the window
   each node continues to the next iteration if it committed new tuples or
@@ -73,7 +77,9 @@ class FPCore:
     """One node's share of the distributed fixpoint evaluation.  It keeps
     the committed table, not its past: after iteration i (`_commit`) the
     union over nodes of `committed` is stage i+1 of the centralized
-    evaluation."""
+    evaluation.  Its one FOCore is built when iteration 0 begins and is
+    restarted (`FOCore.restart`) against the new table when each later
+    iteration begins, after its work is added to the node's."""
 
     def __init__(
         self,
@@ -87,7 +93,7 @@ class FPCore:
         self.neighbors = frozenset(neighbors)
         self.self_unary = frozenset(self_unary)
         self.delta = delta
-        self.queries = queries  # handed to every iteration's FOCore
+        self.queries = queries  # handed to the node's FOCore
         self.query: Optional[FixpointQuery] = None
         self.window = 0  # evaluation window length, set with the query
         self.done = False  # set when an iteration ends with nothing new
@@ -126,20 +132,24 @@ class FPCore:
     def _begin_iteration(self, i: int) -> None:
         q = self.query
         assert q is not None
-        if self.core is not None:
-            self.work += self.core.work
         self.it = i
         self.inform_heard = False
-        self.core = FOCore(
-            self_id=self.self_id,
-            neighbors=self.neighbors,
-            self_unary=self.self_unary,
-            delta=self.delta,
-            order=q.vars,
-            queries=self.queries,
-            table=(q.name, frozenset(self.committed)),
-            round_offset=self._start_round(i) - 1,
-        )
+        table = (q.name, frozenset(self.committed))
+        round_offset = self._start_round(i) - 1
+        if self.core is None:
+            self.core = FOCore(
+                self_id=self.self_id,
+                neighbors=self.neighbors,
+                self_unary=self.self_unary,
+                delta=self.delta,
+                order=q.vars,
+                queries=self.queries,
+                table=table,
+                round_offset=round_offset,
+            )
+        else:
+            self.work += self.core.work
+            self.core.restart(table, round_offset)
         self.core.inject_query(
             substitute(q.body, q.vars[-1], self.self_id), (self.self_id,)
         )

@@ -1,5 +1,6 @@
 """Distributed first-order evaluation against the centralized oracle."""
 import copy
+import dataclasses
 import hashlib
 import random
 
@@ -194,24 +195,49 @@ def _fo_cores(g, text, seed):
     return list(result.values())
 
 
+def _snapshot(core):
+    """A copy of core's node state as it stands now, for reading only: its
+    entries with their values and leaves, its answers and sends.  Templates
+    and quantifier shapes stay shared, and the structure that a restart
+    reuses is left out."""
+    snap = copy.copy(core)
+    snap.entries = {}
+    for ek, e in core.entries.items():
+        snap.entries[ek] = copy.copy(e)
+        snap.entries[ek].leaves = [
+            dataclasses.replace(leaf, instances=set(leaf.instances), ordered=[])
+            for leaf in e.leaves
+        ]
+    snap.unresolved = {ek: snap.entries[ek] for ek in core.unresolved}
+    snap.kept, snap.links, snap.open_leaves = None, {}, []
+    snap.answers, snap.out = dict(core.answers), list(core.out)
+    return snap
+
+
 def _fp_cores(g, text):
-    """Every FOCore that an FP run of `text` on g builds, on every node and
-    in every iteration; each checks that `advance` creates no entry."""
+    """A copy of each node's FOCore as it stands when each fixpoint
+    iteration commits, on every node and in every iteration, so the checks
+    below see every iteration and not only the last state of the core that
+    the iterations share; each also checks that `advance` creates no
+    entry."""
     made = []
 
     class Recorded(FOCore):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            made.append(self)
-
         def advance(self, round_no):
             before = len(self.entries)
             super().advance(round_no)
             assert len(self.entries) == before
 
+    real_commit = engine_fp.FPCore._commit
+
+    def commit(self):
+        made.append(_snapshot(self.core))
+        real_commit(self)
+
     q = parse_fixpoint(text)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine_fp, "FOCore", Recorded)
+        mp.setattr(engine_fp.FPCore, "_commit", commit)
         got, _ = run_qe_fp(_net(g), q, 1)
     assert got.tuples == eval_fp(g, q).final.tuples
     return made

@@ -1,5 +1,7 @@
 """Distributed fixpoint evaluation against the centralized oracle."""
 import math
+import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -10,9 +12,10 @@ from fixture_data import (
     TRANSITIVE_CLOSURE_DATALOG,
     TWO_HOP_TEXT,
     fixture_graphs,
+    random_connected_graph,
 )
 from netquery import engine_fo, simnet
-from netquery.engine_fo import EngineError
+from netquery.engine_fo import EngineError, FOCore, QueryTable, _BroadcastEngine
 from netquery.engine_fp import (
     FPCore,
     FPQueryEngine,
@@ -26,8 +29,10 @@ from netquery.logic import (
     Forall,
     canonical_print,
     parse_fixpoint,
+    parse_formula,
     relativize_fixpoint,
     stats,
+    substitute,
 )
 from netquery.netlog import run_netlog
 from netquery.oracle import eval_fp, path_graph, ring_graph
@@ -334,3 +339,137 @@ def test_instances_are_derived_once_per_run(monkeypatch):
     assert len(first) == len(set(first))
     assert {v for _, v, quant in first if quant} == {1, 2, 3, 4}
     assert second == first
+
+
+def test_the_query_structure_is_built_in_the_first_iteration_only(monkeypatch):
+    """Each node builds its entries, leaves and links once per run, in
+    iteration 0, and later iterations restart that core: on TC over path-5
+    (5 iterations) instance linking registers 205 leaves and matches 500
+    candidates, all while the cores still run iteration 0, where a fresh
+    core per iteration made 1,025 and 2,500 of these calls."""
+    offsets = {"_register": [], "_match": []}
+    for name, seen in offsets.items():
+        real = getattr(FOCore, name)
+
+        def counted(self, *args, _real=real, _seen=seen):
+            _seen.append(self.round_offset)
+            return _real(self, *args)
+
+        monkeypatch.setattr(FOCore, name, counted)
+    g = path_graph(5)
+    q = parse_fixpoint(TRANSITIVE_CLOSURE_TEXT)
+    got, _ = run_qe_fp(_net(g), q, 1)
+    assert got.tuples == eval_fp(g, q).final.tuples
+    assert len(offsets["_register"]) == 205
+    assert len(offsets["_match"]) == 500
+    first = g.diameter  # iteration 0 opens in round 1 + delta
+    assert set(offsets["_register"]) == set(offsets["_match"]) == {first}
+
+
+def test_a_query_the_kept_structure_lacks_fails_loudly():
+    """After a restart a core only activates what it built in its first
+    run; a query text it never built raises instead of being built."""
+    queries = QueryTable()
+    core = FOCore(
+        1, frozenset({2}), frozenset(), 1, ("y",), queries, ("T", frozenset()), 1
+    )
+    core.inject_query(parse_formula("exists z. G(1,z)"), (1,))
+    core.restart(("T", frozenset({(1, 2)})), 7)
+    foreign = queries.template(parse_formula("G(2,3)")).text
+    with pytest.raises(EngineError, match=re.escape(repr(foreign))):
+        core.ingest([("Q", "B", foreign, 2)])
+
+
+# ------------------------------------------- reuse against fresh cores
+
+
+class _FreshCore(FPCore):
+    """The reference: a fresh FOCore for every iteration, built from the
+    same flooded texts, where FPCore restarts the one it built first."""
+
+    def _begin_iteration(self, i):
+        q = self.query
+        if self.core is not None:
+            self.work += self.core.work
+        self.it = i
+        self.inform_heard = False
+        self.core = FOCore(
+            self.self_id,
+            self.neighbors,
+            self.self_unary,
+            self.delta,
+            q.vars,
+            self.queries,
+            (q.name, frozenset(self.committed)),
+            self._start_round(i) - 1,
+        )
+        self.core.inject_query(
+            substitute(q.body, q.vars[-1], self.self_id), (self.self_id,)
+        )
+
+
+class _FreshEngine(FPQueryEngine):
+    def _core(self, *args):
+        return _FreshCore(*args, queries=self.queries)
+
+
+def _steps(engine, g, q, port_seed, order_seed, permuted_inboxes):
+    """Every node step of one FP run, in call order, with the run's
+    results and metrics; with an `order_seed`, every inbox is permuted."""
+    steps = []
+    real = _BroadcastEngine.step
+
+    def recording(self, state, ctx, round_no, inbox):
+        res = real(self, state, ctx, round_no, inbox)
+        steps.append((ctx.node_id, round_no, res.sends, res.steps,
+                      res.quiescent, res.wake_at, res.bits))
+        return res
+
+    net = _net(g, port_seed=port_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_BroadcastEngine, "step", recording)
+        run = lambda: simnet.run(
+            net, engine, init={1: q}, round_cap=default_fp_round_cap(net, q)
+        )
+        if order_seed is None:
+            results, metrics = run()
+        else:
+            with permuted_inboxes(FPQueryEngine, order_seed) as moved:
+                results, metrics = run()
+            assert any(moved)
+    return steps, results, metrics
+
+
+_REUSE_GRAPHS = {
+    "path5": path_graph(5),
+    "ring5": ring_graph(5),
+    "random5": random_connected_graph(random.Random(0), 5),
+}
+
+
+@pytest.mark.parametrize("text,graph,port_seed,order_seed", [
+    # TC on every graph, both port seeds and permuted inboxes; the larger
+    # queries once each, on the ring, to keep the test near three seconds.
+    ("tc", "path5", 0, None),
+    ("tc", "path5", 1, 3),
+    ("tc", "ring5", 1, None),
+    ("tc", "random5", 0, 7),
+    ("routing", "ring5", 1, 11),
+    ("spanning-tree", "ring5", 0, None),
+])
+def test_restarted_cores_step_as_fresh_cores(
+    permuted_inboxes, text, graph, port_seed, order_seed
+):
+    """FPCore's restarted core sends the same payloads in the same order,
+    and reports the same work, bits, quiescence and wake-ups, at every node
+    step as a fresh core per iteration, and ends with the same results."""
+    q = parse_fixpoint({
+        "tc": TRANSITIVE_CLOSURE_TEXT,
+        "routing": ROUTING_TABLE_TEXT,
+        "spanning-tree": SPANNING_TREE_TEXT,
+    }[text])
+    g = _REUSE_GRAPHS[graph].with_unary({"ReqNode": [1]})
+    fresh = _steps(_FreshEngine(), g, q, port_seed, order_seed, permuted_inboxes)
+    kept = _steps(FPQueryEngine(), g, q, port_seed, order_seed, permuted_inboxes)
+    assert kept == fresh
+    assert len(kept[0]) > 0
