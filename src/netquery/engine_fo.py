@@ -135,9 +135,8 @@ class _Leaf:
     shape: _Quantifier
     deadline: int
     key: int  # answer key of the quantifier's value
-    instances: set[str] = field(default_factory=set)  # instance query texts
-    ordered: list[_Entry] = field(default_factory=list)  # theirs, by text
-    kept: frozenset[str] = frozenset()  # instance texts of the first evaluation
+    instances: set[str] = field(default_factory=set)  # every text ever linked
+    ordered: Optional[list[_Entry]] = None  # the live ones' entries, by text
 
 
 @dataclass
@@ -228,11 +227,11 @@ def _compile(
 class QueryTable:
     """What the nodes of one run derive alike from the query texts it
     floods, derived once: the engine object of a run owns one and hands it
-    to the FOCore it builds on every node, which a fixpoint run restarts in
-    every iteration.  It maps a canonical text to its template, (text, value)
-    to the template of the instance that substitutes the value, a ground
-    atom to its answer key, and (level, text) to the answer key of a
-    query's value.  Every flooded text was made by `template` on the
+    to the FOCore it builds on every node, which serves every evaluation
+    the node makes in the run.  It maps a canonical text to its template,
+    (text, value) to the template of the instance that substitutes the
+    value, a ground atom to its answer key, and (level, text) to the answer
+    key of a query's value.  Every flooded text was made by `template` on the
     sending side, so a received text indexes `templates` directly.
     Nothing in it depends on a node or a round."""
 
@@ -323,27 +322,25 @@ class FOCore:
 
     Everything a query text implies regardless of the node comes from the
     run's shared `QueryTable`, its compiled value included; deciding atoms,
-    deadlines, answers and links stay here.  A leaf keeps its instance
-    entries in text order, re-sorted only when it gains one, and `idle`
-    reads only the leaves that may still await their deadline.
+    deadlines, answers and links stay here.  A leaf keeps its live instance
+    entries in text order, re-sorted only when one of its instances becomes
+    live, and `idle` reads only the leaves that may still await their
+    deadline.
 
     A closed entry's quantifier leaf links the entries one level down that
     are its instances: those whose text is the leaf's quantifier with one
     of the candidate's probes substituted (`_match`).  To find them without
     a scan, `links` maps (level, text) to every leaf that prints that text
     for some value in `values` (1, the own id and every probe seen so far);
-    a probe seen for the first time registers the existing leaves under it,
+    a probe seen for the first time registers the built leaves under it,
     so every matching pair meets in `links`.
 
-    A fixpoint run evaluates the same query once per iteration, so it builds
-    this structure once and then `restart`s the core against the next
-    committed table.  Which entries a run creates, and when, depends on no
-    answer, table or deadline, so each evaluation creates the same entries
-    as the first, in the same rounds after its start: after a restart,
-    `_create_entry` activates the kept entry instead of building it, with
-    the same work, Q payload and ground-atom answers, and a leaf's
-    instances are its `kept` texts whose entries are active.  A text the
-    first evaluation did not create raises `EngineError`.
+    This structure only grows: `built` holds every entry any evaluation
+    made, with its leaves and links, and `entries` the ones live in the
+    current evaluation.  A fixpoint run evaluates the same query once per
+    iteration, and `restart`s the core against each iteration's table, so
+    an entry is built once per run and made live in every evaluation that
+    reaches it.
     """
 
     def __init__(
@@ -354,8 +351,6 @@ class FOCore:
         delta: int,
         order: tuple[str, ...],
         queries: QueryTable,
-        table: Optional[tuple[str, frozenset[tuple[int, ...]]]] = None,
-        round_offset: int = 0,
     ):
         self.self_id = self_id
         self.neighbors = frozenset(neighbors)
@@ -363,10 +358,11 @@ class FOCore:
         self.delta = delta
         self.order = tuple(order)
         self.queries = queries
-        self.table = table  # (name, committed rows) of a fixpoint relation
-        self.round_offset = round_offset
-        self.entries: dict[tuple[int, str], _Entry] = {}  # created or activated
-        self.kept: Optional[dict[tuple[int, str], _Entry]] = None  # set by `restart`
+        # (name, committed rows) of a fixpoint relation; set by `restart`.
+        self.table: Optional[tuple[str, frozenset[tuple[int, ...]]]] = None
+        self.round_offset = 0
+        self.built: dict[tuple[int, str], _Entry] = {}  # by any evaluation
+        self.entries: dict[tuple[int, str], _Entry] = {}  # live
         self.unresolved: dict[tuple[int, str], _Entry] = {}  # closed, no value
         self.links: dict[tuple[int, str], list[_Leaf]] = {}
         self.open_leaves: list[_Leaf] = []  # may still await their deadline
@@ -417,35 +413,43 @@ class FOCore:
         level: int,
         suffix: tuple[int, ...],
     ) -> _Entry:
-        """Make the entry of `t` at `level` visible: build it in the first
-        evaluation, activate the kept one after a `restart`.  Both charge
-        one work unit, send its Q payload, decide its ground atoms and
-        reach its children the same way; only building links instances."""
+        """Make the entry of `t` at `level` live, building it first if no
+        evaluation has: the entry, its leaves and their links are built once
+        per core, and going live charges one work unit, sends its Q payload,
+        decides its ground atoms, reaches its children and tells the leaves
+        it is an instance of, in every evaluation that reaches it."""
         ek = (level, t.text)
-        e = self.entries.get(ek)
-        if e is not None:
-            if kind == "O" and e.suffix != suffix:
-                raise EngineError(
-                    f"open query {t.text!r} reached with conflicting assignments"
-                )
+        e = self.built.get(ek)
+        if e is not None and e.suffix != suffix:
+            raise EngineError(
+                f"open query {t.text!r} reached with conflicting assignments"
+            )
+        if ek in self.entries:
             return e
-        self.work += 1
-        build = self.kept is None
-        if self.kept is None:
+        if e is None:
             fact = isinstance(t.formula, (Atom, Cmp, BoolConst))
             key = self.queries.key(None if fact else level, t.text)
-            e = _Entry(t, level, kind, key, suffix)
-        else:
-            e = self.kept.get(ek)
-            if e is None:
-                raise EngineError(
-                    f"query {t.text!r} at level {level} is not in the structure"
-                    " built by the first evaluation"
+            e = self.built[ek] = _Entry(t, level, kind, key, suffix)
+            fresh = [b for b in t.probes if b not in self.values]
+            if fresh:
+                self.values.update(fresh)
+                for (lv, _), parent in self.built.items():
+                    for leaf in parent.leaves:
+                        self._register(lv + 1, leaf, fresh)
+            # An atom first becomes ground when the deepest variable in it
+            # is instantiated; the instantiating node is a party to the
+            # atom, so its truth value floods from it within delta rounds.
+            e.leaves = [
+                _Leaf(
+                    q,
+                    self.round_offset + 1 + (max(level + q.depth, 1) + 1) * self.delta,
+                    self.queries.key(level, q.text),
                 )
-            if e.suffix != suffix:
-                raise EngineError(
-                    f"open query {t.text!r} reached with conflicting assignments"
-                )
+                for q in t.quantifiers
+            ]
+            for leaf in e.leaves:
+                self._register(level + 1, leaf, self.values)
+        self.work += 1
         self.entries[ek] = e
         if kind == "B":
             self.unresolved[ek] = e
@@ -459,57 +463,30 @@ class FOCore:
             v = self._decide_atom(pred, args)
             if v is not None:
                 self._insert_answer(k, v, announce=True)
-        fresh = [b for b in t.probes if b not in self.values] if build else []
-        if fresh:
-            self.values.update(fresh)
-            for (lv, _), parent in self.entries.items():
-                for leaf in parent.leaves:
-                    self._register(lv + 1, leaf, fresh)
         if kind == "O":
             self._extend_open(e)
         else:
-            if build:
-                # An atom first becomes ground when the deepest variable in
-                # it is instantiated; the instantiating node is a party to
-                # the atom, so its truth value floods from it within delta
-                # rounds.
-                e.leaves = [
-                    _Leaf(
-                        q,
-                        self.round_offset
-                        + 1
-                        + (max(level + q.depth, 1) + 1) * self.delta,
-                        self.queries.key(level, q.text),
-                    )
-                    for q in t.quantifiers
-                ]
-                for leaf in e.leaves:
-                    self._register(level + 1, leaf, self.values)
-            else:
-                for leaf in e.leaves:
-                    leaf.instances = {
-                        x for x in leaf.kept if (level + 1, x) in self.entries
-                    }
-                    leaf.ordered = []
             self.open_leaves.extend(e.leaves)
             self._spawn_instances(e)
         for leaf in self.links.get(ek, ()):
-            if t.text not in leaf.instances and (not build or self._match(leaf, e)):
+            if t.text in leaf.instances or self._match(leaf, e):
                 leaf.instances.add(t.text)
+                leaf.ordered = None
         return e
 
     def _register(self, level: int, leaf: _Leaf, values: Iterable[int]) -> None:
         """File `leaf` under the text of its instance for each value, and
-        link the stored level-`level` entries among them."""
+        link the built level-`level` entries among them."""
         q = leaf.shape
         for b in values:
             text = self.queries.instance(q.text, q.quant, q.var, b).text
             self.links.setdefault((level, text), []).append(leaf)
-            cand = self.entries.get((level, text))
+            cand = self.built.get((level, text))
             if cand is None or text in leaf.instances:
                 continue
             if self._match(leaf, cand):
                 leaf.instances.add(text)
+                leaf.ordered = None
 
     def _extend_open(self, e: _Entry) -> None:
         t = e.template
@@ -557,26 +534,18 @@ class FOCore:
     def restart(
         self, table: tuple[str, frozenset[tuple[int, ...]]], round_offset: int
     ) -> None:
-        """Start a new evaluation of the same query, with atoms over the
-        fixpoint relation decided against `table` and the deadlines moved
-        to `round_offset`.  Answers, sends, candidate tuples and entry
-        values are cleared, and no entry is visible until it is activated
-        where a fresh core would create it.  The first restart keeps the
-        entries, each leaf's instance texts as `kept`, and as `links` the
-        leaves that each entry is an instance of."""
-        if self.kept is None:
-            self.kept = self.entries
-            self.links = {}
-            for (level, _), e in self.entries.items():
-                for leaf in e.leaves:
-                    leaf.kept = frozenset(leaf.instances)
-                    for text in leaf.kept:
-                        self.links.setdefault((level + 1, text), []).append(leaf)
+        """Start a new evaluation, with atoms over the fixpoint relation
+        decided against `table` and every deadline counted from
+        `round_offset`.  Answers, sends, candidate tuples and entry values
+        are cleared, and no entry is live until `_create_entry` reaches it
+        as it would on a fresh core; what is built stays built."""
         shift = round_offset - self.round_offset
-        for e in self.kept.values():
+        for e in self.built.values():
             e.value = None
             for leaf in e.leaves:
                 leaf.deadline += shift
+                # A live parent's own instance resets it too; this is sound alone.
+                leaf.ordered = None
         self.table = table
         self.round_offset = round_offset
         self.entries = {}
@@ -598,13 +567,9 @@ class FOCore:
             suffix = () if kind == "B" else tuple(extra)
             level = extra if kind == "B" else len(suffix)
             known = self.entries.get((level, text))
-            if known is None:
+            if known is None or known.suffix != suffix:
                 self._create_entry(
                     self.queries.templates[text], kind, level, suffix
-                )
-            elif known.suffix != suffix:
-                raise EngineError(
-                    f"open query {text!r} reached with conflicting assignments"
                 )
 
     def advance(self, round_no: int) -> None:
@@ -644,11 +609,9 @@ class FOCore:
         v = self.answers.get(leaf.key)
         if v is not None:
             return v
-        if len(leaf.ordered) != len(leaf.instances):
-            level = e.level + 1
-            leaf.ordered = [
-                self.entries[(level, text)] for text in sorted(leaf.instances)
-            ]
+        if leaf.ordered is None:
+            live = (self.entries.get((e.level + 1, x)) for x in sorted(leaf.instances))
+            leaf.ordered = [inst for inst in live if inst is not None]
         vals = [self._eval_entry(inst, round_no) for inst in leaf.ordered]
         decisive = leaf.shape.is_exists
         if decisive in vals:

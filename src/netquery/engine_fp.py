@@ -13,11 +13,11 @@ round counter:
   first argument, against the table committed in earlier iterations.
   Positive tuples collect in the node's first-order core until the window
   closes, then move into the committed table all at once, so every node
-  switches stages in the same round.  The node builds that core in
-  iteration 0 and restarts it in every later iteration: every iteration
-  floods the same query texts in the same rounds, and only the answers
-  about the relation being computed change, so the entries, leaves and
-  instance links are built once per run.
+  switches stages in the same round.  The node keeps one core for the run
+  and restarts it when each iteration begins: every iteration floods the
+  same query texts in the same rounds, and only the answers about the
+  relation being computed change, so each entry, leaf and instance link
+  is built by the first evaluation that reaches it and reused after.
 * Inform window: a node that committed new tuples floods a small notice
   (relayed at most once per node per iteration).  At the end of the window
   each node continues to the next iteration if it committed new tuples or
@@ -77,9 +77,10 @@ class FPCore:
     """One node's share of the distributed fixpoint evaluation.  It keeps
     the committed table, not its past: after iteration i (`_commit`) the
     union over nodes of `committed` is stage i+1 of the centralized
-    evaluation.  Its one FOCore is built when iteration 0 begins and is
-    restarted (`FOCore.restart`) against the new table when each later
-    iteration begins, after its work is added to the node's."""
+    evaluation.  Its one FOCore is made when iteration 0 begins, and every
+    iteration, iteration 0 included, begins by adding the core's work to
+    the node's and restarting it (`FOCore.restart`) against the committed
+    table."""
 
     def __init__(
         self,
@@ -134,8 +135,6 @@ class FPCore:
         assert q is not None
         self.it = i
         self.inform_heard = False
-        table = (q.name, frozenset(self.committed))
-        round_offset = self._start_round(i) - 1
         if self.core is None:
             self.core = FOCore(
                 self_id=self.self_id,
@@ -144,12 +143,11 @@ class FPCore:
                 delta=self.delta,
                 order=q.vars,
                 queries=self.queries,
-                table=table,
-                round_offset=round_offset,
             )
-        else:
-            self.work += self.core.work
-            self.core.restart(table, round_offset)
+        self.work += self.core.work
+        self.core.restart(
+            (q.name, frozenset(self.committed)), self._start_round(i) - 1
+        )
         self.core.inject_query(
             substitute(q.body, q.vars[-1], self.self_id), (self.self_id,)
         )

@@ -205,11 +205,11 @@ def _snapshot(core):
     for ek, e in core.entries.items():
         snap.entries[ek] = copy.copy(e)
         snap.entries[ek].leaves = [
-            dataclasses.replace(leaf, instances=set(leaf.instances), ordered=[])
+            dataclasses.replace(leaf, instances=set(leaf.instances), ordered=None)
             for leaf in e.leaves
         ]
     snap.unresolved = {ek: snap.entries[ek] for ek in core.unresolved}
-    snap.kept, snap.links, snap.open_leaves = None, {}, []
+    snap.built, snap.links, snap.open_leaves = {}, {}, []
     snap.answers, snap.out = dict(core.answers), list(core.out)
     return snap
 

@@ -446,6 +446,15 @@ def test_nonces_are_distinct_where_collection_waves_can_meet():
                 assert len(set(near)) == len(near), (g.n, k, a)
 
 
+def test_nonces_are_distinct_for_every_node_up_to_ten_thousand():
+    """The nonces of node ids 1..10,000 are pairwise distinct, so no two
+    collection waves share a nonce on any graph whose nodes are numbered
+    within 1..10^4, as the ring, grid and path constructors number them,
+    whatever its diameter and radius k."""
+    nonces = {simnet._nonce(a) for a in range(1, 10_001)}
+    assert len(nonces) == 10_000
+
+
 # ------------------------------------------------------------- running
 
 
