@@ -655,10 +655,10 @@ class _BroadcastEngine(NodeEngine):
     """Simulator adapter of the global engines: one core per node, built by
     `_core(self_id, neighbors, self_unary, delta)`, whose round is ingest,
     advance and flush, with every payload broadcast.  Every node is stepped
-    in every round.  One engine object serves one run: it owns the run's
-    `QueryTable` and hands it to every core it builds, so each query text
-    the run floods is parsed, printed, instantiated and compiled once per
-    run, not once per node.
+    in every round.  An engine is built from the run's query and serves
+    that run: it owns the run's `QueryTable` and hands it to every core it
+    builds, so each query text the run floods is printed, instantiated and
+    compiled once per run, not once per node.
 
     Both cores read their inbox as a set by construction: a core orders
     what it sends, not what it reads.  `FOCore.ingest` takes payloads in
@@ -703,17 +703,22 @@ class _BroadcastEngine(NodeEngine):
 
 
 class FOQueryEngine(_BroadcastEngine):
-    """One FOCore per node, for a query whose answer variables are `order`."""
+    """One FOCore per node for the run's query f, whose answer variables are
+    its free variables in order of first occurrence.  No node reads f from
+    a text: the requester evaluates f itself, and every text the run floods
+    is the canonical text of a template in the run's table, so f is kept
+    as given."""
 
-    def __init__(self, order: tuple[str, ...]):
-        self.order = tuple(order)
+    def __init__(self, f: Formula):
+        self.query = f
+        self.order = free_vars(f)
         self.queries = QueryTable()
 
     def _core(self, *args: Any) -> FOCore:
         return FOCore(*args, order=self.order, queries=self.queries)
 
     def inject(self, state: FOCore, ctx: NodeContext, payload: Any) -> None:
-        state.inject_query(payload, ())
+        state.inject_query(self.query, ())
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         return fo_payload_bits(payload, enc)
@@ -803,13 +808,13 @@ def run_qe_fo(
     _admit_global(net, f)
     delta = net.graph.diameter
     budget = clock_value(max(1, stats(f).w), max(1, delta))
-    order = free_vars(f)
+    engine = FOQueryEngine(f)
     return _run_from_requester(
         net,
-        FOQueryEngine(order),
+        engine,
         f,
         requester,
-        len(order),
+        len(engine.order),
         round_cap=round_cap if round_cap is not None else budget + delta + 8,
         with_placement=with_placement,
         fragment=lambda a, rows: rows,

@@ -6,6 +6,9 @@ round counter:
 * Query flood: the requester broadcasts the printed fixpoint query with a
   hop budget of one less than the diameter; every node relays it once while
   the budget lasts, so by round ``1 + delta`` every node holds the query.
+  The text is read once per run, when the engine is built from the query:
+  every node evaluates that one read, and a node that hears the flood only
+  checks that the text is the run's query.
 * Evaluation window (one per iteration): every node evaluates the query
   body with its own id substituted for the last declared variable, the
   remaining variables resolved by the usual open-query machinery.  Atoms
@@ -33,6 +36,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Union
 
 from .engine_fo import (
+    EngineError,
     FOCore,
     QueryTable,
     _BroadcastEngine,
@@ -77,7 +81,9 @@ class FPCore:
     """One node's share of the distributed fixpoint evaluation.  It keeps
     the committed table, not its past: after iteration i (`_commit`) the
     union over nodes of `committed` is stage i+1 of the centralized
-    evaluation.  Its one FOCore is made when iteration 0 begins, and every
+    evaluation.  The run's query and its flooded text are the engine's
+    (`run`), which read the query once for every node; a node only learns
+    when to start (`adopt`).  Its one FOCore is made with it, and every
     iteration, iteration 0 included, begins by adding the core's work to
     the node's and restarting it (`FOCore.restart`) against the committed
     table."""
@@ -88,18 +94,18 @@ class FPCore:
         neighbors: frozenset[int],
         self_unary: frozenset[str],
         delta: int,
-        queries: QueryTable,
+        run: FPQueryEngine,
     ):
-        self.self_id = self_id
-        self.neighbors = frozenset(neighbors)
-        self.self_unary = frozenset(self_unary)
+        st = run.stats
         self.delta = delta
-        self.queries = queries  # handed to the node's FOCore
-        self.query: Optional[FixpointQuery] = None
-        self.window = 0  # evaluation window length, set with the query
+        self.run = run
+        self.window = evaluation_window(max(1, st.w), st.v, delta)
+        self.adopted = False  # set when the query is injected or first heard
         self.done = False  # set when an iteration ends with nothing new
         self.it = -1  # index of the current iteration, -1 before the first
-        self.core: Optional[FOCore] = None
+        self.core = FOCore(
+            self_id, neighbors, self_unary, delta, run.query.vars, run.queries
+        )
         self.committed: set[tuple[int, ...]] = set()
         self.new_local = False
         self.inform_heard = False
@@ -113,47 +119,25 @@ class FPCore:
 
     # -- query adoption
 
-    def adopt(self, q: FixpointQuery) -> None:
-        if self.query is not None:
-            return
-        st = stats(q)
-        self.query = q
-        self.window = evaluation_window(max(1, st.w), st.v, self.delta)
+    def adopt(self, hops: int) -> None:
+        """Take up the run's query, injected (`hops` the diameter) or heard
+        with `hops` relays left, and flood it on while relays remain."""
+        self.adopted = True
         self.work += 1
-
-    def seed(self, q: FixpointQuery) -> None:
-        """Requester entry point: adopt the query and start its flood."""
-        text = print_fixpoint(q)
-        self.adopt(parse_fixpoint(text))
-        if self.delta >= 1:
-            self.out.append(("FPQ", text, self.delta - 1))
+        if hops > 0:
+            self.out.append(("FPQ", self.run.text, hops - 1))
 
     # -- iteration bookkeeping
 
     def _begin_iteration(self, i: int) -> None:
-        q = self.query
-        assert q is not None
+        q, own = self.run.query, self.core.self_id
         self.it = i
         self.inform_heard = False
-        if self.core is None:
-            self.core = FOCore(
-                self_id=self.self_id,
-                neighbors=self.neighbors,
-                self_unary=self.self_unary,
-                delta=self.delta,
-                order=q.vars,
-                queries=self.queries,
-            )
         self.work += self.core.work
-        self.core.restart(
-            (q.name, frozenset(self.committed)), self._start_round(i) - 1
-        )
-        self.core.inject_query(
-            substitute(q.body, q.vars[-1], self.self_id), (self.self_id,)
-        )
+        self.core.restart((q.name, frozenset(self.committed)), self._start_round(i) - 1)
+        self.core.inject_query(substitute(q.body, q.vars[-1], own), (own,))
 
     def _commit(self) -> None:
-        assert self.core is not None
         fresh = self.core.fragment() - self.committed
         self.committed |= fresh
         self.new_local = bool(fresh)
@@ -164,49 +148,49 @@ class FPCore:
     # -- round interface
 
     def ingest(self, payloads: Sequence[tuple]) -> None:
-        floods: list[tuple[int, str]] = []  # (hops, text) of each FPQ copy
+        flood_hops = -1  # the largest hop count among the round's FPQ copies
         inform_hops = -1
         inner: list[tuple] = []
         for p in payloads:
             if p[0] == "FPQ":
-                floods.append((p[2], p[1]))
+                if p[1] != self.run.text:
+                    raise EngineError(f"flooded query {p[1]!r} is not the run's query")
+                flood_hops = max(flood_hops, p[2])
             elif p[0] == "I":
                 if p[1] == self.it:
                     inform_hops = max(inform_hops, p[2])
             elif p[0] == "F":
                 if p[1] == self.it:
                     inner.append(p[2])
-        if floods and self.query is None:
+        if flood_hops >= 0 and not self.adopted:
             # Like an inform, the query flood goes on with the largest hop
             # count among the round's copies, whatever their order.
-            hops, text = max(floods)
-            self.adopt(parse_fixpoint(text))
-            if hops > 0:
-                self.out.append(("FPQ", text, hops - 1))
+            self.adopt(flood_hops)
         if inform_hops >= 0 and not self.inform_heard:
             self.inform_heard = True
             self.work += 1
             if inform_hops > 0:
                 self.out.append(("I", self.it, inform_hops - 1))
-        if inner and self.core is not None:
+        if inner:
             self.core.ingest(inner)
 
     def advance(self, round_no: int) -> None:
         """Run the scheduled actions for this round: finish the current
         evaluation window, commit, and decide whether to continue."""
-        if self.query is None or self.done:
+        if not self.adopted or self.done:
             return
-        if self.core is not None:
+        if self.it >= 0:
             self.core.advance(round_no)
             if round_no == self._start_round(self.it) + self.window:
                 self._commit()
         nxt = self.it + 1
         if round_no == self._start_round(nxt):
             if nxt > 0 and not (self.new_local or self.inform_heard):
-                self.work += self.core.work if self.core is not None else 0
-                self.core = None
+                # Every node halts in this round, so nothing is sent: the
+                # core's answers of this round go nowhere.
                 self.done = True
                 self.out = []
+                self.core.flush()
                 return
             self._begin_iteration(nxt)
             self.core.advance(round_no)
@@ -216,15 +200,14 @@ class FPCore:
         core's, all of one iteration, as `FOCore.flush` orders them."""
         out = sorted(self.out, key=_fp_send_order)
         self.out = []
-        if self.core is not None:
-            out.extend(("F", self.it, p) for p in self.core.flush())
+        out.extend(("F", self.it, p) for p in self.core.flush())
         return out
 
     def idle(self, round_no: int) -> bool:
         return self.done
 
     def total_work(self) -> int:
-        return self.work + (self.core.work if self.core is not None else 0)
+        return self.work + self.core.work
 
     def fragment(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.committed)
@@ -234,17 +217,23 @@ class FPCore:
 
 
 class FPQueryEngine(_BroadcastEngine):
-    """One FPCore per node; the requester is seeded with the query, everyone
-    else learns it from the flood."""
+    """One FPCore per node for the run's query q.  The engine reads q once,
+    as every node reads the flood: it prints q and parses the printed text,
+    and every node evaluates that one read; the requester is injected with
+    it, everyone else learns it from the flood.  Its cores share the read,
+    the query's statistics and the run's `QueryTable`."""
 
-    def __init__(self) -> None:
+    def __init__(self, q: FixpointQuery):
+        self.text = print_fixpoint(q)
+        self.query = parse_fixpoint(self.text)
+        self.stats = stats(self.query)
         self.queries = QueryTable()
 
     def _core(self, *args: Any) -> FPCore:
-        return FPCore(*args, queries=self.queries)
+        return FPCore(*args, run=self)
 
     def inject(self, state: FPCore, ctx: NodeContext, payload: Any) -> None:
-        state.seed(payload)
+        state.adopt(state.delta)
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         if payload[0] == "FPQ":
@@ -282,7 +271,7 @@ def run_qe_fp(
     _admit_global(net, q)
     return _run_from_requester(
         net,
-        FPQueryEngine(),
+        FPQueryEngine(q),
         q,
         requester,
         q.arity,

@@ -535,54 +535,49 @@ class _Collector:
 
 
 class _LocalState:
-    """What a local engine keeps per node: the adopted query (compiled), its
-    centre variable and radius, and the walk collection."""
+    """What a local engine keeps per node: whether it has adopted the run's
+    query and still has to relay it, and the walk collection."""
 
-    __slots__ = ("query", "center", "k", "relay", "collector")
+    __slots__ = ("adopted", "relay", "collector")
 
     def __init__(self, collector: _Collector) -> None:
-        self.query: Optional[_Compiled] = None
-        self.center = ""
-        self.k = 0
-        self.relay: Optional[str] = None  # the query text still to relay
+        self.adopted = False
+        self.relay = False  # adopted, and the query not yet relayed
         self.collector = collector
 
 
 class _LocalEngine(NodeEngine):
-    """What the local engines share: adopt the first query heard and relay
-    it once, serve the walk collection, and hand over the topology and the
-    radius-k domain once, in the step the collection comes home (`_home`).
-    An engine names its state class `_State` and its query printer
-    `_print`, reads a query text into (parsed query, centre variable,
-    radius, compiled query) in `_read`, and serves its own message tags in
-    `_serve`.  One engine object serves every node of a run, so `reads`
-    maps each distinct text to what `_read` made of it and the parsed query
-    printed for the relay: each text is read, compiled and printed once per
-    run, and every node evaluates through the same compiled checks.  A text
-    that fails to read is not kept and fails again at every node that
-    reads it.
+    """What the local engines share: adopt the run's query when it is
+    injected or first heard and relay it once, serve the walk collection,
+    and hand over the topology and the radius-k domain once, in the step
+    the collection comes home (`_home`).  An engine is built from the run's
+    query and reads it once, as every node reads the flood: it prints the
+    query (`text`, the relayed text) and parses the printed text into its
+    centre variable `center`, its radius `k` and the compiled `query`.
+    Every node evaluates through those compiled checks, and a node that
+    hears a text other than the run's query raises EngineError.  An engine
+    names its state class `_State` and serves its own message tags in
+    `_serve`.
 
     A step serves its inbox sorted, so it reads the inbox as a set.
     Messages compare by payload first, and two local messages in one inbox
     differ by their tag, wave, trace, route or query text before any row or
     label would be compared."""
 
-    def __init__(self) -> None:
-        self.reads: dict[str, tuple[Any, str, int, _Compiled, str]] = {}
+    text: str
+    center: str
+    k: int
+    query: _Compiled
 
     def start(self, ctx: NodeContext) -> Any:
         return self._State(_Collector(ctx.nonce))
 
     def inject(self, state: Any, ctx: NodeContext, payload: Any) -> None:
-        self._adopt(state, self._print(payload))
+        self._adopt(state)
 
-    def _adopt(self, state: _LocalState, text: str) -> None:
-        if state.query is None:
-            read = self.reads.get(text)
-            if read is None:
-                read = self._read(text)
-                read = self.reads[text] = (*read, self._print(read[0]))
-            _, state.center, state.k, state.query, state.relay = read
+    def _adopt(self, state: _LocalState) -> None:
+        if not state.adopted:
+            state.adopted = state.relay = True
 
     def _serve(
         self,
@@ -615,16 +610,20 @@ class _LocalEngine(NodeEngine):
         for payload, port in inbox:
             tag = payload[0]
             if tag == "lq":
-                self._adopt(state, payload[1])
+                if payload[1] != self.text:
+                    raise EngineError(
+                        f"flooded query {payload[1]!r} is not the run's query"
+                    )
+                self._adopt(state)
             elif tag == "C":
                 collector.serve_collect(ctx, payload, port, next(walks), out)
             elif tag == "R":
                 collector.serve_reply(ctx, payload, out)
             else:
                 work += self._serve(state, ctx, payload, port, out)
-        if state.relay is not None:
-            out.extend(broadcast(ctx, ("lq", state.relay)))
-            state.relay = None
+        if state.relay:
+            out.extend(broadcast(ctx, ("lq", self.text)))
+            state.relay = False
         return work
 
     def _home(
@@ -637,7 +636,7 @@ class _LocalEngine(NodeEngine):
             return None
         topo = _topology_from_entries(collector.radius, collector.stored)
         collector.stored = None
-        return topo, tuple(i for i, t in enumerate(topo.reps) if len(t) <= 2 * state.k)
+        return topo, tuple(i for i, t in enumerate(topo.reps) if len(t) <= 2 * self.k)
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         return local_payload_bits(payload, enc)
@@ -661,17 +660,14 @@ class FOLocEngine(_LocalEngine):
     drives it, so it asks for no wake-up."""
 
     _State = _FOLocState
-    _print = staticmethod(print_formula)
 
-    def __init__(self, order: tuple[str, ...]):
-        super().__init__()
-        self.order = tuple(order)
-
-    def _read(self, text: str) -> tuple[Formula, str, int, _Compiled]:
-        f = parse_formula(text)
-        center, k = _locality(f)
-        rest = [v for v in self.order if v != center]
-        return f, center, k, _compile_query(f, center, rest, self.order)
+    def __init__(self, f: Formula):
+        self.text = print_formula(f)
+        read = parse_formula(self.text)
+        self.center, self.k = _locality(read)
+        order = free_vars(f)  # the answer columns
+        rest = [v for v in order if v != self.center]
+        self.query = _compile_query(read, self.center, rest, order)
 
     def step(
         self,
@@ -680,24 +676,24 @@ class FOLocEngine(_LocalEngine):
         round_no: int,
         inbox: Sequence[tuple[Any, int]],
     ) -> StepResult:
-        if not inbox and state.relay is None and (
-            state.query is None or state.collector.radius is not None
+        if not inbox and not state.relay and (
+            not state.adopted or state.collector.radius is not None
         ):
             # Nothing to serve, relay or launch, and the collection can only
             # come home through a reply: the simulator's after-send step.
-            return StepResult((), state.query is None or state.rows is not None)
+            return StepResult((), not state.adopted or state.rows is not None)
         out: list[tuple[int, Any]] = []
         work = self._serve_inbox(state, ctx, inbox, out)
-        if state.query is not None and state.collector.radius is None:
-            state.collector.launch(ctx, state.k, out)
+        if state.adopted and state.collector.radius is None:
+            state.collector.launch(ctx, self.k, out)
         home = self._home(state)
         if home is not None:
             cx = _Eval(*home)
-            state.rows = frozenset(_rows(state.query, cx, _CENTER))
+            state.rows = frozenset(_rows(self.query, cx, _CENTER))
             work += cx.work
         return StepResult(
             sends=tuple(out),
-            quiescent=not out and (state.query is None or state.rows is not None),
+            quiescent=not out and (not state.adopted or state.rows is not None),
             steps=1 + work,
             bits=sends_bits(out, local_payload_bits, ctx.enc),
         )
@@ -722,13 +718,12 @@ def run_qe_fo_loc(
     fragments are returned as a third value."""
     f = parse_formula(formula) if isinstance(formula, str) else formula
     k = _admit_local(net, f)
-    order = free_vars(f)
     return _run_from_requester(
         net,
-        FOLocEngine(order),
+        FOLocEngine(f),
         f,
         requester,
-        len(order),
+        len(free_vars(f)),
         round_cap=(
             round_cap if round_cap is not None
             else net.graph.diameter + 2 * k + 16
@@ -787,13 +782,13 @@ class FPLocEngine(_LocalEngine):
     are woken by bounded informs."""
 
     _State = _FPLocState
-    _print = staticmethod(print_fixpoint)
 
-    def _read(self, text: str) -> tuple[FixpointQuery, str, int, _Compiled]:
-        q = parse_fixpoint(text)
-        center, k = _locality(q)
-        rest = tuple(v for v in q.vars if v != center)
-        return q, center, k, _compile_query(q.body, center, rest, rest, q.name)
+    def __init__(self, q: FixpointQuery):
+        self.text = print_fixpoint(q)
+        read = parse_fixpoint(self.text)
+        self.center, self.k = _locality(read)
+        rest = tuple(v for v in read.vars if v != self.center)
+        self.query = _compile_query(read.body, self.center, rest, rest, read.name)
 
     def step(
         self,
@@ -803,26 +798,18 @@ class FPLocEngine(_LocalEngine):
         inbox: Sequence[tuple[Any, int]],
     ) -> StepResult:
         out: list[tuple[int, Any]] = []
-        c0, f0, tau = _fp_loc_clock(ctx.diameter, state.k)
+        c0, f0, tau = _fp_loc_clock(ctx.diameter, self.k)
         if (
             state.topology is not None
             and round_no >= f0
             and (round_no - f0) % tau == 0
         ):
             self._cross_boundary(state)
-        if (
-            state.query is not None
-            and state.topology is None
-            and round_no >= f0
-        ):
+        if state.adopted and state.topology is None and round_no >= f0:
             raise EngineError("collection did not finish within its window")
         work = self._serve_inbox(state, ctx, inbox, out)
-        if (
-            state.query is not None
-            and round_no == c0
-            and state.collector.radius is None
-        ):
-            state.collector.launch(ctx, 2 * state.k, out)
+        if state.adopted and round_no == c0 and state.collector.radius is None:
+            state.collector.launch(ctx, 2 * self.k, out)
         home = self._home(state)
         if home is not None:
             state.topology, state.domain = home
@@ -831,9 +818,9 @@ class FPLocEngine(_LocalEngine):
             r = (round_no - f0) % tau
             if r == 0 and state.awake:
                 work += self._open_window(state, out)
-            elif r == 2 * state.k + 1 and state.awake:
+            elif r == 2 * self.k + 1 and state.awake:
                 work += self._finalize_window(state, ctx, out)
-        busy = state.query is not None and (
+        busy = state.adopted and (
             state.topology is None or state.awake or bool(state.buffer)
         )
         return StepResult(
@@ -844,16 +831,15 @@ class FPLocEngine(_LocalEngine):
             bits=sends_bits(out, local_payload_bits, ctx.enc),
         )
 
-    @staticmethod
     def _wake_at(
-        state: _FPLocState, round_no: int, c0: int, f0: int, tau: int
+        self, state: _FPLocState, round_no: int, c0: int, f0: int, tau: int
     ) -> Optional[int]:
         """The next round in which the clock alone gives this node work:
         the launch, the end of the collection's window, the finalize of an
         awake window, or the next window boundary (a quiescent node wakes
         there too, since `window` and the per-window resets advance only in
         a boundary step)."""
-        if state.query is None:
+        if not state.adopted:
             return None
         if state.topology is None:
             if state.collector.radius is None and round_no < c0:
@@ -862,7 +848,7 @@ class FPLocEngine(_LocalEngine):
         if round_no < f0:
             return f0
         start = round_no - (round_no - f0) % tau
-        finalize = start + 2 * state.k + 1
+        finalize = start + 2 * self.k + 1
         if state.awake and round_no < finalize:
             return finalize
         return start + tau
@@ -890,10 +876,6 @@ class FPLocEngine(_LocalEngine):
         out: list[tuple[int, Any]],
     ) -> int:
         tag = payload[0]
-        if tag == "A":
-            return self._serve_ask(state, payload, port, out)
-        if tag == "B":
-            return self._serve_answer(state, payload, port, out)
         if tag == "N":
             state.inform_heard = True
             budget = payload[1]
@@ -901,57 +883,42 @@ class FPLocEngine(_LocalEngine):
                 state.max_relayed = budget - 1
                 out.extend(broadcast(ctx, ("N", budget - 1)))
             return 0
-        return super()._serve(state, ctx, payload, port, out)
-
-    def _serve_ask(
-        self,
-        state: _FPLocState,
-        payload: tuple,
-        port: int,
-        out: list[tuple[int, Any]],
-    ) -> int:
-        _, route, j, names = payload
-        if port != route[j - 1]:
-            raise EngineError("routed query strayed from its walk")
-        if j < len(route):
-            out.append((route[j], ("A", route, j + 2, names)))
+        if tag != "A" and tag != "B":
+            return super()._serve(state, ctx, payload, port, out)
+        # One source-routing step: an ask (A) or an answer (B) carries its
+        # walk and its place on it as fields 1 and 2, arrives over the
+        # walk's last port so far, and goes on while the walk does.  A
+        # forward costs 1, an ask answered 1 and an answer that arrives 0.
+        walk, j = payload[1], payload[2]
+        if port != walk[j - 1]:
+            kind = "query" if tag == "A" else "answer"
+            raise EngineError(f"routed {kind} strayed from its walk")
+        if j < len(walk):
+            out.append((walk[j], (tag, walk, j + 2, *payload[3:])))
             return 1
+        if tag == "B":
+            _, _, _, route, names, truth = payload
+            state.answers[(route, names)] = truth
+            return 0
         topo = state.topology
         if topo is None:
             raise EngineError("table query arrived before any table exists")
+        names = payload[3]
         row = tuple(topo.reps[topo.class_index(t)] for t in names)
-        truth = row in state.table
-        back = reverse_trace(route)
-        out.append((back[0], ("B", back, 2, route, names, truth)))
+        back = reverse_trace(walk)
+        out.append((back[0], ("B", back, 2, walk, names, row in state.table)))
         return 1
-
-    def _serve_answer(
-        self,
-        state: _FPLocState,
-        payload: tuple,
-        port: int,
-        out: list[tuple[int, Any]],
-    ) -> int:
-        _, back, j, route, names, truth = payload
-        if port != back[j - 1]:
-            raise EngineError("routed answer strayed from its walk")
-        if j < len(back):
-            out.append((back[j], ("B", back, j + 2, route, names, truth)))
-            return 1
-        state.answers[(route, names)] = truth
-        return 0
 
     def _open_window(
         self, state: _FPLocState, out: list[tuple[int, Any]]
     ) -> int:
-        q = state.query
         topo = state.topology
-        assert q is not None and topo is not None
+        assert topo is not None
         ground: set[tuple[int, tuple[int, ...]]] = set()
-        for names, rest in q.shapes:
+        for names, rest in self.query.shapes:
             for combo in itertools.product(state.domain, repeat=len(rest)):
                 env = dict(zip(rest, combo))
-                env[state.center] = _CENTER
+                env[self.center] = _CENTER
                 ground.add((env[names[0]], tuple([env[v] for v in names[1:]])))
         sent = 0
         for holder, args in sorted(ground):
@@ -972,9 +939,8 @@ class FPLocEngine(_LocalEngine):
         ctx: NodeContext,
         out: list[tuple[int, Any]],
     ) -> int:
-        q = state.query
         topo = state.topology
-        assert q is not None and topo is not None
+        assert topo is not None
 
         def truth(holder: int, args: tuple[int, ...]) -> bool:
             """A ground table atom: the node's own committed rows directly,
@@ -987,9 +953,9 @@ class FPLocEngine(_LocalEngine):
             return answer
 
         cx = _Eval(topo, state.domain, truth)
-        state.buffer = _rows(q, cx, _CENTER) - state.table
+        state.buffer = _rows(self.query, cx, _CENTER) - state.table
         if state.buffer:
-            out.extend(broadcast(ctx, ("N", state.k)))
+            out.extend(broadcast(ctx, ("N", self.k)))
         state.awake = False
         return cx.work
 
@@ -1024,7 +990,7 @@ def run_qe_fp_loc(
     k = _admit_local(net, q)
     return _run_from_requester(
         net,
-        FPLocEngine(),
+        FPLocEngine(q),
         q,
         requester,
         q.arity,

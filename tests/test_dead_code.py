@@ -11,8 +11,10 @@ and every module must stay small enough to compile without growing the
 parser's token array.  Every name `bench/layers.py` counts or wraps must be
 defined in the package.  The package's self-recursive functions over a
 formula are a fixed list, so a new hand-written walk is a deliberate choice.
-A package record keeps only what its caller gave it: no dataclass field is
-`init=False` and no module calls `object.__setattr__`.
+In the query engines' modules only the drivers, the admissions and the
+engine constructors name a formula parser or printer.  A package record
+keeps only what its caller gave it: no dataclass field is `init=False` and
+no module calls `object.__setattr__`.
 """
 from __future__ import annotations
 
@@ -275,6 +277,46 @@ def test_formula_recursions_are_the_listed_ones():
             ):
                 found.add(f"{name[:-3]}.{d.name}")
     assert found == FORMULA_RECURSIONS
+
+
+# A query engine reads its query once per run, when it is built; a driver
+# parses the text it is given; an admission may read the query too.
+QUERY_READERS = {"parse_formula", "parse_fixpoint", "print_formula", "print_fixpoint"}
+
+
+def _may_read_queries(qualname: str) -> bool:
+    return qualname.startswith(("run_qe_", "_admit_")) or qualname.endswith(
+        "Engine.__init__"
+    )
+
+
+def _scopes(tree: ast.Module):
+    """(qualified name, node) of each module-level function, each method and
+    every other module- or class-level statement, which covers the tree."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                name = m.name if isinstance(m, ast.FunctionDef) else "<body>"
+                yield f"{node.name}.{name}", m
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield "<module>", node
+
+
+def test_only_drivers_admissions_and_engine_constructors_read_queries():
+    """In the query engines' modules, only a driver, an admission or an
+    engine constructor names a formula parser or printer, so no node and
+    no round reads a query text."""
+    readers = {
+        f"{name[:-3]}.{qualname}"
+        for name in ("engine_fo.py", "engine_fp.py", "local_engine.py")
+        for qualname, node in _scopes(TREES[name])
+        if QUERY_READERS & set(_reads(node))
+    }
+    assert readers and not {
+        r for r in readers if not _may_read_queries(r.split(".", 1)[1])
+    }, sorted(readers)
 
 
 # CPython's parser doubles its token array past this many tokens when it

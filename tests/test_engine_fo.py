@@ -40,7 +40,6 @@ from netquery.logic import (
     _terms_of,
     canonical_print,
     constants,
-    free_vars,
     parse_fixpoint,
     parse_formula,
     stats,
@@ -120,7 +119,7 @@ def test_ground_queries_resolve_via_party_floods():
 def test_tuples_are_held_at_their_first_coordinate():
     f = parse_formula(TWO_HOP_TEXT)
     net = _net(path_graph(4))
-    res, _ = simnet.run(net, FOQueryEngine(free_vars(f)), init={1: f})
+    res, _ = simnet.run(net, FOQueryEngine(f), init={1: f})
     held = dict(res)
     assert held[1] == frozenset({(1,)})
     assert held[4] == frozenset({(4,)})
@@ -188,7 +187,7 @@ def _fo_cores(g, text, seed):
     budget = clock_value(max(1, stats(f).w), g.diameter) + g.diameter + 8
     result, _ = simnet.run(
         _net(g, port_seed=seed),
-        _CoreKeepingEngine(free_vars(f)),
+        _CoreKeepingEngine(f),
         init={1: f},
         round_cap=budget,
     )
@@ -568,12 +567,13 @@ def test_send_order_matches_the_text_keyed_reference():
     sends its FPQ and I payloads and its core's payloads, wrapped in F, in
     the reference order."""
     rng = random.Random(14)
+    run = engine_fp.FPQueryEngine(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT))
     for _ in range(300):
         payloads = [_random_payload(rng) for _ in range(rng.randint(0, 40))]
         assert sorted(payloads, key=_send_order) == sorted(
             payloads, key=_reference_send_order
         )
-        node = engine_fp.FPCore(1, frozenset(), frozenset(), 1, QueryTable())
+        node = engine_fp.FPCore(1, frozenset(), frozenset(), 1, run)
         node.it = rng.randrange(4)
         node.out = [
             ("FPQ", rng.choice("xyz"), rng.randrange(3))

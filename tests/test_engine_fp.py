@@ -63,7 +63,7 @@ class _HistoryEngine(FPQueryEngine):
     the centralized evaluation."""
 
     def _core(self, *args):
-        return _HistoryCore(*args, queries=self.queries)
+        return _HistoryCore(*args, run=self)
 
     def collect(self, state, ctx):
         return SimpleNamespace(
@@ -74,7 +74,7 @@ class _HistoryEngine(FPQueryEngine):
 def _run_with_reports(g, q, requester, **kw):
     net = _net(g)
     cap = default_fp_round_cap(net, q)
-    return simnet.run(net, _HistoryEngine(), init={requester: q}, round_cap=cap, **kw)
+    return simnet.run(net, _HistoryEngine(q), init={requester: q}, round_cap=cap, **kw)
 
 
 # ------------------------------------------------------------ window length
@@ -315,6 +315,19 @@ def test_query_texts_are_parsed_once_per_run(monkeypatch):
     assert texts == []
 
 
+def test_a_flooded_text_other_than_the_run_query_is_an_error():
+    """Every node evaluates the engine's one read of the query, so a node
+    that hears an FPQ payload whose text is not the run's query raises in
+    the step that receives it; the run's own text is adopted and relayed."""
+    engine = FPQueryEngine(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT))
+    ctx = simnet._context_for(_net(path_graph(3)), 2)
+    foreign = ("FPQ", ROUTING_TABLE_TEXT, 0)
+    with pytest.raises(EngineError, match="is not the run's query"):
+        engine.step(engine.start(ctx), ctx, 1, ((foreign, 1),))
+    res = engine.step(engine.start(ctx), ctx, 1, ((("FPQ", engine.text, 1), 1),))
+    assert [p for _, p in res.sends] == [("FPQ", engine.text, 0)] * 2
+
+
 def test_instances_are_derived_once_per_run(monkeypatch):
     """The run's query table substitutes each (text, value) pair once for
     every node and iteration, and the next run starts from an empty table,
@@ -411,31 +424,25 @@ def test_a_restarted_core_builds_what_it_lacks_as_a_fresh_core_would():
 
 class _FreshCore(FPCore):
     """The reference: a fresh FOCore for every iteration, built from the
-    same flooded texts, where FPCore restarts the one it built first."""
+    same flooded texts, where FPCore restarts the one it built with it."""
 
     def _begin_iteration(self, i):
-        q = self.query
-        if self.core is not None:
-            self.work += self.core.work
+        q, old = self.run.query, self.core
+        self.work += old.work
         self.it = i
         self.inform_heard = False
         self.core = FOCore(
-            self.self_id,
-            self.neighbors,
-            self.self_unary,
-            self.delta,
-            q.vars,
-            self.queries,
+            old.self_id, old.neighbors, old.self_unary, old.delta, q.vars, old.queries
         )
         self.core.restart((q.name, frozenset(self.committed)), self._start_round(i) - 1)
         self.core.inject_query(
-            substitute(q.body, q.vars[-1], self.self_id), (self.self_id,)
+            substitute(q.body, q.vars[-1], old.self_id), (old.self_id,)
         )
 
 
 class _FreshEngine(FPQueryEngine):
     def _core(self, *args):
-        return _FreshCore(*args, queries=self.queries)
+        return _FreshCore(*args, run=self)
 
 
 def _steps(engine, g, q, port_seed, order_seed, permuted_inboxes):
@@ -494,7 +501,7 @@ def test_restarted_cores_step_as_fresh_cores(
         "spanning-tree": SPANNING_TREE_TEXT,
     }[text])
     g = _REUSE_GRAPHS[graph].with_unary({"ReqNode": [1]})
-    fresh = _steps(_FreshEngine(), g, q, port_seed, order_seed, permuted_inboxes)
-    kept = _steps(FPQueryEngine(), g, q, port_seed, order_seed, permuted_inboxes)
+    fresh = _steps(_FreshEngine(q), g, q, port_seed, order_seed, permuted_inboxes)
+    kept = _steps(FPQueryEngine(q), g, q, port_seed, order_seed, permuted_inboxes)
     assert kept == fresh
     assert len(kept[0]) > 0

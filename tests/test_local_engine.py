@@ -235,7 +235,7 @@ def test_protocol_topology_equals_reference():
                 if mode
                 else make_network(g, port_seed=seed)
             )
-            eng = FOLocReporter(("x",))
+            eng = FOLocReporter(f)
             res, _ = simnet.run(
                 net, eng, init={min(g.nodes): f}, round_cap=400
             )
@@ -399,7 +399,7 @@ def test_fp_loc_anonymous_exhaustive():
 
 def _run_fp_reports(g, q, requester):
     net = make_network(g)
-    eng = FPLocReporter()
+    eng = FPLocReporter(q)
     res, metrics = simnet.run(
         net, eng, init={requester: q}, round_cap=100_000
     )
@@ -531,8 +531,8 @@ def test_local_reports_are_invariant_under_isomorphism(monkeypatch):
             net = make_network(g, mode, port_seed=seed)
             image = _permuted_network(net, perm)
             for engine, query in (
-                (FOLocReporter(("x",)), parse_formula(DEG2)),
-                (FPLocReporter(), tc_query(1)),
+                (FOLocReporter(parse_formula(DEG2)), parse_formula(DEG2)),
+                (FPLocReporter(tc_query(1)), tc_query(1)),
             ):
                 monkeypatch.setattr(simnet, "_nonce", real_nonce)
                 want, want_m = simnet.run(net, engine, {1: query}, round_cap=400)
@@ -598,12 +598,12 @@ def test_an_engine_without_a_mode_compares_only_labeled_nodes():
     labeled = make_network(
         g, IdentityMode("local-consistent", 1, injective_labels(g))
     )
-    res, _ = simnet.run(labeled, FOLocEngine(("x",)), {1: f}, round_cap=400)
+    res, _ = simnet.run(labeled, FOLocEngine(f), {1: f}, round_cap=400)
     got = {(a,) for a, rows in res.items() if rows}
     assert got == eval_fo(g, f).tuples == {(2,), (3,), (4,)}
     anonymous = make_network(g, ANONYMOUS)
     with pytest.raises(EngineError, match="unlabeled"):
-        simnet.run(anonymous, FOLocEngine(("x",)), {1: f}, round_cap=400)
+        simnet.run(anonymous, FOLocEngine(f), {1: f}, round_cap=400)
 
 
 def test_rejects_unguarded_free_variable():
@@ -687,35 +687,30 @@ def test_fp_loc_runs_guard_first_query():
         assert rel.tuples == eval_fp_loc(g, tc_query(1)).final.tuples
 
 
-def test_query_text_is_read_once_per_run(monkeypatch):
-    """Every node adopts the flooded text, but one run reads each distinct
-    text once; the next run reads it afresh."""
-    texts = []
-    real = local_engine.parse_fixpoint
-    monkeypatch.setattr(
-        local_engine, "parse_fixpoint", lambda text: texts.append(text) or real(text)
-    )
-    q = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
-    net = make_network(ring_graph(8), mode=ANONYMOUS)
-    run_qe_fp_loc(net, q, 1)
-    assert len(texts) == 1
-    run_qe_fp_loc(net, q, 1)
-    assert len(texts) == 2
-
-
 @pytest.mark.parametrize("engine", [FOLocEngine, FPLocEngine])
 def test_relay_text_is_printed_once_per_run(monkeypatch, engine):
-    """Every node relays the query it adopted, but one run prints it once
-    for the relay, besides the print of the injected query; the next run
-    prints it afresh."""
-    printed = []
-    real = engine._print
-    monkeypatch.setattr(
-        engine, "_print", staticmethod(lambda q: printed.append(real(q)) or real(q))
-    )
+    """Every node relays the query the engine read, but one run prints it
+    once, when the engine is built, and every relay carries that text; the
+    next run prints it afresh."""
+    name = "print_formula" if engine is FOLocEngine else "print_fixpoint"
+    real_print, real_broadcast = getattr(local_engine, name), local_engine.broadcast
+    printed, relayed = [], []
+
+    def counted_print(q):
+        printed.append(real_print(q))
+        return printed[-1]
+
+    def watched_broadcast(ctx, payload):
+        if payload[0] == "lq":
+            relayed.append(payload[1])
+        return real_broadcast(ctx, payload)
+
+    monkeypatch.setattr(local_engine, name, counted_print)
+    monkeypatch.setattr(local_engine, "broadcast", watched_broadcast)
     g = ring_graph(8)
     net = make_network(g, mode=ANONYMOUS)
     for run in (1, 2):
+        relayed.clear()
         if engine is FPLocEngine:
             q = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
             rel, _ = run_qe_fp_loc(net, q, 1)
@@ -723,23 +718,120 @@ def test_relay_text_is_printed_once_per_run(monkeypatch, engine):
         else:
             rel, _ = run_qe_fo_loc(net, DEG2, 1)
             assert rel.tuples == eval_fo(g, parse_formula(DEG2)).tuples
-        assert len(printed) == 2 * run
+        assert len(printed) == run
+        assert len(relayed) == len(g.nodes) and set(relayed) == {printed[-1]}
     assert printed[1] == printed[0]
 
 
 @pytest.mark.parametrize(
     "engine,text,error",
     [
-        (FPLocEngine(), "mu T(x,y). G(x,y", ParseError),
-        (FOLocEngine(("x",)), "exists y. G(x,y)", EngineError),
+        ((FPLocEngine, run_qe_fp_loc), "mu T(x,y). G(x,y", ParseError),
+        ((FOLocEngine, run_qe_fo_loc), "exists y. G(x,y)", EngineError),
     ],
 )
-def test_unreadable_query_fails_at_every_node(engine, text, error):
-    for nonce in (1, 2):
-        state = engine._State(local_engine._Collector(nonce))
+def test_unreadable_query_fails_at_every_node(monkeypatch, engine, text, error):
+    """A query text that cannot be read, or read as a local query, fails
+    whichever node requests it, every time, before an engine is built and
+    so before any node steps: no failed read is kept."""
+    engine, driver = engine
+    built = []
+    real_init = engine.__init__
+    monkeypatch.setattr(
+        engine, "__init__", lambda self, q: built.append(q) or real_init(self, q)
+    )
+    g = path_graph(4)
+    net = make_network(g, ANONYMOUS)
+    for requester in sorted(g.nodes):
         with pytest.raises(error):
-            engine._adopt(state, text)
-    assert engine.reads == {}
+            driver(net, text, requester)
+    assert built == []
+
+
+def test_an_engine_is_built_only_for_a_query_it_can_run():
+    """A local engine reads its query once, when it is built, so a query
+    with no locality radius fails there, before any node steps."""
+    with pytest.raises(EngineError, match="radius"):
+        FOLocEngine(parse_formula("exists y. G(x,y)"))
+    with pytest.raises(EngineError, match="no locality radius"):
+        FPLocEngine(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT))
+
+
+# ------------------------------------------------------ message-level errors
+
+
+def _foreign_root(state):
+    """A crafted wait at the root of a wave that is not the node's own."""
+    state.collector.pending[(99, ())] = ({1}, [])
+
+
+# name -> (engine, one (payload, arrival port) pair, state change, message);
+# every message arrives at the middle node of an anonymous path of 3.
+MESSAGE_ERRORS = {
+    "foreign-query-fo-loc": (
+        FOLocEngine, (("lq", "G(x,x)"), 1), None, "is not the run's query"
+    ),
+    "foreign-query-fp-loc": (
+        FPLocEngine, (("lq", "G(x,x)"), 1), None, "is not the run's query"
+    ),
+    "unknown-tag-fo-loc": (FOLocEngine, (("Z",), 1), None, "unexpected message tag"),
+    "unknown-tag-fp-loc": (FPLocEngine, (("Z",), 1), None, "unexpected message tag"),
+    "odd-trace": (
+        FOLocEngine, (("C", 99, 1, (1, 2)), 1), None, "malformed collection trace"
+    ),
+    "unforwarded-reply": (
+        FOLocEngine, (("R", 99, (1, 1), ()), 1), None,
+        "reply for a walk that was never forwarded",
+    ),
+    "foreign-root-reply": (
+        FOLocEngine, (("R", 99, (1, 1), ()), 1), _foreign_root,
+        "root reply for a foreign wave",
+    ),
+    "stray-ask": (
+        FPLocEngine, (("A", (1, 2), 2, ()), 1), None,
+        "routed query strayed from its walk",
+    ),
+    "stray-answer": (
+        FPLocEngine, (("B", (1, 2), 2, (2, 1), (), True), 1), None,
+        "routed answer strayed from its walk",
+    ),
+    "ask-before-table": (
+        FPLocEngine, (("A", (1, 2), 2, ((),)), 2), None,
+        "table query arrived before any table exists",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MESSAGE_ERRORS))
+def test_malformed_messages_raise(case):
+    """Each message a local node cannot serve raises EngineError with its
+    own reason, in the step that receives it."""
+    engine, delivery, craft, message = MESSAGE_ERRORS[case]
+    engine = engine(parse_formula(DEG2) if engine is FOLocEngine else tc_query(1))
+    ctx = simnet._context_for(make_network(path_graph(3), ANONYMOUS), 2)
+    state = engine.start(ctx)
+    if craft is not None:
+        craft(state)
+    with pytest.raises(EngineError, match=message):
+        engine.step(state, ctx, 1, (delivery,))
+
+
+def test_an_unanswered_table_query_raises_when_its_window_closes():
+    """A node whose table queries get no answer within the window cannot
+    decide its remote table atoms, and raises when it finalizes."""
+
+    class DropsAnswers(FPLocEngine):
+        def _serve(self, state, ctx, payload, port, out):
+            if payload[0] == "B":
+                return 0
+            return super()._serve(state, ctx, payload, port, out)
+
+    q = parse_fixpoint("mu T(x). Mark(x) | exists y in N^1(x). (G(x,y) & T(y))")
+    net = make_network(path_graph(3).with_unary({"Mark": [1]}), ANONYMOUS)
+    rel, _ = run_qe_fp_loc(net, q, 1)
+    assert rel.tuples == {(1,), (2,), (3,)}
+    with pytest.raises(EngineError, match="went unanswered within its window"):
+        simnet.run(net, DropsAnswers(q), {1: q}, round_cap=400)
 
 
 # ------------------------------------------------------- pinned node steps
@@ -1057,13 +1149,15 @@ def _outcome(evaluate):
         return str(err)
 
 
-def _compare_with_interpreter(net, engine, text, table):
-    """Every environment of every node: the compiled check and the
-    interpreter agree on truth (or error) and on the work they count.
-    Returns (environments compared, errors seen)."""
-    parsed, center, k, query = engine._read(text)
+def _compare_with_interpreter(net, engine, parsed, table):
+    """Every environment of every node: the compiled check of `engine` and
+    the interpreter on `parsed`, the query as the engine read it, agree on
+    truth (or error) and on the work they count.  Returns (environments
+    compared, errors seen)."""
+    center, k, query = engine.center, engine.k, engine.query
     if table is None:
-        body, names, radius = parsed, [v for v in engine.order if v != center], k
+        names = [v for v in free_vars(parsed) if v != center]
+        body, radius = parsed, k
     else:
         body, names, radius = parsed.body, parsed.vars[1:], 2 * k
     compared = errors = 0
@@ -1111,14 +1205,15 @@ def test_compiled_checks_match_the_interpreter():
             net = make_network(g, mode=mode) if mode else make_network(g)
             for text in FO_LOCAL_TEXTS:
                 f = parse_formula(text)
-                engine = FOLocEngine(tuple(free_vars(f)))
-                c, e = _compare_with_interpreter(net, engine, text, None)
+                c, e = _compare_with_interpreter(
+                    net, FOLocEngine(f), parse_formula(print_formula(f)), None
+                )
                 compared += c
                 errors += e
             for q in FP_LOCAL_QUERIES:
-                engine = FPLocEngine()
+                read = parse_fixpoint(print_fixpoint(q))
                 c, e = _compare_with_interpreter(
-                    net, engine, print_fixpoint(q), _table_truth
+                    net, FPLocEngine(q), read, _table_truth
                 )
                 compared += c
                 errors += e

@@ -7,6 +7,7 @@ import pytest
 
 from fixture_data import (
     HAS_NEIGHBOR_TEXT,
+    NEXT_HOP_TEXT,
     ROUTE_REQUEST_TEXT,
     ROUTING_TABLE_TEXT,
     SPANNING_TREE_TEXT,
@@ -34,6 +35,7 @@ from netquery.logic import (
     parse_fixpoint,
     print_formula,
     print_fixpoint,
+    ranges,
     relativize,
     relativize_fixpoint,
     stats,
@@ -415,3 +417,36 @@ def test_fixpoint_print_round_trip():
         r = parse_fixpoint(print_fixpoint(q))
         assert q.name == r.name and q.vars == r.vars
         assert canonical_print(q.body) == canonical_print(r.body)
+
+
+READ_CASES = [
+    *dict.fromkeys([TWO_HOP_TEXT, HAS_NEIGHBOR_TEXT, *ROUND_TRIP_CASES]),
+    ROUTING_TABLE_TEXT,
+    SPANNING_TREE_TEXT,
+    ROUTE_REQUEST_TEXT,
+    NEXT_HOP_TEXT,
+    TRANSITIVE_CLOSURE_TEXT,
+]
+
+
+@pytest.mark.parametrize("text", READ_CASES)
+def test_one_read_is_a_fixed_point(text):
+    """Reading a query means parsing its printed text, as a node reads the
+    flood and as a query engine reads its query once for every node.  For
+    each fixture query and its forms relativized at radius 1 and 2 (where
+    they exist), with r = parse(print(q)), parse(print(r)) == r field for
+    field, binder names included: a node that reads the relayed text of a
+    read holds the very query the requester read."""
+    if text.startswith("mu "):
+        parse, show = parse_fixpoint, print_fixpoint
+        q = parse(text)
+        forms = [q] + [relativize_fixpoint(q, k) for k in (1, 2)]
+    else:
+        parse, show = parse_formula, print_formula
+        q = parse(text)
+        forms = [q]
+        if free_vars(q) and not any(ranges(q)):
+            forms += [relativize(q, free_vars(q)[0], k) for k in (1, 2)]
+    for form in forms:
+        r = parse(show(form))
+        assert parse(show(r)) == r, show(form)

@@ -21,7 +21,7 @@ from fixture_data import (
 )
 from netquery.engine_fo import EngineError, FOQueryEngine, run_qe_fo
 from netquery.engine_fp import FPQueryEngine, run_qe_fp
-from netquery import simnet
+from netquery import logic, simnet
 from netquery.fixtures import (
     SAME_GENERATION_DATALOG,
     TRANSITIVE_CLOSURE_TEXT,
@@ -779,6 +779,55 @@ def test_fp_loc_node_steps_do_not_grow_with_the_ring(monkeypatch):
     assert per_node[256] <= 1.05 * per_node[64], per_node
 
 
+# driver -> (query text, its parser, network of n nodes, parses per run
+# from the text)
+QUERY_READS = {
+    "fo": (
+        run_qe_fo, TWO_HOP_TEXT, parse_formula,
+        lambda n: make_network(path_graph(n)), 1,
+    ),
+    "fp": (
+        run_qe_fp, TRANSITIVE_CLOSURE_TEXT, parse_fixpoint,
+        lambda n: make_network(path_graph(n)), 2,
+    ),
+    "fo-loc": (
+        run_qe_fo_loc, "exists y in N^1(x). G(x,y)", parse_formula,
+        lambda n: make_network(ring_graph(n), ANONYMOUS), 2,
+    ),
+    "fp-loc": (
+        run_qe_fp_loc,
+        "mu T(x,y). (G(x,y) | (exists z in N^1(x). T(x,z) & G(z,y)))"
+        " & y in N^1(x)",
+        parse_fixpoint,
+        lambda n: make_network(ring_graph(n), ANONYMOUS), 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUERY_READS))
+def test_each_run_parses_its_query_a_fixed_number_of_times(monkeypatch, case):
+    """A driver given a text parses it once, and the engine it builds
+    reads the query once for every node (it prints the query and parses
+    the printed text); the FO engine keeps the formula it is given.  So a
+    run parses a fixed number of times: the same on 3 nodes as on 6, in
+    every run, and one fewer when the driver is given a parsed query."""
+    driver, text, parse, network, want = QUERY_READS[case]
+    query = parse(text)
+    parses = [0]
+    real = logic._Parser.__init__
+
+    def counted(self, text):
+        parses[0] += 1
+        real(self, text)
+
+    monkeypatch.setattr(logic._Parser, "__init__", counted)
+    for n in (3, 6, 3):
+        for given, extra in ((text, 0), (query, -1)):
+            parses[0] = 0
+            driver(network(n), given, 1)
+            assert parses[0] == want + extra, (n, given)
+
+
 class Stuck(NodeEngine):
     """Never quiescent, never sends, asks for no wake-up; fails once it is
     stepped more than `limit` times."""
@@ -1000,9 +1049,12 @@ def test_every_node_result_is_a_frozenset(monkeypatch, case):
         assert {type(r) for r in res.values()} == {frozenset}
 
 
+TC_LOC = relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)
+
+
 @pytest.mark.parametrize("engine,query", [
-    (FOLocEngine(("x",)), parse_formula(DEG2)),
-    (FPLocEngine(), relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1)),
+    (FOLocEngine(parse_formula(DEG2)), parse_formula(DEG2)),
+    (FPLocEngine(TC_LOC), TC_LOC),
 ])
 def test_local_results_reach_no_topology(engine, query):
     """A local engine's node result holds its rows, not the ball the node
@@ -1023,9 +1075,9 @@ def test_local_results_reach_no_topology(engine, query):
 
 def _reachable(root):
     """Every object reachable from `root` by `gc.get_referents`, without
-    entering classes, modules or functions: the only functions a node
-    state holds are the compiled checks, made once per run before any
-    collection."""
+    entering classes, modules or functions: a node state holds no
+    function, and the compiled checks it runs are its engine's, made when
+    the engine is built."""
     seen, todo, out = set(), [root], []
     while todo:
         obj = todo.pop()
@@ -1048,15 +1100,15 @@ def _is_ball(obj):
     )
 
 
-@pytest.mark.parametrize("engine,args,query,part", [
-    (FOLocEngine, (("x",),), parse_formula(DEG2), lambda state: state),
+@pytest.mark.parametrize("engine,query,part", [
+    (FOLocEngine, parse_formula(DEG2), lambda state: state),
     (
-        FPLocEngine, (),
+        FPLocEngine,
         relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1),
         lambda state: state.collector,
     ),
 ], ids=["fo-loc", "fp-loc"])
-def test_local_nodes_let_go_of_their_ball(engine, args, query, part):
+def test_local_nodes_let_go_of_their_ball(engine, query, part):
     """Once FO-loc has evaluated, nothing of the ball can be reached from a
     node's state; once FP-loc has its topology, its collector holds no
     rows.  Walked from every node's state when the run collects it."""
@@ -1070,7 +1122,7 @@ def test_local_nodes_let_go_of_their_ball(engine, args, query, part):
             return super().collect(state, ctx)
 
     net = make_network(grid_graph(3, 3), ANONYMOUS)
-    results, _ = simnet.run(net, Walking(*args), {1: query}, round_cap=400)
+    results, _ = simnet.run(net, Walking(query), {1: query}, round_cap=400)
     assert all(results.values())
     assert len(walked) == 9 and min(walked) > 3
     assert held == []
