@@ -707,7 +707,7 @@ class FOQueryEngine(_BroadcastEngine):
     its free variables in order of first occurrence.  No node reads f from
     a text: the requester evaluates f itself, and every text the run floods
     is the canonical text of a template in the run's table, so f is kept
-    as given."""
+    as given, and it is the only query the requester may be injected with."""
 
     def __init__(self, f: Formula):
         self.query = f
@@ -718,10 +718,16 @@ class FOQueryEngine(_BroadcastEngine):
         return FOCore(*args, order=self.order, queries=self.queries)
 
     def inject(self, state: FOCore, ctx: NodeContext, payload: Any) -> None:
+        _check_injected(payload, self.query)
         state.inject_query(self.query, ())
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:
         return fo_payload_bits(payload, enc)
+
+
+def _check_injected(payload: Any, query: Any) -> None:
+    if payload != query:  # an engine runs only the query it was built from
+        raise EngineError("the injected query is not the engine's query")
 
 
 def fo_payload_bits(payload: tuple, enc: EncodingParams) -> int:

@@ -41,6 +41,7 @@ from .engine_fo import (
     QueryTable,
     _BroadcastEngine,
     _admit_global,
+    _check_injected,
     _run_from_requester,
     fo_payload_bits,
 )
@@ -220,10 +221,12 @@ class FPQueryEngine(_BroadcastEngine):
     """One FPCore per node for the run's query q.  The engine reads q once,
     as every node reads the flood: it prints q and parses the printed text,
     and every node evaluates that one read; the requester is injected with
-    it, everyone else learns it from the flood.  Its cores share the read,
-    the query's statistics and the run's `QueryTable`."""
+    it (an injected query other than q, the `source`, is an error), and
+    everyone else learns it from the flood.  Its cores share the read, the
+    query's statistics and the run's `QueryTable`."""
 
     def __init__(self, q: FixpointQuery):
+        self.source = q
         self.text = print_fixpoint(q)
         self.query = parse_fixpoint(self.text)
         self.stats = stats(self.query)
@@ -233,6 +236,7 @@ class FPQueryEngine(_BroadcastEngine):
         return FPCore(*args, run=self)
 
     def inject(self, state: FPCore, ctx: NodeContext, payload: Any) -> None:
+        _check_injected(payload, self.source)
         state.adopt(state.delta)
 
     def payload_bits(self, payload: Any, enc: EncodingParams) -> int:

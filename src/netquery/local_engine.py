@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .engine_fo import EngineError, _run_from_requester
+from .engine_fo import EngineError, _check_injected, _run_from_requester
 from .logic import (
     EDGE_PRED,
     And,
@@ -157,19 +157,20 @@ def _topology_from_entries(
     radius: int, entries: Mapping[PortTrace, _Row]
 ) -> LocalTopology:
     """Quotient the rows (keyed by trace) by the same-endpoint relation.
-    Each trace is linked both ways to every collected trace its row lists;
-    traces are visited in (length, trace) order and each one not yet
-    reached starts a class, so the first trace of a component is its
-    representative and classes come out in representative order.  A
-    class's facts and label are its representative's, and another trace
-    of the class that disagrees means a wrong merge."""
-    linked: dict[PortTrace, list[PortTrace]] = {t: [] for t in entries}
+    Each trace is linked both ways to every other collected trace its row
+    lists.  Most rows list only their own trace, so only linked traces get
+    an adjacency list, and a trace with none is a class of its own with
+    nothing to re-check.  Traces are visited in (length, trace) order and
+    each one not yet reached starts a class, so the first trace of a
+    component is its representative and classes come out in representative
+    order.  A class's facts and label are its representative's, and another
+    trace of the class that disagrees means a wrong merge."""
+    linked: dict[PortTrace, list[PortTrace]] = {}
     for t, row in entries.items():
-        mine = linked[t]
         for u in row[1]:
-            if u != t and u in linked:
-                mine.append(u)
-                linked[u].append(t)
+            if u != t and u in entries:
+                linked.setdefault(t, []).append(u)
+                linked.setdefault(u, []).append(t)
     visit = sorted(entries)
     visit.sort(key=len)  # stable, so (length, trace) order
     class_of: dict[PortTrace, int] = {}
@@ -179,16 +180,14 @@ def _topology_from_entries(
     for t in visit:
         if t in class_of:
             continue
-        c = len(reps)
-        class_of[t] = c
-        members = [t]
+        c = class_of[t] = len(reps)
+        _, _, facts, label = entries[t]
+        members = [t] if t in linked else ()
         for u in members:
             for v in linked[u]:
                 if v not in class_of:
                     class_of[v] = c
                     members.append(v)
-        _, _, facts, label = entries[t]
-        for u in members:
             row = entries[u]
             if row[2] != facts or row[3] != label:
                 raise EngineError(
@@ -199,16 +198,13 @@ def _topology_from_entries(
         attrs[c] = frozenset(facts)
         labels[c] = label
     # Representatives are in length order, so the classes within the radius
-    # are a prefix.
-    n = 0
-    while n < len(reps) and len(reps[n]) <= 2 * radius:
-        n += 1
+    # are a prefix, the first n.
+    n = sum(len(t) <= 2 * radius for t in reps)
     edges: set[tuple[int, int]] = set()
-    for t in entries:
-        if t:
+    for t, c2 in class_of.items():
+        if c2 < n and t:
             c1 = class_of[t[:-2]]
-            c2 = class_of[t]
-            if c1 < n and c2 < n and c1 != c2:
+            if c1 < n and c1 != c2:
                 edges.add((c1, c2) if c1 < c2 else (c2, c1))
     return LocalTopology(
         class_of=class_of,
@@ -441,32 +437,31 @@ class _Collector:
     port, keeping each as (port, rows); when the last one is in, it replies
     with its own row followed by the children's rows in port order, which is
     the order of their traces.  This node's own rows wait in `stored` until
-    `_LocalEngine._home` takes them, in the step they come home."""
+    `_LocalEngine._home` takes them, in the step they come home.  Every row
+    the node makes ends with the same sorted facts and label, which are read
+    from its context once, so a row sorts only the wave's tracelist."""
 
-    __slots__ = ("nonce", "radius", "records", "pending", "stored")
+    __slots__ = ("nonce", "facts", "label", "radius", "records", "pending", "stored")
 
-    def __init__(self, nonce: int):
-        self.nonce = nonce
+    def __init__(self, ctx: NodeContext):
+        self.nonce = ctx.nonce
+        self.facts = tuple(sorted(ctx.self_unary))
+        self.label = ctx.label
         self.radius: Optional[int] = None  # set by launch
         self.records: dict[int, set[PortTrace]] = {}
         # (wave, walk) -> (ports still to reply, [(port, rows)] received)
         self.pending: dict[tuple[int, PortTrace], tuple] = {}
         self.stored: Optional[dict[PortTrace, _Row]] = None
 
-    def _row(self, ctx: NodeContext, wave: int, walk: PortTrace) -> _Row:
-        return (
-            walk,
-            tuple(sorted(self.records.get(wave, ()))),
-            tuple(sorted(ctx.self_unary)),
-            ctx.label,
-        )
+    def _row(self, wave: int, walk: PortTrace) -> _Row:
+        return walk, tuple(sorted(self.records.get(wave, ()))), self.facts, self.label
 
     def launch(
         self, ctx: NodeContext, radius: int, out: list[tuple[int, Any]]
     ) -> None:
         self.radius = radius
         if not ctx.ports:
-            self.stored = {(): self._row(ctx, self.nonce, ())}
+            self.stored = {(): self._row(self.nonce, ())}
             return
         self.pending[(self.nonce, ())] = (set(ctx.ports), [])
         for p in ctx.ports:
@@ -478,7 +473,10 @@ class _Collector:
         full = payload[3] + (port,)
         if len(full) % 2:
             raise EngineError(f"malformed collection trace {full!r}")
-        self.records.setdefault(payload[1], set()).add(full)
+        seen = self.records.get(payload[1])
+        if seen is None:
+            seen = self.records[payload[1]] = set()
+        seen.add(full)
         return full
 
     def serve_collect(
@@ -490,18 +488,16 @@ class _Collector:
         out: list[tuple[int, Any]],
     ) -> None:
         _, wave, budget, _ = payload
-        rest = [p for p in ctx.ports if p != port]
-        if budget > 0 and rest:
+        rest = [p for p in ctx.ports if p != port] if budget > 0 else ()
+        if rest:
             self.pending[(wave, full)] = (set(rest), [])
             for p in rest:
                 out.append((p, ("C", wave, budget - 1, full + (p,))))
         else:
-            row = self._row(ctx, wave, full)
+            row = self._row(wave, full)
             out.append((port, ("R", wave, full, (row,))))
 
-    def serve_reply(
-        self, ctx: NodeContext, payload: tuple, out: list[tuple[int, Any]]
-    ) -> None:
+    def serve_reply(self, payload: tuple, out: list[tuple[int, Any]]) -> None:
         _, wave, walk, rows = payload
         key = (wave, walk[:-2])
         waiting = self.pending.get(key)
@@ -517,15 +513,13 @@ class _Collector:
         replies.sort()  # ports differ, so no two rows are compared
         prefix = key[1]
         if prefix == ():
-            if wave != self.nonce:
-                raise EngineError("root reply for a foreign wave")
-            stored = {(): self._row(ctx, wave, ())}
+            stored = {(): self._row(wave, ())}
             for _, rows in replies:
                 for row in rows:
                     stored[row[0]] = row
             self.stored = stored
             return
-        wire = [self._row(ctx, wave, prefix)]
+        wire = [self._row(wave, prefix)]
         for _, rows in replies:
             wire.extend(rows)
         out.append((prefix[-1], ("R", wave, prefix, tuple(wire))))
@@ -551,7 +545,8 @@ class _LocalEngine(NodeEngine):
     injected or first heard and relay it once, serve the walk collection,
     and hand over the topology and the radius-k domain once, in the step
     the collection comes home (`_home`).  An engine is built from the run's
-    query and reads it once, as every node reads the flood: it prints the
+    query, its `source`, which is the only query it may be injected with,
+    and reads it once, as every node reads the flood: it prints the
     query (`text`, the relayed text) and parses the printed text into its
     centre variable `center`, its radius `k` and the compiled `query`.
     Every node evaluates through those compiled checks, and a node that
@@ -564,15 +559,17 @@ class _LocalEngine(NodeEngine):
     differ by their tag, wave, trace, route or query text before any row or
     label would be compared."""
 
+    source: Union[Formula, FixpointQuery]
     text: str
     center: str
     k: int
     query: _Compiled
 
     def start(self, ctx: NodeContext) -> Any:
-        return self._State(_Collector(ctx.nonce))
+        return self._State(_Collector(ctx))
 
     def inject(self, state: Any, ctx: NodeContext, payload: Any) -> None:
+        _check_injected(payload, self.source)
         self._adopt(state)
 
     def _adopt(self, state: _LocalState) -> None:
@@ -618,7 +615,7 @@ class _LocalEngine(NodeEngine):
             elif tag == "C":
                 collector.serve_collect(ctx, payload, port, next(walks), out)
             elif tag == "R":
-                collector.serve_reply(ctx, payload, out)
+                collector.serve_reply(payload, out)
             else:
                 work += self._serve(state, ctx, payload, port, out)
         if state.relay:
@@ -662,6 +659,7 @@ class FOLocEngine(_LocalEngine):
     _State = _FOLocState
 
     def __init__(self, f: Formula):
+        self.source = f
         self.text = print_formula(f)
         read = parse_formula(self.text)
         self.center, self.k = _locality(read)
@@ -784,6 +782,7 @@ class FPLocEngine(_LocalEngine):
     _State = _FPLocState
 
     def __init__(self, q: FixpointQuery):
+        self.source = q
         self.text = print_fixpoint(q)
         read = parse_fixpoint(self.text)
         self.center, self.k = _locality(read)
@@ -1017,43 +1016,34 @@ def local_payload_bits(payload: tuple, enc: EncodingParams) -> int:
     size: traces and counters are bounded by the query radius and the degree
     bound, and nonces have a fixed width."""
     tag = payload[0]
-    if tag == "lq":
-        return enc.tag_bits + enc.text_bits(payload[1])
-    if tag == "C":
-        return (
-            enc.tag_bits
-            + _NONCE_BITS
-            + _SMALL_COUNTER_BITS
-            + _trace_bits(payload[3], enc)
-        )
-    if tag == "R":
-        # Per row: the trace and each listed trace as _trace_bits, every
-        # input fact, and a presence bit plus the label when there is one.
+    if tag == "C":  # the trace as _trace_bits
         pb = enc.port_bits
-        bits = enc.tag_bits + _NONCE_BITS + _trace_bits(payload[2], enc)
+        return enc.tag_bits + _NONCE_BITS + _SMALL_COUNTER_BITS + 8 + pb * len(payload[3])
+    if tag == "R":
+        # The walk, and per row its trace and each listed trace, as
+        # _trace_bits; per row also a presence bit, every input fact and
+        # the label when there is one.  One pass counts the ports.
+        ports, lists, bits = len(payload[2]), 0, 9 * len(payload[3])
         for t, lst, attrs, label in payload[3]:
-            bits += 9 + pb * (len(t) + sum(map(len, lst))) + 8 * len(lst)
+            ports += len(t)
+            lists += len(lst)
+            for u in lst:
+                ports += len(u)
             if attrs:
                 bits += sum(8 + enc.text_bits(s) for s in attrs)
             if label is not None:
                 bits += enc.id_bits
-        return bits
-    if tag == "A":
-        return (
-            enc.tag_bits
-            + _trace_bits(payload[1], enc)
-            + _SMALL_COUNTER_BITS
-            + sum(_trace_bits(t, enc) for t in payload[3])
-        )
-    if tag == "B":
-        return (
-            enc.tag_bits
-            + _trace_bits(payload[1], enc)
-            + _SMALL_COUNTER_BITS
-            + _trace_bits(payload[3], enc)
-            + sum(_trace_bits(t, enc) for t in payload[4])
-            + 1
-        )
+        return bits + enc.tag_bits + _NONCE_BITS + 8 * (1 + lists) + enc.port_bits * ports
+    if tag == "lq":
+        return enc.tag_bits + enc.text_bits(payload[1])
+    if tag == "A" or tag == "B":
+        # The walk, the place on it and the traces named; an answer (B)
+        # also carries the asking walk and one truth bit.
+        bits = enc.tag_bits + _trace_bits(payload[1], enc) + _SMALL_COUNTER_BITS
+        if tag == "A":
+            return bits + sum(_trace_bits(t, enc) for t in payload[3])
+        names = sum(_trace_bits(t, enc) for t in payload[4])
+        return bits + _trace_bits(payload[3], enc) + names + 1
     if tag == "N":
         return enc.tag_bits + _SMALL_COUNTER_BITS
     raise EngineError(f"unknown payload tag {tag!r}")

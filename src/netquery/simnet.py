@@ -582,19 +582,19 @@ def _run(
 
     round_no = 1
     stepping: Sequence[int] = g.nodes
+    step, pop_inbox = engine.step, inboxes.pop
     while round_no <= round_cap:
         senders: list[tuple[int, Sequence[tuple[int, Any]]]] = []
         round_bits = 0
         for a in stepping:
-            res = engine.step(
-                states[a], contexts[a], round_no, tuple(inboxes.pop(a, ()))
+            sends, quiescent, steps, w, bits = step(
+                states[a], contexts[a], round_no, tuple(pop_inbox(a, ()))
             )
-            max_steps = max(max_steps, res.steps)
-            if res.quiescent:
+            max_steps = max(max_steps, steps)
+            if quiescent:
                 restless.discard(a)
             else:
                 restless.add(a)
-            w = res.wake_at
             if w is None:
                 wake.pop(a, None)
             elif w <= round_no:
@@ -604,15 +604,15 @@ def _run(
             elif wake.get(a) != w:
                 wake[a] = w
                 heapq.heappush(calendar, (w, a))
-            if res.sends:
-                if res.bits < 1:
+            if sends:
+                if bits < 1:
                     raise SimError(
                         f"node {a} sent in round {round_no} with a largest "
-                        f"message of {res.bits} bits; a message must be at "
+                        f"message of {bits} bits; a message must be at "
                         f"least one bit"
                     )
-                round_bits = max(round_bits, res.bits)
-                senders.append((a, res.sends))
+                round_bits = max(round_bits, bits)
+                senders.append((a, sends))
         if not restless:
             return results(), snapshot_metrics()
         if senders:

@@ -760,13 +760,17 @@ def test_an_engine_is_built_only_for_a_query_it_can_run():
 # ------------------------------------------------------ message-level errors
 
 
-def _foreign_root(state):
-    """A crafted wait at the root of a wave that is not the node's own."""
-    state.collector.pending[(99, ())] = ({1}, [])
+def _launched(engine, state, ctx):
+    """The node hears the run's query and launches its own wave, so it
+    waits for root replies on both its ports, keyed by its own nonce."""
+    engine.step(state, ctx, 1, ((("lq", engine.text), 1),))
+    assert set(state.collector.pending) == {(ctx.nonce, ())}
 
 
-# name -> (engine, one (payload, arrival port) pair, state change, message);
-# every message arrives at the middle node of an anonymous path of 3.
+# name -> (engine, one (payload, arrival port) pair, steps before it,
+# message); every message arrives in round 2 at the middle node of an
+# anonymous path of 3.  The foreign root reply is a root reply of node 1's
+# wave arriving on a port the middle node's own wave waits on.
 MESSAGE_ERRORS = {
     "foreign-query-fo-loc": (
         FOLocEngine, (("lq", "G(x,x)"), 1), None, "is not the run's query"
@@ -784,8 +788,8 @@ MESSAGE_ERRORS = {
         "reply for a walk that was never forwarded",
     ),
     "foreign-root-reply": (
-        FOLocEngine, (("R", 99, (1, 1), ()), 1), _foreign_root,
-        "root reply for a foreign wave",
+        FOLocEngine, (("R", simnet._nonce(1), (1, 1), ()), 1), _launched,
+        "reply for a walk that was never forwarded",
     ),
     "stray-ask": (
         FPLocEngine, (("A", (1, 2), 2, ()), 1), None,
@@ -811,9 +815,9 @@ def test_malformed_messages_raise(case):
     ctx = simnet._context_for(make_network(path_graph(3), ANONYMOUS), 2)
     state = engine.start(ctx)
     if craft is not None:
-        craft(state)
+        craft(engine, state, ctx)
     with pytest.raises(EngineError, match=message):
-        engine.step(state, ctx, 1, (delivery,))
+        engine.step(state, ctx, 2, (delivery,))
 
 
 def test_an_unanswered_table_query_raises_when_its_window_closes():
@@ -1401,3 +1405,186 @@ def test_reply_sizes_match_the_per_field_fold(monkeypatch):
     assert len(replies) > 300
     for payload, enc in replies:
         assert real(payload, enc) == reference_reply_bits(payload, enc)
+
+
+# ------------------------- the sparse quotient and one-pass sizing vs before
+
+
+def all_links_topology(radius, entries):
+    """The quotient before only linked traces got an adjacency list: every
+    trace gets one, linked both ways to every other collected trace its row
+    lists, every class re-checks all its members, and edges are read off
+    every trace."""
+    linked = {t: [] for t in entries}
+    for t, row in entries.items():
+        mine = linked[t]
+        for u in row[1]:
+            if u != t and u in linked:
+                mine.append(u)
+                linked[u].append(t)
+    visit = sorted(entries)
+    visit.sort(key=len)
+    class_of, reps, attrs, labels = {}, [], {}, {}
+    for t in visit:
+        if t in class_of:
+            continue
+        c = len(reps)
+        class_of[t] = c
+        members = [t]
+        for u in members:
+            for v in linked[u]:
+                if v not in class_of:
+                    class_of[v] = c
+                    members.append(v)
+        _, _, facts, label = entries[t]
+        for u in members:
+            row = entries[u]
+            if row[2] != facts or row[3] != label:
+                raise EngineError(
+                    f"traces {t!r} and {u!r} are merged but report "
+                    "different facts or labels"
+                )
+        reps.append(t)
+        attrs[c] = frozenset(facts)
+        labels[c] = label
+    n = 0
+    while n < len(reps) and len(reps[n]) <= 2 * radius:
+        n += 1
+    edges = set()
+    for t in entries:
+        if t:
+            c1, c2 = class_of[t[:-2]], class_of[t]
+            if c1 < n and c2 < n and c1 != c2:
+                edges.add((c1, c2) if c1 < c2 else (c2, c1))
+    return local_engine.LocalTopology(
+        class_of=class_of,
+        reps=tuple(reps),
+        edges=frozenset(edges),
+        attrs=attrs,
+        labels=labels,
+    )
+
+
+def previous_payload_bits(payload, enc):
+    """`local_payload_bits` before one-pass sizing, tag by tag."""
+    def trace_bits(trace):
+        return 8 + enc.port_bits * len(trace)
+
+    tag, counter, nonce = payload[0], 8, local_engine._NONCE_BITS
+    if tag == "lq":
+        return enc.tag_bits + enc.text_bits(payload[1])
+    if tag == "C":
+        return enc.tag_bits + nonce + counter + trace_bits(payload[3])
+    if tag == "R":
+        bits = enc.tag_bits + nonce + trace_bits(payload[2])
+        for t, lst, attrs, label in payload[3]:
+            bits += 9 + enc.port_bits * (len(t) + sum(map(len, lst))) + 8 * len(lst)
+            if attrs:
+                bits += sum(8 + enc.text_bits(s) for s in attrs)
+            if label is not None:
+                bits += enc.id_bits
+        return bits
+    if tag == "A":
+        return (
+            enc.tag_bits + trace_bits(payload[1]) + counter
+            + sum(trace_bits(t) for t in payload[3])
+        )
+    if tag == "B":
+        return (
+            enc.tag_bits + trace_bits(payload[1]) + counter
+            + trace_bits(payload[3]) + sum(trace_bits(t) for t in payload[4]) + 1
+        )
+    if tag == "N":
+        return enc.tag_bits + counter
+    raise AssertionError(f"unknown tag {tag!r}")
+
+
+def _distance_two_labels(g):
+    """Greedy labels 1, 2, ... that differ within every radius-1 ball: the
+    least label no node within distance 2 holds yet, so labels repeat."""
+    labels = {}
+    for v in sorted(g.nodes):
+        taken = {labels.get(u) for u in g.neighborhood_nodes(v, 2)}
+        labels[v] = next(c for c in itertools.count(1) if c not in taken)
+    return labels
+
+
+def _recorded_local_runs(monkeypatch):
+    """Every collection the quotient is handed and every payload sent by
+    the FO-loc and FP-loc `GOLDEN_METRICS` cases, the `foloc-grid` and
+    `fploc-ring` benchmark calls at their tiny sizes (seeds 0 and 1), and
+    a seeded graph with input facts under repeating, locally consistent
+    labels."""
+    from test_golden import GOLDEN_METRICS
+
+    collections, payloads = [], []
+    quotient, sized = local_engine._topology_from_entries, local_engine.sends_bits
+
+    def recording_quotient(radius, entries):
+        collections.append((radius, dict(entries)))
+        return quotient(radius, entries)
+
+    def recording_sized(sends, size, enc):
+        payloads.extend((payload, enc) for _, payload in sends)
+        return sized(sends, size, enc)
+
+    monkeypatch.setattr(local_engine, "_topology_from_entries", recording_quotient)
+    monkeypatch.setattr(local_engine, "sends_bits", recording_sized)
+    for name, run, _ in GOLDEN_METRICS:
+        if name.startswith(("foloc", "fploc")):
+            run()
+    for seed in (0, 1):
+        grid = make_network(grid_graph(3, 3), mode=ANONYMOUS, port_seed=seed)
+        run_qe_fo_loc(grid, parse_formula(DEG2), 1)
+        ring = make_network(ring_graph(8), mode=ANONYMOUS, port_seed=seed)
+        run_qe_fp_loc(ring, tc_query(1), 1)
+    g = random_connected_graph(random.Random(34), 9)
+    labels = _distance_two_labels(g)
+    assert simnet.check_locally_consistent(g, labels, 1)
+    assert len(set(labels.values())) < len(g.nodes)
+    gu = g.with_unary({"Mark": [1, 5, 9], "ReqNode": [1]})
+    net = make_network(gu, IdentityMode("local-consistent", 1, labels), port_seed=2)
+    run_qe_fo_loc(net, LABELED_ORDER, 1)
+    run_qe_fp_loc(net, span_query(1), 1)
+    run_qe_fp_loc(net, tc_query(1), 1)
+    monkeypatch.undo()
+    return collections, payloads
+
+
+def test_sparse_quotient_equals_the_all_links_build(monkeypatch):
+    """On every collection of the recorded runs the quotient equals the
+    all-links build; and where a class merges traces, making one member
+    report other facts, or another label, raises the same error in both."""
+    collections, _ = _recorded_local_runs(monkeypatch)
+    assert len(collections) > 90
+    merged = 0
+    for radius, entries in collections:
+        topo = local_engine._topology_from_entries(radius, entries)
+        assert topo == all_links_topology(radius, entries)
+        for t, c in topo.class_of.items():
+            if t == topo.reps[c]:
+                continue
+            merged += 1
+            _, lst, facts, label = entries[t]
+            for wrong in ((t, lst, facts + ("Other",), label), (t, lst, facts, -1)):
+                bad = {**entries, t: wrong}
+                with pytest.raises(EngineError, match="different facts") as got:
+                    local_engine._topology_from_entries(radius, bad)
+                with pytest.raises(EngineError) as want:
+                    all_links_topology(radius, bad)
+                assert str(got.value) == str(want.value)
+    assert merged > 200
+
+
+def test_local_payload_sizes_equal_the_previous_formula(monkeypatch):
+    """Every payload of every tag sent in the recorded runs is sized as
+    before one-pass sizing, including replies with input facts and
+    labels."""
+    _, payloads = _recorded_local_runs(monkeypatch)
+    assert {payload[0] for payload, _ in payloads} == {"lq", "C", "R", "A", "B", "N"}
+    rows = [row for payload, _ in payloads if payload[0] == "R" for row in payload[3]]
+    assert any(row[2] for row in rows) and any(row[3] is not None for row in rows)
+    for payload, enc in payloads:
+        assert local_engine.local_payload_bits(payload, enc) == previous_payload_bits(
+            payload, enc
+        )

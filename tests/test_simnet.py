@@ -828,6 +828,60 @@ def test_each_run_parses_its_query_a_fixed_number_of_times(monkeypatch, case):
             assert parses[0] == want + extra, (n, given)
 
 
+# engine -> (the text of the query it is built from, the text of another
+# query, their parser, a network)
+INJECTED_QUERIES = {
+    "fo": (
+        FOQueryEngine, TWO_HOP_TEXT, HAS_NEIGHBOR_TEXT, parse_formula,
+        lambda: make_network(path_graph(3)),
+    ),
+    "fp": (
+        FPQueryEngine, TRANSITIVE_CLOSURE_TEXT, SPANNING_TREE_TEXT,
+        parse_fixpoint, lambda: make_network(path_graph(3)),
+    ),
+    "fo-loc": (
+        FOLocEngine,
+        "exists y in N^1(x). G(x,y)",
+        "exists y in N^1(x). exists z in N^1(x). (G(x,y) & G(x,z) & y != z)",
+        parse_formula,
+        lambda: make_network(ring_graph(5), ANONYMOUS),
+    ),
+    "fp-loc": (
+        FPLocEngine,
+        "mu T(x,y). (G(x,y) | (exists z in N^1(x). T(x,z) & G(z,y)))"
+        " & y in N^1(x)",
+        "mu T(x). exists y in N^1(x). (G(x,y) & !T(y))",
+        parse_fixpoint,
+        lambda: make_network(ring_graph(5), ANONYMOUS),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INJECTED_QUERIES))
+def test_an_engine_runs_only_the_query_it_was_built_from(case):
+    """`simnet.run` injects its `init` payload at the requester.  A query
+    engine is built from its run's query, so a payload that is another
+    query raises EngineError, before any node steps; the query itself, or
+    an equal one read from the same text, runs."""
+    engine, text, other, parse, network = INJECTED_QUERIES[case]
+    built, foreign = parse(text), parse(other)
+    assert foreign != built
+    steps = []
+
+    class Counted(engine):
+        def step(self, state, ctx, round_no, inbox):
+            steps.append(round_no)
+            return super().step(state, ctx, round_no, inbox)
+
+    with pytest.raises(EngineError, match="injected query is not the engine's"):
+        simnet.run(network(), Counted(built), {1: foreign})
+    with pytest.raises(EngineError, match="injected query is not the engine's"):
+        simnet.run(network(), Counted(built), {1: text})
+    assert steps == []
+    want = simnet.run(network(), engine(built), {1: built})
+    assert simnet.run(network(), engine(built), {1: parse(text)}) == want
+
+
 class Stuck(NodeEngine):
     """Never quiescent, never sends, asks for no wake-up; fails once it is
     stepped more than `limit` times."""
