@@ -623,14 +623,11 @@ class _LocalEngine(NodeEngine):
             state.relay = False
         return work
 
-    def _home(
-        self, state: _LocalState
-    ) -> Optional[tuple[LocalTopology, tuple[int, ...]]]:
+    def _home(self, state: _LocalState) -> tuple[LocalTopology, tuple[int, ...]]:
         """The topology and the radius-k domain, once: in the step the
-        collection comes home, when the collector lets go of its rows."""
+        collection comes home, when the collector lets go of its rows (the
+        caller checks that `collector.stored` holds them)."""
         collector = state.collector
-        if collector.stored is None:
-            return None
         topo = _topology_from_entries(collector.radius, collector.stored)
         collector.stored = None
         return topo, tuple(i for i, t in enumerate(topo.reps) if len(t) <= 2 * self.k)
@@ -684,9 +681,8 @@ class FOLocEngine(_LocalEngine):
         work = self._serve_inbox(state, ctx, inbox, out)
         if state.adopted and state.collector.radius is None:
             state.collector.launch(ctx, self.k, out)
-        home = self._home(state)
-        if home is not None:
-            cx = _Eval(*home)
+        if state.collector.stored is not None:
+            cx = _Eval(*self._home(state))
             state.rows = frozenset(_rows(self.query, cx, _CENTER))
             work += cx.work
         return StepResult(
@@ -736,13 +732,30 @@ def run_qe_fo_loc(
 # ----------------------------------------------------------- fixpoint engine
 
 
-def _query_key(
-    topo: LocalTopology, holder: int, args: tuple[int, ...]
-) -> tuple[PortTrace, tuple[PortTrace, ...]]:
+# A ground table atom: its holder's class and its other arguments' classes.
+_Ground = tuple[int, tuple[int, ...]]
+# A remote table atom's key: the route to its holder and the arguments
+# renamed in the holder's frame, as an ask (A) carries them.
+_AskKey = tuple[PortTrace, tuple[PortTrace, ...]]
+
+
+def _query_key(topo: LocalTopology, holder: int, args: tuple[int, ...]) -> _AskKey:
     route = topo.reps[holder]
     back = reverse_trace(route)
     names = tuple(reduce_trace(back + topo.reps[c]) for c in args)
     return route, names
+
+
+class _WindowPlan(NamedTuple):
+    """What every window of one FP-loc node reads, fixed once its collection
+    comes home.  `atoms` maps each ground table atom the node's windows can
+    decide (the centre variable bound to `_CENTER`, every other variable of
+    a table atom to a class of the domain) to its row when the node holds
+    the atom and to its ask key otherwise; `asks` lists the remote keys in
+    ground-atom order, each once."""
+
+    asks: tuple[_AskKey, ...]
+    atoms: dict[_Ground, Union[tuple[PortTrace, ...], _AskKey]]
 
 
 def _fp_loc_clock(diameter: int, k: int) -> tuple[int, int, int]:
@@ -754,15 +767,17 @@ def _fp_loc_clock(diameter: int, k: int) -> tuple[int, int, int]:
 
 class _FPLocState(_LocalState):
     """FP-loc's node state: the topology and domain handed over by the
-    collection, which every window evaluates over, and the table."""
+    collection, which every window evaluates over, the window plan built
+    from them, and the table."""
 
-    __slots__ = ("topology", "domain", "table", "buffer", "awake", "window",
-                 "inform_heard", "max_relayed", "answers")
+    __slots__ = ("topology", "domain", "plan", "table", "buffer", "awake",
+                 "window", "inform_heard", "max_relayed", "answers")
 
     def __init__(self, collector: _Collector) -> None:
         super().__init__(collector)
         self.topology: Optional[LocalTopology] = None
         self.domain: tuple[int, ...] = ()
+        self.plan: Optional[_WindowPlan] = None
         self.table: set[tuple[PortTrace, ...]] = set()
         self.buffer: set[tuple[PortTrace, ...]] = set()
         self.awake = False
@@ -806,12 +821,14 @@ class FPLocEngine(_LocalEngine):
             self._cross_boundary(state)
         if state.adopted and state.topology is None and round_no >= f0:
             raise EngineError("collection did not finish within its window")
-        work = self._serve_inbox(state, ctx, inbox, out)
+        # A step with no mail and no relay pending serves nothing: a window
+        # boundary, an after-send step or round 1.
+        work = self._serve_inbox(state, ctx, inbox, out) if inbox or state.relay else 0
         if state.adopted and round_no == c0 and state.collector.radius is None:
             state.collector.launch(ctx, 2 * self.k, out)
-        home = self._home(state)
-        if home is not None:
-            state.topology, state.domain = home
+        if state.collector.stored is not None:
+            state.topology, state.domain = self._home(state)
+            state.plan = self._window_plan(state.topology, state.domain)
             state.awake = True
         if state.topology is not None and round_no >= f0:
             r = (round_no - f0) % tau
@@ -827,7 +844,7 @@ class FPLocEngine(_LocalEngine):
             quiescent=not out and not busy,
             steps=1 + work,
             wake_at=self._wake_at(state, round_no, c0, f0, tau),
-            bits=sends_bits(out, local_payload_bits, ctx.enc),
+            bits=sends_bits(out, local_payload_bits, ctx.enc) if out else 0,
         )
 
     def _wake_at(
@@ -908,27 +925,39 @@ class FPLocEngine(_LocalEngine):
         out.append((back[0], ("B", back, 2, walk, names, row in state.table)))
         return 1
 
+    def _window_plan(
+        self, topo: LocalTopology, domain: tuple[int, ...]
+    ) -> _WindowPlan:
+        """The node's window plan, built in the step its collection comes
+        home: a table atom's ground instances over the domain, taken once
+        however many atoms of the body share them, and in sorted order each
+        one's row or ask key."""
+        atoms: dict[_Ground, Any] = {}
+        for names, rest in self.query.shapes:
+            for combo in itertools.product(domain, repeat=len(rest)):
+                env = dict(zip(rest, combo))
+                env[self.center] = _CENTER
+                atoms[env[names[0]], tuple([env[v] for v in names[1:]])] = None
+        asks = []
+        for holder, args in sorted(atoms):
+            if holder == _CENTER:
+                atoms[holder, args] = tuple([topo.reps[c] for c in args])
+            else:
+                key = atoms[holder, args] = _query_key(topo, holder, args)
+                asks.append(key)
+        return _WindowPlan(tuple(asks), atoms)
+
     def _open_window(
         self, state: _FPLocState, out: list[tuple[int, Any]]
     ) -> int:
-        topo = state.topology
-        assert topo is not None
-        ground: set[tuple[int, tuple[int, ...]]] = set()
-        for names, rest in self.query.shapes:
-            for combo in itertools.product(state.domain, repeat=len(rest)):
-                env = dict(zip(rest, combo))
-                env[self.center] = _CENTER
-                ground.add((env[names[0]], tuple([env[v] for v in names[1:]])))
+        answers = state.answers
         sent = 0
-        for holder, args in sorted(ground):
-            if holder == _CENTER:
+        for key in state.plan.asks:
+            if key in answers:
                 continue
-            route, names = _query_key(topo, holder, args)
-            key = (route, names)
-            if key in state.answers:
-                continue
-            state.answers[key] = None
-            out.append((route[0], ("A", route, 2, names)))
+            answers[key] = None
+            route = key[0]
+            out.append((route[0], ("A", route, 2, key[1])))
             sent += 1
         return sent
 
@@ -938,20 +967,19 @@ class FPLocEngine(_LocalEngine):
         ctx: NodeContext,
         out: list[tuple[int, Any]],
     ) -> int:
-        topo = state.topology
-        assert topo is not None
+        atoms, table, answers = state.plan.atoms, state.table, state.answers
 
         def truth(holder: int, args: tuple[int, ...]) -> bool:
             """A ground table atom: the node's own committed rows directly,
             remote rows from the answers that came back this window."""
             if holder == _CENTER:
-                return tuple(topo.reps[c] for c in args) in state.table
-            answer = state.answers.get(_query_key(topo, holder, args))
+                return atoms[holder, args] in table
+            answer = answers.get(atoms[holder, args])
             if answer is None:
                 raise EngineError("table query went unanswered within its window")
             return answer
 
-        cx = _Eval(topo, state.domain, truth)
+        cx = _Eval(state.topology, state.domain, truth)
         state.buffer = _rows(self.query, cx, _CENTER) - state.table
         if state.buffer:
             out.extend(broadcast(ctx, ("N", self.k)))

@@ -582,7 +582,7 @@ def _run(
 
     round_no = 1
     stepping: Sequence[int] = g.nodes
-    step, pop_inbox = engine.step, inboxes.pop
+    step, pop_inbox, push = engine.step, inboxes.pop, heapq.heappush
     while round_no <= round_cap:
         senders: list[tuple[int, Sequence[tuple[int, Any]]]] = []
         round_bits = 0
@@ -590,7 +590,8 @@ def _run(
             sends, quiescent, steps, w, bits = step(
                 states[a], contexts[a], round_no, tuple(pop_inbox(a, ()))
             )
-            max_steps = max(max_steps, steps)
+            if steps > max_steps:
+                max_steps = steps
             if quiescent:
                 restless.discard(a)
             else:
@@ -603,7 +604,7 @@ def _run(
                 )
             elif wake.get(a) != w:
                 wake[a] = w
-                heapq.heappush(calendar, (w, a))
+                push(calendar, (w, a))
             if sends:
                 if bits < 1:
                     raise SimError(
@@ -611,12 +612,14 @@ def _run(
                         f"message of {bits} bits; a message must be at "
                         f"least one bit"
                     )
-                round_bits = max(round_bits, bits)
+                if bits > round_bits:
+                    round_bits = bits
                 senders.append((a, sends))
         if not restless:
             return results(), snapshot_metrics()
         if senders:
-            max_bits = max(max_bits, round_bits)
+            if round_bits > max_bits:
+                max_bits = round_bits
             for a, sends in senders:
                 link = links[a]
                 for port, payload in sends:

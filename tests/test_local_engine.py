@@ -841,6 +841,9 @@ def test_an_unanswered_table_query_raises_when_its_window_closes():
 # ------------------------------------------------------- pinned node steps
 
 LABELED_ORDER = "(exists y in N^1(x). (G(x,y) & x >= y)) | Mark(x)"
+# Reachability of a mark: the table atom T(y) is held by a neighbour of the
+# centre, so every window asks (A) and answers (B) over routed walks.
+REACH = "mu T(x). Mark(x) | exists y in N^1(x). (G(x,y) & T(y))"
 
 
 def _local_step_digest(case, seed, order_free=False):
@@ -856,12 +859,21 @@ def _local_step_digest(case, seed, order_free=False):
         engine = FPLocEngine
         net = make_network(ring_graph(8), mode=ANONYMOUS, port_seed=seed)
         call = lambda: run_qe_fp_loc(net, tc_query(1), 1)
+    elif case == "anonymous-path-5-reach":
+        engine = FPLocEngine
+        g = path_graph(5).with_unary({"Mark": [1]})
+        net = make_network(g, mode=ANONYMOUS, port_seed=seed)
+        call = lambda: run_qe_fp_loc(net, REACH, 1)
     else:
         g = grid_graph(2, 3).with_unary({"Mark": [1, 6]})
-        engine = FOLocEngine
         mode = IdentityMode("local-consistent", 1, injective_labels(g))
         net = make_network(g, mode=mode, port_seed=seed)
-        call = lambda: run_qe_fo_loc(net, LABELED_ORDER, 1)
+        if case == "labeled-grid-2x3-reach":
+            engine = FPLocEngine
+            call = lambda: run_qe_fp_loc(net, REACH, 1)
+        else:
+            engine = FOLocEngine
+            call = lambda: run_qe_fo_loc(net, LABELED_ORDER, 1)
     real = engine.step
 
     def recording(self, state, ctx, round_no, inbox):
@@ -893,13 +905,23 @@ def _local_step_digest(case, seed, order_free=False):
      "2ebf129ba342a8581d539d166032a6a63d58a6b025778900d68a24e9a65a5a7b"),
     ("labeled-grid-2x3", 1,
      "a54eb94f96f2926a7ded12c195c61f978c1b9a44e3513c15fb90863f6f914590"),
+    ("anonymous-path-5-reach", 0,
+     "937403f6a2a85a6721f8b83e0d5e9dc92bdb9c078bf4ab8e4f4f78d4a7c982e6"),
+    ("anonymous-path-5-reach", 1,
+     "505d769667e2f403ec6683409bf39407a626aad31159ef8469a8ff30d5531b0c"),
+    ("labeled-grid-2x3-reach", 0,
+     "c9e6fbbb7e27a07e952e8097b580191254a9621d2751a77b9d3a969a29f8c541"),
+    ("labeled-grid-2x3-reach", 1,
+     "c4ff35b0b1627388770ab3fbe589166f6402313b052714d87966faec8619d438"),
 ])
 def test_local_node_steps_send_the_pinned_payloads(case, seed, digest):
     """Every node step of FO-loc and FP-loc sends the pinned payloads in the
     pinned order and reports the pinned work, quiescence and wake-up, at
     port seeds 0 and 1; test_simnet checks that permuted inboxes leave
     these digests as they are.  The pins were taken with the sorted-reply
-    collector and the sorted inbox."""
+    collector and the sorted inbox; the two reachability cases, whose
+    windows ask and answer over routed walks, before FP-loc built each
+    node's window plan once."""
     assert _local_step_digest(case, seed) == digest
 
 
@@ -916,6 +938,14 @@ def test_local_node_steps_send_the_pinned_payloads(case, seed, digest):
      "f46e0619bd8080c08d21b66838e00b7c9d8596e1d070ae01ead93938cb0c839d"),
     ("labeled-grid-2x3", 1,
      "7fba6c83332a6c05837a6b38a3f25f206d26aa5087fb209953772487409a5844"),
+    ("anonymous-path-5-reach", 0,
+     "70dad9ec9781104e214aaedf702bde0bb21dcff1cbfb90b757d88199ababacf1"),
+    ("anonymous-path-5-reach", 1,
+     "bc422a4441a8c7e036fed7a451dc37217bae6dc6bb0ca18bd6b544cc7545e1af"),
+    ("labeled-grid-2x3-reach", 0,
+     "f107859c69b05e246213b8901a26fbe2067241722e22499fc71b4d570aaeac5c"),
+    ("labeled-grid-2x3-reach", 1,
+     "bdf5d065cf54f41d2b2c8666c7482002a108cd9d226836dd91a4979df55379f4"),
 ])
 def test_local_node_steps_send_the_pinned_payload_sets(case, seed, digest):
     """Every node step sends the pinned payloads, in whatever order within
@@ -1017,8 +1047,7 @@ class FOLocReporter(FOLocEngine):
 
     def _home(self, state):
         home = super()._home(state)
-        if home is not None:
-            state.topology = home[0]
+        state.topology = home[0]
         return home
 
     def collect(self, state, ctx):
@@ -1588,3 +1617,114 @@ def test_local_payload_sizes_equal_the_previous_formula(monkeypatch):
         assert local_engine.local_payload_bits(payload, enc) == previous_payload_bits(
             payload, enc
         )
+
+
+# --------------------------------------------- FP-loc's window plan, rebuilt
+
+
+def reference_ground(engine, domain):
+    """The ground table atoms of one window, built per window as FP-loc
+    did before its window plan: every table atom of the body with the
+    centre variable bound to class 0 and every other variable to a class
+    of the domain, as (holder, args)."""
+    ground = set()
+    for names, rest in engine.query.shapes:
+        for combo in itertools.product(domain, repeat=len(rest)):
+            env = dict(zip(rest, combo))
+            env[engine.center] = 0
+            ground.add((env[names[0]], tuple(env[v] for v in names[1:])))
+    return ground
+
+
+def reference_key(topo, holder, args):
+    """A remote atom's key: the route to its holder, and each argument's
+    representative renamed by walking back along the route."""
+    route = topo.reps[holder]
+    back = reverse_trace(route)
+    return route, tuple(reduce_trace(back + topo.reps[c]) for c in args)
+
+
+def reference_asks(engine, state, answers):
+    """The asks one window sends: the remote atoms in sorted order, each
+    key once and none that `answers` already holds."""
+    seen = set(answers)
+    asks = []
+    for holder, args in sorted(reference_ground(engine, state.domain)):
+        key = reference_key(state.topology, holder, args)
+        if holder != 0 and key not in seen:
+            seen.add(key)
+            asks.append(key)
+    return asks
+
+
+def reference_truth(state, holder, args):
+    """A ground atom's truth: the node's committed rows when it holds the
+    atom, otherwise the answer that came back this window."""
+    topo = state.topology
+    if holder == 0:
+        return tuple(topo.reps[c] for c in args) in state.table
+    answer = state.answers.get(reference_key(topo, holder, args))
+    if answer is None:
+        raise EngineError("table query went unanswered within its window")
+    return answer
+
+
+def test_window_plan_equals_the_per_window_build(monkeypatch):
+    """On every window of the FP-loc `GOLDEN_METRICS` cases and of
+    reachability on path-5 and the labelled 2x3 grid (port seeds 0 and 1),
+    the node's window plan covers exactly the window's ground table atoms,
+    sends the asks the per-window build sends, in its order, and gives
+    every ground atom the per-window build's truth."""
+    from test_golden import GOLDEN_METRICS
+
+    counts = {"windows": 0, "finalized": 0, "asks": 0, "local": 0, "remote": 0}
+    truths = []
+    rows, open_window, finalize = (
+        local_engine._rows, FPLocEngine._open_window, FPLocEngine._finalize_window
+    )
+
+    def recording_rows(query, cx, center):
+        if cx.table is not None:
+            truths.append(cx.table)
+        return rows(query, cx, center)
+
+    def checked_open(self, state, out):
+        ground = reference_ground(self, state.domain)
+        assert set(state.plan.atoms) == ground
+        assert list(state.plan.asks) == reference_asks(self, state, {})
+        want = reference_asks(self, state, state.answers)
+        start = len(out)
+        sent = open_window(self, state, out)
+        assert out[start:] == [(r[0], ("A", r, 2, names)) for r, names in want]
+        assert sent == len(want)
+        counts["windows"] += 1
+        counts["asks"] += sent
+        return sent
+
+    def checked_finalize(self, state, ctx, out):
+        work = finalize(self, state, ctx, out)
+        truth = truths.pop()
+        for holder, args in sorted(reference_ground(self, state.domain)):
+            assert _outcome(lambda: truth(holder, args)) == _outcome(
+                lambda: reference_truth(state, holder, args)
+            )
+            counts["local" if holder == 0 else "remote"] += 1
+        counts["finalized"] += 1
+        return work
+
+    monkeypatch.setattr(local_engine, "_rows", recording_rows)
+    monkeypatch.setattr(FPLocEngine, "_open_window", checked_open)
+    monkeypatch.setattr(FPLocEngine, "_finalize_window", checked_finalize)
+    for name, run, _ in GOLDEN_METRICS:
+        if name.startswith("fploc"):
+            run()
+    reach = parse_fixpoint(REACH)
+    g = grid_graph(2, 3).with_unary({"Mark": [1, 6]})
+    labeled = IdentityMode("local-consistent", 1, injective_labels(g))
+    for seed in (0, 1):
+        path = path_graph(5).with_unary({"Mark": [1]})
+        run_qe_fp_loc(make_network(path, ANONYMOUS, port_seed=seed), reach, 1)
+        run_qe_fp_loc(make_network(g, labeled, port_seed=seed), reach, 1)
+    assert not truths
+    assert counts["windows"] == counts["finalized"] > 100
+    assert counts["asks"] == counts["remote"] > 500 and counts["local"] > 300
