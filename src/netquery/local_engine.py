@@ -13,11 +13,14 @@ table fragment held by a nearby node is consulted by source-routing a
 request along a recorded walk and re-locating each name in the holder's own
 frame.
 
-Concurrent collections are kept apart by the constant-size random nonce
-each initiator's context carries: two different initiators can otherwise
-record identical port traces at the same node (for instance on a ring whose
-ports are labeled the same way everywhere), which would merge classes that
-belong to distinct nodes.  The nonce scopes every record to one wave.
+Concurrent collections are kept apart by the constant-size nonce each
+initiator's context carries: two different initiators can otherwise record
+identical port traces at the same node (for instance on a ring whose ports
+are labeled the same way everywhere), which would merge classes that
+belong to distinct nodes.  The nonce scopes every record to one wave.  The
+simulator gives every node a distinct nonce (`simnet._nonce`); two equal
+nonces, which a real random source could draw, would merge two waves
+unnoticed.
 """
 from __future__ import annotations
 
@@ -795,6 +798,7 @@ class FPLocEngine(_LocalEngine):
     are woken by bounded informs."""
 
     _State = _FPLocState
+    clock: tuple[int, int, int]  # c0, f0, tau of `_fp_loc_clock`
 
     def __init__(self, q: FixpointQuery):
         self.source = q
@@ -804,6 +808,12 @@ class FPLocEngine(_LocalEngine):
         rest = tuple(v for v in read.vars if v != self.center)
         self.query = _compile_query(read.body, self.center, rest, rest, read.name)
 
+    def start(self, ctx: NodeContext) -> Any:
+        # Every node of a run reads the same diameter, so the clock is the
+        # run's: set here, read by every step.
+        self.clock = _fp_loc_clock(ctx.diameter, self.k)
+        return super().start(ctx)
+
     def step(
         self,
         state: _FPLocState,
@@ -812,7 +822,7 @@ class FPLocEngine(_LocalEngine):
         inbox: Sequence[tuple[Any, int]],
     ) -> StepResult:
         out: list[tuple[int, Any]] = []
-        c0, f0, tau = _fp_loc_clock(ctx.diameter, self.k)
+        c0, f0, tau = self.clock
         if (
             state.topology is not None
             and round_no >= f0

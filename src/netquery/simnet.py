@@ -12,8 +12,17 @@ computation phase after which every node's last report is quiescent; the
 sends of that round are never delivered.
 
 A node's context (`NodeContext`) holds what the identity mode exposes and
-a private 32-bit nonce, the node's own random bits; the simulator's own node
-numbers reach an engine only as the ids of global mode.
+a private 32-bit nonce, which stands in for the node's own random bits; the
+simulator's own node numbers reach an engine only as the ids of global mode.
+The nonce is a fixed bijection of the node number mod 2**32 (`_nonce`), so
+nodes numbered within any 2**32 consecutive integers get distinct nonces by
+construction.  Engines treat a nonce as opaque bits: it breaks the symmetry
+between the collection waves of an anonymous network, and nothing reads
+more of it than equality and order.  A real random source could make two
+nodes draw the same bits; the model leaves that collision out.  The local
+engines key each wave by its nonce alone (`local_engine._Collector`), so
+such a collision would merge two waves unnoticed; a wave key that would
+survive one is left open (ROADMAP item 11).
 
 A delivered message is a plain `(payload, arrival port)` pair, and a node's
 in-buffer a tuple of them: one delivery format for every engine.  An
@@ -36,7 +45,6 @@ engine family.
 from __future__ import annotations
 
 import gc
-import heapq
 import math
 import random
 import re
@@ -329,12 +337,19 @@ class NodeContext:
 
 
 _NONCE_BITS = 32  # the width of `NodeContext.nonce`, on the wire too
+_NONCE_MASK = (1 << _NONCE_BITS) - 1
 
 
 def _nonce(a: int) -> int:
-    """Node `a`'s _NONCE_BITS private random bits, seeded from `a` as a
-    stand-in for the node's own random source."""
-    return random.Random(1_000_003 * a + 7).getrandbits(_NONCE_BITS)
+    """Node `a`'s _NONCE_BITS bits, a stand-in for the node's own random
+    source: `a` times an odd constant mod 2**32, then its high half xored
+    into its low half.  Both steps are bijections of the 32-bit words (an
+    odd number is invertible mod 2**32, and the xor leaves the high half as
+    it was, so applying it again undoes it), so two node numbers that
+    differ by less than 2**32 get distinct nonces.  Engines read the
+    result as opaque bits."""
+    x = (a * 0x9E3779B1) & _NONCE_MASK
+    return x ^ (x >> 16)
 
 
 def _context_for(net: Network, a: int) -> NodeContext:
@@ -562,7 +577,9 @@ def _run(
     inboxes: defaultdict[int, list[tuple[Any, int]]] = defaultdict(list)
     restless: set[int] = set()  # nodes whose last report is not quiescent
     wake: dict[int, int] = {}  # node -> the wake-up round of its last report
-    calendar: list[tuple[int, int]] = []  # heap of (wake-up round, node)
+    # wake-up round -> the nodes that asked for it; a node whose later report
+    # replaced the request is stale there, since `wake` decides
+    calendar: defaultdict[int, list[int]] = defaultdict(list)
 
     msgs_sent = {a: 0 for a in g.nodes}
     max_bits = 0
@@ -582,7 +599,7 @@ def _run(
 
     round_no = 1
     stepping: Sequence[int] = g.nodes
-    step, pop_inbox, push = engine.step, inboxes.pop, heapq.heappush
+    step, pop_inbox = engine.step, inboxes.pop
     while round_no <= round_cap:
         senders: list[tuple[int, Sequence[tuple[int, Any]]]] = []
         round_bits = 0
@@ -604,7 +621,7 @@ def _run(
                 )
             elif wake.get(a) != w:
                 wake[a] = w
-                push(calendar, (w, a))
+                calendar[w].append(a)
             if sends:
                 if bits < 1:
                     raise SimError(
@@ -632,19 +649,21 @@ def _run(
             deliveries += 1
             round_no += 1
         else:
-            # Nothing in flight: jump to the earliest wake-up still asked for.
-            while calendar and wake.get(calendar[0][1]) != calendar[0][0]:
-                heapq.heappop(calendar)
-            if not calendar:
+            # Nothing in flight: jump to the earliest wake-up still asked
+            # for, dropping the buckets that hold only stale requests.
+            while calendar:
+                w = min(calendar)
+                if any(wake.get(a) == w for a in calendar[w]):
+                    break
+                del calendar[w]
+            else:
                 break  # nothing can change any more
-            round_no = calendar[0][0]
-        # Every wake-up in `calendar` lies after the last round stepped, and
-        # an entry a node's later report replaced is stale.
+            round_no = w
+        # Every round in `calendar` lies after the last round stepped.
         due = set(inboxes).union(a for a, _ in senders)
-        while calendar and calendar[0][0] == round_no:
-            w, a = heapq.heappop(calendar)
-            if wake.get(a) == w:
-                due.add(a)
+        asked = calendar.pop(round_no, None)
+        if asked:
+            due.update(a for a in asked if wake.get(a) == round_no)
         stepping = sorted(due)
     raise RoundCapError(
         f"round cap {round_cap} exceeded without termination",

@@ -892,6 +892,64 @@ def _local_step_digest(case, seed, order_free=False):
     return digest.hexdigest()
 
 
+# (case, port seed) -> (ordered, order-free) step digest, with the nonces of
+# `simnet._nonce`
+LOCAL_STEP_PINS = {
+    ("anonymous-grid-3x3", 0): (
+        "a6c506df4791a2307f9dffed252e7009227f7c9c77cb7a89a93a3013d7b00ee4",
+        "2488b4272424944e21f1d1dd495fca85e97cfbdc5d7d5a81e10dd5250bda17b0",
+    ),
+    ("anonymous-grid-3x3", 1): (
+        "6a305694b0b7ba63090210ebcfa70ead1e48a245ec872f13307c7fe2df14ff59",
+        "5dd7b6dc8a4d57f200193ffdea7df96244c5420ed5c65c561421678d174f8b8d",
+    ),
+    ("anonymous-ring-8", 0): (
+        "7e41b61eaf44ebfe0bda4383449f846f991bd713c567a575481d2cf4c7878e80",
+        "1e99d6bc061a187ec834332a664c4027766e1708fc4a9a77a9b5371ff48af0c0",
+    ),
+    ("anonymous-ring-8", 1): (
+        "8ff7eab2ca2422a69d4a32c64aefb73af9804a79e054aaa1d387c4f7e9514416",
+        "265c027de7af50a4b0a6016109f76a7de1fa6e9c9eb0b64bdad33ddf2d637d0a",
+    ),
+    ("labeled-grid-2x3", 0): (
+        "2d44083ec09c172f0c0957739e5ba1a8074f495b980014a3c45a9a10d4125a9e",
+        "1bf8c7e6352de07f9eb886eb22e47de9b2168311df4fd2425a7490fb5ea8c167",
+    ),
+    ("labeled-grid-2x3", 1): (
+        "364cb7c9e397e401430bbd0133f39c13b63624aa2d1e9300d59433c37a359ea1",
+        "5f287ce5604bb6788d031867b8b2ff79387f41c972363ea4c8d55327b5024ff0",
+    ),
+    ("anonymous-path-5-reach", 0): (
+        "3551d00c43a688fe1082ef985ae9e156f459703ccb24eace948a08f774f4fad6",
+        "414e737639c6b7060b49711b3a1a1d07900eaf5442cd10288837259216d85b47",
+    ),
+    ("anonymous-path-5-reach", 1): (
+        "e4c67b30085362efae83a9798dea754281f36e1242cb692c60ea6b91845f131d",
+        "193e4085d8ead0c721fc88e59877c8bffb23b6b89307d8745d8f08fb00f9a349",
+    ),
+    ("labeled-grid-2x3-reach", 0): (
+        "953a59f6f8a7b3eee7f380b234cb0af6e3d18ca5bc65db271a61ac6b81f27cac",
+        "e482a20f8f1d6c6feb0e24de0cadeecec29407c985fe8dc55116f3a90208a103",
+    ),
+    ("labeled-grid-2x3-reach", 1): (
+        "9348a84c5c084f5ee1e519b0ec67335391a111c4a756c59cced19bfce4fec5d8",
+        "088952e6b509f466e81d495098a2e199fc16e84f55aca99c1a05f426d9add87d",
+    ),
+}
+
+
+def _seeded_nonce(a):
+    """The nonce map the simulator used before its fixed bijection: one
+    seeded `random.Random` per node."""
+    return random.Random(1_000_003 * a + 7).getrandbits(simnet._NONCE_BITS)
+
+
+def _seeded_local_step_digest(case, seed, order_free=False):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "_nonce", _seeded_nonce)
+        return _local_step_digest(case, seed, order_free)
+
+
 @pytest.mark.parametrize("case,seed,digest", [
     ("anonymous-grid-3x3", 0,
      "a2ee2331bc9b464aafa8fe53793bf949581cf0aa4db3d084d914d0e1459f939c"),
@@ -918,11 +976,18 @@ def test_local_node_steps_send_the_pinned_payloads(case, seed, digest):
     """Every node step of FO-loc and FP-loc sends the pinned payloads in the
     pinned order and reports the pinned work, quiescence and wake-up, at
     port seeds 0 and 1; test_simnet checks that permuted inboxes leave
-    these digests as they are.  The pins were taken with the sorted-reply
-    collector and the sorted inbox; the two reachability cases, whose
-    windows ask and answer over routed walks, before FP-loc built each
-    node's window plan once."""
-    assert _local_step_digest(case, seed) == digest
+    these digests as they are.
+
+    `digest` is the pin taken while nonces came from one seeded
+    `random.Random` per node: with the sorted-reply collector and the
+    sorted inbox, and for the two reachability cases, whose windows ask and
+    answer over routed walks, before FP-loc built each node's window plan
+    once.  Every collection message carries its wave's nonce, so the
+    bijective nonces moved every digest (`LOCAL_STEP_PINS`); put back the
+    seeded map and the old pin holds, so the move renames the waves and
+    changes nothing else."""
+    assert _local_step_digest(case, seed) == LOCAL_STEP_PINS[case, seed][0]
+    assert _seeded_local_step_digest(case, seed) == digest
 
 
 @pytest.mark.parametrize("case,seed,digest", [
@@ -949,10 +1014,17 @@ def test_local_node_steps_send_the_pinned_payloads(case, seed, digest):
 ])
 def test_local_node_steps_send_the_pinned_payload_sets(case, seed, digest):
     """Every node step sends the pinned payloads, in whatever order within
-    the step, with the pinned work, quiescence and wake-up.  These pins were
-    taken while the simulator still shuffled the local engines' in-buffers,
-    and hold unchanged now that the engines serve their inbox sorted."""
-    assert _local_step_digest(case, seed, order_free=True) == digest
+    the step, with the pinned work, quiescence and wake-up.  `digest` was
+    taken while the simulator still shuffled the local engines' in-buffers
+    and drew nonces from a seeded `random.Random` per node; it held when the
+    engines began to serve their inbox sorted, and holds with the seeded
+    nonces put back.  The payloads carry the nonces, so the bijective ones
+    moved these digests too (`LOCAL_STEP_PINS`)."""
+    assert (
+        _local_step_digest(case, seed, order_free=True)
+        == LOCAL_STEP_PINS[case, seed][1]
+    )
+    assert _seeded_local_step_digest(case, seed, order_free=True) == digest
 
 
 # ------------------------------------------ centralized reference builds

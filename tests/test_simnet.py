@@ -455,6 +455,24 @@ def test_nonces_are_distinct_for_every_node_up_to_ten_thousand():
     assert len(nonces) == 10_000
 
 
+def _unmix(x):
+    """The inverse of `simnet._nonce`'s mix: the xorshift by half the word
+    undoes itself, and the odd multiplier has an inverse mod 2**32."""
+    x ^= x >> 16
+    return x * pow(0x9E3779B1, -1, 1 << 32) % (1 << 32)
+
+
+def test_the_nonce_map_is_a_bijection_of_32_bit_words():
+    """`_nonce` has an inverse on 0..2**32-1, so nodes numbered within that
+    range get distinct nonces however many there are."""
+    rng = random.Random(36)
+    words = [0, 1, 2**32 - 1] + [rng.getrandbits(32) for _ in range(10_000)]
+    for a in words:
+        x = simnet._nonce(a)
+        assert 0 <= x < 2**simnet._NONCE_BITS
+        assert _unmix(x) == a
+
+
 # ------------------------------------------------------------- running
 
 
@@ -953,6 +971,91 @@ class Snooze(Alarm):
 def test_wake_up_must_lie_ahead():
     with pytest.raises(SimError, match="in round 1 to wake in round 1"):
         run(load_network(PATH3), Snooze(at=1))
+
+
+class Script(NodeEngine):
+    """Node `a`'s step in round r follows `plan[a][r]`, a (wake_at, nodes to
+    send to) pair; in a round its plan leaves out it asks for no wake-up and
+    sends nothing.  A node is quiescent unless it asks for a wake-up, and
+    each node records the rounds it was stepped in."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def start(self, ctx):
+        return []
+
+    def step(self, state, ctx, round_no, inbox):
+        state.append(round_no)
+        wake_at, to = self.plan.get(ctx.node_id, {}).get(round_no, (None, ()))
+        port_of = {b: p for p, b in ctx.neighbor_ids.items()}
+        sends = tuple((port_of[b], "ping") for b in to)
+        return StepResult(
+            sends, quiescent=wake_at is None, wake_at=wake_at, bits=len(sends)
+        )
+
+    def collect(self, state, ctx):
+        return state
+
+
+# name -> (plan on the path 1-2-3, the rounds each node steps in).  Node 2
+# wakes in round 2 to mail node 1, which steps in round 3 and replaces the
+# wake-up it asked for in round 1; node 3, where it waits, keeps the run
+# going past the replaced round.
+WAKE_UP_SCRIPTS = {
+    # Asked for 50, then for 30: it steps in 30 and not in 50.
+    "replaced-by-an-earlier-round": (
+        {
+            1: {1: (50, ()), 3: (30, ())},
+            2: {1: (2, ()), 2: (None, (1,))},
+            3: {1: (60, ())},
+        },
+        {1: [1, 3, 30], 2: [1, 2, 3], 3: [1, 60]},
+    ),
+    # Asked for 50, then for nothing: it never steps again.
+    "cancelled": (
+        {1: {1: (50, ())}, 2: {1: (2, ()), 2: (None, (1,))}, 3: {1: (60, ())}},
+        {1: [1, 3], 2: [1, 2, 3], 3: [1, 60]},
+    ),
+    # Asked for 40, then for 40 again: it steps in 40 once.
+    "asked-again": (
+        {1: {1: (40, ()), 3: (40, ())}, 2: {1: (2, ()), 2: (None, (1,))}},
+        {1: [1, 3, 40], 2: [1, 2, 3], 3: [1]},
+    ),
+    # Asked for 40, then 45, then 40 again (mailed again in round 5): it
+    # steps in 40 once and not in 45.
+    "asked-back": (
+        {
+            1: {1: (40, ()), 3: (45, ()), 5: (40, ())},
+            2: {1: (2, ()), 2: (4, (1,)), 3: (4, ()), 4: (None, (1,))},
+        },
+        {1: [1, 3, 5, 40], 2: [1, 2, 3, 4, 5], 3: [1]},
+    ),
+    # Node 1's request for 30 is replaced by one for 50 while node 3 waits
+    # for 40: the idle jump passes the stale 30 and lands on 40.
+    "idle-jump-past-a-stale-request": (
+        {1: {1: (30, ()), 2: (50, ())}, 2: {1: (None, (1,))}, 3: {1: (40, ())}},
+        {1: [1, 2, 50], 2: [1, 2], 3: [1, 40]},
+    ),
+    # Node 1 asked for 30 and then for 50, and node 3 asks for 30: the
+    # jump lands on 30, where only node 3 steps.
+    "stale-and-live-in-one-round": (
+        {1: {1: (30, ()), 2: (50, ())}, 2: {1: (None, (1,))}, 3: {1: (30, ())}},
+        {1: [1, 2, 50], 2: [1, 2], 3: [1, 30]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WAKE_UP_SCRIPTS))
+def test_a_later_report_replaces_the_wake_up_asked_for(case):
+    """Only the wake-up of a node's last report counts: one it replaced or
+    cancelled steps it in no round, and a round asked for twice steps it
+    once."""
+    plan, rounds = WAKE_UP_SCRIPTS[case]
+    res, metrics = run(load_network(PATH3), Script(plan), round_cap=100)
+    assert res == rounds
+    sends = sum(len(to) for steps in plan.values() for _, to in steps.values())
+    assert metrics.total_msgs == sends
 
 
 # ------------------------------------------------------- delivery order
