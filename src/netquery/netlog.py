@@ -23,9 +23,10 @@ it a body that cannot be ordered or that leaves a head variable unbound.
 A plan runs as Python code generated from its steps (`_generate`) the first
 time it fires, and kept on the plan: nested loops over the index buckets,
 with the slots as local variables.  Every evaluation fires its plans
-through `_match_literal`.  A node of a distributed run fires a plan only
-when a relation it reads, or the count of a relation it reads only as a
-gate, has changed since the plan last fired there (`NetlogEngine`).
+through `_match_literal`.  A node of a distributed run works from what
+changed since its last step: it recounts only the gates whose relation
+changed, and fires a plan only when the plan never fired there, a relation
+it reads changed, or one of its gates counts differently (`NetlogEngine`).
 """
 from __future__ import annotations
 
@@ -931,17 +932,19 @@ class _NetlogNodeState:
     index memo of the node's views are kept for the whole run, so every
     view of the node shares one edge set.
 
-    `firings` holds, per plan, its last firing at the node: the plan's
-    inputs then (the `reads` sets of that snapshot, then its gate counts),
-    how many facts it derived, the argument tuples it kept at the node, its
-    (port, fact) sends in order and the largest wire size among them.  The
-    inputs are held by reference, so that both memos, this one and the
-    views' index memo, rest on snapshot sets never being mutated."""
+    `firings` holds, per plan, its last firing at the node: how many facts
+    it derived, the argument tuples it kept at the node, its (port, fact)
+    sends in order and the largest wire size among them, or None when the
+    plan never fired or must fire again.  `counts` holds each gate's count
+    at the node's last step, None before the first.  Neither holds a
+    snapshot set: only the views' index memo, which finds a predicate's
+    entry by identity, rests on snapshot sets never being mutated."""
 
     local: dict[str, set[tuple[int, ...]]]
     port_of: dict[int, int]
     edges: frozenset[tuple[int, int]]
     firings: list[Optional[tuple]]
+    counts: list[Optional[int]]
     memo: dict[str, tuple[set, list, dict]] = field(default_factory=dict)
     snapshot: Optional[dict[str, set[tuple[int, ...]]]] = None
 
@@ -955,32 +958,36 @@ class NetlogEngine(simnet.NodeEngine):
     neighbor named by the head holding argument.  The store is replaced
     every round; persistence needs explicit copy rules.  A node keeps its
     slice per predicate (`_NetlogNodeState`), so a step costs its arrivals,
-    one comparison per predicate with the previous slice, which also
-    decides quiescence, the program's gate counts, one comparison per plan
-    with the plan's last firing, and the facts of the plans that fire; a
-    predicate that did not change reuses its sorted list and indexes at
-    once.  A plan fires unless every relation it reads is the set (or
-    equal to the set) it read at its last firing and every gate passes as
-    many tuples (`RulePlan.reads`, `_Gate`): then its output is the same,
-    and the step re-emits that firing's kept facts and sends, in order,
-    and counts its facts as work, as a firing would.  A step reads its
-    inbox as a set and its views sort what they index, so the order of
-    delivery cannot reach what it derives.
+    one comparison per predicate with the previous slice, which yields the
+    predicates that changed or vanished and decides quiescence, a recount
+    of each gate whose relation changed, and the facts of the plans that
+    fire; a predicate that did not change reuses its sorted list and
+    indexes at once.  `readers` maps each predicate a plan reads, and each
+    gate's place in `gates`, to the plans whose output it decides
+    (`RulePlan.reads`, `_Gate`).  A plan fires when it never fired at the
+    node, or when one of its relations changed or one of its gates' counts
+    moved since the node's last step.  Otherwise, by induction over the
+    node's steps, everything it reads is what it was at its last firing,
+    so its output is the same: the step re-emits that firing's kept facts
+    and sends, in order, and counts its facts as work, as a firing would.
+    A step reads its inbox as a set and its views sort what they index, so
+    the order of delivery cannot reach what it derives.
     """
 
     def __init__(self, program: NetlogProgram):
         self.plans = _program_plans(program)
-        # The program's distinct gates, counted once per step, and each
-        # plan's gates as places in that list.  Equal gates of a program's
-        # plans are counted by the first one's code, made in its first run.
+        # The program's distinct gates, equal gates of its plans counted by
+        # the first one's code, made in its first run; and `readers`, from
+        # each predicate a plan reads and each gate's place in `gates` to
+        # the plans whose output it decides.
         self.gates: list[_Gate] = []
-        for plan in self.plans:
+        self.readers: dict[Any, list[int]] = {}
+        for i, plan in enumerate(self.plans):
             if plan.gates is None:
                 plan.reads, plan.gates = _inputs(plan)
             self.gates += [gate for gate in plan.gates if gate not in self.gates]
-        self.gated = [
-            (plan, tuple(map(self.gates.index, plan.gates))) for plan in self.plans
-        ]
+            for key in (*plan.reads, *map(self.gates.index, plan.gates)):
+                self.readers.setdefault(key, []).append(i)
         # Fact -> wire bits.  One engine object serves one run, so one
         # encoding: each distinct fact is sized once.
         self.sizes: dict[Fact, int] = {}
@@ -992,7 +999,7 @@ class NetlogEngine(simnet.NodeEngine):
         port_of = {b: p for p, b in ctx.neighbor_ids.items()}
         return _NetlogNodeState(
             {"start": {(v,)}}, port_of, both_ways((v, u) for u in port_of),
-            [None] * len(self.plans),
+            [None] * len(self.plans), [None] * len(self.gates),
         )
 
     def step(self, state: _NetlogNodeState, ctx, round_no: int, inbox):
@@ -1006,32 +1013,43 @@ class NetlogEngine(simnet.NodeEngine):
             else:
                 tuples.add(args)
         # Neither store holds an empty set, so the slice repeats the
-        # previous one when both name the same predicates with equal sets.
-        previous = state.snapshot
-        quiescent = previous is not None and len(previous) == len(snapshot)
-        if previous is not None:
-            for pred, tuples in snapshot.items():
-                old = previous.get(pred)
-                if old == tuples:
-                    snapshot[pred] = old
-                else:
-                    quiescent = False
+        # previous one when no predicate's set changed or vanished.
+        previous = state.snapshot or {}
+        changed = previous.keys() - snapshot.keys()
+        for pred, tuples in snapshot.items():
+            old = previous.get(pred)
+            if old == tuples:
+                snapshot[pred] = old
+            else:
+                changed.add(pred)
+        quiescent = state.snapshot is not None and not changed
         state.snapshot = snapshot
         view = FactView(snapshot, ctx.global_unary, state.edges, state.memo)
-        counts = [gate.count(view, v) for gate in self.gates]
+        # A plan fires when it never fired here or when something it reads
+        # changed since the last step: then its last firing is dropped.
+        firings, counts, readers = state.firings, state.counts, self.readers
+        for key in changed:
+            for i in readers.get(key, ()):
+                firings[i] = None
+        # A gate's count depends only on its relation, its head step's name.
+        for k, gate in enumerate(self.gates):
+            if counts[k] is None or gate.steps[-1][1] in changed:
+                count = gate.count(view, v)
+                if count != counts[k]:
+                    counts[k] = count
+                    for i in readers[k]:
+                        firings[i] = None
         local: dict[str, set[tuple[int, ...]]] = {}
         sends: list[tuple[int, Fact]] = []
         work = 1
         bits = 0
-        firings = state.firings
-        for i, (plan, gates) in enumerate(self.gated):
-            inputs = (*map(snapshot.get, plan.reads), *map(counts.__getitem__, gates))
+        for i, plan in enumerate(self.plans):
             last = firings[i]
-            if last is None or last[0] != inputs:
+            if last is None:
                 facts: list[Fact] = []
                 _match_literal(plan, view, facts, v)
-                last = firings[i] = (inputs, *self._route(plan, facts, state, ctx))
-            _, n, kept, sent, size = last
+                last = firings[i] = self._route(plan, facts, state, ctx)
+            n, kept, sent, size = last
             if not n:
                 continue
             work += n

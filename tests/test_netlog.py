@@ -946,8 +946,13 @@ R(@x, y, q) :- G(@x, y); clock(@x, q).
 # A gate that passes two tuples (P(@x, q); q >= 1); one whose count goes
 # 1, 0, 1, 1 and then 0 (C(@x, q); q != 2); a predicate with both unary
 # input facts and derived facts, read whole and as a gate (Mark); a
-# negated literal over a changing relation (!C(@x, 1)); and a fact that a
-# plan that is not local keeps at its own node (Self(@y, x)).
+# negated literal over a changing relation (!C(@x, 1)); a fact that a
+# plan that is not local keeps at its own node (Self(@y, x)); a plan that
+# reads only a relation that vanishes, and that only under negation
+# (Late(@x) reads !start(@x) besides the fixed edges); and a gate whose
+# relation changes in every step while its count holds at 1 (Tick(@x, q)
+# is {2}, then {1}, then {0}, then gone), so the plan it gates must not
+# fire again until the count moves.
 REUSE_PROGRAMS = tuple(parse_netlog(text) for text in (
     """
     P(@x, 1) :- start(@x).
@@ -964,6 +969,12 @@ REUSE_PROGRAMS = tuple(parse_netlog(text) for text in (
     ^Mark(@y) :- Mark(@x); G(@x, y).
     Pair(@x, z) :- Mark(@x); Mark(z).
     Near(@x, y) :- G(@x, y); Mark(y).
+    """,
+    """
+    Late(@x) :- G(@x, y); !start(@x).
+    Tick(@x, 2) :- start(@x).
+    Tick(@x, p) :- Tick(@x, q); q >= 1; p = q - 1.
+    Ticking(@x) :- Tick(@x, q).
     """,
 ))
 
@@ -1030,11 +1041,94 @@ def test_reused_firings_step_as_the_always_firing_reference(permuted_inboxes):
     assert reused > runs / 2, (reused, runs)
 
 
+class LastFiringMemoEngine(NetlogEngine):
+    """The reference for change-driven firing: every step counts every
+    gate, and a plan fires unless the sets of its `reads` in the snapshot
+    and the counts of its gates repeat those of its last firing, which the
+    node keeps with the firing's output."""
+
+    def step(self, state, ctx, round_no, inbox):
+        v = ctx.node_id
+        snapshot = state.local
+        for pred, args in {payload for payload, _port in inbox}:
+            snapshot.setdefault(pred, set()).add(args)
+        previous = state.snapshot
+        quiescent = snapshot == previous
+        for pred, tuples in snapshot.items():
+            if previous is not None and previous.get(pred) == tuples:
+                snapshot[pred] = previous[pred]
+        state.snapshot = snapshot
+        view = FactView(snapshot, ctx.global_unary, state.edges, state.memo)
+        counts = [gate.count(view, v) for gate in self.gates]
+        local, sends, work, bits = {}, [], 1, 0
+        for i, plan in enumerate(self.plans):
+            inputs = (
+                *map(snapshot.get, plan.reads),
+                *(counts[self.gates.index(gate)] for gate in plan.gates),
+            )
+            last = state.firings[i]
+            if last is None or last[0] != inputs:
+                facts = []
+                netlog._match_literal(plan, view, facts, v)
+                last = state.firings[i] = (inputs, *self._route(plan, facts, state, ctx))
+            _, n, kept, sent, size = last
+            work += n
+            if kept:
+                local.setdefault(plan.rule.head.pred, set()).update(kept)
+            if sent:
+                sends += sent
+                bits = max(bits, size)
+        state.local = local
+        return StepResult(tuple(sends), quiescent, work, round_no + 1, bits)
+
+
+def _firings_by_step(engine, net, cap):
+    """The plans each step of a run of `engine` on `net` fires, in firing
+    order, as (round, node, plans) in step order."""
+    fired, steps = [], []
+    step = engine.step
+
+    def recording(state, ctx, round_no, inbox):
+        first = len(fired)
+        res = step(state, ctx, round_no, inbox)
+        steps.append((round_no, ctx.node_id, tuple(fired[first:])))
+        return res
+
+    engine.step = recording
+    with _counted_firings(fired):
+        try:
+            simnet.run(net, engine, round_cap=cap)
+        except (NetlogError, simnet.RoundCapError):
+            pass
+    return steps
+
+
+def test_steps_fire_the_plans_the_last_firing_memo_fires():
+    """A step fires exactly the plans, in the same order, that a node
+    firing whenever a plan's read sets or gate counts differ from its last
+    firing's would fire, on the differential graphs and programs at port
+    seed 0: change-driven steps neither skip a firing the inputs call for
+    nor add one they do not.  Ports and delivery order reach no input, so
+    one seed suffices.  Reuse happens in most runs."""
+    reused = runs = 0
+    for g in _differential_graphs():
+        g = g.with_unary({"ReqNode": [1], "dest": [max(g.nodes)], "Mark": [1]})
+        net = make_network(g)
+        for program in _differential_programs(g):
+            cap = min(netlog.default_round_cap(program, g), 60)
+            want = _firings_by_step(LastFiringMemoEngine(program), net, cap)
+            got = _firings_by_step(NetlogEngine(program), net, cap)
+            assert got == want, str(program)
+            runs += 1
+            reused += sum(len(plans) for *_, plans in got) < len(got) * len(program.rules)
+    assert reused > runs / 2, (reused, runs)
+
+
 def test_snapshot_sets_are_never_mutated():
-    """Both memos of a node, its views' indexes and its plans' last
-    firings, hold snapshot sets by reference: no set that a step took into
-    a snapshot changes afterwards, through the compiled SG and TC runs on
-    the 3x3 grid."""
+    """A node's views find a predicate's index memo entry by identity with
+    its snapshot set, which is sound only if no set that a step took into
+    a snapshot changes afterwards: none does, through the compiled SG and
+    TC runs on the 3x3 grid."""
     taken = []
 
     class Recording(NetlogEngine):
