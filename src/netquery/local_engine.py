@@ -33,7 +33,6 @@ from .logic import (
     EDGE_PRED,
     And,
     Atom,
-    BoolConst,
     Cmp,
     Exists,
     FixpointQuery,
@@ -291,15 +290,10 @@ def _compile(f: Formula, slots: dict[str, int], table: Optional[str]) -> _Check:
     """The check deciding f, with the atoms named `table` decided by the
     evaluation's table callback.  Each bound variable gets a slot here; the
     domain is the one ball every bound names, and the parser gives each
-    binder a fresh name, so a binding is never restored."""
-    if isinstance(f, BoolConst):
-        value = f.value
-
-        def check(env, cx):
-            cx.work += 1
-            return value
-
-    elif isinstance(f, Atom) and f.pred == EDGE_PRED:
+    binder a fresh name, so a binding is never restored.  No `true` or
+    `false` reaches it: the parser folds each one below the root, and
+    `_locality` rejects a query that is one."""
+    if isinstance(f, Atom) and f.pred == EDGE_PRED:
         i, j = (slots[t.name] for t in f.args)
 
         def check(env, cx):
@@ -674,14 +668,10 @@ class FOLocEngine(_LocalEngine):
         round_no: int,
         inbox: Sequence[tuple[Any, int]],
     ) -> StepResult:
-        if not inbox and not state.relay and (
-            not state.adopted or state.collector.radius is not None
-        ):
-            # Nothing to serve, relay or launch, and the collection can only
-            # come home through a reply: the simulator's after-send step.
-            return StepResult((), not state.adopted or state.rows is not None)
         out: list[tuple[int, Any]] = []
-        work = self._serve_inbox(state, ctx, inbox, out)
+        # With no mail and no relay pending, as in an after-send step, there
+        # is nothing to serve.
+        work = self._serve_inbox(state, ctx, inbox, out) if inbox or state.relay else 0
         if state.adopted and state.collector.radius is None:
             state.collector.launch(ctx, self.k, out)
         if state.collector.stored is not None:
@@ -692,7 +682,7 @@ class FOLocEngine(_LocalEngine):
             sends=tuple(out),
             quiescent=not out and (not state.adopted or state.rows is not None),
             steps=1 + work,
-            bits=sends_bits(out, local_payload_bits, ctx.enc),
+            bits=sends_bits(out, local_payload_bits, ctx.enc) if out else 0,
         )
 
     def collect(self, state: _FOLocState, ctx: NodeContext) -> frozenset:
@@ -960,16 +950,9 @@ class FPLocEngine(_LocalEngine):
     def _open_window(
         self, state: _FPLocState, out: list[tuple[int, Any]]
     ) -> int:
-        answers = state.answers
-        sent = 0
-        for key in state.plan.asks:
-            if key in answers:
-                continue
-            answers[key] = None
-            route = key[0]
-            out.append((route[0], ("A", route, 2, key[1])))
-            sent += 1
-        return sent
+        asks = state.plan.asks
+        out.extend((route[0], ("A", route, 2, names)) for route, names in asks)
+        return len(asks)
 
     def _finalize_window(
         self,

@@ -14,9 +14,10 @@ membership set, and guards bind or test slots.  The indexes live on a
 probe; their buckets keep the facts' ascending order, so a plan yields its
 bindings in a fixed order.  A view reads a store grouped by predicate
 (`group_facts`) and an edge set that holds both orientations
-(`both_ways`).  It may share a memo with earlier views, as each node's
-views do across rounds, and reuses every index built on a predicate whose
-tuples have not changed.  Building a plan is the rule safety check:
+(`both_ways`).  It may share an index memo with earlier views, as each
+node's views do across rounds; the node drops the entry of every predicate
+that changed, so a view reuses whatever entry it finds.  Building a plan is
+the rule safety check:
 `parse_netlog`, `oracle.eval_datalog` and `rewriter.compile` reject through
 it a body that cannot be ordered or that leaves a head variable unbound.
 
@@ -27,6 +28,8 @@ through `_match_literal`.  A node of a distributed run works from what
 changed since its last step: it recounts only the gates whose relation
 changed, and fires a plan only when the plan never fired there, a relation
 it reads changed, or one of its gates counts differently (`NetlogEngine`).
+One change set, computed once per step, decides all of that, quiescence
+and which index memo entries are stale.
 """
 from __future__ import annotations
 
@@ -572,7 +575,7 @@ def plan_rule(rule: NetlogRule, prebound: Sequence[str] = ()) -> RulePlan:
     i = 0
     while i < len(remaining):
         lit = remaining[i]
-        if not (isinstance(lit, RelLit) and lit.positive) and not _ready(lit, slots):
+        if not _ready(lit, slots):
             i += 1
             continue
         del remaining[i]
@@ -745,15 +748,14 @@ class FactView:
     are built on first use, each predicate's sorted tuples once for all its
     indexes; a bucket lists its tuples in ascending order.
 
-    `memo` maps each predicate to the tuple set it had when last seen, that
-    set's ascending list and the indexes built on the list, by step name.
-    A view given the memo of earlier views reuses the list and the indexes
-    of a predicate whose tuples are the memo's set, or equal to it; views
-    that share one edge set find its entry by identity.  None of them is
-    ever changed once built, and a store set that enters the memo is never
-    mutated again, so that the identity check stays sound."""
+    `memo` maps each predicate to its tuple set, that set's ascending list
+    and the indexes built on the list, by step name.  A view trusts every
+    entry it finds: whoever shares a memo between views drops the entry of
+    each predicate whose tuples differ before the next view reads it, as
+    `NetlogEngine.step` does with its change set.  No entry is changed
+    once built, and no tuple set in one is mutated."""
 
-    __slots__ = ("store", "unary", "edges", "indexes", "seen", "memo")
+    __slots__ = ("store", "unary", "edges", "indexes", "memo")
 
     def __init__(
         self,
@@ -766,7 +768,6 @@ class FactView:
         self.unary = unary
         self.edges = edges
         self.indexes: dict[Any, Any] = {}  # a plan step's name -> its index
-        self.seen: dict[str, tuple[set, list, dict]] = {}  # this view's entries
         self.memo = {} if memo is None else memo
 
     def build(self, step: tuple) -> Any:
@@ -776,7 +777,7 @@ class FactView:
         none are).  For an `_ABSENT` step, the set of the literal's tuples."""
         name = step[1]
         pred = name if step[0] == _ABSENT else name[0]
-        entry = self.seen.get(pred)
+        entry = self.memo.get(pred)
         if entry is None:
             if pred == EDGE_PRED:
                 out = self.edges
@@ -784,10 +785,7 @@ class FactView:
                 out = self.store.get(pred, _NO_TUPLES)
                 if pred in self.unary:
                     out = out | {(a,) for a in self.unary[pred]}
-            entry = self.memo.get(pred)
-            if entry is None or (entry[0] is not out and entry[0] != out):
-                entry = self.memo[pred] = (out, sorted(out), {})
-            self.seen[pred] = entry
+            entry = self.memo[pred] = (out, sorted(out), {})
         if step[0] == _ABSENT:
             index: Any = entry[0]
         else:
@@ -924,21 +922,18 @@ class _NetlogNodeState:
     """A node's facts, each store mapping a predicate to its set of argument
     tuples, with no empty set.  `local` holds what the node's last step
     derived for itself; the next step adds the facts that arrive to it, and
-    the result is that round's slice of the global instance, `snapshot`.  A
-    snapshot keeps the previous snapshot's set object for every predicate
-    whose tuples did not change, so its views find their memo entries by
-    identity; a set in a snapshot is never mutated again.  The
-    neighbour-to-port map, the incident edges in both orientations and the
-    index memo of the node's views are kept for the whole run, so every
-    view of the node shares one edge set.
+    the result is that round's slice of the global instance, `snapshot`,
+    empty before the first step.  No set in a snapshot is mutated again.
+    The neighbour-to-port map, the incident edges in both orientations and
+    the index memo of the node's views are kept for the whole run; the memo
+    holds an entry only for a predicate that has not changed since the
+    entry was built.
 
     `firings` holds, per plan, its last firing at the node: how many facts
     it derived, the argument tuples it kept at the node, its (port, fact)
     sends in order and the largest wire size among them, or None when the
     plan never fired or must fire again.  `counts` holds each gate's count
-    at the node's last step, None before the first.  Neither holds a
-    snapshot set: only the views' index memo, which finds a predicate's
-    entry by identity, rests on snapshot sets never being mutated."""
+    at the node's last step, None before the first."""
 
     local: dict[str, set[tuple[int, ...]]]
     port_of: dict[int, int]
@@ -946,7 +941,7 @@ class _NetlogNodeState:
     firings: list[Optional[tuple]]
     counts: list[Optional[int]]
     memo: dict[str, tuple[set, list, dict]] = field(default_factory=dict)
-    snapshot: Optional[dict[str, set[tuple[int, ...]]]] = None
+    snapshot: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
 
 
 class NetlogEngine(simnet.NodeEngine):
@@ -959,19 +954,21 @@ class NetlogEngine(simnet.NodeEngine):
     every round; persistence needs explicit copy rules.  A node keeps its
     slice per predicate (`_NetlogNodeState`), so a step costs its arrivals,
     one comparison per predicate with the previous slice, which yields the
-    predicates that changed or vanished and decides quiescence, a recount
-    of each gate whose relation changed, and the facts of the plans that
-    fire; a predicate that did not change reuses its sorted list and
-    indexes at once.  `readers` maps each predicate a plan reads, and each
-    gate's place in `gates`, to the plans whose output it decides
-    (`RulePlan.reads`, `_Gate`).  A plan fires when it never fired at the
-    node, or when one of its relations changed or one of its gates' counts
-    moved since the node's last step.  Otherwise, by induction over the
-    node's steps, everything it reads is what it was at its last firing,
-    so its output is the same: the step re-emits that firing's kept facts
-    and sends, in order, and counts its facts as work, as a firing would.
-    A step reads its inbox as a set and its views sort what they index, so
-    the order of delivery cannot reach what it derives.
+    predicates that changed or vanished, a recount of each gate whose
+    relation changed, and the facts of the plans that fire.  That change
+    set is the step's only test of staleness: it decides quiescence, and
+    it drops the index memo entries of its predicates, so that every other
+    predicate reuses its sorted list and indexes unchecked.  `readers` maps
+    each predicate a plan reads, and each gate's place in `gates`, to the
+    plans whose output it decides (`RulePlan.reads`, `_Gate`).  A plan
+    fires when it never fired at the node, or when one of its relations
+    changed or one of its gates' counts moved since the node's last step.
+    Otherwise, by induction over the node's steps, everything it reads is
+    what it was at its last firing, so its output is the same: the step
+    re-emits that firing's kept facts and sends, in order, and counts its
+    facts as work, as a firing would.  A step reads its inbox as a set and
+    its views sort what they index, so the order of delivery cannot reach
+    what it derives.
     """
 
     def __init__(self, program: NetlogProgram):
@@ -1014,23 +1011,21 @@ class NetlogEngine(simnet.NodeEngine):
                 tuples.add(args)
         # Neither store holds an empty set, so the slice repeats the
         # previous one when no predicate's set changed or vanished.
-        previous = state.snapshot or {}
+        previous = state.snapshot
         changed = previous.keys() - snapshot.keys()
-        for pred, tuples in snapshot.items():
-            old = previous.get(pred)
-            if old == tuples:
-                snapshot[pred] = old
-            else:
-                changed.add(pred)
-        quiescent = state.snapshot is not None and not changed
+        changed.update(
+            pred for pred, tuples in snapshot.items() if previous.get(pred) != tuples
+        )
         state.snapshot = snapshot
-        view = FactView(snapshot, ctx.global_unary, state.edges, state.memo)
-        # A plan fires when it never fired here or when something it reads
-        # changed since the last step: then its last firing is dropped.
+        # What changed since the last step is stale: its memo entry, and
+        # the last firing of every plan that reads it.
+        memo = state.memo
         firings, counts, readers = state.firings, state.counts, self.readers
         for key in changed:
+            memo.pop(key, None)
             for i in readers.get(key, ()):
                 firings[i] = None
+        view = FactView(snapshot, ctx.global_unary, state.edges, memo)
         # A gate's count depends only on its relation, its head step's name.
         for k, gate in enumerate(self.gates):
             if counts[k] is None or gate.steps[-1][1] in changed:
@@ -1065,7 +1060,7 @@ class NetlogEngine(simnet.NodeEngine):
                 bits = max(bits, size)
         state.local = local
         # The store is replaced every round, so every round needs a step.
-        return simnet.StepResult(tuple(sends), quiescent, work, round_no + 1, bits)
+        return simnet.StepResult(tuple(sends), not changed, work, round_no + 1, bits)
 
     def _route(self, plan: RulePlan, facts: list[Fact], state: _NetlogNodeState, ctx):
         """A firing's facts placed: their number, the argument tuples kept
@@ -1086,19 +1081,12 @@ class NetlogEngine(simnet.NodeEngine):
                 raise NetlogError(
                     f"fact {fact[0]}{fact[1]} addressed to non-neighbor {target}"
                 )
-        out = [fact for _, fact in sent] if kept else facts
-        # `sizes` holds every fact sized so far; a firing that sends a new
-        # one sizes its sends through `payload_bits`, which adds them.
-        try:
-            size = max(map(self.sizes.__getitem__, out), default=0)
-        except KeyError:
-            size = max(self.payload_bits(fact, ctx.enc) for fact in out)
+        size = max((self.payload_bits(fact, ctx.enc) for _, fact in sent), default=0)
         return len(facts), kept, sent, size
 
     def collect(self, state: _NetlogNodeState, ctx) -> frozenset[Fact]:
-        store = state.snapshot if state.snapshot is not None else state.local
         return frozenset(
-            (pred, args) for pred, tuples in store.items() for args in tuples
+            (pred, args) for pred, tuples in state.snapshot.items() for args in tuples
         )
 
     def payload_bits(self, payload: Fact, enc) -> int:

@@ -199,9 +199,6 @@ class Relation:
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
 
-    def __contains__(self, item) -> bool:
-        return tuple(item) in self.tuples
-
 
 @dataclass(frozen=True)
 class StageTrace:

@@ -18,15 +18,22 @@ from netquery.fixtures import TRANSITIVE_CLOSURE_TEXT
 from netquery.local_engine import run_qe_fo_loc, run_qe_fp_loc
 from netquery.logic import (
     EDGE_PRED,
+    FALSE,
+    TRUE,
+    And,
     Atom,
     FixpointQuery,
     InNbhd,
+    Not,
+    Or,
     Var,
     make_and,
     parse_fixpoint,
     parse_formula,
+    print_formula,
+    relativize_fixpoint,
 )
-from netquery.oracle import OracleError, eval_fo, eval_fp, path_graph
+from netquery.oracle import OracleError, eval_fo, eval_fp, path_graph, ring_graph
 from netquery.simnet import ANONYMOUS, make_network, network_text
 
 
@@ -118,6 +125,8 @@ LOCAL_INADMISSIBLE = [
     (run_qe_fp_loc, TRANSITIVE_CLOSURE_TEXT, None),
     (run_qe_fp_loc, "mu T(x,y). exists z in N^1(x). G(x,z)", None),
     (run_qe_fp_loc, "mu T(x). exists y in N^1(x). (T(y) & x >= y)", ANONYMOUS),
+    (run_qe_fo_loc, "true", None),
+    (run_qe_fo_loc, "false", ANONYMOUS),
 ]
 
 
@@ -167,3 +176,54 @@ def test_a_declared_variable_missing_from_the_body_has_one_reason(run, query):
         run(make_network(g), query, 1)
     with pytest.raises(OracleError, match=reason):
         _oracle(g, query)
+
+
+def _with_constants(f):
+    """f with `true` and `false` written in, unfolded, and its top-level
+    conjuncts kept at the top, where locality reads its guards:
+    `!false & (false | first) & rest & true`."""
+    parts = f.parts if isinstance(f, And) else (f,)
+    return And((Not(FALSE), Or((FALSE, parts[0])), *parts[1:], TRUE))
+
+
+CONSTANTS_INSIDE = [
+    (run_qe_fo, parse_formula("exists y. (G(x,y) & G(y,x))"), None),
+    (
+        run_qe_fo_loc,
+        parse_formula(
+            "exists y in N^1(x). exists z in N^1(x). (G(x,y) & G(x,z) & y != z)"
+        ),
+        ANONYMOUS,
+    ),
+    (run_qe_fp, parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), None),
+    (
+        run_qe_fp_loc,
+        relativize_fixpoint(parse_fixpoint(TRANSITIVE_CLOSURE_TEXT), 1),
+        ANONYMOUS,
+    ),
+]
+
+
+@pytest.mark.parametrize("run,query,mode", CONSTANTS_INSIDE)
+def test_every_engine_matches_the_oracle_with_true_and_false_inside(run, query, mode):
+    """A driver reads its query's printed text, which the parser folds, and
+    the oracle decides the constants as written (`oracle.holds`): both give
+    the relation of the query without them."""
+    if isinstance(query, FixpointQuery):
+        written = FixpointQuery(query.name, query.vars, _with_constants(query.body))
+        assert "!false" in print_formula(written.body)
+    else:
+        written = _with_constants(query)
+        assert "!false" in print_formula(written)
+    g = ring_graph(5)
+    net = make_network(g, mode=mode) if mode else make_network(g)
+    rel, _ = run(net, written, 1)
+    want = _oracle(g, query).tuples
+    assert want and rel.tuples == _oracle(g, written).tuples == want
+
+
+def test_the_global_engine_and_the_oracle_agree_on_a_constant_query():
+    g = path_graph(3)
+    for f, want in ((TRUE, {()}), (FALSE, set())):
+        rel, _ = run_qe_fo(make_network(g), print_formula(f), 1)
+        assert rel.tuples == eval_fo(g, f).tuples == want

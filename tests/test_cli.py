@@ -58,6 +58,16 @@ def test_fixtures_stdout_and_files(capsys, tmp_path):
     assert len(written) > 1 and "wrote" in out
 
 
+def test_fixtures_of_one_family_written_to_a_directory(capsys, tmp_path):
+    outdir = tmp_path / "nets"
+    code, out, _ = run_cli(capsys, "fixtures", "ring", "4", "--out", str(outdir))
+    assert code == 0
+    assert out == f"wrote {outdir / 'ring-4.net'}\n"
+    assert (outdir / "ring-4.net").read_text() == network_text(ring_graph(4))
+    code, out, _ = run_cli(capsys, "fixtures", "grid", "2", "--out", str(outdir))
+    assert code == 0 and (outdir / "grid-2x2.net").is_file()
+
+
 def test_fixtures_ring_needs_three_nodes(capsys):
     code, out, err = run_cli(capsys, "fixtures", "ring", "2")
     assert (code, out) == (2, "")
@@ -462,6 +472,31 @@ def test_missing_required_flags(capsys, path3):
     assert code == 2 and "--req" in err
     code, _, err = run_cli(capsys, "oracle-fo", "--query", "G(x,y)")
     assert code == 2 and "--net" in err
+
+
+def test_each_command_names_the_option_it_misses(capsys, path3, ring4, tmp_path):
+    for argv, missing in (
+        (("qe-fo-loc", "--query", "exists y in N^1(x). G(x,y)", "--req", "1"),
+         "--net is required"),
+        (("netlog-run", "--net", path3), "--query is required"),
+        (("compile", "--query", "T(x,y) :- G(x,y)."),
+         "compile needs --delta or --net"),
+        (("check-consistent", "--net", ring4), "--labels is required"),
+        (("fixtures", "all", "3"), "fixtures all needs --out DIRECTORY"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and missing in err, argv
+
+
+def test_label_files_may_hold_comments_and_blank_lines(capsys, ring4, tmp_path):
+    labels = tmp_path / "commented.labels"
+    labels.write_text("# node label\n1 10\n\n2 20\n  # ring\n3 30\n4 40\n")
+    code, out, _ = run_cli(
+        capsys, "check-consistent", "--net", ring4, "--labels", str(labels),
+        "--radius", "1",
+    )
+    assert code == 0 and "yes" in out
 
 
 def test_bad_requester_rejected(capsys, path3):

@@ -1747,8 +1747,6 @@ def test_window_plan_equals_the_per_window_build(monkeypatch):
     the node's window plan covers exactly the window's ground table atoms,
     sends the asks the per-window build sends, in its order, and gives
     every ground atom the per-window build's truth."""
-    from test_golden import GOLDEN_METRICS
-
     counts = {"windows": 0, "finalized": 0, "asks": 0, "local": 0, "remote": 0}
     truths = []
     rows, open_window, finalize = (
@@ -1787,6 +1785,17 @@ def test_window_plan_equals_the_per_window_build(monkeypatch):
     monkeypatch.setattr(local_engine, "_rows", recording_rows)
     monkeypatch.setattr(FPLocEngine, "_open_window", checked_open)
     monkeypatch.setattr(FPLocEngine, "_finalize_window", checked_finalize)
+    _run_fp_loc_corpus()
+    assert not truths
+    assert counts["windows"] == counts["finalized"] > 100
+    assert counts["asks"] == counts["remote"] > 500 and counts["local"] > 300
+
+
+def _run_fp_loc_corpus():
+    """The FP-loc runs of `GOLDEN_METRICS`, and reachability on path-5 and
+    the labelled 2x3 grid at port seeds 0 and 1."""
+    from test_golden import GOLDEN_METRICS
+
     for name, run, _ in GOLDEN_METRICS:
         if name.startswith("fploc"):
             run()
@@ -1797,6 +1806,21 @@ def test_window_plan_equals_the_per_window_build(monkeypatch):
         path = path_graph(5).with_unary({"Mark": [1]})
         run_qe_fp_loc(make_network(path, ANONYMOUS, port_seed=seed), reach, 1)
         run_qe_fp_loc(make_network(g, labeled, port_seed=seed), reach, 1)
-    assert not truths
-    assert counts["windows"] == counts["finalized"] > 100
-    assert counts["asks"] == counts["remote"] > 500 and counts["local"] > 300
+
+
+def test_every_window_opens_with_distinct_asks_and_no_answers(monkeypatch):
+    """A window sends every ask of its plan, unchecked: on the FP-loc
+    corpus the plan lists each ask once, and a window opens before any
+    answer of its own asks can arrive, with last window's answers gone."""
+    opened = []
+    open_window = FPLocEngine._open_window
+
+    def checked_open(self, state, out):
+        asks = state.plan.asks
+        assert len(set(asks)) == len(asks) and state.answers == {}
+        opened.append(len(asks))
+        return open_window(self, state, out)
+
+    monkeypatch.setattr(FPLocEngine, "_open_window", checked_open)
+    _run_fp_loc_corpus()
+    assert len(opened) > 100 and sum(opened) > 500

@@ -14,6 +14,8 @@ from fixture_data import (
     TWO_HOP_TEXT,
 )
 from netquery.logic import (
+    FALSE,
+    TRUE,
     And,
     Atom,
     Cmp,
@@ -111,6 +113,44 @@ def test_integers_are_ascii_digits_only():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_datalog("T(x) :- G(x,\u0662).")
     assert print_formula(parse_formula("x = 3")) == "x = 3"
+
+
+def test_true_and_false_fold_below_the_root():
+    """The parser folds every `true` and `false` below the root: a neutral
+    part of a connective goes, an absorbing one decides it, a negation flips
+    its constant and a binder whose body folds to a constant goes.  Only a
+    root stays a constant."""
+    g = Atom("G", (Var("x"), Var("y")))
+    cases = {
+        "G(x,y) & true": g,
+        "G(x,y) | false": g,
+        "true & (G(x,y) & true)": g,
+        "G(x,y) & !true": FALSE,
+        "G(x,y) | !false": TRUE,
+        "!(G(x,y) & false)": TRUE,
+        "exists y. (G(x,y) & (false | true))": Exists("y", g, None),
+        "forall y in N^1(x). (false | G(x,y))": Forall("y", g, (Var("x"), 1)),
+        "exists y. true": TRUE,
+        "true & false": FALSE,
+        "true & !false": TRUE,
+        "false | false": FALSE,
+        "!true": FALSE,
+        "true": TRUE,
+    }
+    for text, want in cases.items():
+        assert parse_formula(text) == want, text
+    q = parse_fixpoint("mu T(x,y). (G(x,y) & true) | (false & T(y,x))")
+    assert q.body == g
+    assert print_formula(parse_formula("!(exists y. false)")) == "true"
+
+
+def test_malformed_ranges_and_declarations_are_rejected():
+    with pytest.raises(ParseError, match=r"expected neighborhood range N\^k"):
+        parse_formula("exists y in M^1(x). G(x,y)")
+    with pytest.raises(ParseError, match="fixpoint relation name is a keyword"):
+        parse_fixpoint("mu exists(x). G(x,x)")
+    with pytest.raises(FormulaError, match="duplicate declared variables in mu T"):
+        parse_fixpoint("mu T(x,x). G(x,x)")
 
 
 def test_arity_mismatch_rejected():
@@ -362,6 +402,12 @@ def test_relativize_identity_when_nothing_to_do():
 def test_relativize_requires_free_center():
     with pytest.raises(FormulaError):
         relativize(parse_formula("G(y,z)"), "x", 1)
+
+
+def test_relativize_needs_a_positive_radius():
+    for k in (0, -1):
+        with pytest.raises(FormulaError, match="radius must be >= 1"):
+            relativize(parse_formula("exists y. G(x,y)"), "x", k)
 
 
 def test_relativize_rejects_bounded_input():

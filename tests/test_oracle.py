@@ -35,6 +35,7 @@ from netquery.oracle import (
     ring_graph,
     star_graph,
 )
+from netquery.simnet import load_network
 
 
 def triangle():
@@ -47,6 +48,13 @@ def triangle():
 def test_make_graph_rejects_self_loop():
     with pytest.raises(GraphError):
         make_graph([(1, 1), (1, 2)])
+
+
+def test_a_graph_needs_a_node():
+    with pytest.raises(GraphError, match="empty graph"):
+        make_graph([])
+    with pytest.raises(GraphError, match="empty graph"):
+        load_network("0 0")
 
 
 def test_make_graph_rejects_disconnected():

@@ -263,6 +263,30 @@ def test_load_rejects_non_ascii_integers(word):
         load_network(f"2 {word}\n1 2\n")
 
 
+def test_load_rejects_a_file_without_its_header_or_edges():
+    for text in ("", "\n  \n", "# only a comment\n"):
+        with pytest.raises(SimError, match="empty network file"):
+            load_network(text)
+    for head in ("3", "3 2 1"):
+        with pytest.raises(SimError, match="expected 'n m' on the first line"):
+            load_network(f"{head}\n1 2\n2 3\n")
+    with pytest.raises(SimError, match="expected 2 edge lines, found 1"):
+        load_network("3 2\n1 2\n")
+    stray = "unexpected line '3 1' (expected '@facts')"
+    with pytest.raises(SimError, match=re.escape(stray)):
+        load_network("3 2\n1 2\n2 3\n3 1\n")
+
+
+def test_identity_modes_reject_an_unknown_kind_and_an_incomplete_one():
+    with pytest.raises(SimError, match="unknown identity mode 'ids'"):
+        IdentityMode("ids")
+    for k in (None, 0):
+        with pytest.raises(SimError, match="needs a radius k >= 1"):
+            IdentityMode("local-consistent", k=k, labels={1: 1})
+    with pytest.raises(SimError, match="needs a label map"):
+        IdentityMode("local-consistent", k=1)
+
+
 def test_load_rejects_node_outside_range():
     outside = r"line 4: edge '3 9' names node 9 outside 1\.\.3"
     with pytest.raises(SimError, match=outside):
